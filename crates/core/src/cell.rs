@@ -284,14 +284,13 @@ impl CkptCell {
         r
     }
 
-    /// Current kill flag (checked by long-running wrapper loops).
-    pub fn killed(&self) -> bool {
-        self.st.lock().kill
-    }
-
-    /// Whether a do-ckpt is pending (wrapper receive loop participation).
-    pub fn ckpt_pending(&self) -> bool {
-        self.st.lock().do_ckpt
+    /// Whether a do-ckpt or kill is waiting for this rank's next
+    /// [`CkptCell::quiesce_check`]. Both flags wake the rank when set, but
+    /// a wake that lands inside an `advance` is absorbed by it: a loop
+    /// about to park *without* a `Park` marker must ask first.
+    pub fn interrupt_pending(&self) -> bool {
+        let st = self.st.lock();
+        st.do_ckpt || st.kill
     }
 
     // ----- helper side ------------------------------------------------------

@@ -172,7 +172,7 @@ pub enum SessionError {
         source: Box<RestartError>,
     },
     /// A [`crate::session::JobBuilder`] described an unrunnable job.
-    InvalidJob(String),
+    InvalidSpec(String),
     /// A storage-level refusal surfaced through the session — today that
     /// is [`StoreError::QuotaExceeded`] back-pressure from per-tenant
     /// quota enforcement.
@@ -215,7 +215,7 @@ impl fmt::Display for SessionError {
                 f,
                 "recovery exhausted after {attempts} restart attempts; last error: {source}"
             ),
-            SessionError::InvalidJob(why) => write!(f, "invalid job description: {why}"),
+            SessionError::InvalidSpec(why) => write!(f, "invalid job description: {why}"),
             SessionError::Store(e) => write!(f, "{e}"),
         }
     }

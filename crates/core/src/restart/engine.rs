@@ -373,6 +373,7 @@ impl<'a> RestartEngine<'a> {
                 app_wall: crate::runner::app_wall_of(&window),
                 checksums: checksums_out,
                 killed: killed_out,
+                sched: sim.sched_stats(),
             },
             hub,
             report,

@@ -21,7 +21,7 @@ use mana_net::transport::Network;
 use mana_sim::cluster::{ClusterSpec, InterconnectKind, Placement};
 use mana_sim::fs::IoShape;
 use mana_sim::memory::AddressSpace;
-use mana_sim::sched::{Sim, SimConfig, SimThread};
+use mana_sim::sched::{SchedStats, Sim, SimConfig, SimThread};
 use mana_sim::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -61,6 +61,9 @@ pub struct RunOutcome {
     pub checksums: BTreeMap<u32, u64>,
     /// Whether the job was killed after a checkpoint (migration flows).
     pub killed: bool,
+    /// Scheduler events the run dispatched: deterministic under the seed,
+    /// so a host-independent measure of what the run costs to simulate.
+    pub sched: SchedStats,
 }
 
 /// Shared (start, end) window collector for app_wall measurement.
@@ -207,6 +210,7 @@ pub(crate) fn native_engine(
         app_wall: app_wall_of(&window),
         checksums: checksums_out,
         killed: killed_out,
+        sched: sim.sched_stats(),
     }
 }
 
@@ -338,6 +342,7 @@ pub(crate) fn mana_engine(
             app_wall: app_wall_of(&window),
             checksums: checksums_out,
             killed: killed_out,
+            sched: sim.sched_stats(),
         },
         hub,
     )

@@ -405,7 +405,7 @@ impl ManaSession {
     ) -> Result<RunOutcome, SessionError> {
         let spec = job.build_spec(None)?;
         if !spec.cfg.ckpt_times.is_empty() {
-            return Err(SessionError::InvalidJob(
+            return Err(SessionError::InvalidSpec(
                 "native runs cannot take checkpoints; drop the checkpoint schedule".into(),
             ));
         }
@@ -721,9 +721,18 @@ impl JobBuilder {
             .unwrap_or_else(|| ClusterSpec::local_cluster(2));
         let nranks = self.nranks.or(inherit.map(|s| s.nranks)).unwrap_or(4);
         if nranks == 0 {
-            return Err(SessionError::InvalidJob(
+            return Err(SessionError::InvalidSpec(
                 "world size must be at least 1".into(),
             ));
+        }
+        if nranks > cluster.total_cores() {
+            return Err(SessionError::InvalidSpec(format!(
+                "{nranks} ranks do not fit on cluster '{}': {} node(s) x {} cores = {} cores",
+                cluster.name,
+                cluster.nodes,
+                cluster.cores_per_node,
+                cluster.total_cores()
+            )));
         }
         let placement = self
             .placement
@@ -784,7 +793,7 @@ impl JobBuilder {
             cfg.chaos = chaos.clone();
         }
         if cfg.ckpt_times.is_empty() && cfg.after_last_ckpt == AfterCkpt::Kill {
-            return Err(SessionError::InvalidJob(
+            return Err(SessionError::InvalidSpec(
                 "then_kill() without a checkpoint schedule would never terminate the job".into(),
             ));
         }
@@ -1064,11 +1073,40 @@ mod tests {
     fn invalid_jobs_rejected() {
         assert!(matches!(
             JobBuilder::new().ranks(0).build_spec(None),
-            Err(SessionError::InvalidJob(_))
+            Err(SessionError::InvalidSpec(_))
         ));
         assert!(matches!(
             JobBuilder::new().then_kill().build_spec(None),
-            Err(SessionError::InvalidJob(_))
+            Err(SessionError::InvalidSpec(_))
+        ));
+    }
+
+    #[test]
+    fn oversubscribed_cluster_is_a_typed_error() {
+        // `manasim run --ranks 256` on the default two Cori nodes.
+        let job = JobBuilder::new().cluster(ClusterSpec::cori(2)).ranks(256);
+        match job.build_spec(None) {
+            Err(SessionError::InvalidSpec(why)) => {
+                assert!(
+                    why.contains("256 ranks") && why.contains("64 cores"),
+                    "{why}"
+                );
+                assert!(!why.contains('\n'), "one line: {why}");
+            }
+            other => panic!("expected InvalidSpec, got {:?}", other.map(|s| s.nranks)),
+        }
+        // Exactly full is fine, and a restart that moves the job onto a
+        // cluster too small for the inherited world size is rejected too.
+        let src = JobBuilder::new()
+            .cluster(ClusterSpec::cori(2))
+            .ranks(64)
+            .build_spec(None)
+            .unwrap();
+        assert!(matches!(
+            JobBuilder::new()
+                .cluster(ClusterSpec::local_cluster(2))
+                .build_spec(Some(&src)),
+            Err(SessionError::InvalidSpec(_))
         ));
     }
 }

@@ -488,7 +488,7 @@ mod tests {
             FaultClass::Fatal
         );
         assert_eq!(
-            classify(&SessionError::InvalidJob("x".into())),
+            classify(&SessionError::InvalidSpec("x".into())),
             FaultClass::Fatal
         );
     }

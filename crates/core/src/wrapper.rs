@@ -27,6 +27,7 @@ use mana_mpi::{
     SrcSpec, Status, Tag, TagSpec, COMM_NULL,
 };
 use mana_sim::sched::SimThread;
+use mana_sim::time::SimDuration;
 use std::sync::Arc;
 
 /// The MANA wrapper for one rank.
@@ -149,6 +150,19 @@ impl ManaMpi {
 
     /// Shared blocking-receive loop: drained buffer first, then the lower
     /// half, interruptible for quiescence.
+    ///
+    /// This is real MANA's `MPI_Iprobe` receive loop: one iteration is a
+    /// quiesce check, a drained-buffer check, the FS round-trip and a lower
+    /// `iprobe`. With nothing queued the rank sleeps (`Park::InRecvWait`)
+    /// until a delivery. With *unmatched* data queued the lower half cannot
+    /// sleep and the loop polls back to back; those polls are
+    /// fast-forwarded ([`Mpi::iprobe_every`]) rather than executed: nothing
+    /// an iteration looks at — the rank's queue, do-ckpt, kill, abort —
+    /// changes without waking this thread, and the drained buffer only
+    /// changes while the rank is quiesced. The `Park` marker stays
+    /// `Running` throughout, as it is for a rank inside `MPI_Iprobe`, so a
+    /// checkpoint waits for the next poll instant and finds the rank in
+    /// `quiesce_check` there.
     fn recv_inner(
         &self,
         t: &SimThread,
@@ -173,8 +187,14 @@ impl ManaMpi {
                     },
                 );
             }
+            let iteration_start = t.now();
             self.fs(t);
-            if let Some(st) = self.lower.iprobe(t, src, tag, real) {
+            let mut probe = self.lower.iprobe(t, src, tag, real);
+            if probe.is_none() && !self.sh.cell.interrupt_pending() {
+                let period = t.now().since(iteration_start);
+                probe = self.lower.iprobe_every(t, period, src, tag, real);
+            }
+            if let Some(st) = probe {
                 let (data, status) =
                     self.lower
                         .recv(t, SrcSpec::Rank(st.source), TagSpec::Tag(st.tag), real);
@@ -947,6 +967,18 @@ impl Mpi for ManaMpi {
         self.sh.virt.dtype.remove(dtype.0);
         self.sh.dtypes.lock().remove(&dtype.0);
         self.sh.dtype_base_cache.lock().retain(|_, v| *v != dtype.0);
+    }
+
+    fn iprobe_every(
+        &self,
+        t: &SimThread,
+        period: SimDuration,
+        src: SrcSpec,
+        tag: TagSpec,
+        comm: CommHandle,
+    ) -> Option<Status> {
+        let real = CommHandle(self.meta_untimed(comm.0).real);
+        self.lower.iprobe_every(t, period, src, tag, real)
     }
 
     fn wait_any_message(&self, t: &SimThread) {

@@ -20,6 +20,7 @@ use crate::types::{
     TagSpec,
 };
 use mana_sim::sched::SimThread;
+use mana_sim::time::SimDuration;
 
 /// Result of a nonblocking-completion test.
 #[derive(Clone, Debug, PartialEq)]
@@ -79,12 +80,44 @@ pub trait Mpi: Send + Sync {
     /// Nonblocking probe for a matching deliverable message.
     fn iprobe(&self, t: &SimThread, src: SrcSpec, tag: TagSpec, comm: CommHandle)
         -> Option<Status>;
+    /// Fast-forwarded polling: the result a caller re-running
+    /// [`Mpi::iprobe`] every `period` (the whole cost of one iteration of
+    /// its loop, this call's CPU included) would get at the first poll
+    /// instant at which it could differ from a miss.
+    ///
+    /// Simulated polling is computed, not executed. This applies right
+    /// after a probe missed while *other* unmatched messages sit in this
+    /// rank's queue — the state in which [`Mpi::wait_any_message`] returns
+    /// at once and a probe-then-wait loop would spin through the scheduler
+    /// once per poll. The thread parks once; a delivery to this rank or any
+    /// external wake at time `T` resumes it, it advances to the first poll
+    /// instant `now + k·period ≥ T` (`k ≥ 1`) and probes there, uncharged
+    /// (the skipped polls' cost *is* the elapsed time; a debug build still
+    /// logs each of them). With nothing queued it returns `None` at once:
+    /// sleeping is then `wait_any_message`'s job.
+    ///
+    /// The park is invisible to MANA: the wrapper does not announce it
+    /// (its `Park` state stays `Running`), because the loop it stands for
+    /// is a rank *running* through `MPI_Iprobe` calls — a checkpoint must
+    /// wait for it to reach its next poll instant and quiesce there, which
+    /// is where this returns.
+    fn iprobe_every(
+        &self,
+        t: &SimThread,
+        period: SimDuration,
+        src: SrcSpec,
+        tag: TagSpec,
+        comm: CommHandle,
+    ) -> Option<Status>;
     /// Park until message activity (data or acks) may have occurred for
     /// this rank; wakeups may be spurious. Returns immediately if
-    /// unconsumed messages are already queued. This is the progress-wait
-    /// hook MANA's interruptible receive loop and drain protocol sleep on
-    /// (a real implementation exposes the same thing as the blocking path
-    /// of its progress engine).
+    /// unmatched data is already queued (use [`Mpi::iprobe_every`] to wait
+    /// that state out). This is the progress-wait hook MANA's
+    /// interruptible receive loop and drain protocol sleep on when the
+    /// queue is empty (a real implementation exposes the same thing as the
+    /// blocking path of its progress engine). The wrapper announces this
+    /// park as `Park::InRecvWait`: a rank asleep here initiates nothing,
+    /// so a checkpoint may bookmark it where it is.
     fn wait_any_message(&self, t: &SimThread);
 
     // ----- blocking collectives --------------------------------------------

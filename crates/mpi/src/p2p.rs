@@ -219,7 +219,7 @@ impl P2pEngine {
 
     /// Block until rendezvous `token` is acknowledged.
     pub fn wait_ack(&self, t: &SimThread, me: Rank, token: u64) {
-        self.net.add_waiter(self.eps[me as usize], t.id());
+        let _waiting = self.net.waiter(self.eps[me as usize], t.id());
         loop {
             abort_point(&self.abort);
             self.pump(me);
@@ -228,7 +228,6 @@ impl P2pEngine {
             }
             t.block();
         }
-        self.net.remove_waiter(self.eps[me as usize], t.id());
     }
 
     /// Check (without blocking) whether rendezvous `token` was acked.
@@ -247,18 +246,19 @@ impl P2pEngine {
         tag: TagSpec,
         ctx: u64,
     ) -> (Vec<u8>, Status) {
-        self.net.add_waiter(self.eps[me as usize], t.id());
-        let msg = loop {
-            abort_point(&self.abort);
-            self.pump(me);
-            if let Some(m) = self.take_match(me, |a| {
-                src.matches(a.src) && tag.matches(a.tag) && a.ctx == ctx
-            }) {
-                break m;
+        let msg = {
+            let _waiting = self.net.waiter(self.eps[me as usize], t.id());
+            loop {
+                abort_point(&self.abort);
+                self.pump(me);
+                if let Some(m) = self.take_match(me, |a| {
+                    src.matches(a.src) && tag.matches(a.tag) && a.ctx == ctx
+                }) {
+                    break m;
+                }
+                t.block();
             }
-            t.block();
         };
-        self.net.remove_waiter(self.eps[me as usize], t.id());
         self.finish_match(t, me, &msg);
         let status = Status {
             source: msg.src,
@@ -337,11 +337,63 @@ impl P2pEngine {
                 return;
             }
         }
-        self.net.add_waiter(self.eps[me as usize], t.id());
-        t.block();
-        self.net.remove_waiter(self.eps[me as usize], t.id());
+        self.park_for_delivery(t, me);
         abort_point(&self.abort);
         self.pump(me);
+    }
+
+    /// Engine side of [`crate::Mpi::iprobe_every`] (which says when it
+    /// applies and why): the result of polling `iprobe` every `period`
+    /// from now, reached with one park instead of one scheduler round-trip
+    /// per poll.
+    ///
+    /// With nothing unmatched queued for `me` — the state in which
+    /// [`P2pEngine::wait_any`] sleeps rather than returning at once — it
+    /// returns `None` immediately. Otherwise the polls at `now + period`,
+    /// `now + 2·period`, … miss until something wakes this thread (a
+    /// delivery to its endpoint, any external wake): it parks, and on a
+    /// wake at time `T` advances to the first poll instant `≥ T` (never
+    /// fewer than one period), checks the abort flag and probes there.
+    /// A wake exactly on a poll instant is visible to that poll — as a
+    /// delivery is to the literal loop, whose probe is entered one call's
+    /// CPU before the instant, later than any message arriving at it was
+    /// sent.
+    pub fn iprobe_every(
+        &self,
+        t: &SimThread,
+        me: Rank,
+        period: SimDuration,
+        src: SrcSpec,
+        tag: TagSpec,
+        ctx: u64,
+    ) -> Option<Status> {
+        abort_point(&self.abort);
+        self.pump(me);
+        if self.queues[me as usize].lock().unexpected.is_empty() {
+            return None;
+        }
+        assert!(period > SimDuration::ZERO, "polling needs a period");
+        let start = t.now();
+        self.park_for_delivery(t, me);
+        let woken = t.now();
+        let polls = woken
+            .since(start)
+            .as_nanos()
+            .div_ceil(period.as_nanos())
+            .max(1);
+        let poll_at = start + SimDuration::nanos(polls * period.as_nanos());
+        if poll_at > woken {
+            t.advance(poll_at.since(woken));
+        }
+        abort_point(&self.abort);
+        self.iprobe(me, src, tag, ctx)
+    }
+
+    /// One park on `me`'s endpoint waiter list. The registration goes with
+    /// the guard, also when the park unwinds (job abort, teardown).
+    fn park_for_delivery(&self, t: &SimThread, me: Rank) {
+        let _waiting = self.net.waiter(self.eps[me as usize], t.id());
+        t.block();
     }
 
     fn take_match(&self, me: Rank, pred: impl Fn(&Arrived) -> bool) -> Option<Arrived> {

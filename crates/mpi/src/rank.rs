@@ -16,6 +16,7 @@ use crate::types::{
     TagSpec,
 };
 use mana_sim::sched::SimThread;
+use mana_sim::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -130,12 +131,19 @@ impl RankMpi {
         {
             let mut st = self.st.lock();
             assert!(!st.finalized, "MPI call '{name}' after MPI_Finalize");
-            if self.job.profile().debug_build && st.dlog.len() < DEBUG_LOG_CAP {
-                let line = format!("[{:.6}] rank {}: {name}", t.now().as_secs_f64(), self.rank);
-                st.dlog.push(line);
+            if self.job.profile().debug_build {
+                self.log_call(&mut st, t.now(), name);
             }
         }
         t.advance(self.job.profile().per_call_cpu);
+    }
+
+    /// Debug-build call log: one line per call entered at `at`.
+    fn log_call(&self, st: &mut RankSt, at: SimTime, name: &str) {
+        if st.dlog.len() < DEBUG_LOG_CAP {
+            let line = format!("[{:.6}] rank {}: {name}", at.as_secs_f64(), self.rank);
+            st.dlog.push(line);
+        }
     }
 
     fn comm_info(&self, comm: CommHandle) -> Arc<CommInfo> {
@@ -219,6 +227,15 @@ impl RankMpi {
     }
 }
 
+/// A communicator-local source spec as the global one the p2p engine
+/// matches on.
+fn global_src(info: &CommInfo, src: SrcSpec) -> SrcSpec {
+    match src {
+        SrcSpec::Any => SrcSpec::Any,
+        SrcSpec::Rank(r) => SrcSpec::Rank(info.members[r as usize]),
+    }
+}
+
 impl Mpi for RankMpi {
     fn impl_name(&self) -> &'static str {
         self.job.profile().name
@@ -270,10 +287,7 @@ impl Mpi for RankMpi {
     ) -> (Vec<u8>, Status) {
         self.enter(t, "MPI_Recv");
         let info = self.comm_info(comm);
-        let src_g = match src {
-            SrcSpec::Any => SrcSpec::Any,
-            SrcSpec::Rank(r) => SrcSpec::Rank(info.members[r as usize]),
-        };
+        let src_g = global_src(&info, src);
         let (data, status) = self.job.p2p().recv(t, self.rank, src_g, tag, info.ctx);
         (data, self.translate_status(&info, status))
     }
@@ -308,10 +322,7 @@ impl Mpi for RankMpi {
     fn irecv(&self, t: &SimThread, src: SrcSpec, tag: TagSpec, comm: CommHandle) -> ReqHandle {
         self.enter(t, "MPI_Irecv");
         let info = self.comm_info(comm);
-        let src_g = match src {
-            SrcSpec::Any => SrcSpec::Any,
-            SrcSpec::Rank(r) => SrcSpec::Rank(info.members[r as usize]),
-        };
+        let src_g = global_src(&info, src);
         self.insert_req(ReqState::Recv {
             src: src_g,
             tag,
@@ -427,14 +438,42 @@ impl Mpi for RankMpi {
     ) -> Option<Status> {
         self.enter(t, "MPI_Iprobe");
         let info = self.comm_info(comm);
-        let src_g = match src {
-            SrcSpec::Any => SrcSpec::Any,
-            SrcSpec::Rank(r) => SrcSpec::Rank(info.members[r as usize]),
-        };
+        let src_g = global_src(&info, src);
         self.job
             .p2p()
             .iprobe(self.rank, src_g, tag, info.ctx)
             .map(|s| self.translate_status(&info, s))
+    }
+
+    fn iprobe_every(
+        &self,
+        t: &SimThread,
+        period: SimDuration,
+        src: SrcSpec,
+        tag: TagSpec,
+        comm: CommHandle,
+    ) -> Option<Status> {
+        let info = self.comm_info(comm);
+        let src_g = global_src(&info, src);
+        let start = t.now();
+        let hit = self
+            .job
+            .p2p()
+            .iprobe_every(t, self.rank, period, src_g, tag, info.ctx);
+        if self.job.profile().debug_build {
+            // Every poll the wait stood for entered `MPI_Iprobe` one call's
+            // CPU before its poll instant; the log shows them all.
+            let call_cpu = self.job.profile().per_call_cpu.as_nanos();
+            let now = t.now();
+            let mut st = self.st.lock();
+            let mut poll_at = start + period;
+            while poll_at <= now && st.dlog.len() < DEBUG_LOG_CAP {
+                let entered = SimTime(poll_at.as_nanos().saturating_sub(call_cpu));
+                self.log_call(&mut st, entered, "MPI_Iprobe");
+                poll_at += period;
+            }
+        }
+        hit.map(|s| self.translate_status(&info, s))
     }
 
     fn barrier(&self, t: &SimThread, comm: CommHandle) {

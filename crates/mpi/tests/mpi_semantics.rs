@@ -3,6 +3,8 @@
 //! of which "vendor" library is active, or MANA's implementation-agnostic
 //! claim would be vacuous.
 
+mod common;
+
 use mana_mpi::{
     dims_create, launch_native, BaseType, MpiProfile, Msg, ReduceOp, SrcSpec, TagSpec, TestResult,
 };
@@ -350,6 +352,59 @@ fn debug_build_captures_calls() {
     }
     assert!(logs.iter().flatten().any(|l| l.contains("MPI_Send")));
     assert!(logs.iter().flatten().any(|l| l.contains("MPI_Recv")));
+}
+
+#[test]
+fn debug_build_logs_fast_forwarded_probes() {
+    // Rank 0 polls for rank 2's message past an unmatched one from rank 1:
+    // ~20 us of back-to-back `MPI_Iprobe`s. Fast-forwarded, the debug
+    // build's call log must still show every one of them, at the instant
+    // the literal loop entered it.
+    fn receiver_log(poll: common::Poll) -> Vec<String> {
+        let sim = Sim::new(SimConfig::default());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let log2 = log.clone();
+        launch_native(
+            &sim,
+            ClusterSpec::local_cluster(1),
+            3,
+            Placement::Block,
+            MpiProfile::mpich_debug(),
+            Arc::new(move |t, mpi, r| {
+                let world = mpi.comm_world();
+                match r {
+                    0 => {
+                        let gap = mana_sim::time::SimDuration::nanos(260);
+                        let st = poll(
+                            t,
+                            mpi,
+                            gap,
+                            SrcSpec::Rank(2),
+                            TagSpec::Any,
+                            world,
+                            &mut Vec::new(),
+                        );
+                        mpi.recv(t, SrcSpec::Rank(st.source), TagSpec::Tag(st.tag), world);
+                        mpi.recv(t, SrcSpec::Rank(1), TagSpec::Any, world);
+                        *log2.lock() = mpi.debug_log();
+                    }
+                    1 => mpi.send(t, Msg::real(&[1]), 0, 5, world),
+                    _ => {
+                        t.advance(mana_sim::time::SimDuration::micros(20));
+                        mpi.send(t, Msg::real(&[2]), 0, 6, world);
+                    }
+                }
+            }),
+        );
+        sim.run();
+        let out = log.lock().clone();
+        out
+    }
+    let literal = receiver_log(common::poll_literal);
+    let fast = receiver_log(common::poll_fast_forward);
+    let probes = literal.iter().filter(|l| l.contains("MPI_Iprobe")).count();
+    assert!(probes > 20, "only {probes} probes logged: {literal:?}");
+    assert_eq!(literal, fast);
 }
 
 #[test]

@@ -50,6 +50,22 @@ pub struct Network<M> {
     inner: Arc<Mutex<NetInner<M>>>,
 }
 
+/// A scoped delivery-waiter registration; see [`Network::waiter`].
+pub struct WaiterGuard<'a, M> {
+    net: &'a Network<M>,
+    ep: EndpointId,
+    tid: SimThreadId,
+}
+
+impl<M> Drop for WaiterGuard<'_, M> {
+    fn drop(&mut self) {
+        let mut inner = self.net.inner.lock();
+        inner.endpoints[self.ep.0 as usize]
+            .waiters
+            .retain(|w| *w != self.tid);
+    }
+}
+
 impl<M: Send + 'static> Network<M> {
     /// Create a plane on `sim` over fabric `kind`.
     pub fn new(sim: &Sim, kind: InterconnectKind) -> Arc<Network<M>> {
@@ -114,15 +130,12 @@ impl<M: Send + 'static> Network<M> {
         let inner = self.inner.clone();
         let dsti = dst.0 as usize;
         self.sim.call_at(arrival, move |sim| {
-            let waiters = {
-                let mut inner = inner.lock();
-                inner.endpoints[dsti].inbox.push_back(msg);
-                inner.in_flight -= 1;
-                inner.total_delivered += 1;
-                inner.endpoints[dsti].waiters.clone()
-            };
-            for w in waiters {
-                sim.wake(w);
+            let mut inner = inner.lock();
+            inner.endpoints[dsti].inbox.push_back(msg);
+            inner.in_flight -= 1;
+            inner.total_delivered += 1;
+            for w in &inner.endpoints[dsti].waiters {
+                sim.wake(*w);
             }
         });
     }
@@ -154,10 +167,14 @@ impl<M: Send + 'static> Network<M> {
         }
     }
 
-    /// Remove a delivery waiter.
-    pub fn remove_waiter(&self, ep: EndpointId, tid: SimThreadId) {
-        let mut inner = self.inner.lock();
-        inner.endpoints[ep.0 as usize].waiters.retain(|w| *w != tid);
+    /// Register `tid` as a delivery waiter on `ep` for as long as the
+    /// returned guard lives. The registration is removed when the guard
+    /// drops — also when the waiting thread unwinds out of its park (job
+    /// abort, simulation teardown), which a hand-written
+    /// `add_waiter` … `remove_waiter` pair would skip.
+    pub fn waiter(&self, ep: EndpointId, tid: SimThreadId) -> WaiterGuard<'_, M> {
+        self.add_waiter(ep, tid);
+        WaiterGuard { net: self, ep, tid }
     }
 
     /// Messages sent but not yet delivered anywhere on this plane.
@@ -264,6 +281,21 @@ mod tests {
             });
         }
         s.run();
+    }
+
+    #[test]
+    fn waiter_guard_deregisters_on_unwind() {
+        let s = sim();
+        let net = Network::<u8>::new(&s, InterconnectKind::Tcp);
+        let ep = net.add_endpoint(0);
+        let tid = SimThreadId(7);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _w = net.waiter(ep, tid);
+            assert_eq!(net.inner.lock().endpoints[0].waiters, vec![tid]);
+            std::panic::resume_unwind(Box::new(()));
+        }));
+        assert!(unwound.is_err());
+        assert!(net.inner.lock().endpoints[0].waiters.is_empty());
     }
 
     #[test]

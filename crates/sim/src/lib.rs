@@ -41,5 +41,5 @@ pub use memory::{
     RegionKind, RegionMeta, RegionSnapshot, SnapshotContent, SnapshotStats,
 };
 pub use scatter::{ScatterBuf, Segment};
-pub use sched::{Sim, SimConfig, SimThread, SimThreadId};
+pub use sched::{SchedStats, Sim, SimConfig, SimThread, SimThreadId};
 pub use time::{SimDuration, SimTime};

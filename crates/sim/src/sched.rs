@@ -123,10 +123,28 @@ struct ThreadSlot {
     gate: Arc<Gate>,
 }
 
+/// Deterministic event counts of one simulation: a function of the seed
+/// and the simulated program alone, so — unlike host time — they compare
+/// exactly between two runs and between two machines.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct SchedStats {
+    /// Wake events that moved the baton to another OS thread (one condvar
+    /// hand-off each — the scheduler's dominant host cost).
+    pub handoffs: u64,
+    /// Wake events that resumed the dispatching thread itself (no OS
+    /// hand-off).
+    pub self_wakes: u64,
+    /// `Call` events (message deliveries, timers) run in place.
+    pub calls: u64,
+    /// Wake events dropped because their target had already finished.
+    pub stale_wakes: u64,
+}
+
 struct SchedState {
     now: SimTime,
     seq: u64,
     queue: BinaryHeap<Event>,
+    stats: SchedStats,
     threads: Vec<ThreadSlot>,
     /// Non-daemon threads not yet Done.
     live: usize,
@@ -232,6 +250,7 @@ impl Sim {
                     now: SimTime::ZERO,
                     seq: 0,
                     queue: BinaryHeap::new(),
+                    stats: SchedStats::default(),
                     threads: vec![driver_slot],
                     live: 0,
                     panic_msg: None,
@@ -405,6 +424,11 @@ impl Sim {
         }
     }
 
+    /// Events dispatched so far, by kind.
+    pub fn sched_stats(&self) -> SchedStats {
+        self.inner.state.lock().stats
+    }
+
     /// Number of spawned simulated threads (including finished ones),
     /// excluding the driver.
     pub fn thread_count(&self) -> usize {
@@ -505,13 +529,14 @@ impl Sim {
                     }
                     st.driver_woken = true;
                     let gate = st.threads[DRIVER.0].gate.clone();
+                    let mine = st.threads[me.0].gate.clone();
                     drop(st);
                     if me == DRIVER {
                         return;
                     }
                     gate.open();
                     if park {
-                        self.park_self(me);
+                        self.park_on(me, &mine);
                     }
                     return;
                 }
@@ -520,6 +545,7 @@ impl Sim {
             st.now = st.now.max(ev.time);
             match ev.action {
                 Action::Call(f) => {
+                    st.stats.calls += 1;
                     drop(st);
                     f(self);
                     // Loop: keep dispatching.
@@ -528,28 +554,33 @@ impl Sim {
                     if tid == me {
                         if park {
                             // Continue running without an OS handoff.
+                            st.stats.self_wakes += 1;
                             st.threads[me.0].state = ThreadState::Running;
                             return;
                         }
                         // `me` is exiting; a stale self-wake is dropped.
+                        st.stats.stale_wakes += 1;
                         continue;
                     }
-                    let slot = &mut st.threads[tid.0];
-                    match slot.state {
-                        ThreadState::Done => continue, // stale wake
+                    match st.threads[tid.0].state {
+                        ThreadState::Done => st.stats.stale_wakes += 1,
                         ThreadState::Running => {
                             unreachable!("two threads running simultaneously")
                         }
                         ThreadState::Created | ThreadState::Blocked => {
-                            slot.state = ThreadState::Running;
-                            let gate = slot.gate.clone();
-                            if park {
+                            st.stats.handoffs += 1;
+                            st.threads[tid.0].state = ThreadState::Running;
+                            let gate = st.threads[tid.0].gate.clone();
+                            // Both gates come out under the one lock
+                            // acquisition this hand-off already needs.
+                            let mine = park.then(|| {
                                 st.threads[me.0].state = ThreadState::Blocked;
-                            }
+                                st.threads[me.0].gate.clone()
+                            });
                             drop(st);
                             gate.open();
-                            if park {
-                                self.park_self(me);
+                            if let Some(mine) = mine {
+                                self.park_on(me, &mine);
                             }
                             return;
                         }
@@ -559,8 +590,8 @@ impl Sim {
         }
     }
 
-    fn park_self(&self, me: SimThreadId) {
-        let gate = self.inner.state.lock().threads[me.0].gate.clone();
+    /// Park `me` on its own gate until the baton comes back.
+    fn park_on(&self, me: SimThreadId, gate: &Gate) {
         gate.wait();
         if self.inner.shutdown.load(AtomicOrd::SeqCst) {
             if me == DRIVER {
@@ -811,6 +842,25 @@ mod tests {
             v
         }
         assert_eq!(trace(), trace());
+    }
+
+    #[test]
+    fn sched_stats_count_each_event_kind_once() {
+        let sim = Sim::new(SimConfig::default());
+        sim.call_at(SimTime(5), |_| {});
+        // Alone at t=0..10: `a`'s advance pops its own wake (self-wake).
+        sim.spawn("a", false, |t| t.advance(SimDuration::nanos(10)));
+        sim.run();
+        // Driver -> a (initial wake) and a -> driver (completion).
+        assert_eq!(
+            sim.sched_stats(),
+            SchedStats {
+                handoffs: 2,
+                self_wakes: 1,
+                calls: 1,
+                stale_wakes: 0,
+            }
+        );
     }
 
     #[test]

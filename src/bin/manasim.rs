@@ -16,7 +16,7 @@
 //! one invocation.
 
 use mana::apps::AppKind;
-use mana::core::{JobBuilder, ManaSession};
+use mana::core::{JobBuilder, ManaSession, RunOutcome, SessionError};
 use mana::mpi::MpiProfile;
 use mana::sim::cluster::ClusterSpec;
 use mana::sim::time::SimTime;
@@ -134,6 +134,7 @@ fn cmd_run(flags: HashMap<String, String>) {
     let probe = session.run(job(), app.clone()).unwrap_or_else(|e| fail(&e));
     let out = probe.outcome();
     println!("  total {}   application {}", out.wall, out.app_wall);
+    print_sched(out);
 
     if let Some(frac) = flags.get("ckpt-at-frac") {
         let frac: f64 = frac.parse().unwrap_or_else(|_| usage());
@@ -173,12 +174,28 @@ fn cmd_run(flags: HashMap<String, String>) {
         } else {
             println!("  job continued and completed; run {}", run.outcome().wall);
         }
+        print_sched(run.outcome());
     }
 }
 
-fn fail(e: &dyn std::fmt::Display) -> ! {
+/// One line on stderr; exit code 2 (like a usage error) when the job
+/// description itself is wrong, 1 when a well-formed job failed.
+fn fail(e: &SessionError) -> ! {
     eprintln!("error: {e}");
-    exit(1)
+    exit(if matches!(e, SessionError::InvalidSpec(_)) {
+        2
+    } else {
+        1
+    })
+}
+
+/// The run's deterministic simulation cost (same seed, same counts).
+fn print_sched(out: &RunOutcome) {
+    let s = out.sched;
+    println!(
+        "  scheduler: {} hand-offs, {} self-wakes, {} calls, {} stale wakes",
+        s.handoffs, s.self_wakes, s.calls, s.stale_wakes
+    );
 }
 
 fn cmd_migrate(flags: HashMap<String, String>) {
