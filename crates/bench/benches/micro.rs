@@ -6,9 +6,11 @@
 //! * `codec_*`: checkpoint-image encode/decode throughput;
 //! * `drain_buffer_*`: drained-message matching;
 //! * `event_queue`: discrete-event scheduler throughput (substrate);
-//! * `coll_cost`: collective cost-model evaluation.
+//! * `coll_cost`: collective cost-model evaluation;
+//! * `checksum/checksum_1mb`: the content-digest kernel's rate (printed as
+//!   GB/s — every store layer's hashing cost is this number × bytes).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mana_core::buffer::{BufferedMsg, DrainBuffer};
 use mana_core::image::CheckpointImage;
 use mana_core::virtid::{HandleClass, VirtTable};
@@ -131,9 +133,12 @@ fn bench_event_queue(c: &mut Criterion) {
 
 fn bench_checksum(c: &mut Criterion) {
     let data = vec![0xA5u8; 1 << 20];
-    c.bench_function("checksum_1mb", |b| {
+    let mut g = c.benchmark_group("checksum");
+    g.throughput(Throughput::Bytes(data.len() as u64));
+    g.bench_function("checksum_1mb", |b| {
         b.iter(|| black_box(mana_sim::checksum::checksum_bytes(black_box(&data))))
     });
+    g.finish();
 }
 
 criterion_group!(

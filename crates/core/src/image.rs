@@ -202,6 +202,21 @@ impl ImageBytes {
         self.image.as_ref()
     }
 
+    /// The rank image these bytes encode, for store tiers that look inside
+    /// it: the producer's attachment when there is one, else a
+    /// [`CheckpointImage::decode_shared`] of the wire scatter. `None` when
+    /// the bytes are not a rank image — decided from the 8-byte magic read
+    /// through the scatter, so a journal envelope, a delta blob or any
+    /// other foreign object is rejected without flattening anything.
+    pub fn rank_image(&self) -> Option<Arc<CheckpointImage>> {
+        match &self.image {
+            Some(img) => Some(img.clone()),
+            None => CheckpointImage::decode_shared(self)
+                .ok()
+                .map(|(img, _)| Arc::new(img)),
+        }
+    }
+
     /// Flatten to contiguous bytes (copies; shared page bytes are tallied
     /// in [`mana_sim::scatter::shared_flatten_bytes`]).
     pub fn to_vec(&self) -> Vec<u8> {

@@ -786,7 +786,7 @@ pub struct TopologyRunReport {
     pub kind: TopologyKind,
     /// The checkpoint's full report (timing differs across topologies).
     pub ckpt: CkptReport,
-    /// Per-rank FNV checksum of the *encoded image bytes* in the store,
+    /// Per-rank checksum of the *encoded image bytes* in the store,
     /// indexed by rank — byte-identity across topologies.
     pub image_checksums: Vec<u64>,
     /// Per-rank encoded image sizes, indexed by rank.

@@ -1,10 +1,12 @@
 //! Offline shim for the `criterion` crate.
 //!
 //! Implements the subset the `micro` bench target uses — `Criterion`,
-//! `bench_function`, `Bencher::{iter, iter_batched}`, `black_box`, and the
+//! `bench_function`, `benchmark_group` with `Throughput::Bytes`,
+//! `Bencher::{iter, iter_batched}`, `black_box`, and the
 //! `criterion_group!`/`criterion_main!` macros — with a simple
 //! warmup-then-measure timer instead of criterion's statistical engine.
-//! Reports nanoseconds per iteration on stdout.
+//! Reports nanoseconds per iteration (and, for a group with a throughput,
+//! GB/s) on stdout.
 
 use std::time::Instant;
 
@@ -24,10 +26,23 @@ pub enum BatchSize {
     PerIteration,
 }
 
+/// Work done per iteration, so a rate is printed beside the time.
+#[derive(Clone, Copy, Debug)]
+pub enum Throughput {
+    /// Bytes processed per iteration.
+    Bytes(u64),
+}
+
 /// Benchmark driver handed to each registered function.
 #[derive(Default)]
 pub struct Criterion {
     _private: (),
+}
+
+/// Benchmarks sharing a name prefix and a [`Throughput`].
+pub struct BenchmarkGroup {
+    name: String,
+    throughput: Option<Throughput>,
 }
 
 /// Per-benchmark measurement loop.
@@ -38,17 +53,56 @@ pub struct Bencher {
 /// Target measurement time per benchmark.
 const TARGET_NS: u128 = 200_000_000;
 
+/// Measure `f` and print one result line for `name`.
+fn run(name: &str, throughput: Option<Throughput>, mut f: impl FnMut(&mut Bencher)) {
+    let mut b = Bencher { ns_per_iter: 0.0 };
+    f(&mut b);
+    let rate = match throughput {
+        // bytes per nanosecond = GB/s
+        Some(Throughput::Bytes(n)) => format!(" {:>8.2} GB/s", n as f64 / b.ns_per_iter),
+        None => String::new(),
+    };
+    println!("{name:<32} {:>12.1} ns/iter{rate}", b.ns_per_iter);
+}
+
 impl Criterion {
     /// Run `f` as the benchmark `name` and print its per-iteration time.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Criterion
+    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Criterion
     where
         F: FnMut(&mut Bencher),
     {
-        let mut b = Bencher { ns_per_iter: 0.0 };
-        f(&mut b);
-        println!("{name:<32} {:>12.1} ns/iter", b.ns_per_iter);
+        run(name, None, f);
         self
     }
+
+    /// Open a group of benchmarks named `name/<function>`.
+    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup {
+        BenchmarkGroup {
+            name: name.to_string(),
+            throughput: None,
+        }
+    }
+}
+
+impl BenchmarkGroup {
+    /// Declare the work one iteration of the following benchmarks does.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut BenchmarkGroup {
+        self.throughput = Some(throughput);
+        self
+    }
+
+    /// Run `f` as `group/name`; prints its per-iteration time and, when a
+    /// throughput was declared, the rate.
+    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut BenchmarkGroup
+    where
+        F: FnMut(&mut Bencher),
+    {
+        run(&format!("{}/{name}", self.name), self.throughput, f);
+        self
+    }
+
+    /// Close the group.
+    pub fn finish(self) {}
 }
 
 impl Bencher {
@@ -127,5 +181,9 @@ mod tests {
         c.bench_function("batched", |b| {
             b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput)
         });
+        let mut g = c.benchmark_group("group");
+        g.throughput(Throughput::Bytes(16));
+        g.bench_function("rated", |b| b.iter(|| [0u8; 16].iter().sum::<u8>()));
+        g.finish();
     }
 }

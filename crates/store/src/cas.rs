@@ -35,7 +35,7 @@ use mana_core::config::parse_image_path;
 use mana_core::error::StoreError;
 use mana_core::image::{decode_region, encode_region, CheckpointImage, ImageBytes};
 use mana_core::store::CheckpointStore;
-use mana_sim::checksum::checksum_bytes;
+use mana_sim::checksum::checksum_bytes_seeded;
 use mana_sim::fs::IoShape;
 use mana_sim::memory::{DenseSnap, RegionSnapshot, SnapshotContent};
 use mana_sim::time::SimDuration;
@@ -45,8 +45,10 @@ use std::sync::Arc;
 
 /// "MANACAS1" little-endian.
 pub const CAS_MAGIC: u64 = 0x3153_4143_414e_414d;
-/// Current manifest-format version.
-pub const CAS_VERSION: u32 = 1;
+/// Current manifest-format version. Version 2 changed what a page key
+/// holds (two seeded digests, see `PageKey`); a manifest only resolves
+/// against the in-process pool that wrote it, so there is no v1 reader.
+pub const CAS_VERSION: u32 = 2;
 
 /// Content-addressed-store parameters.
 #[derive(Clone, Debug)]
@@ -69,28 +71,25 @@ impl Default for CasConfig {
     }
 }
 
-/// 128-bit content address of one page: two independent 64-bit digests.
-/// A collision requires *both* to collide, which at fleet scales
-/// (billions of pages) is out of reach for the simulator's lifetime.
+/// 128-bit content address of one page: its digest under two fixed,
+/// distinct seeds of [`mana_sim::checksum`] — two independent 64-bit
+/// hashes of the same bytes. A collision requires *both* to collide,
+/// which at fleet scales (billions of pages) is out of reach for the
+/// simulator's lifetime.
 #[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
 struct PageKey {
-    sum: u64,
-    fnv: u64,
+    digest_a: u64,
+    digest_b: u64,
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// `"CASPAGEA"` / `"CASPAGEB"`: the two digest seeds of a [`PageKey`].
+const SEED_A: u64 = u64::from_le_bytes(*b"CASPAGEA");
+const SEED_B: u64 = u64::from_le_bytes(*b"CASPAGEB");
 
 fn page_key(page: &[u8]) -> PageKey {
     PageKey {
-        sum: checksum_bytes(page),
-        fnv: fnv1a64(page),
+        digest_a: checksum_bytes_seeded(SEED_A, page),
+        digest_b: checksum_bytes_seeded(SEED_B, page),
     }
 }
 
@@ -223,8 +222,8 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
                 e.u64(*dense_len);
                 e.seq(keys.len());
                 for k in keys {
-                    e.u64(k.sum);
-                    e.u64(k.fnv);
+                    e.u64(k.digest_a);
+                    e.u64(k.digest_b);
                 }
             }
         }
@@ -253,8 +252,8 @@ fn decode_manifest(data: &[u8]) -> Result<Manifest, CodecError> {
                 let mut keys = Vec::new();
                 for _ in 0..d.seq("cas page keys")? {
                     keys.push(PageKey {
-                        sum: d.u64("cas page sum")?,
-                        fnv: d.u64("cas page fnv")?,
+                        digest_a: d.u64("cas page digest a")?,
+                        digest_b: d.u64("cas page digest b")?,
                     });
                 }
                 ManifestRegion::Paged {
@@ -336,23 +335,11 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         rank: u64,
         shape: IoShape,
     ) -> SimDuration {
-        // Prefer the producer-attached image: pages are digested straight
-        // from the snapshot rope, with no wire decode and no flatten.
-        let attached = data.image().cloned();
-        let img = match (parse_image_path(path), attached) {
-            (Some(_), Some(img)) => (*img).clone(),
-            (Some(_), None) => match CheckpointImage::decode(&data.to_vec()) {
-                Ok(img) => img,
-                // Not a rank image (or not ours to understand): pass through.
-                Err(_) => {
-                    self.state.lock().release(path);
-                    return self.inner.put(path, data, logical_len, rank, shape);
-                }
-            },
-            _ => {
-                self.state.lock().release(path);
-                return self.inner.put(path, data, logical_len, rank, shape);
-            }
+        // Only a rank image at a rank-image path is decomposed; anything
+        // else (other paths, foreign bytes) passes through.
+        let Some(img) = parse_image_path(path).and_then(|_| data.rank_image()) else {
+            self.state.lock().release(path);
+            return self.inner.put(path, data, logical_len, rank, shape);
         };
         let mut st = self.state.lock();
         // Overwrite: the old object's references go before the new ones
@@ -404,7 +391,7 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
             }
         }
         st.stats.pages_new += new_pages;
-        let mut meta = img;
+        let mut meta = Arc::unwrap_or_clone(img);
         meta.regions = Vec::new();
         let manifest = encode_manifest(&Manifest { meta, regions });
         let manifest_len = manifest.len() as u64;
@@ -457,7 +444,10 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
                     for key in &keys {
                         let entry = st.pool.get(key).ok_or_else(|| StoreError::Corrupt {
                             path: path.to_string(),
-                            why: format!("page {:#x}:{:#x} missing from pool", key.sum, key.fnv),
+                            why: format!(
+                                "page {:#x}:{:#x} missing from pool",
+                                key.digest_a, key.digest_b
+                            ),
                         })?;
                         pages.push(entry.data.clone());
                     }

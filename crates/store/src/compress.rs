@@ -17,7 +17,7 @@
 //! charged write volume is unchanged (every page is still stored).
 
 use mana_core::error::StoreError;
-use mana_core::image::{CheckpointImage, ImageBytes};
+use mana_core::image::ImageBytes;
 use mana_core::store::CheckpointStore;
 use mana_sim::fs::IoShape;
 use mana_sim::memory::PAGE;
@@ -94,16 +94,10 @@ impl<S: CheckpointStore> CompressingStore<S> {
     }
 
     /// Deterministic per-object ratio: seeded by the store seed, the
-    /// object's content bytes and its logical length. Hashes the scatter
-    /// segments in place — same byte sequence, no flatten.
+    /// object's content digest (streamed over the scatter segments — no
+    /// flatten) and its logical length.
     fn ratio_for(&self, data: &ImageBytes, logical_len: u64) -> f64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for seg in data.scatter().segments() {
-            for b in seg {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
+        let h = data.scatter().checksum();
         let u = splitmix64(self.cfg.seed ^ h ^ splitmix64(logical_len));
         let x = (u >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         let r = self.cfg.ratio * (1.0 + self.cfg.jitter * (2.0 * x - 1.0));
@@ -119,18 +113,8 @@ impl<S: CheckpointStore> CompressingStore<S> {
         if !self.cfg.dirty_aware {
             return logical_len;
         }
-        // The producer-attached image avoids a wire decode (and the
-        // flatten it would force); only foreign flat bytes decode here.
-        let decoded;
-        let img = match data.image() {
-            Some(img) => &**img,
-            None => match CheckpointImage::decode(&data.to_vec()) {
-                Ok(img) => {
-                    decoded = img;
-                    &decoded
-                }
-                Err(_) => return logical_len,
-            },
+        let Some(img) = data.rank_image() else {
+            return logical_len;
         };
         if img.dirty.is_empty() {
             return logical_len;
@@ -265,6 +249,7 @@ mod tests {
 
     mod dirty_aware {
         use super::*;
+        use mana_core::image::CheckpointImage;
         use mana_sim::memory::{
             DenseSnap, Half, RegionDirty, RegionKind, RegionSnapshot, SnapshotContent, PAGE,
         };

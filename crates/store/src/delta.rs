@@ -667,35 +667,15 @@ impl<S: CheckpointStore> CheckpointStore for DeltaStore<S> {
         if self.state.lock().child_of.contains_key(path) {
             self.promote_dependent_of(path);
         }
+        // Only a rank image at a rank-image path is diffed; anything else
+        // (other paths, foreign or framed bytes) passes through.
         let family = parse_image_path(path).map(|p| (p.dir, p.rank));
-        // Prefer the producer-attached image — regions are diffed and
-        // digested straight out of the snapshot rope, no wire decode and
-        // no flatten. Foreign flat bytes fall back to a decode.
-        let decoded: CheckpointImage;
-        let img: &CheckpointImage = match (&family, data.image()) {
-            (Some(_), Some(img)) => img,
-            (Some(_), None) => match CheckpointImage::decode(&data.to_vec()) {
-                Ok(i) => {
-                    decoded = i;
-                    &decoded
-                }
-                // Not a rank image (or not ours to understand): pass
-                // through.
-                Err(_) => {
-                    let mut st = self.state.lock();
-                    Self::forget(&mut st, path);
-                    drop(st);
-                    return self.inner.put(path, data, logical_len, rank, shape);
-                }
-            },
-            _ => {
-                let mut st = self.state.lock();
-                Self::forget(&mut st, path);
-                drop(st);
-                return self.inner.put(path, data, logical_len, rank, shape);
-            }
+        let Some((family, img)) = family.and_then(|f| Some((f, data.rank_image()?))) else {
+            let mut st = self.state.lock();
+            Self::forget(&mut st, path);
+            drop(st);
+            return self.inner.put(path, data, logical_len, rank, shape);
         };
-        let family = family.expect("family checked above");
         let page = self.cfg.page.max(1);
         let summaries: HashMap<u64, &RegionDirty> =
             img.dirty.iter().map(|d| (d.start, d)).collect();
@@ -733,7 +713,7 @@ impl<S: CheckpointStore> CheckpointStore for DeltaStore<S> {
             // the image): the delta entries replace them. The dirty
             // summaries stay — reconstruction then reproduces the
             // original image bit-for-bit.
-            let mut meta = img.clone();
+            let mut meta = CheckpointImage::clone(&img);
             meta.regions = Vec::new();
             let blob = DeltaBlob {
                 base_path: base_path.clone(),

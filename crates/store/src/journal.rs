@@ -7,15 +7,24 @@
 //! envelope:
 //!
 //! ```text
-//! | magic (8) | version (4) | payload_len (8) | payload | checksum (8) | commit (8) |
+//! | magic (8)  | version (4) | payload_len (8) | payload | digest (8) | commit (8)  |
+//! | "MANAJNL1" | 2           |                 |         | of payload | "COMMITED" |
 //! ```
 //!
-//! The commit word is written last, so a writer that dies mid-`put`
-//! leaves a prefix that fails validation — [`StoreError::Torn`] — and
-//! `exists()` reports the object *absent*. That is the memento-style
-//! discipline of detectable recoverability: a checkpoint is either fully
-//! durable or detectably not there, never silently half there. Bit rot in
-//! a fully-written envelope is caught by the checksum and surfaces as
+//! All integers are little-endian; the digest is
+//! [`ScatterBuf::checksum`] of the payload bytes ([`mana_sim::checksum`],
+//! seed 0). The commit word is written last, so a
+//! writer that dies mid-`put` leaves a prefix that fails validation —
+//! [`StoreError::Torn`] — and `exists()` reports the object *absent*. That
+//! is the memento-style discipline of detectable recoverability: a
+//! checkpoint is either fully durable or detectably not there, never
+//! silently half there. Bit rot in a fully-written envelope is caught by
+//! the digest and surfaces as [`StoreError::Corrupt`].
+//!
+//! Version 2 changed what the digest word holds (the 4-lane streaming
+//! digest of [`mana_sim::checksum`] instead of byte-serial FNV-1a). There
+//! is no version-1 reader: envelopes live in simulated stores that do not
+//! outlast the process that framed them, so any other version number is
 //! [`StoreError::Corrupt`].
 //!
 //! [`recover()`](JournaledStore::recover) is the session-open scan: every
@@ -44,7 +53,7 @@ use std::collections::BTreeMap;
 const MAGIC: u64 = u64::from_le_bytes(*b"MANAJNL1");
 /// `"COMMITED"` — the commit record, written (and validated) last.
 const COMMIT: u64 = u64::from_le_bytes(*b"COMMITED");
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const HEADER: usize = 8 + 4 + 8;
 const TRAILER: usize = 8 + 8;
 
@@ -372,6 +381,44 @@ mod tests {
             Err(StoreError::Corrupt { .. })
         ));
         assert!(!j.exists("p"));
+    }
+
+    /// Store `env` raw under the journal and read it back through it.
+    fn get_raw(env: Vec<u8>) -> Result<Vec<u8>, StoreError> {
+        let inner = Arc::new(InMemStore::new());
+        let len = env.len() as u64;
+        inner.put("p", env.into(), len, 0, SHAPE);
+        JournaledStore::new(inner)
+            .get("p", 0, SHAPE)
+            .map(|(data, _)| data.to_vec())
+    }
+
+    #[test]
+    fn flips_anywhere_in_a_striped_payload_are_corrupt() {
+        // Two whole 32-byte stripes plus a 13-byte ragged tail (8 + 4 + 1):
+        // a flip must be caught whether the byte went through a lane, the
+        // carry buffer's 8-, 4- or 1-byte fold, or sits last in the payload.
+        let payload: Vec<u8> = (0..77u8).collect();
+        let env = JournaledStore::frame(ScatterBuf::from_vec(payload.clone())).to_vec();
+        assert_eq!(get_raw(env.clone()).unwrap(), payload);
+        for at in [0, 31, 32, 63, 64, 71, 72, 75, payload.len() - 1] {
+            let mut bad = env.clone();
+            bad[HEADER + at] ^= 0x01;
+            assert!(
+                matches!(get_raw(bad), Err(StoreError::Corrupt { .. })),
+                "flip in payload byte {at} went unnoticed"
+            );
+        }
+    }
+
+    #[test]
+    fn a_version_1_envelope_is_corrupt_not_a_panic() {
+        let mut env = JournaledStore::frame(ScatterBuf::from_vec(vec![3u8; 40])).to_vec();
+        env[8..12].copy_from_slice(&1u32.to_le_bytes());
+        match get_raw(env) {
+            Err(StoreError::Corrupt { why, .. }) => assert!(why.contains("version 1"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

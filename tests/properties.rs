@@ -415,6 +415,42 @@ proptest! {
         );
     }
 
+    // The digest kernel's split-invariance contract: however the input is
+    // cut into `update` calls — bytes, 7-byte runs, words through
+    // `update_u64`/`update_f64` (size 0 below), a page plus 13, or any
+    // random mix straddling the 32-byte stripe and its carry buffer — the
+    // digest equals the one-shot digest under the same seed.
+    #[test]
+    fn checksum_is_split_invariant(
+        data in prop::collection::vec(any::<u8>(), 0..10_000),
+        seed in any::<u64>(),
+        sizes in prop::collection::vec(0usize..100, 1..8),
+    ) {
+        use mana::sim::checksum::{checksum_bytes_seeded, Checksum};
+        let chunked = |sizes: &[usize]| {
+            let mut c = Checksum::with_seed(seed);
+            let mut rest = &data[..];
+            for (k, &n) in sizes.iter().cycle().enumerate() {
+                if rest.is_empty() {
+                    break;
+                }
+                let head;
+                (head, rest) = rest.split_at(if n == 0 { 8 } else { n }.min(rest.len()));
+                match (n, <[u8; 8]>::try_from(head)) {
+                    (0, Ok(w)) if k % 2 == 0 => c.update_u64(u64::from_le_bytes(w)),
+                    (0, Ok(w)) => c.update_f64(f64::from_le_bytes(w)),
+                    _ => c.update(head),
+                }
+            }
+            c.digest()
+        };
+        let want = checksum_bytes_seeded(seed, &data);
+        prop_assert_eq!(chunked(&sizes), want);
+        for fixed in [&[1][..], &[7], &[0], &[4096 + 13], &[31, 1, 32, 33, 0]] {
+            prop_assert_eq!(chunked(fixed), want, "chunk sizes {:?}", fixed);
+        }
+    }
+
     // The cross-rank worker-pool pipeline stores byte-identical images
     // and returns identical per-rank stats vs the serial path, for any
     // batch of images and any worker count.

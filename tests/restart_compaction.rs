@@ -35,7 +35,7 @@ struct ChainReport {
     ckpt1_log_retained: Vec<u64>,
     /// Per-rank recorded log length of the first checkpoint.
     ckpt1_log_recorded: Vec<u64>,
-    /// FNV checksums of the second checkpoint's encoded images, by rank.
+    /// Checksums of the second checkpoint's encoded images, by rank.
     ckpt2_image_checksums: Vec<u64>,
     /// Final per-rank application checksums after running to completion.
     final_checksums: BTreeMap<u32, u64>,
