@@ -260,10 +260,7 @@ impl<'a> RestartEngine<'a> {
         // seam's per-incarnation state (kill thunks, crash gate).
         spec.cfg.chaos.begin_incarnation();
 
-        let sim = Sim::new(SimConfig {
-            seed: spec.seed,
-            ..SimConfig::default()
-        });
+        let sim = Sim::new(SimConfig { seed: spec.seed });
         let hub = StatsHub::new();
         let checksums: Checksums = Arc::new(Mutex::new(BTreeMap::new()));
         let killed = Arc::new(Mutex::new(false));

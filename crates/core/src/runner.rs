@@ -174,10 +174,7 @@ pub(crate) fn native_engine(
     workload: Arc<dyn Workload>,
 ) -> RunOutcome {
     install_quiet_kill_hook();
-    let sim = Sim::new(SimConfig {
-        seed,
-        ..SimConfig::default()
-    });
+    let sim = Sim::new(SimConfig { seed });
     let job = MpiJob::new(&sim, cluster, nranks, placement, profile.clone());
     let checksums = Arc::new(Mutex::new(BTreeMap::new()));
     let killed = Arc::new(Mutex::new(false));
@@ -312,10 +309,7 @@ pub(crate) fn mana_engine(
     spec: &ManaJobSpec,
     workload: Arc<dyn Workload>,
 ) -> (RunOutcome, StatsHub) {
-    let sim = Sim::new(SimConfig {
-        seed: spec.seed,
-        ..SimConfig::default()
-    });
+    let sim = Sim::new(SimConfig { seed: spec.seed });
     let hub = StatsHub::new();
     let checksums: Checksums = Arc::new(Mutex::new(BTreeMap::new()));
     let killed = Arc::new(Mutex::new(false));

@@ -28,6 +28,13 @@ use std::sync::Arc;
 /// return the virtual duration the calling rank's clock advances by, so a
 /// store choice shapes checkpoint/restart timing exactly the way a real
 /// storage tier would.
+///
+/// **No method parks.** A store *returns* its cost; the caller advances
+/// its clock. No implementation may call a blocking scheduler operation
+/// (`SimThread::advance`, `block`, ...): every simulated thread shares one
+/// OS thread, so per-OS-thread state that is open across a store call —
+/// the benchmark's thread-local span stack (`ledger/src/span.rs`) is one —
+/// would otherwise be interleaved with another simulated thread's.
 pub trait CheckpointStore: Send + Sync {
     /// Store `data` at `path` with the given logical length, returning the
     /// virtual write+fsync duration for a rank with I/O shape `shape`.

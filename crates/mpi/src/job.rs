@@ -259,10 +259,7 @@ pub fn run_native(
     seed: u64,
     body: RankBody,
 ) -> SimDuration {
-    let sim = Sim::new(mana_sim::sched::SimConfig {
-        seed,
-        ..Default::default()
-    });
+    let sim = Sim::new(mana_sim::sched::SimConfig { seed });
     launch_native(&sim, cluster, nranks, placement, profile, body);
     sim.run();
     sim.now() - mana_sim::time::SimTime::ZERO

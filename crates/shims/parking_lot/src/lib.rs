@@ -1,11 +1,10 @@
 //! Offline shim for the `parking_lot` crate.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! provides the small API subset it actually uses — `Mutex` (non-poisoning
-//! `lock()`) and `Condvar` (`wait(&mut guard)`) — implemented over
-//! `std::sync`. Poisoning is deliberately ignored, matching parking_lot's
-//! semantics: a panicking simulated thread must not wedge every other
-//! thread's locks.
+//! provides the small API subset it actually uses — `Mutex` with a
+//! non-poisoning `lock()` — implemented over `std::sync`. Poisoning is
+//! deliberately ignored, matching parking_lot's semantics: a panicking
+//! simulated thread must not wedge every other thread's locks.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -16,12 +15,8 @@ pub struct Mutex<T: ?Sized> {
 }
 
 /// RAII guard returned by [`Mutex::lock`].
-///
-/// Holds the underlying std guard in an `Option` so [`Condvar::wait`] can
-/// temporarily take it by value (std's condvar API) while callers keep the
-/// parking_lot-style `&mut guard` signature.
 pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -44,11 +39,11 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, ignoring poisoning (parking_lot semantics).
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let g = match self.inner.lock() {
+        let inner = match self.inner.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        MutexGuard { inner: Some(g) }
+        MutexGuard { inner }
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -78,60 +73,19 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-/// A condition variable compatible with [`MutexGuard`].
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-
-    /// Block until notified, releasing the guard's lock while parked.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard present");
-        let g = match self.inner.wait(g) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        guard.inner = Some(g);
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Condvar {
-        Condvar::new()
+        &mut self.inner
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn lock_and_mutate() {
@@ -139,20 +93,5 @@ mod tests {
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn condvar_handoff() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let t = std::thread::spawn(move || {
-            let mut go = p2.0.lock();
-            while !*go {
-                p2.1.wait(&mut go);
-            }
-        });
-        *pair.0.lock() = true;
-        pair.1.notify_one();
-        t.join().unwrap();
     }
 }

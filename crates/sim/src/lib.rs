@@ -24,6 +24,7 @@
 
 pub mod checksum;
 pub mod cluster;
+mod coro;
 pub mod fs;
 pub mod kernel;
 pub mod memory;
