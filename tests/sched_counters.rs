@@ -13,13 +13,18 @@
 //! change to how a hand-off is *executed* (the back-end) must reproduce
 //! them without re-blessing. Only a change to which events run may move
 //! them, and then says so by editing these constants.
+//!
+//! HPCG and miniFE are pinned the same way (native run, and a MANA run
+//! checkpointed mid-way and continued), so a rewrite of the CG kernels
+//! that `run_cg` shares must reproduce every bit of every rank's state.
 
-use mana::apps::{make_app, AppKind};
-use mana::core::{InMemStore, JobBuilder, ManaSession};
+use mana::apps::{make_app, make_app_small, AppKind, Hpcg};
+use mana::core::{InMemStore, JobBuilder, ManaSession, Workload};
 use mana::mpi::MpiProfile;
 use mana::sim::cluster::ClusterSpec;
 use mana::sim::sched::SchedStats;
 use mana::sim::time::SimTime;
+use std::sync::Arc;
 
 /// The uninterrupted 32-rank run: counts, `wall` / `app_wall` in ns.
 const PLAIN: (SchedStats, u64, u64) = (
@@ -124,4 +129,247 @@ fn a_checkpoint_does_not_multiply_scheduler_handoffs() {
         "checkpoint-and-continue dispatched {} hand-offs, the plain run {plain} (> 1.25x)",
         first.handoffs
     );
+}
+
+/// One CG proxy's pinned pair of runs on 16 ranks: the native run, and
+/// the MANA run checkpointed once at the native run's mid-point and
+/// continued. Both are `(SchedStats, wall ns, app_wall ns)`; `checksums`
+/// are the per-rank upper-half checksums both runs must end with.
+struct CgPin {
+    native: (SchedStats, u64, u64),
+    checkpointed: (SchedStats, u64, u64),
+    checksums: [u64; CG_RANKS as usize],
+}
+
+const CG_RANKS: u32 = 16;
+
+/// `make_app_small(AppKind::Hpcg, 8)`.
+const HPCG: CgPin = CgPin {
+    native: (
+        SchedStats {
+            handoffs: 5240,
+            self_wakes: 0,
+            calls: 768,
+            stale_wakes: 0,
+        },
+        181774628,
+        1768768,
+    ),
+    checkpointed: (
+        SchedStats {
+            handoffs: 11314,
+            self_wakes: 620,
+            calls: 880,
+            stale_wakes: 0,
+        },
+        186746567,
+        6740447,
+    ),
+    checksums: [
+        383462088856604830,
+        16713699922923303038,
+        15517332437572061513,
+        3391079403377767055,
+        2665317525405465484,
+        6820119902068354072,
+        5878529403807441609,
+        15864391327105712776,
+        3696446607495893991,
+        7832516776134227610,
+        16805524427472910404,
+        11058103816276441778,
+        15131540925727664329,
+        15192584472225800805,
+        6352857213923141852,
+        15459290798138785818,
+    ],
+};
+
+/// `make_app_small(AppKind::MiniFe, 8)`.
+const MINIFE: CgPin = CgPin {
+    native: (
+        SchedStats {
+            handoffs: 2519,
+            self_wakes: 1,
+            calls: 256,
+            stale_wakes: 0,
+        },
+        180664804,
+        658944,
+    ),
+    checkpointed: (
+        SchedStats {
+            handoffs: 5121,
+            self_wakes: 351,
+            calls: 368,
+            stale_wakes: 0,
+        },
+        185620275,
+        5614155,
+    ),
+    checksums: [
+        4114096478563464358,
+        15224167597983981576,
+        11224228279248522923,
+        11470328864679486522,
+        14746996938419686074,
+        16709727681830297086,
+        12014288924417776542,
+        6191738909857955736,
+        4793895014354794307,
+        1487909271339391495,
+        14291837322381698854,
+        13274637075403089399,
+        16944943819852053906,
+        10349551719216275660,
+        6014046661987211422,
+        2772924305472768896,
+    ],
+};
+
+/// HPCG, 8 iterations, one row per rank (boundary 1).
+const HPCG_ROWS_1: CgPin = CgPin {
+    native: (
+        SchedStats {
+            handoffs: 5284,
+            self_wakes: 4,
+            calls: 768,
+            stale_wakes: 0,
+        },
+        180212972,
+        207112,
+    ),
+    checkpointed: (
+        SchedStats {
+            handoffs: 11197,
+            self_wakes: 711,
+            calls: 880,
+            stale_wakes: 0,
+        },
+        185235125,
+        5229005,
+    ),
+    checksums: [
+        8470335330811636732,
+        10804981645699954316,
+        5777570320063890940,
+        11681797288877943087,
+        4325647058357078740,
+        6520251229514886900,
+        13834997120114915634,
+        7888410576508200242,
+        373629305936913601,
+        7005694187337516575,
+        13036265278614577203,
+        15095071563826331070,
+        8541449965126942767,
+        10587733141085668315,
+        10462329219423812102,
+        16012653840962549496,
+    ],
+};
+
+/// HPCG, 8 iterations, two rows per rank (boundary 1).
+const HPCG_ROWS_2: CgPin = CgPin {
+    native: (
+        SchedStats {
+            handoffs: 5272,
+            self_wakes: 0,
+            calls: 768,
+            stale_wakes: 0,
+        },
+        180213596,
+        207736,
+    ),
+    checkpointed: (
+        SchedStats {
+            handoffs: 11185,
+            self_wakes: 723,
+            calls: 880,
+            stale_wakes: 0,
+        },
+        185235992,
+        5229872,
+    ),
+    checksums: [
+        8430220002456848046,
+        5822711620274308115,
+        4825919056823628959,
+        17712479229371590327,
+        1756238547020468282,
+        11529671963928187003,
+        6159388342416635348,
+        16216533392437822256,
+        14216366898869181131,
+        14727438187553493615,
+        15855148912707468334,
+        16026083046981332458,
+        5823192036724938123,
+        6589355939751308501,
+        10296985602725353201,
+        9836725626645500247,
+    ],
+};
+
+fn cg_job() -> JobBuilder {
+    JobBuilder::new()
+        .cluster(ClusterSpec::cori(2))
+        .ranks(CG_RANKS)
+        .profile(MpiProfile::cray_mpich())
+        .seed(7)
+}
+
+fn check_cg(app: Arc<dyn Workload>, pin: &CgPin) {
+    let session = ManaSession::builder().store(InMemStore::new()).build();
+    let native = session
+        .run_native(cg_job(), app.clone())
+        .expect("native run");
+    assert_eq!(
+        (
+            native.sched,
+            native.wall.as_nanos(),
+            native.app_wall.as_nanos()
+        ),
+        pin.native
+    );
+    let ranks: Vec<u32> = (0..CG_RANKS).collect();
+    assert!(native.checksums.keys().eq(&ranks));
+    assert!(native.checksums.values().eq(&pin.checksums));
+
+    let mid = SimTime(native.wall.as_nanos() - native.app_wall.as_nanos() / 2);
+    let run = session
+        .run(cg_job().ckpt_dir("cg").checkpoint_at(mid), app)
+        .expect("checkpoint-and-continue run");
+    assert_eq!(run.ckpts().len(), 1);
+    assert_eq!(&native.checksums, run.checksums());
+    let out = run.outcome();
+    assert_eq!(
+        (out.sched, out.wall.as_nanos(), out.app_wall.as_nanos()),
+        pin.checkpointed
+    );
+}
+
+#[test]
+fn hpcg_native_and_checkpointed_runs_are_pinned() {
+    check_cg(make_app_small(AppKind::Hpcg, 8), &HPCG);
+}
+
+#[test]
+fn minife_native_and_checkpointed_runs_are_pinned() {
+    check_cg(make_app_small(AppKind::MiniFe, 8), &MINIFE);
+}
+
+/// The stencil's two halo ends meet: one row takes both neighbours from
+/// the halo, two rows have no interior.
+#[test]
+fn hpcg_with_one_and_two_rows_is_pinned() {
+    for (rows, pin) in [(1, &HPCG_ROWS_1), (2, &HPCG_ROWS_2)] {
+        let app = Hpcg {
+            iters: 8,
+            rows,
+            boundary: 1,
+            bulk_bytes: 0,
+        };
+        check_cg(Arc::new(app), pin);
+    }
 }
