@@ -6,6 +6,24 @@
 //! call rates, collective mix, memory footprint — which is what the
 //! paper's figures measure, and each keeps all of its state in managed
 //! upper-half memory so checkpoints capture it bit-for-bit.
+//!
+//! ## Kernel rule
+//!
+//! Every rank's final state checksum is an oracle: native and MANA runs,
+//! checkpointed and restarted runs must end on the same bits, and
+//! `tests/sched_counters.rs` pins them. The applications' arithmetic is
+//! also most of the host time on the Fig. 2/3 workload, so a kernel may be
+//! rewritten for speed — but only into a form that computes every output
+//! from the same floating-point operations in the same order:
+//!
+//! - keep each output's operation order (`2.5 * p[i] - p[i-1] - p[i+1]`
+//!   stays left to right);
+//! - fold a reduction from the value the original folds from: `-0.0` for
+//!   `Iterator::sum::<f64>`, whatever a hand-written accumulator starts at;
+//! - fuse only *independent* reductions into one pass; never split or
+//!   reassociate one chain, and never use `mul_add` — both change rounding;
+//! - back every rewrite with the pinned checksums and a bitwise unit test
+//!   against the original loop (as `minife.rs` does for the CG kernels).
 
 #![warn(missing_docs)]
 

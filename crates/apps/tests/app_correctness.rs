@@ -1,7 +1,7 @@
 //! Correctness properties of every workload: determinism, native-vs-MANA
 //! result equality, and full checkpoint/kill/restart fidelity.
 
-use mana_apps::{make_app_small, AppKind};
+use mana_apps::{make_app_small, AppKind, Hpcg, MiniFe};
 use mana_core::{FsStore, JobBuilder, ManaSession};
 use mana_mpi::MpiProfile;
 use mana_sim::cluster::ClusterSpec;
@@ -120,6 +120,33 @@ fn apps_survive_checkpoint_restart_with_impl_switch() {
         let report = resumed.restart_report().expect("restart stats");
         assert_eq!(report.ranks.len(), n as usize);
     }
+}
+
+fn run_native(app: impl mana_core::Workload + 'static) {
+    session()
+        .run_native(job(AppKind::Hpcg), Arc::new(app))
+        .expect("native run");
+}
+
+#[test]
+#[should_panic(expected = "hpcg: boundary 0 must be between 1 and rows (100)")]
+fn a_zero_boundary_is_refused_by_name() {
+    run_native(Hpcg {
+        iters: 1,
+        rows: 100,
+        boundary: 0,
+        bulk_bytes: 0,
+    });
+}
+
+#[test]
+#[should_panic(expected = "minife: boundary 65 must be between 1 and rows (64)")]
+fn a_boundary_wider_than_the_rows_is_refused_by_name() {
+    run_native(MiniFe {
+        rows: 64,
+        boundary: 65,
+        ..MiniFe::default()
+    });
 }
 
 #[test]
