@@ -355,7 +355,7 @@ fn build_image(
         .iter()
         .map(|(virt, m)| crate::image::VirtCommEntry {
             virt: *virt,
-            members: m.members.clone(),
+            members: m.members.to_vec(),
             cart_dims: m.cart_dims.clone(),
             cart_periodic: m.cart_periodic.clone(),
         })

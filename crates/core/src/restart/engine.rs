@@ -535,7 +535,7 @@ fn restore_state(
                 c.virt,
                 CommMeta {
                     real: 0,
-                    members: c.members.clone(),
+                    members: c.members.as_slice().into(),
                     cart_dims: c.cart_dims.clone(),
                     cart_periodic: c.cart_periodic.clone(),
                     wseq: 0,

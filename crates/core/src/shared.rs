@@ -19,8 +19,9 @@ use std::sync::Arc;
 pub struct CommMeta {
     /// Current lower-half real handle (0 for a null/burned id).
     pub real: u64,
-    /// Members as global job ranks, comm-rank order.
-    pub members: Vec<u32>,
+    /// Members as global job ranks, comm-rank order. Shared: every
+    /// [`RankShared::comm_meta`] lookup clones the handle, not the list.
+    pub members: Arc<[u32]>,
     /// Cartesian dims if a topology is attached.
     pub cart_dims: Vec<u32>,
     /// Cartesian periodicity.

@@ -43,7 +43,7 @@ impl ManaMpi {
     /// world communicator.
     pub fn fresh(sh: Arc<RankShared>, lower: Arc<dyn Mpi>, cfg: ManaConfig) -> ManaMpi {
         let world_real = lower.comm_world();
-        let members: Vec<u32> = (0..lower.comm_size(world_real)).collect();
+        let members: Arc<[u32]> = (0..lower.comm_size(world_real)).collect();
         let world_virt = sh.virt.comm.intern(world_real.0);
         *sh.world_virt.lock() = world_virt;
         sh.comms.lock().insert(
@@ -243,7 +243,7 @@ impl ManaMpi {
     fn register_comm(
         &self,
         real: u64,
-        members: Vec<u32>,
+        members: Arc<[u32]>,
         cart_dims: Vec<u32>,
         cart_periodic: Vec<bool>,
     ) -> u64 {
@@ -714,7 +714,7 @@ impl Mpi for ManaMpi {
                 v,
                 CommMeta {
                     real: 0,
-                    members: Vec::new(),
+                    members: Arc::from([]),
                     cart_dims: Vec::new(),
                     cart_periodic: Vec::new(),
                     wseq: 0,
@@ -726,7 +726,7 @@ impl Mpi for ManaMpi {
             let g = self.lower.comm_group(new_real);
             let members = self.lower.group_members(g);
             self.lower.group_free(g);
-            self.register_comm(new_real.0, members, Vec::new(), Vec::new())
+            self.register_comm(new_real.0, members.into(), Vec::new(), Vec::new())
         };
         self.sh.log.push(LoggedCall::CommSplit {
             parent: comm.0,
@@ -754,7 +754,7 @@ impl Mpi for ManaMpi {
         });
         let (virt, out) = match new_real {
             Some(nr) => {
-                let members = self.sh.groups.lock()[&group.0].clone();
+                let members = self.sh.groups.lock()[&group.0].as_slice().into();
                 let v = self.register_comm(nr.0, members, Vec::new(), Vec::new());
                 (Some(v), Some(CommHandle(v)))
             }
@@ -764,7 +764,7 @@ impl Mpi for ManaMpi {
                     v,
                     CommMeta {
                         real: 0,
-                        members: Vec::new(),
+                        members: Arc::from([]),
                         cart_dims: Vec::new(),
                         cart_periodic: Vec::new(),
                         wseq: 0,
