@@ -174,11 +174,10 @@ pub(crate) fn run_cg(
     }
 }
 
-// The CG kernels. Each computes, for every output element, exactly the
-// operations of the plain indexed loop in the same order (see the crate
-// docs' kernel rule); what differs is only what the compiler can see:
-// no per-element branch in the stencil, no bounds check in the axpys, and
-// the two dot products' latency chains interleaved in one pass.
+// The CG kernels. Each computes every output with the operations of the
+// plain indexed loop, in the same order (the crate docs' kernel rule; the
+// tests below compare them bit for bit), in a form the compiler can
+// vectorise: no per-element branch, no bounds check.
 
 /// `q = A p` for the tridiagonal stencil `2.5 p[i] - p[i-1] - p[i+1]`,
 /// with `lo` / `hi` standing in for `p[-1]` / `p[len]` (the halo).
@@ -428,10 +427,6 @@ mod tests {
             update_direction_ref(&mut want, &rv, beta);
             update_direction(&mut got, &rv, beta);
             assert_same(&format!("direction len {len}"), &got, &want);
-            // The value `run_cg` passes.
-            update_direction_ref(&mut want, &rv, 0.5);
-            update_direction(&mut got, &rv, 0.5);
-            assert_same(&format!("direction len {len}, beta 0.5"), &got, &want);
         });
     }
 }
