@@ -81,6 +81,10 @@ pub fn tally_shared_flatten(n: u64) {
 pub struct ScatterBuf {
     segments: Vec<Segment>,
     len: usize,
+    /// The content's [`ScatterBuf::checksum`], when [`ScatterBuf::framed`]
+    /// computed it while building the buffer. Every mutator clears it, so
+    /// it is never stale; clones keep it and equality ignores it.
+    digest: Option<u64>,
 }
 
 impl ScatterBuf {
@@ -96,8 +100,38 @@ impl ScatterBuf {
         b
     }
 
+    /// Frame `payload` as `header ‖ payload ‖ trailer(d)`, where `d` is
+    /// the payload's [`ScatterBuf::checksum`] — the shape of a commit
+    /// envelope. One pass over the payload computes `d` and the whole
+    /// frame's digest together: each segment is streamed into both while it
+    /// is still in cache, so a later [`ScatterBuf::checksum`] of the frame
+    /// is a lookup, not a second pass. Payload segments move in untouched
+    /// (shared pages stay shared).
+    pub fn framed(
+        header: Vec<u8>,
+        payload: ScatterBuf,
+        trailer: impl FnOnce(u64) -> Vec<u8>,
+    ) -> ScatterBuf {
+        let mut whole = Checksum::new();
+        let mut inner = Checksum::new();
+        whole.update(&header);
+        for s in payload.segments() {
+            inner.update(s);
+            whole.update(s);
+        }
+        let trailer = trailer(inner.digest());
+        whole.update(&trailer);
+        let mut frame = ScatterBuf::new();
+        frame.push_owned(header);
+        frame.append(payload);
+        frame.push_owned(trailer);
+        frame.digest = Some(whole.digest());
+        frame
+    }
+
     /// Append owned bytes (empty vectors are dropped).
     pub fn push_owned(&mut self, bytes: Vec<u8>) {
+        self.digest = None;
         if !bytes.is_empty() {
             self.len += bytes.len();
             self.segments.push(Segment::Owned(bytes));
@@ -107,6 +141,7 @@ impl ScatterBuf {
     /// Append a shared page handle without copying it (empty pages are
     /// dropped).
     pub fn push_shared(&mut self, page: Arc<[u8]>) {
+        self.digest = None;
         if !page.is_empty() {
             self.len += page.len();
             self.segments.push(Segment::Shared(page));
@@ -115,6 +150,7 @@ impl ScatterBuf {
 
     /// Append every segment of `other` (shared segments stay shared).
     pub fn append(&mut self, other: ScatterBuf) {
+        self.digest = None;
         self.len += other.len;
         self.segments.extend(other.segments);
     }
@@ -226,6 +262,7 @@ impl ScatterBuf {
     /// prefix — at most one page. This is the torn-write seam: a crashed
     /// `put` leaves a strict prefix of the envelope.
     pub fn truncate(&mut self, keep: usize) {
+        self.digest = None;
         if keep >= self.len {
             return;
         }
@@ -252,8 +289,20 @@ impl ScatterBuf {
 
     /// Checksum of the content, streamed segment-by-segment — equal to
     /// [`crate::checksum::checksum_bytes`] of the flattened content, with
-    /// no flatten.
+    /// no flatten. A buffer built by [`ScatterBuf::framed`] (and not
+    /// mutated since) returns the digest computed while framing; debug
+    /// builds recompute it on every such hit and assert the two agree.
     pub fn checksum(&self) -> u64 {
+        match self.digest {
+            Some(digest) => {
+                debug_assert_eq!(digest, self.streamed_checksum(), "stale framing digest");
+                digest
+            }
+            None => self.streamed_checksum(),
+        }
+    }
+
+    fn streamed_checksum(&self) -> u64 {
         let mut c = Checksum::new();
         for s in self.segments() {
             c.update(s);
@@ -366,6 +415,79 @@ mod tests {
         b.push_shared(shared(&[4; 4096]));
         b.push_owned(vec![5, 6]);
         assert_eq!(b.checksum(), checksum_bytes(&b.to_vec()));
+    }
+
+    /// `header ‖ payload ‖ trailer` framed around `payload`, the trailer
+    /// holding the payload's digest (a journal envelope's shape).
+    fn frame(payload: ScatterBuf) -> ScatterBuf {
+        ScatterBuf::framed(vec![0xAA; 20], payload, |d| {
+            [d.to_le_bytes(), *b"COMMITED"].concat()
+        })
+    }
+
+    /// Payloads of every segment mix: owned, shared, both, and empty.
+    fn payloads() -> Vec<ScatterBuf> {
+        let mut mixed = ScatterBuf::new();
+        mixed.push_owned(vec![1, 2, 3]);
+        mixed.push_shared(shared(&[4; 4096]));
+        mixed.push_owned(vec![5; 77]);
+        mixed.push_shared(shared(&[6; 13]));
+        let mut pages = ScatterBuf::new();
+        pages.push_shared(shared(&[7; 4096]));
+        pages.push_shared(shared(&[8; 4096]));
+        vec![
+            ScatterBuf::from_vec((0..100u8).collect()),
+            pages,
+            mixed,
+            ScatterBuf::new(),
+        ]
+    }
+
+    #[test]
+    fn framing_digest_equals_the_flat_digest() {
+        for payload in payloads() {
+            let flat_payload = payload.to_vec();
+            let framed = frame(payload);
+            assert!(framed.digest.is_some(), "framing computes the digest");
+            let flat = framed.to_vec();
+            assert_eq!(framed.checksum(), checksum_bytes(&flat));
+            // The content is exactly header ‖ payload ‖ trailer(digest).
+            let mut want = vec![0xAA; 20];
+            want.extend_from_slice(&flat_payload);
+            want.extend_from_slice(&checksum_bytes(&flat_payload).to_le_bytes());
+            want.extend_from_slice(b"COMMITED");
+            assert_eq!(flat, want);
+        }
+    }
+
+    #[test]
+    fn every_mutator_clears_the_framing_digest() {
+        let mutators: [fn(&mut ScatterBuf); 6] = [
+            |b| b.push_owned(vec![9; 5]),
+            |b| b.push_owned(Vec::new()),
+            |b| b.push_shared(shared(&[9; 64])),
+            |b| b.append(ScatterBuf::from_vec(vec![9; 40])),
+            |b| b.truncate(b.len() / 2),
+            |b| b.truncate(0),
+        ];
+        for mutate in mutators {
+            let mut b = frame(payloads().swap_remove(2));
+            mutate(&mut b);
+            assert!(b.digest.is_none());
+            assert_eq!(b.checksum(), checksum_bytes(&b.to_vec()));
+        }
+    }
+
+    #[test]
+    fn clones_keep_the_framing_digest_and_equality_ignores_it() {
+        let framed = frame(payloads().swap_remove(2));
+        let copy = framed.clone();
+        assert_eq!(copy.digest, framed.digest);
+        assert_eq!(copy.checksum(), checksum_bytes(&framed.to_vec()));
+        let plain = ScatterBuf::from_vec(framed.to_vec());
+        assert!(plain.digest.is_none());
+        assert_eq!(plain, framed);
+        assert_eq!(framed, plain);
     }
 
     #[test]

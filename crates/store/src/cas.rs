@@ -28,6 +28,14 @@
 //! Reassembly is zero-copy: regions are rebuilt from the pool's shared
 //! `Arc` pages via [`DenseSnap::from_pages`].
 //!
+//! Host work is smaller than the simulated charge: a presented page whose
+//! `Arc` handle is the very one a pool entry holds (a clean page shared
+//! from the snapshot an earlier generation stored) reuses that entry's
+//! key instead of being digested again, so a put hashes only the pages
+//! that are new to the pool as allocations — at 1 % dirty, ~1 % of them
+//! ([`CasStats::pages_hashed`]). The digest-CPU term is still charged for
+//! every presented page: it models a CAS that would hash them all.
+//!
 //! Non-image objects pass through unmodified.
 
 use mana_core::codec::{CodecError, Dec, Enc};
@@ -40,7 +48,9 @@ use mana_sim::fs::IoShape;
 use mana_sim::memory::{DenseSnap, RegionSnapshot, SnapshotContent};
 use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// "MANACAS1" little-endian.
@@ -93,6 +103,56 @@ fn page_key(page: &[u8]) -> PageKey {
     }
 }
 
+/// Where a page's bytes live: the address and length of the slice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PageAddr {
+    ptr: usize,
+    len: usize,
+}
+
+impl PageAddr {
+    fn of(page: &[u8]) -> PageAddr {
+        PageAddr {
+            ptr: page.as_ptr() as usize,
+            len: page.len(),
+        }
+    }
+}
+
+impl Hash for PageAddr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Allocation addresses share their high bits and step by the
+        // allocation size in their low ones: spread them (Fibonacci
+        // hashing, high half folded down) before `PassThrough` sees them.
+        let h = (self.ptr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        state.write_u64(h ^ (h >> 32));
+    }
+}
+
+/// Hasher for keys that are already uniform 64-bit words: it XORs what it
+/// is given. A [`PageKey`] is two independent digests of the page, so
+/// hashing it again (SipHash, the `HashMap` default) only burns time — it
+/// was about half of a put at 1 % dirty. The digests are of simulated
+/// page content, which no adversary picks (see [`mana_sim::checksum`]).
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PassThrough only hashes PageKey and PageAddr")
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 ^= word;
+    }
+}
+
+type PassThroughMap<K, V> = HashMap<K, V, BuildHasherDefault<PassThrough>>;
+
 /// One pooled page: the shared bytes and how many stored images
 /// reference it.
 struct PoolEntry {
@@ -126,6 +186,11 @@ pub struct CasStats {
     pub pages_freed: u64,
     /// Bytes reclaimed when their last reference was released.
     pub bytes_reclaimed: u64,
+    /// Presented pages that were digested. A page whose handle is one the
+    /// pool already holds (a clean page shared from an earlier snapshot)
+    /// reuses that entry's key instead, so at 1 % dirty this is ~1 % of
+    /// `pages_in`.
+    pub pages_hashed: u64,
 }
 
 impl CasStats {
@@ -149,18 +214,36 @@ impl CasStats {
             manifest_bytes: self.manifest_bytes - earlier.manifest_bytes,
             pages_freed: self.pages_freed - earlier.pages_freed,
             bytes_reclaimed: self.bytes_reclaimed - earlier.bytes_reclaimed,
+            pages_hashed: self.pages_hashed - earlier.pages_hashed,
         }
     }
 }
 
 #[derive(Default)]
 struct CasState {
-    pool: HashMap<PageKey, PoolEntry>,
+    pool: PassThroughMap<PageKey, PoolEntry>,
+    /// The key of every pool entry, by the address of the entry's *own*
+    /// handle. A presented page found here is that very allocation, so its
+    /// key is known without hashing it: the entry holds the `Arc`, so the
+    /// address cannot be reused while it is indexed, and only pool handles
+    /// are indexed, so no page lives longer than the pool keeps it.
+    pooled_at: PassThroughMap<PageAddr, PageKey>,
     objects: HashMap<String, CasObject>,
     stats: CasStats,
 }
 
 impl CasState {
+    /// The key of `page`, hashing it only when it is not a pool handle.
+    fn key_of(&mut self, page: &[u8]) -> PageKey {
+        match self.pooled_at.get(&PageAddr::of(page)) {
+            Some(key) => *key,
+            None => {
+                self.stats.pages_hashed += 1;
+                page_key(page)
+            }
+        }
+    }
+
     /// Release one object's page references, reclaiming pages whose last
     /// reference this was.
     fn release(&mut self, path: &str) {
@@ -172,6 +255,7 @@ impl CasState {
             entry.refs -= 1;
             if entry.refs == 0 {
                 let len = entry.data.len() as u64;
+                self.pooled_at.remove(&PageAddr::of(&entry.data));
                 self.pool.remove(&key);
                 self.stats.pages_freed += 1;
                 self.stats.bytes_reclaimed += len;
@@ -275,6 +359,8 @@ fn is_manifest(data: &ImageBytes) -> bool {
 }
 
 /// Content-addressed, page-deduplicating storage over an inner store `S`.
+/// A put digests (under both key seeds) only the presented pages that are
+/// not already pool handles; see the module docs.
 pub struct CasStore<S> {
     cfg: CasConfig,
     inner: S,
@@ -341,7 +427,8 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
             self.state.lock().release(path);
             return self.inner.put(path, data, logical_len, rank, shape);
         };
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         // Overwrite: the old object's references go before the new ones
         // land.
         st.release(path);
@@ -359,18 +446,20 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
                     let mut region_keys = Vec::with_capacity(snap.page_count());
                     for i in 0..snap.page_count() {
                         let page = snap.page(i);
-                        let key = page_key(page);
+                        let key = st.key_of(page);
                         dense_bytes += page.len() as u64;
                         st.stats.pages_in += 1;
                         st.stats.bytes_in += page.len() as u64;
-                        let entry = st.pool.entry(key).or_insert_with(|| {
-                            new_bytes += page.len() as u64;
-                            new_pages += 1;
-                            PoolEntry {
-                                data: snap.page_handle(i),
-                                refs: 0,
+                        let entry = match st.pool.entry(key) {
+                            Entry::Occupied(e) => e.into_mut(),
+                            Entry::Vacant(e) => {
+                                new_bytes += page.len() as u64;
+                                new_pages += 1;
+                                let data = snap.page_handle(i);
+                                st.pooled_at.insert(PageAddr::of(&data), key);
+                                e.insert(PoolEntry { data, refs: 0 })
                             }
-                        });
+                        };
                         entry.refs += 1;
                         region_keys.push(key);
                     }
@@ -404,7 +493,7 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
                 original_len: logical_len,
             },
         );
-        drop(st);
+        drop(guard);
         // The inner tier is charged for what actually lands on it: the
         // manifest plus the newly unique page bytes. Digest CPU covers
         // every presented page.
@@ -723,5 +812,90 @@ mod tests {
         );
         let (bytes, _) = s.get(&p, 0, SHAPE).unwrap();
         assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img);
+    }
+
+    mod pages_hashed {
+        use super::*;
+
+        /// A 64-page snapshot of distinct pages.
+        fn snap(salt: u64) -> DenseSnap {
+            DenseSnap::from_vec(buf(64 << 12, salt))
+        }
+
+        /// Put a one-region image of `snap` at `p` the way the checkpoint
+        /// path does (decoded image attached); the counters of that put.
+        fn put(s: &CasStore<InMemStore>, p: &str, snap: &DenseSnap) -> CasStats {
+            let before = s.stats();
+            let mut r = region(0x1000, Vec::new());
+            r.len = snap.len() as u64;
+            r.content = SnapshotContent::Dense(snap.clone());
+            let img = Arc::new(image(0, 1, vec![r]));
+            s.put(
+                p,
+                CheckpointImage::encode_shared(&img),
+                img.logical_bytes(),
+                0,
+                SHAPE,
+            );
+            let (bytes, _) = s.get(p, 0, SHAPE).unwrap();
+            assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, *img);
+            s.stats().since(&before)
+        }
+
+        #[test]
+        fn shared_clean_handles_are_not_hashed_again() {
+            let s = store();
+            let first = snap(7);
+            assert_eq!(put(&s, &path("a", 1, 0), &first).pages_hashed, 64);
+            // Two dirty pages; the other 62 are the first generation's
+            // handles.
+            let second = first
+                .patched(&[(3 << 12, vec![1; 8]), (40 << 12, vec![2; 8])])
+                .unwrap();
+            let st = put(&s, &path("a", 2, 0), &second);
+            assert_eq!((st.pages_in, st.pages_hashed, st.pages_new), (64, 2, 2));
+        }
+
+        #[test]
+        fn equal_bytes_in_another_allocation_are_hashed_and_dedup() {
+            let s = store();
+            put(&s, &path("a", 1, 0), &snap(8));
+            let st = put(&s, &path("a", 2, 0), &snap(8));
+            assert_eq!((st.pages_hashed, st.pages_new), (64, 0));
+            assert_eq!(s.pool_pages(), 64);
+        }
+
+        #[test]
+        fn a_reclaimed_page_is_hashed_when_it_comes_back() {
+            let s = store();
+            let pages = snap(9);
+            put(&s, &path("a", 1, 0), &pages);
+            assert!(s.remove(&path("a", 1, 0)));
+            assert_eq!(s.pool_pages(), 0);
+            let st = put(&s, &path("a", 2, 0), &pages);
+            assert_eq!((st.pages_hashed, st.pages_new), (64, 64));
+        }
+
+        #[test]
+        fn overwriting_a_path_keeps_the_index_consistent() {
+            let s = store();
+            let first = snap(10);
+            let p = path("a", 1, 0);
+            put(&s, &p, &first);
+            // The old references go first, so every page of the old image
+            // is reclaimed and the shared ones are pooled (and hashed)
+            // anew.
+            let second = first.patched(&[(5 << 12, vec![3; 8])]).unwrap();
+            let st = put(&s, &p, &second);
+            assert_eq!(
+                (st.pages_hashed, st.pages_new, st.pages_freed),
+                (64, 64, 64)
+            );
+            assert_eq!(s.pool_pages(), 64);
+            // The re-pooled handles are indexed: another image of them
+            // hashes nothing.
+            let st = put(&s, &path("a", 2, 0), &second);
+            assert_eq!((st.pages_hashed, st.pages_new), (0, 0));
+        }
     }
 }

@@ -95,7 +95,10 @@ impl<S: CheckpointStore> CompressingStore<S> {
 
     /// Deterministic per-object ratio: seeded by the store seed, the
     /// object's content digest (streamed over the scatter segments — no
-    /// flatten) and its logical length.
+    /// flatten) and its logical length. Under a `JournaledStore` the
+    /// object is an envelope whose digest the journal's framing pass
+    /// already computed, so this hashes nothing; a torn envelope was
+    /// truncated after framing and is hashed here in full.
     fn ratio_for(&self, data: &ImageBytes, logical_len: u64) -> f64 {
         let h = data.scatter().checksum();
         let u = splitmix64(self.cfg.seed ^ h ^ splitmix64(logical_len));

@@ -130,27 +130,30 @@ impl JournaledStore {
     /// Wrap `payload` in the commit envelope without flattening it: the
     /// header and trailer are small owned segments, the payload segments
     /// (shared rope pages included) pass through untouched, and the
-    /// checksum streams over the scatter.
+    /// checksum streams over the scatter. The same pass yields the whole
+    /// envelope's digest ([`ScatterBuf::framed`]), so a layer below that
+    /// digests the envelope (`CompressingStore`'s ratio seed) looks it up
+    /// instead of hashing the payload a second time.
     fn frame(payload: ScatterBuf) -> ScatterBuf {
         let mut header = Vec::with_capacity(HEADER);
         header.extend_from_slice(&MAGIC.to_le_bytes());
         header.extend_from_slice(&VERSION.to_le_bytes());
         header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let mut trailer = Vec::with_capacity(TRAILER);
-        trailer.extend_from_slice(&payload.checksum().to_le_bytes());
-        trailer.extend_from_slice(&COMMIT.to_le_bytes());
-        let mut env = ScatterBuf::new();
-        env.push_owned(header);
-        env.append(payload);
-        env.push_owned(trailer);
-        env
+        ScatterBuf::framed(header, payload, |digest| {
+            let mut trailer = Vec::with_capacity(TRAILER);
+            trailer.extend_from_slice(&digest.to_le_bytes());
+            trailer.extend_from_slice(&COMMIT.to_le_bytes());
+            trailer
+        })
     }
 
     /// Validate `env` and return the payload scatter on success. Only the
     /// fixed-size header and trailer are materialized (they are single
     /// owned segments as framed); the payload stays a scatter — its
     /// shared rope pages pass through unflattened and the checksum
-    /// streams segment-by-segment.
+    /// streams segment-by-segment. It is always a full pass: the payload
+    /// is a fresh slice that carries no framing digest, because a check
+    /// that trusted a digest remembered at put time would verify nothing.
     fn validate(path: &str, env: &ScatterBuf) -> Result<ScatterBuf, StoreError> {
         let torn = |why: &str| StoreError::Torn {
             path: path.to_string(),
