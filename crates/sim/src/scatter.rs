@@ -425,20 +425,25 @@ mod tests {
         })
     }
 
+    /// Owned and shared segments, interleaved.
+    fn mixed() -> ScatterBuf {
+        let mut b = ScatterBuf::new();
+        b.push_owned(vec![1, 2, 3]);
+        b.push_shared(shared(&[4; 4096]));
+        b.push_owned(vec![5; 77]);
+        b.push_shared(shared(&[6; 13]));
+        b
+    }
+
     /// Payloads of every segment mix: owned, shared, both, and empty.
     fn payloads() -> Vec<ScatterBuf> {
-        let mut mixed = ScatterBuf::new();
-        mixed.push_owned(vec![1, 2, 3]);
-        mixed.push_shared(shared(&[4; 4096]));
-        mixed.push_owned(vec![5; 77]);
-        mixed.push_shared(shared(&[6; 13]));
         let mut pages = ScatterBuf::new();
         pages.push_shared(shared(&[7; 4096]));
         pages.push_shared(shared(&[8; 4096]));
         vec![
             ScatterBuf::from_vec((0..100u8).collect()),
             pages,
-            mixed,
+            mixed(),
             ScatterBuf::new(),
         ]
     }
@@ -471,7 +476,7 @@ mod tests {
             |b| b.truncate(0),
         ];
         for mutate in mutators {
-            let mut b = frame(payloads().swap_remove(2));
+            let mut b = frame(mixed());
             mutate(&mut b);
             assert!(b.digest.is_none());
             assert_eq!(b.checksum(), checksum_bytes(&b.to_vec()));
@@ -480,7 +485,7 @@ mod tests {
 
     #[test]
     fn clones_keep_the_framing_digest_and_equality_ignores_it() {
-        let framed = frame(payloads().swap_remove(2));
+        let framed = frame(mixed());
         let copy = framed.clone();
         assert_eq!(copy.digest, framed.digest);
         assert_eq!(copy.checksum(), checksum_bytes(&framed.to_vec()));

@@ -104,7 +104,7 @@ fn page_key(page: &[u8]) -> PageKey {
 }
 
 /// Where a page's bytes live: the address and length of the slice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct PageAddr {
     ptr: usize,
     len: usize,
