@@ -1,0 +1,140 @@
+//! HPCG checkpointed at many instants: every cut restarts, or continues,
+//! to the native run's per-rank checksums.
+//!
+//! HPCG's smoother runs three levels per CG iteration, each a halo
+//! exchange followed by a charged SpMV op. Each sweep cuts at 48 instants
+//! spread evenly over the application window and takes every cut twice:
+//! once checkpoint-and-kill, restarted under Cray MPICH and Open MPI in
+//! turn, and once checkpoint-and-continue.
+//!
+//! Where a cut lands depends on how long an iteration is against the
+//! checkpoint agreement. The small test app's iterations (8 ranks) are
+//! shorter, so every rank has reached the iteration's allreduce before
+//! the checkpoint starts. With 40 000 rows per rank (4 ranks) a sweep op
+//! outlasts the agreement, and ranks park between smoothing levels: the
+//! second test reads each image's operation cursor and requires a
+//! quarter of the cuts to land there.
+
+use mana::apps::{make_app_small, AppKind, Hpcg};
+use mana::core::image::CheckpointImage;
+use mana::core::{InMemStore, JobBuilder, ManaSession, Workload};
+use mana::mpi::MpiProfile;
+use mana::sim::cluster::ClusterSpec;
+use mana::sim::fs::IoShape;
+use mana::sim::time::SimTime;
+use std::sync::Arc;
+
+const CUTS: u64 = 48;
+
+/// Operations one smoothing level runs on more than one rank: two
+/// isends, two irecvs, four waits and the sweep.
+const OPS_PER_LEVEL: u64 = 9;
+
+const SHAPE: IoShape = IoShape {
+    writers_on_node: 1,
+    total_writers: 1,
+};
+
+fn job(ranks: u32) -> JobBuilder {
+    JobBuilder::new()
+        .cluster(ClusterSpec::cori(2))
+        .ranks(ranks)
+        .profile(MpiProfile::cray_mpich())
+        .seed(29)
+}
+
+/// Run the sweep over `app` on `ranks` ranks; returns how many cuts left
+/// some rank with level 0's sweep done and level 2's still to run.
+fn sweep(app: Arc<dyn Workload>, ranks: u32) -> u64 {
+    let session = ManaSession::builder().store(InMemStore::new()).build();
+    let native = session
+        .run_native(job(ranks), app.clone())
+        .expect("native run");
+    let app_start = native.wall.as_nanos() - native.app_wall.as_nanos();
+    // The window's last few percent follow the final allreduce: the ranks
+    // exit before a checkpoint requested there can quiesce them.
+    let span = native.app_wall.as_nanos() / 20 * 19;
+    let between_levels = OPS_PER_LEVEL..3 * OPS_PER_LEVEL;
+    let mut cuts_between_levels = 0;
+
+    for k in 0..CUTS {
+        let at = SimTime(app_start + span * k / CUTS);
+
+        let killed = session
+            .run(
+                job(ranks)
+                    .ckpt_dir(format!("kill-{k}"))
+                    .checkpoint_at(at)
+                    .then_kill(),
+                app.clone(),
+            )
+            .expect("checkpoint-and-kill run");
+        assert!(killed.killed(), "cut {k} did not kill");
+        let ckpt_id = killed.latest_checkpoint().expect("checkpoint id");
+        let cut_between_levels = (0..ranks).any(|rank| {
+            let path = killed.spec().cfg.image_path(ckpt_id, rank);
+            let (bytes, _) = session
+                .store()
+                .get(&path, u64::from(rank), SHAPE)
+                .expect("image");
+            let img = CheckpointImage::decode_shared(&bytes).expect("decode").0;
+            between_levels.contains(&img.ops_done)
+        });
+        cuts_between_levels += u64::from(cut_between_levels);
+
+        let profile = if k % 2 == 0 {
+            MpiProfile::cray_mpich()
+        } else {
+            MpiProfile::open_mpi()
+        };
+        let name = profile.name;
+        let resumed = killed
+            .restart_on(
+                JobBuilder::new()
+                    .cluster(ClusterSpec::cori(2))
+                    .profile(profile),
+            )
+            .expect("restart");
+        assert!(!resumed.killed());
+        assert_eq!(
+            &native.checksums,
+            resumed.checksums(),
+            "cut {k} restarted under {name} diverged"
+        );
+
+        let continued = session
+            .run(
+                job(ranks).ckpt_dir(format!("cont-{k}")).checkpoint_at(at),
+                app.clone(),
+            )
+            .expect("checkpoint-and-continue run");
+        assert!(!continued.killed());
+        assert_eq!(continued.ckpts().len(), 1, "cut {k}: checkpoint missing");
+        assert_eq!(
+            &native.checksums,
+            continued.checksums(),
+            "cut {k} checkpoint-and-continue diverged"
+        );
+    }
+    cuts_between_levels
+}
+
+#[test]
+fn small_hpcg_restarts_to_native_checksums_from_every_cut() {
+    sweep(make_app_small(AppKind::Hpcg, 6), 8);
+}
+
+#[test]
+fn hpcg_cut_between_smoothing_levels_restarts_to_native_checksums() {
+    let app = Hpcg {
+        iters: 2,
+        rows: 40_000,
+        boundary: 96,
+        bulk_bytes: 0,
+    };
+    let between = sweep(Arc::new(app), 4);
+    assert!(
+        between >= CUTS / 4,
+        "only {between} of {CUTS} cuts landed between smoothing levels"
+    );
+}
