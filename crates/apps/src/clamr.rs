@@ -53,10 +53,17 @@ impl Workload for Clamr {
         let me = env.rank();
         let left = (me + n - 1) % n;
         let right = (me + 1) % n;
+        // The largest interface chunk: 256 cells at the maximum refinement.
+        let max_chunk = 256 * 4;
+        assert!(
+            n == 1 || self.cells >= max_chunk,
+            "clamr: cells {} must be at least {max_chunk}, the largest chunk it exchanges, \
+             on more than one rank",
+            self.cells
+        );
 
         let cells = env.alloc_f64("cells", self.cells);
         // Exchange buffers sized for the maximum refinement factor.
-        let max_chunk = 256 * 4;
         let halo = env.alloc_f64("halo", 2 * max_chunk);
         // Rebalance buffers must split evenly over the ranks.
         let xlen = ((self.cells.min(4096) / n as usize).max(1)) * n as usize;

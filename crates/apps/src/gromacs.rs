@@ -43,6 +43,14 @@ impl Workload for Gromacs {
     }
 
     fn run(&self, env: &mut AppEnv) {
+        assert!(self.particles >= 1, "gromacs: particles must be at least 1");
+        // A halo chunk is sent from the front of `pos` and `frc`.
+        assert!(
+            self.chunk <= 3 * self.particles,
+            "gromacs: chunk {} must be at most 3 * particles ({})",
+            self.chunk,
+            3 * self.particles
+        );
         let world = env.world();
         let n = env.nranks();
         let me = env.rank();

@@ -1,8 +1,10 @@
 //! HPCG-like proxy: preconditioned CG with a multigrid-flavoured smoother
-//! (three nested stencil sweeps per iteration). Heavier compute and a few
-//! more halo exchanges than miniFE; the same near-zero MANA overhead
-//! profile, but the largest memory footprint of the suite (2 GB/rank
-//! images in Figure 6).
+//! (three smoothing levels per iteration: three halo exchanges and three
+//! charged stencil sweeps, with the product computed once because later
+//! levels see the same `p` and halo; the crate docs' kernel rule). Heavier
+//! compute and more halo exchanges than miniFE; the same near-zero MANA
+//! overhead profile, but the largest memory footprint of the suite
+//! (2 GB/rank images in Figure 6).
 
 use crate::minife::run_cg;
 use mana_core::{AppEnv, Workload};
@@ -37,7 +39,7 @@ impl Workload for Hpcg {
 
     fn run(&self, env: &mut AppEnv) {
         // Three smoothing levels model the symmetric Gauss-Seidel + MG
-        // structure: 3 halo exchanges + 3 sweeps per iteration.
+        // structure: 3 halo exchanges + 3 charged sweeps per iteration.
         run_cg(
             env,
             "hpcg",

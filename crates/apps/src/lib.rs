@@ -24,6 +24,15 @@
 //!   reassociate one chain, and never use `mul_add` — both change rounding;
 //! - back every rewrite with the pinned checksums and a bitwise unit test
 //!   against the original loop (as `minife.rs` does for the CG kernels).
+//!
+//! An op may also skip arithmetic whose every output is already in place
+//! bit for bit — HPCG's smoothing levels after the first see the same `p`
+//! and the same halo, so their product is the `q` level 0 wrote. The op
+//! still opens its memory windows (dirty-page marks, the thaw of a
+//! restored region) and charges its duration, so the op sequence the
+//! restore cursor counts, the simulated clock and every image stay as
+//! they were; a debug assertion recomputes the skipped result and
+//! compares it bit for bit.
 
 #![warn(missing_docs)]
 

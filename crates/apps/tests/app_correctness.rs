@@ -1,7 +1,7 @@
 //! Correctness properties of every workload: determinism, native-vs-MANA
 //! result equality, and full checkpoint/kill/restart fidelity.
 
-use mana_apps::{make_app_small, AppKind, Hpcg, MiniFe};
+use mana_apps::{make_app_small, AppKind, Clamr, Gromacs, Hpcg, MiniFe};
 use mana_core::{FsStore, JobBuilder, ManaSession};
 use mana_mpi::MpiProfile;
 use mana_sim::cluster::ClusterSpec;
@@ -146,6 +146,25 @@ fn a_boundary_wider_than_the_rows_is_refused_by_name() {
         rows: 64,
         boundary: 65,
         ..MiniFe::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "gromacs: chunk 31 must be at most 3 * particles (30)")]
+fn a_gromacs_chunk_longer_than_the_positions_is_refused_by_name() {
+    run_native(Gromacs {
+        particles: 10,
+        chunk: 31,
+        ..Gromacs::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "clamr: cells 300 must be at least 1024, the largest chunk it exchanges")]
+fn clamr_cells_fewer_than_its_largest_chunk_are_refused_by_name() {
+    run_native(Clamr {
+        cells: 300,
+        ..Clamr::default()
     });
 }
 
