@@ -1,11 +1,10 @@
 //! Checkpoint data-path sweep: how the zero-copy, dirty-tracked snapshot
 //! pipeline scales with the fraction of memory an application actually
-//! writes between checkpoints — plus the cross-rank worker-pool pipeline
-//! (snapshot → encode → digest/put) against its serial baseline.
+//! writes between checkpoints.
 //!
-//! Part 1 (dirty-fraction sweep): for each dirty fraction the harness
-//! primes one full checkpoint epoch, touches exactly that fraction of the
-//! pages (spread uniformly across every region — the worst case for
+//! For each dirty fraction the harness primes one full checkpoint epoch,
+//! touches exactly that fraction of the pages (spread uniformly across
+//! every region — the worst case for
 //! region-granular schemes), then runs the full write path: tracked
 //! snapshot → scatter image encode (shared rope pages, no memcpy) →
 //! `DeltaStore<FsStore>` put digesting pages straight from the rope. It
@@ -17,12 +16,6 @@
 //! put window (no clean page is ever memcpy'd between the address space
 //! and the store tier).
 //!
-//! Part 2 (rank pipeline): `mana_core::pipeline::checkpoint_ranks`
-//! drains ≥4 all-dirty ranks through an `FsStore`, serial vs worker-pool,
-//! asserting the stored bytes and per-rank stats are identical and
-//! (when the machine has ≥2 CPUs) that the pipelined wall time beats
-//! serial by ≥1.5×.
-//!
 //! Every run writes the machine-readable `BENCH_ckpt_path.json` next to
 //! the invocation directory. Run with `--test` for the CI smoke
 //! configuration, which asserts the 1%-dirty epoch copies ≤ 2% of the
@@ -31,14 +24,9 @@
 use mana_bench::{banner, Scale, Table};
 use mana_core::buffer::PairCounters;
 use mana_core::image::CheckpointImage;
-use mana_core::pipeline::{checkpoint_ranks, BuiltRank, RankJob};
 use mana_core::{CheckpointStore, FsStore};
 use mana_sim::fs::{FsConfig, IoShape};
-use mana_sim::memory::{
-    AddressSpace, Backing, DenseBuf, DenseSnap, Half, HalfSnapshot, RegionKind, RegionSnapshot,
-    SnapshotContent, PAGE,
-};
-use mana_sim::rng::splitmix64;
+use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, HalfSnapshot, RegionKind, PAGE};
 use mana_sim::scatter::{reset_shared_flatten_bytes, shared_flatten_bytes};
 use mana_store::{DeltaConfig, DeltaStore};
 use std::sync::Arc;
@@ -187,97 +175,8 @@ fn run_epoch(nregions: u64, pages_per_region: u64, frac: f64) -> EpochResult {
     }
 }
 
-/// An all-dirty rank image: every page's content derives from (rank,
-/// offset), so building it is real CPU work that the worker pool can
-/// overlap across ranks.
-fn rank_image(rank: u32, nranks: u32, pages: u64) -> CheckpointImage {
-    let len = (pages * PAGE) as usize;
-    let mut payload = vec![0u8; len];
-    for (i, chunk) in payload.chunks_mut(8).enumerate() {
-        let v = splitmix64(i as u64 ^ (u64::from(rank) << 40) ^ 0xC0FFEE).to_le_bytes();
-        chunk.copy_from_slice(&v[..chunk.len()]);
-    }
-    CheckpointImage {
-        rank,
-        nranks,
-        regions: vec![RegionSnapshot {
-            start: 0x10_0000,
-            len: len as u64,
-            half: Half::Upper,
-            kind: RegionKind::Mmap,
-            name: "state".to_string(),
-            content: SnapshotContent::Dense(DenseSnap::from_vec(payload)),
-        }],
-        ..image_around(2, HalfSnapshot::default())
-    }
-}
-
-fn rank_jobs(nranks: u32, pages: u64) -> Vec<RankJob<impl FnOnce() -> BuiltRank + Send>> {
-    (0..nranks)
-        .map(|rank| RankJob {
-            rank,
-            path: format!("fig-ckpt-path/pipe/rank_{rank}.mana"),
-            shape: IoShape {
-                writers_on_node: 4,
-                total_writers: nranks,
-            },
-            build: move || BuiltRank::from(rank_image(rank, nranks, pages)),
-        })
-        .collect()
-}
-
-struct PipelineResult {
-    nranks: u32,
-    workers: usize,
-    serial: std::time::Duration,
-    pipelined: std::time::Duration,
-    speedup: f64,
-    flatten_bytes: u64,
-    cpus: usize,
-}
-
-/// Part 2: ≥4 all-dirty ranks through serial vs worker-pool pipelines,
-/// proving byte-identity and measuring the overlap win.
-fn run_pipeline(nranks: u32, workers: usize, pages: u64) -> PipelineResult {
-    reset_shared_flatten_bytes();
-    let serial_store = FsStore::with_config(FsConfig::default());
-    let t0 = Instant::now();
-    let serial_stats = checkpoint_ranks(&serial_store, 1, rank_jobs(nranks, pages));
-    let serial = t0.elapsed();
-
-    let par_store = FsStore::with_config(FsConfig::default());
-    let t0 = Instant::now();
-    let par_stats = checkpoint_ranks(&par_store, workers, rank_jobs(nranks, pages));
-    let pipelined = t0.elapsed();
-    let flatten_bytes = shared_flatten_bytes();
-
-    // Determinism floor, always: identical per-rank stats (including the
-    // modeled write durations and straggler draws) and identical stored
-    // bytes, rank for rank.
-    assert_eq!(
-        serial_stats, par_stats,
-        "pipelined stats diverged from serial"
-    );
-    for rank in 0..nranks {
-        let path = format!("fig-ckpt-path/pipe/rank_{rank}.mana");
-        let (a, _) = serial_store.get(&path, u64::from(rank), SHAPE).unwrap();
-        let (b, _) = par_store.get(&path, u64::from(rank), SHAPE).unwrap();
-        assert_eq!(a, b, "pipelined image bytes diverged at {path}");
-    }
-
-    PipelineResult {
-        nranks,
-        workers,
-        serial,
-        pipelined,
-        speedup: serial.as_secs_f64() / pipelined.as_secs_f64().max(1e-9),
-        flatten_bytes,
-        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
 /// Minimal JSON string escape (paths/names only contain ASCII here).
-fn write_json(results: &[EpochResult], pipe: &PipelineResult, dense_mb: u64) {
+fn write_json(results: &[EpochResult], dense_mb: u64) {
     let mut s = String::from("{\n  \"bench\": \"ckpt_path\",\n");
     s.push_str(&format!("  \"dense_mb\": {dense_mb},\n  \"sweep\": [\n"));
     for (i, r) in results.iter().enumerate() {
@@ -300,19 +199,7 @@ fn write_json(results: &[EpochResult], pipe: &PipelineResult, dense_mb: u64) {
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"pipeline\": {{\"ranks\": {}, \"workers\": {}, \"cpus\": {}, \
-         \"serial_ms\": {:.3}, \"pipelined_ms\": {:.3}, \"speedup\": {:.3}, \
-         \"flatten_bytes\": {}, \"byte_identical\": true}}\n}}\n",
-        pipe.nranks,
-        pipe.workers,
-        pipe.cpus,
-        pipe.serial.as_secs_f64() * 1e3,
-        pipe.pipelined.as_secs_f64() * 1e3,
-        pipe.speedup,
-        pipe.flatten_bytes,
-    ));
+    s.push_str("  ]\n}\n");
     std::fs::write("BENCH_ckpt_path.json", s).expect("write BENCH_ckpt_path.json");
 }
 
@@ -321,7 +208,7 @@ fn main() {
     let scale = Scale::from_env();
     banner(
         "Checkpoint data path",
-        "copy/digest cost vs dirty fraction + rank worker-pool pipeline",
+        "copy/digest cost vs dirty fraction",
         "the write path is O(dirty bytes) and clean pages are never memcpy'd to the store",
     );
     let (nregions, pages_per_region) = if smoke {
@@ -377,34 +264,7 @@ fn main() {
         " \"flattened\" = shared rope bytes memcpy'd in the put window — the zero-copy claim)"
     );
 
-    // Part 2: the cross-rank pipeline. Smoke keeps the per-rank images
-    // small; the full run uses more ranks and bigger images.
-    let (nranks, pipe_pages) = if smoke {
-        (4u32, 256u64) // 4 ranks x 1 MiB
-    } else if scale.full {
-        (16, 4096) // 16 ranks x 16 MiB
-    } else {
-        (8, 1024) // 8 ranks x 4 MiB
-    };
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .clamp(1, 4)
-        .max(2);
-    let pipe = run_pipeline(nranks, workers, pipe_pages);
-    println!(
-        "\nrank pipeline: {} ranks x {} MB, {} workers on {} cpu(s): serial {:.1} ms, \
-         pipelined {:.1} ms ({:.2}x), images byte-identical, {} rope bytes flattened",
-        pipe.nranks,
-        (pipe_pages * PAGE) >> 20,
-        pipe.workers,
-        pipe.cpus,
-        pipe.serial.as_secs_f64() * 1e3,
-        pipe.pipelined.as_secs_f64() * 1e3,
-        pipe.speedup,
-        pipe.flatten_bytes,
-    );
-
-    write_json(&results, &pipe, dense_mb);
+    write_json(&results, dense_mb);
     println!("wrote BENCH_ckpt_path.json");
 
     let mostly_clean = &results[0];
@@ -441,27 +301,9 @@ fn main() {
                 r.flatten_bytes
             );
         }
-        assert_eq!(
-            pipe.flatten_bytes, 0,
-            "rank pipeline flattened {} shared rope bytes on the put path",
-            pipe.flatten_bytes
-        );
-        if pipe.cpus >= 2 {
-            assert!(
-                pipe.speedup >= 1.5,
-                "pipelined checkpoint only {:.2}x serial on {} cpus (floor 1.5x)",
-                pipe.speedup,
-                pipe.cpus
-            );
-        } else {
-            println!(
-                "(single cpu: {:.2}x measured, 1.5x floor not applicable)",
-                pipe.speedup
-            );
-        }
         println!(
             "smoke assertions passed: copy, digest and store volume scale with dirty fraction; \
-             zero clean-page memcpys; pipeline output byte-identical to serial"
+             zero clean-page memcpys"
         );
     }
 }

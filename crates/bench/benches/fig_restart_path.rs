@@ -1,8 +1,7 @@
-//! Restart read-path sweep: the zero-copy, rank-pipelined twin of
-//! `fig_ckpt_path`.
+//! Restart read-path sweep: the zero-copy twin of `fig_ckpt_path`.
 //!
-//! Part 1 (restore data path): one full checkpoint image travels through
-//! each image-aware store tier — `InMemStore`, `FsStore`,
+//! One full checkpoint image travels through each image-aware store
+//! tier — `InMemStore`, `FsStore`,
 //! `DeltaStore<InMemStore>`, `CasStore<InMemStore>` — and is restored
 //! into a fresh `AddressSpace` via `CheckpointImage::decode_shared` on
 //! the get-returned scatter. The `shared_flatten_bytes()` counter
@@ -11,13 +10,6 @@
 //! clean page bytes. The table reports pages shared, decode copy
 //! traffic (metadata only — zero when the store hands back an attached
 //! image), the modeled read time, and measured wall throughput.
-//!
-//! Part 2 (rank pipeline): N flat-stored rank images are fetched,
-//! decoded and restored serially vs on an engine-style worker pool
-//! (cursor claim, rank-ordered merge) — the same shape
-//! `ManaConfig::restart_workers` drives inside the restart engine —
-//! asserting restored checksums are identical and (on ≥2 CPUs) that the
-//! pipelined restore beats serial by ≥1.5×.
 //!
 //! Every run writes the machine-readable `BENCH_restart_path.json`.
 //! Run with `--test` for the CI smoke configuration.
@@ -31,8 +23,6 @@ use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, HalfSnapshot, Regi
 use mana_sim::rng::splitmix64;
 use mana_sim::scatter::{reset_shared_flatten_bytes, shared_flatten_bytes};
 use mana_store::{CasConfig, CasStore, DeltaConfig, DeltaStore};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -159,111 +149,7 @@ fn restore_through(
     }
 }
 
-/// An all-dirty rank image stored as *flat owned* wire bytes, so the
-/// fetch stage does real per-rank decode work the pool can overlap.
-fn rank_wire(rank: u32, nranks: u32, pages: u64) -> Vec<u8> {
-    let len = (pages * PAGE) as usize;
-    let a = AddressSpace::new();
-    a.set_lineage(u64::from(rank) ^ 0xD0C);
-    let mut buf = DenseBuf::zeroed(len);
-    for (i, chunk) in buf.as_bytes_mut().chunks_mut(8).enumerate() {
-        let v = splitmix64(i as u64 ^ (u64::from(rank) << 40) ^ 0xC0FFEE).to_le_bytes();
-        chunk.copy_from_slice(&v[..chunk.len()]);
-    }
-    a.map(
-        Half::Upper,
-        RegionKind::Mmap,
-        "state",
-        len as u64,
-        Backing::Dense(buf),
-    )
-    .expect("map rank region");
-    let mut img = image_around(2, a.snapshot_half_tracked(Half::Upper));
-    img.rank = rank;
-    img.nranks = nranks;
-    img.encode().into_vec()
-}
-
-/// Fetch+decode+restore every rank and return the per-rank restored
-/// checksums in rank order — serially when `workers <= 1`, else on an
-/// engine-style worker pool (atomic cursor, rank-ordered merge).
-fn restore_ranks(store: &FsStore, nranks: u32, workers: usize) -> Vec<u64> {
-    let one = |rank: u32| -> u64 {
-        let path = format!("fig-restart-path/pipe/ckpt_2/rank_{rank}.mana");
-        let (bytes, _) = store.get(&path, u64::from(rank), SHAPE).expect("get rank");
-        let (img, _) = CheckpointImage::decode_shared(&bytes).expect("decode rank");
-        let b = AddressSpace::new();
-        for r in &img.regions {
-            b.restore_region(r).expect("restore rank region");
-        }
-        b.checksum_half(Half::Upper)
-    };
-    if workers <= 1 {
-        return (0..nranks).map(one).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let sums: Mutex<Vec<Option<u64>>> = Mutex::new(vec![None; nranks as usize]);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(nranks as usize) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= nranks as usize {
-                    break;
-                }
-                let sum = one(idx as u32);
-                sums.lock()[idx] = Some(sum);
-            });
-        }
-    });
-    sums.into_inner()
-        .into_iter()
-        .map(|s| s.expect("every rank restored"))
-        .collect()
-}
-
-struct PipelineResult {
-    nranks: u32,
-    workers: usize,
-    serial: std::time::Duration,
-    pipelined: std::time::Duration,
-    speedup: f64,
-    cpus: usize,
-}
-
-fn run_pipeline(nranks: u32, workers: usize, pages: u64) -> PipelineResult {
-    let store = FsStore::with_config(FsConfig::default());
-    for rank in 0..nranks {
-        let wire = rank_wire(rank, nranks, pages);
-        let len = wire.len() as u64;
-        store.put(
-            &format!("fig-restart-path/pipe/ckpt_2/rank_{rank}.mana"),
-            wire.into(),
-            len,
-            u64::from(rank),
-            SHAPE,
-        );
-    }
-    let t0 = Instant::now();
-    let serial_sums = restore_ranks(&store, nranks, 1);
-    let serial = t0.elapsed();
-    let t0 = Instant::now();
-    let par_sums = restore_ranks(&store, nranks, workers);
-    let pipelined = t0.elapsed();
-    assert_eq!(
-        serial_sums, par_sums,
-        "pipelined restore diverged from serial"
-    );
-    PipelineResult {
-        nranks,
-        workers,
-        serial,
-        pipelined,
-        speedup: serial.as_secs_f64() / pipelined.as_secs_f64().max(1e-9),
-        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
-fn write_json(results: &[RestoreResult], pipe: &PipelineResult, dense_mb: u64) {
+fn write_json(results: &[RestoreResult], dense_mb: u64) {
     let mut s = String::from("{\n  \"bench\": \"restart_path\",\n");
     s.push_str(&format!("  \"dense_mb\": {dense_mb},\n  \"stores\": [\n"));
     for (i, r) in results.iter().enumerate() {
@@ -282,18 +168,7 @@ fn write_json(results: &[RestoreResult], pipe: &PipelineResult, dense_mb: u64) {
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"pipeline\": {{\"ranks\": {}, \"workers\": {}, \"cpus\": {}, \
-         \"serial_ms\": {:.3}, \"pipelined_ms\": {:.3}, \"speedup\": {:.3}, \
-         \"checksum_identical\": true}}\n}}\n",
-        pipe.nranks,
-        pipe.workers,
-        pipe.cpus,
-        pipe.serial.as_secs_f64() * 1e3,
-        pipe.pipelined.as_secs_f64() * 1e3,
-        pipe.speedup,
-    ));
+    s.push_str("  ]\n}\n");
     std::fs::write("BENCH_restart_path.json", s).expect("write BENCH_restart_path.json");
 }
 
@@ -302,7 +177,7 @@ fn main() {
     let scale = Scale::from_env();
     banner(
         "Restart read path",
-        "zero-copy restore through every image-aware store + rank worker pool",
+        "zero-copy restore through every image-aware store",
         "stored pages install as shared handles — no clean-page memcpy between store and memory",
     );
     let (nregions, pages_per_region) = if smoke {
@@ -367,32 +242,7 @@ fn main() {
         " \"flattened\" = shared rope bytes memcpy'd in the restore window — the zero-copy claim)"
     );
 
-    // Part 2: the rank restore pipeline.
-    let (nranks, pipe_pages) = if smoke {
-        (4u32, 1024u64) // 4 ranks x 4 MiB
-    } else if scale.full {
-        (16, 4096) // 16 ranks x 16 MiB
-    } else {
-        (8, 2048) // 8 ranks x 8 MiB
-    };
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .clamp(1, 4)
-        .max(2);
-    let pipe = run_pipeline(nranks, workers, pipe_pages);
-    println!(
-        "\nrank restore pipeline: {} ranks x {} MB, {} workers on {} cpu(s): serial {:.1} ms, \
-         pipelined {:.1} ms ({:.2}x), restored checksums identical",
-        pipe.nranks,
-        (pipe_pages * PAGE) >> 20,
-        pipe.workers,
-        pipe.cpus,
-        pipe.serial.as_secs_f64() * 1e3,
-        pipe.pipelined.as_secs_f64() * 1e3,
-        pipe.speedup,
-    );
-
-    write_json(&results, &pipe, dense_mb);
+    write_json(&results, dense_mb);
     println!("wrote BENCH_restart_path.json");
 
     if smoke {
@@ -420,23 +270,9 @@ fn main() {
                 );
             }
         }
-        if pipe.cpus >= 2 {
-            assert!(
-                pipe.speedup >= 1.5,
-                "pipelined restore only {:.2}x serial on {} cpus (floor 1.5x)",
-                pipe.speedup,
-                pipe.cpus
-            );
-        } else {
-            println!(
-                "(single cpu: {:.2}x measured, 1.5x floor not applicable)",
-                pipe.speedup
-            );
-        }
         println!(
             "smoke assertions passed: zero clean-page memcpys through every image-aware \
-             store; every dense page restored as a shared handle; pipelined restore \
-             byte-identical to serial"
+             store; every dense page restored as a shared handle"
         );
     }
 }

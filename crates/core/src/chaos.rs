@@ -71,8 +71,8 @@ impl fmt::Display for InjectPoint {
 /// where a recovering job can die all over again.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RestartPoint {
-    /// Mid image-read: the rank's fetch/decode/validate, including inside
-    /// the `restart_workers` pool, before the destination sim boots.
+    /// Mid image-read: the rank's fetch/decode/validate, before the
+    /// destination sim boots.
     ImageRead,
     /// Mid record-log replay against the fresh lower half.
     Replay,

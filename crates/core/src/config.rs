@@ -75,21 +75,6 @@ pub struct ManaConfig {
     pub ctrl_recv_cpu_intra: SimDuration,
     /// Control-plane shape: flat star (default) or per-node tree fan-out.
     pub topology: TopologyKind,
-    /// Worker threads for the real-concurrency checkpoint pipeline
-    /// ([`crate::pipeline::checkpoint_ranks`]): harnesses that drain a
-    /// job's rank snapshots outside the discrete-event simulation build,
-    /// encode and digest this many ranks concurrently while images are
-    /// committed to the store strictly in rank order. `1` (the default)
-    /// is the serial path; the value has no effect on the simulated
-    /// helpers, whose overlap is modeled in virtual time.
-    pub ckpt_workers: usize,
-    /// Worker threads for the restart read pipeline: the restart engine
-    /// fetches, decodes and validates this many rank images concurrently
-    /// before the destination simulation boots, merging results in rank
-    /// order so reports and error selection are identical to the serial
-    /// path. `1` (the default) fetches rank-by-rank on the calling
-    /// thread.
-    pub restart_workers: usize,
     /// Compact the record-replay log before writing it into checkpoint
     /// images (elide freed opaque objects and dead derivation subtrees;
     /// see `mana_core::restart::compact`). On by default; the
@@ -119,8 +104,6 @@ impl ManaConfig {
             ctrl_send_cpu_intra: SimDuration::micros(4),
             ctrl_recv_cpu_intra: SimDuration::micros(9),
             topology: TopologyKind::Flat,
-            ckpt_workers: 1,
-            restart_workers: 1,
             compact_log: true,
             chaos: ChaosHandle::default(),
         }

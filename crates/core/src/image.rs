@@ -269,7 +269,7 @@ impl CheckpointImage {
     /// the result so image-aware store tiers (delta diffing,
     /// content-addressed dedup, dirty-aware compression) digest pages
     /// straight out of the rope instead of decoding the wire bytes. The
-    /// hot checkpoint path (helper thread, worker pool) uses this.
+    /// hot checkpoint path (the helper thread) uses this.
     pub fn encode_shared(this: &Arc<CheckpointImage>) -> ImageBytes {
         ImageBytes {
             buf: this.encode_scatter_with_version(VERSION),

@@ -53,7 +53,6 @@ pub mod env;
 pub mod error;
 pub mod helper;
 pub mod image;
-pub mod pipeline;
 pub mod record;
 pub mod restart;
 pub mod runner;
@@ -77,7 +76,6 @@ pub use ctrl::{ProtocolPhase, ProtocolViolation, StateAgg};
 pub use env::{AppEnv, Arr, MemView, SlotId, Workload};
 pub use error::{SessionError, SkipReason, SkippedCheckpoint, StoreError};
 pub use image::CheckpointImage;
-pub use pipeline::{checkpoint_ranks, BuiltRank, RankJob};
 pub use restart::{
     BindSource, CompactedLog, CompactionStats, LiveSet, LogCompactor, RebindEntry, RestartEngine,
     RestartError,

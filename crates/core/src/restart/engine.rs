@@ -45,8 +45,7 @@ use mana_sim::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// Panic payload used to abort a rank's simulated thread after a replay
 /// failure was recorded; silenced by the quiet panic hook (the scheduler
@@ -115,14 +114,12 @@ impl<'a> RestartEngine<'a> {
         }
     }
 
-    /// Fetch, decode and validate one rank's image. All the work here is
-    /// order-independent across ranks, which is what lets `fetch_images`
-    /// run it on a worker pool.
+    /// Fetch, decode and validate one rank's image.
     fn fetch_rank(&self, rank: u32) -> Result<FetchedImage, RestartError> {
         let spec = self.spec;
-        // Chaos seam: a rank can die mid image-read — including inside
-        // the `restart_workers` pool — before the destination sim boots.
-        // Nothing has been written, so the attempt is cleanly retryable.
+        // Chaos seam: a rank can die mid image-read, before the
+        // destination sim boots. Nothing has been written, so the attempt
+        // is cleanly retryable.
         if spec.cfg.chaos.restart_point(rank, RestartPoint::ImageRead) {
             return Err(RestartError::Interrupted {
                 rank,
@@ -182,64 +179,11 @@ impl<'a> RestartEngine<'a> {
     /// destination simulation boots, so storage and format failures
     /// surface as typed errors without spinning up threads. The read
     /// durations are charged to each rank's clock inside the simulation.
-    ///
-    /// With `cfg.restart_workers > 1` the per-rank fetch+decode+validate
-    /// runs on that many OS worker threads (mirroring
-    /// [`crate::pipeline::checkpoint_ranks`]'s claim-by-ascending-index
-    /// pool); results merge back in rank order and the lowest failing
-    /// rank's error wins, so the returned images, stats and errors are
-    /// identical to the serial path.
+    /// Ranks are fetched in order, so the lowest failing rank's error wins.
     fn fetch_images(&self) -> Result<Vec<FetchedImage>, RestartError> {
-        let spec = self.spec;
-        let nranks = spec.nranks as usize;
-        let workers = spec.cfg.restart_workers;
-        if workers <= 1 || nranks < 2 {
-            return (0..spec.nranks).map(|rank| self.fetch_rank(rank)).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<FetchedImage, RestartError>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(nranks) {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= nranks {
-                        break;
-                    }
-                    let res = self.fetch_rank(idx as u32);
-                    let failed = res.is_err();
-                    if tx.send((idx, res)).is_err() || failed {
-                        // This worker saw a failure; stop claiming ranks.
-                        // The other workers drain the remaining indices,
-                        // so every rank below the *lowest* failure is
-                        // still fetched (serial-identical error choice).
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-
-            let mut slots: BTreeMap<usize, Result<FetchedImage, RestartError>> = BTreeMap::new();
-            for (idx, res) in rx {
-                slots.insert(idx, res);
-            }
-            // Rank-ordered merge: the first failure ascending is exactly
-            // the error the serial loop would have returned.
-            let mut images = Vec::with_capacity(nranks);
-            for idx in 0..nranks {
-                match slots.remove(&idx) {
-                    Some(Ok(f)) => images.push(f),
-                    Some(Err(e)) => return Err(e),
-                    // A rank can only go unfetched when every worker bailed
-                    // on an earlier failure — which the scan above returns
-                    // first.
-                    None => unreachable!("rank {idx} unfetched without a lower-rank error"),
-                }
-            }
-            Ok(images)
-        })
+        (0..self.spec.nranks)
+            .map(|rank| self.fetch_rank(rank))
+            .collect()
     }
 
     /// Run the pipeline and the restarted application to completion (or

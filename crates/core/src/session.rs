@@ -544,8 +544,6 @@ pub struct JobBuilder {
     ckpt_times: Vec<SimTime>,
     after_last_ckpt: Option<AfterCkpt>,
     topology: Option<TopologyKind>,
-    ckpt_workers: Option<usize>,
-    restart_workers: Option<usize>,
     compact_log: Option<bool>,
     chaos: Option<ChaosHandle>,
 }
@@ -613,33 +611,6 @@ impl JobBuilder {
     /// across restarts like the rest of the configuration.
     pub fn topology(mut self, topology: TopologyKind) -> JobBuilder {
         self.topology = Some(topology);
-        self
-    }
-
-    /// Checkpoint-pipeline worker threads
-    /// ([`ManaConfig::ckpt_workers`]): how many ranks a harness driving
-    /// [`crate::pipeline::checkpoint_ranks`] snapshots and encodes
-    /// concurrently. `1` (the default) selects the serial path; either
-    /// way images commit to the store in rank order, so the stored bytes
-    /// and the per-rank stats are identical — only wall-clock time
-    /// changes. Inherited across restarts like the rest of the
-    /// configuration. Has no effect on simulated helper timing.
-    pub fn ckpt_workers(mut self, workers: usize) -> JobBuilder {
-        self.ckpt_workers = Some(workers.max(1));
-        self
-    }
-
-    /// Restart-pipeline worker threads
-    /// ([`ManaConfig::restart_workers`]): how many rank images the
-    /// restart engine fetches, decodes and validates concurrently before
-    /// the destination simulation boots. `1` (the default) selects the
-    /// serial path; either way results merge in rank order and the
-    /// lowest failing rank's error wins, so the restored state, the
-    /// [`RestartReport`] and every typed
-    /// error are identical — only wall-clock time changes. Inherited
-    /// across restarts like the rest of the configuration.
-    pub fn restart_workers(mut self, workers: usize) -> JobBuilder {
-        self.restart_workers = Some(workers.max(1));
         self
     }
 
@@ -779,12 +750,6 @@ impl JobBuilder {
         }
         if let Some(topology) = self.topology {
             cfg.topology = topology;
-        }
-        if let Some(workers) = self.ckpt_workers {
-            cfg.ckpt_workers = workers;
-        }
-        if let Some(workers) = self.restart_workers {
-            cfg.restart_workers = workers;
         }
         if let Some(compact) = self.compact_log {
             cfg.compact_log = compact;

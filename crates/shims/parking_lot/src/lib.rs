@@ -5,7 +5,12 @@
 //! non-poisoning `lock()` — implemented over `std::sync`. Poisoning is
 //! deliberately ignored, matching parking_lot's semantics: a panicking
 //! simulated thread must not wedge every other thread's locks.
+//!
+//! Beyond parking_lot's API, the shim counts the [`MutexGuard`]s live on
+//! each OS thread ([`live_guards`]). The simulator's scheduler reads it to
+//! refuse a simulated thread that parks while holding a lock.
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -17,6 +22,17 @@ pub struct Mutex<T: ?Sized> {
 /// RAII guard returned by [`Mutex::lock`].
 pub struct MutexGuard<'a, T: ?Sized> {
     inner: std::sync::MutexGuard<'a, T>,
+}
+
+thread_local! {
+    static LIVE_GUARDS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many [`MutexGuard`]s are live on the calling OS thread: taken by
+/// [`Mutex::lock`] and not yet dropped.
+#[inline]
+pub fn live_guards() -> usize {
+    LIVE_GUARDS.get()
 }
 
 impl<T> Mutex<T> {
@@ -43,6 +59,7 @@ impl<T: ?Sized> Mutex<T> {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
+        LIVE_GUARDS.with(|n| n.set(n.get() + 1));
         MutexGuard { inner }
     }
 
@@ -70,6 +87,12 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        LIVE_GUARDS.with(|n| n.set(n.get() - 1));
+    }
+}
+
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -93,5 +116,18 @@ mod tests {
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.into_inner(), 42);
+    }
+
+    #[test]
+    fn live_guards_counts_this_threads_guards() {
+        let (a, b) = (Mutex::new(()), Mutex::new(()));
+        let base = live_guards();
+        let ga = a.lock();
+        let gb = b.lock();
+        assert_eq!(live_guards(), base + 2);
+        drop(ga);
+        assert_eq!(live_guards(), base + 1);
+        drop(gb);
+        assert_eq!(live_guards(), base);
     }
 }

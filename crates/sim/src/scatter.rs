@@ -12,11 +12,11 @@
 //! Flattening still exists for consumers that genuinely need contiguous
 //! bytes (the restart decode path, journal envelope validation); every
 //! byte copied *out of a shared segment* by such a flatten is tallied in
-//! a process-wide counter so benchmarks can assert the hot put path
+//! a per-thread counter so benchmarks can assert the hot put path
 //! performs none.
 
 use crate::checksum::Checksum;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// One segment of a [`ScatterBuf`].
@@ -48,20 +48,27 @@ impl Segment {
     }
 }
 
-/// Bytes copied out of *shared* segments by flattening, process-wide.
-static SHARED_FLATTEN_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative count of bytes memcpy'd out of shared (rope-page) segments
-/// by [`ScatterBuf::to_vec`]/[`ScatterBuf::into_vec`] since the last
-/// [`reset_shared_flatten_bytes`]. The zero-copy put path must leave this
-/// untouched; the `fig_ckpt_path` smoke asserts exactly that.
-pub fn shared_flatten_bytes() -> u64 {
-    SHARED_FLATTEN_BYTES.load(Ordering::Relaxed)
+thread_local! {
+    /// Bytes copied out of *shared* segments by flattening on this OS
+    /// thread. Every simulated thread runs on the OS thread that called
+    /// `Sim::run`, so a put or get window bracketed on that thread sees
+    /// every flatten inside it and none from concurrent tests.
+    static SHARED_FLATTEN_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Reset the shared-flatten counter (benchmark window bracketing).
+/// Cumulative count of bytes memcpy'd out of shared (rope-page) segments
+/// by [`ScatterBuf::to_vec`]/[`ScatterBuf::into_vec`] on the calling OS
+/// thread since its last [`reset_shared_flatten_bytes`]. The zero-copy
+/// put path must leave this untouched; the `fig_ckpt_path` smoke asserts
+/// exactly that.
+pub fn shared_flatten_bytes() -> u64 {
+    SHARED_FLATTEN_BYTES.get()
+}
+
+/// Reset the calling thread's shared-flatten counter (benchmark window
+/// bracketing).
 pub fn reset_shared_flatten_bytes() {
-    SHARED_FLATTEN_BYTES.store(0, Ordering::Relaxed);
+    SHARED_FLATTEN_BYTES.set(0);
 }
 
 /// Record `n` bytes copied out of shared segments by an external consumer
@@ -70,7 +77,7 @@ pub fn reset_shared_flatten_bytes() {
 /// copy, not just the ones [`ScatterBuf::to_vec`] performs.
 pub fn tally_shared_flatten(n: u64) {
     if n > 0 {
-        SHARED_FLATTEN_BYTES.fetch_add(n, Ordering::Relaxed);
+        SHARED_FLATTEN_BYTES.set(SHARED_FLATTEN_BYTES.get() + n);
     }
 }
 
@@ -233,10 +240,7 @@ impl ScatterBuf {
     /// Flatten into a contiguous vector (copies; shared bytes copied are
     /// tallied in [`shared_flatten_bytes`]).
     pub fn to_vec(&self) -> Vec<u8> {
-        let shared = self.shared_len() as u64;
-        if shared > 0 {
-            SHARED_FLATTEN_BYTES.fetch_add(shared, Ordering::Relaxed);
-        }
+        tally_shared_flatten(self.shared_len() as u64);
         let mut v = Vec::with_capacity(self.len);
         for s in self.segments() {
             v.extend_from_slice(s);

@@ -18,14 +18,16 @@
 //!
 //! **No lock guard may be live across a park.** Simulated code must never
 //! call a blocking scheduler operation (`advance`, `block`, ...) while
-//! holding a lock another simulated thread may take: every simulated thread
-//! shares the one OS thread, so the next baton holder to want that lock
-//! waits for a holder that cannot run until it gives up — the process
-//! hangs in a futex wait, silently. Real worker threads
-//! (`std::thread::scope` pools) may read the clock and queue events; they
-//! block the OS thread at OS level and must not park. All blocking in
-//! higher layers is loop-recheck style because wakeups may be spurious
-//! (two queued wakes for one thread are legal).
+//! holding a lock: every simulated thread shares the one OS thread, so the
+//! next baton holder to want that lock would wait for a holder that cannot
+//! run until it gives up. The product starts no worker OS threads, so
+//! nothing could ever break that wait. The rule is therefore enforced:
+//! the `parking_lot` shim counts the guards live on the OS thread,
+//! [`Sim::run`] records that count on entry, and a simulated thread that
+//! parks above it fails the simulation with `parked holding N lock
+//! guard(s)`, naming the thread. All blocking in higher layers is
+//! loop-recheck style because wakeups may be spurious (two queued wakes
+//! for one thread are legal).
 //!
 //! **Stacks.** Each simulated thread gets 512 KiB, mapped lazily, with an
 //! inaccessible guard page below. Rank programs are shallow; code that
@@ -47,7 +49,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrd};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrd};
 use std::sync::Arc;
 
 /// Identifier of a simulated thread. Thread 0 is the driver (the host test
@@ -131,7 +133,6 @@ pub struct SchedStats {
 }
 
 struct SchedState {
-    now: SimTime,
     seq: u64,
     queue: BinaryHeap<Event>,
     stats: SchedStats,
@@ -181,7 +182,16 @@ fn install_quiet_shutdown_hook() {
 /// Shared core of a simulation instance.
 pub struct SimInner {
     state: Mutex<SchedState>,
+    /// Current virtual time in ns, so reading the clock takes no lock.
+    /// Written only by `dispatch`, under the state lock; `Relaxed`
+    /// suffices because it publishes no other data and every simulated
+    /// thread runs on the one OS thread that writes it.
+    now: AtomicU64,
     shutdown: AtomicBool,
+    /// Lock guards live on the OS thread when [`Sim::run`] was entered:
+    /// the driver's (or an outer simulation's thread's), not any simulated
+    /// thread's.
+    guard_baseline: AtomicUsize,
     seed: u64,
 }
 
@@ -232,7 +242,6 @@ impl Sim {
         Sim {
             inner: Arc::new(SimInner {
                 state: Mutex::new(SchedState {
-                    now: SimTime::ZERO,
                     seq: 0,
                     queue: BinaryHeap::new(),
                     stats: SchedStats::default(),
@@ -243,7 +252,9 @@ impl Sim {
                     run_called: false,
                     driver_woken: false,
                 }),
+                now: AtomicU64::new(SimTime::ZERO.as_nanos()),
                 shutdown: AtomicBool::new(false),
+                guard_baseline: AtomicUsize::new(0),
                 seed: config.seed,
             }),
         }
@@ -256,7 +267,7 @@ impl Sim {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.inner.state.lock().now
+        SimTime(self.inner.now.load(AtomicOrd::Relaxed))
     }
 
     /// Spawn a simulated thread. It becomes runnable at the current virtual
@@ -303,7 +314,7 @@ impl Sim {
         if !daemon {
             st.live += 1;
         }
-        let t0 = st.now;
+        let t0 = self.now();
         let seq = st.seq;
         st.seq += 1;
         st.queue.push(Event {
@@ -343,7 +354,7 @@ impl Sim {
     /// Schedule `f` to run at absolute virtual time `time` (clamped to now).
     pub fn call_at(&self, time: SimTime, f: impl FnOnce(&Sim) + Send + 'static) {
         let mut st = self.inner.state.lock();
-        let time = time.max(st.now);
+        let time = time.max(self.now());
         let seq = st.seq;
         st.seq += 1;
         st.queue.push(Event {
@@ -355,8 +366,7 @@ impl Sim {
 
     /// Schedule `f` to run after `d` of virtual time.
     pub fn call_after(&self, d: SimDuration, f: impl FnOnce(&Sim) + Send + 'static) {
-        let now = self.inner.state.lock().now;
-        self.call_at(now + d, f);
+        self.call_at(self.now() + d, f);
     }
 
     /// Push a wake event for `tid` at the current virtual time.
@@ -365,7 +375,7 @@ impl Sim {
     /// condition.
     pub fn wake(&self, tid: SimThreadId) {
         let mut st = self.inner.state.lock();
-        let now = st.now;
+        let now = self.now();
         let seq = st.seq;
         st.seq += 1;
         st.queue.push(Event {
@@ -378,7 +388,7 @@ impl Sim {
     /// Push a wake event for `tid` at absolute time `time` (clamped to now).
     pub fn wake_at(&self, tid: SimThreadId, time: SimTime) {
         let mut st = self.inner.state.lock();
-        let time = time.max(st.now);
+        let time = time.max(self.now());
         let seq = st.seq;
         st.seq += 1;
         st.queue.push(Event {
@@ -395,6 +405,9 @@ impl Sim {
     /// Every simulated thread runs on the calling OS thread, inside this
     /// call.
     pub fn run(&self) {
+        self.inner
+            .guard_baseline
+            .store(parking_lot::live_guards(), AtomicOrd::Relaxed);
         {
             let mut st = self.inner.state.lock();
             assert!(!st.run_called, "Sim::run may only be called once");
@@ -489,7 +502,7 @@ impl Sim {
                 // Wake the driver: either to propagate the failure
                 // immediately or because all real work is done.
                 st.driver_woken = true;
-                let now = st.now;
+                let now = self.now();
                 let seq = st.seq;
                 st.seq += 1;
                 st.queue.push(Event {
@@ -546,8 +559,11 @@ impl Sim {
                     return Some((st.threads[me.0].co.clone(), st.threads[DRIVER.0].co.clone()));
                 }
             };
-            debug_assert!(ev.time >= st.now, "event time went backwards");
-            st.now = st.now.max(ev.time);
+            let now = self.now();
+            debug_assert!(ev.time >= now, "event time went backwards");
+            self.inner
+                .now
+                .store(now.max(ev.time).as_nanos(), AtomicOrd::Relaxed);
             match ev.action {
                 Action::Call(f) => {
                     st.stats.calls += 1;
@@ -593,6 +609,16 @@ impl Sim {
 
     /// Pass the baton on and park `me` until it comes back.
     fn dispatch_and_park(&self, me: SimThreadId) {
+        if me != DRIVER {
+            let held =
+                parking_lot::live_guards() - self.inner.guard_baseline.load(AtomicOrd::Relaxed);
+            if held > 0 {
+                // The unwind drops the guards, so no thread is left
+                // waiting on them; `finish_thread` names this thread.
+                let s = if held == 1 { "" } else { "s" };
+                panic!("parked holding {held} lock guard{s}");
+            }
+        }
         if let Some((mine, to)) = self.dispatch(me, /*park:*/ true) {
             // The state lock was released inside `dispatch`: no guard of
             // ours is live across the switch.
@@ -625,7 +651,7 @@ impl SimThread {
     pub fn advance(&self, d: SimDuration) {
         let target = {
             let mut st = self.sim.inner.state.lock();
-            let t = st.now + d;
+            let t = self.sim.now() + d;
             let seq = st.seq;
             st.seq += 1;
             st.queue.push(Event {
@@ -678,7 +704,7 @@ impl fmt::Debug for Sim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let st = self.inner.state.lock();
         f.debug_struct("Sim")
-            .field("now", &st.now)
+            .field("now", &self.now())
             .field("threads", &st.threads.len())
             .field("live", &st.live)
             .finish()
@@ -1006,6 +1032,31 @@ mod tests {
         outer.run();
         assert_eq!(seen.load(O::SeqCst), 20);
         assert_eq!(outer.now().as_nanos(), 20);
+    }
+
+    #[test]
+    fn parking_with_a_lock_guard_held_fails_naming_the_thread() {
+        // The driver's own guard, live across `run`, is not the body's.
+        let outside = Mutex::new(());
+        let _driver_guard = outside.lock();
+        let sim = Sim::new(SimConfig::default());
+        let shared = Arc::new(Mutex::new(0u64));
+        let s2 = shared.clone();
+        sim.spawn("rank 17", false, move |t| {
+            let mut g = s2.lock();
+            *g += 1;
+            t.advance(SimDuration::nanos(5));
+        });
+        sim.spawn("peer", false, move |t| {
+            t.advance(SimDuration::nanos(1));
+            *shared.lock() += 1;
+        });
+        let payload = run_failing(&sim);
+        let msg = payload.downcast_ref::<String>().expect("a message panic");
+        assert_eq!(
+            msg,
+            "simulation failed: thread 'rank 17': parked holding 1 lock guard"
+        );
     }
 
     #[test]

@@ -50,12 +50,6 @@ pub struct DeltaConfig {
     /// correctly but re-materializes each region contiguously per put
     /// and digests every page (image dirty summaries are ignored).
     pub page: usize,
-    /// Worker threads for per-page digesting/diffing within one put
-    /// (native page granularity only). `1` (the default) digests
-    /// serially; higher values split each dense region's page range
-    /// across OS threads — results (digests, patches, counters) are
-    /// identical to the serial pass.
-    pub digest_workers: usize,
 }
 
 impl Default for DeltaConfig {
@@ -63,7 +57,6 @@ impl Default for DeltaConfig {
         DeltaConfig {
             full_every: 8,
             page: 4096,
-            digest_workers: 1,
         }
     }
 }
@@ -248,7 +241,6 @@ fn plan_regions(
     summaries: &HashMap<u64, &RegionDirty>,
     page: usize,
     want_deltas: bool,
-    workers: usize,
     stats: &mut DeltaPutStats,
 ) -> (Vec<RegionDigest>, Vec<RegionDelta>) {
     let mut digests = Vec::with_capacity(new.len());
@@ -303,19 +295,17 @@ fn plan_regions(
                 let mut pages_out = Vec::with_capacity(nb.len().div_ceil(page.max(1)));
                 let mut patch = Vec::new();
                 let mut changed = 0usize;
-                // One page's worth of work, shared by the serial and
-                // parallel paths so their outputs are identical.
-                let digest_one = |i: usize,
-                                  chunk: &[u8],
-                                  pages_out: &mut Vec<u64>,
-                                  patch: &mut Vec<(u64, Vec<u8>)>,
-                                  changed: &mut usize,
-                                  stats: &mut DeltaPutStats| {
+                let flat = if native { None } else { Some(nb.to_vec()) };
+                let chunks: Box<dyn Iterator<Item = &[u8]>> = match &flat {
+                    Some(v) => Box::new(v.chunks(page)),
+                    None => Box::new(nb.pages()),
+                };
+                for (i, chunk) in chunks.enumerate() {
                     if let (Some(s), Some(bp)) = (fast, base_pages) {
                         if !s.is_dirty(i) {
                             stats.pages_reused += 1;
                             pages_out.push(bp[i]);
-                            return;
+                            continue;
                         }
                     }
                     let ck = checksum_bytes(chunk);
@@ -326,60 +316,7 @@ fn plan_regions(
                         && base_pages.and_then(|p| p.get(i)).copied() != Some(ck)
                     {
                         patch.push(((i * page) as u64, chunk.to_vec()));
-                        *changed += chunk.len();
-                    }
-                };
-                if native && workers > 1 && nb.page_count() >= 2 * workers {
-                    // Split the page range into contiguous spans, one per
-                    // worker; span results merge back in index order, so
-                    // digests, patches and counters match the serial pass
-                    // exactly.
-                    let n = nb.page_count();
-                    let span = n.div_ceil(workers);
-                    let parts = std::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..n.div_ceil(span))
-                            .map(|w| {
-                                let digest_one = &digest_one;
-                                scope.spawn(move || {
-                                    let (lo, hi) = (w * span, ((w + 1) * span).min(n));
-                                    let mut out = Vec::with_capacity(hi - lo);
-                                    let mut pt = Vec::new();
-                                    let mut ch = 0usize;
-                                    let mut st = DeltaPutStats::default();
-                                    for i in lo..hi {
-                                        digest_one(
-                                            i,
-                                            nb.page(i),
-                                            &mut out,
-                                            &mut pt,
-                                            &mut ch,
-                                            &mut st,
-                                        );
-                                    }
-                                    (out, pt, ch, st)
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("digest worker"))
-                            .collect::<Vec<_>>()
-                    });
-                    for (out, pt, ch, st) in parts {
-                        pages_out.extend(out);
-                        patch.extend(pt);
-                        changed += ch;
-                        stats.pages_digested += st.pages_digested;
-                        stats.pages_reused += st.pages_reused;
-                    }
-                } else {
-                    let flat = if native { None } else { Some(nb.to_vec()) };
-                    let chunks: Box<dyn Iterator<Item = &[u8]>> = match &flat {
-                        Some(v) => Box::new(v.chunks(page)),
-                        None => Box::new(nb.pages()),
-                    };
-                    for (i, chunk) in chunks.enumerate() {
-                        digest_one(i, chunk, &mut pages_out, &mut patch, &mut changed, stats);
+                        changed += chunk.len();
                     }
                 }
                 let delta = if base_pages.is_none() {
@@ -698,7 +635,6 @@ impl<S: CheckpointStore> CheckpointStore for DeltaStore<S> {
             &summaries,
             page,
             delta_base.is_some(),
-            self.cfg.digest_workers.max(1),
             &mut stats,
         );
         {

@@ -5,7 +5,6 @@
 
 use mana::core::buffer::{BufferedMsg, DrainBuffer, PairCounters};
 use mana::core::image::{CheckpointImage, PendingColl, PendingKind, VirtCommEntry};
-use mana::core::pipeline::{checkpoint_ranks, BuiltRank, RankJob};
 use mana::core::record::LoggedCall;
 use mana::core::shared::SlotState;
 use mana::core::store::InMemStore;
@@ -448,42 +447,6 @@ proptest! {
         prop_assert_eq!(chunked(&sizes), want);
         for fixed in [&[1][..], &[7], &[0], &[4096 + 13], &[31, 1, 32, 33, 0]] {
             prop_assert_eq!(chunked(fixed), want, "chunk sizes {:?}", fixed);
-        }
-    }
-
-    // The cross-rank worker-pool pipeline stores byte-identical images
-    // and returns identical per-rank stats vs the serial path, for any
-    // batch of images and any worker count.
-    #[test]
-    fn pipeline_parallel_matches_serial(
-        imgs in prop::collection::vec(arb_image(), 1..5),
-        workers in 2usize..5,
-    ) {
-        use mana::sim::fs::IoShape;
-        let shape = IoShape { writers_on_node: 2, total_writers: 4 };
-        let jobs = |imgs: &[CheckpointImage]| -> Vec<_> {
-            imgs.iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, img)| RankJob {
-                    rank: i as u32,
-                    path: format!("prop/pipe/rank_{i}.mana"),
-                    shape,
-                    build: move || BuiltRank::from(img),
-                })
-                .collect()
-        };
-        let serial_store = InMemStore::new();
-        let serial = checkpoint_ranks(&serial_store, 1, jobs(&imgs));
-        let par_store = InMemStore::new();
-        let par = checkpoint_ranks(&par_store, workers, jobs(&imgs));
-        prop_assert_eq!(serial, par);
-        prop_assert_eq!(serial_store.list(), par_store.list());
-        for i in 0..imgs.len() {
-            let path = format!("prop/pipe/rank_{i}.mana");
-            let (a, _) = serial_store.get(&path, i as u64, shape).unwrap();
-            let (b, _) = par_store.get(&path, i as u64, shape).unwrap();
-            prop_assert_eq!(a, b, "stored bytes diverged at rank {}", i);
         }
     }
 }
