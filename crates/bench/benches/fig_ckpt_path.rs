@@ -145,10 +145,10 @@ fn run_epoch(nregions: u64, pages_per_region: u64, frac: f64) -> EpochResult {
     a.clear_dirty(Half::Upper);
     let after = store.put_stats();
 
-    // Sanity: the stored generation reconstructs the live state exactly.
-    // (The read back flattens — deliberately outside the counter window.)
+    // Sanity: the stored generation reconstructs the live state exactly
+    // (read back outside the counter window).
     let (bytes, _) = store.get(path, 0, SHAPE).expect("get back");
-    let back = CheckpointImage::decode(&bytes.to_vec()).expect("decode back");
+    let (back, _) = CheckpointImage::decode_shared(&bytes).expect("decode back");
     let b = AddressSpace::new();
     for r in &back.regions {
         b.restore_region(r).expect("restore");

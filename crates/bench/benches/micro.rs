@@ -12,7 +12,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mana_core::buffer::{BufferedMsg, DrainBuffer};
-use mana_core::image::CheckpointImage;
+use mana_core::image::{CheckpointImage, ImageBytes};
 use mana_core::virtid::{HandleClass, VirtTable};
 use mana_mpi::{SrcSpec, TagSpec};
 use mana_sim::memory::{DenseSnap, Half, RegionKind, RegionSnapshot, SnapshotContent};
@@ -83,9 +83,15 @@ fn sample_image(dense_kb: usize) -> CheckpointImage {
 fn bench_codec(c: &mut Criterion) {
     let img = sample_image(256);
     c.bench_function("codec_encode_256k", |b| b.iter(|| black_box(img.encode())));
-    let bytes = img.encode().into_vec();
+    // The restart path: pages come back as the encoded scatter's handles.
+    let scatter = img.encode();
     c.bench_function("codec_decode_256k", |b| {
-        b.iter(|| black_box(CheckpointImage::decode(black_box(&bytes)).unwrap()))
+        b.iter(|| black_box(CheckpointImage::decode_shared(black_box(&scatter)).unwrap()))
+    });
+    // The copy fallback: flat bytes, every page re-chunked.
+    let flat = ImageBytes::from_vec(scatter.to_vec());
+    c.bench_function("codec_decode_flat_256k", |b| {
+        b.iter(|| black_box(CheckpointImage::decode_shared(black_box(&flat)).unwrap()))
     });
 }
 

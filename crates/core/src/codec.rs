@@ -1,11 +1,17 @@
 //! Minimal binary codec for checkpoint images.
 //!
-//! Hand-rolled little-endian encoding with explicit versioning: a
-//! checkpoint image is a long-lived artifact (the whole point of MANA is
-//! that it outlives libraries and clusters), so its layout is spelled out
-//! byte-by-byte rather than delegated to a serialization framework.
+//! Hand-rolled little-endian encoding: a checkpoint image is a long-lived
+//! artifact (the whole point of MANA is that it outlives libraries and
+//! clusters), so its layout is spelled out byte-by-byte rather than
+//! delegated to a serialization framework.
+//!
+//! There is one encoder and one decoder. [`ScatterEnc`] writes metadata
+//! into small owned runs and appends dense snapshot pages as shared `Arc`
+//! segments, so no page is copied on the way to the store. [`ScatterDec`]
+//! walks a [`ScatterBuf`] in place and recovers those pages as the same
+//! handles. Flat bytes decode as a one-segment scatter
+//! ([`ScatterBuf::from_vec`]).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mana_sim::memory::{pages_of_len, DenseSnap, PAGE};
 use mana_sim::scatter::{tally_shared_flatten, ScatterBuf, Segment};
 
@@ -28,6 +34,11 @@ pub enum CodecError {
         /// The offending discriminant.
         tag: u32,
     },
+    /// A string field is not valid UTF-8.
+    BadUtf8 {
+        /// What was being decoded.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -37,220 +48,17 @@ impl std::fmt::Display for CodecError {
             CodecError::BadMagic(m) => write!(f, "bad image magic {m:#x}"),
             CodecError::BadVersion(v) => write!(f, "unsupported image version {v}"),
             CodecError::BadTag { what, tag } => write!(f, "invalid {what} discriminant {tag}"),
+            CodecError::BadUtf8 { what } => write!(f, "invalid UTF-8 in {what}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-/// A serialization sink: the one set of field-writing primitives, backed
-/// either by a real buffer ([`Enc`]) or by a byte counter ([`MeasureEnc`]).
-/// Encoders written against `Sink` can therefore compute their exact
-/// output length with a cheap measuring pass and then serialize in a
-/// single pass into one preallocated buffer — no incremental
-/// reallocation, no drift between the size computation and the writer.
-pub trait Sink {
-    /// Write a `u8`.
-    fn u8(&mut self, v: u8);
-    /// Write a `u32`.
-    fn u32(&mut self, v: u32);
-    /// Write an `i32`.
-    fn i32(&mut self, v: i32);
-    /// Write a `u64`.
-    fn u64(&mut self, v: u64);
-    /// Write a bool as one byte.
-    fn boolean(&mut self, v: bool);
-    /// Write raw bytes with no length prefix (content chunks whose
-    /// framing was already written).
-    fn raw(&mut self, v: &[u8]);
-
-    /// Write a length-prefixed byte string.
-    fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.raw(v);
-    }
-
-    /// Write a length-prefixed UTF-8 string.
-    fn string(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Write a length prefix for a sequence.
-    fn seq(&mut self, len: usize) {
-        self.u64(len as u64);
-    }
-
-    /// Write a dense snapshot's content bytes (its pages, concatenated)
-    /// with no framing — the caller has already written the length. The
-    /// default streams each page through [`Sink::raw`]; scatter sinks
-    /// override this to capture the frozen `Arc` page handles without
-    /// copying a byte, which is the entire zero-copy image path.
-    fn dense_pages(&mut self, snap: &DenseSnap) {
-        for p in snap.pages() {
-            self.raw(p);
-        }
-    }
-}
-
-/// Measuring sink: counts the bytes an encoding would produce without
-/// writing any.
-#[derive(Default)]
-pub struct MeasureEnc {
-    len: usize,
-}
-
-impl MeasureEnc {
-    /// Fresh counter.
-    pub fn new() -> MeasureEnc {
-        MeasureEnc::default()
-    }
-
-    /// Bytes the measured encoding occupies.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing was measured.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl Sink for MeasureEnc {
-    fn u8(&mut self, _: u8) {
-        self.len += 1;
-    }
-    fn u32(&mut self, _: u32) {
-        self.len += 4;
-    }
-    fn i32(&mut self, _: i32) {
-        self.len += 4;
-    }
-    fn u64(&mut self, _: u64) {
-        self.len += 8;
-    }
-    fn boolean(&mut self, _: bool) {
-        self.len += 1;
-    }
-    fn raw(&mut self, v: &[u8]) {
-        self.len += v.len();
-    }
-}
-
-/// Encoder over a growable buffer.
-#[derive(Default)]
-pub struct Enc {
-    buf: BytesMut,
-}
-
-impl Enc {
-    /// Fresh encoder.
-    pub fn new() -> Enc {
-        Enc::default()
-    }
-
-    /// Encoder with `n` bytes preallocated (pair with [`MeasureEnc`] for
-    /// single-allocation serialization).
-    pub fn with_capacity(n: usize) -> Enc {
-        Enc {
-            buf: BytesMut::with_capacity(n),
-        }
-    }
-
-    /// Current allocation size.
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
-    /// Finish and take the bytes (moves; no copy).
-    pub fn finish(self) -> Vec<u8> {
-        self.buf.into_vec()
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Write a `u8`.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
-    }
-
-    /// Write a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
-    }
-
-    /// Write an `i32`.
-    pub fn i32(&mut self, v: i32) {
-        self.buf.put_i32_le(v);
-    }
-
-    /// Write a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
-    }
-
-    /// Write a bool as one byte.
-    pub fn boolean(&mut self, v: bool) {
-        self.buf.put_u8(u8::from(v));
-    }
-
-    /// Write a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.buf.put_slice(v);
-    }
-
-    /// Write a length-prefixed UTF-8 string.
-    pub fn string(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Write a length prefix for a sequence.
-    pub fn seq(&mut self, len: usize) {
-        self.u64(len as u64);
-    }
-
-    /// Write raw bytes with no length prefix.
-    pub fn raw(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
-    }
-}
-
-impl Sink for Enc {
-    fn u8(&mut self, v: u8) {
-        Enc::u8(self, v);
-    }
-    fn u32(&mut self, v: u32) {
-        Enc::u32(self, v);
-    }
-    fn i32(&mut self, v: i32) {
-        Enc::i32(self, v);
-    }
-    fn u64(&mut self, v: u64) {
-        Enc::u64(self, v);
-    }
-    fn boolean(&mut self, v: bool) {
-        Enc::boolean(self, v);
-    }
-    fn raw(&mut self, v: &[u8]) {
-        Enc::raw(self, v);
-    }
-}
-
-/// Scatter-building sink: produces the same byte stream as [`Enc`], but
-/// dense snapshot pages are appended as *shared* segments (`Arc` clones
-/// of the rope pages) instead of being memcpy'd — metadata accumulates in
-/// a small owned tail that is flushed as an owned segment whenever a page
-/// run begins. Wire-identity with the flat encoder is structural: both
-/// sinks receive the identical sequence of `Sink` calls.
+/// Scatter-building encoder: metadata accumulates in a small owned tail
+/// that is flushed as an owned segment whenever a page run begins, and
+/// dense snapshot pages are appended as *shared* segments (`Arc` clones of
+/// the rope pages) instead of being memcpy'd.
 #[derive(Default)]
 pub struct ScatterEnc {
     buf: ScatterBuf,
@@ -263,14 +71,10 @@ impl ScatterEnc {
         ScatterEnc::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len() + self.tail.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Finish and take the scatter buffer.
+    pub fn finish(mut self) -> ScatterBuf {
+        self.flush_tail();
+        self.buf
     }
 
     fn flush_tail(&mut self) {
@@ -279,173 +83,56 @@ impl ScatterEnc {
         }
     }
 
-    /// Finish and take the scatter buffer.
-    pub fn finish(mut self) -> ScatterBuf {
-        self.flush_tail();
-        self.buf
-    }
-}
-
-impl Sink for ScatterEnc {
-    fn u8(&mut self, v: u8) {
+    /// Write a `u8`.
+    pub fn u8(&mut self, v: u8) {
         self.tail.push(v);
     }
-    fn u32(&mut self, v: u32) {
+
+    /// Write a `u32`.
+    pub fn u32(&mut self, v: u32) {
         self.tail.extend_from_slice(&v.to_le_bytes());
     }
-    fn i32(&mut self, v: i32) {
+
+    /// Write an `i32`.
+    pub fn i32(&mut self, v: i32) {
         self.tail.extend_from_slice(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
+
+    /// Write a `u64`.
+    pub fn u64(&mut self, v: u64) {
         self.tail.extend_from_slice(&v.to_le_bytes());
     }
-    fn boolean(&mut self, v: bool) {
-        self.tail.push(u8::from(v));
+
+    /// Write a bool as one byte.
+    pub fn boolean(&mut self, v: bool) {
+        self.u8(u8::from(v));
     }
-    fn raw(&mut self, v: &[u8]) {
+
+    /// Write a length-prefixed byte string.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.u64(v.len() as u64);
         self.tail.extend_from_slice(v);
     }
-    fn dense_pages(&mut self, snap: &DenseSnap) {
+
+    /// Write a length-prefixed UTF-8 string.
+    pub fn string(&mut self, v: &str) {
+        self.bytes(v.as_bytes());
+    }
+
+    /// Write a length prefix for a sequence.
+    pub fn seq(&mut self, len: usize) {
+        self.u64(len as u64);
+    }
+
+    /// Write a length-prefixed dense snapshot: the content bytes are its
+    /// frozen `Arc` pages, appended without copying a byte — the entire
+    /// zero-copy image path.
+    pub fn dense(&mut self, snap: &DenseSnap) {
+        self.u64(snap.len() as u64);
         self.flush_tail();
         for i in 0..snap.page_count() {
             self.buf.push_shared(snap.page_handle(i));
         }
-    }
-}
-
-/// Decoder over a byte slice.
-pub struct Dec {
-    buf: Bytes,
-}
-
-impl Dec {
-    /// Wrap `data` for decoding.
-    pub fn new(data: &[u8]) -> Dec {
-        Dec {
-            buf: Bytes::copy_from_slice(data),
-        }
-    }
-
-    /// Remaining undecoded bytes.
-    pub fn remaining(&self) -> usize {
-        self.buf.remaining()
-    }
-
-    fn need(&self, n: usize, what: &'static str) -> Result<(), CodecError> {
-        if self.buf.remaining() < n {
-            Err(CodecError::Truncated { what })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Read a `u8`.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
-        self.need(1, what)?;
-        Ok(self.buf.get_u8())
-    }
-
-    /// Read a `u32`.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        self.need(4, what)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    /// Read an `i32`.
-    pub fn i32(&mut self, what: &'static str) -> Result<i32, CodecError> {
-        self.need(4, what)?;
-        Ok(self.buf.get_i32_le())
-    }
-
-    /// Read a `u64`.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        self.need(8, what)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    /// Read a bool.
-    pub fn boolean(&mut self, what: &'static str) -> Result<bool, CodecError> {
-        Ok(self.u8(what)? != 0)
-    }
-
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, CodecError> {
-        Ok(self.bytes_ref(what)?.to_vec())
-    }
-
-    /// Borrow a length-prefixed byte string straight out of the input —
-    /// the zero-copy variant for payloads the caller re-chunks itself
-    /// (e.g. dense region content into snapshot pages).
-    pub fn bytes_ref(&mut self, what: &'static str) -> Result<&[u8], CodecError> {
-        let n = self.u64(what)? as usize;
-        self.need(n, what)?;
-        Ok(self.buf.get_slice(n))
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn string(&mut self, what: &'static str) -> Result<String, CodecError> {
-        String::from_utf8(self.bytes(what)?).map_err(|_| CodecError::Truncated { what })
-    }
-
-    /// Read a sequence length.
-    pub fn seq(&mut self, what: &'static str) -> Result<usize, CodecError> {
-        Ok(self.u64(what)? as usize)
-    }
-}
-
-/// A decoding source: the one set of field-reading primitives, backed
-/// either by a contiguous buffer ([`Dec`]) or by a scatter of segments
-/// ([`ScatterDec`]). Decoders written against `Src` run unchanged on
-/// both; the scatter source additionally recovers dense payloads as
-/// shared `Arc` page handles instead of copying them — the read-side
-/// twin of [`Sink::dense_pages`].
-pub trait Src {
-    /// Read a `u8`.
-    fn u8(&mut self, what: &'static str) -> Result<u8, CodecError>;
-    /// Read a `u32`.
-    fn u32(&mut self, what: &'static str) -> Result<u32, CodecError>;
-    /// Read an `i32`.
-    fn i32(&mut self, what: &'static str) -> Result<i32, CodecError>;
-    /// Read a `u64`.
-    fn u64(&mut self, what: &'static str) -> Result<u64, CodecError>;
-    /// Read a bool.
-    fn boolean(&mut self, what: &'static str) -> Result<bool, CodecError> {
-        Ok(self.u8(what)? != 0)
-    }
-    /// Read a length-prefixed byte string.
-    fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, CodecError>;
-    /// Read a length-prefixed UTF-8 string.
-    fn string(&mut self, what: &'static str) -> Result<String, CodecError> {
-        String::from_utf8(self.bytes(what)?).map_err(|_| CodecError::Truncated { what })
-    }
-    /// Read a sequence length.
-    fn seq(&mut self, what: &'static str) -> Result<usize, CodecError> {
-        Ok(self.u64(what)? as usize)
-    }
-    /// Read a length-prefixed dense region payload as a frozen snapshot.
-    fn dense(&mut self, what: &'static str) -> Result<DenseSnap, CodecError>;
-}
-
-impl Src for Dec {
-    fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
-        Dec::u8(self, what)
-    }
-    fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        Dec::u32(self, what)
-    }
-    fn i32(&mut self, what: &'static str) -> Result<i32, CodecError> {
-        Dec::i32(self, what)
-    }
-    fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        Dec::u64(self, what)
-    }
-    fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, CodecError> {
-        Dec::bytes(self, what)
-    }
-    fn dense(&mut self, what: &'static str) -> Result<DenseSnap, CodecError> {
-        // Chunk straight from the decoder's buffer into frozen pages —
-        // one copy, no intermediate contiguous Vec.
-        Ok(DenseSnap::from_bytes(self.bytes_ref(what)?))
     }
 }
 
@@ -511,6 +198,16 @@ impl<'a> ScatterDec<'a> {
         }
     }
 
+    /// Account for `n` bytes copied out of `seg` at the cursor.
+    fn consume(&mut self, seg: &Segment, n: usize) {
+        if matches!(seg, Segment::Shared(_)) {
+            tally_shared_flatten(n as u64);
+        }
+        self.off += n;
+        self.copied += n as u64;
+        self.remaining -= n;
+    }
+
     /// Copy exactly `out.len()` bytes into `out`, crossing segment
     /// boundaries as needed.
     fn read_into(&mut self, out: &mut [u8], what: &'static str) -> Result<(), CodecError> {
@@ -524,40 +221,60 @@ impl<'a> ScatterDec<'a> {
             let bytes = seg.as_bytes();
             let n = (bytes.len() - self.off).min(out.len() - done);
             out[done..done + n].copy_from_slice(&bytes[self.off..self.off + n]);
-            if matches!(seg, Segment::Shared(_)) {
-                tally_shared_flatten(n as u64);
-            }
-            self.off += n;
+            self.consume(seg, n);
             done += n;
         }
-        self.copied += out.len() as u64;
-        self.remaining -= out.len();
         self.normalize();
         Ok(())
     }
 
     fn scalar<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
+        // A scalar inside the current segment is read in place; only one
+        // straddling a segment boundary goes through the copy loop.
+        if let Some(seg) = self.segs.get(self.seg) {
+            if let Some(Ok(v)) = seg
+                .as_bytes()
+                .get(self.off..self.off + N)
+                .map(<[u8; N]>::try_from)
+            {
+                self.consume(seg, N);
+                self.normalize();
+                return Ok(v);
+            }
+        }
         let mut buf = [0u8; N];
         self.read_into(&mut buf, what)?;
         Ok(buf)
     }
-}
 
-impl Src for ScatterDec<'_> {
-    fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
+    /// Read a `u8`.
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
         Ok(self.scalar::<1>(what)?[0])
     }
-    fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.scalar::<4>(what)?))
+
+    /// Read a `u32`.
+    pub fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
+        Ok(u32::from_le_bytes(self.scalar(what)?))
     }
-    fn i32(&mut self, what: &'static str) -> Result<i32, CodecError> {
-        Ok(i32::from_le_bytes(self.scalar::<4>(what)?))
+
+    /// Read an `i32`.
+    pub fn i32(&mut self, what: &'static str) -> Result<i32, CodecError> {
+        Ok(i32::from_le_bytes(self.scalar(what)?))
     }
-    fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.scalar::<8>(what)?))
+
+    /// Read a `u64`.
+    pub fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
+        Ok(u64::from_le_bytes(self.scalar(what)?))
     }
-    fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, CodecError> {
-        let n = Src::u64(self, what)? as usize;
+
+    /// Read a bool.
+    pub fn boolean(&mut self, what: &'static str) -> Result<bool, CodecError> {
+        Ok(self.u8(what)? != 0)
+    }
+
+    /// Read a length-prefixed byte string.
+    pub fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, CodecError> {
+        let n = self.seq(what)?;
         if self.remaining < n {
             return Err(CodecError::Truncated { what });
         }
@@ -565,8 +282,21 @@ impl Src for ScatterDec<'_> {
         self.read_into(&mut v, what)?;
         Ok(v)
     }
-    fn dense(&mut self, what: &'static str) -> Result<DenseSnap, CodecError> {
-        let len = Src::u64(self, what)? as usize;
+
+    /// Read a length-prefixed UTF-8 string.
+    pub fn string(&mut self, what: &'static str) -> Result<String, CodecError> {
+        String::from_utf8(self.bytes(what)?).map_err(|_| CodecError::BadUtf8 { what })
+    }
+
+    /// Read a sequence length.
+    pub fn seq(&mut self, what: &'static str) -> Result<usize, CodecError> {
+        Ok(self.u64(what)? as usize)
+    }
+
+    /// Read a length-prefixed dense region payload as a frozen snapshot
+    /// (the inverse of [`ScatterEnc::dense`]).
+    pub fn dense(&mut self, what: &'static str) -> Result<DenseSnap, CodecError> {
+        let len = self.seq(what)?;
         if self.remaining < len {
             return Err(CodecError::Truncated { what });
         }
@@ -613,9 +343,18 @@ impl Src for ScatterDec<'_> {
 mod tests {
     use super::*;
 
+    /// The same content re-cut into one-byte owned segments.
+    fn shredded(buf: &ScatterBuf) -> ScatterBuf {
+        let mut out = ScatterBuf::new();
+        for b in buf.to_vec() {
+            out.push_owned(vec![b]);
+        }
+        out
+    }
+
     #[test]
     fn roundtrip_primitives() {
-        let mut e = Enc::new();
+        let mut e = ScatterEnc::new();
         e.u8(7);
         e.u32(0xDEAD_BEEF);
         e.i32(-42);
@@ -624,124 +363,66 @@ mod tests {
         e.bytes(b"hello");
         e.string("wörld");
         let data = e.finish();
-        let mut d = Dec::new(&data);
-        assert_eq!(d.u8("a").unwrap(), 7);
-        assert_eq!(d.u32("b").unwrap(), 0xDEAD_BEEF);
-        assert_eq!(d.i32("c").unwrap(), -42);
-        assert_eq!(d.u64("d").unwrap(), u64::MAX - 1);
-        assert!(d.boolean("e").unwrap());
-        assert_eq!(d.bytes("f").unwrap(), b"hello");
-        assert_eq!(d.string("g").unwrap(), "wörld");
-        assert_eq!(d.remaining(), 0);
+        // In place (one segment) and straddling every segment boundary.
+        for buf in [data.clone(), shredded(&data)] {
+            let mut d = ScatterDec::new(&buf);
+            assert_eq!(d.u8("a").unwrap(), 7);
+            assert_eq!(d.u32("b").unwrap(), 0xDEAD_BEEF);
+            assert_eq!(d.i32("c").unwrap(), -42);
+            assert_eq!(d.u64("d").unwrap(), u64::MAX - 1);
+            assert!(d.boolean("e").unwrap());
+            assert_eq!(d.bytes("f").unwrap(), b"hello");
+            assert_eq!(d.string("g").unwrap(), "wörld");
+            assert_eq!(d.remaining(), 0);
+            assert_eq!(d.bytes_copied(), data.len() as u64);
+        }
     }
 
     #[test]
     fn truncation_detected() {
-        let mut e = Enc::new();
+        let mut e = ScatterEnc::new();
         e.u64(5);
         let mut data = e.finish();
         data.truncate(3);
-        let mut d = Dec::new(&data);
+        let mut d = ScatterDec::new(&data);
         assert_eq!(d.u64("x"), Err(CodecError::Truncated { what: "x" }));
     }
 
     #[test]
-    fn measure_matches_write_exactly() {
-        fn encode<S: Sink>(s: &mut S) {
-            s.u8(1);
-            s.u32(2);
-            s.i32(-3);
-            s.u64(4);
-            s.boolean(false);
-            s.bytes(b"abcdef");
-            s.string("xyz");
-            s.seq(9);
-            s.raw(&[7; 13]);
-        }
-        let mut m = MeasureEnc::new();
-        encode(&mut m);
-        let mut e = Enc::with_capacity(m.len());
-        encode(&mut e);
-        assert_eq!(e.len(), m.len());
-        let cap = e.capacity();
-        assert_eq!(cap, m.len(), "preallocation was not exact");
-        assert_eq!(e.finish().len(), m.len());
-    }
-
-    #[test]
-    fn scatter_sink_is_wire_identical_to_flat() {
-        fn encode<S: Sink>(s: &mut S, snap: &DenseSnap) {
-            s.u8(1);
-            s.u64(snap.len() as u64);
-            s.dense_pages(snap);
-            s.u32(0xFEED);
-            s.bytes(b"trailer");
-        }
-        let snap = DenseSnap::from_vec((0..20_000u32).map(|i| i as u8).collect());
-        let mut flat = Enc::new();
-        encode(&mut flat, &snap);
-        let mut scatter = ScatterEnc::new();
-        encode(&mut scatter, &snap);
-        assert_eq!(scatter.len(), flat.len());
-        let sb = scatter.finish();
+    fn scatter_dec_recovers_pages_without_copying() {
+        let snap = DenseSnap::from_vec((0..10_000u32).map(|i| (i * 7) as u8).collect());
+        let mut e = ScatterEnc::new();
+        e.u8(1);
+        e.string("meta");
+        e.dense(&snap);
+        e.u32(0xFEED);
+        let sb = e.finish();
         // Pages crossed as shared segments, not copies.
         assert_eq!(sb.shared_len(), snap.len());
-        assert_eq!(sb.to_vec(), flat.finish());
-    }
-
-    #[test]
-    fn scatter_dec_recovers_pages_without_copying() {
-        fn encode<S: Sink>(s: &mut S, snap: &DenseSnap) {
-            s.u8(1);
-            s.string("meta");
-            s.u64(snap.len() as u64);
-            s.dense_pages(snap);
-            s.u32(0xFEED);
-        }
-        let snap = DenseSnap::from_vec((0..10_000u32).map(|i| (i * 7) as u8).collect());
-        let mut enc = ScatterEnc::new();
-        encode(&mut enc, &snap);
-        let sb = enc.finish();
 
         let mut d = ScatterDec::new(&sb);
-        assert_eq!(Src::u8(&mut d, "a").unwrap(), 1);
-        assert_eq!(Src::string(&mut d, "b").unwrap(), "meta");
-        let back = {
-            let len = Src::u64(&mut d, "len").unwrap() as usize;
-            assert_eq!(len, snap.len());
-            // Re-wind is impossible; call dense via the region framing
-            // convention: length already consumed means the payload
-            // starts here, so test the trait-level read instead.
-            let mut d2 = ScatterDec::new(&sb);
-            Src::u8(&mut d2, "a").unwrap();
-            Src::string(&mut d2, "b").unwrap();
-            let got = Src::dense(&mut d2, "payload").unwrap();
-            assert_eq!(Src::u32(&mut d2, "t").unwrap(), 0xFEED);
-            assert_eq!(d2.remaining(), 0);
-            assert_eq!(d2.pages_shared(), snap.page_count() as u64);
-            // Pages are the same allocations, not copies.
-            for i in 0..snap.page_count() {
-                assert!(got.shares_page(&snap, i), "page {i} was copied");
-            }
-            got
-        };
-        assert_eq!(back.to_vec(), snap.to_vec());
-        let _ = d;
+        assert_eq!(d.u8("a").unwrap(), 1);
+        assert_eq!(d.string("b").unwrap(), "meta");
+        let got = d.dense("payload").unwrap();
+        assert_eq!(d.u32("t").unwrap(), 0xFEED);
+        assert_eq!(d.remaining(), 0);
+        assert_eq!(d.pages_shared(), snap.page_count() as u64);
+        // Pages are the same allocations, not copies.
+        for i in 0..snap.page_count() {
+            assert!(got.shares_page(&snap, i), "page {i} was copied");
+        }
+        assert_eq!(got.to_vec(), snap.to_vec());
     }
 
     #[test]
     fn scatter_dec_falls_back_on_flat_bytes() {
-        fn encode<S: Sink>(s: &mut S, snap: &DenseSnap) {
-            s.u64(snap.len() as u64);
-            s.dense_pages(snap);
-        }
         let snap = DenseSnap::from_vec(vec![3u8; 9000]);
-        let mut enc = Enc::new();
-        encode(&mut enc, &snap);
+        let mut e = ScatterEnc::new();
+        e.dense(&snap);
         // Flat bytes: no shared segments to recover.
-        let sb = ScatterBuf::from_vec(enc.finish());
+        let sb = ScatterBuf::from_vec(e.finish().to_vec());
         let mut d = ScatterDec::new(&sb);
-        let got = Src::dense(&mut d, "payload").unwrap();
+        let got = d.dense("payload").unwrap();
         assert_eq!(d.pages_shared(), 0);
         assert_eq!(got.to_vec(), snap.to_vec());
         assert_eq!(d.remaining(), 0);
@@ -753,28 +434,23 @@ mod tests {
         sb.push_owned(vec![1, 2, 3]);
         let mut d = ScatterDec::new(&sb);
         assert!(matches!(
-            Src::u64(&mut d, "x"),
+            d.u64("x"),
             Err(CodecError::Truncated { what: "x" })
         ));
         let mut sb2 = ScatterBuf::new();
         sb2.push_owned(1000u64.to_le_bytes().to_vec());
-        let mut d2 = ScatterDec::new(&sb2);
         assert!(matches!(
-            Src::bytes(&mut d2, "p"),
-            Err(CodecError::Truncated { .. })
-        ));
-        assert!(matches!(
-            Src::dense(&mut ScatterDec::new(&sb2), "q"),
+            ScatterDec::new(&sb2).dense("q"),
             Err(CodecError::Truncated { .. })
         ));
     }
 
     #[test]
     fn bytes_length_checked() {
-        let mut e = Enc::new();
+        let mut e = ScatterEnc::new();
         e.u64(1000); // claims 1000 bytes, provides none
         let data = e.finish();
-        let mut d = Dec::new(&data);
+        let mut d = ScatterDec::new(&data);
         assert!(matches!(d.bytes("p"), Err(CodecError::Truncated { .. })));
     }
 }

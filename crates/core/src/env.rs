@@ -839,8 +839,10 @@ impl AppEnv {
     }
 
     /// `MPI_Cart_create`. Returns the created communicator; on skip,
-    /// re-derives the handle from the ledger (falling back, for images
-    /// that predate it, to matching the restored metadata by dims).
+    /// re-derives the handle from the step ledger. A creation skipped in
+    /// the prologue before the first step (LULESH builds its grid there)
+    /// has no ledger entry: its handle is the restored communicator whose
+    /// metadata carries these dims.
     pub fn cart_create(&mut self, comm: CommHandle, dims: &[u32], periodic: &[bool]) -> CommHandle {
         if self.op_skip() {
             let from_ledger = self.with_progress(|p| {
@@ -854,9 +856,6 @@ impl AppEnv {
                 return CommHandle(v);
             }
             let sh = self.sh.as_ref().expect("skip only under MANA");
-            // Legacy (v1-image) re-derivation: the cart communicator
-            // created at this point is the one whose metadata carries
-            // these dims.
             let comms = sh.comms.lock();
             let (virt, _) = comms
                 .iter()

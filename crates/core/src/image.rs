@@ -12,9 +12,9 @@
 //! network-agnostic property.
 
 use crate::buffer::{BufferedMsg, PairCounters};
-use crate::codec::{CodecError, Dec, Enc, MeasureEnc, ScatterDec, ScatterEnc, Sink, Src};
+use crate::codec::{CodecError, ScatterDec, ScatterEnc};
 use crate::record::LoggedCall;
-use crate::restart::compact::{derive_rebind, BindSource, RebindEntry};
+use crate::restart::compact::{BindSource, RebindEntry};
 use mana_mpi::{BaseType, ReduceOp};
 use mana_sim::memory::{Half, RegionDirty, RegionKind, RegionSnapshot, SnapshotContent};
 use mana_sim::scatter::ScatterBuf;
@@ -22,17 +22,10 @@ use std::sync::Arc;
 
 /// "MANAIMG1" little-endian.
 pub const MAGIC: u64 = 0x3147_4d49_414e_414d;
-/// Current format version. Version 2 adds the explicit world-communicator
-/// id, the virtual-id rebind map, the per-step handle-creation ledger and
-/// recorded `CommGroup` membership (everything the compacted-log restart
-/// pipeline verifies against). Version 3 adds the per-region dirty-page
-/// summaries emitted by the copy-on-write snapshot path (advisory: they
-/// let `DeltaStore` skip digesting clean pages). Version-1 images still
-/// decode: the world id and rebind map are derived from the (always-full)
-/// v1 log; pre-v3 images decode with no dirty summaries.
+/// The format version every image is written and read at. Any other
+/// version decodes to [`CodecError::BadVersion`]: images live in stores of
+/// the process that wrote them, so no older layout has data to read.
 pub const VERSION: u32 = 3;
-/// Oldest format version [`CheckpointImage::decode`] accepts.
-pub const MIN_VERSION: u32 = 1;
 
 /// A live virtual communicator at checkpoint time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,36 +113,34 @@ pub struct CheckpointImage {
     /// rewinds to this so skipped operations re-derive their original
     /// slot ids).
     pub slot_seq_at_step: u64,
-    /// Virtual id of the world communicator (v2; explicit instead of the
-    /// historical "smallest live comm id" coincidence).
+    /// Virtual id of the world communicator.
     pub world_virt: u64,
     /// Explicit virtual-id rebind map: which retained log entry (or the
-    /// fresh world) binds each virtual id at replay (v2; derived from the
-    /// log for v1 images).
+    /// fresh world) binds each virtual id at replay.
     pub rebind: Vec<RebindEntry>,
     /// Virtual handles created by completed operations of the interrupted
     /// step, in creation order — the environment's resume ledger for
-    /// skipped communicator/group/datatype creations (v2).
+    /// skipped communicator/group/datatype creations.
     pub step_created: Vec<u64>,
     /// Per-region dirty-page summaries from the copy-on-write snapshot
-    /// path (v3; empty for pre-v3 images or hand-built images). Advisory:
-    /// `DeltaStore` uses them — guarded by the `(lineage, base_seq)`
-    /// epoch identity — to make diffing O(dirty pages).
+    /// path (empty for hand-built images). Advisory: `DeltaStore` uses
+    /// them — guarded by the `(lineage, base_seq)` epoch identity — to
+    /// make diffing O(dirty pages).
     pub dirty: Vec<RegionDirty>,
 }
 
 /// The encoded form of a [`CheckpointImage`]: a scatter of byte segments
-/// whose concatenation is exactly what [`CheckpointImage::encode_with_version`]
-/// would produce as a flat vector, except the dense region pages are
-/// *shared* `Arc` handles into the snapshot ropes — no page is memcpy'd
-/// between the address space and the store tier. An optional decoded-image
-/// attachment rides along so image-aware stores (`DeltaStore`, `CasStore`,
-/// dirty-aware compression) can read regions and dirty summaries straight
-/// from the rope instead of re-decoding the wire bytes.
+/// in which metadata runs are small owned segments and the dense region
+/// pages are *shared* `Arc` handles into the snapshot ropes — no page is
+/// memcpy'd between the address space and the store tier. An optional
+/// decoded-image attachment rides along so image-aware stores
+/// (`DeltaStore`, `CasStore`, dirty-aware compression) can read regions
+/// and dirty summaries straight from the rope instead of re-decoding the
+/// wire bytes.
 ///
-/// Old call sites that need contiguous bytes use [`ImageBytes::to_vec`] —
-/// the compatibility shim that pays (and counts, see
-/// [`mana_sim::scatter::shared_flatten_bytes`]) the flatten.
+/// Flat bytes come in through [`ImageBytes::from_vec`]; a caller that
+/// needs contiguous bytes uses [`ImageBytes::to_vec`], which pays (and
+/// counts, see [`mana_sim::scatter::shared_flatten_bytes`]) the flatten.
 #[derive(Clone, Debug)]
 pub struct ImageBytes {
     buf: ScatterBuf,
@@ -254,76 +245,12 @@ impl PartialEq for ImageBytes {
 impl Eq for ImageBytes {}
 
 impl CheckpointImage {
-    /// Serialize in the current format as a zero-copy scatter: dense
-    /// region pages are shared rope handles, metadata runs are small
-    /// owned segments. Byte-identical to the historical flat encoding
-    /// (`encode_with_version(VERSION)`), proven by property test.
+    /// Serialize as a zero-copy scatter: dense region pages are shared
+    /// rope handles, metadata runs are small owned segments.
     pub fn encode(&self) -> ImageBytes {
-        ImageBytes {
-            buf: self.encode_scatter_with_version(VERSION),
-            image: None,
-        }
-    }
-
-    /// Like [`CheckpointImage::encode`], but attach the decoded image to
-    /// the result so image-aware store tiers (delta diffing,
-    /// content-addressed dedup, dirty-aware compression) digest pages
-    /// straight out of the rope instead of decoding the wire bytes. The
-    /// hot checkpoint path (the helper thread) uses this.
-    pub fn encode_shared(this: &Arc<CheckpointImage>) -> ImageBytes {
-        ImageBytes {
-            buf: this.encode_scatter_with_version(VERSION),
-            image: Some(this.clone()),
-        }
-    }
-
-    /// Scatter encoding at an explicit format version — the same wire
-    /// bytes as [`CheckpointImage::encode_with_version`], with dense pages
-    /// as shared segments.
-    pub fn encode_scatter_with_version(&self, version: u32) -> ScatterBuf {
-        assert!(
-            (MIN_VERSION..=VERSION).contains(&version),
-            "unknown image version {version}"
-        );
         let mut e = ScatterEnc::new();
-        self.encode_into(&mut e, version);
-        debug_assert_eq!(e.len(), self.encoded_len(version));
-        e.finish()
-    }
-
-    /// Serialize in an explicit format version. Version 1 drops the
-    /// v2-only fields (world id, rebind map, step ledger, `CommGroup`
-    /// membership), version 2 additionally drops the dirty summaries —
-    /// kept so back-compat tests and tooling can produce old-format
-    /// images; a downgraded round-trip is lossy by design.
-    ///
-    /// The encoding is single-pass into one exactly-sized buffer: a
-    /// measuring pass over the same generic writer computes the output
-    /// length first, so region payloads (the bulk of the image) are never
-    /// re-copied by incremental buffer growth.
-    pub fn encode_with_version(&self, version: u32) -> Vec<u8> {
-        assert!(
-            (MIN_VERSION..=VERSION).contains(&version),
-            "unknown image version {version}"
-        );
-        let len = self.encoded_len(version);
-        let mut e = Enc::with_capacity(len);
-        self.encode_into(&mut e, version);
-        debug_assert_eq!(e.len(), len, "measuring pass disagrees with writer");
-        debug_assert_eq!(e.capacity(), len, "encode reallocated");
-        e.finish()
-    }
-
-    /// Exact byte length `encode_with_version(version)` will produce.
-    pub fn encoded_len(&self, version: u32) -> usize {
-        let mut m = MeasureEnc::new();
-        self.encode_into(&mut m, version);
-        m.len()
-    }
-
-    fn encode_into<S: Sink>(&self, e: &mut S, version: u32) {
         e.u64(MAGIC);
-        e.u32(version);
+        e.u32(VERSION);
         e.u32(self.rank);
         e.u32(self.nranks);
         e.u64(self.ckpt_id);
@@ -332,49 +259,25 @@ impl CheckpointImage {
         e.u64(self.upper_cursor);
         e.u64(self.ops_done);
 
-        e.seq(self.regions.len());
-        for r in &self.regions {
-            enc_region(e, r);
-        }
-        e.seq(self.comms.len());
-        for c in &self.comms {
+        enc_seq(&mut e, &self.regions, encode_region);
+        enc_seq(&mut e, &self.comms, |e, c| {
             e.u64(c.virt);
-            e.seq(c.members.len());
-            for m in &c.members {
-                e.u32(*m);
-            }
-            e.seq(c.cart_dims.len());
-            for d in &c.cart_dims {
-                e.u32(*d);
-            }
-            for p in &c.cart_periodic {
-                e.boolean(*p);
-            }
-        }
-        e.seq(self.groups.len());
-        for g in &self.groups {
-            e.u64(*g);
-        }
-        e.seq(self.dtypes.len());
-        for d in &self.dtypes {
-            e.u64(*d);
-        }
-        e.seq(self.log.len());
-        for c in &self.log {
-            enc_call(e, c, version);
-        }
-        enc_counters(e, &self.counters);
-        e.seq(self.buffered.len());
-        for m in &self.buffered {
+            enc_seq(e, &c.members, |e, m| e.u32(*m));
+            enc_cart(e, &c.cart_dims, &c.cart_periodic);
+        });
+        enc_seq(&mut e, &self.groups, |e, g| e.u64(*g));
+        enc_seq(&mut e, &self.dtypes, |e, d| e.u64(*d));
+        enc_seq(&mut e, &self.log, enc_call);
+        enc_counters(&mut e, &self.counters);
+        enc_seq(&mut e, &self.buffered, |e, m| {
             e.u64(m.comm_virt);
             e.u32(m.src_local);
             e.u32(m.src_global);
             e.i32(m.tag);
             e.bytes(&m.data);
             e.u64(m.modeled);
-        }
-        e.seq(self.pending.len());
-        for p in &self.pending {
+        });
+        enc_seq(&mut e, &self.pending, |e, p| {
             e.u64(p.vreq);
             e.u64(p.comm_virt);
             match &p.kind {
@@ -386,62 +289,53 @@ impl CheckpointImage {
                     e.u32(op_tag(*op));
                 }
             }
-        }
-        e.seq(self.allocs.len());
-        for (a, l) in &self.allocs {
-            e.u64(*a);
-            e.u64(*l);
-        }
-        e.seq(self.slots.len());
-        for s in &self.slots {
-            enc_slot(e, s);
-        }
+        });
+        enc_seq(&mut e, &self.allocs, |e, (addr, len)| {
+            e.u64(*addr);
+            e.u64(*len);
+        });
+        enc_seq(&mut e, &self.slots, enc_slot);
         e.u64(self.slot_seq);
         e.u64(self.slot_seq_at_step);
-        if version >= 2 {
-            e.u64(self.world_virt);
-            e.seq(self.rebind.len());
-            for r in &self.rebind {
-                e.u64(r.virt);
-                match r.source {
-                    BindSource::World => e.u32(0),
-                    BindSource::Created { index } => {
-                        e.u32(1);
-                        e.u32(index);
-                    }
+        e.u64(self.world_virt);
+        enc_seq(&mut e, &self.rebind, |e, r| {
+            e.u64(r.virt);
+            match r.source {
+                BindSource::World => e.u32(0),
+                BindSource::Created { index } => {
+                    e.u32(1);
+                    e.u32(index);
                 }
             }
-            e.seq(self.step_created.len());
-            for v in &self.step_created {
-                e.u64(*v);
-            }
-        }
-        if version >= 3 {
-            e.seq(self.dirty.len());
-            for d in &self.dirty {
-                e.u64(d.start);
-                e.u64(d.lineage);
-                e.u64(d.seq);
-                match d.base_seq {
-                    Some(b) => {
-                        e.boolean(true);
-                        e.u64(b);
-                    }
-                    None => e.boolean(false),
+        });
+        enc_seq(&mut e, &self.step_created, |e, v| e.u64(*v));
+        enc_seq(&mut e, &self.dirty, |e, d| {
+            e.u64(d.start);
+            e.u64(d.lineage);
+            e.u64(d.seq);
+            match d.base_seq {
+                Some(b) => {
+                    e.boolean(true);
+                    e.u64(b);
                 }
-                e.u64(d.page_count);
-                e.seq(d.pages.len());
-                for w in &d.pages {
-                    e.u64(*w);
-                }
+                None => e.boolean(false),
             }
-        }
+            e.u64(d.page_count);
+            enc_seq(e, &d.pages, |e, w| e.u64(*w));
+        });
+        ImageBytes::from(e.finish())
     }
 
-    /// Deserialize (accepts every version from [`MIN_VERSION`] up).
-    pub fn decode(data: &[u8]) -> Result<CheckpointImage, CodecError> {
-        let mut d = Dec::new(data);
-        CheckpointImage::decode_from(&mut d)
+    /// Like [`CheckpointImage::encode`], but attach the decoded image to
+    /// the result so image-aware store tiers (delta diffing,
+    /// content-addressed dedup, dirty-aware compression) digest pages
+    /// straight out of the rope instead of decoding the wire bytes. The
+    /// hot checkpoint path (the helper thread) uses this.
+    pub fn encode_shared(this: &Arc<CheckpointImage>) -> ImageBytes {
+        ImageBytes {
+            image: Some(this.clone()),
+            ..this.encode()
+        }
     }
 
     /// Deserialize straight from a scatter, recovering dense region pages
@@ -473,13 +367,13 @@ impl CheckpointImage {
         ))
     }
 
-    fn decode_from<S: Src>(d: &mut S) -> Result<CheckpointImage, CodecError> {
+    fn decode_from(d: &mut ScatterDec<'_>) -> Result<CheckpointImage, CodecError> {
         let magic = d.u64("magic")?;
         if magic != MAGIC {
             return Err(CodecError::BadMagic(magic));
         }
         let version = d.u32("version")?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(CodecError::BadVersion(version));
         }
         let rank = d.u32("rank")?;
@@ -490,59 +384,33 @@ impl CheckpointImage {
         let upper_cursor = d.u64("upper_cursor")?;
         let ops_done = d.u64("ops_done")?;
 
-        let mut regions = Vec::new();
-        for _ in 0..d.seq("regions")? {
-            regions.push(dec_region(d)?);
-        }
-        let mut comms = Vec::new();
-        for _ in 0..d.seq("comms")? {
+        let regions = dec_seq(d, "regions", decode_region)?;
+        let comms = dec_seq(d, "comms", |d| {
             let virt = d.u64("comm virt")?;
-            let mut members = Vec::new();
-            for _ in 0..d.seq("members")? {
-                members.push(d.u32("member")?);
-            }
-            let ndims = d.seq("cart dims")?;
-            let mut cart_dims = Vec::new();
-            for _ in 0..ndims {
-                cart_dims.push(d.u32("dim")?);
-            }
-            let mut cart_periodic = Vec::new();
-            for _ in 0..ndims {
-                cart_periodic.push(d.boolean("periodic")?);
-            }
-            comms.push(VirtCommEntry {
+            let members = dec_seq(d, "members", |d| d.u32("member"))?;
+            let (cart_dims, cart_periodic) = dec_cart(d)?;
+            Ok(VirtCommEntry {
                 virt,
                 members,
                 cart_dims,
                 cart_periodic,
-            });
-        }
-        let mut groups = Vec::new();
-        for _ in 0..d.seq("groups")? {
-            groups.push(d.u64("group")?);
-        }
-        let mut dtypes = Vec::new();
-        for _ in 0..d.seq("dtypes")? {
-            dtypes.push(d.u64("dtype")?);
-        }
-        let mut log = Vec::new();
-        for _ in 0..d.seq("log")? {
-            log.push(dec_call(d, version)?);
-        }
+            })
+        })?;
+        let groups = dec_seq(d, "groups", |d| d.u64("group"))?;
+        let dtypes = dec_seq(d, "dtypes", |d| d.u64("dtype"))?;
+        let log = dec_seq(d, "log", dec_call)?;
         let counters = dec_counters(d)?;
-        let mut buffered = Vec::new();
-        for _ in 0..d.seq("buffered")? {
-            buffered.push(BufferedMsg {
+        let buffered = dec_seq(d, "buffered", |d| {
+            Ok(BufferedMsg {
                 comm_virt: d.u64("msg comm")?,
                 src_local: d.u32("msg src_local")?,
                 src_global: d.u32("msg src_global")?,
                 tag: d.i32("msg tag")?,
                 data: d.bytes("msg data")?,
                 modeled: d.u64("msg modeled")?,
-            });
-        }
-        let mut pending = Vec::new();
-        for _ in 0..d.seq("pending")? {
+            })
+        })?;
+        let pending = dec_seq(d, "pending", |d| {
             let vreq = d.u64("pending vreq")?;
             let comm_virt = d.u64("pending comm")?;
             let kind = match d.u32("pending kind")? {
@@ -559,79 +427,50 @@ impl CheckpointImage {
                     })
                 }
             };
-            pending.push(PendingColl {
+            Ok(PendingColl {
                 vreq,
                 comm_virt,
                 kind,
-            });
-        }
-        let mut allocs = Vec::new();
-        for _ in 0..d.seq("allocs")? {
-            allocs.push((d.u64("alloc addr")?, d.u64("alloc len")?));
-        }
-        let mut slots = Vec::new();
-        for _ in 0..d.seq("slots")? {
-            slots.push(dec_slot(d)?);
-        }
+            })
+        })?;
+        let allocs = dec_seq(d, "allocs", |d| {
+            Ok((d.u64("alloc addr")?, d.u64("alloc len")?))
+        })?;
+        let slots = dec_seq(d, "slots", dec_slot)?;
         let slot_seq = d.u64("slot_seq")?;
         let slot_seq_at_step = d.u64("slot_seq_at_step")?;
-        let (world_virt, rebind, step_created) = if version >= 2 {
-            let world_virt = d.u64("world_virt")?;
-            let mut rebind = Vec::new();
-            for _ in 0..d.seq("rebind")? {
-                let virt = d.u64("rebind virt")?;
-                let source = match d.u32("rebind source")? {
-                    0 => BindSource::World,
-                    1 => BindSource::Created {
-                        index: d.u32("rebind index")?,
-                    },
-                    tag => {
-                        return Err(CodecError::BadTag {
-                            what: "rebind source",
-                            tag,
-                        })
-                    }
-                };
-                rebind.push(RebindEntry { virt, source });
-            }
-            let mut step_created = Vec::new();
-            for _ in 0..d.seq("step_created")? {
-                step_created.push(d.u64("step_created virt")?);
-            }
-            (world_virt, rebind, step_created)
-        } else {
-            // v1 images predate the explicit world id and rebind map:
-            // re-derive both from the (always-full) log, using the
-            // historical smallest-live-comm-id convention for the world.
-            let world_virt = comms.iter().map(|c| c.virt).min().unwrap_or(0);
-            (world_virt, derive_rebind(world_virt, &log), Vec::new())
-        };
-        let mut dirty = Vec::new();
-        if version >= 3 {
-            for _ in 0..d.seq("dirty summaries")? {
-                let start = d.u64("dirty start")?;
-                let lineage = d.u64("dirty lineage")?;
-                let seq = d.u64("dirty seq")?;
-                let base_seq = if d.boolean("dirty base some")? {
+        let world_virt = d.u64("world_virt")?;
+        let rebind = dec_seq(d, "rebind", |d| {
+            let virt = d.u64("rebind virt")?;
+            let source = match d.u32("rebind source")? {
+                0 => BindSource::World,
+                1 => BindSource::Created {
+                    index: d.u32("rebind index")?,
+                },
+                tag => {
+                    return Err(CodecError::BadTag {
+                        what: "rebind source",
+                        tag,
+                    })
+                }
+            };
+            Ok(RebindEntry { virt, source })
+        })?;
+        let step_created = dec_seq(d, "step_created", |d| d.u64("step_created virt"))?;
+        let dirty = dec_seq(d, "dirty summaries", |d| {
+            Ok(RegionDirty {
+                start: d.u64("dirty start")?,
+                lineage: d.u64("dirty lineage")?,
+                seq: d.u64("dirty seq")?,
+                base_seq: if d.boolean("dirty base some")? {
                     Some(d.u64("dirty base seq")?)
                 } else {
                     None
-                };
-                let page_count = d.u64("dirty page count")?;
-                let mut pages = Vec::new();
-                for _ in 0..d.seq("dirty words")? {
-                    pages.push(d.u64("dirty word")?);
-                }
-                dirty.push(RegionDirty {
-                    start,
-                    lineage,
-                    seq,
-                    base_seq,
-                    page_count,
-                    pages,
-                });
-            }
-        }
+                },
+                page_count: d.u64("dirty page count")?,
+                pages: dec_seq(d, "dirty words", |d| d.u64("dirty word"))?,
+            })
+        })?;
         Ok(CheckpointImage {
             rank,
             nranks,
@@ -797,20 +636,10 @@ fn dec_op(tag: u32) -> Result<ReduceOp, CodecError> {
 }
 
 /// Encode one region snapshot. Shared with derived image formats (the
-/// delta-image codec in `mana-store` embeds region snapshots). Dense
-/// content is written page-by-page straight from the snapshot's frozen
-/// `Arc` pages — byte-identical to the historical contiguous layout, with
-/// no intermediate materialization.
-pub fn encode_region<S: Sink>(e: &mut S, r: &RegionSnapshot) {
-    enc_region(e, r)
-}
-
-/// Decode one region snapshot (inverse of [`encode_region`]).
-pub fn decode_region(d: &mut Dec) -> Result<RegionSnapshot, CodecError> {
-    dec_region(d)
-}
-
-fn enc_region<S: Sink>(e: &mut S, r: &RegionSnapshot) {
+/// delta blobs and CAS manifests of `mana-store` embed region snapshots).
+/// Dense content is appended as the snapshot's frozen `Arc` pages, with no
+/// intermediate materialization.
+pub fn encode_region(e: &mut ScatterEnc, r: &RegionSnapshot) {
     e.u64(r.start);
     e.u64(r.len);
     e.u32(half_tag(r.half));
@@ -819,8 +648,7 @@ fn enc_region<S: Sink>(e: &mut S, r: &RegionSnapshot) {
     match &r.content {
         SnapshotContent::Dense(b) => {
             e.u32(0);
-            e.u64(b.len() as u64);
-            e.dense_pages(b);
+            e.dense(b);
         }
         SnapshotContent::Pattern { seed } => {
             e.u32(1);
@@ -829,16 +657,16 @@ fn enc_region<S: Sink>(e: &mut S, r: &RegionSnapshot) {
     }
 }
 
-fn dec_region<S: Src>(d: &mut S) -> Result<RegionSnapshot, CodecError> {
+/// Decode one region snapshot (inverse of [`encode_region`]).
+pub fn decode_region(d: &mut ScatterDec<'_>) -> Result<RegionSnapshot, CodecError> {
     let start = d.u64("region start")?;
     let len = d.u64("region len")?;
     let half = dec_half(d.u32("region half")?)?;
     let kind = dec_kind(d.u32("region kind")?)?;
     let name = d.string("region name")?;
     let content = match d.u32("region content")? {
-        // The source chooses the cheapest materialization: a flat decoder
-        // chunks its buffer into frozen pages (one copy), a scatter
-        // decoder recovers the stored `Arc` pages outright (zero copies).
+        // Stored `Arc` pages come back as the same handles (zero
+        // copies); bytes that lost their page segmentation are copied.
         0 => SnapshotContent::Dense(d.dense("region dense")?),
         1 => SnapshotContent::Pattern {
             seed: d.u64("region pattern")?,
@@ -860,7 +688,63 @@ fn dec_region<S: Src>(d: &mut S) -> Result<RegionSnapshot, CodecError> {
     })
 }
 
-fn enc_slot<S: Sink>(e: &mut S, s: &crate::shared::SlotState) {
+/// Decode an image that a derived format embeds behind a length prefix
+/// (the meta image of a delta blob or a CAS manifest), straight from the
+/// outer decoder rather than from a copy of its bytes. The image must
+/// fill its prefix exactly.
+pub fn decode_embedded(
+    d: &mut ScatterDec<'_>,
+    what: &'static str,
+) -> Result<CheckpointImage, CodecError> {
+    let len = d.seq(what)?;
+    let Some(end) = d.remaining().checked_sub(len) else {
+        return Err(CodecError::Truncated { what });
+    };
+    let img = CheckpointImage::decode_from(d)?;
+    if d.remaining() != end {
+        return Err(CodecError::Truncated { what });
+    }
+    Ok(img)
+}
+
+/// Write `items` as a length-prefixed sequence.
+fn enc_seq<T>(e: &mut ScatterEnc, items: &[T], mut item: impl FnMut(&mut ScatterEnc, &T)) {
+    e.seq(items.len());
+    for x in items {
+        item(e, x);
+    }
+}
+
+/// Read a length-prefixed sequence (the inverse of [`enc_seq`]).
+fn dec_seq<T>(
+    d: &mut ScatterDec<'_>,
+    what: &'static str,
+    mut item: impl FnMut(&mut ScatterDec<'_>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    (0..d.seq(what)?).map(|_| item(d)).collect()
+}
+
+/// Cartesian topology: the dims as a sequence, then one periodicity flag
+/// per dim.
+fn enc_cart(e: &mut ScatterEnc, dims: &[u32], periodic: &[bool]) {
+    enc_seq(e, dims, |e, d| e.u32(*d));
+    for p in periodic {
+        e.boolean(*p);
+    }
+}
+
+fn dec_cart(d: &mut ScatterDec<'_>) -> Result<(Vec<u32>, Vec<bool>), CodecError> {
+    let n = d.seq("cart dims")?;
+    let dims = (0..n)
+        .map(|_| d.u32("cart dim"))
+        .collect::<Result<_, _>>()?;
+    let periodic = (0..n)
+        .map(|_| d.boolean("cart periodic"))
+        .collect::<Result<_, _>>()?;
+    Ok((dims, periodic))
+}
+
+fn enc_slot(e: &mut ScatterEnc, s: &crate::shared::SlotState) {
     use crate::shared::SlotState;
     use mana_mpi::{SrcSpec, TagSpec};
     match s {
@@ -903,7 +787,7 @@ fn enc_slot<S: Sink>(e: &mut S, s: &crate::shared::SlotState) {
     }
 }
 
-fn dec_slot<S: Src>(d: &mut S) -> Result<crate::shared::SlotState, CodecError> {
+fn dec_slot(d: &mut ScatterDec<'_>) -> Result<crate::shared::SlotState, CodecError> {
     use crate::shared::SlotState;
     use mana_mpi::{SrcSpec, TagSpec};
     Ok(match d.u32("slot tag")? {
@@ -937,7 +821,7 @@ fn dec_slot<S: Src>(d: &mut S) -> Result<crate::shared::SlotState, CodecError> {
     })
 }
 
-fn enc_counters<S: Sink>(e: &mut S, c: &PairCounters) {
+fn enc_counters(e: &mut ScatterEnc, c: &PairCounters) {
     e.seq(c.sent.len());
     for (k, v) in &c.sent {
         e.u32(*k);
@@ -950,7 +834,7 @@ fn enc_counters<S: Sink>(e: &mut S, c: &PairCounters) {
     }
 }
 
-fn dec_counters<S: Src>(d: &mut S) -> Result<PairCounters, CodecError> {
+fn dec_counters(d: &mut ScatterDec<'_>) -> Result<PairCounters, CodecError> {
     let mut c = PairCounters::default();
     for _ in 0..d.seq("sent counters")? {
         let k = d.u32("sent peer")?;
@@ -965,7 +849,7 @@ fn dec_counters<S: Src>(d: &mut S) -> Result<PairCounters, CodecError> {
     Ok(c)
 }
 
-fn enc_call<S: Sink>(e: &mut S, c: &LoggedCall, version: u32) {
+fn enc_call(e: &mut ScatterEnc, c: &LoggedCall) {
     match c {
         LoggedCall::CommDup { parent, result } => {
             e.u32(0);
@@ -1012,13 +896,7 @@ fn enc_call<S: Sink>(e: &mut S, c: &LoggedCall, version: u32) {
         } => {
             e.u32(4);
             e.u64(*parent);
-            e.seq(dims.len());
-            for d in dims {
-                e.u32(*d);
-            }
-            for p in periodic {
-                e.boolean(*p);
-            }
+            enc_cart(e, dims, periodic);
             e.u64(*result);
         }
         LoggedCall::CommGroup {
@@ -1028,12 +906,7 @@ fn enc_call<S: Sink>(e: &mut S, c: &LoggedCall, version: u32) {
         } => {
             e.u32(5);
             e.u64(*comm);
-            if version >= 2 {
-                e.seq(members.len());
-                for m in members {
-                    e.u32(*m);
-                }
-            }
+            enc_seq(e, members, |e, m| e.u32(*m));
             e.u64(*result);
         }
         LoggedCall::GroupIncl {
@@ -1043,10 +916,7 @@ fn enc_call<S: Sink>(e: &mut S, c: &LoggedCall, version: u32) {
         } => {
             e.u32(6);
             e.u64(*group);
-            e.seq(ranks.len());
-            for r in ranks {
-                e.u32(*r);
-            }
+            enc_seq(e, ranks, |e, r| e.u32(*r));
             e.u64(*result);
         }
         LoggedCall::GroupExcl {
@@ -1056,10 +926,7 @@ fn enc_call<S: Sink>(e: &mut S, c: &LoggedCall, version: u32) {
         } => {
             e.u32(7);
             e.u64(*group);
-            e.seq(ranks.len());
-            for r in ranks {
-                e.u32(*r);
-            }
+            enc_seq(e, ranks, |e, r| e.u32(*r));
             e.u64(*result);
         }
         LoggedCall::GroupFree { group } => {
@@ -1102,7 +969,7 @@ fn enc_call<S: Sink>(e: &mut S, c: &LoggedCall, version: u32) {
     }
 }
 
-fn dec_call<S: Src>(d: &mut S, version: u32) -> Result<LoggedCall, CodecError> {
+fn dec_call(d: &mut ScatterDec<'_>) -> Result<LoggedCall, CodecError> {
     Ok(match d.u32("call tag")? {
         0 => LoggedCall::CommDup {
             parent: d.u64("dup parent")?,
@@ -1128,15 +995,7 @@ fn dec_call<S: Src>(d: &mut S, version: u32) -> Result<LoggedCall, CodecError> {
         },
         4 => {
             let parent = d.u64("cart parent")?;
-            let n = d.seq("cart dims")?;
-            let mut dims = Vec::new();
-            for _ in 0..n {
-                dims.push(d.u32("cart dim")?);
-            }
-            let mut periodic = Vec::new();
-            for _ in 0..n {
-                periodic.push(d.boolean("cart periodic")?);
-            }
+            let (dims, periodic) = dec_cart(d)?;
             LoggedCall::CartCreate {
                 parent,
                 dims,
@@ -1144,44 +1003,21 @@ fn dec_call<S: Src>(d: &mut S, version: u32) -> Result<LoggedCall, CodecError> {
                 result: d.u64("cart result")?,
             }
         }
-        5 => {
-            let comm = d.u64("cg comm")?;
-            let mut members = Vec::new();
-            if version >= 2 {
-                for _ in 0..d.seq("cg members")? {
-                    members.push(d.u32("cg member")?);
-                }
-            }
-            LoggedCall::CommGroup {
-                comm,
-                members,
-                result: d.u64("cg result")?,
-            }
-        }
-        6 => {
-            let group = d.u64("gi group")?;
-            let mut ranks = Vec::new();
-            for _ in 0..d.seq("gi ranks")? {
-                ranks.push(d.u32("gi rank")?);
-            }
-            LoggedCall::GroupIncl {
-                group,
-                ranks,
-                result: d.u64("gi result")?,
-            }
-        }
-        7 => {
-            let group = d.u64("ge group")?;
-            let mut ranks = Vec::new();
-            for _ in 0..d.seq("ge ranks")? {
-                ranks.push(d.u32("ge rank")?);
-            }
-            LoggedCall::GroupExcl {
-                group,
-                ranks,
-                result: d.u64("ge result")?,
-            }
-        }
+        5 => LoggedCall::CommGroup {
+            comm: d.u64("cg comm")?,
+            members: dec_seq(d, "cg members", |d| d.u32("cg member"))?,
+            result: d.u64("cg result")?,
+        },
+        6 => LoggedCall::GroupIncl {
+            group: d.u64("gi group")?,
+            ranks: dec_seq(d, "gi ranks", |d| d.u32("gi rank"))?,
+            result: d.u64("gi result")?,
+        },
+        7 => LoggedCall::GroupExcl {
+            group: d.u64("ge group")?,
+            ranks: dec_seq(d, "ge ranks", |d| d.u32("ge rank"))?,
+            result: d.u64("ge result")?,
+        },
         8 => LoggedCall::GroupFree {
             group: d.u64("gf group")?,
         },
@@ -1216,13 +1052,35 @@ fn dec_call<S: Src>(d: &mut S, version: u32) -> Result<LoggedCall, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::restart::compact::derive_rebind;
     use mana_sim::memory::DenseSnap;
+
+    /// Decode flat bytes (the copy-fallback path).
+    fn decode(bytes: &[u8]) -> Result<CheckpointImage, CodecError> {
+        CheckpointImage::decode_shared(&ImageBytes::from_vec(bytes.to_vec())).map(|(img, _)| img)
+    }
 
     fn sample() -> CheckpointImage {
         let mut counters = PairCounters::default();
         counters.on_send(1);
         counters.on_send(1);
         counters.on_recv(2);
+        let log = vec![
+            LoggedCall::TypeBase {
+                base: BaseType::Double,
+                result: 0x3000_0000,
+            },
+            LoggedCall::CommDup {
+                parent: 0x1000_0000,
+                result: 0x1000_0001,
+            },
+            LoggedCall::CartCreate {
+                parent: 0x1000_0000,
+                dims: vec![4, 2],
+                periodic: vec![true, false],
+                result: 0x1000_0002,
+            },
+        ];
         CheckpointImage {
             rank: 3,
             nranks: 8,
@@ -1256,22 +1114,8 @@ mod tests {
             }],
             groups: vec![0x2000_0000],
             dtypes: vec![0x3000_0000, 0x3000_0001],
-            log: vec![
-                LoggedCall::TypeBase {
-                    base: BaseType::Double,
-                    result: 0x3000_0000,
-                },
-                LoggedCall::CommDup {
-                    parent: 0x1000_0000,
-                    result: 0x1000_0001,
-                },
-                LoggedCall::CartCreate {
-                    parent: 0x1000_0000,
-                    dims: vec![4, 2],
-                    periodic: vec![true, false],
-                    result: 0x1000_0002,
-                },
-            ],
+            rebind: derive_rebind(0x1000_0000, &log),
+            log,
             counters,
             buffered: vec![BufferedMsg {
                 comm_virt: 0x1000_0000,
@@ -1306,25 +1150,6 @@ mod tests {
             slot_seq: 3,
             slot_seq_at_step: 1,
             world_virt: 0x1000_0000,
-            rebind: derive_rebind(
-                0x1000_0000,
-                &[
-                    LoggedCall::TypeBase {
-                        base: BaseType::Double,
-                        result: 0x3000_0000,
-                    },
-                    LoggedCall::CommDup {
-                        parent: 0x1000_0000,
-                        result: 0x1000_0001,
-                    },
-                    LoggedCall::CartCreate {
-                        parent: 0x1000_0000,
-                        dims: vec![4, 2],
-                        periodic: vec![true, false],
-                        result: 0x1000_0002,
-                    },
-                ],
-            ),
             step_created: vec![0x1000_0001],
             dirty: vec![RegionDirty {
                 start: 0x1000,
@@ -1341,8 +1166,36 @@ mod tests {
     fn roundtrip() {
         let img = sample();
         let bytes = img.encode().to_vec();
-        let back = CheckpointImage::decode(&bytes).expect("decode");
-        assert_eq!(img, back);
+        assert_eq!(decode(&bytes).expect("decode"), img);
+        // The dense payload appears verbatim: the first region's 16
+        // content bytes follow its u64 length prefix.
+        let needle = [9u8; 16];
+        assert!(
+            bytes.windows(16).any(|w| w == needle),
+            "dense content not serialized contiguously"
+        );
+    }
+
+    #[test]
+    fn embedded_image_must_fill_its_length_prefix() {
+        let wire = sample().encode().to_vec();
+        let embed = |payload: &[u8]| {
+            let mut e = ScatterEnc::new();
+            e.bytes(payload);
+            e.u32(0xFEED); // the outer format's next field
+            e.finish()
+        };
+        let exact = embed(&wire);
+        let mut d = ScatterDec::new(&exact);
+        assert_eq!(decode_embedded(&mut d, "meta"), Ok(sample()));
+        assert_eq!(d.u32("next"), Ok(0xFEED));
+        // A prefix longer or shorter than the image is a typed error.
+        for payload in [[&wire[..], &[0]].concat(), wire[..wire.len() - 1].to_vec()] {
+            assert_eq!(
+                decode_embedded(&mut ScatterDec::new(&embed(&payload)), "meta"),
+                Err(CodecError::Truncated { what: "meta" })
+            );
+        }
     }
 
     #[test]
@@ -1393,81 +1246,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_images_still_decode() {
-        // A v1 encoding drops the v2 fields; decode derives the world id
-        // (smallest live comm) and the rebind map from the full log, and
-        // leaves the step ledger empty.
-        let mut img = sample();
-        img.step_created.clear(); // v1 cannot carry a mid-step ledger
-        let v1 = img.encode_with_version(1);
-        let back = CheckpointImage::decode(&v1).expect("v1 decode");
-        assert_eq!(back.world_virt, 0x1000_0000);
-        assert_eq!(back.rebind, img.rebind, "rebind re-derived from the log");
-        assert!(back.step_created.is_empty());
-        assert_eq!(back.regions, img.regions);
-        assert_eq!(back.comms, img.comms);
-        assert_eq!(back.counters, img.counters);
-        assert_eq!(back.log, img.log);
-        // And the v1 bytes are genuinely the old layout: smaller, version 1.
-        assert!(v1.len() < img.encode().len());
-        assert_eq!(&v1[8..12], &1u32.to_le_bytes());
-    }
-
-    #[test]
-    fn v1_drops_comm_group_members() {
-        let mut img = sample();
-        img.step_created.clear();
-        img.log.push(LoggedCall::CommGroup {
-            comm: 0x1000_0000,
-            members: vec![0, 1, 2],
-            result: 0x2000_0001,
-        });
-        img.rebind = derive_rebind(img.world_virt, &img.log);
-        let back = CheckpointImage::decode(&img.encode_with_version(1)).expect("v1 decode");
-        match back.log.last().expect("log entry") {
-            LoggedCall::CommGroup { members, .. } => {
-                assert!(members.is_empty(), "v1 cannot carry group membership")
-            }
-            other => panic!("unexpected entry {other:?}"),
-        }
-        // v2 keeps them.
-        let back2 = CheckpointImage::decode(&img.encode().to_vec()).expect("v2 decode");
-        assert_eq!(back2.log, img.log);
-    }
-
-    #[test]
-    fn v2_images_drop_dirty_summaries() {
-        let img = sample();
-        let v2 = img.encode_with_version(2);
-        assert_eq!(&v2[8..12], &2u32.to_le_bytes());
-        let back = CheckpointImage::decode(&v2).expect("v2 decode");
-        assert!(back.dirty.is_empty(), "v2 cannot carry dirty summaries");
-        assert_eq!(back.regions, img.regions);
-        assert_eq!(back.rebind, img.rebind);
-        assert_eq!(back.step_created, img.step_created);
-        // v3 keeps them.
-        let back3 = CheckpointImage::decode(&img.encode().to_vec()).expect("v3 decode");
-        assert_eq!(back3.dirty, img.dirty);
-    }
-
-    #[test]
-    fn encoded_len_is_exact_for_every_version() {
-        let img = sample();
-        for v in MIN_VERSION..=VERSION {
-            let bytes = img.encode_with_version(v);
-            assert_eq!(bytes.len(), img.encoded_len(v), "version {v}");
-        }
-        // And the dense payload appears verbatim where it always did: the
-        // first region's 16 content bytes follow its u64 length prefix.
-        let bytes = img.encode().to_vec();
-        let needle = [9u8; 16];
-        assert!(
-            bytes.windows(16).any(|w| w == needle),
-            "dense content not serialized contiguously"
-        );
-    }
-
-    #[test]
     fn sizes() {
         let img = sample();
         assert_eq!(img.logical_bytes(), 16 + (1 << 20) + 4096);
@@ -1481,28 +1259,37 @@ mod tests {
     fn bad_magic_rejected() {
         let mut bytes = sample().encode().to_vec();
         bytes[0] ^= 0xFF;
-        assert!(matches!(
-            CheckpointImage::decode(&bytes),
-            Err(CodecError::BadMagic(_))
-        ));
+        assert!(matches!(decode(&bytes), Err(CodecError::BadMagic(_))));
     }
 
     #[test]
     fn bad_version_rejected() {
         let mut bytes = sample().encode().to_vec();
-        // The version field sits right after the 8-byte magic.
-        bytes[8] = 0xEE;
-        assert!(matches!(
-            CheckpointImage::decode(&bytes),
-            Err(CodecError::BadVersion(_))
-        ));
+        // The version field sits right after the 8-byte magic; every
+        // version but the current one is refused, older ones included.
+        for v in [0, 1, 2, VERSION + 1, 0xEE] {
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(v));
+            assert_eq!(decode(&bytes), Err(CodecError::BadVersion(v)));
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_name_is_its_own_error() {
+        let mut bytes = sample().encode().to_vec();
+        // app_name's first byte follows magic(8) + version(4) + rank(4) +
+        // nranks(4) + ckpt_id(8) + its length prefix(8).
+        bytes[36] = 0xFF;
+        assert_eq!(
+            decode(&bytes),
+            Err(CodecError::BadUtf8 { what: "app_name" })
+        );
     }
 
     #[test]
     fn corrupted_enum_tags_rejected() {
         let img = sample();
         let bytes = img.encode().to_vec();
-        let good = CheckpointImage::decode(&bytes).expect("sane sample");
+        let good = decode(&bytes).expect("sane sample");
         assert_eq!(img, good);
         // The first region's content tag follows magic(8) + version(4) +
         // rank(4) + nranks(4) + ckpt_id(8) + app_name(8+7) + seed(8) +
@@ -1514,7 +1301,7 @@ mod tests {
         bad[off..off + 4].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
         assert!(
             matches!(
-                CheckpointImage::decode(&bad),
+                decode(&bad),
                 Err(CodecError::BadTag {
                     what: "region content",
                     ..
@@ -1530,10 +1317,7 @@ mod tests {
         // panic, never a silent partial decode.
         let bytes = sample().encode().to_vec();
         for cut in 0..bytes.len() {
-            assert!(
-                CheckpointImage::decode(&bytes[..cut]).is_err(),
-                "cut at {cut} accepted"
-            );
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
     }
 
@@ -1557,7 +1341,7 @@ mod tests {
             dirty: Vec::new(),
             ..sample()
         };
-        let back = CheckpointImage::decode(&img.encode().to_vec()).expect("decode");
+        let back = decode(&img.encode().to_vec()).expect("decode");
         assert_eq!(img, back);
         assert_eq!(back.dense_bytes(), 0);
         assert_eq!(back.logical_bytes(), 4096);

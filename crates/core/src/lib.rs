@@ -17,8 +17,8 @@
 //!   topology-generic; delivery is pluggable between the DMTCP-style flat
 //!   star and a per-node tree with in-tree aggregation (the §3.4 scaling
 //!   fix);
-//! * **checkpoint images** ([`image`], [`codec`]): versioned binary format
-//!   holding everything a restart needs;
+//! * **checkpoint images** ([`image`], [`codec`]): one binary format, one
+//!   scatter encoder and one decoder, holding everything a restart needs;
 //! * **checkpoint storage** ([`store`]): pluggable [`CheckpointStore`]
 //!   backends (parallel filesystem, in-memory);
 //! * **fault injection** ([`chaos`]): a config-embedded chaos seam polled

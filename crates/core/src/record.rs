@@ -74,13 +74,11 @@ pub enum LoggedCall {
     /// time so replay can rebuild the group *locally* — from the world
     /// group — without needing `comm` to still be bound. This is what lets
     /// the compactor elide a dead communicator whose group outlived it
-    /// without breaking cross-rank replay consistency. Empty `members`
-    /// marks an entry decoded from a v1 image; replay falls back to
-    /// deriving the group from `comm` and backfills the members.
+    /// without breaking cross-rank replay consistency.
     CommGroup {
         /// Source communicator (virtual).
         comm: u64,
-        /// Group contents as global job ranks (empty for legacy entries).
+        /// Group contents as global job ranks.
         members: Vec<u32>,
         /// Resulting group (virtual).
         result: u64,

@@ -138,21 +138,14 @@ fn inputs(c: &LoggedCall) -> Vec<u64> {
         | LoggedCall::CommSplit { parent, .. }
         | LoggedCall::CartCreate { parent, .. } => vec![*parent],
         LoggedCall::CommCreate { parent, group, .. } => vec![*parent, *group],
-        // Group contents were recorded, so replay rebuilds the group from
-        // the world group — no dependency on the source communicator. A
-        // legacy (v1-image) entry with no recorded members still needs it.
-        LoggedCall::CommGroup { comm, members, .. } => {
-            if members.is_empty() {
-                vec![*comm]
-            } else {
-                Vec::new()
-            }
-        }
         LoggedCall::GroupIncl { group, .. } | LoggedCall::GroupExcl { group, .. } => vec![*group],
         LoggedCall::TypeContiguous { inner, .. } | LoggedCall::TypeVector { inner, .. } => {
             vec![*inner]
         }
-        LoggedCall::TypeBase { .. }
+        // Group contents were recorded, so replay rebuilds the group from
+        // the world group — no dependency on the source communicator.
+        LoggedCall::CommGroup { .. }
+        | LoggedCall::TypeBase { .. }
         | LoggedCall::CommFree { .. }
         | LoggedCall::GroupFree { .. }
         | LoggedCall::TypeFree { .. } => Vec::new(),
@@ -294,8 +287,7 @@ impl LogCompactor {
 }
 
 /// Derive the rebind map for a log as stored: world plus one entry per
-/// created virtual id, pointing at its creating index. Also used to
-/// reconstruct the map when decoding v1 images (which predate it).
+/// created virtual id, pointing at its creating index.
 pub fn derive_rebind(world_virt: u64, entries: &[LoggedCall]) -> Vec<RebindEntry> {
     let mut map: HashMap<u64, u32> = HashMap::new();
     for (i, e) in entries.iter().enumerate() {
@@ -438,27 +430,18 @@ mod tests {
         let a = 0x1000_0001;
         let keep = 0x1000_0002;
         let g = 0x2000_0000;
-        let cg = |members: Vec<u32>| LoggedCall::CommGroup {
+        let cg = LoggedCall::CommGroup {
             comm: a,
-            members,
+            members: vec![0, 1, 2],
             result: g,
         };
-        let log = vec![dup(WORLD, a), cg(vec![0, 1, 2]), free(a), dup(WORLD, keep)];
+        let log = vec![dup(WORLD, a), cg.clone(), free(a), dup(WORLD, keep)];
         let c = LogCompactor::compact(
             WORLD,
             &log,
             &LiveSet::new([WORLD, keep], [g], std::iter::empty()),
         );
-        assert_eq!(c.entries, vec![cg(vec![0, 1, 2]), dup(WORLD, keep)]);
-
-        // A legacy entry (no members) conservatively pins the comm.
-        let legacy = vec![dup(WORLD, a), cg(Vec::new()), free(a), dup(WORLD, keep)];
-        let c = LogCompactor::compact(
-            WORLD,
-            &legacy,
-            &LiveSet::new([WORLD, keep], [g], std::iter::empty()),
-        );
-        assert_eq!(c.entries, legacy);
+        assert_eq!(c.entries, vec![cg, dup(WORLD, keep)]);
     }
 
     #[test]

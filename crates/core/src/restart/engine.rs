@@ -560,8 +560,7 @@ fn replay_verified(
 ) -> Result<u64, RestartError> {
     let virt = &sh.virt;
     let expect: HashMap<u64, BindSource> = img.rebind.iter().map(|r| (r.virt, r.source)).collect();
-    // The world communicator binds first, from the explicit id the image
-    // carries (v1 images derive it at decode time).
+    // The world communicator binds first, from the image's explicit id.
     virt.comm.bind(img.world_virt, lower.comm_world().0);
 
     // Look up an input binding, or report which entry referenced what.
@@ -599,7 +598,6 @@ fn replay_verified(
         }
     };
 
-    let mut backfilled: Option<Vec<LoggedCall>> = None;
     for (idx, entry) in entries.iter().enumerate() {
         match entry {
             LoggedCall::CommDup { parent, result } => {
@@ -662,33 +660,15 @@ fn replay_verified(
                 virt.comm.bind(*result, nr.0);
             }
             LoggedCall::CommGroup {
-                comm,
-                members,
-                result,
+                members, result, ..
             } => {
-                let rg = if members.is_empty() {
-                    // Legacy (v1-image) entry: derive from the source
-                    // communicator and backfill the members so the next
-                    // checkpoint's compactor sees a local entry.
-                    let rg = lower.comm_group(CommHandle(input("comm", &virt.comm, *comm, idx)?));
-                    let got = lower.group_members(rg);
-                    backfilled.get_or_insert_with(|| entries.to_vec())[idx] =
-                        LoggedCall::CommGroup {
-                            comm: *comm,
-                            members: got,
-                            result: *result,
-                        };
-                    rg
-                } else {
-                    // Groups replay locally: rebuild from the recorded
-                    // membership against the world group (global ranks are
-                    // world-local ranks), so the source communicator need
-                    // not be bound — the compactor relies on this.
-                    let wg = lower.comm_group(lower.comm_world());
-                    let rg = lower.group_incl(wg, members);
-                    lower.group_free(wg);
-                    rg
-                };
+                // Groups replay locally: rebuild from the recorded
+                // membership against the world group (global ranks are
+                // world-local ranks), so the source communicator need not
+                // be bound — the compactor relies on this.
+                let wg = lower.comm_group(lower.comm_world());
+                let rg = lower.group_incl(wg, members);
+                lower.group_free(wg);
                 verify_bind(*result, idx)?;
                 virt.group.bind(*result, rg.0);
                 sh.groups.lock().insert(*result, lower.group_members(rg));
@@ -756,9 +736,6 @@ fn replay_verified(
                 sh.dtype_base_cache.lock().retain(|_, v| *v != *dtype);
             }
         }
-    }
-    if let Some(corrected) = backfilled {
-        sh.log.load(corrected);
     }
     Ok(entries.len() as u64)
 }

@@ -38,14 +38,17 @@
 //!
 //! Non-image objects pass through unmodified.
 
-use mana_core::codec::{CodecError, Dec, Enc};
+use mana_core::codec::{CodecError, ScatterDec, ScatterEnc};
 use mana_core::config::parse_image_path;
 use mana_core::error::StoreError;
-use mana_core::image::{decode_region, encode_region, CheckpointImage, ImageBytes};
+use mana_core::image::{
+    decode_embedded, decode_region, encode_region, CheckpointImage, ImageBytes,
+};
 use mana_core::store::CheckpointStore;
 use mana_sim::checksum::checksum_bytes_seeded;
 use mana_sim::fs::IoShape;
 use mana_sim::memory::{DenseSnap, RegionSnapshot, SnapshotContent};
+use mana_sim::scatter::ScatterBuf;
 use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
@@ -57,7 +60,8 @@ use std::sync::Arc;
 pub const CAS_MAGIC: u64 = 0x3153_4143_414e_414d;
 /// Current manifest-format version. Version 2 changed what a page key
 /// holds (two seeded digests, see `PageKey`); a manifest only resolves
-/// against the in-process pool that wrote it, so there is no v1 reader.
+/// against the in-process pool that wrote it, so no older version has a
+/// reader.
 pub const CAS_VERSION: u32 = 2;
 
 /// Content-addressed-store parameters.
@@ -284,8 +288,8 @@ enum ManifestRegion {
     },
 }
 
-fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut e = Enc::new();
+fn encode_manifest(m: &Manifest) -> ScatterBuf {
+    let mut e = ScatterEnc::new();
     e.u64(CAS_MAGIC);
     e.u32(CAS_VERSION);
     e.bytes(&m.meta.encode().into_vec());
@@ -315,8 +319,8 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
     e.finish()
 }
 
-fn decode_manifest(data: &[u8]) -> Result<Manifest, CodecError> {
-    let mut d = Dec::new(data);
+fn decode_manifest(data: &ImageBytes) -> Result<Manifest, CodecError> {
+    let mut d = ScatterDec::new(data.scatter());
     let magic = d.u64("cas magic")?;
     if magic != CAS_MAGIC {
         return Err(CodecError::BadMagic(magic));
@@ -325,7 +329,7 @@ fn decode_manifest(data: &[u8]) -> Result<Manifest, CodecError> {
     if version != CAS_VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let meta = CheckpointImage::decode(&d.bytes("cas meta image")?)?;
+    let meta = decode_embedded(&mut d, "cas meta image")?;
     let mut regions = Vec::new();
     for _ in 0..d.seq("cas regions")? {
         regions.push(match d.u32("cas region tag")? {
@@ -514,7 +518,7 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         if !is_manifest(&data) {
             return Ok((data, dur));
         }
-        let m = decode_manifest(&data.to_vec()).map_err(|e| StoreError::Corrupt {
+        let m = decode_manifest(&data).map_err(|e| StoreError::Corrupt {
             path: path.to_string(),
             why: e.to_string(),
         })?;

@@ -10,10 +10,10 @@
 //! written.
 //!
 //! The put path is *dirty-aware*: when the object is a rank image
-//! carrying format-v3 dirty summaries, compress CPU is charged only for
-//! the pages the summaries mark dirty (plus everything not covered by a
-//! summary) — modeling an incremental compressor that reuses the
-//! previous generation's compressed form for unchanged pages. The
+//! carrying dirty summaries, compress CPU is charged only for the pages
+//! the summaries mark dirty (plus everything not covered by a summary) —
+//! modeling an incremental compressor that reuses the previous
+//! generation's compressed form for unchanged pages. The
 //! charged write volume is unchanged (every page is still stored).
 
 use mana_core::error::StoreError;
@@ -42,9 +42,9 @@ pub struct CompressionConfig {
     /// Seed decorrelating this store's ratio draws from other stores.
     pub seed: u64,
     /// Charge compress CPU only for dirty bytes when the incoming object
-    /// is a rank image with format-v3 dirty summaries (see the module
-    /// docs). On by default; switch off to model a stateless compressor
-    /// that re-compresses every byte each generation.
+    /// is a rank image with dirty summaries (see the module docs). On by
+    /// default; switch off to model a stateless compressor that
+    /// re-compresses every byte each generation.
     pub dirty_aware: bool,
 }
 

@@ -19,14 +19,17 @@
 //!
 //! Non-image objects pass through unmodified.
 
-use mana_core::codec::{CodecError, Dec, Enc};
+use mana_core::codec::{CodecError, ScatterDec, ScatterEnc};
 use mana_core::config::parse_image_path;
 use mana_core::error::StoreError;
-use mana_core::image::{decode_region, encode_region, CheckpointImage, ImageBytes};
+use mana_core::image::{
+    decode_embedded, decode_region, encode_region, CheckpointImage, ImageBytes,
+};
 use mana_core::store::CheckpointStore;
 use mana_sim::checksum::checksum_bytes;
 use mana_sim::fs::IoShape;
 use mana_sim::memory::{Half, RegionDirty, RegionKind, RegionSnapshot, SnapshotContent, PAGE};
+use mana_sim::scatter::ScatterBuf;
 use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -97,8 +100,8 @@ struct DeltaBlob {
     meta: CheckpointImage,
 }
 
-fn encode_delta(blob: &DeltaBlob) -> Vec<u8> {
-    let mut e = Enc::new();
+fn encode_delta(blob: &DeltaBlob) -> ScatterBuf {
+    let mut e = ScatterEnc::new();
     e.u64(DELTA_MAGIC);
     e.u32(DELTA_VERSION);
     e.string(&blob.base_path);
@@ -128,8 +131,8 @@ fn encode_delta(blob: &DeltaBlob) -> Vec<u8> {
     e.finish()
 }
 
-fn decode_delta(data: &[u8]) -> Result<DeltaBlob, CodecError> {
-    let mut d = Dec::new(data);
+fn decode_delta(data: &ImageBytes) -> Result<DeltaBlob, CodecError> {
+    let mut d = ScatterDec::new(data.scatter());
     let magic = d.u64("delta magic")?;
     if magic != DELTA_MAGIC {
         return Err(CodecError::BadMagic(magic));
@@ -157,7 +160,7 @@ fn decode_delta(data: &[u8]) -> Result<DeltaBlob, CodecError> {
             tag => return Err(CodecError::BadTag { what: "delta", tag }),
         });
     }
-    let meta = CheckpointImage::decode(&d.bytes("delta meta image")?)?;
+    let meta = decode_embedded(&mut d, "delta meta image")?;
     Ok(DeltaBlob {
         base_path,
         deltas,
@@ -523,7 +526,7 @@ impl<S: CheckpointStore> DeltaStore<S> {
         let mut visited: std::collections::HashSet<String> = std::collections::HashSet::new();
         visited.insert(path.to_string());
         let mut cur_path = path.to_string();
-        let mut cur_blob = decode_delta(&data.to_vec()).map_err(|e| StoreError::Corrupt {
+        let mut cur_blob = decode_delta(&data).map_err(|e| StoreError::Corrupt {
             path: path.to_string(),
             why: e.to_string(),
         })?;
@@ -539,7 +542,7 @@ impl<S: CheckpointStore> DeltaStore<S> {
             let (bdata, bdur) = self.inner.get(&base_path, rank, shape)?;
             total += bdur;
             if is_delta(&bdata) {
-                cur_blob = decode_delta(&bdata.to_vec()).map_err(|e| StoreError::Corrupt {
+                cur_blob = decode_delta(&bdata).map_err(|e| StoreError::Corrupt {
                     path: base_path.clone(),
                     why: e.to_string(),
                 })?;

@@ -248,13 +248,13 @@ proptest! {
                     prop_assert_eq!(&tracked.regions, &full, "step {}", step);
 
                     // 2. Byte-identical encoded images.
-                    let enc_tracked = image_around(tracked.regions.clone()).encode().into_vec();
-                    let enc_full = image_around(full).encode().into_vec();
+                    let enc_tracked = image_around(tracked.regions.clone()).encode();
+                    let enc_full = image_around(full).encode();
                     prop_assert_eq!(&enc_tracked, &enc_full, "encoding diverged at step {}", step);
 
                     // 3. Decode → restore → checksum round-trip matches the
                     //    live space exactly.
-                    let img = CheckpointImage::decode(&enc_tracked).expect("decode");
+                    let (img, _) = CheckpointImage::decode_shared(&enc_tracked).expect("decode");
                     let b = AddressSpace::new();
                     for r in &img.regions {
                         b.restore_region(r).unwrap();

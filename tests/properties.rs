@@ -4,7 +4,7 @@
 //! round-trips, memory snapshot/restore fidelity, and dims_create.
 
 use mana::core::buffer::{BufferedMsg, DrainBuffer, PairCounters};
-use mana::core::image::{CheckpointImage, PendingColl, PendingKind, VirtCommEntry};
+use mana::core::image::{CheckpointImage, ImageBytes, PendingColl, PendingKind, VirtCommEntry};
 use mana::core::record::LoggedCall;
 use mana::core::shared::SlotState;
 use mana::core::store::InMemStore;
@@ -178,8 +178,7 @@ proptest! {
 
     #[test]
     fn image_codec_roundtrip(img in arb_image()) {
-        let bytes = img.encode().into_vec();
-        let back = CheckpointImage::decode(&bytes).expect("decode");
+        let (back, _) = CheckpointImage::decode_shared(&img.encode()).expect("decode");
         prop_assert_eq!(img, back);
     }
 
@@ -193,7 +192,7 @@ proptest! {
             bytes.truncate(c);
         }
         // Must return Ok or Err — never panic, never hang.
-        let _ = CheckpointImage::decode(&bytes);
+        let _ = CheckpointImage::decode_shared(&ImageBytes::from_vec(bytes));
     }
 
     #[test]
@@ -343,39 +342,29 @@ proptest! {
         prop_assert_eq!(pattern_checksum(seed1, len), pattern_checksum(seed1, len));
     }
 
-    // The zero-copy scatter encoding (shared rope pages, small owned
-    // metadata runs) concatenates to exactly the bytes the historical
-    // flat encoder produces — for every supported format version.
+    // The scatter encoding carries every dense byte in a shared rope page
+    // (no copy), writes the same bytes with or without the decoded
+    // attachment, and decodes back to the image from a flat copy too.
     #[test]
-    fn scatter_encode_is_wire_identical(
-        img in arb_image(),
-        version in mana::core::image::MIN_VERSION..mana::core::image::VERSION + 1,
-    ) {
-        let flat = img.encode_with_version(version);
-        let scatter = img.encode_scatter_with_version(version);
-        prop_assert_eq!(scatter.len(), flat.len());
-        prop_assert_eq!(scatter.to_vec(), flat.clone());
-        // The default/current-version paths (with and without the decoded
-        // attachment) agree with the flat current-version encoding too.
-        let current = img.encode_with_version(mana::core::image::VERSION);
-        prop_assert_eq!(img.encode().to_vec(), current.clone());
+    fn scatter_encode_is_wire_identical(img in arb_image()) {
+        let scatter = img.encode();
+        prop_assert_eq!(scatter.scatter().shared_len() as u64, img.dense_bytes());
+        let flat = scatter.to_vec();
         let shared = CheckpointImage::encode_shared(&std::sync::Arc::new(img.clone()));
         prop_assert!(shared.image().is_some());
-        prop_assert_eq!(shared.to_vec(), current);
+        prop_assert_eq!(shared.to_vec(), flat.clone());
+        let (back, _) = CheckpointImage::decode_shared(&ImageBytes::from_vec(flat))
+            .expect("flat decode");
+        prop_assert_eq!(back, img);
     }
 
-    // The read twin of `scatter_encode_is_wire_identical`: for every
-    // supported image version and every store stack, `decode_shared` of
-    // the get-returned scatter agrees exactly with the flat decode of the
-    // same bytes — same image, same re-encoding — and the streaming
-    // scatter checksum equals the flat digest the restart verifier
-    // records.
+    // The read twin of `scatter_encode_is_wire_identical`: for every store
+    // stack, `decode_shared` of the get-returned scatter agrees exactly
+    // with the copy-fallback decode of the same bytes flattened, both give
+    // back the image that was put, and the streaming scatter checksum
+    // equals the flat digest the restart verifier records.
     #[test]
-    fn scatter_decode_is_wire_identical(
-        img in arb_image(),
-        version in mana::core::image::MIN_VERSION..mana::core::image::VERSION + 1,
-        stack in 0usize..6,
-    ) {
+    fn scatter_decode_is_wire_identical(img in arb_image(), stack in 0usize..6) {
         use mana::sim::checksum::checksum_bytes;
         use mana::sim::fs::{FsConfig, IoShape};
         use mana::store::{
@@ -394,19 +383,17 @@ proptest! {
             _ => Box::new(JournaledStore::new(InMemStore::new())),
         };
         let shape = IoShape { writers_on_node: 1, total_writers: 1 };
-        let wire = img.encode_with_version(version);
+        let wire = img.encode();
         let path = "prop/ckpt_1/rank_0.mana";
-        store.put(path, wire.clone().into(), wire.len() as u64, 0, shape);
+        let len = wire.len() as u64;
+        store.put(path, wire, len, 0, shape);
         let (got, _) = store.get(path, 0, shape).expect("get back");
         let flat = got.to_vec();
         let (shared_img, _) = CheckpointImage::decode_shared(&got).expect("shared decode");
-        let flat_img = CheckpointImage::decode(&flat).expect("flat decode");
-        prop_assert_eq!(&shared_img, &flat_img, "shared vs flat decode diverged");
-        prop_assert_eq!(
-            shared_img.encode().to_vec(),
-            flat_img.encode().to_vec(),
-            "re-encoding diverged"
-        );
+        let (flat_img, _) = CheckpointImage::decode_shared(&ImageBytes::from_vec(flat.clone()))
+            .expect("flat decode");
+        prop_assert_eq!(&shared_img, &flat_img, "shared vs copy-fallback decode diverged");
+        prop_assert_eq!(&shared_img, &img);
         prop_assert_eq!(
             got.scatter().checksum(),
             checksum_bytes(&flat),

@@ -1,9 +1,11 @@
 //! End-to-end coverage of the staged restart pipeline: per-stage
 //! reporting, record-log compaction on a churning app, typed replay
-//! divergence (no panics), and backward decode of v1 images.
+//! divergence (no panics), and typed refusal of images at another format
+//! version.
 
 use mana::apps::CommChurn;
-use mana::core::image::CheckpointImage;
+use mana::core::codec::CodecError;
+use mana::core::image::{CheckpointImage, ImageBytes};
 use mana::core::{
     Incarnation, JobBuilder, ManaSession, RestartError, RestartStage, SessionError, Workload,
 };
@@ -34,23 +36,20 @@ fn job() -> JobBuilder {
         .seed(11)
 }
 
-/// Run the app clean, then checkpoint-and-kill mid-run at `frac` of the
-/// application window.
+/// Run the app clean, then checkpoint at each of `fracs` of the
+/// application window and kill the job after the last one.
 fn clean_and_killed(
     session: &ManaSession,
     app: &Arc<dyn Workload>,
-    frac: f64,
-    compact: bool,
+    fracs: &[f64],
 ) -> (Incarnation, Incarnation) {
-    let clean = session
-        .run(job().compact_log(compact), app.clone())
-        .unwrap();
+    let clean = session.run(job(), app.clone()).unwrap();
     let wall = clean.outcome().wall.as_nanos();
     let aw = clean.outcome().app_wall.as_nanos();
-    let at = SimTime(wall - aw + (aw as f64 * frac) as u64);
+    let at = |frac: &f64| SimTime(wall - aw + (aw as f64 * frac) as u64);
     let killed = session
         .run(
-            job().compact_log(compact).checkpoint_at(at).then_kill(),
+            job().checkpoint_times(fracs.iter().map(at)).then_kill(),
             app.clone(),
         )
         .unwrap();
@@ -58,12 +57,46 @@ fn clean_and_killed(
     (clean, killed)
 }
 
+/// Rewrite the wire bytes of `rank`'s image of checkpoint `ckpt_id`.
+fn rewrite(
+    session: &ManaSession,
+    killed: &Incarnation,
+    ckpt_id: u64,
+    rank: u32,
+    f: impl FnOnce(&mut Vec<u8>),
+) {
+    let store = session.store();
+    let path = killed.spec().cfg.image_path(ckpt_id, rank);
+    let (bytes, _) = store.get(&path, u64::from(rank), SHAPE).unwrap();
+    let mut bytes = bytes.to_vec();
+    f(&mut bytes);
+    let len = bytes.len() as u64;
+    store.remove(&path);
+    store.put(&path, bytes.into(), len, u64::from(rank), SHAPE);
+}
+
+/// Edit `rank`'s image of the newest checkpoint, decoded.
+fn tamper(
+    session: &ManaSession,
+    killed: &Incarnation,
+    rank: u32,
+    f: impl FnOnce(&mut CheckpointImage),
+) {
+    let newest = killed.latest_checkpoint().expect("ckpt id");
+    rewrite(session, killed, newest, rank, |bytes| {
+        let flat = ImageBytes::from_vec(std::mem::take(bytes));
+        let mut img = CheckpointImage::decode_shared(&flat).unwrap().0;
+        f(&mut img);
+        *bytes = img.encode().into_vec();
+    });
+}
+
 #[test]
 fn staged_restart_reports_every_stage_and_compacts_the_log() {
     // Lustre-like FsStore so the image-read stage has a nonzero duration.
     let session = ManaSession::new();
     let app = churn_app();
-    let (clean, killed) = clean_and_killed(&session, &app, 0.85, true);
+    let (clean, killed) = clean_and_killed(&session, &app, &[0.85]);
 
     let ckpt = killed.ckpts().pop().expect("one checkpoint");
     for r in &ckpt.ranks {
@@ -120,19 +153,10 @@ fn restart_surfaces_the_lowest_failing_rank() {
     let session = ManaSession::builder()
         .store(mana::core::InMemStore::new())
         .build();
-    let app = churn_app();
-    let (_, killed) = clean_and_killed(&session, &app, 0.6, true);
+    let (_, killed) = clean_and_killed(&session, &churn_app(), &[0.6]);
     let ckpt_id = killed.latest_checkpoint().expect("ckpt id");
-    let spec = killed.spec();
-    let store = session.store();
     for rank in [1u32, 3] {
-        let path = spec.cfg.image_path(ckpt_id, rank);
-        let (bytes, _) = store.get(&path, u64::from(rank), SHAPE).unwrap();
-        let mut bad = bytes.to_vec();
-        bad[0] ^= 0xFF; // break the magic
-        let len = bad.len() as u64;
-        store.remove(&path);
-        store.put(&path, bad.into(), len, u64::from(rank), SHAPE);
+        rewrite(&session, &killed, ckpt_id, rank, |bad| bad[0] ^= 0xFF); // break the magic
     }
     match killed.restart_on(JobBuilder::new()) {
         Err(SessionError::Restart(RestartError::CorruptImage { rank, .. })) => {
@@ -150,25 +174,17 @@ fn replay_divergence_is_a_typed_error_not_a_panic() {
     let session = ManaSession::builder()
         .store(mana::core::InMemStore::new())
         .build();
-    let app = churn_app();
-    let (_, killed) = clean_and_killed(&session, &app, 0.6, true);
-    let ckpt_id = killed.latest_checkpoint().expect("ckpt id");
-    let spec = killed.spec();
-    let store = session.store();
+    let (_, killed) = clean_and_killed(&session, &churn_app(), &[0.6]);
 
     // Tamper rank 0's image: append a free of a virtual id nothing ever
     // created. Replay must surface a typed divergence for rank 0 at that
     // entry — and tear the whole restart down cleanly.
-    let path = spec.cfg.image_path(ckpt_id, 0);
-    let (bytes, _) = store.get(&path, 0, SHAPE).unwrap();
-    let mut img = CheckpointImage::decode_shared(&bytes).unwrap().0;
-    let tampered_index = img.log.len();
-    img.log
-        .push(mana::core::record::LoggedCall::CommFree { comm: 0xDEAD_BEEF });
-    let encoded = img.encode().into_vec();
-    let logical = encoded.len() as u64;
-    store.remove(&path);
-    store.put(&path, encoded.into(), logical, 0, SHAPE);
+    let mut tampered_index = 0;
+    tamper(&session, &killed, 0, |img| {
+        tampered_index = img.log.len();
+        img.log
+            .push(mana::core::record::LoggedCall::CommFree { comm: 0xDEAD_BEEF });
+    });
 
     match killed.restart_on(JobBuilder::new()) {
         Err(SessionError::Restart(RestartError::ReplayDivergence {
@@ -193,22 +209,11 @@ fn unbound_live_virtual_is_detected() {
     let session = ManaSession::builder()
         .store(mana::core::InMemStore::new())
         .build();
-    let app = churn_app();
-    let (_, killed) = clean_and_killed(&session, &app, 0.6, true);
-    let ckpt_id = killed.latest_checkpoint().expect("ckpt id");
-    let spec = killed.spec();
-    let store = session.store();
+    let (_, killed) = clean_and_killed(&session, &churn_app(), &[0.6]);
 
     // Claim a live datatype the (compacted) log never recreates: replay
     // finishes, but the rebind verification must flag the unbound id.
-    let path = spec.cfg.image_path(ckpt_id, 0);
-    let (bytes, _) = store.get(&path, 0, SHAPE).unwrap();
-    let mut img = CheckpointImage::decode_shared(&bytes).unwrap().0;
-    img.dtypes.push(0x3000_7777);
-    let encoded = img.encode().into_vec();
-    let logical = encoded.len() as u64;
-    store.remove(&path);
-    store.put(&path, encoded.into(), logical, 0, SHAPE);
+    tamper(&session, &killed, 0, |img| img.dtypes.push(0x3000_7777));
 
     match killed.restart_on(JobBuilder::new()) {
         Err(SessionError::Restart(RestartError::UnboundVirtual { rank, virt, .. })) => {
@@ -230,24 +235,14 @@ fn inconsistent_image_contents_are_typed_errors() {
     let session = ManaSession::builder()
         .store(mana::core::InMemStore::new())
         .build();
-    let app = churn_app();
-    let (_, killed) = clean_and_killed(&session, &app, 0.6, true);
-    let ckpt_id = killed.latest_checkpoint().expect("ckpt id");
-    let spec = killed.spec();
-    let store = session.store();
-
-    let path = spec.cfg.image_path(ckpt_id, 1);
-    let (bytes, _) = store.get(&path, 1, SHAPE).unwrap();
-    let mut img = CheckpointImage::decode_shared(&bytes).unwrap().0;
-    img.pending.push(mana::core::image::PendingColl {
-        vreq: 0x4000_0099,
-        comm_virt: 0x1000_9999,
-        kind: mana::core::image::PendingKind::Ibarrier,
+    let (_, killed) = clean_and_killed(&session, &churn_app(), &[0.6]);
+    tamper(&session, &killed, 1, |img| {
+        img.pending.push(mana::core::image::PendingColl {
+            vreq: 0x4000_0099,
+            comm_virt: 0x1000_9999,
+            kind: mana::core::image::PendingKind::Ibarrier,
+        })
     });
-    let encoded = img.encode().into_vec();
-    let logical = encoded.len() as u64;
-    store.remove(&path);
-    store.put(&path, encoded.into(), logical, 1, SHAPE);
 
     match killed.restart_on(JobBuilder::new()) {
         Err(SessionError::Restart(RestartError::MalformedImage { rank, why })) => {
@@ -262,44 +257,38 @@ fn inconsistent_image_contents_are_typed_errors() {
 }
 
 #[test]
-fn v1_images_restart_through_the_new_pipeline() {
-    // A checkpoint written in the old format (full log, no rebind map, no
-    // world id, no CommGroup membership) must still restart — the decoder
-    // derives what v1 lacks. Use a mid-compute checkpoint so the
-    // interrupted step has no mid-step creations (v1 cannot carry the
-    // handle ledger).
+fn old_format_images_fail_typed_and_fall_back() {
+    // An image at an older format version has no reader: restarting from
+    // it is a typed CorruptImage naming the version, and recovery falls
+    // back to the older intact checkpoint.
     let session = ManaSession::builder()
         .store(mana::core::InMemStore::new())
         .build();
-    let app: Arc<dyn Workload> = Arc::new(CommChurn {
-        steps: 4,
-        churn: 4,
-        ..CommChurn::default()
-    });
-    // Land just inside a step's long compute op (frac chosen within the
-    // first op of a step).
-    let (clean, killed) = clean_and_killed(&session, &app, 0.52, false);
-    let ckpt_id = killed.latest_checkpoint().expect("ckpt id");
-    let spec = killed.spec();
-    let store = session.store();
-    for rank in 0..spec.nranks {
-        let path = spec.cfg.image_path(ckpt_id, rank);
-        let (bytes, _) = store.get(&path, u64::from(rank), SHAPE).unwrap();
-        let img = CheckpointImage::decode_shared(&bytes).unwrap().0;
-        assert!(
-            img.step_created.is_empty(),
-            "rank {rank}: pick a frac that lands mid-compute (ledger {:?})",
-            img.step_created
-        );
-        let v1 = img.encode_with_version(1);
-        store.remove(&path);
-        let len = v1.len() as u64;
-        store.put(&path, v1.into(), len, u64::from(rank), SHAPE);
+    let (clean, killed) = clean_and_killed(&session, &churn_app(), &[0.35, 0.7]);
+    assert_eq!(killed.ckpts().len(), 2, "need an older intact checkpoint");
+    let newest = killed.latest_checkpoint().expect("ckpt id");
+    for rank in 0..killed.spec().nranks {
+        // The version field sits right after the 8-byte magic.
+        rewrite(&session, &killed, newest, rank, |old| {
+            old[8..12].copy_from_slice(&2u32.to_le_bytes())
+        });
     }
-    let resumed = killed.restart_on(JobBuilder::new()).unwrap();
+    match killed.restart_on(JobBuilder::new()) {
+        Err(SessionError::Restart(RestartError::CorruptImage {
+            source: CodecError::BadVersion(2),
+            ..
+        })) => {}
+        other => panic!(
+            "expected CorruptImage(BadVersion(2)), got {:?}",
+            other.map(|i| i.index())
+        ),
+    }
+    let resumed = killed
+        .restart_latest(JobBuilder::new())
+        .expect("restart must fall back to the intact older checkpoint");
     assert_eq!(
         clean.checksums(),
         resumed.checksums(),
-        "v1-image restart diverged"
+        "recovery from the older checkpoint diverged"
     );
 }
