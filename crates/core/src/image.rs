@@ -145,15 +145,14 @@ pub struct CheckpointImage {
 pub struct ImageBytes {
     buf: ScatterBuf,
     image: Option<Arc<CheckpointImage>>,
+    /// The image an envelope built by [`ImageBytes::frame_with`] wraps.
+    framed: Option<Arc<CheckpointImage>>,
 }
 
 impl ImageBytes {
     /// Wrap already-flat bytes (foreign objects, raw test payloads).
     pub fn from_vec(bytes: Vec<u8>) -> ImageBytes {
-        ImageBytes {
-            buf: ScatterBuf::from_vec(bytes),
-            image: None,
-        }
+        ImageBytes::from(ScatterBuf::from_vec(bytes))
     }
 
     /// Wrap a scatter together with the image it encodes. Store tiers
@@ -163,6 +162,21 @@ impl ImageBytes {
         ImageBytes {
             buf,
             image: Some(image),
+            framed: None,
+        }
+    }
+
+    /// Wrap these bytes in a framing layer's envelope: `frame` turns the
+    /// wire scatter into the envelope's. The envelope is not a rank image
+    /// ([`ImageBytes::rank_image`] is `None`), but it keeps the attached
+    /// image it wraps as [`ImageBytes::framed`], so a layer below can
+    /// price the dirty pages without parsing the envelope. Taking the
+    /// scatter back out ([`ImageBytes::into_scatter`]) drops it.
+    pub fn frame_with(self, frame: impl FnOnce(ScatterBuf) -> ScatterBuf) -> ImageBytes {
+        ImageBytes {
+            framed: self.image.or(self.framed),
+            image: None,
+            buf: frame(self.buf),
         }
     }
 
@@ -181,7 +195,8 @@ impl ImageBytes {
         &self.buf
     }
 
-    /// Take the scatter buffer (drops the image attachment).
+    /// Take the scatter buffer (drops the image attachment and the framed
+    /// image).
     pub fn into_scatter(self) -> ScatterBuf {
         self.buf
     }
@@ -208,6 +223,13 @@ impl ImageBytes {
         }
     }
 
+    /// The attached image an envelope wraps, when these bytes are one
+    /// built by [`ImageBytes::frame_with`]. It describes the payload, not
+    /// these bytes: a layer may derive a cost from it, never contents.
+    pub fn framed(&self) -> Option<&Arc<CheckpointImage>> {
+        self.framed.as_ref()
+    }
+
     /// Flatten to contiguous bytes (copies; shared page bytes are tallied
     /// in [`mana_sim::scatter::shared_flatten_bytes`]).
     pub fn to_vec(&self) -> Vec<u8> {
@@ -231,12 +253,17 @@ impl From<ScatterBuf> for ImageBytes {
     /// Wrap an existing scatter (re-framed envelopes, delta blobs) with
     /// no image attachment.
     fn from(buf: ScatterBuf) -> ImageBytes {
-        ImageBytes { buf, image: None }
+        ImageBytes {
+            buf,
+            image: None,
+            framed: None,
+        }
     }
 }
 
 impl PartialEq for ImageBytes {
-    /// Wire-byte equality (segmentation and attachment ignored).
+    /// Wire-byte equality (segmentation, attachment and framed image
+    /// ignored).
     fn eq(&self, other: &ImageBytes) -> bool {
         self.buf == other.buf
     }
@@ -1231,6 +1258,28 @@ mod tests {
         assert_eq!(back, *img);
         assert_eq!(stats.bytes_copied, 0, "attachment skips the wire decode");
         assert_eq!(stats.pages_shared, img.dense_page_count());
+    }
+
+    #[test]
+    fn an_envelope_keeps_the_image_it_wraps_but_is_not_one() {
+        let img = Arc::new(sample());
+        let wrap = |buf: ScatterBuf| {
+            let mut env = ScatterBuf::from_vec(b"envelope".to_vec());
+            env.append(buf);
+            env
+        };
+        let env = CheckpointImage::encode_shared(&img).frame_with(wrap);
+        assert!(env.image().is_none() && env.rank_image().is_none());
+        assert!(Arc::ptr_eq(env.framed().unwrap(), &img));
+        // Framing an envelope again keeps the innermost image.
+        let twice = env.clone().frame_with(wrap);
+        assert!(Arc::ptr_eq(twice.framed().unwrap(), &img));
+        // Bytes cut out of the envelope carry nothing.
+        assert!(ImageBytes::from(env.into_scatter()).framed().is_none());
+        assert!(ImageBytes::from_vec(vec![1; 8])
+            .frame_with(wrap)
+            .framed()
+            .is_none());
     }
 
     #[test]

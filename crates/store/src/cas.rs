@@ -22,19 +22,20 @@
 //!
 //! Cost model: `put` charges the inner store only for the manifest plus
 //! the *newly unique* page bytes (dedup saves write bandwidth and
-//! capacity), plus a digest-CPU term over all presented dense bytes
+//! capacity), plus a digest-CPU term over the dense bytes it hashes
 //! (hashing is not free, even when everything dedups). `get` charges the
 //! manifest read plus page-pool fetch time for the image's dense bytes.
 //! Reassembly is zero-copy: regions are rebuilt from the pool's shared
 //! `Arc` pages via [`DenseSnap::from_pages`].
 //!
-//! Host work is smaller than the simulated charge: a presented page whose
-//! `Arc` handle is the very one a pool entry holds (a clean page shared
-//! from the snapshot an earlier generation stored) reuses that entry's
-//! key instead of being digested again, so a put hashes only the pages
-//! that are new to the pool as allocations — at 1 % dirty, ~1 % of them
-//! ([`CasStats::pages_hashed`]). The digest-CPU term is still charged for
-//! every presented page: it models a CAS that would hash them all.
+//! A presented page whose `Arc` handle is the very one a pool entry holds
+//! (a clean page shared from the snapshot an earlier generation stored)
+//! reuses that entry's key instead of being digested again, so a put
+//! hashes only the pages that are new to the pool as allocations — at
+//! 1 % dirty, ~1 % of them ([`CasStats::pages_hashed`]). The digest-CPU
+//! term covers exactly those pages, so the host work and the simulated
+//! charge agree. Equal bytes in a fresh allocation (another tenant's twin
+//! image) are hashed, and charged, in full.
 //!
 //! Non-image objects pass through unmodified.
 
@@ -70,8 +71,9 @@ pub struct CasConfig {
     /// Page-pool fetch bandwidth charged on `get`, bytes/s of
     /// reassembled dense data.
     pub read_bw: f64,
-    /// Digest throughput charged on `put`, bytes/s of presented dense
-    /// data — paid for every page, deduplicated or not.
+    /// Digest throughput charged on `put`, bytes/s of the dense data it
+    /// hashes — paid for every page not already a pool handle,
+    /// deduplicated or not.
     pub digest_bw: f64,
 }
 
@@ -237,12 +239,14 @@ struct CasState {
 }
 
 impl CasState {
-    /// The key of `page`, hashing it only when it is not a pool handle.
-    fn key_of(&mut self, page: &[u8]) -> PageKey {
+    /// The key of `page`, hashing it only when it is not a pool handle;
+    /// the bytes hashed are added to `hashed`.
+    fn key_of(&mut self, page: &[u8], hashed: &mut u64) -> PageKey {
         match self.pooled_at.get(&PageAddr::of(page)) {
             Some(key) => *key,
             None => {
                 self.stats.pages_hashed += 1;
+                *hashed += page.len() as u64;
                 page_key(page)
             }
         }
@@ -438,7 +442,7 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         st.release(path);
         let mut keys = Vec::new();
         let mut regions = Vec::with_capacity(img.regions.len());
-        let mut dense_bytes = 0u64;
+        let mut hashed_bytes = 0u64;
         let mut new_bytes = 0u64;
         let mut new_pages = 0u64;
         for r in &img.regions {
@@ -450,8 +454,7 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
                     let mut region_keys = Vec::with_capacity(snap.page_count());
                     for i in 0..snap.page_count() {
                         let page = snap.page(i);
-                        let key = st.key_of(page);
-                        dense_bytes += page.len() as u64;
+                        let key = st.key_of(page, &mut hashed_bytes);
                         st.stats.pages_in += 1;
                         st.stats.bytes_in += page.len() as u64;
                         let entry = match st.pool.entry(key) {
@@ -499,9 +502,9 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         );
         drop(guard);
         // The inner tier is charged for what actually lands on it: the
-        // manifest plus the newly unique page bytes. Digest CPU covers
-        // every presented page.
-        let cpu = SimDuration::secs_f64(dense_bytes as f64 / self.cfg.digest_bw);
+        // manifest plus the newly unique page bytes. Digest CPU covers the
+        // pages actually hashed.
+        let cpu = SimDuration::secs_f64(hashed_bytes as f64 / self.cfg.digest_bw);
         let io = self
             .inner
             .put(path, manifest.into(), manifest_len + new_bytes, rank, shape);
@@ -740,7 +743,8 @@ mod tests {
         let d1 = s.put(&path("a", 1, 0), a.encode(), a.logical_bytes(), 0, SHAPE);
         let b = image(1, 1, vec![region(0x1000, payload)]);
         let d2 = s.put(&path("a", 1, 1), b.encode(), b.logical_bytes(), 1, SHAPE);
-        // Digest CPU is paid both times (1 MiB at 5 GB/s each).
+        // Digest CPU is paid both times (1 MiB at 5 GB/s each): b's pages
+        // are the same bytes in a fresh allocation, so they are hashed.
         assert!(d1 > SimDuration::ZERO && d2 > SimDuration::ZERO);
         let floor = SimDuration::secs_f64((1u64 << 20) as f64 / 5.0e9);
         assert!(d2 >= floor, "digesting is never free: {d2} < {floor}");
@@ -829,12 +833,22 @@ mod tests {
         /// Put a one-region image of `snap` at `p` the way the checkpoint
         /// path does (decoded image attached); the counters of that put.
         fn put(s: &CasStore<InMemStore>, p: &str, snap: &DenseSnap) -> CasStats {
+            put_timed(s, p, snap).0
+        }
+
+        /// [`put`], also returning the put's duration (all digest CPU: the
+        /// inner store charges nothing).
+        fn put_timed(
+            s: &CasStore<InMemStore>,
+            p: &str,
+            snap: &DenseSnap,
+        ) -> (CasStats, SimDuration) {
             let before = s.stats();
             let mut r = region(0x1000, Vec::new());
             r.len = snap.len() as u64;
             r.content = SnapshotContent::Dense(snap.clone());
             let img = Arc::new(image(0, 1, vec![r]));
-            s.put(
+            let dur = s.put(
                 p,
                 CheckpointImage::encode_shared(&img),
                 img.logical_bytes(),
@@ -843,7 +857,23 @@ mod tests {
             );
             let (bytes, _) = s.get(p, 0, SHAPE).unwrap();
             assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, *img);
-            s.stats().since(&before)
+            (s.stats().since(&before), dur)
+        }
+
+        #[test]
+        fn digest_cpu_tracks_the_pages_hashed() {
+            let s = store();
+            let first = DenseSnap::from_vec(buf(100 << 12, 11));
+            let (_, d_first) = put_timed(&s, &path("a", 1, 0), &first);
+            // One page of 100 dirty: the other 99 are pool handles.
+            let second = first.patched(&[(17 << 12, vec![4; 8])]).unwrap();
+            let (st, d_second) = put_timed(&s, &path("a", 2, 0), &second);
+            assert_eq!((st.pages_in, st.pages_hashed), (100, 1));
+            let ratio = d_second.as_secs_f64() / d_first.as_secs_f64();
+            assert!(
+                (0.009..=0.011).contains(&ratio),
+                "1 %-dirty digest CPU is {ratio} of the first generation's"
+            );
         }
 
         #[test]
@@ -862,11 +892,13 @@ mod tests {
 
         #[test]
         fn equal_bytes_in_another_allocation_are_hashed_and_dedup() {
+            // A twin tenant: the same bytes in fresh allocations.
             let s = store();
-            put(&s, &path("a", 1, 0), &snap(8));
-            let st = put(&s, &path("a", 2, 0), &snap(8));
+            let (_, d_a) = put_timed(&s, &path("a", 1, 0), &snap(8));
+            let (st, d_b) = put_timed(&s, &path("b", 1, 0), &snap(8));
             assert_eq!((st.pages_hashed, st.pages_new), (64, 0));
             assert_eq!(s.pool_pages(), 64);
+            assert_eq!(d_b, d_a, "hashed, so charged, in full");
         }
 
         #[test]

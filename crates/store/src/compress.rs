@@ -13,14 +13,22 @@
 //! carrying dirty summaries, compress CPU is charged only for the pages
 //! the summaries mark dirty (plus everything not covered by a summary) —
 //! modeling an incremental compressor that reuses the previous
-//! generation's compressed form for unchanged pages. The
-//! charged write volume is unchanged (every page is still stored).
+//! generation's compressed form for unchanged pages. Each clean page is
+//! credited its real length, so a region's short final page saves only
+//! the bytes it holds. The charged write volume is unchanged (every page
+//! is still stored).
+//!
+//! Under a `JournaledStore` the object is a commit envelope, which is not
+//! a rank image; the summaries are read from the image it wraps
+//! ([`ImageBytes::framed`]), so compress CPU is the same with or without
+//! the journal above. A torn envelope wraps no image, and neither does a
+//! foreign blob: both are charged in full.
 
 use mana_core::error::StoreError;
 use mana_core::image::ImageBytes;
 use mana_core::store::CheckpointStore;
 use mana_sim::fs::IoShape;
-use mana_sim::memory::PAGE;
+use mana_sim::memory::{RegionDirty, RegionSnapshot, PAGE};
 use mana_sim::rng::splitmix64;
 use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
@@ -41,11 +49,6 @@ pub struct CompressionConfig {
     pub decompress_bw: f64,
     /// Seed decorrelating this store's ratio draws from other stores.
     pub seed: u64,
-    /// Charge compress CPU only for dirty bytes when the incoming object
-    /// is a rank image with dirty summaries (see the module docs). On by
-    /// default; switch off to model a stateless compressor that
-    /// re-compresses every byte each generation.
-    pub dirty_aware: bool,
 }
 
 impl Default for CompressionConfig {
@@ -57,7 +60,6 @@ impl Default for CompressionConfig {
             compress_bw: 1.5e9,
             decompress_bw: 3.0e9,
             seed: 0x436f_6d70,
-            dirty_aware: true,
         }
     }
 }
@@ -106,29 +108,38 @@ impl<S: CheckpointStore> CompressingStore<S> {
         let r = self.cfg.ratio * (1.0 + self.cfg.jitter * (2.0 * x - 1.0));
         r.clamp(f64::MIN_POSITIVE, 1.0)
     }
+}
 
-    /// Bytes the compressor actually has to chew through for this
-    /// object: `logical_len`, minus the pages a rank image's dirty
-    /// summaries prove clean (their compressed form is reused from the
-    /// previous generation). Non-images and images without summaries
-    /// charge in full.
-    fn compressible_bytes(&self, data: &ImageBytes, logical_len: u64) -> u64 {
-        if !self.cfg.dirty_aware {
-            return logical_len;
-        }
-        let Some(img) = data.rank_image() else {
-            return logical_len;
-        };
-        if img.dirty.is_empty() {
-            return logical_len;
-        }
-        let clean_bytes: u64 = img
-            .dirty
-            .iter()
-            .map(|d| (d.page_count - d.dirty_pages()) * PAGE)
-            .sum();
-        logical_len.saturating_sub(clean_bytes).max(1)
-    }
+/// Bytes the compressor actually has to chew through for this object:
+/// `logical_len`, minus the clean pages a rank image's dirty summaries
+/// prove (their compressed form is reused from the previous generation).
+/// The image is the one the bytes encode or, for a journal envelope, the
+/// one it wraps. Everything else, and an image without summaries, charges
+/// in full.
+fn compressible_bytes(data: &ImageBytes, logical_len: u64) -> u64 {
+    let img = data.framed().cloned().or_else(|| data.rank_image());
+    let Some(img) = img.filter(|img| !img.dirty.is_empty()) else {
+        return logical_len;
+    };
+    let clean: u64 = img.dirty.iter().map(|d| clean_bytes(d, &img.regions)).sum();
+    logical_len.saturating_sub(clean).max(1)
+}
+
+/// Bytes of the pages `summary` proves clean, each at its real length: a
+/// region's final page holds only the region's tail. A summary whose
+/// region is not in the image proves nothing.
+fn clean_bytes(summary: &RegionDirty, regions: &[RegionSnapshot]) -> u64 {
+    let Some(region) = regions.iter().find(|r| r.start == summary.start) else {
+        return 0;
+    };
+    let clean_pages = summary.page_count - summary.dirty_pages();
+    let last_clean = clean_pages > 0 && !summary.is_dirty(summary.page_count as usize - 1);
+    let short_tail = if last_clean {
+        (summary.page_count * PAGE).saturating_sub(region.len)
+    } else {
+        0
+    };
+    (clean_pages * PAGE).saturating_sub(short_tail)
 }
 
 impl<S: CheckpointStore> CheckpointStore for CompressingStore<S> {
@@ -146,7 +157,7 @@ impl<S: CheckpointStore> CheckpointStore for CompressingStore<S> {
         } else {
             ((logical_len as f64 * ratio).round() as u64).max(1)
         };
-        let chew = self.compressible_bytes(&data, logical_len);
+        let chew = compressible_bytes(&data, logical_len);
         let cpu = SimDuration::secs_f64(chew as f64 / self.cfg.compress_bw);
         let io = self.inner.put(path, data, compressed, rank, shape);
         self.originals.lock().insert(path.to_string(), logical_len);
@@ -257,16 +268,19 @@ mod tests {
             DenseSnap, Half, RegionDirty, RegionKind, RegionSnapshot, SnapshotContent, PAGE,
         };
 
-        /// A one-region rank image whose dirty summary marks
-        /// `dirty_count` of the region's 64 pages dirty against a
-        /// committed base.
+        use crate::journal::JournaledStore;
+        use std::sync::Arc;
+
+        /// A one-region, 64-page rank image whose dirty summary marks the
+        /// first `dirty_count` pages dirty against a committed base.
         fn image(dirty_count: u64) -> CheckpointImage {
-            let pages = 64u64;
-            let bytes = vec![7u8; (pages * PAGE) as usize];
-            let mut bitmap = vec![0u64; 1];
-            for i in 0..dirty_count {
-                bitmap[0] |= 1 << i;
-            }
+            image_of(64 * PAGE, u64::MAX >> (64 - dirty_count))
+        }
+
+        /// A one-region rank image of `len` bytes (at most 64 pages) whose
+        /// dirty summary marks the pages set in `bitmap` dirty.
+        fn image_of(len: u64, bitmap: u64) -> CheckpointImage {
+            let bytes = vec![7u8; len as usize];
             CheckpointImage {
                 rank: 0,
                 nranks: 1,
@@ -302,10 +316,15 @@ mod tests {
                     lineage: 1,
                     seq: 2,
                     base_seq: Some(1),
-                    page_count: pages,
-                    pages: bitmap,
+                    page_count: len.div_ceil(PAGE),
+                    pages: vec![bitmap],
                 }],
             }
+        }
+
+        /// The charge for compressing `bytes` at the default bandwidth.
+        fn cpu(bytes: u64) -> SimDuration {
+            SimDuration::secs_f64(bytes as f64 / CompressionConfig::default().compress_bw)
         }
 
         #[test]
@@ -335,21 +354,66 @@ mod tests {
         }
 
         #[test]
-        fn opt_out_restores_full_charge() {
-            let cfg = CompressionConfig {
-                dirty_aware: false,
-                ..CompressionConfig::default()
+        fn a_short_final_page_is_credited_only_its_bytes() {
+            // 100 bytes short of 64 pages, plus the metadata page.
+            let len = 64 * PAGE - 100;
+            let s = store();
+            let charge = |bitmap| {
+                let img = image_of(len, bitmap);
+                s.put(
+                    "d/ckpt_1/rank_0.mana",
+                    img.encode(),
+                    img.logical_bytes(),
+                    0,
+                    SHAPE,
+                )
             };
-            let s = CompressingStore::new(cfg, InMemStore::new());
-            let full = CompressingStore::new(CompressionConfig::default(), InMemStore::new());
-            let img = image(1);
-            let logical = img.logical_bytes();
-            let d_off = s.put("d/ckpt_1/rank_0.mana", img.encode(), logical, 0, SHAPE);
-            let d_on = full.put("d/ckpt_1/rank_0.mana", img.encode(), logical, 0, SHAPE);
-            assert!(
-                d_off.as_secs_f64() > 10.0 * d_on.as_secs_f64(),
-                "stateless compressor must chew every byte: {d_off} vs {d_on}"
+            // Page 0 dirty: 62 full clean pages and the clean 3996-byte
+            // tail leave one dirty page and the metadata page to chew.
+            assert_eq!(charge(1), cpu(2 * PAGE));
+            // The tail page dirty: 63 full pages are clean.
+            assert_eq!(charge(1 << 63), cpu(2 * PAGE - 100));
+        }
+
+        #[test]
+        fn a_journal_above_or_below_charges_the_same() {
+            let bare = store();
+            let journal_above = JournaledStore::new(store());
+            let journal_below = CompressingStore::new(
+                CompressionConfig::default(),
+                JournaledStore::new(InMemStore::new()),
             );
+            let stacks: [&dyn CheckpointStore; 3] = [&bare, &journal_above, &journal_below];
+            let mut charges = Vec::new();
+            for (generation, dirty) in [(1, 64), (2, 16), (3, 1)] {
+                let img = Arc::new(image(dirty));
+                let path = format!("d/ckpt_{generation}/rank_0.mana");
+                let durs = stacks.map(|s| {
+                    let bytes = CheckpointImage::encode_shared(&img);
+                    s.put(&path, bytes, img.logical_bytes(), 0, SHAPE)
+                });
+                assert!(
+                    durs.iter().all(|d| *d == durs[0]),
+                    "{dirty} dirty: {durs:?}"
+                );
+                charges.push(durs[0]);
+            }
+            // Each generation pays for its dirty pages and the metadata page.
+            assert_eq!(charges, vec![cpu(65 * PAGE), cpu(17 * PAGE), cpu(2 * PAGE)]);
+        }
+
+        #[test]
+        fn torn_envelopes_and_foreign_blobs_are_charged_in_full() {
+            let j = JournaledStore::new(store());
+            let img = Arc::new(image(1));
+            let logical = img.logical_bytes();
+            let put = |path: &str, bytes: ImageBytes| j.put(path, bytes, logical, 0, SHAPE);
+            j.arm_torn_put("d/ckpt_1/rank_0.mana", 0.5);
+            let torn = put("d/ckpt_1/rank_0.mana", CheckpointImage::encode_shared(&img));
+            let foreign = put("d/blob", vec![3; 100].into());
+            let whole = put("d/ckpt_2/rank_0.mana", CheckpointImage::encode_shared(&img));
+            assert_eq!((torn, foreign), (cpu(logical), cpu(logical)));
+            assert_eq!(whole, cpu(2 * PAGE));
         }
     }
 }

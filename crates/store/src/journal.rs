@@ -36,8 +36,12 @@
 //! belongs nearest the backend media — wrap the innermost store
 //! (`Journaled(Fs)`, then layer `Tiered`/`Replicated`/`Delta`/`Cas` on
 //! top), or wrap a whole replicated stack to model end-to-end envelope
-//! integrity. Content-parsing layers (`Delta`, `Cas`, `Compressing`) must
-//! sit *above* it: they need the bare payload back, not the envelope.
+//! integrity. Content-parsing layers (`Delta`, `Cas`) must sit *above*
+//! it: under it they see an opaque envelope and store it whole.
+//! `Compressing` may sit on either side. The envelope keeps the image it
+//! wraps ([`ImageBytes::framed`]), so compress CPU is priced from the
+//! same dirty summaries either way; a torn envelope wraps no image and is
+//! charged in full.
 
 use mana_core::chaos::ChaosHandle;
 use mana_core::error::StoreError;
@@ -133,17 +137,22 @@ impl JournaledStore {
     /// checksum streams over the scatter. The same pass yields the whole
     /// envelope's digest ([`ScatterBuf::framed`]), so a layer below that
     /// digests the envelope (`CompressingStore`'s ratio seed) looks it up
-    /// instead of hashing the payload a second time.
-    fn frame(payload: ScatterBuf) -> ScatterBuf {
-        let mut header = Vec::with_capacity(HEADER);
-        header.extend_from_slice(&MAGIC.to_le_bytes());
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        ScatterBuf::framed(header, payload, |digest| {
-            let mut trailer = Vec::with_capacity(TRAILER);
-            trailer.extend_from_slice(&digest.to_le_bytes());
-            trailer.extend_from_slice(&COMMIT.to_le_bytes());
-            trailer
+    /// instead of hashing the payload a second time. The envelope keeps
+    /// the payload's attached image ([`ImageBytes::framed`]), so
+    /// `CompressingStore` prices the dirty pages as it would without the
+    /// journal.
+    fn frame(payload: ImageBytes) -> ImageBytes {
+        payload.frame_with(|payload| {
+            let mut header = Vec::with_capacity(HEADER);
+            header.extend_from_slice(&MAGIC.to_le_bytes());
+            header.extend_from_slice(&VERSION.to_le_bytes());
+            header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            ScatterBuf::framed(header, payload, |digest| {
+                let mut trailer = Vec::with_capacity(TRAILER);
+                trailer.extend_from_slice(&digest.to_le_bytes());
+                trailer.extend_from_slice(&COMMIT.to_le_bytes());
+                trailer
+            })
         })
     }
 
@@ -256,7 +265,7 @@ impl CheckpointStore for JournaledStore {
         rank: u64,
         shape: IoShape,
     ) -> SimDuration {
-        let mut env = JournaledStore::frame(data.into_scatter());
+        let mut env = JournaledStore::frame(data);
         let armed = self
             .armed_torn
             .lock()
@@ -265,14 +274,16 @@ impl CheckpointStore for JournaledStore {
         if let Some(keep_frac) = armed {
             // The writer dies mid-write: only a strict prefix of the
             // envelope lands. The commit trailer is written last, so any
-            // prefix fails validation.
-            let keep = ((env.len() as f64 * keep_frac.clamp(0.0, 1.0)) as usize)
-                .min(env.len().saturating_sub(1));
-            env.truncate(keep);
+            // prefix fails validation. The prefix wraps no image.
+            let mut prefix = env.into_scatter();
+            let keep = ((prefix.len() as f64 * keep_frac.clamp(0.0, 1.0)) as usize)
+                .min(prefix.len().saturating_sub(1));
+            prefix.truncate(keep);
+            env = prefix.into();
             self.torn_written.lock().push(path.to_string());
             self.chaos.note_torn_write(path);
         }
-        self.inner.put(path, env.into(), logical_len, rank, shape)
+        self.inner.put(path, env, logical_len, rank, shape)
     }
 
     fn get(
@@ -355,7 +366,7 @@ mod tests {
         // A writer can die after any byte: every strict prefix of the
         // envelope must be detectably invalid (never a silent success,
         // never a panic).
-        let env = JournaledStore::frame(ScatterBuf::from_vec(vec![7u8; 33])).to_vec();
+        let env = JournaledStore::frame(vec![7u8; 33].into()).to_vec();
         for keep in 0..env.len() {
             let inner = Arc::new(InMemStore::new());
             let j = JournaledStore::new(inner.clone());
@@ -402,7 +413,7 @@ mod tests {
         // a flip must be caught whether the byte went through a lane, the
         // carry buffer's 8-, 4- or 1-byte fold, or sits last in the payload.
         let payload: Vec<u8> = (0..77u8).collect();
-        let env = JournaledStore::frame(ScatterBuf::from_vec(payload.clone())).to_vec();
+        let env = JournaledStore::frame(payload.clone().into()).to_vec();
         assert_eq!(get_raw(env.clone()).unwrap(), payload);
         for at in [0, 31, 32, 63, 64, 71, 72, 75, payload.len() - 1] {
             let mut bad = env.clone();
@@ -416,7 +427,7 @@ mod tests {
 
     #[test]
     fn a_version_1_envelope_is_corrupt_not_a_panic() {
-        let mut env = JournaledStore::frame(ScatterBuf::from_vec(vec![3u8; 40])).to_vec();
+        let mut env = JournaledStore::frame(vec![3u8; 40].into()).to_vec();
         env[8..12].copy_from_slice(&1u32.to_le_bytes());
         match get_raw(env) {
             Err(StoreError::Corrupt { why, .. }) => assert!(why.contains("version 1"), "{why}"),
