@@ -10,9 +10,10 @@
 //!    either completes or is gang-crashed by a fault. When the plan
 //!    schedules drain faults, a burst-buffer tier with a persistent
 //!    drain ledger fronts the stack;
-//! 3. after every crash the driver **heals the storage tier** (revives
-//!    and anti-entropies replicas, resumes or quarantines interrupted
-//!    drains, quarantines torn images) and hands recovery to a
+//! 3. after every crash the driver **heals the storage tier** — revives
+//!    dark replicas, then runs one [`CheckpointStore::maintain`] walk down
+//!    the stack (resume or quarantine interrupted drains, quarantine torn
+//!    images, anti-entropy the replicas) — and hands recovery to a
 //!    [`RestartSupervisor`]: restart-phase kills are retried with
 //!    backoff, damaged images fall back to older survivors — all under
 //!    one chain-wide retry budget;
@@ -27,14 +28,12 @@ use crate::plan::{ChaosPlan, WorldShape};
 use mana_apps::{make_app_small, AppKind};
 use mana_core::chaos::{ChaosHandle, CrashRecord, DrainFault, FailoverRecord, RestartCrashRecord};
 use mana_core::config::TopologyKind;
-use mana_core::supervisor::{
-    DegradedMode, RecoveryReport as SupervisorReport, RestartSupervisor, RetryPolicy,
-};
+use mana_core::supervisor::{DegradedMode, RecoveryReport, RestartSupervisor, RetryPolicy};
 use mana_core::{CheckpointStore, InMemStore, JobBuilder, ManaSession, Workload};
 use mana_sim::cluster::ClusterSpec;
 use mana_sim::time::SimTime;
 use mana_store::{
-    DrainMode, HealReport, JournaledStore, QuarantinedObject, RecoveryReport, ReplicaConfig,
+    DrainMode, HealReport, JournaledStore, Maintenance, QuarantinedObject, ReplicaConfig,
     ReplicatedStore, TierConfig, TieredStore,
 };
 use parking_lot::Mutex;
@@ -75,75 +74,52 @@ pub struct ChaosHarness {
     pub plan: Option<ChaosPlan>,
 }
 
-/// The storage stack of one chaos chain, kept apart so healing can reach
-/// every layer: optional burst tier (drain ledger) over a journal
-/// (crash-consistent envelopes) over replication.
-struct StoreStack {
-    replicated: Arc<ReplicatedStore>,
-    journal: Arc<JournaledStore>,
-    tiered: Option<Arc<TieredStore<Arc<JournaledStore>>>>,
-}
+/// A chain's healing pass, shared by the driver and the supervisor's
+/// between-attempt hook.
+type Heal = dyn Fn() -> Vec<DegradedMode> + Send + Sync;
 
-/// Cumulative log of what store healing did across the chain — shared
-/// between the driver's pre-restart heal and the supervisor's between-
-/// attempt heal hook, folded into the [`ChaosReport`] at the end.
-#[derive(Default)]
-struct HealLog {
-    heals: Vec<(usize, HealReport)>,
-    quarantined: Vec<QuarantinedObject>,
-    images_scanned: usize,
-    drains_resumed: Vec<String>,
-    drains_quarantined: Vec<String>,
-}
-
-/// One healing pass over every layer of the stack, bottom of the failure
-/// domain first: revive dark replicas, settle the burst tier's drain
-/// ledger (resume what has data, quarantine what lost it), quarantine
-/// torn envelopes, then anti-entropy each replica back in sync. Returns
-/// the degraded modes the pass had to tolerate.
-fn heal_pass(stack: &StoreStack, replicas: usize, log: &Mutex<HealLog>) -> Vec<DegradedMode> {
+/// One healing pass over the chain's store: revive dark replicas — the
+/// fault model lifting an outage, not store maintenance — then walk the
+/// session's stack top-down with [`CheckpointStore::maintain`] (settle the
+/// burst tier's drain ledger, quarantine torn envelopes, anti-entropy
+/// each replica back in sync). What the walk did is appended to the
+/// chain's `log`; returns the degraded modes the pass had to tolerate.
+fn heal_pass(
+    replicated: &ReplicatedStore,
+    store: &dyn CheckpointStore,
+    replicas: usize,
+    log: &Mutex<Maintenance>,
+) -> Vec<DegradedMode> {
     let mut modes = Vec::new();
     for i in 0..replicas {
-        if !stack.replicated.alive(i) {
-            stack.replicated.revive(i);
+        if !replicated.alive(i) {
+            replicated.revive(i);
             modes.push(DegradedMode::ReplicaDark { replica: i });
         }
     }
-    if let Some(t) = &stack.tiered {
-        let rec = t.recover();
-        if !rec.resumed.is_empty() {
-            modes.push(DegradedMode::DrainResumed {
-                resumed: rec.resumed.len(),
-            });
-        }
-        if !rec.quarantined.is_empty() {
-            modes.push(DegradedMode::FastTierLost {
-                quarantined: rec.quarantined.len(),
-            });
-        }
-        let mut log = log.lock();
-        log.drains_resumed.extend(rec.resumed);
-        log.drains_quarantined.extend(rec.quarantined);
-    }
-    let rec: RecoveryReport = stack.journal.recover();
-    if !rec.quarantined.is_empty() {
-        modes.push(DegradedMode::TornQuarantined {
-            quarantined: rec.quarantined.len(),
+    let mut pass = Maintenance::default();
+    store.maintain(&mut pass);
+    if !pass.drains_resumed.is_empty() {
+        modes.push(DegradedMode::DrainResumed {
+            resumed: pass.drains_resumed.len(),
         });
     }
-    {
-        let mut log = log.lock();
-        log.images_scanned += rec.scanned;
-        log.quarantined.extend(rec.quarantined);
+    if !pass.drains_quarantined.is_empty() {
+        modes.push(DegradedMode::FastTierLost {
+            quarantined: pass.drains_quarantined.len(),
+        });
     }
-    // Heal *after* recovery so quarantine moves are replicated too and
-    // no replica re-imports a torn envelope.
-    for i in 0..replicas {
-        let heal = stack.replicated.heal(i);
-        if !heal.copied.is_empty() || !heal.unservable.is_empty() {
-            log.lock().heals.push((i, heal));
-        }
+    if !pass.quarantined.is_empty() {
+        modes.push(DegradedMode::TornQuarantined {
+            quarantined: pass.quarantined.len(),
+        });
     }
+    let mut log = log.lock();
+    log.scanned += pass.scanned;
+    log.quarantined.extend(pass.quarantined);
+    log.drains_resumed.extend(pass.drains_resumed);
+    log.drains_quarantined.extend(pass.drains_quarantined);
+    log.heals.extend(pass.heals);
     modes
 }
 
@@ -252,26 +228,22 @@ impl ChaosHarness {
                     .with_chaos(handle.clone()),
             )
         });
-        let stack = Arc::new(StoreStack {
-            replicated: replicated.clone(),
-            journal: journal.clone(),
-            tiered: tiered.clone(),
-        });
-        let session = match &tiered {
-            Some(t) => ManaSession::builder()
-                .shared_store(t.clone() as Arc<dyn CheckpointStore>)
-                .build(),
-            None => ManaSession::builder().shared_store(journal.clone()).build(),
+        let store: Arc<dyn CheckpointStore> = match tiered {
+            Some(t) => t,
+            None => journal,
         };
+        let session = ManaSession::builder().shared_store(store.clone()).build();
 
         // One supervisor spans the whole chain: its retry budget, skip
         // list and degraded modes accumulate across every recovery. The
         // heal hook re-heals the stack after every failed attempt.
-        let heal_log = Arc::new(Mutex::new(HealLog::default()));
-        let (hook_stack, hook_log, hook_replicas) =
-            (stack.clone(), heal_log.clone(), self.replicas);
-        let mut sup = RestartSupervisor::new(RetryPolicy::default())
-            .on_retry(move |_err| heal_pass(&hook_stack, hook_replicas, &hook_log));
+        let heal_log = Arc::new(Mutex::new(Maintenance::default()));
+        let heal: Arc<Heal> = {
+            let (replicated, log, replicas) = (replicated.clone(), heal_log.clone(), self.replicas);
+            Arc::new(move || heal_pass(&replicated, &*store, replicas, &log))
+        };
+        let hook = heal.clone();
+        let mut sup = RestartSupervisor::new(RetryPolicy::default()).on_retry(move |_err| hook());
 
         let mut report = ChaosReport {
             plan: plan.clone(),
@@ -291,7 +263,7 @@ impl ChaosHarness {
             heals: Vec::new(),
             quarantined: Vec::new(),
             images_scanned: 0,
-            supervisor: SupervisorReport::default(),
+            supervisor: RecoveryReport::default(),
             recovered: false,
             checksums_match: false,
             error: None,
@@ -316,7 +288,7 @@ impl ChaosHarness {
             Ok(inc) => inc,
             Err(e) => {
                 report.error = Some(format!("launch failed: {e}"));
-                return self.finish(report, &handle, &stack, &heal_log, &sup, &ref_sums, None);
+                return self.finish(report, &handle, &*heal, &heal_log, &sup, &ref_sums, None);
             }
         };
 
@@ -329,10 +301,9 @@ impl ChaosHarness {
         while current.killed() {
             if report.incarnations >= cap {
                 report.error = Some(format!("chain did not converge within {cap} incarnations"));
-                return self.finish(report, &handle, &stack, &heal_log, &sup, &ref_sums, None);
+                return self.finish(report, &handle, &*heal, &heal_log, &sup, &ref_sums, None);
             }
-            let modes = heal_pass(&stack, self.replicas, &heal_log);
-            sup.note_degraded(modes);
+            sup.note_degraded(heal());
             apply_outage(&mut report);
 
             // Probe: restart with no checkpoint schedule to learn the
@@ -345,7 +316,7 @@ impl ChaosHarness {
                 Ok(p) => p,
                 Err(e) => {
                     report.error = Some(format!("recovery restart failed: {e}"));
-                    return self.finish(report, &handle, &stack, &heal_log, &sup, &ref_sums, None);
+                    return self.finish(report, &handle, &*heal, &heal_log, &sup, &ref_sums, None);
                 }
             };
             report.recovery_restarts += 1;
@@ -366,7 +337,7 @@ impl ChaosHarness {
                 Ok(inc) => inc,
                 Err(e) => {
                     report.error = Some(format!("recovery restart failed: {e}"));
-                    return self.finish(report, &handle, &stack, &heal_log, &sup, &ref_sums, None);
+                    return self.finish(report, &handle, &*heal, &heal_log, &sup, &ref_sums, None);
                 }
             };
             report.recovery_restarts += 1;
@@ -379,7 +350,7 @@ impl ChaosHarness {
         self.finish(
             report,
             &handle,
-            &stack,
+            &*heal,
             &heal_log,
             &sup,
             &ref_sums,
@@ -392,21 +363,19 @@ impl ChaosHarness {
         &self,
         mut report: ChaosReport,
         handle: &ChaosHandle,
-        stack: &StoreStack,
-        heal_log: &Mutex<HealLog>,
+        heal: &Heal,
+        heal_log: &Mutex<Maintenance>,
         sup: &RestartSupervisor,
         ref_sums: &std::collections::BTreeMap<u32, u64>,
         final_sums: Option<std::collections::BTreeMap<u32, u64>>,
     ) -> ChaosReport {
-        heal_pass(stack, self.replicas, heal_log);
-        {
-            let mut log = heal_log.lock();
-            report.heals = std::mem::take(&mut log.heals);
-            report.quarantined = std::mem::take(&mut log.quarantined);
-            report.images_scanned = log.images_scanned;
-            report.drains_resumed = std::mem::take(&mut log.drains_resumed);
-            report.drains_quarantined = std::mem::take(&mut log.drains_quarantined);
-        }
+        heal();
+        let log = std::mem::take(&mut *heal_log.lock());
+        report.heals = log.heals;
+        report.quarantined = log.quarantined;
+        report.images_scanned = log.scanned;
+        report.drains_resumed = log.drains_resumed;
+        report.drains_quarantined = log.drains_quarantined;
         report.attempts = handle.attempts_seen();
         report.restart_attempts = handle.restart_attempts_seen();
         report.crashes = handle.crash_history();
@@ -478,7 +447,7 @@ pub struct ChaosReport {
     pub images_scanned: usize,
     /// The chain-wide supervisor's account: attempts, faults absorbed,
     /// images skipped, backoff downtime, degraded modes.
-    pub supervisor: SupervisorReport,
+    pub supervisor: RecoveryReport,
     /// Whether the chain reached a surviving incarnation.
     pub recovered: bool,
     /// Whether the surviving incarnation's final per-rank checksums

@@ -16,12 +16,14 @@
 //!   agreement — gang-crash semantics, attempt-keyed faults;
 //! * **crash-consistent durability** ([`mana_store::JournaledStore`]):
 //!   checksummed, commit-marked image envelopes, so a torn write is
-//!   *detectably absent* rather than silently wrong, and
-//!   [`mana_store::JournaledStore::recover`] quarantines partial images;
-//! * **self-healing** (this crate, plus
-//!   [`mana_store::ReplicatedStore::heal`] and the promoted
+//!   *detectably absent* rather than silently wrong, and its
+//!   maintenance quarantines partial images;
+//! * **self-healing** (this crate, plus replica anti-entropy
+//!   ([`mana_store::ReplicatedStore::heal`]) and the promoted
 //!   sub-coordinator failover in `mana-core`): the [`ChaosHarness`]
-//!   heals the storage tier after every crash and hands recovery to a
+//!   heals the storage tier after every crash — it revives dark replicas,
+//!   then runs one [`maintain`](mana_core::CheckpointStore::maintain)
+//!   walk down the store stack — and hands recovery to a
 //!   [`mana_core::supervisor::RestartSupervisor`] — restart-phase kills
 //!   are retried with exponential backoff, damaged images fall back to
 //!   older survivors, all under one chain-wide retry budget.
@@ -30,8 +32,8 @@
 //! kills** (a rank dies mid image-read, replay, rebind or resync — the
 //! restart itself crashes and must be retried) and **drain faults** (an
 //! async burst-buffer drain is torn mid-copy or the fast tier loses an
-//! undrained image — [`mana_store::TieredStore::recover`] resumes or
-//! quarantines them off the persistent drain ledger).
+//! undrained image — the [`mana_store::TieredStore`]'s maintenance
+//! resumes or quarantines them off the persistent drain ledger).
 //!
 //! ```
 //! use mana_chaos::ChaosHarness;

@@ -29,6 +29,18 @@ use std::sync::Arc;
 /// store choice shapes checkpoint/restart timing exactly the way a real
 /// storage tier would.
 ///
+/// **Required and provided.** A store must write `put` and `get`. The rest
+/// is provided on top of [`below`](CheckpointStore::below), the one store
+/// a layer wraps: `begin_epoch`, `exists`, `logical_len`, `remove`, `list`
+/// and [`maintain`](CheckpointStore::maintain) delegate to it. A store with
+/// nothing below holds nothing — `exists` is `false`, `logical_len` is
+/// `NotFound`, `list` is empty, `remove` and `begin_epoch` do nothing — so
+/// the leaves ([`FsStore`], [`InMemStore`]) override the methods that see
+/// what they hold. A wrapping layer names what it wraps in `below` and
+/// **overrides only what it changes**: a journal validates in `exists`, a
+/// delta store promotes a dependent in `remove`, and the rest passes
+/// through untouched.
+///
 /// **No method parks.** A store *returns* its cost; the caller advances
 /// its clock. No implementation may call a blocking scheduler operation
 /// (`SimThread::advance`, `block`, ...): every simulated thread shares one
@@ -69,28 +81,107 @@ pub trait CheckpointStore: Send + Sync {
         shape: IoShape,
     ) -> Result<(ImageBytes, SimDuration), StoreError>;
 
+    /// The store this layer wraps, if it wraps exactly one. Every provided
+    /// method delegates through it. `None` (the default) for a leaf, and
+    /// for a layer that fans out over several stores.
+    fn below(&self) -> Option<&dyn CheckpointStore> {
+        None
+    }
+
     /// Called by the coordinator at the start of each checkpoint round
     /// (stores may use it to decorrelate per-epoch cost draws).
-    fn begin_epoch(&self) {}
+    fn begin_epoch(&self) {
+        if let Some(below) = self.below() {
+            below.begin_epoch();
+        }
+    }
 
     /// Whether `path` holds an object.
-    fn exists(&self, path: &str) -> bool;
+    fn exists(&self, path: &str) -> bool {
+        self.below().is_some_and(|below| below.exists(path))
+    }
 
     /// Logical length of the object at `path`.
-    fn logical_len(&self, path: &str) -> Result<u64, StoreError>;
+    fn logical_len(&self, path: &str) -> Result<u64, StoreError> {
+        match self.below() {
+            Some(below) => below.logical_len(path),
+            None => Err(StoreError::NotFound(path.to_string())),
+        }
+    }
 
     /// Delete the object at `path` (old-checkpoint garbage collection).
     /// Returns whether it existed.
-    fn remove(&self, path: &str) -> bool;
+    fn remove(&self, path: &str) -> bool {
+        self.below().is_some_and(|below| below.remove(path))
+    }
 
     /// All stored paths, sorted (deterministic iteration).
-    fn list(&self) -> Vec<String>;
+    fn list(&self) -> Vec<String> {
+        self.below().map(|below| below.list()).unwrap_or_default()
+    }
+
+    /// Crash recovery: bring this layer and every layer below it back to
+    /// a consistent state, adding what was found and done to `report`.
+    /// Run it after a crash, before any restart probes the store. The walk
+    /// is top-down: a layer that keeps state of its own (a drain ledger,
+    /// journal envelopes, replicas) settles it first, then maintains what
+    /// it wraps. Committed objects are never lost.
+    fn maintain(&self, report: &mut Maintenance) {
+        if let Some(below) = self.below() {
+            below.maintain(report);
+        }
+    }
+}
+
+/// One object a journal's maintenance found invalid and moved aside.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct QuarantinedObject {
+    /// The path the invalid object was found at.
+    pub path: String,
+    /// Where its bytes were parked (under the journal's quarantine
+    /// prefix).
+    pub quarantine_path: String,
+    /// The validation failure that condemned it.
+    pub why: String,
+}
+
+/// What one anti-entropy pass copied onto a replica.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct HealReport {
+    /// Paths copied from a peer (sorted — the scan is deterministic).
+    pub copied: Vec<String>,
+    /// Physical bytes moved.
+    pub bytes: u64,
+    /// Paths present on some peer but not cleanly servable by any.
+    pub unservable: Vec<String>,
+}
+
+/// What a [`CheckpointStore::maintain`] walk found and did, summed over
+/// every layer it visited. A walk over a consistent stack adds nothing
+/// but `scanned`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Maintenance {
+    /// Objects a journal validated (its quarantine excluded).
+    pub scanned: usize,
+    /// Objects that failed validation and were moved out of the way.
+    pub quarantined: Vec<QuarantinedObject>,
+    /// Interrupted drains resumed from intact burst-tier copies (now
+    /// durable on the slow tier).
+    pub drains_resumed: Vec<String>,
+    /// Drain-ledger entries whose fast data was gone: the object cannot
+    /// be recovered and was quarantined out of the ledger (and removed
+    /// from the slow tier if a partial write landed there).
+    pub drains_quarantined: Vec<String>,
+    /// Anti-entropy passes that copied something or found something no
+    /// replica could serve: `(replica, what)`.
+    pub heals: Vec<(usize, HealReport)>,
 }
 
 /// Shared handles are stores too: wrapping layers can take `Arc<S>` so a
-/// caller (a test harness, the chaos driver) keeps a handle to the inner
-/// store it still needs to poke at — kill replicas, run recovery scans —
-/// while the wrapped stack serves the session.
+/// caller (a test harness, the chaos driver) keeps a handle to a store
+/// inside the stack — to kill and `revive` replicas, say — while the
+/// wrapped stack serves the session. Recovery needs no handle: it is one
+/// [`CheckpointStore::maintain`] walk from the top.
 impl<S: CheckpointStore + ?Sized> CheckpointStore for Arc<S> {
     fn put(
         &self,
@@ -112,6 +203,10 @@ impl<S: CheckpointStore + ?Sized> CheckpointStore for Arc<S> {
         (**self).get(path, rank, shape)
     }
 
+    fn below(&self) -> Option<&dyn CheckpointStore> {
+        (**self).below()
+    }
+
     fn begin_epoch(&self) {
         (**self).begin_epoch()
     }
@@ -130,6 +225,10 @@ impl<S: CheckpointStore + ?Sized> CheckpointStore for Arc<S> {
 
     fn list(&self) -> Vec<String> {
         (**self).list()
+    }
+
+    fn maintain(&self, report: &mut Maintenance) {
+        (**self).maintain(report)
     }
 }
 

@@ -257,8 +257,9 @@ impl fmt::Display for RecoveryReport {
 }
 
 /// Heal hook run after every failed attempt, before the next one: revive
-/// replicas, recover journals, resume drains. Returns the degraded modes
-/// it observed, which the supervisor records.
+/// replicas, maintain the store stack (resume drains, quarantine torn
+/// images, heal replicas). Returns the degraded modes it observed, which
+/// the supervisor records.
 type HealHook = Box<dyn FnMut(&SessionError) -> Vec<DegradedMode> + Send>;
 
 /// The recovery loop: walks a session's registered checkpoints newest
@@ -284,8 +285,8 @@ impl RestartSupervisor {
     }
 
     /// Install a heal hook run after every failed attempt (revive
-    /// replicas, recover journals, resume drains); the degraded modes it
-    /// returns are recorded in the report.
+    /// replicas, maintain the store stack); the degraded modes it returns
+    /// are recorded in the report.
     pub fn on_retry<F>(mut self, hook: F) -> RestartSupervisor
     where
         F: FnMut(&SessionError) -> Vec<DegradedMode> + Send + 'static,

@@ -369,6 +369,11 @@ fn is_manifest(data: &ImageBytes) -> bool {
 /// Content-addressed, page-deduplicating storage over an inner store `S`.
 /// A put digests (under both key seeds) only the presented pages that are
 /// not already pool handles; see the module docs.
+///
+/// For a CAS-encoded image its `logical_len` reports the post-dedup
+/// charge (manifest plus newly-unique page bytes at put time) — what the
+/// inner tier sees. Use [`CasStore::original_len`] for the logical
+/// pre-dedup size.
 pub struct CasStore<S> {
     cfg: CasConfig,
     inner: S,
@@ -572,20 +577,8 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         Ok((CheckpointImage::encode_shared(&Arc::new(img)), dur + fetch))
     }
 
-    fn begin_epoch(&self) {
-        self.inner.begin_epoch();
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-
-    /// Note: for a CAS-encoded image this reports the post-dedup charge
-    /// (manifest plus newly-unique page bytes at put time) — what the
-    /// inner tier sees. Use [`CasStore::original_len`] for the logical
-    /// pre-dedup size.
-    fn logical_len(&self, path: &str) -> Result<u64, StoreError> {
-        self.inner.logical_len(path)
+    fn below(&self) -> Option<&dyn CheckpointStore> {
+        Some(&self.inner)
     }
 
     fn remove(&self, path: &str) -> bool {
@@ -594,10 +587,6 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         // this was the last reference to are reclaimed.
         self.state.lock().release(path);
         self.inner.remove(path)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
     }
 }
 

@@ -66,6 +66,10 @@ impl Default for CompressionConfig {
 
 /// Wrapper shrinking the inner store's charged `logical_len` by a
 /// deterministic, content-seeded compression ratio.
+///
+/// Its `logical_len` reports the *compressed* length — that is what
+/// occupies the inner tier and what its timing model charges. Use
+/// [`CompressingStore::original_len`] for the uncompressed size.
 pub struct CompressingStore<S> {
     cfg: CompressionConfig,
     inner: S,
@@ -82,11 +86,6 @@ impl<S: CheckpointStore> CompressingStore<S> {
             inner,
             originals: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 
     /// Original (uncompressed) logical length of `path`, if this store
@@ -182,35 +181,30 @@ impl<S: CheckpointStore> CheckpointStore for CompressingStore<S> {
         Ok((data, io + cpu))
     }
 
-    fn begin_epoch(&self) {
-        self.inner.begin_epoch();
+    fn below(&self) -> Option<&dyn CheckpointStore> {
+        Some(&self.inner)
     }
 
-    fn exists(&self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-
-    /// Note: reports the *compressed* length — that is what occupies the
-    /// inner tier and what its timing model charges. Use
-    /// [`CompressingStore::original_len`] for the uncompressed size.
-    fn logical_len(&self, path: &str) -> Result<u64, StoreError> {
-        self.inner.logical_len(path)
-    }
-
+    /// The original length is forgotten only once the object is gone
+    /// below: a layer there may refuse the removal (a delta store that
+    /// cannot promote the dependent of a base), and the object it keeps
+    /// must still be charged decompress CPU on its original length.
     fn remove(&self, path: &str) -> bool {
-        self.originals.lock().remove(path);
-        self.inner.remove(path)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
+        let removed = self.inner.remove(path);
+        if removed {
+            self.originals.lock().remove(path);
+        }
+        removed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::{DeltaConfig, DeltaStore};
+    use crate::replicated::{ReplicaConfig, ReplicatedStore};
     use mana_core::store::InMemStore;
+    use std::sync::Arc;
 
     const SHAPE: IoShape = IoShape {
         writers_on_node: 1,
@@ -261,6 +255,36 @@ mod tests {
         assert_eq!(s.logical_len("e").unwrap(), 0);
     }
 
+    #[test]
+    fn a_refused_remove_keeps_the_original_length() {
+        // A delta depends on the base, and its only replica is dark: the
+        // delta store cannot promote the dependent, so it refuses to
+        // remove the base. The base is still there and still decompresses
+        // at its original length.
+        let replicated = Arc::new(ReplicatedStore::with_replicas(
+            ReplicaConfig::default(),
+            1,
+            |_| InMemStore::new(),
+        ));
+        let s = CompressingStore::new(
+            CompressionConfig::default(),
+            DeltaStore::new(DeltaConfig::default(), replicated.clone()),
+        );
+        let img = dirty_aware::image_of(64 * PAGE, u64::MAX);
+        for generation in 1..=2 {
+            let path = format!("d/ckpt_{generation}/rank_0.mana");
+            s.put(&path, img.encode(), img.logical_bytes(), 0, SHAPE);
+        }
+        let base = "d/ckpt_1/rank_0.mana";
+        let (_, before) = s.get(base, 0, SHAPE).unwrap();
+        replicated.kill_replica(0);
+        assert!(!s.remove(base), "the base of a dark delta must stay");
+        replicated.revive(0);
+        let (_, after) = s.get(base, 0, SHAPE).unwrap();
+        assert_eq!(after, before, "decompress CPU moved after a refused remove");
+        assert_eq!(s.original_len(base), Some(img.logical_bytes()));
+    }
+
     mod dirty_aware {
         use super::*;
         use mana_core::image::CheckpointImage;
@@ -269,7 +293,6 @@ mod tests {
         };
 
         use crate::journal::JournaledStore;
-        use std::sync::Arc;
 
         /// A one-region, 64-page rank image whose dirty summary marks the
         /// first `dirty_count` pages dirty against a committed base.
@@ -279,7 +302,7 @@ mod tests {
 
         /// A one-region rank image of `len` bytes (at most 64 pages) whose
         /// dirty summary marks the pages set in `bitmap` dirty.
-        fn image_of(len: u64, bitmap: u64) -> CheckpointImage {
+        pub(super) fn image_of(len: u64, bitmap: u64) -> CheckpointImage {
             let bytes = vec![7u8; len as usize];
             CheckpointImage {
                 rank: 0,

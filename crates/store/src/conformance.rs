@@ -4,13 +4,14 @@
 //! satisfy the same observable semantics: put/get round-trips preserve
 //! contents, `logical_len` is consistent across the round-trip and tracks
 //! overwrites, misses are typed `NotFound`s, `list` is sorted, `remove`
-//! reports prior existence, and `begin_epoch` never loses data. Cost
+//! reports prior existence, `begin_epoch` never loses data, and `maintain`
+//! over committed objects repairs nothing and changes nothing. Cost
 //! *models* differ per backend (that is the point); the suite only pins
 //! whether durations are zero or nonzero.
 
 use mana_core::error::StoreError;
 use mana_core::image::ImageBytes;
-use mana_core::store::CheckpointStore;
+use mana_core::store::{CheckpointStore, Maintenance};
 use mana_sim::checksum::checksum_bytes;
 use mana_sim::fs::IoShape;
 use mana_sim::scatter::ScatterBuf;
@@ -158,6 +159,23 @@ pub fn exercise_store(store: &dyn CheckpointStore, checks: StoreChecks) {
         checksum_bytes(&flat),
         "streaming scatter checksum must equal the flat digest"
     );
+    // Maintenance over a settled store holding only committed objects
+    // finds nothing to repair, and moves nothing.
+    store.begin_epoch();
+    let listed = store.list();
+    let mut report = Maintenance::default();
+    store.maintain(&mut report);
+    assert_eq!(
+        report,
+        Maintenance {
+            scanned: report.scanned,
+            ..Maintenance::default()
+        },
+        "maintenance repaired a consistent store"
+    );
+    assert_eq!(store.list(), listed, "maintenance changed the listing");
+    let (back, _) = store.get("a/scatter", 0, SHAPE).unwrap();
+    assert_eq!(back.to_vec(), flat, "maintenance changed the contents");
     assert!(store.remove("a/scatter"));
 }
 

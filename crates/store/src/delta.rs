@@ -436,6 +436,10 @@ struct DeltaState {
 }
 
 /// Incremental checkpoint storage over an inner store `S`.
+///
+/// For a delta generation its `logical_len` reports the delta's (much
+/// smaller) stored size — the write-volume saving is exactly what the
+/// inner tier sees.
 pub struct DeltaStore<S> {
     cfg: DeltaConfig,
     inner: S,
@@ -706,19 +710,8 @@ impl<S: CheckpointStore> CheckpointStore for DeltaStore<S> {
         Ok((CheckpointImage::encode_shared(&Arc::new(img)), total))
     }
 
-    fn begin_epoch(&self) {
-        self.inner.begin_epoch();
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-
-    /// Note: for a delta generation this reports the delta's (much
-    /// smaller) stored size — the write-volume saving is exactly what the
-    /// inner tier sees.
-    fn logical_len(&self, path: &str) -> Result<u64, StoreError> {
-        self.inner.logical_len(path)
+    fn below(&self) -> Option<&dyn CheckpointStore> {
+        Some(&self.inner)
     }
 
     fn remove(&self, path: &str) -> bool {
@@ -734,10 +727,6 @@ impl<S: CheckpointStore> CheckpointStore for DeltaStore<S> {
         st.latest.retain(|_, g| g.path != path);
         drop(st);
         self.inner.remove(path)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
     }
 }
 

@@ -27,10 +27,11 @@
 //! outlast the process that framed them, so any other version number is
 //! [`StoreError::Corrupt`].
 //!
-//! [`recover()`](JournaledStore::recover) is the session-open scan: every
-//! object that fails validation is moved under the `.quarantine/` prefix
-//! (preserved for forensics, out of the way of restart path probing) and
-//! reported. Committed objects are never touched.
+//! [`maintain`](CheckpointStore::maintain) is the crash-recovery scan:
+//! every object that fails validation is moved under the `.quarantine/`
+//! prefix (preserved for forensics, out of the way of restart path
+//! probing) and reported, then the layers below are maintained. Committed
+//! objects are never touched.
 //!
 //! Composition: the journal parses nothing *inside* the payload, so it
 //! belongs nearest the backend media — wrap the innermost store
@@ -46,7 +47,7 @@
 use mana_core::chaos::ChaosHandle;
 use mana_core::error::StoreError;
 use mana_core::image::ImageBytes;
-use mana_core::store::CheckpointStore;
+use mana_core::store::{CheckpointStore, Maintenance, QuarantinedObject};
 use mana_sim::fs::IoShape;
 use mana_sim::scatter::ScatterBuf;
 use mana_sim::time::SimDuration;
@@ -61,7 +62,8 @@ const VERSION: u32 = 2;
 const HEADER: usize = 8 + 4 + 8;
 const TRAILER: usize = 8 + 8;
 
-/// Prefix under which [`JournaledStore::recover`] parks invalid objects.
+/// Prefix under which a [`JournaledStore`]'s maintenance parks invalid
+/// objects.
 pub const QUARANTINE_PREFIX: &str = ".quarantine/";
 
 const NEUTRAL_SHAPE: IoShape = IoShape {
@@ -69,28 +71,8 @@ const NEUTRAL_SHAPE: IoShape = IoShape {
     total_writers: 1,
 };
 
-/// One object quarantined by a [`JournaledStore::recover`] scan.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QuarantinedObject {
-    /// The path the invalid object was found at.
-    pub path: String,
-    /// Where its bytes were parked (under [`QUARANTINE_PREFIX`]).
-    pub quarantine_path: String,
-    /// The validation failure that condemned it.
-    pub why: String,
-}
-
-/// Result of a [`JournaledStore::recover`] scan.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Objects examined (quarantined objects from earlier scans excluded).
-    pub scanned: usize,
-    /// Objects that failed validation and were moved out of the way.
-    pub quarantined: Vec<QuarantinedObject>,
-}
-
 /// Crash-consistent wrapper: atomic publish, torn-write detection, and a
-/// quarantine-on-recovery scan over any inner [`CheckpointStore`].
+/// quarantine scan at maintenance over any inner [`CheckpointStore`].
 pub struct JournaledStore {
     inner: Box<dyn CheckpointStore>,
     /// Chaos seam: consulted at `put` time for armed torn writes.
@@ -221,39 +203,6 @@ impl JournaledStore {
         let (env, _) = self.inner.get(path, 0, NEUTRAL_SHAPE)?;
         JournaledStore::validate(path, env.scatter()).map(|_| ())
     }
-
-    /// Scan the inner store and quarantine every object that fails
-    /// envelope validation — a checkpoint is either fully durable or,
-    /// after this scan, visibly gone. Run it at session open, before any
-    /// restart probes the store. Committed objects are never moved.
-    pub fn recover(&self) -> RecoveryReport {
-        let mut report = RecoveryReport::default();
-        for path in self.inner.list() {
-            if path.starts_with(QUARANTINE_PREFIX) {
-                continue;
-            }
-            report.scanned += 1;
-            let why = match self.validated_get(&path) {
-                Ok(()) => continue,
-                Err(e) => e.to_string(),
-            };
-            let raw = match self.inner.get(&path, 0, NEUTRAL_SHAPE) {
-                Ok((d, _)) => d.into_scatter(),
-                Err(_) => ScatterBuf::new(),
-            };
-            let quarantine_path = format!("{QUARANTINE_PREFIX}{path}");
-            let len = raw.len() as u64;
-            self.inner
-                .put(&quarantine_path, raw.into(), len, 0, NEUTRAL_SHAPE);
-            self.inner.remove(&path);
-            report.quarantined.push(QuarantinedObject {
-                path,
-                quarantine_path,
-                why,
-            });
-        }
-        report
-    }
 }
 
 impl CheckpointStore for JournaledStore {
@@ -297,8 +246,8 @@ impl CheckpointStore for JournaledStore {
         Ok((ImageBytes::from(payload), dur))
     }
 
-    fn begin_epoch(&self) {
-        self.inner.begin_epoch();
+    fn below(&self) -> Option<&dyn CheckpointStore> {
+        Some(&*self.inner)
     }
 
     /// A torn or corrupt object is detectably *absent*: only committed
@@ -308,16 +257,36 @@ impl CheckpointStore for JournaledStore {
         self.inner.exists(path) && self.validated_get(path).is_ok()
     }
 
-    fn logical_len(&self, path: &str) -> Result<u64, StoreError> {
-        self.inner.logical_len(path)
-    }
-
-    fn remove(&self, path: &str) -> bool {
-        self.inner.remove(path)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
+    /// Quarantine every object below that fails envelope validation — a
+    /// checkpoint is either fully durable or, after this scan, visibly
+    /// gone — then maintain the layers below. Committed objects are never
+    /// moved.
+    fn maintain(&self, report: &mut Maintenance) {
+        for path in self.inner.list() {
+            if path.starts_with(QUARANTINE_PREFIX) {
+                continue;
+            }
+            report.scanned += 1;
+            let why = match self.validated_get(&path) {
+                Ok(()) => continue,
+                Err(e) => e.to_string(),
+            };
+            let raw = match self.inner.get(&path, 0, NEUTRAL_SHAPE) {
+                Ok((d, _)) => d.into_scatter(),
+                Err(_) => ScatterBuf::new(),
+            };
+            let quarantine_path = format!("{QUARANTINE_PREFIX}{path}");
+            let len = raw.len() as u64;
+            self.inner
+                .put(&quarantine_path, raw.into(), len, 0, NEUTRAL_SHAPE);
+            self.inner.remove(&path);
+            report.quarantined.push(QuarantinedObject {
+                path,
+                quarantine_path,
+                why,
+            });
+        }
+        self.inner.maintain(report);
     }
 }
 
@@ -452,7 +421,8 @@ mod tests {
         j.put("ck/ckpt_2/rank_0.mana", vec![5; 50].into(), 50, 0, SHAPE);
         inner.put("ck/stray", vec![1, 2, 3].into(), 3, 0, SHAPE); // unframed garbage
 
-        let report = j.recover();
+        let mut report = Maintenance::default();
+        j.maintain(&mut report);
         assert_eq!(report.scanned, 5);
         let paths: Vec<&str> = report.quarantined.iter().map(|q| q.path.as_str()).collect();
         assert_eq!(paths, vec!["ck/ckpt_2/rank_0.mana", "ck/stray"]);
@@ -464,7 +434,8 @@ mod tests {
             assert!(j.exists(&format!("ck/ckpt_1/rank_{r}.mana")));
         }
         // A second scan finds nothing new (quarantine is skipped).
-        let again = j.recover();
+        let mut again = Maintenance::default();
+        j.maintain(&mut again);
         assert_eq!(again.scanned, 3);
         assert!(again.quarantined.is_empty());
     }

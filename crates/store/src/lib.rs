@@ -25,8 +25,8 @@
 //! * [`JournaledStore`] — crash-consistent publish: every object is
 //!   framed in a checksummed commit envelope written commit-word-last, so
 //!   a writer that dies mid-`put` leaves a *detectably absent* object
-//!   (typed [`mana_core::StoreError::Torn`]), and a
-//!   [`recover`](JournaledStore::recover) scan at session open
+//!   (typed [`mana_core::StoreError::Torn`]), and its
+//!   [`maintain`](CheckpointStore::maintain) scan after a crash
 //!   quarantines every partial image;
 //! * [`CasStore`] — content-addressed storage that digests every 4 KiB
 //!   page of every rank image and stores identical pages once,
@@ -37,6 +37,21 @@
 //!
 //! Every backend is deterministic under a seed, so simulations that
 //! choose a storage stack stay bit-reproducible.
+//!
+//! # Writing a layer
+//!
+//! A layer is a [`CheckpointStore`] that wraps one other store. Write
+//! `put` and `get`, name the wrapped store in
+//! [`below`](CheckpointStore::below), and override only what the layer
+//! changes: everything else — `begin_epoch`, `exists`, `logical_len`,
+//! `remove`, `list` — passes through `below()` untouched. A layer with
+//! state of its own to repair after a crash overrides
+//! [`maintain`](CheckpointStore::maintain): it settles that state, adds
+//! what it did to the [`Maintenance`] report, then maintains the store
+//! below. Recovery of a whole stack is then one `maintain` call on its
+//! top: [`TieredStore`] resumes its drain ledger, [`JournaledStore`]
+//! quarantines torn envelopes, [`ReplicatedStore`] heals its replicas —
+//! top-down, in that order.
 //!
 //! # Example: an async-drain burst buffer over compressed Lustre
 //!
@@ -72,7 +87,7 @@ pub use cas::{CasConfig, CasStats, CasStore};
 pub use compress::{CompressingStore, CompressionConfig};
 pub use conformance::{exercise_store, StoreChecks};
 pub use delta::{DeltaConfig, DeltaStore};
-pub use journal::{JournaledStore, QuarantinedObject, RecoveryReport, QUARANTINE_PREFIX};
-pub use mana_core::store::CheckpointStore;
-pub use replicated::{HealReport, ReplicaConfig, ReplicatedStore};
-pub use tiered::{DrainEntry, DrainMode, DrainRecovery, DrainState, TierConfig, TieredStore};
+pub use journal::{JournaledStore, QUARANTINE_PREFIX};
+pub use mana_core::store::{CheckpointStore, HealReport, Maintenance, QuarantinedObject};
+pub use replicated::{ReplicaConfig, ReplicatedStore};
+pub use tiered::{DrainEntry, DrainMode, DrainState, TierConfig, TieredStore};

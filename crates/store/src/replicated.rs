@@ -7,10 +7,13 @@
 //! dead replicas, paying a probe timeout per corpse. Replica liveness is
 //! drawn deterministically per (replica, epoch) from a seed, so runs
 //! replay bit-identically; tests can also force replicas down or up.
+//! [`maintain`](CheckpointStore::maintain) maintains every replica's own
+//! stack, then brings each replica back in sync by anti-entropy
+//! ([`ReplicatedStore::heal`]).
 
 use mana_core::error::StoreError;
 use mana_core::image::ImageBytes;
-use mana_core::store::CheckpointStore;
+use mana_core::store::{CheckpointStore, HealReport, Maintenance};
 use mana_sim::fs::IoShape;
 use mana_sim::rng::splitmix64;
 use mana_sim::time::SimDuration;
@@ -230,17 +233,6 @@ const HEAL_SHAPE: IoShape = IoShape {
     total_writers: 1,
 };
 
-/// What a [`ReplicatedStore::heal`] pass copied onto the healed replica.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HealReport {
-    /// Paths copied from a peer (sorted — the scan is deterministic).
-    pub copied: Vec<String>,
-    /// Physical bytes moved.
-    pub bytes: u64,
-    /// Paths present on some peer but not cleanly servable by any.
-    pub unservable: Vec<String>,
-}
-
 impl CheckpointStore for ReplicatedStore {
     fn put(
         &self,
@@ -344,26 +336,16 @@ impl CheckpointStore for ReplicatedStore {
     }
 
     fn exists(&self, path: &str) -> bool {
-        let st = self.state.lock();
-        let (epoch, forced) = (st.epoch, st.forced_down.clone());
-        drop(st);
-        (0..self.replicas.len())
-            .any(|i| self.alive_at(i, epoch, &forced) && self.replicas[i].exists(path))
+        self.alive_indices()
+            .into_iter()
+            .any(|i| self.replicas[i].exists(path))
     }
 
     fn logical_len(&self, path: &str) -> Result<u64, StoreError> {
-        let st = self.state.lock();
-        let (epoch, forced) = (st.epoch, st.forced_down.clone());
-        drop(st);
-        for i in 0..self.replicas.len() {
-            if !self.alive_at(i, epoch, &forced) {
-                continue;
-            }
-            if let Ok(len) = self.replicas[i].logical_len(path) {
-                return Ok(len);
-            }
-        }
-        Err(StoreError::NotFound(path.to_string()))
+        self.alive_indices()
+            .into_iter()
+            .find_map(|i| self.replicas[i].logical_len(path).ok())
+            .ok_or_else(|| StoreError::NotFound(path.to_string()))
     }
 
     fn remove(&self, path: &str) -> bool {
@@ -378,17 +360,29 @@ impl CheckpointStore for ReplicatedStore {
 
     fn list(&self) -> Vec<String> {
         let mut all: Vec<String> = Vec::new();
-        let st = self.state.lock();
-        let (epoch, forced) = (st.epoch, st.forced_down.clone());
-        drop(st);
-        for i in 0..self.replicas.len() {
-            if self.alive_at(i, epoch, &forced) {
-                all.extend(self.replicas[i].list());
-            }
+        for i in self.alive_indices() {
+            all.extend(self.replicas[i].list());
         }
         all.sort();
         all.dedup();
         all
+    }
+
+    /// Maintain each replica's own stack, then heal every replica by
+    /// anti-entropy. A layer above that quarantines (a journal) has
+    /// already run, so its moves are what gets replicated and no replica
+    /// re-imports a torn envelope. Only heals that copied something or
+    /// found something unservable are reported.
+    fn maintain(&self, report: &mut Maintenance) {
+        for r in &self.replicas {
+            r.maintain(report);
+        }
+        for i in 0..self.replicas.len() {
+            let heal = self.heal(i);
+            if !heal.copied.is_empty() || !heal.unservable.is_empty() {
+                report.heals.push((i, heal));
+            }
+        }
     }
 }
 
@@ -432,17 +426,8 @@ mod tests {
         ) -> Result<(ImageBytes, SimDuration), StoreError> {
             self.inner.get(p, r, s).map(|(d, _)| (d, self.read))
         }
-        fn exists(&self, p: &str) -> bool {
-            self.inner.exists(p)
-        }
-        fn logical_len(&self, p: &str) -> Result<u64, StoreError> {
-            self.inner.logical_len(p)
-        }
-        fn remove(&self, p: &str) -> bool {
-            self.inner.remove(p)
-        }
-        fn list(&self) -> Vec<String> {
-            self.inner.list()
+        fn below(&self) -> Option<&dyn CheckpointStore> {
+            Some(&self.inner)
         }
     }
 
@@ -570,12 +555,14 @@ mod tests {
         };
         let healthy = FixedLatency::new(10, 5);
         healthy.put("x", vec![7].into(), 8, 0, SHAPE);
-        let torn = InMemStore::new();
-        torn.put("x", vec![1].into(), 8, 0, SHAPE); // stand-in for a torn object
+        /// Every write dies half way: only a prefix lands, and no read
+        /// ever validates.
         struct TornServe(InMemStore);
         impl CheckpointStore for TornServe {
             fn put(&self, p: &str, d: ImageBytes, l: u64, r: u64, s: IoShape) -> SimDuration {
-                self.0.put(p, d, l, r, s)
+                let mut prefix = d.into_scatter();
+                prefix.truncate(prefix.len() / 2);
+                self.0.put(p, prefix.into(), l, r, s)
             }
             fn get(
                 &self,
@@ -588,26 +575,15 @@ mod tests {
                     why: "commit record never written".to_string(),
                 })
             }
-            fn exists(&self, p: &str) -> bool {
-                self.0.exists(p)
-            }
-            fn logical_len(&self, p: &str) -> Result<u64, StoreError> {
-                self.0.logical_len(p)
-            }
-            fn remove(&self, p: &str) -> bool {
-                self.0.remove(p)
-            }
-            fn list(&self) -> Vec<String> {
-                self.0.list()
+            fn below(&self) -> Option<&dyn CheckpointStore> {
+                Some(&self.0)
             }
         }
+        let torn = TornServe(InMemStore::new());
+        torn.put("x", vec![1, 2].into(), 8, 0, SHAPE);
         let s = ReplicatedStore::new(
             cfg,
-            vec![
-                Arc::new(Rotten),
-                Arc::new(TornServe(torn)),
-                Arc::new(healthy),
-            ],
+            vec![Arc::new(Rotten), Arc::new(torn), Arc::new(healthy)],
         );
         // One corrupt + one torn replica cost a probe each; the healthy
         // third serves the read.

@@ -7,10 +7,12 @@
 //! write — and the drain to the global tier happens later, exactly the
 //! forked-checkpoint overlap DMTCP uses. Every deferred write is an
 //! entry in a persistent **drain ledger**, so a crash
-//! mid-drain is *detectable*: [`TieredStore::recover`] resumes drains
-//! whose burst-tier copy survived and quarantines the ones whose fast
-//! data is gone. An image that was burst-tier-committed is never lost to
-//! a torn slow-tier write — the intact fast copy re-drains.
+//! mid-drain is *detectable*: the store's
+//! [`maintain`](CheckpointStore::maintain) resumes drains whose
+//! burst-tier copy survived and quarantines the ones whose fast data is
+//! gone, then maintains the slow tier. An image that was
+//! burst-tier-committed is never lost to a torn slow-tier write — the
+//! intact fast copy re-drains.
 //!
 //! The deferred cost does not vanish: a `get` before the drain finished
 //! performs the drain as a read-through (a restart right after a kill
@@ -27,7 +29,7 @@
 use mana_core::chaos::{ChaosHandle, DrainFault};
 use mana_core::error::StoreError;
 use mana_core::image::ImageBytes;
-use mana_core::store::CheckpointStore;
+use mana_core::store::{CheckpointStore, Maintenance};
 use mana_sim::fs::IoShape;
 use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
@@ -91,17 +93,6 @@ pub struct DrainEntry {
     pub state: DrainState,
 }
 
-/// What [`TieredStore::recover`] found and did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DrainRecovery {
-    /// Drains resumed from intact burst-tier copies (now slow-durable).
-    pub resumed: Vec<String>,
-    /// Ledger entries whose fast data was gone — the object cannot be
-    /// recovered and was quarantined out of the ledger (and removed from
-    /// the slow tier if a partial write landed there).
-    pub quarantined: Vec<String>,
-}
-
 struct FastObj {
     logical_len: u64,
     rank: u64,
@@ -121,6 +112,16 @@ struct TierState {
     order: VecDeque<String>,
     objects: HashMap<String, FastObj>,
     used: u64,
+}
+
+impl TierState {
+    /// Drop `path`'s fast-tier residency, returning what it held.
+    fn evict(&mut self, path: &str) -> Option<FastObj> {
+        let obj = self.objects.remove(path)?;
+        self.used -= obj.logical_len;
+        self.order.retain(|p| p != path);
+        Some(obj)
+    }
 }
 
 /// Fast burst-buffer tier draining to a slow global tier `S`.
@@ -189,56 +190,6 @@ impl<S: CheckpointStore> TieredStore<S> {
             .is_some_and(|o| o.drain.is_some())
     }
 
-    /// Crash recovery over the drain ledger: resume every outstanding
-    /// drain whose burst-tier copy survived (overwriting any partial
-    /// slow-tier envelope a torn write left behind) and quarantine the
-    /// entries whose fast data is gone. After this, the ledger is empty
-    /// and every image that was burst-tier-committed is slow-durable —
-    /// the module's "never lose a committed image" contract.
-    pub fn recover(&self) -> DrainRecovery {
-        let mut report = DrainRecovery::default();
-        loop {
-            // One outstanding entry at a time: the slow-tier put runs
-            // outside the lock (it may be a whole replicated stack).
-            let next = {
-                let st = self.state.lock();
-                st.order
-                    .iter()
-                    .find(|p| st.objects.get(*p).is_some_and(|o| o.drain.is_some()))
-                    .cloned()
-            };
-            let Some(path) = next else { break };
-            let (data, logical_len, rank, shape) = {
-                let st = self.state.lock();
-                let obj = st.objects.get(&path).expect("ledger entry object");
-                (obj.data.clone(), obj.logical_len, obj.rank, obj.shape)
-            };
-            match data {
-                Some(bytes) => {
-                    self.slow.put(&path, bytes, logical_len, rank, shape);
-                    let mut st = self.state.lock();
-                    if let Some(obj) = st.objects.get_mut(&path) {
-                        obj.drain = None;
-                        obj.data = None;
-                    }
-                    report.resumed.push(path);
-                }
-                None => {
-                    // Fast copy lost before the drain: nothing to resume.
-                    // Drop any partial slow-tier write and the residency.
-                    self.slow.remove(&path);
-                    let mut st = self.state.lock();
-                    if let Some(obj) = st.objects.remove(&path) {
-                        st.used -= obj.logical_len;
-                    }
-                    st.order.retain(|p| p != &path);
-                    report.quarantined.push(path);
-                }
-            }
-        }
-        report
-    }
-
     /// Drain one outstanding entry to the slow tier, returning the slow
     /// write's duration. Caller holds no lock.
     fn drain_now(&self, path: &str) -> SimDuration {
@@ -286,12 +237,7 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
         };
         if logical_len > self.cfg.capacity {
             // Too big for the burst buffer: straight to the slow tier.
-            let mut st = self.state.lock();
-            if let Some(old) = st.objects.remove(path) {
-                st.used -= old.logical_len;
-                st.order.retain(|p| p != path);
-            }
-            drop(st);
+            self.state.lock().evict(path);
             return paid_overwrite + self.slow.put(path, data, logical_len, rank, shape);
         }
 
@@ -300,10 +246,7 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
         loop {
             let victim = {
                 let mut st = self.state.lock();
-                if let Some(old) = st.objects.remove(path) {
-                    st.used -= old.logical_len;
-                    st.order.retain(|p| p != path);
-                }
+                st.evict(path);
                 if st.used + logical_len <= self.cfg.capacity {
                     None
                 } else {
@@ -312,11 +255,7 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
             };
             let Some(victim) = victim else { break };
             paid_evict += self.drain_now(&victim);
-            let mut st = self.state.lock();
-            if let Some(obj) = st.objects.remove(&victim) {
-                st.used -= obj.logical_len;
-            }
-            st.order.retain(|p| p != &victim);
+            self.state.lock().evict(&victim);
         }
 
         let (kept, drain_state, charged) = match self.cfg.drain {
@@ -394,16 +333,9 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
         } else {
             None
         };
-        let outstanding: Vec<String> = {
-            let st = self.state.lock();
-            st.order
-                .iter()
-                .filter(|p| st.objects.get(*p).is_some_and(|o| o.drain.is_some()))
-                .cloned()
-                .collect()
-        };
+        let outstanding = self.drain_ledger();
         let mut fault = fault.filter(|_| !outstanding.is_empty());
-        for path in outstanding {
+        for DrainEntry { path, .. } in outstanding {
             if let Some(f) = fault.take() {
                 // The fault hits the oldest outstanding drain and stops
                 // this epoch's draining dead.
@@ -445,6 +377,10 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
         self.slow.begin_epoch();
     }
 
+    fn below(&self) -> Option<&dyn CheckpointStore> {
+        Some(&self.slow)
+    }
+
     fn exists(&self, path: &str) -> bool {
         // An outstanding drain with an intact fast copy is committed
         // (burst-tier durability); one whose fast copy is lost is not.
@@ -475,15 +411,11 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
     }
 
     fn remove(&self, path: &str) -> bool {
-        let mut st = self.state.lock();
-        let had_fast = if let Some(old) = st.objects.remove(path) {
-            st.used -= old.logical_len;
-            st.order.retain(|p| p != path);
-            old.drain.is_some() && old.data.is_some()
-        } else {
-            false
-        };
-        drop(st);
+        let had_fast = self
+            .state
+            .lock()
+            .evict(path)
+            .is_some_and(|old| old.drain.is_some() && old.data.is_some());
         self.slow.remove(path) || had_fast
     }
 
@@ -504,6 +436,34 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
         }
         out.sort();
         out
+    }
+    /// Crash recovery over the drain ledger: resume every outstanding
+    /// drain whose burst-tier copy survived (overwriting any partial
+    /// slow-tier envelope a torn write left behind) and quarantine the
+    /// entries whose fast data is gone, then maintain the slow tier.
+    /// After this the ledger is empty and every image that was
+    /// burst-tier-committed is slow-durable — the module's "never lose a
+    /// committed image" contract.
+    fn maintain(&self, report: &mut Maintenance) {
+        for DrainEntry { path, .. } in self.drain_ledger() {
+            let fast_copy = self
+                .state
+                .lock()
+                .objects
+                .get(&path)
+                .is_some_and(|o| o.data.is_some());
+            if fast_copy {
+                self.drain_now(&path);
+                report.drains_resumed.push(path);
+            } else {
+                // Fast copy lost before the drain: nothing to resume.
+                // Drop any partial slow-tier write and the residency.
+                self.slow.remove(&path);
+                self.state.lock().evict(&path);
+                report.drains_quarantined.push(path);
+            }
+        }
+        self.slow.maintain(report);
     }
 }
 
@@ -529,6 +489,13 @@ mod tests {
             read_straggler_max: 1.0,
             seed: 1,
         })
+    }
+
+    /// One maintenance walk over `store`.
+    fn maintain(store: &dyn CheckpointStore) -> Maintenance {
+        let mut report = Maintenance::default();
+        store.maintain(&mut report);
+        report
     }
 
     fn cfg(drain: DrainMode) -> TierConfig {
@@ -652,9 +619,9 @@ mod tests {
         assert_eq!(store.drain_ledger().len(), 2);
         // Simulated node crash: the process dies with drains pending; on
         // reboot, recovery finds the ledger and finishes the job.
-        let rec = store.recover();
-        assert_eq!(rec.resumed, vec!["a".to_string(), "b".to_string()]);
-        assert!(rec.quarantined.is_empty());
+        let rec = maintain(&store);
+        assert_eq!(rec.drains_resumed, vec!["a".to_string(), "b".to_string()]);
+        assert!(rec.drains_quarantined.is_empty());
         assert!(store.drain_ledger().is_empty());
         assert!(store.slow().exists("a") && store.slow().exists("b"));
         assert_eq!(store.get("a", 0, SHAPE).unwrap().0.to_vec(), vec![1]);
@@ -717,9 +684,9 @@ mod tests {
         assert!(store.exists("a"), "burst-tier commit still stands");
 
         // Recovery resumes both from the intact fast copies.
-        let rec = store.recover();
-        assert_eq!(rec.resumed, vec!["a".to_string(), "b".to_string()]);
-        assert!(rec.quarantined.is_empty());
+        let rec = maintain(&store);
+        assert_eq!(rec.drains_resumed, vec!["a".to_string(), "b".to_string()]);
+        assert!(rec.drains_quarantined.is_empty());
         assert!(store.slow().exists("a") && store.slow().exists("b"));
         assert_eq!(store.get("a", 0, SHAPE).unwrap().0.to_vec(), vec![1; 64]);
         assert_eq!(chaos.drain_faults().len(), 1);
@@ -740,9 +707,9 @@ mod tests {
         );
         assert!(store.get("a", 0, SHAPE).is_err());
 
-        let rec = store.recover();
-        assert_eq!(rec.quarantined, vec!["a".to_string()]);
-        assert_eq!(rec.resumed, vec!["b".to_string()]);
+        let rec = maintain(&store);
+        assert_eq!(rec.drains_quarantined, vec!["a".to_string()]);
+        assert_eq!(rec.drains_resumed, vec!["b".to_string()]);
         assert!(!store.exists("a"), "quarantined object stays gone");
         assert!(store.slow().exists("b"), "the survivor drained fine");
     }
@@ -777,13 +744,13 @@ mod tests {
                     store.begin_epoch();
                     chaos.rank_point(e, 0, InjectPoint::Agreement, None);
                 }
-                let rec = store.recover();
+                let rec = maintain(&store);
                 assert!(
                     store.drain_ledger().is_empty(),
                     "recovery must settle the ledger"
                 );
                 for path in &committed {
-                    let lost = rec.quarantined.contains(path);
+                    let lost = rec.drains_quarantined.contains(path);
                     assert_eq!(
                         store.exists(path),
                         !lost,
@@ -796,11 +763,11 @@ mod tests {
                 }
                 match kind {
                     0 => assert!(
-                        rec.quarantined.is_empty(),
+                        rec.drains_quarantined.is_empty(),
                         "a torn drain never loses the committed image"
                     ),
                     _ => assert_eq!(
-                        rec.quarantined,
+                        rec.drains_quarantined,
                         vec![format!("img_{fault_epoch}")],
                         "losing the fast tier before the drain loses \
                          exactly that image"
