@@ -18,6 +18,11 @@
 //! order matters: a replica healed before the journal scan re-imports a
 //! torn envelope its peer still holds, and the copied paths move.
 //!
+//! The last re-pin moved heal byte counts only: journal envelope version
+//! 3 carries a chunk table (4 bytes, plus 12 per run of equal chunk
+//! lengths) in every envelope a heal copies. Paths, quarantines, drains
+//! and degraded modes stayed as they were.
+//!
 //! Image paths are shortened from `chaos/ckpt_<id>/rank_<r>.mana` to
 //! `<id>.<r>`; any other path is kept whole.
 
@@ -82,7 +87,7 @@ fn run(seed: u64) -> ChaosReport {
 const EXPECTED: &[&[&str]] = &[
     &[
         "scanned 46",
-        "heal 0: [1.0 1.1 1.2 1.3] / 65480 / []",
+        "heal 0: [1.0 1.1 1.2 1.3] / 66024 / []",
         "quarantined [2.2]",
         "drains resumed [2.0 2.1 2.2 2.3 10.0 10.1 10.2 10.3 11.0] lost []",
         "degraded replica 0 dark",
@@ -92,14 +97,14 @@ const EXPECTED: &[&[&str]] = &[
     ],
     &[
         "scanned 60",
-        "heal 1: [1.0 1.1 1.2 1.3 2.0 2.1 2.2 2.3 3.0 3.1 3.2 3.3 4.0 4.1 4.2] / 997209 / []",
+        "heal 1: [1.0 1.1 1.2 1.3 2.0 2.1 2.2 2.3 3.0 3.1 3.2 3.3 4.0 4.1 4.2] / 1000149 / []",
         "quarantined []",
         "drains resumed [] lost []",
         "degraded replica 1 dark",
     ],
     &[
         "scanned 89",
-        "heal 1: [1.0 1.1 1.2 1.3 2.0 2.1 2.2 2.3] / 663944 / []",
+        "heal 1: [1.0 1.1 1.2 1.3 2.0 2.1 2.2 2.3] / 665512 / []",
         "quarantined []",
         "drains resumed [3.0 3.1 3.2 3.3 4.0 4.1 4.2 10.1 10.2 10.3] lost [10.0]",
         "degraded replica 1 dark",
@@ -127,7 +132,7 @@ const EXPECTED: &[&[&str]] = &[
     &["scanned 68", "quarantined []", "drains resumed [] lost []"],
     &[
         "scanned 51",
-        "heal 1: [1.0 1.1 1.2 1.3 2.0 2.1 2.2 2.3] / 429640 / []",
+        "heal 1: [1.0 1.1 1.2 1.3 2.0 2.1 2.2 2.3] / 431016 / []",
         "quarantined []",
         "drains resumed [3.0 3.1 3.2 3.3 10.1 10.2 10.3] lost [10.0]",
         "degraded replica 1 dark",
@@ -142,7 +147,7 @@ const EXPECTED: &[&[&str]] = &[
     ],
     &[
         "scanned 25",
-        "heal 1: [1.0 1.1 1.2 1.3] / 265692 / []",
+        "heal 1: [1.0 1.1 1.2 1.3] / 266476 / []",
         "quarantined [2.0]",
         "drains resumed [] lost []",
         "degraded replica 1 dark",

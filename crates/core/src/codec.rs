@@ -125,7 +125,7 @@ impl ScatterEnc {
     }
 
     /// Write a length-prefixed dense snapshot: the content bytes are its
-    /// frozen `Arc` pages, appended without copying a byte — the entire
+    /// frozen pages, appended without copying a byte — the entire
     /// zero-copy image path.
     pub fn dense(&mut self, snap: &DenseSnap) {
         self.u64(snap.len() as u64);
@@ -180,7 +180,7 @@ impl<'a> ScatterDec<'a> {
         self.copied
     }
 
-    /// Dense pages recovered as shared `Arc` handles (no copy).
+    /// Dense pages recovered as shared page handles (no copy).
     pub fn pages_shared(&self) -> u64 {
         self.pages_shared
     }
@@ -303,7 +303,7 @@ impl<'a> ScatterDec<'a> {
         // Fast path: the cursor sits at a segment boundary and the next
         // segments are exactly the payload's canonical page chunking as
         // shared handles — the ScatterEnc layout, preserved by stores
-        // that kept the scatter intact. Recover the Arc handles.
+        // that kept the scatter intact. Recover the page handles.
         if self.off == 0 {
             let npages = pages_of_len(len);
             let mut pages = Vec::with_capacity(npages);

@@ -131,7 +131,7 @@ pub struct CheckpointImage {
 
 /// The encoded form of a [`CheckpointImage`]: a scatter of byte segments
 /// in which metadata runs are small owned segments and the dense region
-/// pages are *shared* `Arc` handles into the snapshot ropes — no page is
+/// pages are *shared* page handles into the snapshot ropes — no page is
 /// memcpy'd between the address space and the store tier. An optional
 /// decoded-image attachment rides along so image-aware stores
 /// (`DeltaStore`, `CasStore`, dirty-aware compression) can read regions
@@ -147,6 +147,8 @@ pub struct ImageBytes {
     image: Option<Arc<CheckpointImage>>,
     /// The image an envelope built by [`ImageBytes::frame_with`] wraps.
     framed: Option<Arc<CheckpointImage>>,
+    /// The record digest the framing of such an envelope produced.
+    record_digest: Option<u64>,
 }
 
 impl ImageBytes {
@@ -163,20 +165,27 @@ impl ImageBytes {
             buf,
             image: Some(image),
             framed: None,
+            record_digest: None,
         }
     }
 
     /// Wrap these bytes in a framing layer's envelope: `frame` turns the
-    /// wire scatter into the envelope's. The envelope is not a rank image
-    /// ([`ImageBytes::rank_image`] is `None`), but it keeps the attached
-    /// image it wraps as [`ImageBytes::framed`], so a layer below can
-    /// price the dirty pages without parsing the envelope. Taking the
-    /// scatter back out ([`ImageBytes::into_scatter`]) drops it.
-    pub fn frame_with(self, frame: impl FnOnce(ScatterBuf) -> ScatterBuf) -> ImageBytes {
+    /// wire scatter into the envelope's and returns it with the record
+    /// digest it computed while framing (a journal's commit digest). The
+    /// envelope is not a rank image ([`ImageBytes::rank_image`] is
+    /// `None`), but it keeps the attached image it wraps as
+    /// [`ImageBytes::framed`], so a layer below can price the dirty pages
+    /// without parsing the envelope, and the digest as
+    /// [`ImageBytes::record_digest`], so it can seed a draw without
+    /// hashing the envelope again. Taking the scatter back out
+    /// ([`ImageBytes::into_scatter`]) drops both.
+    pub fn frame_with(self, frame: impl FnOnce(ScatterBuf) -> (ScatterBuf, u64)) -> ImageBytes {
+        let (buf, digest) = frame(self.buf);
         ImageBytes {
             framed: self.image.or(self.framed),
             image: None,
-            buf: frame(self.buf),
+            buf,
+            record_digest: Some(digest),
         }
     }
 
@@ -195,8 +204,8 @@ impl ImageBytes {
         &self.buf
     }
 
-    /// Take the scatter buffer (drops the image attachment and the framed
-    /// image).
+    /// Take the scatter buffer (drops the image attachment, the framed
+    /// image and the record digest).
     pub fn into_scatter(self) -> ScatterBuf {
         self.buf
     }
@@ -230,6 +239,14 @@ impl ImageBytes {
         self.framed.as_ref()
     }
 
+    /// The record digest the framing produced, when these bytes are an
+    /// envelope built by [`ImageBytes::frame_with`]. It identifies the
+    /// envelope's content as framed; a layer may seed a cost or a draw
+    /// from it, never validate with it.
+    pub fn record_digest(&self) -> Option<u64> {
+        self.record_digest
+    }
+
     /// Flatten to contiguous bytes (copies; shared page bytes are tallied
     /// in [`mana_sim::scatter::shared_flatten_bytes`]).
     pub fn to_vec(&self) -> Vec<u8> {
@@ -257,13 +274,14 @@ impl From<ScatterBuf> for ImageBytes {
             buf,
             image: None,
             framed: None,
+            record_digest: None,
         }
     }
 }
 
 impl PartialEq for ImageBytes {
-    /// Wire-byte equality (segmentation, attachment and framed image
-    /// ignored).
+    /// Wire-byte equality (segmentation, attachment, framed image and
+    /// record digest ignored).
     fn eq(&self, other: &ImageBytes) -> bool {
         self.buf == other.buf
     }
@@ -366,10 +384,10 @@ impl CheckpointImage {
     }
 
     /// Deserialize straight from a scatter, recovering dense region pages
-    /// as the stored `Arc` handles — the read-side twin of
+    /// as the stored page handles — the read-side twin of
     /// [`CheckpointImage::encode_shared`]. When the producer attached the
     /// decoded image, the wire decode is skipped entirely (the clone is
-    /// cheap: region ropes are `Arc` pages). Returns the image plus the
+    /// cheap: region ropes are shared pages). Returns the image plus the
     /// copy accounting for [`crate::stats::RankRestartStats`].
     pub fn decode_shared(bytes: &ImageBytes) -> Result<(CheckpointImage, DecodeStats), CodecError> {
         if let Some(img) = bytes.image() {
@@ -558,7 +576,7 @@ impl CheckpointImage {
 
 /// Copy accounting from [`CheckpointImage::decode_shared`]: how many wire
 /// bytes had to be copied out of the scatter (metadata runs, non-canonical
-/// payloads) and how many dense pages came back as shared `Arc` handles.
+/// payloads) and how many dense pages came back as shared page handles.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Bytes memcpy'd out of the scatter during decode.
@@ -664,7 +682,7 @@ fn dec_op(tag: u32) -> Result<ReduceOp, CodecError> {
 
 /// Encode one region snapshot. Shared with derived image formats (the
 /// delta blobs and CAS manifests of `mana-store` embed region snapshots).
-/// Dense content is appended as the snapshot's frozen `Arc` pages, with no
+/// Dense content is appended as the snapshot's frozen pages, with no
 /// intermediate materialization.
 pub fn encode_region(e: &mut ScatterEnc, r: &RegionSnapshot) {
     e.u64(r.start);
@@ -692,7 +710,7 @@ pub fn decode_region(d: &mut ScatterDec<'_>) -> Result<RegionSnapshot, CodecErro
     let kind = dec_kind(d.u32("region kind")?)?;
     let name = d.string("region name")?;
     let content = match d.u32("region content")? {
-        // Stored `Arc` pages come back as the same handles (zero
+        // Stored pages come back as the same handles (zero
         // copies); bytes that lost their page segmentation are copied.
         0 => SnapshotContent::Dense(d.dense("region dense")?),
         1 => SnapshotContent::Pattern {
@@ -1266,16 +1284,21 @@ mod tests {
         let wrap = |buf: ScatterBuf| {
             let mut env = ScatterBuf::from_vec(b"envelope".to_vec());
             env.append(buf);
-            env
+            let digest = env.len() as u64;
+            (env, digest)
         };
         let env = CheckpointImage::encode_shared(&img).frame_with(wrap);
         assert!(env.image().is_none() && env.rank_image().is_none());
         assert!(Arc::ptr_eq(env.framed().unwrap(), &img));
-        // Framing an envelope again keeps the innermost image.
+        assert_eq!(env.record_digest(), Some(env.len() as u64));
+        // Framing an envelope again keeps the innermost image and records
+        // the outer digest.
         let twice = env.clone().frame_with(wrap);
         assert!(Arc::ptr_eq(twice.framed().unwrap(), &img));
+        assert_eq!(twice.record_digest(), Some(twice.len() as u64));
         // Bytes cut out of the envelope carry nothing.
-        assert!(ImageBytes::from(env.into_scatter()).framed().is_none());
+        let cut = ImageBytes::from(env.into_scatter());
+        assert!(cut.framed().is_none() && cut.record_digest().is_none());
         assert!(ImageBytes::from_vec(vec![1; 8])
             .frame_with(wrap)
             .framed()

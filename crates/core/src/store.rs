@@ -427,8 +427,7 @@ mod tests {
         // A scatter put comes back out with its shared pages intact.
         let mut sb = mana_sim::scatter::ScatterBuf::new();
         sb.push_owned(vec![8; 16]);
-        let page: std::sync::Arc<[u8]> = std::sync::Arc::from(&[3u8; 4096][..]);
-        sb.push_shared(page.clone());
+        sb.push_shared(mana_sim::page::Page::from(&[3u8; 4096][..]));
         store.put("a/s", sb.into(), 4112, 0, SHAPE);
         let (back, _) = store.get("a/s", 0, SHAPE).unwrap();
         assert_eq!(back.scatter().shared_len(), 4096, "page sharing survived");

@@ -28,6 +28,7 @@ mod coro;
 pub mod fs;
 pub mod kernel;
 pub mod memory;
+pub mod page;
 pub mod pod;
 pub mod rng;
 pub mod scatter;
@@ -41,6 +42,7 @@ pub use memory::{
     AddressSpace, Backing, DenseBuf, DenseSnap, Half, HalfSnapshot, MemError, Region, RegionDirty,
     RegionKind, RegionMeta, RegionSnapshot, SnapshotContent, SnapshotStats,
 };
+pub use page::Page;
 pub use scatter::{ScatterBuf, Segment};
 pub use sched::{SchedStats, Sim, SimConfig, SimThread, SimThreadId};
 pub use time::{SimDuration, SimTime};

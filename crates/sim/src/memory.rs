@@ -17,12 +17,12 @@
 //! `sbrk` growth must be redirected to `mmap` by MANA's interposition.
 
 use crate::checksum::Checksum;
+use crate::page::Page;
 use crate::pod::{cast_slice, cast_slice_mut, Pod};
 use crate::rng::splitmix64;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Which program within the split process a region belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -176,7 +176,7 @@ pub enum Backing {
     /// Real bytes: fully saved/restored in checkpoint images.
     Dense(DenseBuf),
     /// Restored content still sitting in the checkpoint image's frozen
-    /// rope — the stored `Arc` pages installed directly, zero restore-time
+    /// rope — the stored pages installed directly, zero restore-time
     /// copies. Reads within one page are served straight from the rope;
     /// the first write (or multi-page read) thaws the region into a
     /// private [`DenseBuf`]. Snapshotting a still-frozen region shares
@@ -312,7 +312,7 @@ pub struct RegionSnapshot {
 /// Contents of a [`RegionSnapshot`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SnapshotContent {
-    /// Full byte image (frozen, `Arc`-page-backed; cheap to clone/share).
+    /// Full byte image (frozen, [`Page`]-backed; cheap to clone/share).
     Dense(DenseSnap),
     /// Pattern descriptor (seed); content defined by [`pattern_byte`].
     Pattern {
@@ -354,17 +354,23 @@ fn bits_or_into(dst: &mut Vec<u64>, src: &[u64]) {
     }
 }
 
-/// Frozen dense snapshot content: a rope of [`PAGE`]-sized `Arc` chunks
-/// (the last chunk may be shorter). Chunks are *shared* — with the
+/// Frozen dense snapshot content: a rope of [`PAGE`]-sized [`Page`]
+/// chunks (the last chunk may be shorter). Chunks are *shared* — with the
 /// region's committed snapshot epoch inside the [`AddressSpace`] and with
 /// every other snapshot of the same epoch — so taking a snapshot of a
 /// clean region copies zero bytes, and a dirty region copies only its
 /// dirty pages. The chunking is a deterministic function of `len`, so two
 /// `DenseSnap`s of equal content always have pairwise-comparable pages.
+///
+/// Pages are immutable: [`DenseSnap::patched`] and a frozen region's thaw
+/// copy, never write in place. A page's memoized digest
+/// ([`Page::digest`]) is therefore computed at most once however many
+/// snapshots, images and store tiers share the page: a clean page is
+/// hashed once in its lifetime, a dirty one when it is new.
 #[derive(Clone)]
 pub struct DenseSnap {
     len: usize,
-    pages: Vec<Arc<[u8]>>,
+    pages: Vec<Page>,
 }
 
 impl DenseSnap {
@@ -377,7 +383,7 @@ impl DenseSnap {
     pub fn from_bytes(bytes: &[u8]) -> DenseSnap {
         DenseSnap {
             len: bytes.len(),
-            pages: bytes.chunks(PAGE as usize).map(Arc::from).collect(),
+            pages: bytes.chunks(PAGE as usize).map(Page::from).collect(),
         }
     }
 
@@ -387,7 +393,7 @@ impl DenseSnap {
     /// page pool this way). Returns `None` unless the handles follow the
     /// canonical chunking of `len`: every page [`PAGE`] bytes except a
     /// shorter final page.
-    pub fn from_pages(len: usize, pages: Vec<Arc<[u8]>>) -> Option<DenseSnap> {
+    pub fn from_pages(len: usize, pages: Vec<Page>) -> Option<DenseSnap> {
         if pages.len() != pages_of_len(len) {
             return None;
         }
@@ -462,7 +468,7 @@ impl DenseSnap {
                 // pages a patch touches.
                 let mut v = pages[p].to_vec();
                 v[in_page..in_page + n].copy_from_slice(&bytes[done..done + n]);
-                pages[p] = Arc::from(v);
+                pages[p] = Page::from(&v[..]);
                 done += n;
             }
         }
@@ -476,19 +482,16 @@ impl DenseSnap {
     /// not merely equal) — used by tests and copy-traffic accounting.
     pub fn shares_page(&self, other: &DenseSnap, i: usize) -> bool {
         match (self.pages.get(i), other.pages.get(i)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (Some(a), Some(b)) => Page::ptr_eq(a, b),
             _ => false,
         }
     }
 
-    fn page_arc(&self, i: usize) -> Arc<[u8]> {
-        self.pages[i].clone()
-    }
-
     /// Clone the shared handle of page `i` — lets storage backends keep a
-    /// page alive (and deduplicate it) without copying its bytes.
-    pub fn page_handle(&self, i: usize) -> Arc<[u8]> {
-        self.page_arc(i)
+    /// page alive (and deduplicate it, or read its memoized digest)
+    /// without copying its bytes.
+    pub fn page_handle(&self, i: usize) -> Page {
+        self.pages[i].clone()
     }
 }
 
@@ -499,7 +502,7 @@ impl PartialEq for DenseSnap {
                 .pages
                 .iter()
                 .zip(&other.pages)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+                .all(|(a, b)| Page::ptr_eq(a, b) || a[..] == b[..])
     }
 }
 
@@ -1103,7 +1106,7 @@ impl AddressSpace {
 
     /// Snapshot every region of `half`, copying only pages dirtied since
     /// the last *committed* snapshot epoch and sharing the rest of the
-    /// frozen content (`Arc`-backed pages). The returned
+    /// frozen content (shared [`Page`]s). The returned
     /// [`HalfSnapshot`] carries per-region dirty summaries and copy
     /// accounting. The snapshot is *staged*: call
     /// [`clear_dirty`](AddressSpace::clear_dirty) at checkpoint commit to
@@ -1178,13 +1181,13 @@ impl AddressSpace {
                         match &base {
                             Some(c) if !bit_get(&r.track.dirty, p) => {
                                 out.stats.clean_pages_shared += 1;
-                                pages.push(c.page_arc(p));
+                                pages.push(c.page_handle(p));
                             }
                             _ => {
                                 out.stats.bytes_copied += (hi - lo) as u64;
                                 out.stats.dirty_pages += 1;
                                 bit_set(&mut copied_bits, p);
-                                pages.push(Arc::from(&bytes[lo..hi]));
+                                pages.push(Page::from(&bytes[lo..hi]));
                             }
                         }
                     }

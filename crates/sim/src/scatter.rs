@@ -1,32 +1,34 @@
 //! Scatter byte buffers: iovec-style views over shared page ropes.
 //!
-//! The checkpoint data path produces images whose bulk is `Arc`-per-page
-//! rope chunks shared with the live [`crate::memory::AddressSpace`] (the
+//! The checkpoint data path produces images whose bulk is rope pages
+//! ([`Page`]) shared with the live [`crate::memory::AddressSpace`] (the
 //! copy-on-write snapshot). [`ScatterBuf`] lets those bytes travel from
 //! the encoder through every storage tier *without ever being flattened
 //! into a contiguous `Vec<u8>`*: a buffer is an ordered list of segments,
 //! each either a small owned metadata run or a shared rope page. A clean
-//! page therefore crosses the whole store seam as one `Arc` clone — zero
-//! memcpys between address space and store tier.
+//! page therefore crosses the whole store seam as one handle clone — zero
+//! memcpys between address space and store tier — and carries its
+//! memoized digest ([`Page::digest`]) with it.
 //!
 //! Flattening still exists for consumers that genuinely need contiguous
-//! bytes (the restart decode path, journal envelope validation); every
-//! byte copied *out of a shared segment* by such a flatten is tallied in
-//! a per-thread counter so benchmarks can assert the hot put path
-//! performs none.
+//! bytes (the restart decode path); every byte copied *out of a shared
+//! segment* by such a flatten is tallied in a per-thread counter so
+//! benchmarks can assert the hot put path performs none. A second counter
+//! tallies the shared-page bytes hashed, so a test can count that a put
+//! hashes only the pages that are new.
 
-use crate::checksum::Checksum;
+use crate::checksum::{checksum_bytes, Checksum};
+use crate::page::Page;
 use std::cell::Cell;
-use std::sync::Arc;
 
 /// One segment of a [`ScatterBuf`].
 #[derive(Clone)]
 pub enum Segment {
     /// Small owned bytes (image metadata, framing headers).
     Owned(Vec<u8>),
-    /// A shared rope page — typically an `Arc` chunk of a
+    /// A shared rope page — typically a chunk of a
     /// [`crate::memory::DenseSnap`], alive without copying.
-    Shared(Arc<[u8]>),
+    Shared(Page),
 }
 
 impl Segment {
@@ -39,11 +41,20 @@ impl Segment {
     }
 
     /// The shared page handle behind this segment, when it is shared —
-    /// how scatter-aware decoders recover `Arc` pages without copying.
-    pub fn shared_handle(&self) -> Option<&Arc<[u8]>> {
+    /// how scatter-aware decoders recover pages without copying.
+    pub fn shared_handle(&self) -> Option<&Page> {
         match self {
             Segment::Shared(p) => Some(p),
             Segment::Owned(_) => None,
+        }
+    }
+
+    /// The segment's [`checksum_bytes`] digest: a shared page's memo
+    /// ([`Page::digest`]), or an owned run hashed now.
+    pub fn digest(&self) -> u64 {
+        match self {
+            Segment::Owned(v) => checksum_bytes(v),
+            Segment::Shared(p) => p.digest(),
         }
     }
 }
@@ -54,6 +65,9 @@ thread_local! {
     /// `Sim::run`, so a put or get window bracketed on that thread sees
     /// every flatten inside it and none from concurrent tests.
     static SHARED_FLATTEN_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes of shared pages hashed by the seed-0 digest on this OS
+    /// thread: page memo fills and streamed re-hashes of shared segments.
+    static SHARED_HASHED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Cumulative count of bytes memcpy'd out of shared (rope-page) segments
@@ -81,17 +95,32 @@ pub fn tally_shared_flatten(n: u64) {
     }
 }
 
+/// Cumulative count of shared-page bytes hashed by the content digest on
+/// the calling OS thread since its last [`reset_shared_hashed_bytes`]:
+/// every [`Page::digest`] that fills its memo, and every shared segment
+/// streamed by [`ScatterBuf::checksum`] or [`ScatterBuf::rehash_chunks`].
+/// A memo hit adds nothing, so a put through the journal adds exactly the
+/// bytes of the pages that are new since the last snapshot.
+pub fn shared_hashed_bytes() -> u64 {
+    SHARED_HASHED_BYTES.get()
+}
+
+/// Reset the calling thread's shared-hash counter.
+pub fn reset_shared_hashed_bytes() {
+    SHARED_HASHED_BYTES.set(0);
+}
+
+pub(crate) fn tally_shared_hashed(n: u64) {
+    SHARED_HASHED_BYTES.set(SHARED_HASHED_BYTES.get() + n);
+}
+
 /// An ordered scatter of byte segments whose concatenation is the
-/// buffer's content. Cloning is cheap for shared segments (`Arc` bumps);
+/// buffer's content. Cloning is cheap for shared segments (count bumps);
 /// owned segments (small metadata) are copied.
 #[derive(Clone, Default)]
 pub struct ScatterBuf {
     segments: Vec<Segment>,
     len: usize,
-    /// The content's [`ScatterBuf::checksum`], when [`ScatterBuf::framed`]
-    /// computed it while building the buffer. Every mutator clears it, so
-    /// it is never stale; clones keep it and equality ignores it.
-    digest: Option<u64>,
 }
 
 impl ScatterBuf {
@@ -107,38 +136,8 @@ impl ScatterBuf {
         b
     }
 
-    /// Frame `payload` as `header ‖ payload ‖ trailer(d)`, where `d` is
-    /// the payload's [`ScatterBuf::checksum`] — the shape of a commit
-    /// envelope. One pass over the payload computes `d` and the whole
-    /// frame's digest together: each segment is streamed into both while it
-    /// is still in cache, so a later [`ScatterBuf::checksum`] of the frame
-    /// is a lookup, not a second pass. Payload segments move in untouched
-    /// (shared pages stay shared).
-    pub fn framed(
-        header: Vec<u8>,
-        payload: ScatterBuf,
-        trailer: impl FnOnce(u64) -> Vec<u8>,
-    ) -> ScatterBuf {
-        let mut whole = Checksum::new();
-        let mut inner = Checksum::new();
-        whole.update(&header);
-        for s in payload.segments() {
-            inner.update(s);
-            whole.update(s);
-        }
-        let trailer = trailer(inner.digest());
-        whole.update(&trailer);
-        let mut frame = ScatterBuf::new();
-        frame.push_owned(header);
-        frame.append(payload);
-        frame.push_owned(trailer);
-        frame.digest = Some(whole.digest());
-        frame
-    }
-
     /// Append owned bytes (empty vectors are dropped).
     pub fn push_owned(&mut self, bytes: Vec<u8>) {
-        self.digest = None;
         if !bytes.is_empty() {
             self.len += bytes.len();
             self.segments.push(Segment::Owned(bytes));
@@ -147,8 +146,7 @@ impl ScatterBuf {
 
     /// Append a shared page handle without copying it (empty pages are
     /// dropped).
-    pub fn push_shared(&mut self, page: Arc<[u8]>) {
-        self.digest = None;
+    pub fn push_shared(&mut self, page: Page) {
         if !page.is_empty() {
             self.len += page.len();
             self.segments.push(Segment::Shared(page));
@@ -157,7 +155,6 @@ impl ScatterBuf {
 
     /// Append every segment of `other` (shared segments stay shared).
     pub fn append(&mut self, other: ScatterBuf) {
-        self.digest = None;
         self.len += other.len;
         self.segments.extend(other.segments);
     }
@@ -266,7 +263,6 @@ impl ScatterBuf {
     /// prefix — at most one page. This is the torn-write seam: a crashed
     /// `put` leaves a strict prefix of the envelope.
     pub fn truncate(&mut self, keep: usize) {
-        self.digest = None;
         if keep >= self.len {
             return;
         }
@@ -292,26 +288,42 @@ impl ScatterBuf {
     }
 
     /// Checksum of the content, streamed segment-by-segment — equal to
-    /// [`crate::checksum::checksum_bytes`] of the flattened content, with
-    /// no flatten. A buffer built by [`ScatterBuf::framed`] (and not
-    /// mutated since) returns the digest computed while framing; debug
-    /// builds recompute it on every such hit and assert the two agree.
+    /// [`checksum_bytes`] of the flattened content, with no flatten.
     pub fn checksum(&self) -> u64 {
-        match self.digest {
-            Some(digest) => {
-                debug_assert_eq!(digest, self.streamed_checksum(), "stale framing digest");
-                digest
-            }
-            None => self.streamed_checksum(),
-        }
+        let mut digest = 0;
+        self.rehash_chunks([self.len], |d| digest = d);
+        digest
     }
 
-    fn streamed_checksum(&self) -> u64 {
-        let mut c = Checksum::new();
-        for s in self.segments() {
-            c.update(s);
+    /// Re-hash the content cut into consecutive chunks of `lens` bytes,
+    /// passing each chunk's [`checksum_bytes`] digest to `each` in order.
+    /// Every chunk is hashed from the bytes — a page's memo is never read
+    /// — and a chunk that spans segments, or ends inside one, is streamed
+    /// across them with no flatten. A chunk reaching past the end of the
+    /// content is digested as far as the content goes.
+    pub fn rehash_chunks(&self, lens: impl IntoIterator<Item = usize>, mut each: impl FnMut(u64)) {
+        let mut segments = self.segments.iter();
+        let mut rest: &[u8] = &[];
+        let mut shared = false;
+        for len in lens {
+            let mut c = Checksum::new();
+            let mut want = len;
+            while want > 0 {
+                if rest.is_empty() {
+                    let Some(seg) = segments.next() else { break };
+                    rest = seg.as_bytes();
+                    shared = matches!(seg, Segment::Shared(_));
+                }
+                let (head, tail) = rest.split_at(want.min(rest.len()));
+                c.update(head);
+                if shared {
+                    tally_shared_hashed(head.len() as u64);
+                }
+                rest = tail;
+                want -= head.len();
+            }
+            each(c.digest());
         }
-        c.digest()
     }
 }
 
@@ -356,10 +368,9 @@ impl std::fmt::Debug for ScatterBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checksum::checksum_bytes;
 
-    fn shared(bytes: &[u8]) -> Arc<[u8]> {
-        Arc::from(bytes)
+    fn shared(bytes: &[u8]) -> Page {
+        Page::from(bytes)
     }
 
     #[test]
@@ -421,14 +432,6 @@ mod tests {
         assert_eq!(b.checksum(), checksum_bytes(&b.to_vec()));
     }
 
-    /// `header ‖ payload ‖ trailer` framed around `payload`, the trailer
-    /// holding the payload's digest (a journal envelope's shape).
-    fn frame(payload: ScatterBuf) -> ScatterBuf {
-        ScatterBuf::framed(vec![0xAA; 20], payload, |d| {
-            [d.to_le_bytes(), *b"COMMITED"].concat()
-        })
-    }
-
     /// Owned and shared segments, interleaved.
     fn mixed() -> ScatterBuf {
         let mut b = ScatterBuf::new();
@@ -439,69 +442,66 @@ mod tests {
         b
     }
 
-    /// Payloads of every segment mix: owned, shared, both, and empty.
-    fn payloads() -> Vec<ScatterBuf> {
-        let mut pages = ScatterBuf::new();
-        pages.push_shared(shared(&[7; 4096]));
-        pages.push_shared(shared(&[8; 4096]));
-        vec![
-            ScatterBuf::from_vec((0..100u8).collect()),
-            pages,
-            mixed(),
-            ScatterBuf::new(),
-        ]
-    }
-
     #[test]
-    fn framing_digest_equals_the_flat_digest() {
-        for payload in payloads() {
-            let flat_payload = payload.to_vec();
-            let framed = frame(payload);
-            assert!(framed.digest.is_some(), "framing computes the digest");
-            let flat = framed.to_vec();
-            assert_eq!(framed.checksum(), checksum_bytes(&flat));
-            // The content is exactly header ‖ payload ‖ trailer(digest).
-            let mut want = vec![0xAA; 20];
-            want.extend_from_slice(&flat_payload);
-            want.extend_from_slice(&checksum_bytes(&flat_payload).to_le_bytes());
-            want.extend_from_slice(b"COMMITED");
-            assert_eq!(flat, want);
+    fn rehashed_chunks_equal_the_flat_digests_however_they_are_cut() {
+        let b = mixed();
+        let flat = b.to_vec();
+        assert_eq!(b.checksum(), checksum_bytes(&flat));
+        // Segment-aligned, straddling, ending mid-segment, and past the end.
+        for lens in [
+            vec![3, 4096, 77, 13],
+            vec![1, 4100, 88],
+            vec![b.len()],
+            vec![2000],
+            vec![4189, 50],
+        ] {
+            let mut got = Vec::new();
+            b.rehash_chunks(lens.iter().copied(), |d| got.push(d));
+            let mut want = Vec::new();
+            let mut at = 0;
+            for len in lens {
+                let end = (at + len).min(flat.len());
+                want.push(checksum_bytes(&flat[at..end]));
+                at = end;
+            }
+            assert_eq!(got, want);
         }
     }
 
     #[test]
-    fn every_mutator_clears_the_framing_digest() {
-        let mutators: [fn(&mut ScatterBuf); 6] = [
-            |b| b.push_owned(vec![9; 5]),
-            |b| b.push_owned(Vec::new()),
-            |b| b.push_shared(shared(&[9; 64])),
-            |b| b.append(ScatterBuf::from_vec(vec![9; 40])),
-            |b| b.truncate(b.len() / 2),
-            |b| b.truncate(0),
-        ];
-        for mutate in mutators {
-            let mut b = frame(mixed());
-            mutate(&mut b);
-            assert!(b.digest.is_none());
-            assert_eq!(b.checksum(), checksum_bytes(&b.to_vec()));
-        }
-    }
-
-    #[test]
-    fn clones_keep_the_framing_digest_and_equality_ignores_it() {
-        let framed = frame(mixed());
-        let copy = framed.clone();
-        assert_eq!(copy.digest, framed.digest);
-        assert_eq!(copy.checksum(), checksum_bytes(&framed.to_vec()));
-        let plain = ScatterBuf::from_vec(framed.to_vec());
-        assert!(plain.digest.is_none());
-        assert_eq!(plain, framed);
-        assert_eq!(framed, plain);
+    fn hash_counter_counts_shared_bytes_hashed_and_not_memo_hits() {
+        let b = mixed();
+        reset_shared_hashed_bytes();
+        b.checksum();
+        assert_eq!(
+            shared_hashed_bytes(),
+            4096 + 13,
+            "owned bytes are not counted"
+        );
+        let digests: Vec<u64> = b.raw_segments().iter().map(Segment::digest).collect();
+        assert_eq!(
+            shared_hashed_bytes(),
+            2 * (4096 + 13),
+            "first digests fill the memos"
+        );
+        let again: Vec<u64> = b.raw_segments().iter().map(Segment::digest).collect();
+        assert_eq!(again, digests);
+        assert_eq!(
+            shared_hashed_bytes(),
+            2 * (4096 + 13),
+            "memo hits hash nothing"
+        );
+        b.rehash_chunks([3, 4096, 77, 13], |_| {});
+        assert_eq!(
+            shared_hashed_bytes(),
+            3 * (4096 + 13),
+            "a re-hash never reads a memo"
+        );
     }
 
     #[test]
     fn slice_keeps_interior_segments_shared() {
-        let page: Arc<[u8]> = shared(&[7; 4096]);
+        let page = shared(&[7; 4096]);
         let mut b = ScatterBuf::new();
         b.push_owned(vec![1; 20]); // "header"
         b.push_shared(page.clone());
@@ -512,7 +512,7 @@ mod tests {
         assert_eq!(payload.len(), 4096);
         assert_eq!(payload.shared_len(), 4096);
         match payload.raw_segments() {
-            [Segment::Shared(p)] => assert!(Arc::ptr_eq(p, &page)),
+            [Segment::Shared(p)] => assert!(Page::ptr_eq(p, &page)),
             other => panic!("expected one shared segment, got {}", other.len()),
         }
 
@@ -530,13 +530,13 @@ mod tests {
 
     #[test]
     fn shared_handles_are_recoverable_from_segments() {
-        let page: Arc<[u8]> = shared(&[9; 64]);
+        let page = shared(&[9; 64]);
         let mut b = ScatterBuf::new();
         b.push_owned(vec![1, 2]);
         b.push_shared(page.clone());
         let segs = b.raw_segments();
         assert!(segs[0].shared_handle().is_none());
-        assert!(Arc::ptr_eq(segs[1].shared_handle().unwrap(), &page));
+        assert!(Page::ptr_eq(segs[1].shared_handle().unwrap(), &page));
     }
 
     #[test]

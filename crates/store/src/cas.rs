@@ -26,9 +26,9 @@
 //! (hashing is not free, even when everything dedups). `get` charges the
 //! manifest read plus page-pool fetch time for the image's dense bytes.
 //! Reassembly is zero-copy: regions are rebuilt from the pool's shared
-//! `Arc` pages via [`DenseSnap::from_pages`].
+//! [`Page`]s via [`DenseSnap::from_pages`].
 //!
-//! A presented page whose `Arc` handle is the very one a pool entry holds
+//! A presented page whose handle is the very one a pool entry holds
 //! (a clean page shared from the snapshot an earlier generation stored)
 //! reuses that entry's key instead of being digested again, so a put
 //! hashes only the pages that are new to the pool as allocations — at
@@ -49,6 +49,7 @@ use mana_core::store::CheckpointStore;
 use mana_sim::checksum::checksum_bytes_seeded;
 use mana_sim::fs::IoShape;
 use mana_sim::memory::{DenseSnap, RegionSnapshot, SnapshotContent};
+use mana_sim::page::Page;
 use mana_sim::scatter::ScatterBuf;
 use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
@@ -162,7 +163,7 @@ type PassThroughMap<K, V> = HashMap<K, V, BuildHasherDefault<PassThrough>>;
 /// One pooled page: the shared bytes and how many stored images
 /// reference it.
 struct PoolEntry {
-    data: Arc<[u8]>,
+    data: Page,
     refs: u64,
 }
 
@@ -230,7 +231,7 @@ struct CasState {
     pool: PassThroughMap<PageKey, PoolEntry>,
     /// The key of every pool entry, by the address of the entry's *own*
     /// handle. A presented page found here is that very allocation, so its
-    /// key is known without hashing it: the entry holds the `Arc`, so the
+    /// key is known without hashing it: the entry holds the page, so the
     /// address cannot be reused while it is indexed, and only pool handles
     /// are indexed, so no page lives longer than the pool keeps it.
     pooled_at: PassThroughMap<PageAddr, PageKey>,
@@ -572,7 +573,7 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         img.regions = regions;
         let fetch = SimDuration::secs_f64(dense_bytes as f64 / self.cfg.read_bw);
         // Reassembly stays zero-copy on the way out too: the wire scatter
-        // shares the pool's `Arc` pages and the decoded image rides along,
+        // shares the pool's pages and the decoded image rides along,
         // so decode_shared callers skip the wire decode entirely.
         Ok((CheckpointImage::encode_shared(&Arc::new(img)), dur + fetch))
     }

@@ -22,7 +22,10 @@
 //! a rank image; the summaries are read from the image it wraps
 //! ([`ImageBytes::framed`]), so compress CPU is the same with or without
 //! the journal above. A torn envelope wraps no image, and neither does a
-//! foreign blob: both are charged in full.
+//! foreign blob: both are charged in full. The ratio draw is seeded from
+//! the envelope's commit fold ([`ImageBytes::record_digest`]), which the
+//! journal computed from page memos; only an object without one is hashed
+//! here.
 
 use mana_core::error::StoreError;
 use mana_core::image::ImageBytes;
@@ -94,14 +97,17 @@ impl<S: CheckpointStore> CompressingStore<S> {
         self.originals.lock().get(path).copied()
     }
 
-    /// Deterministic per-object ratio: seeded by the store seed, the
-    /// object's content digest (streamed over the scatter segments — no
-    /// flatten) and its logical length. Under a `JournaledStore` the
-    /// object is an envelope whose digest the journal's framing pass
-    /// already computed, so this hashes nothing; a torn envelope was
-    /// truncated after framing and is hashed here in full.
+    /// Deterministic per-object ratio: seeded by the store seed, a digest
+    /// of the object and its logical length. Under a `JournaledStore` the
+    /// object is an envelope, and the digest is the commit fold its
+    /// framing produced ([`ImageBytes::record_digest`]), so this hashes
+    /// nothing. Anything else — a torn envelope, which was truncated after
+    /// framing, or a foreign blob — is hashed here in full, streamed over
+    /// the scatter segments with no flatten.
     fn ratio_for(&self, data: &ImageBytes, logical_len: u64) -> f64 {
-        let h = data.scatter().checksum();
+        let h = data
+            .record_digest()
+            .unwrap_or_else(|| data.scatter().checksum());
         let u = splitmix64(self.cfg.seed ^ h ^ splitmix64(logical_len));
         let x = (u >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         let r = self.cfg.ratio * (1.0 + self.cfg.jitter * (2.0 * x - 1.0));

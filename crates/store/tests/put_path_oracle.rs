@@ -15,14 +15,14 @@
 //! to the stored format or the cost model may move them, and then says so
 //! by editing these constants.
 //!
-//! The last such change was to the cost model, and it moved durations
-//! only. `CompressingStore` now prices compress CPU through the image a
-//! journal envelope wraps, which moved `journaled_ns` of generations 2–4;
-//! generation 1 and the 100 %-dirty generation 5 charge every page either
-//! way, and the torn generation 6 wraps no image. `CasStore` now charges
-//! digest CPU for the pages it hashes, not every page presented, which
-//! moved `cas_ns` of generations 2–4 and 6. Every length, envelope digest,
-//! counter and get stayed as it was.
+//! The last such change was to the stored format, and it moved stack A
+//! only. Journal envelope version 3 adds a chunk table to the header and
+//! records a fold over per-chunk digests instead of one digest of the
+//! payload bytes, so every envelope digest moved. `CompressingStore` seeds
+//! its ratio from that fold, so each generation drew a new compression
+//! ratio: `compressed_len` moved, and with it the filesystem time inside
+//! the journaled put and get durations. Every CAS field and every
+//! restored checksum stayed as it was.
 
 use mana_core::buffer::PairCounters;
 use mana_core::error::StoreError;
@@ -79,72 +79,72 @@ struct Get {
 
 const PUTS: [Put; 6] = [
     Put {
-        journaled_ns: 9_043_394,
+        journaled_ns: 9_048_484,
         cas_ns: 209_715,
-        compressed_len: 356_727,
-        envelope: 14355135395062659762,
+        compressed_len: 362_042,
+        envelope: 10204209305098032797,
         cas: [256, 256, 1_048_576, 1_048_576, 4811, 0, 0],
     },
     Put {
-        journaled_ns: 8_349_385,
+        journaled_ns: 8_377_105,
         cas_ns: 1_638,
-        compressed_len: 356_289,
-        envelope: 9220968577005739143,
+        compressed_len: 385_235,
+        envelope: 4444735540686156046,
         cas: [512, 258, 2_097_152, 1_056_768, 9654, 0, 0],
     },
     Put {
-        journaled_ns: 8_426_510,
+        journaled_ns: 8_431_315,
         cas_ns: 20_480,
-        compressed_len: 371_242,
-        envelope: 14847710645524532393,
+        compressed_len: 376_260,
+        envelope: 6177562121478411968,
         cas: [768, 283, 3_145_728, 1_159_168, 14497, 0, 0],
     },
     Put {
-        journaled_ns: 8_714_439,
+        journaled_ns: 8_724_925,
         cas_ns: 104_858,
-        compressed_len: 378_207,
-        envelope: 12204966960370541273,
+        compressed_len: 389_157,
+        envelope: 1142667483246138097,
         cas: [1024, 411, 4_194_304, 1_683_456, 19340, 0, 0],
     },
     Put {
-        journaled_ns: 9_045_231,
+        journaled_ns: 9_075_842,
         cas_ns: 209_715,
-        compressed_len: 358_646,
-        envelope: 5666085968461379724,
+        compressed_len: 390_611,
+        envelope: 6630814315280475054,
         cas: [1280, 667, 5_242_880, 2_732_032, 24183, 0, 0],
     },
     Put {
-        journaled_ns: 9_020_375,
+        journaled_ns: 9_056_070,
         cas_ns: 20_480,
-        compressed_len: 332_690,
-        envelope: 12058116721150069192,
+        compressed_len: 369_964,
+        envelope: 3094933173391560380,
         cas: [1536, 692, 6_291_456, 2_834_432, 29026, 0, 0],
     },
 ];
 
 const GETS: [Get; 6] = [
     Get {
-        journaled_ns: 8_665_595,
+        journaled_ns: 8_670_284,
         cas_ns: 419_430,
         checksum: 13666146777840797276,
     },
     Get {
-        journaled_ns: 8_665_208,
+        journaled_ns: 8_690_745,
         cas_ns: 419_430,
         checksum: 12358886944523462477,
     },
     Get {
-        journaled_ns: 8_678_400,
+        journaled_ns: 8_682_827,
         cas_ns: 419_430,
         checksum: 2288525709933472732,
     },
     Get {
-        journaled_ns: 8_684_545,
+        journaled_ns: 8_694_205,
         cas_ns: 419_430,
         checksum: 3916572447550222250,
     },
     Get {
-        journaled_ns: 8_667_288,
+        journaled_ns: 8_695_487,
         cas_ns: 419_430,
         checksum: 7455600644596754440,
     },

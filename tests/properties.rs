@@ -401,6 +401,50 @@ proptest! {
         );
     }
 
+    // A journal envelope read back from storage is outside input: whatever
+    // follows a valid magic and version — lengths near `u64::MAX`, a chunk
+    // table that overflows, disagrees or stops short, or plain noise — a
+    // get returns a typed `Torn` or `Corrupt`, never a panic.
+    #[test]
+    fn journal_validation_is_typed_behind_a_valid_magic_and_version(
+        payload_len in prop_oneof![any::<u64>(), (0u64..64).prop_map(|k| u64::MAX - k), 0u64..600],
+        runs in prop::collection::vec(
+            (prop_oneof![any::<u32>(), 0u32..4], prop_oneof![any::<u64>(), 0u64..600]),
+            0..4,
+        ),
+        run_count in prop_oneof![any::<u32>(), 0u32..6],
+        consistent in any::<bool>(),
+        rest in prop::collection::vec(any::<u8>(), 0..700),
+        noise in any::<bool>(),
+    ) {
+        use mana::core::error::StoreError;
+        use mana::sim::fs::IoShape;
+        use mana::store::JournaledStore;
+        let shape = IoShape { writers_on_node: 1, total_writers: 1 };
+        let inner = std::sync::Arc::new(InMemStore::new());
+        let journal = JournaledStore::new(inner.clone());
+        journal.put("j", vec![1u8; 8].into(), 8, 0, shape);
+        // Keep the magic and the version exactly as the journal frames them.
+        let (framed, _) = inner.get("j", 0, shape).expect("framed");
+        let mut env = framed.to_vec()[..12].to_vec();
+        if !noise {
+            env.extend_from_slice(&payload_len.to_le_bytes());
+            let count = if consistent { runs.len() as u32 } else { run_count };
+            env.extend_from_slice(&count.to_le_bytes());
+            for (count, len) in &runs {
+                env.extend_from_slice(&count.to_le_bytes());
+                env.extend_from_slice(&len.to_le_bytes());
+            }
+        }
+        env.extend_from_slice(&rest);
+        let len = env.len() as u64;
+        inner.put("j", env.into(), len, 0, shape);
+        match journal.get("j", 0, shape) {
+            Err(StoreError::Torn { .. } | StoreError::Corrupt { .. }) => {}
+            other => prop_assert!(false, "expected Torn or Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
     // The digest kernel's split-invariance contract: however the input is
     // cut into `update` calls — bytes, 7-byte runs, words through
     // `update_u64`/`update_f64` (size 0 below), a page plus 13, or any
