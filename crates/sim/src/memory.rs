@@ -493,6 +493,12 @@ impl DenseSnap {
     pub fn page_handle(&self, i: usize) -> Page {
         self.pages[i].clone()
     }
+
+    /// Borrow every page handle in order — how a store reads the pages'
+    /// memoized digests without cloning a handle per page.
+    pub fn page_handles(&self) -> &[Page] {
+        &self.pages
+    }
 }
 
 impl PartialEq for DenseSnap {

@@ -8,11 +8,11 @@
 //! rank images on their way in (any object whose path parses as
 //! `dir/ckpt_<id>/rank_<r>.mana` and whose bytes decode as a
 //! [`CheckpointImage`]) are decomposed into their [`PAGE`](mana_sim::memory::PAGE)-sized snapshot
-//! pages, each page is digested, and only pages never seen before are
-//! stored — once, fleet-wide, no matter how many tenants, ranks or
-//! generations present them. What reaches the inner store at the image
+//! pages, each page is addressed by its digest, and only pages never seen
+//! before are stored — once, fleet-wide, no matter how many tenants, ranks
+//! or generations present them. What reaches the inner store at the image
 //! path is a small *manifest*: the image's metadata plus, per dense
-//! region, the ordered digest list of its pages.
+//! region, the ordered pool-slot list of its pages.
 //!
 //! Pages are refcounted: overwriting or removing an image releases its
 //! references, and a page is reclaimed exactly when its last referencing
@@ -22,20 +22,26 @@
 //!
 //! Cost model: `put` charges the inner store only for the manifest plus
 //! the *newly unique* page bytes (dedup saves write bandwidth and
-//! capacity), plus a digest-CPU term over the dense bytes it hashes
-//! (hashing is not free, even when everything dedups). `get` charges the
-//! manifest read plus page-pool fetch time for the image's dense bytes.
-//! Reassembly is zero-copy: regions are rebuilt from the pool's shared
-//! [`Page`]s via [`DenseSnap::from_pages`].
+//! capacity), plus a digest-CPU term (hashing is not free, even when
+//! everything dedups). `get` charges the manifest read plus page-pool
+//! fetch time for the image's dense bytes. Reassembly is zero-copy:
+//! regions are rebuilt from the pool's shared [`Page`]s via
+//! [`DenseSnap::from_pages`].
 //!
-//! A presented page whose handle is the very one a pool entry holds
-//! (a clean page shared from the snapshot an earlier generation stored)
-//! reuses that entry's key instead of being digested again, so a put
-//! hashes only the pages that are new to the pool as allocations — at
-//! 1 % dirty, ~1 % of them ([`CasStats::pages_hashed`]). The digest-CPU
-//! term covers exactly those pages, so the host work and the simulated
-//! charge agree. Equal bytes in a fresh allocation (another tenant's twin
-//! image) are hashed, and charged, in full.
+//! A page's pool slot starts at its memoized seed-0 digest
+//! ([`Page::digest`]), the same value the journal folds: a page that
+//! stays clean across checkpoints was hashed once, when it was new, and
+//! every later put reads the memo. Dedup does not trust the hash. An
+//! entry at the slot is a hit only when it is the presented handle itself
+//! or holds equal bytes; a different page behind the same 64-bit digest
+//! probes on to the next slot, and the manifest records the slot the
+//! page landed in.
+//!
+//! The digest-CPU term is charged for every presented page that is not
+//! the pool's own handle ([`CasStats::pages_hashed`]): at 1 % dirty,
+//! ~1 % of them. A clean page shared from the snapshot an earlier
+//! generation stored is free; equal bytes in a fresh allocation (another
+//! tenant's twin image) are charged in full.
 //!
 //! Non-image objects pass through unmodified.
 
@@ -46,7 +52,6 @@ use mana_core::image::{
     decode_embedded, decode_region, encode_region, CheckpointImage, ImageBytes,
 };
 use mana_core::store::CheckpointStore;
-use mana_sim::checksum::checksum_bytes_seeded;
 use mana_sim::fs::IoShape;
 use mana_sim::memory::{DenseSnap, RegionSnapshot, SnapshotContent};
 use mana_sim::page::Page;
@@ -55,16 +60,15 @@ use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// "MANACAS1" little-endian.
 pub const CAS_MAGIC: u64 = 0x3153_4143_414e_414d;
-/// Current manifest-format version. Version 2 changed what a page key
-/// holds (two seeded digests, see `PageKey`); a manifest only resolves
-/// against the in-process pool that wrote it, so no older version has a
-/// reader.
-pub const CAS_VERSION: u32 = 2;
+/// Current manifest-format version. Version 3 records one pool slot per
+/// page (see `Slot`); a manifest only resolves against the in-process
+/// pool that wrote it, so no older version has a reader.
+pub const CAS_VERSION: u32 = 3;
 
 /// Content-addressed-store parameters.
 #[derive(Clone, Debug)]
@@ -72,9 +76,8 @@ pub struct CasConfig {
     /// Page-pool fetch bandwidth charged on `get`, bytes/s of
     /// reassembled dense data.
     pub read_bw: f64,
-    /// Digest throughput charged on `put`, bytes/s of the dense data it
-    /// hashes — paid for every page not already a pool handle,
-    /// deduplicated or not.
+    /// Digest throughput charged on `put`, bytes/s of dense data — paid
+    /// for every page not already a pool handle, deduplicated or not.
     pub digest_bw: f64,
 }
 
@@ -88,59 +91,19 @@ impl Default for CasConfig {
     }
 }
 
-/// 128-bit content address of one page: its digest under two fixed,
-/// distinct seeds of [`mana_sim::checksum`] — two independent 64-bit
-/// hashes of the same bytes. A collision requires *both* to collide,
-/// which at fleet scales (billions of pages) is out of reach for the
-/// simulator's lifetime.
-#[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
-struct PageKey {
-    digest_a: u64,
-    digest_b: u64,
-}
-
-/// `"CASPAGEA"` / `"CASPAGEB"`: the two digest seeds of a [`PageKey`].
-const SEED_A: u64 = u64::from_le_bytes(*b"CASPAGEA");
-const SEED_B: u64 = u64::from_le_bytes(*b"CASPAGEB");
-
-fn page_key(page: &[u8]) -> PageKey {
-    PageKey {
-        digest_a: checksum_bytes_seeded(SEED_A, page),
-        digest_b: checksum_bytes_seeded(SEED_B, page),
-    }
-}
-
-/// Where a page's bytes live: the address and length of the slice.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct PageAddr {
-    ptr: usize,
-    len: usize,
-}
-
-impl PageAddr {
-    fn of(page: &[u8]) -> PageAddr {
-        PageAddr {
-            ptr: page.as_ptr() as usize,
-            len: page.len(),
-        }
-    }
-}
-
-impl Hash for PageAddr {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Allocation addresses share their high bits and step by the
-        // allocation size in their low ones: spread them (Fibonacci
-        // hashing, high half folded down) before `PassThrough` sees them.
-        let h = (self.ptr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        state.write_u64(h ^ (h >> 32));
-    }
-}
+/// A page's place in the pool. It starts at the page's memoized seed-0
+/// digest ([`Page::digest`]); a page whose bytes differ from the entry
+/// already there (a 64-bit collision) probes on to the next free slot,
+/// which is why manifests record slots rather than digests.
+type Slot = u64;
 
 /// Hasher for keys that are already uniform 64-bit words: it XORs what it
-/// is given. A [`PageKey`] is two independent digests of the page, so
-/// hashing it again (SipHash, the `HashMap` default) only burns time — it
-/// was about half of a put at 1 % dirty. The digests are of simulated
-/// page content, which no adversary picks (see [`mana_sim::checksum`]).
+/// is given. A [`Slot`] is a digest of the page (or a few steps past one),
+/// so hashing it again (SipHash, the `HashMap` default) only burns time —
+/// it was about half of a put at 1 % dirty. The digests are of simulated
+/// page content, which no adversary picks (see [`mana_sim::checksum`]);
+/// and since every hit compares bytes, a crafted collision could only
+/// lengthen a probe, never alias two pages.
 #[derive(Default)]
 struct PassThrough(u64);
 
@@ -150,7 +113,7 @@ impl Hasher for PassThrough {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("PassThrough only hashes PageKey and PageAddr")
+        unreachable!("PassThrough only hashes pool slots")
     }
 
     fn write_u64(&mut self, word: u64) {
@@ -158,7 +121,7 @@ impl Hasher for PassThrough {
     }
 }
 
-type PassThroughMap<K, V> = HashMap<K, V, BuildHasherDefault<PassThrough>>;
+type Pool = HashMap<Slot, PoolEntry, BuildHasherDefault<PassThrough>>;
 
 /// One pooled page: the shared bytes and how many stored images
 /// reference it.
@@ -171,7 +134,7 @@ struct PoolEntry {
 /// references (in no particular order — release only) and its logical
 /// pre-dedup size.
 struct CasObject {
-    keys: Vec<PageKey>,
+    slots: Vec<Slot>,
     original_len: u64,
 }
 
@@ -193,10 +156,11 @@ pub struct CasStats {
     pub pages_freed: u64,
     /// Bytes reclaimed when their last reference was released.
     pub bytes_reclaimed: u64,
-    /// Presented pages that were digested. A page whose handle is one the
-    /// pool already holds (a clean page shared from an earlier snapshot)
-    /// reuses that entry's key instead, so at 1 % dirty this is ~1 % of
-    /// `pages_in`.
+    /// Presented pages charged as hashed: every one that is not a pool
+    /// entry's own handle. A clean page shared from an earlier snapshot is
+    /// such a handle, so at 1 % dirty this is ~1 % of `pages_in`. The host
+    /// itself reads each page's memoized digest, and hashes only a page
+    /// whose memo nothing has filled yet.
     pub pages_hashed: u64,
 }
 
@@ -228,27 +192,53 @@ impl CasStats {
 
 #[derive(Default)]
 struct CasState {
-    pool: PassThroughMap<PageKey, PoolEntry>,
-    /// The key of every pool entry, by the address of the entry's *own*
-    /// handle. A presented page found here is that very allocation, so its
-    /// key is known without hashing it: the entry holds the page, so the
-    /// address cannot be reused while it is indexed, and only pool handles
-    /// are indexed, so no page lives longer than the pool keeps it.
-    pooled_at: PassThroughMap<PageAddr, PageKey>,
+    pool: Pool,
     objects: HashMap<String, CasObject>,
     stats: CasStats,
 }
 
+/// How a presented page met the pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pooled {
+    /// Its slot's entry is this very handle.
+    Handle,
+    /// Its slot's entry holds equal bytes in another allocation.
+    Equal,
+    /// It took a free slot.
+    New,
+}
+
 impl CasState {
-    /// The key of `page`, hashing it only when it is not a pool handle;
-    /// the bytes hashed are added to `hashed`.
-    fn key_of(&mut self, page: &[u8], hashed: &mut u64) -> PageKey {
-        match self.pooled_at.get(&PageAddr::of(page)) {
-            Some(key) => *key,
-            None => {
-                self.stats.pages_hashed += 1;
-                *hashed += page.len() as u64;
-                page_key(page)
+    /// Take one reference on `page` in the pool, from slot `digest` (the
+    /// page's [`Page::digest`]) on: probe `digest + 1, digest + 2, …` past
+    /// entries whose bytes differ, up to the first entry that is `page` or
+    /// equals it, or the first free slot. A probe stops at a free slot, so
+    /// after a reclaim ahead of a collided page equal bytes may be pooled
+    /// twice: a second copy, never a wrong one.
+    fn pool_page(&mut self, digest: u64, page: &Page) -> (Slot, Pooled) {
+        let mut slot = digest;
+        loop {
+            match self.pool.entry(slot) {
+                Entry::Vacant(e) => {
+                    e.insert(PoolEntry {
+                        data: page.clone(),
+                        refs: 1,
+                    });
+                    return (slot, Pooled::New);
+                }
+                Entry::Occupied(mut e) => {
+                    let entry = e.get_mut();
+                    let pooled = if Page::ptr_eq(&entry.data, page) {
+                        Pooled::Handle
+                    } else if entry.data[..] == page[..] {
+                        Pooled::Equal
+                    } else {
+                        slot = slot.wrapping_add(1);
+                        continue;
+                    };
+                    entry.refs += 1;
+                    return (slot, pooled);
+                }
             }
         }
     }
@@ -259,13 +249,12 @@ impl CasState {
         let Some(obj) = self.objects.remove(path) else {
             return;
         };
-        for key in obj.keys {
-            let entry = self.pool.get_mut(&key).expect("referenced page pooled");
+        for slot in obj.slots {
+            let entry = self.pool.get_mut(&slot).expect("referenced page pooled");
             entry.refs -= 1;
             if entry.refs == 0 {
                 let len = entry.data.len() as u64;
-                self.pooled_at.remove(&PageAddr::of(&entry.data));
-                self.pool.remove(&key);
+                self.pool.remove(&slot);
                 self.stats.pages_freed += 1;
                 self.stats.bytes_reclaimed += len;
             }
@@ -284,12 +273,12 @@ enum ManifestRegion {
     /// Region stored verbatim in the manifest (pattern regions are just
     /// a seed — there is nothing to deduplicate).
     Inline(RegionSnapshot),
-    /// Dense region stored as an ordered page-digest list; `header` is
-    /// the region's identity with placeholder content.
+    /// Dense region stored as an ordered pool-slot list; `header` is the
+    /// region's identity with placeholder content.
     Paged {
         header: RegionSnapshot,
         dense_len: u64,
-        keys: Vec<PageKey>,
+        slots: Vec<Slot>,
     },
 }
 
@@ -308,15 +297,14 @@ fn encode_manifest(m: &Manifest) -> ScatterBuf {
             ManifestRegion::Paged {
                 header,
                 dense_len,
-                keys,
+                slots,
             } => {
                 e.u32(1);
                 encode_region(&mut e, header);
                 e.u64(*dense_len);
-                e.seq(keys.len());
-                for k in keys {
-                    e.u64(k.digest_a);
-                    e.u64(k.digest_b);
+                e.seq(slots.len());
+                for slot in slots {
+                    e.u64(*slot);
                 }
             }
         }
@@ -342,17 +330,14 @@ fn decode_manifest(data: &ImageBytes) -> Result<Manifest, CodecError> {
             1 => {
                 let header = decode_region(&mut d)?;
                 let dense_len = d.u64("cas dense len")?;
-                let mut keys = Vec::new();
-                for _ in 0..d.seq("cas page keys")? {
-                    keys.push(PageKey {
-                        digest_a: d.u64("cas page digest a")?,
-                        digest_b: d.u64("cas page digest b")?,
-                    });
+                let mut slots = Vec::new();
+                for _ in 0..d.seq("cas page slots")? {
+                    slots.push(d.u64("cas page slot")?);
                 }
                 ManifestRegion::Paged {
                     header,
                     dense_len,
-                    keys,
+                    slots,
                 }
             }
             tag => return Err(CodecError::BadTag { what: "cas", tag }),
@@ -368,8 +353,8 @@ fn is_manifest(data: &ImageBytes) -> bool {
 }
 
 /// Content-addressed, page-deduplicating storage over an inner store `S`.
-/// A put digests (under both key seeds) only the presented pages that are
-/// not already pool handles; see the module docs.
+/// A put reads each presented page's memoized digest and confirms every
+/// dedup hit byte for byte; see the module docs.
 ///
 /// For a CAS-encoded image its `logical_len` reports the post-dedup
 /// charge (manifest plus newly-unique page bytes at put time) — what the
@@ -446,37 +431,33 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         // Overwrite: the old object's references go before the new ones
         // land.
         st.release(path);
-        let mut keys = Vec::new();
+        let mut slots = Vec::new();
         let mut regions = Vec::with_capacity(img.regions.len());
         let mut hashed_bytes = 0u64;
         let mut new_bytes = 0u64;
-        let mut new_pages = 0u64;
         for r in &img.regions {
             match &r.content {
                 SnapshotContent::Pattern { .. } => {
                     regions.push(ManifestRegion::Inline(r.clone()));
                 }
                 SnapshotContent::Dense(snap) => {
-                    let mut region_keys = Vec::with_capacity(snap.page_count());
-                    for i in 0..snap.page_count() {
-                        let page = snap.page(i);
-                        let key = st.key_of(page, &mut hashed_bytes);
+                    let mut region_slots = Vec::with_capacity(snap.page_count());
+                    for page in snap.page_handles() {
+                        let len = page.len() as u64;
+                        let (slot, pooled) = st.pool_page(page.digest(), page);
                         st.stats.pages_in += 1;
-                        st.stats.bytes_in += page.len() as u64;
-                        let entry = match st.pool.entry(key) {
-                            Entry::Occupied(e) => e.into_mut(),
-                            Entry::Vacant(e) => {
-                                new_bytes += page.len() as u64;
-                                new_pages += 1;
-                                let data = snap.page_handle(i);
-                                st.pooled_at.insert(PageAddr::of(&data), key);
-                                e.insert(PoolEntry { data, refs: 0 })
-                            }
-                        };
-                        entry.refs += 1;
-                        region_keys.push(key);
+                        st.stats.bytes_in += len;
+                        if pooled != Pooled::Handle {
+                            st.stats.pages_hashed += 1;
+                            hashed_bytes += len;
+                        }
+                        if pooled == Pooled::New {
+                            st.stats.pages_new += 1;
+                            new_bytes += len;
+                        }
+                        region_slots.push(slot);
                     }
-                    keys.extend_from_slice(&region_keys);
+                    slots.extend_from_slice(&region_slots);
                     regions.push(ManifestRegion::Paged {
                         header: RegionSnapshot {
                             start: r.start,
@@ -487,12 +468,11 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
                             content: SnapshotContent::Pattern { seed: 0 },
                         },
                         dense_len: snap.len() as u64,
-                        keys: region_keys,
+                        slots: region_slots,
                     });
                 }
             }
         }
-        st.stats.pages_new += new_pages;
         let mut meta = Arc::unwrap_or_clone(img);
         meta.regions = Vec::new();
         let manifest = encode_manifest(&Manifest { meta, regions });
@@ -502,14 +482,14 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         st.objects.insert(
             path.to_string(),
             CasObject {
-                keys,
+                slots,
                 original_len: logical_len,
             },
         );
         drop(guard);
         // The inner tier is charged for what actually lands on it: the
-        // manifest plus the newly unique page bytes. Digest CPU covers the
-        // pages actually hashed.
+        // manifest plus the newly unique page bytes. Digest CPU covers
+        // every page that is not a pool handle.
         let cpu = SimDuration::secs_f64(hashed_bytes as f64 / self.cfg.digest_bw);
         let io = self
             .inner
@@ -540,16 +520,13 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
                 ManifestRegion::Paged {
                     header,
                     dense_len,
-                    keys,
+                    slots,
                 } => {
-                    let mut pages = Vec::with_capacity(keys.len());
-                    for key in &keys {
-                        let entry = st.pool.get(key).ok_or_else(|| StoreError::Corrupt {
+                    let mut pages = Vec::with_capacity(slots.len());
+                    for slot in &slots {
+                        let entry = st.pool.get(slot).ok_or_else(|| StoreError::Corrupt {
                             path: path.to_string(),
-                            why: format!(
-                                "page {:#x}:{:#x} missing from pool",
-                                key.digest_a, key.digest_b
-                            ),
+                            why: format!("page slot {slot:#x} missing from pool"),
                         })?;
                         pages.push(entry.data.clone());
                     }
@@ -582,12 +559,17 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         Some(&self.inner)
     }
 
+    /// Refcounted GC safety: the image's references are released only
+    /// once the object is gone below. A layer there may refuse the
+    /// removal, and the manifest it keeps must still resolve. Pages shared
+    /// with other images stay pooled for them; pages this was the last
+    /// reference to are reclaimed.
     fn remove(&self, path: &str) -> bool {
-        // Refcounted GC safety: this image's references are released;
-        // pages shared with other images stay pooled for them, pages
-        // this was the last reference to are reclaimed.
-        self.state.lock().release(path);
-        self.inner.remove(path)
+        let removed = self.inner.remove(path);
+        if removed || !self.inner.exists(path) {
+            self.state.lock().release(path);
+        }
+        removed
     }
 }
 
@@ -596,7 +578,7 @@ mod tests {
     use super::*;
     use crate::conformance::{exercise_store, StoreChecks};
     use mana_core::store::InMemStore;
-    use mana_sim::memory::{Half, RegionKind};
+    use mana_sim::memory::{Half, RegionKind, PAGE};
 
     const SHAPE: IoShape = IoShape {
         writers_on_node: 1,
@@ -779,6 +761,62 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_remove_keeps_the_pages() {
+        /// Refuses every removal, as a delta store does for the base of a
+        /// dependent it cannot promote.
+        struct Refusing(InMemStore);
+        impl CheckpointStore for Refusing {
+            fn put(&self, p: &str, d: ImageBytes, l: u64, r: u64, s: IoShape) -> SimDuration {
+                self.0.put(p, d, l, r, s)
+            }
+            fn get(
+                &self,
+                p: &str,
+                r: u64,
+                s: IoShape,
+            ) -> Result<(ImageBytes, SimDuration), StoreError> {
+                self.0.get(p, r, s)
+            }
+            fn below(&self) -> Option<&dyn CheckpointStore> {
+                Some(&self.0)
+            }
+            fn remove(&self, _: &str) -> bool {
+                false
+            }
+        }
+        let s = CasStore::new(CasConfig::default(), Refusing(InMemStore::new()));
+        let img = image(0, 1, vec![region(0x1000, buf(64 << 10, 14))]);
+        let p = path("a", 1, 0);
+        s.put(&p, img.encode(), img.logical_bytes(), 0, SHAPE);
+        assert!(!s.remove(&p), "the layer below kept the object");
+        assert!(s.exists(&p));
+        let (bytes, _) = s.get(&p, 0, SHAPE).expect("a kept manifest resolves");
+        assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img);
+        assert_eq!(s.pool_pages(), 16);
+        assert_eq!(s.original_len(&p), Some(img.logical_bytes()));
+    }
+
+    #[test]
+    fn a_digest_collision_takes_the_next_slot_and_keeps_both_pages() {
+        // Two different pages under one digest, as a 64-bit collision
+        // would present them.
+        const DIGEST: u64 = 0x5eed;
+        let mut st = CasState::default();
+        let a = Page::from(&buf(PAGE as usize, 15)[..]);
+        let b = Page::from(&buf(PAGE as usize, 16)[..]);
+        assert_eq!(st.pool_page(DIGEST, &a), (DIGEST, Pooled::New));
+        assert_eq!(st.pool_page(DIGEST, &b), (DIGEST + 1, Pooled::New));
+        assert_eq!(&st.pool[&DIGEST].data[..], &a[..]);
+        assert_eq!(&st.pool[&(DIGEST + 1)].data[..], &b[..]);
+        // Both are found again: `a` as the pool's own handle, `b`'s bytes
+        // in a fresh allocation by comparison, past `a`.
+        assert_eq!(st.pool_page(DIGEST, &a), (DIGEST, Pooled::Handle));
+        let twin = Page::from(&b[..]);
+        assert_eq!(st.pool_page(DIGEST, &twin), (DIGEST + 1, Pooled::Equal));
+        assert_eq!((st.pool[&DIGEST].refs, st.pool[&(DIGEST + 1)].refs), (2, 2));
+    }
+
+    #[test]
     fn overwrite_releases_the_old_references() {
         let s = store();
         let a = image(0, 1, vec![region(0x1000, buf(64 << 10, 5))]);
@@ -814,10 +852,28 @@ mod tests {
 
     mod pages_hashed {
         use super::*;
+        use crate::journal::JournaledStore;
+        use mana_sim::scatter::{reset_shared_hashed_bytes, shared_hashed_bytes};
 
         /// A 64-page snapshot of distinct pages.
         fn snap(salt: u64) -> DenseSnap {
             DenseSnap::from_vec(buf(64 << 12, salt))
+        }
+
+        /// A one-region image of `snap`, decoded form shared.
+        fn image_of(snap: &DenseSnap) -> Arc<CheckpointImage> {
+            let mut r = region(0x1000, Vec::new());
+            r.len = snap.len() as u64;
+            r.content = SnapshotContent::Dense(snap.clone());
+            Arc::new(image(0, 1, vec![r]))
+        }
+
+        /// Page bytes the host hashes putting `snap` at `p` and reading it
+        /// back.
+        fn host_hashed(s: &CasStore<InMemStore>, p: &str, snap: &DenseSnap) -> u64 {
+            reset_shared_hashed_bytes();
+            put(s, p, snap);
+            shared_hashed_bytes()
         }
 
         /// Put a one-region image of `snap` at `p` the way the checkpoint
@@ -834,10 +890,7 @@ mod tests {
             snap: &DenseSnap,
         ) -> (CasStats, SimDuration) {
             let before = s.stats();
-            let mut r = region(0x1000, Vec::new());
-            r.len = snap.len() as u64;
-            r.content = SnapshotContent::Dense(snap.clone());
-            let img = Arc::new(image(0, 1, vec![r]));
+            let img = image_of(snap);
             let dur = s.put(
                 p,
                 CheckpointImage::encode_shared(&img),
@@ -922,6 +975,32 @@ mod tests {
             // hashes nothing.
             let st = put(&s, &path("a", 2, 0), &second);
             assert_eq!((st.pages_hashed, st.pages_new), (0, 0));
+        }
+
+        #[test]
+        fn the_host_hashes_a_page_once_in_its_lifetime() {
+            let s = store();
+            let first = snap(12);
+            assert_eq!(host_hashed(&s, &path("a", 1, 0), &first), 64 * PAGE);
+            let second = first
+                .patched(&[(3 << 12, vec![1; 8]), (40 << 12, vec![2; 8])])
+                .unwrap();
+            assert_eq!(host_hashed(&s, &path("a", 2, 0), &second), 2 * PAGE);
+        }
+
+        #[test]
+        fn a_snapshot_the_journal_framed_is_not_hashed_again() {
+            let fresh = snap(13);
+            let img = image_of(&fresh);
+            let journal = JournaledStore::new(InMemStore::new());
+            journal.put(
+                &path("j", 1, 0),
+                CheckpointImage::encode_shared(&img),
+                img.logical_bytes(),
+                0,
+                SHAPE,
+            );
+            assert_eq!(host_hashed(&store(), &path("a", 1, 0), &fresh), 0);
         }
     }
 }

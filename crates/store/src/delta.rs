@@ -207,7 +207,9 @@ enum ContentDigest {
 /// will; cheap aggregate counters only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaPutStats {
-    /// Pages whose checksum was computed (O(page) work each).
+    /// Pages whose checksum was taken from the page itself: its memoized
+    /// digest at the native granularity (hashed once in the page's
+    /// lifetime), a fresh hash otherwise.
     pub pages_digested: u64,
     /// Pages whose checksum (and equality) was taken from the previous
     /// generation's digest because the image's dirty summary proved them
@@ -311,7 +313,13 @@ fn plan_regions(
                             continue;
                         }
                     }
-                    let ck = checksum_bytes(chunk);
+                    // Native chunks are the snapshot's own pages: read
+                    // their memoized digests.
+                    let ck = if native {
+                        nb.page_handles()[i].digest()
+                    } else {
+                        checksum_bytes(chunk)
+                    };
                     stats.pages_digested += 1;
                     pages_out.push(ck);
                     if want_deltas
@@ -1071,6 +1079,30 @@ mod tests {
         assert_eq!(after3.regions_fast_pathed, 1);
         let (bytes, _) = s.get(&path(3), 0, SHAPE).unwrap();
         assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img3);
+    }
+
+    #[test]
+    fn a_native_put_leaves_every_page_digest_memoized() {
+        use mana_sim::scatter::{reset_shared_hashed_bytes, shared_hashed_bytes};
+        let s = store();
+        let snap = DenseSnap::from_vec((0..16 << 12).map(|i| (i / 7) as u8).collect());
+        let mut r = region(0x1000, Vec::new());
+        r.len = snap.len() as u64;
+        r.content = SnapshotContent::Dense(snap.clone());
+        let img = Arc::new(image(1, vec![r]));
+        s.put(
+            &path(1),
+            CheckpointImage::encode_shared(&img),
+            img.logical_bytes(),
+            0,
+            SHAPE,
+        );
+        assert_eq!(s.put_stats().pages_digested, 16);
+        reset_shared_hashed_bytes();
+        for page in snap.page_handles() {
+            page.digest();
+        }
+        assert_eq!(shared_hashed_bytes(), 0, "the put read the page memos");
     }
 
     #[test]

@@ -15,14 +15,12 @@
 //! to the stored format or the cost model may move them, and then says so
 //! by editing these constants.
 //!
-//! The last such change was to the stored format, and it moved stack A
-//! only. Journal envelope version 3 adds a chunk table to the header and
-//! records a fold over per-chunk digests instead of one digest of the
-//! payload bytes, so every envelope digest moved. `CompressingStore` seeds
-//! its ratio from that fold, so each generation drew a new compression
-//! ratio: `compressed_len` moved, and with it the filesystem time inside
-//! the journaled put and get durations. Every CAS field and every
-//! restored checksum stayed as it was.
+//! The last such change was to the stored format, and it moved one CAS
+//! counter only. CAS manifest version 3 records one 8-byte pool slot per
+//! page instead of two 8-byte digests, so each put's manifest is 8 bytes
+//! per page (2048 per generation) smaller and the cumulative
+//! `manifest_bytes` (`cas[4]`) moved, e.g. 4811 → 2763. Every journal
+//! field, `cas_ns`, page count and restored checksum stayed as it was.
 
 use mana_core::buffer::PairCounters;
 use mana_core::error::StoreError;
@@ -83,42 +81,42 @@ const PUTS: [Put; 6] = [
         cas_ns: 209_715,
         compressed_len: 362_042,
         envelope: 10204209305098032797,
-        cas: [256, 256, 1_048_576, 1_048_576, 4811, 0, 0],
+        cas: [256, 256, 1_048_576, 1_048_576, 2763, 0, 0],
     },
     Put {
         journaled_ns: 8_377_105,
         cas_ns: 1_638,
         compressed_len: 385_235,
         envelope: 4444735540686156046,
-        cas: [512, 258, 2_097_152, 1_056_768, 9654, 0, 0],
+        cas: [512, 258, 2_097_152, 1_056_768, 5558, 0, 0],
     },
     Put {
         journaled_ns: 8_431_315,
         cas_ns: 20_480,
         compressed_len: 376_260,
         envelope: 6177562121478411968,
-        cas: [768, 283, 3_145_728, 1_159_168, 14497, 0, 0],
+        cas: [768, 283, 3_145_728, 1_159_168, 8353, 0, 0],
     },
     Put {
         journaled_ns: 8_724_925,
         cas_ns: 104_858,
         compressed_len: 389_157,
         envelope: 1142667483246138097,
-        cas: [1024, 411, 4_194_304, 1_683_456, 19340, 0, 0],
+        cas: [1024, 411, 4_194_304, 1_683_456, 11148, 0, 0],
     },
     Put {
         journaled_ns: 9_075_842,
         cas_ns: 209_715,
         compressed_len: 390_611,
         envelope: 6630814315280475054,
-        cas: [1280, 667, 5_242_880, 2_732_032, 24183, 0, 0],
+        cas: [1280, 667, 5_242_880, 2_732_032, 13943, 0, 0],
     },
     Put {
         journaled_ns: 9_056_070,
         cas_ns: 20_480,
         compressed_len: 369_964,
         envelope: 3094933173391560380,
-        cas: [1536, 692, 6_291_456, 2_834_432, 29026, 0, 0],
+        cas: [1536, 692, 6_291_456, 2_834_432, 16738, 0, 0],
     },
 ];
 
