@@ -10,20 +10,30 @@
 //! `DeltaStore` blob and a `CasStore` manifest, as they land in the store
 //! underneath. Every image must also round-trip through `decode_shared`.
 //! Only a deliberate format change may edit these constants.
+//!
+//! The images real workloads write are pinned too: rank 0's stored image
+//! from a mid-run checkpoint-and-kill of each application and of
+//! `CommChurn`, at a fixed seed. LULESH's log carries `CartCreate`, and
+//! `CommChurn`'s uncompacted log every other call a product app records. A change to how the wrapper records, or how
+//! the image encodes what it recorded, must pass these unmodified.
 
+use mana::apps::{make_app_small, AppKind, CommChurn};
 use mana::core::buffer::{BufferedMsg, PairCounters};
 use mana::core::image::{CheckpointImage, ImageBytes, PendingColl, PendingKind, VirtCommEntry};
 use mana::core::record::LoggedCall;
 use mana::core::restart::compact::derive_rebind;
 use mana::core::shared::SlotState;
-use mana::core::{CheckpointStore, InMemStore};
+use mana::core::{CheckpointStore, InMemStore, JobBuilder, ManaSession, Workload};
 use mana::mpi::{BaseType, ReduceOp, SrcSpec, TagSpec};
 use mana::sim::checksum::checksum_bytes;
+use mana::sim::cluster::ClusterSpec;
 use mana::sim::fs::IoShape;
 use mana::sim::memory::{
     DenseSnap, Half, RegionDirty, RegionKind, RegionSnapshot, SnapshotContent,
 };
+use mana::sim::time::SimTime;
 use mana::store::{CasConfig, CasStore, DeltaConfig, DeltaStore};
+use std::sync::Arc;
 
 const SHAPE: IoShape = IoShape {
     writers_on_node: 1,
@@ -39,6 +49,20 @@ const IMAGE_EMPTY: (usize, u64) = (196, 2531206783201078987);
 const IMAGE_DENSE: (usize, u64) = (12538, 8781465503585727929);
 const DELTA_BLOB: (usize, u64) = (9723, 5013656913002706763);
 const CAS_MANIFEST: (usize, u64) = (1542, 16610463042127305690);
+
+/// `(length, checksum_bytes)` of rank 0's stored image from a mid-run
+/// checkpoint-and-kill of each workload: 8 ranks on two nodes, seed 3.
+/// `CommChurn` is pinned twice: compacted, and with the compactor off so
+/// the image carries its whole recorded log.
+const PRODUCT_IMAGES: [(&str, (usize, u64)); 7] = [
+    ("GROMACS", (17294, 16563972388692540410)),
+    ("miniFE", (66419, 11577447797382367482)),
+    ("HPCG", (83021, 3292385713209035986)),
+    ("CLAMR", (53609, 4347370816519672121)),
+    ("LULESH", (6506, 11018611540632644964)),
+    ("comm-churn", (1461, 5849916872285534317)),
+    ("comm-churn, full log", (4365, 10297060953430396043)),
+];
 
 fn pinned(bytes: &ImageBytes) -> (usize, u64) {
     let flat = bytes.to_vec();
@@ -322,4 +346,49 @@ fn store_blobs_are_pinned() {
         let (back, _) = CheckpointImage::decode_shared(&back).expect("decodes");
         assert_eq!(back, gens[1], "{name}: round trip");
     }
+}
+
+/// Rank 0's stored image from a checkpoint-and-kill halfway through the
+/// application window of `app`, its log compacted or not.
+fn product_image(app: Arc<dyn Workload>, compact: bool) -> (usize, u64) {
+    let session = ManaSession::builder().store(InMemStore::new()).build();
+    let job = || {
+        JobBuilder::new()
+            .cluster(ClusterSpec::local_cluster(2))
+            .ranks(8)
+            .seed(3)
+            .compact_log(compact)
+    };
+    let clean = session.run(job(), app.clone()).expect("clean run");
+    let (wall, aw) = (
+        clean.outcome().wall.as_nanos(),
+        clean.outcome().app_wall.as_nanos(),
+    );
+    let killed = session
+        .run(
+            job().checkpoint_at(SimTime(wall - aw + aw / 2)).then_kill(),
+            app,
+        )
+        .expect("checkpoint run");
+    assert!(killed.killed());
+    let ckpt = killed.ckpts().pop().expect("one checkpoint");
+    let path = killed.spec().cfg.image_path(ckpt.ckpt_id, 0);
+    let (stored, _) = session.store().get(&path, 0, SHAPE).expect("stored");
+    pinned(&stored)
+}
+
+#[test]
+fn product_images_are_pinned() {
+    let apps = AppKind::all().map(|kind| (kind.name(), make_app_small(kind, 4), true));
+    let churn = || -> Arc<dyn Workload> { Arc::new(CommChurn::default()) };
+    let churns = [
+        ("comm-churn", churn(), true),
+        ("comm-churn, full log", churn(), false),
+    ];
+    let got: Vec<_> = apps
+        .into_iter()
+        .chain(churns)
+        .map(|(name, app, compact)| (name, product_image(app, compact)))
+        .collect();
+    assert_eq!(got, PRODUCT_IMAGES, "product image bytes moved");
 }
