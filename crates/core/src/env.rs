@@ -582,13 +582,7 @@ impl AppEnv {
                     .write_bytes(arr_addr + offset, &data)
                     .expect("recv window");
             }
-            SlotState::CollPending { vreq } => {
-                let out = self.mpi.wait(&self.t, ReqHandle(vreq));
-                // Results of nonblocking collectives used via *_into
-                // variants write state before this wait; plain ibarrier has
-                // no payload.
-                drop(out);
-            }
+            SlotState::CollPending { vreq } => self.mpi.wait(&self.t, ReqHandle(vreq)),
         }
         self.with_progress(|p| p.slots[slot.0 as usize] = SlotState::Empty);
         self.op_done();

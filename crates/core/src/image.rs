@@ -15,7 +15,7 @@ use crate::buffer::{BufferedMsg, PairCounters};
 use crate::codec::{CodecError, ScatterDec, ScatterEnc};
 use crate::record::LoggedCall;
 use crate::restart::compact::{BindSource, RebindEntry};
-use mana_mpi::{BaseType, ReduceOp};
+use mana_mpi::BaseType;
 use mana_sim::memory::{Half, RegionDirty, RegionKind, RegionSnapshot, SnapshotContent};
 use mana_sim::scatter::ScatterBuf;
 use std::sync::Arc;
@@ -41,31 +41,14 @@ pub struct VirtCommEntry {
     pub cart_periodic: Vec<bool>,
 }
 
-/// An outstanding two-phase nonblocking collective (§4.2 extension).
+/// An outstanding two-phase `MPI_Ibarrier` (§4.2 extension), the one
+/// nonblocking collective the seam carries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PendingColl {
     /// Virtual request id the application holds.
     pub vreq: u64,
     /// Virtual communicator id.
     pub comm_virt: u64,
-    /// Operation payload.
-    pub kind: PendingKind,
-}
-
-/// Kind of pending nonblocking collective.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PendingKind {
-    /// `MPI_Ibarrier`.
-    Ibarrier,
-    /// `MPI_Iallreduce` with saved contribution.
-    Iallreduce {
-        /// Contribution bytes.
-        data: Vec<u8>,
-        /// Element type.
-        base: BaseType,
-        /// Operation.
-        op: ReduceOp,
-    },
 }
 
 /// The complete per-rank checkpoint image.
@@ -325,15 +308,9 @@ impl CheckpointImage {
         enc_seq(&mut e, &self.pending, |e, p| {
             e.u64(p.vreq);
             e.u64(p.comm_virt);
-            match &p.kind {
-                PendingKind::Ibarrier => e.u32(0),
-                PendingKind::Iallreduce { data, base, op } => {
-                    e.u32(1);
-                    e.bytes(data);
-                    e.u32(base_tag(*base));
-                    e.u32(op_tag(*op));
-                }
-            }
+            // The kind word: 0 is `MPI_Ibarrier`. Kind 1 (`MPI_Iallreduce`)
+            // is retired and must never be reused.
+            e.u32(0);
         });
         enc_seq(&mut e, &self.allocs, |e, (addr, len)| {
             e.u64(*addr);
@@ -458,25 +435,13 @@ impl CheckpointImage {
         let pending = dec_seq(d, "pending", |d| {
             let vreq = d.u64("pending vreq")?;
             let comm_virt = d.u64("pending comm")?;
-            let kind = match d.u32("pending kind")? {
-                0 => PendingKind::Ibarrier,
-                1 => PendingKind::Iallreduce {
-                    data: d.bytes("pending data")?,
-                    base: dec_base(d.u32("pending base")?)?,
-                    op: dec_op(d.u32("pending op")?)?,
-                },
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "pending",
-                        tag,
-                    })
-                }
-            };
-            Ok(PendingColl {
-                vreq,
-                comm_virt,
-                kind,
-            })
+            match d.u32("pending kind")? {
+                0 => Ok(PendingColl { vreq, comm_virt }),
+                tag => Err(CodecError::BadTag {
+                    what: "pending",
+                    tag,
+                }),
+            }
         })?;
         let allocs = dec_seq(d, "allocs", |d| {
             Ok((d.u64("alloc addr")?, d.u64("alloc len")?))
@@ -650,30 +615,6 @@ fn dec_base(tag: u32) -> Result<BaseType, CodecError> {
         tag => {
             return Err(CodecError::BadTag {
                 what: "base type",
-                tag,
-            })
-        }
-    })
-}
-
-fn op_tag(o: ReduceOp) -> u32 {
-    match o {
-        ReduceOp::Sum => 0,
-        ReduceOp::Max => 1,
-        ReduceOp::Min => 2,
-        ReduceOp::Prod => 3,
-    }
-}
-
-fn dec_op(tag: u32) -> Result<ReduceOp, CodecError> {
-    Ok(match tag {
-        0 => ReduceOp::Sum,
-        1 => ReduceOp::Max,
-        2 => ReduceOp::Min,
-        3 => ReduceOp::Prod,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "reduce op",
                 tag,
             })
         }
@@ -894,6 +835,22 @@ fn dec_counters(d: &mut ScatterDec<'_>) -> Result<PairCounters, CodecError> {
     Ok(c)
 }
 
+/// Call tags on the wire:
+///
+/// | tag | call             | tag | call             |
+/// |-----|------------------|-----|------------------|
+/// | 0   | `CommDup`        | 6   | `GroupIncl`      |
+/// | 1   | `CommSplit`      | 7   | *retired*        |
+/// | 2   | *retired*        | 8   | `GroupFree`      |
+/// | 3   | `CommFree`       | 9   | `TypeBase`       |
+/// | 4   | `CartCreate`     | 10  | `TypeContiguous` |
+/// | 5   | `CommGroup`      | 11  | *retired*        |
+/// |     |                  | 12  | `TypeFree`       |
+///
+/// Tags 2 (`MPI_Comm_create`), 7 (`MPI_Group_excl`) and 11
+/// (`MPI_Type_vector`) are retired: they decode to
+/// [`CodecError::BadTag`] and must never be reused, so a stale image can
+/// only fail typed, never replay as some other call.
 fn enc_call(e: &mut ScatterEnc, c: &LoggedCall) {
     match c {
         LoggedCall::CommDup { parent, result } => {
@@ -912,22 +869,6 @@ fn enc_call(e: &mut ScatterEnc, c: &LoggedCall) {
             e.i32(*color);
             e.i32(*key);
             e.u64(*result);
-        }
-        LoggedCall::CommCreate {
-            parent,
-            group,
-            result,
-        } => {
-            e.u32(2);
-            e.u64(*parent);
-            e.u64(*group);
-            match result {
-                Some(r) => {
-                    e.boolean(true);
-                    e.u64(*r);
-                }
-                None => e.boolean(false),
-            }
         }
         LoggedCall::CommFree { comm } => {
             e.u32(3);
@@ -964,16 +905,6 @@ fn enc_call(e: &mut ScatterEnc, c: &LoggedCall) {
             enc_seq(e, ranks, |e, r| e.u32(*r));
             e.u64(*result);
         }
-        LoggedCall::GroupExcl {
-            group,
-            ranks,
-            result,
-        } => {
-            e.u32(7);
-            e.u64(*group);
-            enc_seq(e, ranks, |e, r| e.u32(*r));
-            e.u64(*result);
-        }
         LoggedCall::GroupFree { group } => {
             e.u32(8);
             e.u64(*group);
@@ -990,20 +921,6 @@ fn enc_call(e: &mut ScatterEnc, c: &LoggedCall) {
         } => {
             e.u32(10);
             e.u32(*count);
-            e.u64(*inner);
-            e.u64(*result);
-        }
-        LoggedCall::TypeVector {
-            count,
-            blocklen,
-            stride,
-            inner,
-            result,
-        } => {
-            e.u32(11);
-            e.u32(*count);
-            e.u32(*blocklen);
-            e.u32(*stride);
             e.u64(*inner);
             e.u64(*result);
         }
@@ -1025,15 +942,6 @@ fn dec_call(d: &mut ScatterDec<'_>) -> Result<LoggedCall, CodecError> {
             color: d.i32("split color")?,
             key: d.i32("split key")?,
             result: d.u64("split result")?,
-        },
-        2 => LoggedCall::CommCreate {
-            parent: d.u64("create parent")?,
-            group: d.u64("create group")?,
-            result: if d.boolean("create some")? {
-                Some(d.u64("create result")?)
-            } else {
-                None
-            },
         },
         3 => LoggedCall::CommFree {
             comm: d.u64("free comm")?,
@@ -1058,11 +966,6 @@ fn dec_call(d: &mut ScatterDec<'_>) -> Result<LoggedCall, CodecError> {
             ranks: dec_seq(d, "gi ranks", |d| d.u32("gi rank"))?,
             result: d.u64("gi result")?,
         },
-        7 => LoggedCall::GroupExcl {
-            group: d.u64("ge group")?,
-            ranks: dec_seq(d, "ge ranks", |d| d.u32("ge rank"))?,
-            result: d.u64("ge result")?,
-        },
         8 => LoggedCall::GroupFree {
             group: d.u64("gf group")?,
         },
@@ -1074,13 +977,6 @@ fn dec_call(d: &mut ScatterDec<'_>) -> Result<LoggedCall, CodecError> {
             count: d.u32("tc count")?,
             inner: d.u64("tc inner")?,
             result: d.u64("tc result")?,
-        },
-        11 => LoggedCall::TypeVector {
-            count: d.u32("tv count")?,
-            blocklen: d.u32("tv blocklen")?,
-            stride: d.u32("tv stride")?,
-            inner: d.u64("tv inner")?,
-            result: d.u64("tv result")?,
         },
         12 => LoggedCall::TypeFree {
             dtype: d.u64("tf dtype")?,
@@ -1173,11 +1069,6 @@ mod tests {
             pending: vec![PendingColl {
                 vreq: 0x4000_0000,
                 comm_virt: 0x1000_0000,
-                kind: PendingKind::Iallreduce {
-                    data: vec![0; 8],
-                    base: BaseType::Double,
-                    op: ReduceOp::Sum,
-                },
             }],
             ops_done: 17,
             allocs: vec![(0x1000, 16)],
@@ -1380,6 +1271,71 @@ mod tests {
                 })
             ),
             "poisoned content tag not rejected"
+        );
+    }
+
+    /// `img` encoded, with `word` written over the `u32` at `word_at(m)`,
+    /// `m` being the offset at which `marker` is encoded.
+    fn patched(
+        img: &CheckpointImage,
+        marker: u64,
+        word_at: impl Fn(usize) -> usize,
+        word: u32,
+    ) -> Vec<u8> {
+        let mut bytes = img.encode().to_vec();
+        let m = bytes
+            .windows(8)
+            .position(|w| w == marker.to_le_bytes())
+            .expect("marker encoded");
+        let at = word_at(m);
+        bytes[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn retired_call_tags_fail_typed() {
+        // A log entry's tag is the u32 right before its first field.
+        const MARKER: u64 = 0x5ca1_ab1e_0ddb_a11f;
+        let img = CheckpointImage {
+            log: vec![LoggedCall::CommFree { comm: MARKER }],
+            ..sample()
+        };
+        assert_eq!(
+            decode(&patched(&img, MARKER, |m| m - 4, 3)),
+            Ok(img.clone())
+        );
+        for tag in [2, 7, 11] {
+            assert_eq!(
+                decode(&patched(&img, MARKER, |m| m - 4, tag)),
+                Err(CodecError::BadTag {
+                    what: "logged call",
+                    tag
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn retired_pending_kind_fails_typed() {
+        // The kind word follows the entry's vreq and communicator.
+        const MARKER: u64 = 0x5ca1_ab1e_0ddb_a11f;
+        let img = CheckpointImage {
+            pending: vec![PendingColl {
+                vreq: MARKER,
+                comm_virt: 0x1000_0000,
+            }],
+            ..sample()
+        };
+        assert_eq!(
+            decode(&patched(&img, MARKER, |m| m + 16, 0)),
+            Ok(img.clone())
+        );
+        assert_eq!(
+            decode(&patched(&img, MARKER, |m| m + 16, 1)),
+            Err(CodecError::BadTag {
+                what: "pending",
+                tag: 1
+            })
         );
     }
 

@@ -8,6 +8,13 @@
 //! collective: every rank replays the same sequence, so the calls
 //! synchronize through the new library exactly as the originals did.
 //!
+//! One variant per state-mutating call on the `Mpi` seam, and no more:
+//! dup, split, Cartesian create and free of communicators; group from a
+//! communicator, inclusion subset and free; base, contiguous and free of
+//! datatypes. A call joins the seam — and this log — with its first
+//! product caller. The image codec numbers the variants; numbers of
+//! calls that left the seam are retired, never reused (see `image.rs`).
+//!
 //! The log also powers the restart engine's [`LogCompactor`]: every
 //! creation entry is tagged (in memory, not on the wire) with its index in
 //! the log, so a later `*Free` can cancel it in O(1) and whole dead
@@ -42,15 +49,6 @@ pub enum LoggedCall {
         /// Resulting communicator (virtual; bound to null for negative
         /// color).
         result: u64,
-    },
-    /// `MPI_Comm_create(parent, group) -> result` (`None` for non-members).
-    CommCreate {
-        /// Parent communicator (virtual).
-        parent: u64,
-        /// Group argument (virtual).
-        group: u64,
-        /// Resulting communicator (virtual), if a member.
-        result: Option<u64>,
     },
     /// `MPI_Comm_free(comm)`.
     CommFree {
@@ -92,15 +90,6 @@ pub enum LoggedCall {
         /// Resulting group (virtual).
         result: u64,
     },
-    /// `MPI_Group_excl(group, ranks) -> result`.
-    GroupExcl {
-        /// Source group (virtual).
-        group: u64,
-        /// Excluded comm-local ranks.
-        ranks: Vec<u32>,
-        /// Resulting group (virtual).
-        result: u64,
-    },
     /// `MPI_Group_free(group)`.
     GroupFree {
         /// Freed group (virtual).
@@ -122,19 +111,6 @@ pub enum LoggedCall {
         /// Resulting datatype (virtual).
         result: u64,
     },
-    /// `MPI_Type_vector(count, blocklen, stride, inner) -> result`.
-    TypeVector {
-        /// Block count.
-        count: u32,
-        /// Elements per block.
-        blocklen: u32,
-        /// Stride between blocks.
-        stride: u32,
-        /// Inner datatype (virtual).
-        inner: u64,
-        /// Resulting datatype (virtual).
-        result: u64,
-    },
     /// `MPI_Type_free(dtype)`.
     TypeFree {
         /// Freed datatype (virtual).
@@ -143,8 +119,7 @@ pub enum LoggedCall {
 }
 
 impl LoggedCall {
-    /// Virtual id this entry creates, if any. `CommCreate` with a `None`
-    /// result burns a virtual id that the log does not name.
+    /// Virtual id this entry creates, if any.
     pub fn created_virt(&self) -> Option<u64> {
         match self {
             LoggedCall::CommDup { result, .. }
@@ -152,11 +127,8 @@ impl LoggedCall {
             | LoggedCall::CartCreate { result, .. }
             | LoggedCall::CommGroup { result, .. }
             | LoggedCall::GroupIncl { result, .. }
-            | LoggedCall::GroupExcl { result, .. }
             | LoggedCall::TypeBase { result, .. }
-            | LoggedCall::TypeContiguous { result, .. }
-            | LoggedCall::TypeVector { result, .. } => Some(*result),
-            LoggedCall::CommCreate { result, .. } => *result,
+            | LoggedCall::TypeContiguous { result, .. } => Some(*result),
             LoggedCall::CommFree { .. }
             | LoggedCall::GroupFree { .. }
             | LoggedCall::TypeFree { .. } => None,
@@ -288,12 +260,13 @@ mod tests {
 
     #[test]
     fn created_and_freed_virts() {
-        let create = LoggedCall::CommCreate {
+        let split = LoggedCall::CommSplit {
             parent: 1,
-            group: 2,
-            result: None,
+            color: -1,
+            key: 0,
+            result: 2,
         };
-        assert_eq!(create.created_virt(), None);
+        assert_eq!(split.created_virt(), Some(2));
         let free = LoggedCall::GroupFree { group: 7 };
         assert_eq!(free.freed_virt(), Some(7));
         assert_eq!(free.created_virt(), None);

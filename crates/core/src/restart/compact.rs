@@ -28,12 +28,11 @@
 //!   collectively; every participant therefore sees the same liveness and
 //!   the same retained dependents, and these entries are elided when
 //!   their whole derivation subtree is dead.
-//! * **`CommSplit` / `CommCreate` are retained unconditionally** (they
-//!   are the *anchors* of the derivation forest): their results have
-//!   partial membership, so non-members — whose burned/null results are
-//!   never freed — could not agree with members about elision. Their
-//!   `CommFree`s are retained with them, so replay still converges to the
-//!   live set.
+//! * **`CommSplit` is retained unconditionally** (it is the one *anchor*
+//!   of the derivation forest): its result has partial membership, so
+//!   non-members — whose burned/null results are never freed — could not
+//!   agree with members about elision. Its `CommFree`s are retained with
+//!   it, so replay still converges to the live set.
 //! * **Frees must be *settled*** before they can cancel a collective
 //!   entry. `MPI_Comm_free` is a local call, so a checkpoint landing
 //!   mid-step can catch rank A *after* its free and rank B *before* it —
@@ -137,11 +136,8 @@ fn inputs(c: &LoggedCall) -> Vec<u64> {
         LoggedCall::CommDup { parent, .. }
         | LoggedCall::CommSplit { parent, .. }
         | LoggedCall::CartCreate { parent, .. } => vec![*parent],
-        LoggedCall::CommCreate { parent, group, .. } => vec![*parent, *group],
-        LoggedCall::GroupIncl { group, .. } | LoggedCall::GroupExcl { group, .. } => vec![*group],
-        LoggedCall::TypeContiguous { inner, .. } | LoggedCall::TypeVector { inner, .. } => {
-            vec![*inner]
-        }
+        LoggedCall::GroupIncl { group, .. } => vec![*group],
+        LoggedCall::TypeContiguous { inner, .. } => vec![*inner],
         // Group contents were recorded, so replay rebuilds the group from
         // the world group — no dependency on the source communicator.
         LoggedCall::CommGroup { .. }
@@ -155,10 +151,7 @@ fn inputs(c: &LoggedCall) -> Vec<u64> {
 /// Entries that must survive compaction regardless of liveness because
 /// their replay collectives have partial membership (see module docs).
 fn is_anchor(c: &LoggedCall) -> bool {
-    matches!(
-        c,
-        LoggedCall::CommSplit { .. } | LoggedCall::CommCreate { .. }
-    )
+    matches!(c, LoggedCall::CommSplit { .. })
 }
 
 /// Entries whose replay is a blocking collective over the parent's
@@ -166,10 +159,7 @@ fn is_anchor(c: &LoggedCall) -> bool {
 fn is_collective_creation(c: &LoggedCall) -> bool {
     matches!(
         c,
-        LoggedCall::CommDup { .. }
-            | LoggedCall::CommSplit { .. }
-            | LoggedCall::CommCreate { .. }
-            | LoggedCall::CartCreate { .. }
+        LoggedCall::CommDup { .. } | LoggedCall::CommSplit { .. } | LoggedCall::CartCreate { .. }
     )
 }
 
@@ -178,7 +168,6 @@ fn collective_parent(c: &LoggedCall) -> Option<u64> {
     match c {
         LoggedCall::CommDup { parent, .. }
         | LoggedCall::CommSplit { parent, .. }
-        | LoggedCall::CommCreate { parent, .. }
         | LoggedCall::CartCreate { parent, .. } => Some(*parent),
         _ => None,
     }
@@ -386,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn splits_and_creates_are_anchors() {
+    fn splits_are_anchors() {
         let s = 0x1000_0001;
         let log = vec![
             LoggedCall::CommSplit {
@@ -399,27 +388,6 @@ mod tests {
         ];
         let c = compact(&log, &[]);
         assert_eq!(c.entries, log, "dead split stays (partial membership)");
-
-        let g = 0x2000_0000;
-        let cc = 0x1000_0002;
-        let log = vec![
-            LoggedCall::CommGroup {
-                comm: WORLD,
-                members: vec![0, 1],
-                result: g,
-            },
-            LoggedCall::CommCreate {
-                parent: WORLD,
-                group: g,
-                result: Some(cc),
-            },
-            free(cc),
-        ];
-        let c = compact(&log, &[]);
-        assert_eq!(
-            c.entries, log,
-            "anchored comm_create keeps its group chain alive"
-        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! Replay is *verified*: the image carries an explicit rebind map
 //! ([`BindSource`]) naming which retained log entry binds each virtual
 //! id, and the engine checks every replayed creation against it. Any
-//! disagreement — a divergent `comm_create` shape, an entry referencing
-//! an unbound id, a live id left unbound — aborts the simulation cleanly
+//! disagreement — a creation landing where the map does not say, an entry
+//! referencing an unbound id, a live id left unbound — aborts the simulation cleanly
 //! and surfaces as a typed [`RestartError`] instead of a panic.
 
 use crate::chaos::RestartPoint;
@@ -617,30 +617,6 @@ fn replay_verified(
                 verify_bind(*result, idx)?;
                 virt.comm.bind(*result, nr.0);
             }
-            LoggedCall::CommCreate {
-                parent,
-                group,
-                result,
-            } => {
-                let pr = CommHandle(input("comm", &virt.comm, *parent, idx)?);
-                let rg = GroupHandle(input("group", &virt.group, *group, idx)?);
-                let nr = lower.comm_create(t, pr, rg);
-                match (nr, result) {
-                    (Some(nr), Some(res)) => {
-                        verify_bind(*res, idx)?;
-                        virt.comm.bind(*res, nr.0);
-                    }
-                    (None, None) => {}
-                    (got, want) => {
-                        return Err(divergence(
-                            rank,
-                            idx,
-                            format!("comm_create -> {want:?}"),
-                            format!("{got:?}"),
-                        ))
-                    }
-                }
-            }
             LoggedCall::CommFree { comm } => {
                 let r = input("comm", &virt.comm, *comm, idx)?;
                 if r != 0 {
@@ -684,17 +660,6 @@ fn replay_verified(
                 virt.group.bind(*result, ng.0);
                 sh.groups.lock().insert(*result, lower.group_members(ng));
             }
-            LoggedCall::GroupExcl {
-                group,
-                ranks,
-                result,
-            } => {
-                let rg = GroupHandle(input("group", &virt.group, *group, idx)?);
-                let ng = lower.group_excl(rg, ranks);
-                verify_bind(*result, idx)?;
-                virt.group.bind(*result, ng.0);
-                sh.groups.lock().insert(*result, lower.group_members(ng));
-            }
             LoggedCall::GroupFree { group } => {
                 let r = input("group", &virt.group, *group, idx)?;
                 lower.group_free(GroupHandle(r));
@@ -714,18 +679,6 @@ fn replay_verified(
             } => {
                 let ri = mana_mpi::DtypeHandle(input("dtype", &virt.dtype, *inner, idx)?);
                 let r = lower.type_contiguous(*count, ri);
-                verify_bind(*result, idx)?;
-                virt.dtype.bind(*result, r.0);
-            }
-            LoggedCall::TypeVector {
-                count,
-                blocklen,
-                stride,
-                inner,
-                result,
-            } => {
-                let ri = mana_mpi::DtypeHandle(input("dtype", &virt.dtype, *inner, idx)?);
-                let r = lower.type_vector(*count, *blocklen, *stride, ri);
                 verify_bind(*result, idx)?;
                 virt.dtype.bind(*result, r.0);
             }

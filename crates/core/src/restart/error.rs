@@ -172,8 +172,8 @@ mod tests {
         let e = RestartError::ReplayDivergence {
             rank: 3,
             call_index: 17,
-            expected: "CommCreate -> Some(0x10000004)".to_string(),
-            got: "None".to_string(),
+            expected: "rebind map entry for created id 0x10000004".to_string(),
+            got: "no rebind entry".to_string(),
         };
         let s = e.to_string();
         assert!(

@@ -45,16 +45,6 @@ impl CommMeta {
 pub enum WReq {
     /// A lower-half send request (eager already done or rendezvous).
     LowerSend(ReqHandle),
-    /// A wrapper-deferred receive (matched at wait/test time so the
-    /// drained buffer stays authoritative).
-    WrapperRecv {
-        /// Virtual communicator.
-        comm_virt: u64,
-        /// Source spec (comm-local).
-        src: mana_mpi::SrcSpec,
-        /// Tag spec.
-        tag: mana_mpi::TagSpec,
-    },
     /// A two-phase nonblocking collective (see `pending` map).
     TwoPhase,
 }

@@ -12,19 +12,18 @@
 //!   receives consult the drained-message buffer first;
 //! * every collective is wrapped in the two-phase algorithm (§2.4–2.5):
 //!   pre-wrapper gate, trivial barrier (phase 1), real call (phase 2);
-//! * nonblocking collectives get the §4.2 ibarrier-based variant.
+//! * `MPI_Ibarrier` gets the §4.2 two-phase nonblocking variant.
 //!
 //! [`KernelModel::fs_roundtrip`]: mana_sim::kernel::KernelModel::fs_roundtrip
 
 use crate::cell::{CollInstance, Park};
 use crate::config::ManaConfig;
-use crate::image::{PendingColl, PendingKind};
+use crate::image::PendingColl;
 use crate::record::LoggedCall;
 use crate::shared::{CommMeta, PendingRt, RankShared, WReq};
-use mana_mpi::api::TestResult;
 use mana_mpi::{
-    BaseType, CommHandle, DtypeDef, DtypeHandle, GroupHandle, Mpi, Msg, Rank, ReduceOp, ReqHandle,
-    SrcSpec, Status, Tag, TagSpec, COMM_NULL,
+    BaseType, CommHandle, DtypeHandle, GroupHandle, Mpi, Msg, Rank, ReduceOp, ReqHandle, SrcSpec,
+    Status, Tag, TagSpec, COMM_NULL,
 };
 use mana_sim::sched::SimThread;
 use mana_sim::time::SimDuration;
@@ -208,38 +207,6 @@ impl ManaMpi {
         }
     }
 
-    fn try_recv_inner(
-        &self,
-        t: &SimThread,
-        comm_virt: u64,
-        src: SrcSpec,
-        tag: TagSpec,
-    ) -> Option<(Vec<u8>, Status)> {
-        let meta = self.meta(t, comm_virt);
-        let real = CommHandle(meta.real);
-        if let Some(m) = self.sh.buffer.lock().take_match(comm_virt, src, tag) {
-            self.sh.counters.lock().on_recv(m.src_global);
-            let n = m.data.len() as u64;
-            return Some((
-                m.data,
-                Status {
-                    source: m.src_local,
-                    tag: m.tag,
-                    bytes: n,
-                    modeled_bytes: m.modeled,
-                },
-            ));
-        }
-        self.fs(t);
-        let st = self.lower.iprobe(t, src, tag, real)?;
-        let (data, status) =
-            self.lower
-                .recv(t, SrcSpec::Rank(st.source), TagSpec::Tag(st.tag), real);
-        let src_global = meta.members[status.source as usize];
-        self.sh.counters.lock().on_recv(src_global);
-        Some((data, status))
-    }
-
     fn register_comm(
         &self,
         real: u64,
@@ -261,27 +228,22 @@ impl ManaMpi {
         virt
     }
 
-    /// Complete an outstanding two-phase nonblocking collective (shared by
-    /// `wait` and a successful `test`). Implements the paper's §4.2
-    /// proposal: wait for the nonblocking trivial barrier, then run the
-    /// converted-to-blocking real collective.
-    fn finish_pending(&self, t: &SimThread, vreq: u64) -> Option<(Vec<u8>, Status)> {
+    /// Complete an outstanding two-phase `MPI_Ibarrier`. Implements the
+    /// paper's §4.2 proposal: wait for the nonblocking trivial barrier,
+    /// then run the converted-to-blocking real barrier.
+    fn finish_pending(&self, t: &SimThread, vreq: u64) {
         // Read (don't consume) the descriptor: a checkpoint-kill can land
         // while blocked in the phase-1 wait below, and the descriptor must
         // still be in the image for the restarted wait to re-execute.
-        let rt = {
-            let mut pending = self.sh.pending.lock();
-            let e = pending.get_mut(&vreq).expect("unknown pending collective");
-            PendingRt {
-                desc: e.desc.clone(),
-                lower_phase1: e.lower_phase1,
-            }
+        let (comm_virt, lower_phase1) = {
+            let pending = self.sh.pending.lock();
+            let e = pending.get(&vreq).expect("unknown pending collective");
+            (e.desc.comm_virt, e.lower_phase1)
         };
-        let comm_virt = rt.desc.comm_virt;
         let meta = self.meta(t, comm_virt);
         let real = CommHandle(meta.real);
         // Phase 1: wait for (or re-issue after restart) the ibarrier.
-        let phase1 = match rt.lower_phase1 {
+        let phase1 = match lower_phase1 {
             Some(r) => r,
             None => {
                 self.fs(t);
@@ -293,47 +255,16 @@ impl ManaMpi {
         self.sh
             .cell
             .with_park(Park::InPhase1Barrier, || self.lower.wait(t, phase1));
-        // Phase 2: converted to the blocking collective.
+        // Phase 2: converted to the blocking barrier.
         self.sh.cell.enter_phase2();
         self.fs(t);
-        let out = match &rt.desc.kind {
-            PendingKind::Ibarrier => {
-                self.lower.barrier(t, real);
-                None
-            }
-            PendingKind::Iallreduce { data, base, op } => {
-                let v = self.lower.allreduce(t, data, *base, *op, real);
-                let n = v.len() as u64;
-                Some((
-                    v,
-                    Status {
-                        source: 0,
-                        tag: 0,
-                        bytes: n,
-                        modeled_bytes: n,
-                    },
-                ))
-            }
-        };
+        self.lower.barrier(t, real);
         self.sh.cell.exit_phase2();
         self.sh.pending.lock().remove(&vreq);
-        out
     }
 }
 
 impl Mpi for ManaMpi {
-    fn impl_name(&self) -> &'static str {
-        self.lower.impl_name()
-    }
-
-    fn impl_version(&self) -> &'static str {
-        self.lower.impl_version()
-    }
-
-    fn is_debug_build(&self) -> bool {
-        self.lower.is_debug_build()
-    }
-
     fn comm_world(&self) -> CommHandle {
         CommHandle(self.world_virt)
     }
@@ -386,165 +317,26 @@ impl Mpi for ManaMpi {
         ReqHandle(vreq)
     }
 
-    fn irecv(&self, t: &SimThread, src: SrcSpec, tag: TagSpec, comm: CommHandle) -> ReqHandle {
+    fn wait(&self, t: &SimThread, req: ReqHandle) {
         self.vcost(t);
-        let vreq = self.sh.virt.req.intern(u64::MAX);
-        self.sh.wreqs.lock().insert(
-            vreq,
-            WReq::WrapperRecv {
-                comm_virt: comm.0,
-                src,
-                tag,
-            },
-        );
-        ReqHandle(vreq)
-    }
-
-    fn wait(&self, t: &SimThread, req: ReqHandle) -> Option<(Vec<u8>, Status)> {
-        self.vcost(t);
-        enum Plan {
-            LowerSend(ReqHandle),
-            Recv {
-                comm_virt: u64,
-                src: SrcSpec,
-                tag: TagSpec,
-            },
-            TwoPhase,
-        }
         // Consume the request only after completion (checkpoint-kill can
         // interrupt the blocking part; the restarted wait re-executes).
-        let plan = {
-            let wreqs = self.sh.wreqs.lock();
-            match wreqs.get(&req.0) {
-                None => panic!("unknown virtual request {:#x}", req.0),
-                Some(WReq::LowerSend(l)) => Plan::LowerSend(*l),
-                Some(WReq::WrapperRecv {
-                    comm_virt,
-                    src,
-                    tag,
-                }) => Plan::Recv {
-                    comm_virt: *comm_virt,
-                    src: *src,
-                    tag: *tag,
-                },
-                Some(WReq::TwoPhase) => Plan::TwoPhase,
-            }
+        let lower_send = match self.sh.wreqs.lock().get(&req.0) {
+            None => panic!("unknown virtual request {:#x}", req.0),
+            Some(WReq::LowerSend(l)) => Some(*l),
+            Some(WReq::TwoPhase) => None,
         };
-        let out = match plan {
-            Plan::LowerSend(lreq) => {
+        match lower_send {
+            Some(lreq) => {
                 self.fs(t);
                 self.sh
                     .cell
-                    .with_park(Park::InLowerSend, || self.lower.wait(t, lreq))
+                    .with_park(Park::InLowerSend, || self.lower.wait(t, lreq));
             }
-            Plan::Recv {
-                comm_virt,
-                src,
-                tag,
-            } => Some(self.recv_inner(t, comm_virt, src, tag)),
-            Plan::TwoPhase => self.finish_pending(t, req.0),
-        };
+            None => self.finish_pending(t, req.0),
+        }
         self.sh.wreqs.lock().remove(&req.0);
         self.sh.virt.req.remove(req.0);
-        out
-    }
-
-    fn test(&self, t: &SimThread, req: ReqHandle) -> TestResult {
-        self.vcost(t);
-        enum Plan {
-            LowerSend(ReqHandle),
-            Recv {
-                comm_virt: u64,
-                src: SrcSpec,
-                tag: TagSpec,
-            },
-            TwoPhase,
-        }
-        let plan = {
-            let wreqs = self.sh.wreqs.lock();
-            match wreqs.get(&req.0) {
-                None => panic!("unknown virtual request {:#x}", req.0),
-                Some(WReq::LowerSend(l)) => Plan::LowerSend(*l),
-                Some(WReq::WrapperRecv {
-                    comm_virt,
-                    src,
-                    tag,
-                }) => Plan::Recv {
-                    comm_virt: *comm_virt,
-                    src: *src,
-                    tag: *tag,
-                },
-                Some(WReq::TwoPhase) => Plan::TwoPhase,
-            }
-        };
-        match plan {
-            Plan::LowerSend(lreq) => {
-                self.fs(t);
-                match self.lower.test(t, lreq) {
-                    TestResult::Pending => TestResult::Pending,
-                    TestResult::Done(x) => {
-                        self.sh.wreqs.lock().remove(&req.0);
-                        self.sh.virt.req.remove(req.0);
-                        TestResult::Done(x)
-                    }
-                }
-            }
-            Plan::Recv {
-                comm_virt,
-                src,
-                tag,
-            } => match self.try_recv_inner(t, comm_virt, src, tag) {
-                Some(x) => {
-                    self.sh.wreqs.lock().remove(&req.0);
-                    self.sh.virt.req.remove(req.0);
-                    TestResult::Done(Some(x))
-                }
-                None => TestResult::Pending,
-            },
-            Plan::TwoPhase => {
-                // Is phase 1 (the nonblocking trivial barrier) done? If the
-                // request was restored from an image, phase 1 must be
-                // re-issued; report pending and let wait()/a later test
-                // drive it.
-                let phase1_done = {
-                    let pending = self.sh.pending.lock();
-                    let rt = pending.get(&req.0).expect("pending entry");
-                    match rt.lower_phase1 {
-                        Some(lreq) => {
-                            drop(pending);
-                            self.fs(t);
-                            matches!(self.lower.test(t, lreq), TestResult::Done(_))
-                        }
-                        None => false,
-                    }
-                };
-                if !phase1_done {
-                    // Re-issue phase 1 after a restart so a test-only loop
-                    // still makes progress.
-                    let mut pending = self.sh.pending.lock();
-                    let rt = pending.get_mut(&req.0).expect("pending entry");
-                    if rt.lower_phase1.is_none() {
-                        let meta = self.sh.comm_meta(rt.desc.comm_virt);
-                        drop(pending);
-                        self.fs(t);
-                        let l = self.lower.ibarrier(t, CommHandle(meta.real));
-                        self.sh
-                            .pending
-                            .lock()
-                            .get_mut(&req.0)
-                            .expect("pending entry")
-                            .lower_phase1 = Some(l);
-                    }
-                    return TestResult::Pending;
-                }
-                // Phase 1 complete: the paper's §4.2 design converts the
-                // remainder to a blocking call inside Test/Wait.
-                let out = self.finish_pending(t, req.0);
-                self.sh.wreqs.lock().remove(&req.0);
-                self.sh.virt.req.remove(req.0);
-                TestResult::Done(out)
-            }
-        }
     }
 
     fn iprobe(
@@ -612,20 +404,6 @@ impl Mpi for ManaMpi {
         self.two_phase(t, comm.0, |real| self.lower.gather(t, contrib, root, real))
     }
 
-    fn allgather(&self, t: &SimThread, contrib: &[u8], comm: CommHandle) -> Vec<Vec<u8>> {
-        self.two_phase(t, comm.0, |real| self.lower.allgather(t, contrib, real))
-    }
-
-    fn scatter(
-        &self,
-        t: &SimThread,
-        parts: Option<Vec<Vec<u8>>>,
-        root: Rank,
-        comm: CommHandle,
-    ) -> Vec<u8> {
-        self.two_phase(t, comm.0, |real| self.lower.scatter(t, parts, root, real))
-    }
-
     fn alltoall(&self, t: &SimThread, parts: Vec<Vec<u8>>, comm: CommHandle) -> Vec<Vec<u8>> {
         self.two_phase(t, comm.0, |real| self.lower.alltoall(t, parts, real))
     }
@@ -637,7 +415,6 @@ impl Mpi for ManaMpi {
         self.fs(t);
         let lreq = self.lower.ibarrier(t, CommHandle(meta.real));
         self.sh.cell.detach_engaged();
-        let _ = inst;
         let vreq = self.sh.virt.req.intern(u64::MAX - 1);
         self.sh.wreqs.lock().insert(vreq, WReq::TwoPhase);
         self.sh.pending.lock().insert(
@@ -646,42 +423,6 @@ impl Mpi for ManaMpi {
                 desc: PendingColl {
                     vreq,
                     comm_virt: comm.0,
-                    kind: PendingKind::Ibarrier,
-                },
-                lower_phase1: Some(lreq),
-            },
-        );
-        ReqHandle(vreq)
-    }
-
-    fn iallreduce(
-        &self,
-        t: &SimThread,
-        contrib: &[u8],
-        base: BaseType,
-        op: ReduceOp,
-        comm: CommHandle,
-    ) -> ReqHandle {
-        let meta = self.meta(t, comm.0);
-        let inst = self.next_instance(comm.0, meta.members.len() as u32);
-        self.sh.cell.pre_collective_gate(t, inst);
-        self.fs(t);
-        let lreq = self.lower.ibarrier(t, CommHandle(meta.real));
-        self.sh.cell.detach_engaged();
-        let _ = inst;
-        let vreq = self.sh.virt.req.intern(u64::MAX - 1);
-        self.sh.wreqs.lock().insert(vreq, WReq::TwoPhase);
-        self.sh.pending.lock().insert(
-            vreq,
-            PendingRt {
-                desc: PendingColl {
-                    vreq,
-                    comm_virt: comm.0,
-                    kind: PendingKind::Iallreduce {
-                        data: contrib.to_vec(),
-                        base,
-                        op,
-                    },
                 },
                 lower_phase1: Some(lreq),
             },
@@ -741,46 +482,6 @@ impl Mpi for ManaMpi {
         }
     }
 
-    fn comm_create(
-        &self,
-        t: &SimThread,
-        comm: CommHandle,
-        group: GroupHandle,
-    ) -> Option<CommHandle> {
-        self.vcost(t);
-        let real_group = GroupHandle(self.sh.virt.group.real_of(group.0));
-        let new_real = self.two_phase(t, comm.0, |real| {
-            self.lower.comm_create(t, real, real_group)
-        });
-        let (virt, out) = match new_real {
-            Some(nr) => {
-                let members = self.sh.groups.lock()[&group.0].as_slice().into();
-                let v = self.register_comm(nr.0, members, Vec::new(), Vec::new());
-                (Some(v), Some(CommHandle(v)))
-            }
-            None => {
-                let v = self.sh.virt.comm.intern(0);
-                self.sh.comms.lock().insert(
-                    v,
-                    CommMeta {
-                        real: 0,
-                        members: Arc::from([]),
-                        cart_dims: Vec::new(),
-                        cart_periodic: Vec::new(),
-                        wseq: 0,
-                    },
-                );
-                (Some(v), None)
-            }
-        };
-        self.sh.log.push(LoggedCall::CommCreate {
-            parent: comm.0,
-            group: group.0,
-            result: if out.is_some() { virt } else { None },
-        });
-        out
-    }
-
     fn comm_free(&self, t: &SimThread, comm: CommHandle) {
         let meta = self.meta(t, comm.0);
         self.fs(t);
@@ -809,17 +510,6 @@ impl Mpi for ManaMpi {
         GroupHandle(virt)
     }
 
-    fn group_size(&self, group: GroupHandle) -> u32 {
-        self.sh.groups.lock()[&group.0].len() as u32
-    }
-
-    fn group_rank(&self, group: GroupHandle) -> Option<Rank> {
-        self.sh.groups.lock()[&group.0]
-            .iter()
-            .position(|m| *m == self.sh.rank)
-            .map(|i| i as u32)
-    }
-
     fn group_incl(&self, group: GroupHandle, ranks: &[Rank]) -> GroupHandle {
         let real_g = GroupHandle(self.sh.virt.group.real_of(group.0));
         let new_real = self.lower.group_incl(real_g, ranks);
@@ -827,20 +517,6 @@ impl Mpi for ManaMpi {
         let virt = self.sh.virt.group.intern(new_real.0);
         self.sh.groups.lock().insert(virt, members);
         self.sh.log.push(LoggedCall::GroupIncl {
-            group: group.0,
-            ranks: ranks.to_vec(),
-            result: virt,
-        });
-        GroupHandle(virt)
-    }
-
-    fn group_excl(&self, group: GroupHandle, ranks: &[Rank]) -> GroupHandle {
-        let real_g = GroupHandle(self.sh.virt.group.real_of(group.0));
-        let new_real = self.lower.group_excl(real_g, ranks);
-        let members = self.lower.group_members(new_real);
-        let virt = self.sh.virt.group.intern(new_real.0);
-        self.sh.groups.lock().insert(virt, members);
-        self.sh.log.push(LoggedCall::GroupExcl {
             group: group.0,
             ranks: ranks.to_vec(),
             result: virt,
@@ -887,16 +563,6 @@ impl Mpi for ManaMpi {
         CommHandle(virt)
     }
 
-    fn cart_coords(&self, comm: CommHandle, rank: Rank) -> Vec<u32> {
-        let meta = self.meta_untimed(comm.0);
-        self.lower.cart_coords(CommHandle(meta.real), rank)
-    }
-
-    fn cart_rank(&self, comm: CommHandle, coords: &[u32]) -> Rank {
-        let meta = self.meta_untimed(comm.0);
-        self.lower.cart_rank(CommHandle(meta.real), coords)
-    }
-
     fn cart_shift(&self, comm: CommHandle, dim: u32, disp: i32) -> (Option<Rank>, Option<Rank>) {
         let meta = self.meta_untimed(comm.0);
         self.lower.cart_shift(CommHandle(meta.real), dim, disp)
@@ -929,37 +595,6 @@ impl Mpi for ManaMpi {
         DtypeHandle(virt)
     }
 
-    fn type_vector(
-        &self,
-        count: u32,
-        blocklen: u32,
-        stride: u32,
-        inner: DtypeHandle,
-    ) -> DtypeHandle {
-        let real_inner = DtypeHandle(self.sh.virt.dtype.real_of(inner.0));
-        let real = self.lower.type_vector(count, blocklen, stride, real_inner);
-        let virt = self.sh.virt.dtype.intern(real.0);
-        self.sh.dtypes.lock().insert(virt, ());
-        self.sh.log.push(LoggedCall::TypeVector {
-            count,
-            blocklen,
-            stride,
-            inner: inner.0,
-            result: virt,
-        });
-        DtypeHandle(virt)
-    }
-
-    fn type_size(&self, dtype: DtypeHandle) -> u64 {
-        let real = DtypeHandle(self.sh.virt.dtype.real_of(dtype.0));
-        self.lower.type_size(real)
-    }
-
-    fn type_def(&self, dtype: DtypeHandle) -> DtypeDef {
-        let real = DtypeHandle(self.sh.virt.dtype.real_of(dtype.0));
-        self.lower.type_def(real)
-    }
-
     fn type_free(&self, dtype: DtypeHandle) {
         let real = DtypeHandle(self.sh.virt.dtype.real_of(dtype.0));
         self.lower.type_free(real);
@@ -983,10 +618,6 @@ impl Mpi for ManaMpi {
 
     fn wait_any_message(&self, t: &SimThread) {
         self.lower.wait_any_message(t);
-    }
-
-    fn wtime(&self, t: &SimThread) -> f64 {
-        self.lower.wtime(t)
     }
 
     fn finalize(&self, t: &SimThread) {

@@ -13,8 +13,15 @@
 //! library (as a linked `libmpi.so` does in a real process). Blocking
 //! operations take the rank's [`SimThread`] so they can park on the
 //! deterministic scheduler.
+//!
+//! The trait is kept as narrow as its callers. Every method is a call the
+//! wrapper must interpose on — translate, record, replay on restart — and
+//! every lower half must implement, so **a method joins the trait with its
+//! first non-test caller** (an application, `AppEnv`, the runner, the
+//! checkpoint helper or the restart engine), not before. `debug_log` is the
+//! one exception: §3.5's debug-build call log, read by tests.
 
-use crate::dtype::{BaseType, DtypeDef};
+use crate::dtype::BaseType;
 use crate::types::{
     CommHandle, DtypeHandle, GroupHandle, Msg, Rank, ReduceOp, ReqHandle, SrcSpec, Status, Tag,
     TagSpec,
@@ -22,25 +29,10 @@ use crate::types::{
 use mana_sim::sched::SimThread;
 use mana_sim::time::SimDuration;
 
-/// Result of a nonblocking-completion test.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TestResult {
-    /// The operation has not completed.
-    Pending,
-    /// Completed; receive-like operations carry their payload.
-    Done(Option<(Vec<u8>, Status)>),
-}
-
 /// A rank's view of an MPI library.
 pub trait Mpi: Send + Sync {
     // ----- identity -------------------------------------------------------
 
-    /// Implementation name ("Cray MPICH", "Open MPI", "MPICH").
-    fn impl_name(&self) -> &'static str;
-    /// Implementation version string.
-    fn impl_version(&self) -> &'static str;
-    /// Whether this is a debug build (extra logging, §3.5's use case).
-    fn is_debug_build(&self) -> bool;
     /// Handle of `MPI_COMM_WORLD`.
     fn comm_world(&self) -> CommHandle;
     /// This process's rank in `comm`.
@@ -71,12 +63,8 @@ pub trait Mpi: Send + Sync {
         tag: Tag,
         comm: CommHandle,
     ) -> ReqHandle;
-    /// Nonblocking receive (matching occurs at wait/test time).
-    fn irecv(&self, t: &SimThread, src: SrcSpec, tag: TagSpec, comm: CommHandle) -> ReqHandle;
-    /// Block until `req` completes; receive-like requests return payload.
-    fn wait(&self, t: &SimThread, req: ReqHandle) -> Option<(Vec<u8>, Status)>;
-    /// Nonblocking completion check.
-    fn test(&self, t: &SimThread, req: ReqHandle) -> TestResult;
+    /// Block until `req` (an `isend` or an `ibarrier`) completes.
+    fn wait(&self, t: &SimThread, req: ReqHandle);
     /// Nonblocking probe for a matching deliverable message.
     fn iprobe(&self, t: &SimThread, src: SrcSpec, tag: TagSpec, comm: CommHandle)
         -> Option<Status>;
@@ -153,16 +141,6 @@ pub trait Mpi: Send + Sync {
         root: Rank,
         comm: CommHandle,
     ) -> Option<Vec<Vec<u8>>>;
-    /// Allgather.
-    fn allgather(&self, t: &SimThread, contrib: &[u8], comm: CommHandle) -> Vec<Vec<u8>>;
-    /// Scatter; `root` supplies one part per rank.
-    fn scatter(
-        &self,
-        t: &SimThread,
-        parts: Option<Vec<Vec<u8>>>,
-        root: Rank,
-        comm: CommHandle,
-    ) -> Vec<u8>;
     /// All-to-all personalized exchange; `parts[i]` goes to rank `i`.
     fn alltoall(&self, t: &SimThread, parts: Vec<Vec<u8>>, comm: CommHandle) -> Vec<Vec<u8>>;
 
@@ -170,15 +148,6 @@ pub trait Mpi: Send + Sync {
 
     /// Nonblocking barrier.
     fn ibarrier(&self, t: &SimThread, comm: CommHandle) -> ReqHandle;
-    /// Nonblocking allreduce.
-    fn iallreduce(
-        &self,
-        t: &SimThread,
-        contrib: &[u8],
-        base: BaseType,
-        op: ReduceOp,
-        comm: CommHandle,
-    ) -> ReqHandle;
 
     // ----- communicator management (state-mutating; MANA records these) ----
 
@@ -186,14 +155,6 @@ pub trait Mpi: Send + Sync {
     fn comm_dup(&self, t: &SimThread, comm: CommHandle) -> CommHandle;
     /// Split `comm` by color/key (collective).
     fn comm_split(&self, t: &SimThread, comm: CommHandle, color: i32, key: i32) -> CommHandle;
-    /// Create a sub-communicator from `group` (collective over `comm`);
-    /// ranks outside the group get `None`.
-    fn comm_create(
-        &self,
-        t: &SimThread,
-        comm: CommHandle,
-        group: GroupHandle,
-    ) -> Option<CommHandle>;
     /// Free a communicator handle.
     fn comm_free(&self, t: &SimThread, comm: CommHandle);
     /// The group of `comm` (local).
@@ -201,14 +162,8 @@ pub trait Mpi: Send + Sync {
 
     // ----- groups (local objects) -------------------------------------------
 
-    /// Number of members.
-    fn group_size(&self, group: GroupHandle) -> u32;
-    /// Calling process's rank within the group, if a member.
-    fn group_rank(&self, group: GroupHandle) -> Option<Rank>;
     /// Subset group by comm-local ranks.
     fn group_incl(&self, group: GroupHandle, ranks: &[Rank]) -> GroupHandle;
-    /// Complement subset by comm-local ranks.
-    fn group_excl(&self, group: GroupHandle, ranks: &[Rank]) -> GroupHandle;
     /// Free a group handle.
     fn group_free(&self, group: GroupHandle);
     /// Members as global job ranks (extension used by MANA's replay log).
@@ -225,10 +180,6 @@ pub trait Mpi: Send + Sync {
         periodic: &[bool],
         reorder: bool,
     ) -> CommHandle;
-    /// Coordinates of `rank` in the Cartesian grid.
-    fn cart_coords(&self, comm: CommHandle, rank: Rank) -> Vec<u32>;
-    /// Rank at `coords`.
-    fn cart_rank(&self, comm: CommHandle, coords: &[u32]) -> Rank;
     /// Source/destination neighbors for a shift along `dim` by `disp`
     /// (`None` = `MPI_PROC_NULL` at a non-periodic boundary).
     fn cart_shift(&self, comm: CommHandle, dim: u32, disp: i32) -> (Option<Rank>, Option<Rank>);
@@ -239,25 +190,11 @@ pub trait Mpi: Send + Sync {
     fn type_base(&self, base: BaseType) -> DtypeHandle;
     /// `MPI_Type_contiguous`.
     fn type_contiguous(&self, count: u32, inner: DtypeHandle) -> DtypeHandle;
-    /// `MPI_Type_vector`.
-    fn type_vector(
-        &self,
-        count: u32,
-        blocklen: u32,
-        stride: u32,
-        inner: DtypeHandle,
-    ) -> DtypeHandle;
-    /// Packed size in bytes.
-    fn type_size(&self, dtype: DtypeHandle) -> u64;
-    /// Structural definition (extension used by MANA's replay log).
-    fn type_def(&self, dtype: DtypeHandle) -> DtypeDef;
     /// Free a datatype handle.
     fn type_free(&self, dtype: DtypeHandle);
 
     // ----- misc -------------------------------------------------------------
 
-    /// Virtual `MPI_Wtime` in seconds.
-    fn wtime(&self, t: &SimThread) -> f64;
     /// Finalize the library for this rank.
     fn finalize(&self, t: &SimThread);
     /// Captured call log (non-empty only in debug builds; §3.5).

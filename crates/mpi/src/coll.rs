@@ -57,11 +57,6 @@ pub enum CollKind {
     },
     /// Allgather.
     Allgather,
-    /// Scatter from `root`.
-    Scatter {
-        /// Root rank (comm-local).
-        root: u32,
-    },
     /// All-to-all personalized exchange.
     Alltoall,
 }
@@ -73,7 +68,7 @@ pub enum Contrib {
     None,
     /// One buffer (bcast root, reduce, gather, allgather).
     One(Vec<u8>),
-    /// One buffer per destination rank (scatter root, alltoall).
+    /// One buffer per destination rank (alltoall).
     Parts(Vec<Vec<u8>>),
 }
 
@@ -96,8 +91,6 @@ pub enum Output {
     Same(Vec<u8>),
     /// Full per-rank contribution list (gather, allgather).
     AllParts(Vec<Vec<u8>>),
-    /// Element `i` belongs to comm-local rank `i` (scatter).
-    PerRank(Vec<Vec<u8>>),
     /// Element `i` is the list of parts destined for rank `i` (alltoall).
     PerRankParts(Vec<Vec<Vec<u8>>>),
 }
@@ -138,8 +131,7 @@ impl CollEngine {
     }
 
     /// Register `me`'s arrival at collective `(ctx, seq)` with `contrib`.
-    /// Nonblocking: completion is observed via [`CollEngine::poll`] or
-    /// [`CollEngine::wait`].
+    /// Nonblocking: completion is observed via [`CollEngine::wait`].
     #[allow(clippy::too_many_arguments)]
     pub fn arrive(
         &self,
@@ -196,21 +188,9 @@ impl CollEngine {
         }
     }
 
-    /// Has `(ctx, seq)` completed (all arrived and algorithm time elapsed)?
-    pub fn poll(&self, ctx: u64, seq: u64) -> Option<Arc<Output>> {
-        let slots = self.slots.lock();
-        let slot = slots.get(&(ctx, seq))?;
-        let (release, out) = slot.outcome.as_ref()?;
-        if self.sim.now() >= *release {
-            Some(out.clone())
-        } else {
-            None
-        }
-    }
-
     /// Block until `(ctx, seq)` completes, then return the shared outcome.
-    /// Each member must call `take` exactly once (directly or through
-    /// [`CollEngine::wait`]) so the slot can be reclaimed.
+    /// Each member must wait exactly once: the last one to leave reclaims
+    /// the slot.
     pub fn wait(&self, t: &SimThread, ctx: u64, seq: u64) -> Arc<Output> {
         // Wait for all arrivals.
         let release = loop {
@@ -235,12 +215,6 @@ impl CollEngine {
         if now < release {
             t.advance(release - now);
         }
-        self.take(ctx, seq)
-    }
-
-    /// Take this member's reference to the outcome, reclaiming the slot
-    /// after the last member leaves.
-    pub fn take(&self, ctx: u64, seq: u64) -> Arc<Output> {
         let mut slots = self.slots.lock();
         let slot = slots
             .get_mut(&(ctx, seq))
@@ -307,7 +281,7 @@ fn algo_cost(
                 rounds(2 * pm1) + beta(2 * n * pm1 / u64::from(p.max(1))) + gamma(n)
             }
         },
-        CollKind::Gather { .. } | CollKind::Scatter { .. } => match profile.gather {
+        CollKind::Gather { .. } => match profile.gather {
             GatherAlgo::Binomial => rounds(logp) + beta(n * pm1),
             GatherAlgo::Linear => rounds(pm1) + beta(n * pm1),
         },
@@ -346,12 +320,6 @@ fn combine(kind: CollKind, contribs: Vec<Contrib>, size: u32) -> Output {
         }
         CollKind::Gather { .. } | CollKind::Allgather => {
             Output::AllParts(contribs.into_iter().map(one).collect())
-        }
-        CollKind::Scatter { root } => {
-            let mut it = contribs.into_iter();
-            let ps = parts(it.nth(root as usize).expect("root contribution"));
-            assert_eq!(ps.len(), size as usize, "scatter parts != comm size");
-            Output::PerRank(ps)
         }
         CollKind::Alltoall => {
             let all: Vec<Vec<Vec<u8>>> = contribs.into_iter().map(parts).collect();

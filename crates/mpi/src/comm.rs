@@ -115,15 +115,6 @@ pub enum DeriveKey {
         /// Split color.
         color: i32,
     },
-    /// `MPI_Comm_create`.
-    Create {
-        /// Parent context.
-        parent: u64,
-        /// Collective sequence number.
-        seq: u64,
-        /// FNV hash of the member list.
-        members_hash: u64,
-    },
     /// `MPI_Cart_create`.
     Cart {
         /// Parent context.
@@ -207,18 +198,6 @@ impl CommRegistry {
     pub fn is_empty(&self) -> bool {
         false
     }
-}
-
-/// FNV-1a hash of a member list (for [`DeriveKey::Create`]).
-pub fn members_hash(members: &[Rank]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for m in members {
-        for b in m.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// `MPI_Dims_create`: factor `nranks` into `ndims` balanced dimensions.
@@ -345,11 +324,5 @@ mod tests {
         let d = dims_create(2048, 3);
         assert_eq!(d.iter().product::<u32>(), 2048);
         assert!(d[0] <= 16);
-    }
-
-    #[test]
-    fn members_hash_distinguishes() {
-        assert_ne!(members_hash(&[0, 1]), members_hash(&[1, 0]));
-        assert_eq!(members_hash(&[5, 9]), members_hash(&[5, 9]));
     }
 }

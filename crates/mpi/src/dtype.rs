@@ -44,18 +44,6 @@ pub enum DtypeDef {
         /// Inner type.
         inner: Box<DtypeDef>,
     },
-    /// `count` blocks of `blocklen` elements spaced `stride` elements apart
-    /// (sizes count only the data, as for `MPI_Type_vector` + pack).
-    Vector {
-        /// Number of blocks.
-        count: u32,
-        /// Elements per block.
-        blocklen: u32,
-        /// Element stride between block starts.
-        stride: u32,
-        /// Inner type.
-        inner: Box<DtypeDef>,
-    },
 }
 
 impl DtypeDef {
@@ -64,12 +52,6 @@ impl DtypeDef {
         match self {
             DtypeDef::Base(b) => b.size(),
             DtypeDef::Contiguous { count, inner } => u64::from(*count) * inner.packed_size(),
-            DtypeDef::Vector {
-                count,
-                blocklen,
-                inner,
-                ..
-            } => u64::from(*count) * u64::from(*blocklen) * inner.packed_size(),
         }
     }
 
@@ -77,7 +59,7 @@ impl DtypeDef {
     pub fn base(&self) -> BaseType {
         match self {
             DtypeDef::Base(b) => *b,
-            DtypeDef::Contiguous { inner, .. } | DtypeDef::Vector { inner, .. } => inner.base(),
+            DtypeDef::Contiguous { inner, .. } => inner.base(),
         }
     }
 }
@@ -158,14 +140,7 @@ mod tests {
             inner: Box::new(DtypeDef::Base(BaseType::Int32)),
         };
         assert_eq!(contig.packed_size(), 40);
-        let vec = DtypeDef::Vector {
-            count: 3,
-            blocklen: 2,
-            stride: 5,
-            inner: Box::new(contig.clone()),
-        };
-        assert_eq!(vec.packed_size(), 3 * 2 * 40);
-        assert_eq!(vec.base(), BaseType::Int32);
+        assert_eq!(contig.base(), BaseType::Int32);
     }
 
     #[test]

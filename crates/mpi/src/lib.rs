@@ -25,7 +25,7 @@ pub mod rank;
 pub mod types;
 pub mod wire;
 
-pub use api::{Mpi, TestResult};
+pub use api::Mpi;
 pub use comm::{dims_create, CartTopo, CommInfo, WORLD_CTX};
 pub use dtype::{BaseType, DtypeDef};
 pub use job::{launch_native, run_native, MpiJob, RankBody};

@@ -230,12 +230,6 @@ impl P2pEngine {
         }
     }
 
-    /// Check (without blocking) whether rendezvous `token` was acked.
-    pub fn poll_ack(&self, me: Rank, token: u64) -> bool {
-        self.pump(me);
-        self.queues[me as usize].lock().acks.remove(&token)
-    }
-
     /// Blocking matched receive for `me`. Returns payload and status with a
     /// *global* source rank (callers translate to communicator-local).
     pub fn recv(
@@ -267,29 +261,6 @@ impl P2pEngine {
             modeled_bytes: msg.modeled,
         };
         (msg.data, status)
-    }
-
-    /// Nonblocking matched receive attempt.
-    pub fn try_recv(
-        &self,
-        t: &SimThread,
-        me: Rank,
-        src: SrcSpec,
-        tag: TagSpec,
-        ctx: u64,
-    ) -> Option<(Vec<u8>, Status)> {
-        self.pump(me);
-        let msg = self.take_match(me, |a| {
-            src.matches(a.src) && tag.matches(a.tag) && a.ctx == ctx
-        })?;
-        self.finish_match(t, me, &msg);
-        let status = Status {
-            source: msg.src,
-            tag: msg.tag,
-            bytes: msg.data.len() as u64,
-            modeled_bytes: msg.modeled,
-        };
-        Some((msg.data, status))
     }
 
     /// Nonblocking probe (message left queued).

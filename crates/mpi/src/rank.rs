@@ -6,9 +6,9 @@
 //! values — the incompatibility MANA's virtualization layer (paper §2.2)
 //! exists to hide.
 
-use crate::api::{Mpi, TestResult};
+use crate::api::Mpi;
 use crate::coll::{CollKind, Contrib, Output};
-use crate::comm::{members_hash, CartTopo, CommInfo, DeriveKey};
+use crate::comm::{CartTopo, CommInfo, DeriveKey};
 use crate::dtype::{BaseType, DtypeDef};
 use crate::job::MpiJob;
 use crate::types::{
@@ -29,18 +29,8 @@ const DEBUG_LOG_CAP: usize = 100_000;
 
 enum ReqState {
     SendDone,
-    SendRendezvous {
-        token: u64,
-    },
-    Recv {
-        src: SrcSpec,
-        tag: TagSpec,
-        ctx: u64,
-    },
-    Coll {
-        ctx: u64,
-        seq: u64,
-    },
+    SendRendezvous { token: u64 },
+    Coll { ctx: u64, seq: u64 },
 }
 
 struct RankSt {
@@ -237,18 +227,6 @@ fn global_src(info: &CommInfo, src: SrcSpec) -> SrcSpec {
 }
 
 impl Mpi for RankMpi {
-    fn impl_name(&self) -> &'static str {
-        self.job.profile().name
-    }
-
-    fn impl_version(&self) -> &'static str {
-        self.job.profile().version
-    }
-
-    fn is_debug_build(&self) -> bool {
-        self.job.profile().debug_build
-    }
-
     fn comm_world(&self) -> CommHandle {
         CommHandle(self.st.lock().world_handle)
     }
@@ -319,18 +297,7 @@ impl Mpi for RankMpi {
         }
     }
 
-    fn irecv(&self, t: &SimThread, src: SrcSpec, tag: TagSpec, comm: CommHandle) -> ReqHandle {
-        self.enter(t, "MPI_Irecv");
-        let info = self.comm_info(comm);
-        let src_g = global_src(&info, src);
-        self.insert_req(ReqState::Recv {
-            src: src_g,
-            tag,
-            ctx: info.ctx,
-        })
-    }
-
-    fn wait(&self, t: &SimThread, req: ReqHandle) -> Option<(Vec<u8>, Status)> {
+    fn wait(&self, t: &SimThread, req: ReqHandle) {
         self.enter(t, "MPI_Wait");
         let state = self
             .st
@@ -339,92 +306,10 @@ impl Mpi for RankMpi {
             .remove(&req.0)
             .unwrap_or_else(|| panic!("invalid request handle {:#x}", req.0));
         match state {
-            ReqState::SendDone => None,
-            ReqState::SendRendezvous { token } => {
-                self.job.p2p().wait_ack(t, self.rank, token);
-                None
-            }
-            ReqState::Recv { src, tag, ctx } => {
-                let (data, status) = self.job.p2p().recv(t, self.rank, src, tag, ctx);
-                let info = self.job.registry().get(ctx);
-                Some((data, self.translate_status(&info, status)))
-            }
+            ReqState::SendDone => {}
+            ReqState::SendRendezvous { token } => self.job.p2p().wait_ack(t, self.rank, token),
             ReqState::Coll { ctx, seq } => {
-                let out = self.job.coll().wait(t, ctx, seq);
-                match &*out {
-                    Output::None => None,
-                    Output::Same(v) => Some((
-                        v.clone(),
-                        Status {
-                            source: 0,
-                            tag: 0,
-                            bytes: v.len() as u64,
-                            modeled_bytes: v.len() as u64,
-                        },
-                    )),
-                    other => panic!("unexpected nonblocking collective output {other:?}"),
-                }
-            }
-        }
-    }
-
-    fn test(&self, t: &SimThread, req: ReqHandle) -> TestResult {
-        self.enter(t, "MPI_Test");
-        let mut st = self.st.lock();
-        let state = st
-            .reqs
-            .get(&req.0)
-            .unwrap_or_else(|| panic!("invalid request handle {:#x}", req.0));
-        match state {
-            ReqState::SendDone => {
-                st.reqs.remove(&req.0);
-                TestResult::Done(None)
-            }
-            ReqState::SendRendezvous { token } => {
-                let token = *token;
-                drop(st);
-                if self.job.p2p().poll_ack(self.rank, token) {
-                    self.st.lock().reqs.remove(&req.0);
-                    TestResult::Done(None)
-                } else {
-                    TestResult::Pending
-                }
-            }
-            ReqState::Recv { src, tag, ctx } => {
-                let (src, tag, ctx) = (*src, *tag, *ctx);
-                drop(st);
-                match self.job.p2p().try_recv(t, self.rank, src, tag, ctx) {
-                    Some((data, status)) => {
-                        self.st.lock().reqs.remove(&req.0);
-                        let info = self.job.registry().get(ctx);
-                        TestResult::Done(Some((data, self.translate_status(&info, status))))
-                    }
-                    None => TestResult::Pending,
-                }
-            }
-            ReqState::Coll { ctx, seq } => {
-                let (ctx, seq) = (*ctx, *seq);
-                drop(st);
-                match self.job.coll().poll(ctx, seq) {
-                    Some(_) => {
-                        let out = self.job.coll().take(ctx, seq);
-                        self.st.lock().reqs.remove(&req.0);
-                        match &*out {
-                            Output::None => TestResult::Done(None),
-                            Output::Same(v) => TestResult::Done(Some((
-                                v.clone(),
-                                Status {
-                                    source: 0,
-                                    tag: 0,
-                                    bytes: v.len() as u64,
-                                    modeled_bytes: v.len() as u64,
-                                },
-                            ))),
-                            other => panic!("unexpected nonblocking collective output {other:?}"),
-                        }
-                    }
-                    None => TestResult::Pending,
-                }
+                self.job.coll().wait(t, ctx, seq);
             }
         }
     }
@@ -567,44 +452,6 @@ impl Mpi for RankMpi {
         }
     }
 
-    fn allgather(&self, t: &SimThread, contrib: &[u8], comm: CommHandle) -> Vec<Vec<u8>> {
-        self.enter(t, "MPI_Allgather");
-        let info = self.comm_info(comm);
-        let out = self.blocking_collective(
-            t,
-            &info,
-            CollKind::Allgather,
-            Contrib::One(contrib.to_vec()),
-        );
-        match &*out {
-            Output::AllParts(parts) => parts.clone(),
-            other => panic!("bad allgather output {other:?}"),
-        }
-    }
-
-    fn scatter(
-        &self,
-        t: &SimThread,
-        parts: Option<Vec<Vec<u8>>>,
-        root: Rank,
-        comm: CommHandle,
-    ) -> Vec<u8> {
-        self.enter(t, "MPI_Scatter");
-        let info = self.comm_info(comm);
-        let me = self.comm_local(&info).expect("in comm");
-        let contrib = match (parts, me == root) {
-            (Some(ps), true) => Contrib::Parts(ps),
-            (None, false) => Contrib::One(Vec::new()),
-            (Some(_), false) => panic!("non-root rank supplied scatter parts"),
-            (None, true) => panic!("root rank must supply scatter parts"),
-        };
-        let out = self.blocking_collective(t, &info, CollKind::Scatter { root }, contrib);
-        match &*out {
-            Output::PerRank(ps) => ps[me as usize].clone(),
-            other => panic!("bad scatter output {other:?}"),
-        }
-    }
-
     fn alltoall(&self, t: &SimThread, parts: Vec<Vec<u8>>, comm: CommHandle) -> Vec<Vec<u8>> {
         self.enter(t, "MPI_Alltoall");
         let info = self.comm_info(comm);
@@ -629,30 +476,6 @@ impl Mpi for RankMpi {
             info.size(),
             CollKind::Barrier,
             Contrib::None,
-            self.job.profile(),
-        );
-        self.insert_req(ReqState::Coll { ctx: info.ctx, seq })
-    }
-
-    fn iallreduce(
-        &self,
-        t: &SimThread,
-        contrib: &[u8],
-        base: BaseType,
-        op: ReduceOp,
-        comm: CommHandle,
-    ) -> ReqHandle {
-        self.enter(t, "MPI_Iallreduce");
-        let info = self.comm_info(comm);
-        let me = self.comm_local(&info).expect("in comm");
-        let seq = self.next_seq(info.ctx);
-        self.job.coll().arrive(
-            info.ctx,
-            seq,
-            me,
-            info.size(),
-            CollKind::Allreduce { op, base },
-            Contrib::One(contrib.to_vec()),
             self.job.profile(),
         );
         self.insert_req(ReqState::Coll { ctx: info.ctx, seq })
@@ -734,43 +557,6 @@ impl Mpi for RankMpi {
         self.insert_comm(new.ctx)
     }
 
-    fn comm_create(
-        &self,
-        t: &SimThread,
-        comm: CommHandle,
-        group: GroupHandle,
-    ) -> Option<CommHandle> {
-        self.enter(t, "MPI_Comm_create");
-        let info = self.comm_info(comm);
-        let me = self.comm_local(&info).expect("in comm");
-        let members = self.group_of(group);
-        let seq = self.next_seq(info.ctx);
-        self.job.coll().arrive(
-            info.ctx,
-            seq,
-            me,
-            info.size(),
-            CollKind::Allgather,
-            Contrib::One(Vec::new()),
-            self.job.profile(),
-        );
-        self.job.coll().wait(t, info.ctx, seq);
-        let new = self.job.registry().derive(
-            DeriveKey::Create {
-                parent: info.ctx,
-                seq,
-                members_hash: members_hash(&members),
-            },
-            members.clone(),
-            None,
-        );
-        if members.contains(&self.rank) {
-            Some(self.insert_comm(new.ctx))
-        } else {
-            None
-        }
-    }
-
     fn comm_free(&self, t: &SimThread, comm: CommHandle) {
         self.enter(t, "MPI_Comm_free");
         let removed = self.st.lock().comms.remove(&comm.0);
@@ -782,31 +568,9 @@ impl Mpi for RankMpi {
         self.insert_group(info.members.clone())
     }
 
-    fn group_size(&self, group: GroupHandle) -> u32 {
-        self.group_of(group).len() as u32
-    }
-
-    fn group_rank(&self, group: GroupHandle) -> Option<Rank> {
-        self.group_of(group)
-            .iter()
-            .position(|m| *m == self.rank)
-            .map(|i| i as u32)
-    }
-
     fn group_incl(&self, group: GroupHandle, ranks: &[Rank]) -> GroupHandle {
         let members = self.group_of(group);
         let picked: Vec<Rank> = ranks.iter().map(|r| members[*r as usize]).collect();
-        self.insert_group(picked)
-    }
-
-    fn group_excl(&self, group: GroupHandle, ranks: &[Rank]) -> GroupHandle {
-        let members = self.group_of(group);
-        let picked: Vec<Rank> = members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !ranks.contains(&(*i as u32)))
-            .map(|(_, m)| *m)
-            .collect();
         self.insert_group(picked)
     }
 
@@ -862,18 +626,6 @@ impl Mpi for RankMpi {
         self.insert_comm(new.ctx)
     }
 
-    fn cart_coords(&self, comm: CommHandle, rank: Rank) -> Vec<u32> {
-        let info = self.comm_info(comm);
-        let topo = info.cart.as_ref().expect("communicator has no topology");
-        topo.coords(rank)
-    }
-
-    fn cart_rank(&self, comm: CommHandle, coords: &[u32]) -> Rank {
-        let info = self.comm_info(comm);
-        let topo = info.cart.as_ref().expect("communicator has no topology");
-        topo.rank(coords)
-    }
-
     fn cart_shift(&self, comm: CommHandle, dim: u32, disp: i32) -> (Option<Rank>, Option<Rank>) {
         let info = self.comm_info(comm);
         let topo = info.cart.as_ref().expect("communicator has no topology");
@@ -905,32 +657,6 @@ impl Mpi for RankMpi {
         DtypeHandle(h)
     }
 
-    fn type_vector(
-        &self,
-        count: u32,
-        blocklen: u32,
-        stride: u32,
-        inner: DtypeHandle,
-    ) -> DtypeHandle {
-        let def = DtypeDef::Vector {
-            count,
-            blocklen,
-            stride,
-            inner: Box::new(self.dtype_of(inner)),
-        };
-        let h = self.new_handle();
-        self.st.lock().dtypes.insert(h, def);
-        DtypeHandle(h)
-    }
-
-    fn type_size(&self, dtype: DtypeHandle) -> u64 {
-        self.dtype_of(dtype).packed_size()
-    }
-
-    fn type_def(&self, dtype: DtypeHandle) -> DtypeDef {
-        self.dtype_of(dtype)
-    }
-
     fn type_free(&self, dtype: DtypeHandle) {
         let mut st = self.st.lock();
         let removed = st.dtypes.remove(&dtype.0);
@@ -940,10 +666,6 @@ impl Mpi for RankMpi {
 
     fn wait_any_message(&self, t: &SimThread) {
         self.job.p2p().wait_any(t, self.rank);
-    }
-
-    fn wtime(&self, t: &SimThread) -> f64 {
-        t.now().as_secs_f64()
     }
 
     fn finalize(&self, t: &SimThread) {

@@ -1,6 +1,8 @@
-//! §4.2 extension coverage: checkpoints taken while two-phase nonblocking
-//! collectives are outstanding, including kills that interrupt the
-//! wait-side conversion, and iallreduce payload fidelity across restarts.
+//! §4.2 extension coverage: checkpoint-and-kill cuts at many points of a
+//! run whose every step overlaps two two-phase `ibarrier`s with compute,
+//! each cut restarted under another implementation back to the clean
+//! run's checksums; and whole-run determinism of that workload under a
+//! mid-run checkpoint.
 
 use mana::core::{AppEnv, JobBuilder, ManaSession, Workload};
 use mana::mpi::{MpiProfile, ReduceOp};
@@ -9,9 +11,10 @@ use mana::sim::kernel::KernelModel;
 use mana::sim::time::{SimDuration, SimTime};
 use std::sync::Arc;
 
-/// Every step issues an ibarrier and an iallreduce, overlaps them with a
-/// long compute phase, and only then completes them — maximizing the
-/// window in which a checkpoint can catch the collectives outstanding.
+/// Every step issues two ibarriers, overlaps each with a long compute
+/// phase, and only then completes it — maximizing the window in which a
+/// checkpoint can catch the collective outstanding — then reduces with a
+/// blocking allreduce.
 struct OverlapApp {
     steps: u64,
 }

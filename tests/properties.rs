@@ -4,7 +4,7 @@
 //! round-trips, memory snapshot/restore fidelity, and dims_create.
 
 use mana::core::buffer::{BufferedMsg, DrainBuffer, PairCounters};
-use mana::core::image::{CheckpointImage, ImageBytes, PendingColl, PendingKind, VirtCommEntry};
+use mana::core::image::{CheckpointImage, ImageBytes, PendingColl, VirtCommEntry};
 use mana::core::record::LoggedCall;
 use mana::core::shared::SlotState;
 use mana::core::store::InMemStore;
@@ -85,22 +85,13 @@ fn arb_logged() -> impl Strategy<Value = LoggedCall> {
                 result
             }),
         (arb_base(), any::<u64>()).prop_map(|(base, result)| LoggedCall::TypeBase { base, result }),
-        (
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>(),
-            any::<u64>(),
-            any::<u64>()
-        )
-            .prop_map(
-                |(count, blocklen, stride, inner, result)| LoggedCall::TypeVector {
-                    count,
-                    blocklen,
-                    stride,
-                    inner,
-                    result
-                }
-            ),
+        (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(|(count, inner, result)| {
+            LoggedCall::TypeContiguous {
+                count,
+                inner,
+                result,
+            }
+        }),
     ]
 }
 
@@ -158,7 +149,6 @@ fn arb_image() -> impl Strategy<Value = CheckpointImage> {
                 pending: vec![PendingColl {
                     vreq: 0x4000_0001,
                     comm_virt: 0x1000_0000,
-                    kind: PendingKind::Ibarrier,
                 }],
                 ops_done,
                 allocs: vec![(0x5000, 64)],

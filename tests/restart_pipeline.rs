@@ -240,7 +240,6 @@ fn inconsistent_image_contents_are_typed_errors() {
         img.pending.push(mana::core::image::PendingColl {
             vreq: 0x4000_0099,
             comm_virt: 0x1000_9999,
-            kind: mana::core::image::PendingKind::Ibarrier,
         })
     });
 
