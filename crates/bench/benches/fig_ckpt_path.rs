@@ -11,7 +11,8 @@
 //! reports the *modeled* write time (what the simulated Lustre charges
 //! for the delta) and the *measured* wall-clock throughput of
 //! snapshot+encode+put, plus the counters that prove the path is O(dirty
-//! bytes): bytes copied by the snapshot, pages digested by the store,
+//! bytes): bytes copied by the snapshot, page bytes hashed in the put
+//! window (`shared_hashed_bytes()`: clean pages are digest memo hits),
 //! and `shared_flatten_bytes()` — which must stay **zero** across the
 //! put window (no clean page is ever memcpy'd between the address space
 //! and the store tier).
@@ -19,7 +20,7 @@
 //! Every run writes the machine-readable `BENCH_ckpt_path.json` next to
 //! the invocation directory. Run with `--test` for the CI smoke
 //! configuration, which asserts the 1%-dirty epoch copies ≤ 2% of the
-//! bytes (and digests ≤ 2% of the pages) of the all-dirty epoch.
+//! bytes (and hashes ≤ 2% of the bytes) of the all-dirty epoch.
 
 use mana_bench::{banner, Scale, Table};
 use mana_core::buffer::PairCounters;
@@ -27,7 +28,10 @@ use mana_core::image::CheckpointImage;
 use mana_core::{CheckpointStore, FsStore};
 use mana_sim::fs::{FsConfig, IoShape};
 use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, HalfSnapshot, RegionKind, PAGE};
-use mana_sim::scatter::{reset_shared_flatten_bytes, shared_flatten_bytes};
+use mana_sim::scatter::{
+    reset_shared_flatten_bytes, reset_shared_hashed_bytes, shared_flatten_bytes,
+    shared_hashed_bytes,
+};
 use mana_store::{DeltaConfig, DeltaStore};
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,7 +46,8 @@ struct EpochResult {
     dirty_pages: u64,
     clean_pages: u64,
     bytes_copied: u64,
-    pages_digested: u64,
+    /// Page bytes hashed in the snapshot→encode→put window.
+    hashed_bytes: u64,
     stored_bytes: u64,
     modeled_write: mana_sim::time::SimDuration,
     wall: std::time::Duration,
@@ -115,7 +120,6 @@ fn run_epoch(nregions: u64, pages_per_region: u64, frac: f64) -> EpochResult {
         SHAPE,
     );
     a.clear_dirty(Half::Upper);
-    let primed = store.put_stats();
 
     // Touch `frac` of all pages, spread uniformly across regions.
     let total_pages = nregions * pages_per_region;
@@ -132,6 +136,7 @@ fn run_epoch(nregions: u64, pages_per_region: u64, frac: f64) -> EpochResult {
     // snapshot→encode→put window: clean rope pages must travel as shared
     // handles end to end, never through a memcpy.
     reset_shared_flatten_bytes();
+    reset_shared_hashed_bytes();
     let t0 = Instant::now();
     let snap = a.snapshot_half_tracked(Half::Upper);
     let stats = snap.stats;
@@ -142,8 +147,8 @@ fn run_epoch(nregions: u64, pages_per_region: u64, frac: f64) -> EpochResult {
     let modeled_write = store.put(path, encoded, img.logical_bytes(), 0, SHAPE);
     let wall = t0.elapsed();
     let flatten_bytes = shared_flatten_bytes();
+    let hashed_bytes = shared_hashed_bytes();
     a.clear_dirty(Half::Upper);
-    let after = store.put_stats();
 
     // Sanity: the stored generation reconstructs the live state exactly
     // (read back outside the counter window).
@@ -165,7 +170,7 @@ fn run_epoch(nregions: u64, pages_per_region: u64, frac: f64) -> EpochResult {
         dirty_pages: stats.dirty_pages,
         clean_pages: stats.clean_pages_shared,
         bytes_copied: stats.bytes_copied,
-        pages_digested: after.pages_digested - primed.pages_digested,
+        hashed_bytes,
         stored_bytes: store.logical_len(path).expect("stored len"),
         modeled_write,
         wall,
@@ -182,14 +187,14 @@ fn write_json(results: &[EpochResult], dense_mb: u64) {
     for (i, r) in results.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"dirty_frac\": {:.2}, \"dirty_pages\": {}, \"clean_pages\": {}, \
-             \"bytes_copied\": {}, \"pages_digested\": {}, \"stored_bytes\": {}, \
+             \"bytes_copied\": {}, \"hashed_bytes\": {}, \"stored_bytes\": {}, \
              \"image_bytes\": {}, \"modeled_write_s\": {:.6}, \"wall_ms\": {:.3}, \
              \"mb_per_s\": {:.1}, \"flatten_bytes\": {}}}{}\n",
             r.frac,
             r.dirty_pages,
             r.clean_pages,
             r.bytes_copied,
-            r.pages_digested,
+            r.hashed_bytes,
             r.stored_bytes,
             r.image_bytes,
             r.modeled_write.as_secs_f64(),
@@ -230,7 +235,7 @@ fn main() {
         "dirty frac",
         "dirty pages",
         "copied (MB)",
-        "digested pages",
+        "hashed (MB)",
         "stored (MB)",
         "image (MB)",
         "flattened (B)",
@@ -245,7 +250,7 @@ fn main() {
             format!("{:.0}%", frac * 100.0),
             format!("{} / {}", r.dirty_pages, r.dirty_pages + r.clean_pages),
             format!("{:.2}", r.bytes_copied as f64 / 1e6),
-            r.pages_digested.to_string(),
+            format!("{:.2}", r.hashed_bytes as f64 / 1e6),
             format!("{:.2}", r.stored_bytes as f64 / 1e6),
             format!("{:.2}", r.image_bytes as f64 / 1e6),
             r.flatten_bytes.to_string(),
@@ -270,9 +275,9 @@ fn main() {
     let mostly_clean = &results[0];
     let all_dirty = &results[results.len() - 1];
     println!(
-        "\n1%-dirty epoch copies {:.1}% of the all-dirty epoch's bytes, digests {:.1}% of its pages",
+        "\n1%-dirty epoch copies {:.1}% of the all-dirty epoch's bytes, hashes {:.1}% of its bytes",
         mostly_clean.bytes_copied as f64 / all_dirty.bytes_copied as f64 * 100.0,
-        mostly_clean.pages_digested as f64 / all_dirty.pages_digested as f64 * 100.0,
+        mostly_clean.hashed_bytes as f64 / all_dirty.hashed_bytes as f64 * 100.0,
     );
     if smoke {
         assert!(
@@ -282,10 +287,10 @@ fn main() {
             all_dirty.bytes_copied
         );
         assert!(
-            mostly_clean.pages_digested * 50 <= all_dirty.pages_digested,
-            "1%-dirty epoch digested {} pages vs {} all-dirty (> 2%) — digest path is not O(dirty)",
-            mostly_clean.pages_digested,
-            all_dirty.pages_digested
+            mostly_clean.hashed_bytes * 50 <= all_dirty.hashed_bytes,
+            "1%-dirty epoch hashed {} bytes vs {} all-dirty (> 2%) — digest path is not O(dirty)",
+            mostly_clean.hashed_bytes,
+            all_dirty.hashed_bytes
         );
         assert!(
             mostly_clean.stored_bytes * 4 <= all_dirty.stored_bytes,
@@ -302,7 +307,7 @@ fn main() {
             );
         }
         println!(
-            "smoke assertions passed: copy, digest and store volume scale with dirty fraction; \
+            "smoke assertions passed: copy, hash and store volume scale with dirty fraction; \
              zero clean-page memcpys"
         );
     }

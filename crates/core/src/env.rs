@@ -26,7 +26,6 @@
 
 use crate::shared::{RankShared, SlotState};
 use mana_mpi::{BaseType, CommHandle, Mpi, Msg, ReduceOp, ReqHandle, SrcSpec, Status, TagSpec};
-use mana_sim::checksum::Checksum;
 use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, RegionKind};
 use mana_sim::pod::Pod;
 use mana_sim::sched::SimThread;
@@ -665,28 +664,6 @@ impl AppEnv {
         self.op_done();
     }
 
-    /// Gather equal-size contributions into `dst` (root only; `dst` must
-    /// hold `comm_size * src.len` elements).
-    pub fn gather_into(&mut self, comm: CommHandle, src: Arr<f64>, dst: Arr<f64>, root: u32) {
-        if self.op_skip() {
-            return;
-        }
-        let bytes = self
-            .aspace
-            .read_bytes(src.addr, src.byte_len())
-            .expect("gather window");
-        if let Some(parts) = self.mpi.gather(&self.t, &bytes, root, comm) {
-            let mut off = 0u64;
-            for p in parts {
-                self.aspace
-                    .write_bytes(dst.addr + off, &p)
-                    .expect("gather result");
-                off += p.len() as u64;
-            }
-        }
-        self.op_done();
-    }
-
     /// Equal-chunk all-to-all: `send.len` must divide evenly by comm size;
     /// `recv` has the same shape.
     pub fn alltoall_arr(&mut self, comm: CommHandle, send: Arr<f64>, recv: Arr<f64>) {
@@ -864,17 +841,5 @@ impl AppEnv {
         });
         self.op_done();
         out
-    }
-
-    /// Checksum helper usable from workloads for their own validation
-    /// arrays.
-    pub fn checksum_arr(&self, arr: Arr<f64>) -> u64 {
-        self.peek(arr, |s| {
-            let mut c = Checksum::new();
-            for v in s {
-                c.update_f64(*v);
-            }
-            c.digest()
-        })
     }
 }

@@ -15,7 +15,6 @@
 //! `crate::topology`).
 
 use crate::buffer::BufferedMsg;
-use crate::cell::Park;
 use crate::chaos::InjectPoint;
 use crate::config::ManaConfig;
 use crate::ctrl::{ctrl_msg_bytes, protocol_violation, CtrlMsg, ProtocolPhase};
@@ -403,10 +402,4 @@ fn build_image(
         dirty: snap.dirty,
     };
     (img, recorded, snap.stats)
-}
-
-/// Guard: the helper only treats these parks as quiescent states (kept in
-/// one place so tests can assert the set).
-pub fn snapshot_safe_parks() -> [Park; 3] {
-    [Park::Quiesced, Park::AtGate, Park::InPhase1Barrier]
 }

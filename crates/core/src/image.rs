@@ -106,9 +106,9 @@ pub struct CheckpointImage {
     /// skipped communicator/group/datatype creations.
     pub step_created: Vec<u64>,
     /// Per-region dirty-page summaries from the copy-on-write snapshot
-    /// path (empty for hand-built images). Advisory: `DeltaStore` uses
-    /// them — guarded by the `(lineage, base_seq)` epoch identity — to
-    /// make diffing O(dirty pages).
+    /// path (empty for hand-built images). Advisory: `CompressingStore`
+    /// prices compress CPU by the dirty pages; no store derives content
+    /// from them (`DeltaStore` diffs by page digest).
     pub dirty: Vec<RegionDirty>,
 }
 
@@ -138,18 +138,6 @@ impl ImageBytes {
     /// Wrap already-flat bytes (foreign objects, raw test payloads).
     pub fn from_vec(bytes: Vec<u8>) -> ImageBytes {
         ImageBytes::from(ScatterBuf::from_vec(bytes))
-    }
-
-    /// Wrap a scatter together with the image it encodes. Store tiers
-    /// that already hold the decoded form (delta replay, CAS
-    /// reassembly) use this so downstream `decode_shared` is free.
-    pub fn with_image(buf: ScatterBuf, image: Arc<CheckpointImage>) -> ImageBytes {
-        ImageBytes {
-            buf,
-            image: Some(image),
-            framed: None,
-            record_digest: None,
-        }
     }
 
     /// Wrap these bytes in a framing layer's envelope: `frame` turns the

@@ -357,9 +357,9 @@ fn rank_restore(
 
     // Stage 2: rebuild the upper half's memory. The restored content
     // seeds each region's committed dirty-tracking epoch, so the first
-    // post-restart checkpoint copies only pages touched since restart;
-    // the fresh lineage keeps the new incarnation's snapshot epochs from
-    // aliasing the pre-kill generation's in a shared `DeltaStore` family.
+    // post-restart checkpoint copies only pages touched since restart
+    // and shares the rest with the image it restored from. The new
+    // incarnation stamps its own lineage into its dirty summaries.
     let aspace = Arc::new(AddressSpace::new());
     aspace.set_lineage(crate::runner::aspace_lineage(
         img.seed,

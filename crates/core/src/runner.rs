@@ -156,7 +156,8 @@ pub(crate) fn rank_body_finish(
 /// space: a function of the job seed, the rank, and the incarnation (0
 /// at launch; `restored ckpt_id + 1` after a restart), so re-runs of the
 /// same configuration stamp identical summaries (byte-identical images)
-/// while distinct incarnations never alias each other's snapshot epochs.
+/// and distinct incarnations stamp distinct ones. The image format
+/// carries the stamp; no store reads it.
 pub(crate) fn aspace_lineage(seed: u64, rank: u32, incarnation: u64) -> u64 {
     use mana_sim::rng::splitmix64;
     splitmix64(seed ^ (u64::from(rank) << 32) ^ splitmix64(incarnation))

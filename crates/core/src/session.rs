@@ -281,11 +281,6 @@ impl ManaSession {
         self.inner.hub.restarts()
     }
 
-    /// The session's garbage-collection policy.
-    pub fn gc_policy(&self) -> GcPolicy {
-        self.inner.gc
-    }
-
     /// The tenant this session belongs to, if one was named.
     pub fn tenant(&self) -> Option<&str> {
         self.inner.tenant.as_deref()
@@ -646,36 +641,10 @@ impl JobBuilder {
         self
     }
 
-    /// Schedule `count` rolling checkpoints: the first at `first`, then
-    /// one every `every`. Combined with
-    /// [`SessionBuilder::gc`]`(GcPolicy::KeepLast(n))` this gives the
-    /// production pattern of a long run keeping a bounded window of
-    /// restart points.
-    pub fn checkpoint_every(
-        mut self,
-        first: SimTime,
-        every: mana_sim::time::SimDuration,
-        count: u32,
-    ) -> JobBuilder {
-        let mut at = first;
-        for _ in 0..count {
-            self.ckpt_times.push(at);
-            at += every;
-        }
-        self
-    }
-
     /// Kill the job after the last scheduled checkpoint (migration flows:
     /// the allocation expired, the job moves elsewhere).
     pub fn then_kill(mut self) -> JobBuilder {
         self.after_last_ckpt = Some(AfterCkpt::Kill);
-        self
-    }
-
-    /// Continue after the last scheduled checkpoint (fault-tolerance
-    /// flows; the default).
-    pub fn then_continue(mut self) -> JobBuilder {
-        self.after_last_ckpt = Some(AfterCkpt::Continue);
         self
     }
 

@@ -46,24 +46,6 @@ pub enum DtypeDef {
     },
 }
 
-impl DtypeDef {
-    /// Packed data size in bytes.
-    pub fn packed_size(&self) -> u64 {
-        match self {
-            DtypeDef::Base(b) => b.size(),
-            DtypeDef::Contiguous { count, inner } => u64::from(*count) * inner.packed_size(),
-        }
-    }
-
-    /// The base type at the leaves (homogeneous by construction).
-    pub fn base(&self) -> BaseType {
-        match self {
-            DtypeDef::Base(b) => *b,
-            DtypeDef::Contiguous { inner, .. } => inner.base(),
-        }
-    }
-}
-
 /// Elementwise reduction of `b` into `a` (both packed buffers of `base`
 /// elements). Lengths must match and divide the element size.
 pub fn reduce_into(a: &mut [u8], b: &[u8], base: BaseType, op: ReduceOp) {
@@ -134,13 +116,10 @@ mod tests {
 
     #[test]
     fn sizes() {
-        assert_eq!(DtypeDef::Base(BaseType::Double).packed_size(), 8);
-        let contig = DtypeDef::Contiguous {
-            count: 10,
-            inner: Box::new(DtypeDef::Base(BaseType::Int32)),
-        };
-        assert_eq!(contig.packed_size(), 40);
-        assert_eq!(contig.base(), BaseType::Int32);
+        assert_eq!(BaseType::Byte.size(), 1);
+        assert_eq!(BaseType::Int32.size(), 4);
+        assert_eq!(BaseType::Int64.size(), 8);
+        assert_eq!(BaseType::Double.size(), 8);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl MpiJob {
         self.abort.store(true, Ordering::SeqCst);
     }
 
-    /// Whether the job has been aborted.
-    pub fn is_aborted(&self) -> bool {
-        self.abort.load(Ordering::SeqCst)
-    }
-
     /// `MPI_Init` for one rank, called on the rank's own thread: maps the
     /// library's lower-half regions into the rank's address space, pays the
     /// startup cost, synchronizes with the other ranks, and returns the

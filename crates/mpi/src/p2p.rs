@@ -288,11 +288,6 @@ impl P2pEngine {
         Some(msg)
     }
 
-    /// Number of unexpected (delivered, unmatched) messages for `me`.
-    pub fn unexpected_len(&self, me: Rank) -> usize {
-        self.queues[me as usize].lock().unexpected.len()
-    }
-
     /// Park until message activity may have occurred for `me` (returns
     /// immediately if anything is already queued). Spurious wakeups are
     /// possible; callers loop.
@@ -387,11 +382,5 @@ impl P2pEngine {
                 wire,
             );
         }
-    }
-
-    /// Per-message injection CPU cost between two ranks (used by callers
-    /// that charge costs without sending, e.g. MANA accounting tests).
-    pub fn injection_cost(&self, a: Rank, b: Rank) -> SimDuration {
-        self.link_for(a, b).per_message_cpu
     }
 }

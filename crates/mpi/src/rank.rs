@@ -97,11 +97,6 @@ impl RankMpi {
         self.job.coll().wait(t, info.ctx, seq);
     }
 
-    /// Global job rank of this instance.
-    pub fn global_rank(&self) -> Rank {
-        self.rank
-    }
-
     fn new_handle(&self) -> u64 {
         let mut st = self.st.lock();
         let h = st.next_handle;

@@ -525,10 +525,11 @@ impl fmt::Debug for DenseSnap {
 
 /// Per-region dirty-page summary emitted alongside a tracked snapshot:
 /// which [`PAGE`]-granular pages were copied (dirty since the committed
-/// base epoch) vs shared. Advisory metadata — consumers (`DeltaStore`)
-/// use it to skip digesting clean pages, guarded by the
-/// `(lineage, base_seq)` epoch identity so a summary is never applied
-/// against the wrong base generation.
+/// base epoch) vs shared. Advisory metadata: a consumer may price work by
+/// it (`CompressingStore` charges compress CPU for dirty pages only) but
+/// must not take content from it — a clean claim is not checked against
+/// the bytes. Clean pages are shared with the base snapshot, so their
+/// memoized digests are already known.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegionDirty {
     /// Start address of the region this summary describes.
@@ -748,16 +749,6 @@ impl AddressSpace {
             },
         );
         Ok(())
-    }
-
-    /// Unmap the region starting exactly at `start`.
-    pub fn unmap(&self, start: u64) -> Result<(), MemError> {
-        let mut inner = self.inner.lock();
-        inner
-            .regions
-            .remove(&start)
-            .map(|_| ())
-            .ok_or(MemError::BadAddress(start))
     }
 
     /// Discard every region belonging to `half`. Returns (regions, logical

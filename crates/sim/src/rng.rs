@@ -44,12 +44,6 @@ pub fn rng_for(parent: u64, label: &str) -> SmallRng {
     SmallRng::seed_from_u64(derive_seed(parent, label))
 }
 
-/// Build a deterministic [`SmallRng`] for a labelled, indexed subsystem
-/// (e.g. per-rank streams).
-pub fn rng_for_idx(parent: u64, label: &str, idx: u64) -> SmallRng {
-    SmallRng::seed_from_u64(derive_seed_idx(parent, label, idx))
-}
-
 /// A deterministic multiplicative "straggler" factor in `[1.0, max]`.
 ///
 /// The paper (section 3.4) observes that during a parallel checkpoint the

@@ -364,11 +364,6 @@ impl Sim {
         });
     }
 
-    /// Schedule `f` to run after `d` of virtual time.
-    pub fn call_after(&self, d: SimDuration, f: impl FnOnce(&Sim) + Send + 'static) {
-        self.call_at(self.now() + d, f);
-    }
-
     /// Push a wake event for `tid` at the current virtual time.
     ///
     /// Wakes may be spurious by design; blocked threads must recheck their
@@ -380,19 +375,6 @@ impl Sim {
         st.seq += 1;
         st.queue.push(Event {
             time: now,
-            seq,
-            action: Action::Wake(tid),
-        });
-    }
-
-    /// Push a wake event for `tid` at absolute time `time` (clamped to now).
-    pub fn wake_at(&self, tid: SimThreadId, time: SimTime) {
-        let mut st = self.inner.state.lock();
-        let time = time.max(self.now());
-        let seq = st.seq;
-        st.seq += 1;
-        st.queue.push(Event {
-            time,
             seq,
             action: Action::Wake(tid),
         });

@@ -7,7 +7,10 @@
 //! `dir/ckpt_<id>/rank_<r>.mana` and whose bytes decode as a
 //! [`CheckpointImage`]), diffs the regions against the previous
 //! generation of the same `(dir, rank)` family, and writes only changed
-//! pages plus a reference to the base image. `get` reconstructs the full
+//! pages plus a reference to the base image. Pages compare by their
+//! memoized digest ([`mana_sim::Page::digest`]), so the diff depends on
+//! page content alone; a page shared with the previous snapshot was
+//! hashed when that generation was put. `get` reconstructs the full
 //! image by replaying the delta chain — charging the read time of every
 //! link, which is the real cost of long chains (bounded by
 //! [`DeltaConfig::full_every`]).
@@ -26,9 +29,8 @@ use mana_core::image::{
     decode_embedded, decode_region, encode_region, CheckpointImage, ImageBytes,
 };
 use mana_core::store::CheckpointStore;
-use mana_sim::checksum::checksum_bytes;
 use mana_sim::fs::IoShape;
-use mana_sim::memory::{Half, RegionDirty, RegionKind, RegionSnapshot, SnapshotContent, PAGE};
+use mana_sim::memory::{Half, RegionKind, RegionSnapshot, SnapshotContent, PAGE};
 use mana_sim::scatter::ScatterBuf;
 use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
@@ -47,20 +49,11 @@ pub struct DeltaConfig {
     /// (bounds chain length and restart replay cost). `0` means never —
     /// every generation after the first is a delta.
     pub full_every: u64,
-    /// Page granularity for dense-region diffing, bytes. Leave at the
-    /// default 4096 (the address space's native tracking page) to keep
-    /// the O(dirty) fast path: a non-native granularity still diffs
-    /// correctly but re-materializes each region contiguously per put
-    /// and digests every page (image dirty summaries are ignored).
-    pub page: usize,
 }
 
 impl Default for DeltaConfig {
     fn default() -> DeltaConfig {
-        DeltaConfig {
-            full_every: 8,
-            page: 4096,
-        }
+        DeltaConfig { full_every: 8 }
     }
 }
 
@@ -187,36 +180,24 @@ struct RegionDigest {
     half: Half,
     kind: RegionKind,
     name: String,
-    /// Snapshot-epoch identity `(lineage, seq)` of the generation this
-    /// digest describes, taken from its dirty summary. The next
-    /// generation's summary must name exactly this epoch as its base
-    /// before any of its clean-page claims are trusted.
-    epoch: Option<(u64, u64)>,
     content: ContentDigest,
 }
 
 enum ContentDigest {
     /// Pattern-backed region: the seed is the content.
     Pattern { seed: u64 },
-    /// Dense region: one checksum per `page`-sized chunk.
+    /// Dense region: one digest per [`PAGE`].
     Dense { bytes: usize, pages: Vec<u64> },
 }
 
-/// Cumulative put-path instrumentation: how much page-digest work the
-/// store performed vs skipped thanks to image dirty summaries. `reset` at
-/// will; cheap aggregate counters only.
+/// Cumulative put-path instrumentation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaPutStats {
-    /// Pages whose checksum was taken from the page itself: its memoized
-    /// digest at the native granularity (hashed once in the page's
-    /// lifetime), a fresh hash otherwise.
+    /// Pages whose digest the diff read: every dense page of every rank
+    /// image put. A page's digest is memoized ([`mana_sim::Page::digest`]),
+    /// so only pages new since the previous snapshot are hashed; count
+    /// host hashing with `mana_sim::scatter::shared_hashed_bytes`.
     pub pages_digested: u64,
-    /// Pages whose checksum (and equality) was taken from the previous
-    /// generation's digest because the image's dirty summary proved them
-    /// clean — O(1) each.
-    pub pages_reused: u64,
-    /// Dense regions where the summary fast path applied.
-    pub regions_fast_pathed: u64,
 }
 
 fn digest_heap_bytes(d: &[RegionDigest]) -> u64 {
@@ -235,24 +216,19 @@ fn digest_heap_bytes(d: &[RegionDigest]) -> u64 {
 /// per-page digests the *next* generation will diff against, and (when
 /// `want_deltas`) the region deltas versus the previous generation.
 ///
-/// Cost discipline: a page's checksum is computed only when it must be —
-/// pages a trusted dirty summary marks clean reuse the previous
-/// generation's digest entry, so put-path digest work is O(dirty pages)
-/// on the steady-state checkpoint path (and the historical double
-/// digest-then-diff pass is gone even without summaries).
+/// Every dense page's digest is the page's own memo: a page shared with
+/// the previous snapshot was hashed when that generation was put, so
+/// host hashing is O(pages new since then). Equal digests are equal
+/// content; no dirty summary is consulted.
 fn plan_regions(
     prev: Option<&[RegionDigest]>,
     new: &[RegionSnapshot],
-    summaries: &HashMap<u64, &RegionDirty>,
-    page: usize,
     want_deltas: bool,
     stats: &mut DeltaPutStats,
 ) -> (Vec<RegionDigest>, Vec<RegionDelta>) {
     let mut digests = Vec::with_capacity(new.len());
     let mut deltas = Vec::with_capacity(if want_deltas { new.len() } else { 0 });
     for r in new {
-        let summary = summaries.get(&r.start).copied();
-        let epoch = summary.map(|s| (s.lineage, s.seq));
         let base = prev.and_then(|prev| {
             prev.iter().find(|b| {
                 b.start == r.start
@@ -279,57 +255,18 @@ fn plan_regions(
                     }
                     _ => None,
                 };
-                // The summary's clean-page claims are only usable when
-                // (a) the diff granularity is the tracker's native page,
-                // (b) the previous digest's epoch is exactly the summary's
-                // base epoch (same lineage, same committed seq), and
-                // (c) the geometry agrees.
-                let fast = summary.filter(|s| {
-                    page == PAGE as usize
-                        && s.page_count as usize == nb.page_count()
-                        && base_pages.is_some_and(|p| p.len() == nb.page_count())
-                        && s.base_seq
-                            .is_some_and(|bs| base.and_then(|b| b.epoch) == Some((s.lineage, bs)))
-                });
-                if fast.is_some() {
-                    stats.regions_fast_pathed += 1;
-                }
-                // Native chunking: when the diff page equals the tracker
-                // page, the snapshot's frozen pages *are* the chunks.
-                let native = page == PAGE as usize;
-                let mut pages_out = Vec::with_capacity(nb.len().div_ceil(page.max(1)));
-                let mut patch = Vec::new();
-                let mut changed = 0usize;
-                let flat = if native { None } else { Some(nb.to_vec()) };
-                let chunks: Box<dyn Iterator<Item = &[u8]>> = match &flat {
-                    Some(v) => Box::new(v.chunks(page)),
-                    None => Box::new(nb.pages()),
+                let pages_out: Vec<u64> = nb.page_handles().iter().map(|p| p.digest()).collect();
+                stats.pages_digested += pages_out.len() as u64;
+                let patch: Vec<(u64, Vec<u8>)> = match base_pages {
+                    Some(bp) if want_deltas => pages_out
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, ck)| bp.get(*i) != Some(*ck))
+                        .map(|(i, _)| (i as u64 * PAGE, nb.page(i).to_vec()))
+                        .collect(),
+                    _ => Vec::new(),
                 };
-                for (i, chunk) in chunks.enumerate() {
-                    if let (Some(s), Some(bp)) = (fast, base_pages) {
-                        if !s.is_dirty(i) {
-                            stats.pages_reused += 1;
-                            pages_out.push(bp[i]);
-                            continue;
-                        }
-                    }
-                    // Native chunks are the snapshot's own pages: read
-                    // their memoized digests.
-                    let ck = if native {
-                        nb.page_handles()[i].digest()
-                    } else {
-                        checksum_bytes(chunk)
-                    };
-                    stats.pages_digested += 1;
-                    pages_out.push(ck);
-                    if want_deltas
-                        && base_pages.is_some()
-                        && base_pages.and_then(|p| p.get(i)).copied() != Some(ck)
-                    {
-                        patch.push(((i * page) as u64, chunk.to_vec()));
-                        changed += chunk.len();
-                    }
-                }
+                let changed: usize = patch.iter().map(|(_, b)| b.len()).sum();
                 let delta = if base_pages.is_none() {
                     RegionDelta::Replaced(r.clone())
                 } else if patch.is_empty() {
@@ -358,7 +295,6 @@ fn plan_regions(
             half: r.half,
             kind: r.kind,
             name: r.name.clone(),
-            epoch,
             content,
         });
         if want_deltas {
@@ -628,36 +564,21 @@ impl<S: CheckpointStore> CheckpointStore for DeltaStore<S> {
             drop(st);
             return self.inner.put(path, data, logical_len, rank, shape);
         };
-        let page = self.cfg.page.max(1);
-        let summaries: HashMap<u64, &RegionDirty> =
-            img.dirty.iter().map(|d| (d.start, d)).collect();
         let mut st = self.state.lock();
         Self::forget(&mut st, path);
         let prev_gen = st.latest.get(&family).filter(|prev| prev.path != path);
-        // Emitting a delta additionally requires the full_every cadence;
-        // digest *reuse* does not (a cadence full write still skips
-        // digesting summary-clean pages).
+        // Emitting a delta additionally requires the full_every cadence.
         let delta_base = prev_gen
             .filter(|prev| self.cfg.full_every == 0 || prev.since_full + 1 < self.cfg.full_every)
             .map(|prev| (prev.path.clone(), prev.since_full));
         // One pass: digests for the next generation + deltas vs the
-        // previous one, skipping checksum work for pages the image's
-        // dirty summary proves clean (epoch-guarded).
-        let mut stats = DeltaPutStats::default();
+        // previous one.
         let (digest, deltas) = plan_regions(
             prev_gen.map(|p| &p.digest[..]),
             &img.regions,
-            &summaries,
-            page,
             delta_base.is_some(),
-            &mut stats,
+            &mut self.put_stats.lock(),
         );
-        {
-            let mut acc = self.put_stats.lock();
-            acc.pages_digested += stats.pages_digested;
-            acc.pages_reused += stats.pages_reused;
-            acc.regions_fast_pathed += stats.regions_fast_pathed;
-        }
         if let Some((base_path, since_full)) = delta_base {
             let delta_logical = 4096 + deltas.iter().map(RegionDelta::logical_cost).sum::<u64>();
             // The meta must not carry the region payloads (the bulk of
@@ -890,13 +811,7 @@ mod tests {
 
     #[test]
     fn full_every_bounds_the_chain() {
-        let s = DeltaStore::new(
-            DeltaConfig {
-                full_every: 2,
-                ..DeltaConfig::default()
-            },
-            InMemStore::new(),
-        );
+        let s = DeltaStore::new(DeltaConfig { full_every: 2 }, InMemStore::new());
         let mut data = vec![0u8; 16 << 10];
         for id in 1..=4 {
             data[0] = id as u8;
@@ -1007,78 +922,131 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dirty_summaries_make_digest_work_o_dirty() {
-        use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, RegionKind};
-        let s = store();
-        let a = AddressSpace::new();
-        a.set_lineage(0x51ED);
-        let npages = 64u64;
-        let addr = a
-            .map(
-                Half::Upper,
-                RegionKind::Mmap,
-                "state",
-                npages * PAGE,
-                Backing::Dense(DenseBuf::zeroed((npages * PAGE) as usize)),
-            )
-            .unwrap();
-        let img_of = |id: u64, snap: mana_sim::memory::HalfSnapshot| {
+    /// A 64-page tracked address space and a store: `put_gen` snapshots
+    /// the space as generation `id`, lets `edit` alter the image, puts it
+    /// shared (as the checkpoint path does) and returns it with the bytes
+    /// the put hashed.
+    struct Tracked {
+        s: DeltaStore<InMemStore>,
+        a: mana_sim::memory::AddressSpace,
+        addr: u64,
+    }
+
+    const TRACKED_PAGES: u64 = 64;
+
+    impl Tracked {
+        fn new() -> Tracked {
+            use mana_sim::memory::{AddressSpace, Backing, DenseBuf};
+            let a = AddressSpace::new();
+            a.set_lineage(0x51ED);
+            let len = TRACKED_PAGES * PAGE;
+            let addr = a
+                .map(
+                    Half::Upper,
+                    RegionKind::Mmap,
+                    "state",
+                    len,
+                    Backing::Dense(DenseBuf::zeroed(len as usize)),
+                )
+                .unwrap();
+            Tracked {
+                s: store(),
+                a,
+                addr,
+            }
+        }
+
+        fn put_gen(
+            &self,
+            id: u64,
+            edit: impl FnOnce(&mut CheckpointImage),
+        ) -> (CheckpointImage, u64) {
+            use mana_sim::scatter::{reset_shared_hashed_bytes, shared_hashed_bytes};
+            let snap = self.a.snapshot_half_tracked(Half::Upper);
             let mut img = image(id, snap.regions);
             img.dirty = snap.dirty;
-            img
-        };
+            edit(&mut img);
+            let img = Arc::new(img);
+            reset_shared_hashed_bytes();
+            let bytes = CheckpointImage::encode_shared(&img);
+            self.s.put(&path(id), bytes, img.logical_bytes(), 0, SHAPE);
+            let hashed = shared_hashed_bytes();
+            self.a.clear_dirty(Half::Upper);
+            (CheckpointImage::clone(&img), hashed)
+        }
 
-        // Generation 1: everything digested (no previous generation).
-        a.write_bytes(addr, &[1u8; 128]).unwrap();
-        let img1 = img_of(1, a.snapshot_half_tracked(Half::Upper));
-        s.put(&path(1), img1.encode(), img1.logical_bytes(), 0, SHAPE);
-        a.clear_dirty(Half::Upper);
-        let after1 = s.put_stats();
-        assert_eq!(after1.pages_digested, npages);
-        assert_eq!(after1.pages_reused, 0);
+        fn get(&self, id: u64) -> CheckpointImage {
+            let (bytes, _) = self.s.get(&path(id), 0, SHAPE).unwrap();
+            CheckpointImage::decode_shared(&bytes).unwrap().0
+        }
+    }
 
-        // Generation 2: one page touched — exactly one page digested.
-        a.write_bytes(addr + 7 * PAGE + 3, &[9u8; 16]).unwrap();
-        let img2 = img_of(2, a.snapshot_half_tracked(Half::Upper));
-        s.put(&path(2), img2.encode(), img2.logical_bytes(), 0, SHAPE);
-        a.clear_dirty(Half::Upper);
-        let after2 = s.put_stats();
+    #[test]
+    fn dirty_summaries_make_digest_work_o_dirty() {
+        // A tracked snapshot shares every clean page with the previous
+        // one, so the put reads clean pages' digests from their memos and
+        // hashes only the dirty ones. The summary itself is not trusted.
+        let t = Tracked::new();
+        t.a.write_bytes(t.addr, &[1u8; 128]).unwrap();
+        let (img1, hashed) = t.put_gen(1, |_| {});
         assert_eq!(
-            after2.pages_digested - after1.pages_digested,
-            1,
-            "digest work must scale with dirty pages"
+            hashed,
+            TRACKED_PAGES * PAGE,
+            "the first put hashes every page"
         );
-        assert_eq!(after2.pages_reused, npages - 1);
-        assert_eq!(after2.regions_fast_pathed, 1);
-        // And the delta itself is one page.
-        assert!(s.is_delta_object(&path(2)));
-        assert!(s.logical_len(&path(2)).unwrap() < 16 << 10);
+
+        t.a.write_bytes(t.addr + 7 * PAGE + 3, &[9u8; 16]).unwrap();
+        let (img2, hashed) = t.put_gen(2, |_| {});
+        assert_eq!(hashed, PAGE, "one dirty page hashes one page");
+        assert!(t.s.is_delta_object(&path(2)));
+        assert!(t.s.logical_len(&path(2)).unwrap() < 16 << 10);
+
+        // The summary's lineage does not matter: its claims are not read.
+        t.a.write_bytes(t.addr + 9 * PAGE, &[4u8; 8]).unwrap();
+        let (img3, hashed) = t.put_gen(3, |img| {
+            for d in &mut img.dirty {
+                d.lineage ^= 0xFFFF;
+            }
+        });
+        assert_eq!(hashed, PAGE, "a foreign lineage still hashes one page");
+        assert_eq!(t.s.put_stats().pages_digested, 3 * TRACKED_PAGES);
 
         // Reconstruction is exact, dirty summaries included.
-        let (bytes, _) = s.get(&path(2), 0, SHAPE).unwrap();
-        assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img2);
-        let (bytes, _) = s.get(&path(1), 0, SHAPE).unwrap();
-        assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img1);
+        assert_eq!(t.get(1), img1);
+        assert_eq!(t.get(2), img2);
+        assert_eq!(t.get(3), img3);
 
-        // A summary from a foreign lineage must NOT fast-path (the guard
-        // protects against epoch aliasing across incarnations).
-        a.write_bytes(addr + 9 * PAGE, &[4u8; 8]).unwrap();
-        let mut img3 = img_of(3, a.snapshot_half_tracked(Half::Upper));
-        for d in &mut img3.dirty {
-            d.lineage ^= 0xFFFF;
-        }
-        s.put(&path(3), img3.encode(), img3.logical_bytes(), 0, SHAPE);
-        a.clear_dirty(Half::Upper);
-        let after3 = s.put_stats();
-        assert_eq!(
-            after3.pages_digested - after2.pages_digested,
-            npages,
-            "mismatched lineage must fall back to a full digest"
-        );
-        assert_eq!(after3.regions_fast_pathed, 1);
-        let (bytes, _) = s.get(&path(3), 0, SHAPE).unwrap();
-        assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img3);
+        // An image decoded from flat bytes has fresh pages: hashed in full.
+        use mana_sim::scatter::{reset_shared_hashed_bytes, shared_hashed_bytes};
+        let flat = ImageBytes::from_vec(img3.encode().to_vec());
+        reset_shared_hashed_bytes();
+        t.s.put(&path(4), flat, img3.logical_bytes(), 0, SHAPE);
+        assert_eq!(shared_hashed_bytes(), TRACKED_PAGES * PAGE);
+    }
+
+    #[test]
+    fn a_forged_clean_claim_cannot_drop_a_changed_page() {
+        // Generation 2's summary names generation 1's epoch exactly but
+        // marks the rewritten page 7 clean: the diff still sees the new
+        // bytes, because it compares page content.
+        let t = Tracked::new();
+        let (img1, _) = t.put_gen(1, |_| {});
+        t.a.write_bytes(t.addr + 7 * PAGE, &[0xAB; 64]).unwrap();
+        let (img2, _) = t.put_gen(2, |img| {
+            let d = &mut img.dirty[0];
+            assert_eq!(
+                (d.lineage, d.base_seq, d.dirty_pages()),
+                (img1.dirty[0].lineage, Some(img1.dirty[0].seq), 1)
+            );
+            d.pages[0] &= !(1 << 7);
+        });
+        assert!(t.s.is_delta_object(&path(2)));
+        let back = t.get(2);
+        let SnapshotContent::Dense(pages) = &back.regions[0].content else {
+            panic!("dense region expected");
+        };
+        assert_eq!(&pages.page(7)[..64], &[0xAB; 64], "generation 2's page 7");
+        assert_eq!(back, img2);
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //!   or capacity pressure pays the remaining drain time);
 //! * [`CompressingStore`] — shrinks stored `logical_len` by a
 //!   content-seeded ratio and charges compress/decompress CPU time;
-//! * [`ReplicatedStore`] — N replicas with deterministic failure
-//!   injection; `put` charges the slowest-of-quorum write, `get` fails
-//!   over past dead replicas;
+//! * [`ReplicatedStore`] — N replicas, each up until a caller (the chaos
+//!   driver, a test) kills it; `put` charges the slowest-of-quorum write,
+//!   `get` fails over past dead, torn or corrupt replicas;
 //! * [`DeltaStore`] — incremental checkpoints that diff each rank's
-//!   region payloads against the previous generation and write only
-//!   changed pages plus a base reference, reconstructing full images on
-//!   `get` by replaying the delta chain;
+//!   region payloads against the previous generation by page digest and
+//!   write only changed pages plus a base reference, reconstructing full
+//!   images on `get` by replaying the delta chain;
 //! * [`JournaledStore`] — crash-consistent publish: every object is
 //!   framed in a checksummed commit envelope written commit-word-last, so
 //!   a writer that dies mid-`put` leaves a *detectably absent* object

@@ -1,12 +1,13 @@
-//! Replicated checkpoint storage with failure injection.
+//! Replicated checkpoint storage.
 //!
 //! A checkpoint that outlives clusters should also outlive a storage
 //! target: [`ReplicatedStore`] keeps N replicas, acknowledges a `put`
 //! when a write quorum has it (charging the slowest write *of the
 //! quorum*, not of all replicas), and serves `get` by failing over past
-//! dead replicas, paying a probe timeout per corpse. Replica liveness is
-//! drawn deterministically per (replica, epoch) from a seed, so runs
-//! replay bit-identically; tests can also force replicas down or up.
+//! dead, missing, torn or corrupt replicas, paying a probe timeout for
+//! each. A replica is down exactly while [`ReplicatedStore::kill_replica`]
+//! holds it down, until [`ReplicatedStore::revive`]: the fault model that
+//! drives outages (`mana_chaos::ChaosPlan`) lives outside the store.
 //! [`maintain`](CheckpointStore::maintain) maintains every replica's own
 //! stack, then brings each replica back in sync by anti-entropy
 //! ([`ReplicatedStore::heal`]).
@@ -15,10 +16,9 @@ use mana_core::error::StoreError;
 use mana_core::image::ImageBytes;
 use mana_core::store::{CheckpointStore, HealReport, Maintenance};
 use mana_sim::fs::IoShape;
-use mana_sim::rng::splitmix64;
 use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Replication parameters.
@@ -27,50 +27,26 @@ pub struct ReplicaConfig {
     /// Replicas that must acknowledge a write before `put` returns.
     /// Clamped to the number of live replicas at write time.
     pub write_quorum: usize,
-    /// Probability a given replica is down in a given epoch (drawn
-    /// deterministically from `seed`).
-    pub fail_prob: f64,
-    /// Cost of discovering one dead replica on the read path (connect
+    /// Cost of probing one replica that cannot serve a read (connect
     /// timeout + retry against the next replica).
     pub failover_latency: SimDuration,
-    /// Probability a read against a *live* replica fails transiently
-    /// (connection reset, brief brown-out). Drawn deterministically per
-    /// (replica, epoch, try) from `seed`. A transient failure is retried
-    /// once in place after `retry_backoff` before the reader fails over
-    /// to the next replica — a blip should not cost a full failover.
-    pub transient_prob: f64,
-    /// Wait before the single in-place retry of a transient read failure.
-    pub retry_backoff: SimDuration,
-    /// Seed for the liveness draws.
-    pub seed: u64,
 }
 
 impl Default for ReplicaConfig {
     fn default() -> ReplicaConfig {
         ReplicaConfig {
             write_quorum: 2,
-            fail_prob: 0.0,
             failover_latency: SimDuration::millis(500),
-            transient_prob: 0.0,
-            retry_backoff: SimDuration::millis(50),
-            seed: 0x5265_706c,
         }
     }
-}
-
-struct RepState {
-    epoch: u64,
-    forced_down: BTreeSet<usize>,
-    /// replica → number of upcoming reads to fail transiently (test /
-    /// chaos-driver injection; decremented per failed read attempt).
-    forced_transient: BTreeMap<usize, u32>,
 }
 
 /// N-way replicated store over heterogeneous (or identical) backends.
 pub struct ReplicatedStore {
     cfg: ReplicaConfig,
     replicas: Vec<Arc<dyn CheckpointStore>>,
-    state: Mutex<RepState>,
+    /// Replicas held down by [`ReplicatedStore::kill_replica`].
+    down: Mutex<BTreeSet<usize>>,
 }
 
 impl ReplicatedStore {
@@ -80,11 +56,7 @@ impl ReplicatedStore {
         ReplicatedStore {
             cfg,
             replicas,
-            state: Mutex::new(RepState {
-                epoch: 0,
-                forced_down: BTreeSet::new(),
-                forced_transient: BTreeMap::new(),
-            }),
+            down: Mutex::new(BTreeSet::new()),
         }
     }
 
@@ -105,78 +77,23 @@ impl ReplicatedStore {
 
     /// Force replica `i` down (until [`ReplicatedStore::revive`]).
     pub fn kill_replica(&self, i: usize) {
-        self.state.lock().forced_down.insert(i);
+        self.down.lock().insert(i);
     }
 
     /// Lift a forced failure on replica `i`.
     pub fn revive(&self, i: usize) {
-        self.state.lock().forced_down.remove(&i);
+        self.down.lock().remove(&i);
     }
 
-    /// Make the next `n` read attempts against replica `i` fail
-    /// transiently (the replica stays alive and keeps its data — the
-    /// reads just bounce, as a connection reset would). Used by tests and
-    /// the chaos driver for deterministic transient-blip injection.
-    pub fn fail_transiently(&self, i: usize, n: u32) {
-        self.state.lock().forced_transient.insert(i, n);
-    }
-
-    /// Whether a read attempt (`try_` 0 = first, 1 = the in-place retry)
-    /// against live replica `i` bounces transiently.
-    fn transient_blip(&self, i: usize, epoch: u64, path: &str, try_: u64) -> bool {
-        {
-            let mut st = self.state.lock();
-            if let Some(n) = st.forced_transient.get_mut(&i) {
-                if *n > 0 {
-                    *n -= 1;
-                    if *n == 0 {
-                        st.forced_transient.remove(&i);
-                    }
-                    return true;
-                }
-                st.forced_transient.remove(&i);
-            }
-        }
-        if self.cfg.transient_prob <= 0.0 {
-            return false;
-        }
-        let mut h = 0xB11Du64;
-        for b in path.as_bytes() {
-            h = splitmix64(h ^ u64::from(*b));
-        }
-        let u = splitmix64(
-            self.cfg.seed
-                ^ splitmix64(i as u64 ^ 0x7261)
-                ^ splitmix64(epoch)
-                ^ splitmix64(try_)
-                ^ h,
-        );
-        let x = (u >> 11) as f64 / (1u64 << 53) as f64;
-        x < self.cfg.transient_prob
-    }
-
-    /// Whether replica `i` is up in the current epoch.
+    /// Whether replica `i` is up.
     pub fn alive(&self, i: usize) -> bool {
-        let st = self.state.lock();
-        self.alive_at(i, st.epoch, &st.forced_down)
-    }
-
-    fn alive_at(&self, i: usize, epoch: u64, forced_down: &BTreeSet<usize>) -> bool {
-        if forced_down.contains(&i) {
-            return false;
-        }
-        if self.cfg.fail_prob <= 0.0 {
-            return true;
-        }
-        let u = splitmix64(self.cfg.seed ^ splitmix64(i as u64) ^ splitmix64(epoch ^ 0x9E37));
-        let x = (u >> 11) as f64 / (1u64 << 53) as f64;
-        x >= self.cfg.fail_prob
+        !self.down.lock().contains(&i)
     }
 
     fn alive_indices(&self) -> Vec<usize> {
-        let st = self.state.lock();
+        let down = self.down.lock();
         (0..self.replicas.len())
-            .filter(|i| self.alive_at(*i, st.epoch, &st.forced_down))
+            .filter(|i| !down.contains(i))
             .collect()
     }
 
@@ -191,7 +108,7 @@ impl ReplicatedStore {
         let mut report = HealReport::default();
         // The union of every peer's listing, not `self.list()`: the
         // catching-up replica must converge on what the *peers* hold,
-        // independent of the liveness draw of the moment.
+        // whichever replicas are down at the moment.
         let mut paths: Vec<String> = Vec::new();
         for (j, r) in self.replicas.iter().enumerate() {
             if j != i {
@@ -279,32 +196,10 @@ impl CheckpointStore for ReplicatedStore {
     ) -> Result<(ImageBytes, SimDuration), StoreError> {
         let mut failover = SimDuration::ZERO;
         let mut last_err: Option<StoreError> = None;
-        let st = self.state.lock();
-        let (epoch, forced) = (st.epoch, st.forced_down.clone());
-        drop(st);
+        let down = self.down.lock().clone();
         for i in 0..self.replicas.len() {
-            if !self.alive_at(i, epoch, &forced) {
+            if down.contains(&i) {
                 failover += self.cfg.failover_latency;
-                continue;
-            }
-            // A transient blip on a live replica is retried once in place
-            // (after a short backoff) before the reader gives up on the
-            // replica and pays a full failover to the next one.
-            let mut bounced = false;
-            for try_ in 0..2u64 {
-                if self.transient_blip(i, epoch, path, try_) {
-                    failover += if try_ == 0 {
-                        self.cfg.retry_backoff
-                    } else {
-                        self.cfg.failover_latency
-                    };
-                    bounced = try_ == 1;
-                } else {
-                    bounced = false;
-                    break;
-                }
-            }
-            if bounced {
                 continue;
             }
             match self.replicas[i].get(path, rank, shape) {
@@ -329,7 +224,6 @@ impl CheckpointStore for ReplicatedStore {
     }
 
     fn begin_epoch(&self) {
-        self.state.lock().epoch += 1;
         for r in &self.replicas {
             r.begin_epoch();
         }
@@ -435,7 +329,6 @@ mod tests {
         let cfg = ReplicaConfig {
             write_quorum: quorum,
             failover_latency: SimDuration::millis(100),
-            ..ReplicaConfig::default()
         };
         ReplicatedStore::new(
             cfg,
@@ -491,29 +384,6 @@ mod tests {
         s.revive(1);
         let (data, _) = s.get("x", 0, SHAPE).unwrap();
         assert_eq!(data.to_vec(), vec![3]);
-    }
-
-    #[test]
-    fn seeded_failures_are_deterministic_and_epoch_varying() {
-        let make = || {
-            ReplicatedStore::with_replicas(
-                ReplicaConfig {
-                    fail_prob: 0.5,
-                    seed: 11,
-                    ..ReplicaConfig::default()
-                },
-                8,
-                |_| InMemStore::new(),
-            )
-        };
-        let (a, b) = (make(), make());
-        let pattern = |s: &ReplicatedStore| (0..8).map(|i| s.alive(i)).collect::<Vec<_>>();
-        assert_eq!(pattern(&a), pattern(&b), "same seed, same epoch");
-        let before = pattern(&a);
-        a.begin_epoch();
-        assert_ne!(pattern(&a), before, "liveness redraws per epoch");
-        b.begin_epoch();
-        assert_eq!(pattern(&a), pattern(&b), "still deterministic");
     }
 
     #[test]
@@ -600,78 +470,6 @@ mod tests {
             s.get("x", 0, SHAPE),
             Err(StoreError::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn transient_blip_is_retried_in_place_before_failing_over() {
-        // Replica 0 bounces one read: the reader backs off 100ms and
-        // retries the same replica instead of paying the 500ms failover.
-        let cfg = ReplicaConfig {
-            failover_latency: SimDuration::millis(500),
-            retry_backoff: SimDuration::millis(100),
-            ..ReplicaConfig::default()
-        };
-        let s = ReplicatedStore::new(
-            cfg.clone(),
-            vec![
-                Arc::new(FixedLatency::new(10, 5)),
-                Arc::new(FixedLatency::new(20, 6)),
-            ],
-        );
-        s.put("x", vec![7].into(), 8, 0, SHAPE);
-        s.fail_transiently(0, 1);
-        let (data, dur) = s.get("x", 0, SHAPE).unwrap();
-        assert_eq!(data.to_vec(), vec![7]);
-        assert_eq!(
-            dur,
-            SimDuration::millis(105),
-            "one backoff (100ms) + replica 0's read (5ms), no failover"
-        );
-
-        // Two consecutive bounces exhaust the single retry: the reader
-        // pays backoff + failover and replica 1 serves the read.
-        s.fail_transiently(0, 2);
-        let (data, dur) = s.get("x", 0, SHAPE).unwrap();
-        assert_eq!(data.to_vec(), vec![7]);
-        assert_eq!(
-            dur,
-            SimDuration::millis(606),
-            "backoff (100ms) + failover (500ms) + replica 1's read (6ms)"
-        );
-
-        // The injection is consumed: the next read is clean and fast.
-        let (_, dur) = s.get("x", 0, SHAPE).unwrap();
-        assert_eq!(dur, SimDuration::millis(5));
-
-        // Seeded blips are deterministic: two stores with the same seed
-        // bounce the same reads.
-        let seeded = |seed| {
-            let s = ReplicatedStore::with_replicas(
-                ReplicaConfig {
-                    transient_prob: 0.5,
-                    retry_backoff: SimDuration::millis(100),
-                    seed,
-                    ..ReplicaConfig::default()
-                },
-                2,
-                |_| FixedLatency::new(10, 5),
-            );
-            s.put("x", vec![7].into(), 8, 0, SHAPE);
-            (0..8)
-                .map(|e| {
-                    let d = s.get("x", 0, SHAPE).unwrap().1;
-                    let _ = e;
-                    s.begin_epoch();
-                    d
-                })
-                .collect::<Vec<_>>()
-        };
-        let (a, b) = (seeded(42), seeded(42));
-        assert_eq!(a, b, "same seed, same blip pattern");
-        assert!(
-            a.iter().any(|d| *d > SimDuration::millis(5)),
-            "at prob 0.5 some epoch must bounce: {a:?}"
-        );
     }
 
     #[test]
