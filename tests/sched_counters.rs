@@ -17,9 +17,13 @@
 //! HPCG and miniFE are pinned the same way (native run, and a MANA run
 //! checkpointed mid-way and continued), so a rewrite of the CG kernels
 //! that `run_cg` shares must reproduce every bit of every rank's state.
+//!
+//! A restart under another MPI on another cluster is pinned the same way
+//! (flat and tree coordinator), so a change to how an incarnation boots
+//! must reproduce its counts, stage times and checksums.
 
 use mana::apps::{make_app, make_app_small, AppKind, Hpcg};
-use mana::core::{InMemStore, JobBuilder, ManaSession, Workload};
+use mana::core::{InMemStore, JobBuilder, ManaSession, TopologyKind, Workload};
 use mana::mpi::MpiProfile;
 use mana::sim::cluster::ClusterSpec;
 use mana::sim::sched::SchedStats;
@@ -371,5 +375,123 @@ fn hpcg_with_one_and_two_rows_is_pinned() {
             bulk_bytes: 0,
         };
         check_cg(Arc::new(app), pin);
+    }
+}
+
+/// A restart boot, pinned: LULESH on 8 ranks under Cray MPICH on two
+/// Cori nodes, checkpointed at mid-run into the default Lustre-like store
+/// and killed, then restarted under Open MPI on a two-node local cluster
+/// with each coordinator topology. `stages` is
+/// `RestartReport::stage_breakdown()` in ns, in `RestartStage::ALL` order.
+struct RestartPin {
+    sched: SchedStats,
+    wall: u64,
+    app_wall: u64,
+    stages: [u64; 8],
+}
+
+/// The source checkpoint's `(t_begin, t_do_ckpt, t_expected_in, t_end)`
+/// in ns.
+const RESTART_SOURCE_CKPT: (u64, u64, u64, u64) =
+    (180_162_362, 181_714_362, 182_626_362, 476_663_738);
+
+const RESTART_STAGES: [u64; 8] = [221_402_191, 0, 0, 0, 345_768_026, 12_675, 0, 10_875];
+
+const RESTART_FLAT: RestartPin = RestartPin {
+    sched: SchedStats {
+        handoffs: 1_374,
+        self_wakes: 33,
+        calls: 72,
+        stale_wakes: 0,
+    },
+    wall: 461_668_247,
+    app_wall: 231_371,
+    stages: RESTART_STAGES,
+};
+
+const RESTART_TREE: RestartPin = RestartPin {
+    sched: SchedStats {
+        handoffs: 1_376,
+        self_wakes: 33,
+        calls: 72,
+        stale_wakes: 0,
+    },
+    wall: 461_668_247,
+    app_wall: 231_371,
+    stages: RESTART_STAGES,
+};
+
+/// Upper-half state checksum of ranks 0..8 after either restart.
+const RESTART_CHECKSUMS: [u64; 8] = [
+    14314151012996017673,
+    15570789467940948517,
+    802829236676512029,
+    13807143381108002805,
+    17756165137225732825,
+    17340761121730171516,
+    6188141084995437350,
+    6119268802446270978,
+];
+
+#[test]
+fn a_restart_under_another_mpi_is_pinned() {
+    let app = make_app_small(AppKind::Lulesh, 6);
+    let session = ManaSession::new();
+    let job = || {
+        JobBuilder::new()
+            .cluster(ClusterSpec::cori(2))
+            .ranks(8)
+            .profile(MpiProfile::cray_mpich())
+            .seed(3)
+    };
+    let plain = session.run(job(), app.clone()).expect("uninterrupted run");
+    let out = plain.outcome();
+    let mid = SimTime(out.wall.as_nanos() - out.app_wall.as_nanos() / 2);
+    let killed = session
+        .run(job().ckpt_dir("lulesh").checkpoint_at(mid).then_kill(), app)
+        .expect("checkpoint-and-kill run");
+    assert!(killed.killed());
+    let ckpts = killed.ckpts();
+    assert_eq!(ckpts.len(), 1);
+    let c = &ckpts[0];
+    assert_eq!(
+        (
+            c.t_begin.as_nanos(),
+            c.t_do_ckpt.as_nanos(),
+            c.t_expected_in.as_nanos(),
+            c.t_end.as_nanos(),
+        ),
+        RESTART_SOURCE_CKPT
+    );
+    for (topology, pin) in [
+        (TopologyKind::Flat, &RESTART_FLAT),
+        (TopologyKind::Tree, &RESTART_TREE),
+    ] {
+        let resumed = killed
+            .restart_on(
+                JobBuilder::new()
+                    .cluster(ClusterSpec::local_cluster(2))
+                    .profile(MpiProfile::open_mpi())
+                    .topology(topology),
+            )
+            .expect("restart");
+        let out = resumed.outcome();
+        assert_eq!(
+            (out.sched, out.wall.as_nanos(), out.app_wall.as_nanos()),
+            (pin.sched, pin.wall, pin.app_wall),
+            "{topology:?}"
+        );
+        let ranks: Vec<u32> = (0..8).collect();
+        assert!(resumed.checksums().keys().eq(&ranks));
+        assert!(resumed.checksums().values().eq(&RESTART_CHECKSUMS));
+        assert_eq!(plain.checksums(), resumed.checksums());
+        let stages: Vec<u64> = resumed
+            .restart_report()
+            .expect("restart report")
+            .stage_breakdown()
+            .iter()
+            .map(|(_, d)| d.as_nanos())
+            .collect();
+        assert_eq!(stages, pin.stages, "{topology:?}");
     }
 }
