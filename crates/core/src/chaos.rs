@@ -65,9 +65,9 @@ impl fmt::Display for InjectPoint {
     }
 }
 
-/// A restart-pipeline injection point polled by the restart engine. The
+/// A restart-pipeline injection point polled by the restart pipeline. The
 /// checkpoint-side [`InjectPoint`]s cover the *write* path; these cover
-/// the *read* path — the stages of [`crate::restart::RestartEngine`]
+/// the *read* path — the stages of [`crate::restart::engine`]
 /// where a recovering job can die all over again.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RestartPoint {
@@ -461,8 +461,8 @@ impl ChaosHandle {
     }
 
     /// Begin a restart attempt: bump the chain-wide restart-attempt
-    /// counter and reset the restart crash gate. The restart engine calls
-    /// this once per pipeline run, before any rank's image is fetched.
+    /// counter and reset the restart crash gate. A restarting boot calls
+    /// this once, before any rank's image is fetched.
     /// Returns the 0-based attempt number just begun.
     pub fn begin_restart(&self) -> u64 {
         let Some(st) = &self.inner else { return 0 };
@@ -474,7 +474,7 @@ impl ChaosHandle {
     }
 
     /// Poll a restart-pipeline injection point for `rank`. Returns `true`
-    /// if the injector kills the rank here — the restart engine must
+    /// if the injector kills the rank here — the restart pipeline must
     /// abort the attempt with a typed error (and must *not* have mutated
     /// the store or address space, so the same image restarts cleanly on
     /// the next attempt). At most one restart crash fires per attempt.

@@ -11,7 +11,7 @@ pub enum AfterCkpt {
     Continue,
     /// Terminate the job (used by migration/restart experiments: the run is
     /// resumed later — possibly on a different cluster, MPI implementation
-    /// or topology — by the restart engine).
+    /// or topology — by a restart).
     Kill,
 }
 
@@ -56,23 +56,6 @@ pub struct ManaConfig {
     pub first_ckpt_id: u64,
     /// Behaviour after the final scheduled checkpoint completes.
     pub after_last_ckpt: AfterCkpt,
-    /// Coordinator CPU cost to send one control message to another node
-    /// (TCP socket + framing). The coordinator serializes over all ranks,
-    /// which is what makes the paper's "communication overhead" grow with
-    /// rank count (Figure 8).
-    pub ctrl_send_cpu: SimDuration,
-    /// Coordinator CPU cost to process one received cross-node control
-    /// message (socket polling over thousands of descriptors,
-    /// small-message metadata — §3.4).
-    pub ctrl_recv_cpu: SimDuration,
-    /// CPU cost to send one control message to an endpoint on the *same
-    /// node* (loopback/UNIX socket — no NIC, no cross-node TCP stack).
-    /// This is the rate a tree sub-coordinator's local fan-out pays, and
-    /// it is what makes per-node sub-coordinators cheap.
-    pub ctrl_send_cpu_intra: SimDuration,
-    /// CPU cost to process one control message received from the same
-    /// node (a sub-coordinator gathering its local helpers' replies).
-    pub ctrl_recv_cpu_intra: SimDuration,
     /// Control-plane shape: flat star (default) or per-node tree fan-out.
     pub topology: TopologyKind,
     /// Compact the record-replay log before writing it into checkpoint
@@ -99,36 +82,9 @@ impl ManaConfig {
             ckpt_times: Vec::new(),
             first_ckpt_id: 1,
             after_last_ckpt: AfterCkpt::Continue,
-            ctrl_send_cpu: SimDuration::micros(30),
-            ctrl_recv_cpu: SimDuration::micros(80),
-            ctrl_send_cpu_intra: SimDuration::micros(4),
-            ctrl_recv_cpu_intra: SimDuration::micros(9),
             topology: TopologyKind::Flat,
             compact_log: true,
             chaos: ChaosHandle::default(),
-        }
-    }
-
-    /// The same configuration under a different coordinator topology.
-    pub fn with_topology(mut self, topology: TopologyKind) -> ManaConfig {
-        self.topology = topology;
-        self
-    }
-
-    /// Checkpoint once at `at`, then continue.
-    pub fn checkpoint_at(kernel: KernelModel, at: SimTime) -> ManaConfig {
-        ManaConfig {
-            ckpt_times: vec![at],
-            ..ManaConfig::no_checkpoints(kernel)
-        }
-    }
-
-    /// Checkpoint once at `at`, then kill the job (migration workflows).
-    pub fn checkpoint_and_kill(kernel: KernelModel, at: SimTime) -> ManaConfig {
-        ManaConfig {
-            ckpt_times: vec![at],
-            after_last_ckpt: AfterCkpt::Kill,
-            ..ManaConfig::no_checkpoints(kernel)
         }
     }
 
@@ -181,12 +137,9 @@ mod tests {
     fn presets() {
         let c = ManaConfig::no_checkpoints(KernelModel::unpatched());
         assert!(c.ckpt_times.is_empty());
-        let c = ManaConfig::checkpoint_and_kill(KernelModel::patched(), SimTime(5));
-        assert_eq!(c.after_last_ckpt, AfterCkpt::Kill);
+        assert_eq!(c.after_last_ckpt, AfterCkpt::Continue);
         assert_eq!(c.image_path(2, 7), "ckpt/ckpt_2/rank_7.mana");
         assert_eq!(c.topology, TopologyKind::Flat, "flat is the default");
-        let c = c.with_topology(TopologyKind::Tree);
-        assert_eq!(c.topology, TopologyKind::Tree);
     }
 
     #[test]

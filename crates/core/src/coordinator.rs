@@ -29,10 +29,11 @@
 
 use crate::config::{AfterCkpt, ManaConfig};
 use crate::ctrl::{CtrlMsg, StateAgg};
-use crate::stats::{CkptReport, StatsHub};
+use crate::stats::CkptReport;
 use crate::store::CheckpointStore;
 use crate::topology::CoordTopology;
 use mana_sim::sched::SimThread;
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Everything the coordinator daemon needs.
@@ -41,8 +42,8 @@ pub struct CoordCtx {
     pub topo: Arc<dyn CoordTopology>,
     /// Configuration (checkpoint schedule, costs).
     pub cfg: ManaConfig,
-    /// Measurement sink.
-    pub hub: StatsHub,
+    /// Where each completed round's report goes.
+    pub ckpts: Arc<Mutex<Vec<CkptReport>>>,
     /// Checkpoint storage (epoch signalling for straggler decorrelation).
     pub store: Arc<dyn CheckpointStore>,
 }
@@ -121,7 +122,7 @@ pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) {
     let t_end = t.now();
     cx.topo.fanout(t, &|| CtrlMsg::Resume { ckpt_id, kill });
 
-    cx.hub.push_ckpt(CkptReport {
+    cx.ckpts.lock().push(CkptReport {
         ckpt_id,
         t_begin,
         t_do_ckpt,

@@ -77,14 +77,13 @@ pub use env::{AppEnv, Arr, MemView, SlotId, Workload};
 pub use error::{SessionError, SkipReason, SkippedCheckpoint, StoreError};
 pub use image::CheckpointImage;
 pub use restart::{
-    BindSource, CompactedLog, CompactionStats, LiveSet, LogCompactor, RebindEntry, RestartEngine,
-    RestartError,
+    BindSource, CompactedLog, CompactionStats, LiveSet, LogCompactor, RebindEntry, RestartError,
 };
 pub use runner::{ManaJobSpec, RunOutcome};
 pub use session::{
     CkptEvent, CkptImages, Incarnation, JobBuilder, ManaSession, RestartEvent, SessionBuilder,
 };
-pub use stats::{CkptReport, RestartReport, RestartStage, StatsHub};
+pub use stats::{CkptReport, RestartReport, RestartStage};
 pub use store::{CheckpointStore, FsStore, GcPolicy, InMemStore};
 pub use supervisor::{
     classify, DegradedMode, FaultClass, RecoveryReport, RestartSupervisor, RetryPolicy,

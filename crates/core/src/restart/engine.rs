@@ -1,61 +1,48 @@
-//! The staged restart engine.
+//! The staged restart pipeline.
 //!
-//! [`RestartEngine`] rebuilds a killed job from its checkpoint images on
-//! a fresh simulation — possibly a different cluster, MPI implementation,
-//! interconnect and placement (§2.1's bootstrap sequence). The pipeline
-//! runs typed, individually-timed stages per rank (see
-//! [`RestartStage`]): image read → memory restore → state restore →
+//! A restart boots a fresh simulation — possibly a different cluster, MPI
+//! implementation, interconnect and placement (§2.1's bootstrap
+//! sequence) — through the same boot as a fresh launch
+//! ([`crate::runner`]); this module supplies the two restart-specific
+//! pieces. `fetch_images` reads, decodes and validates every rank's
+//! image before the simulation boots. `rank_restore` then runs on each
+//! restarted rank's thread: typed, individually-timed stages (see
+//! [`RestartStage`]) — image read → memory restore → state restore →
 //! drain-buffer reload → lower-half boot → record-log replay → virtual-id
 //! rebind/verification → world resynchronization. Every stage's duration
-//! lands in the [`RestartReport`], the way `CkptReport` breaks down
-//! checkpoint cost.
+//! lands in the [`RestartReport`](crate::stats::RestartReport), the way
+//! `CkptReport` breaks down checkpoint cost.
 //!
 //! Replay is *verified*: the image carries an explicit rebind map
 //! ([`BindSource`]) naming which retained log entry binds each virtual
-//! id, and the engine checks every replayed creation against it. Any
+//! id, and the pipeline checks every replayed creation against it. Any
 //! disagreement — a creation landing where the map does not say, an entry
 //! referencing an unbound id, a live id left unbound — aborts the simulation cleanly
 //! and surfaces as a typed [`RestartError`] instead of a panic.
 
 use crate::chaos::RestartPoint;
-use crate::coordinator::{run_coordinator, CoordCtx};
-use crate::ctrl::CtrlMsg;
-use crate::env::{AppEnv, Workload};
-use crate::helper::{run_helper, HelperCtx};
 use crate::image::CheckpointImage;
 use crate::record::LoggedCall;
 use crate::restart::compact::BindSource;
 use crate::restart::error::RestartError;
-use crate::runner::{
-    install_quiet_kill_hook, io_shape, rank_body_finish, AppWindow, Checksums, ManaJobSpec,
-    RunOutcome,
-};
+use crate::runner::{aspace_lineage, io_shape, ManaJobSpec};
 use crate::shared::{CommMeta, PendingRt, RankShared, WReq};
-use crate::stats::{RankRestartStats, RestartReport, RestartStage, StatsHub};
+use crate::stats::{RankRestartStats, RestartStage};
 use crate::store::CheckpointStore;
-use crate::topology::{build_control_plane, ControlPlane};
 use crate::virtid::{HandleClass, UNBOUND_REAL};
-use crate::wrapper::ManaMpi;
 use mana_mpi::{CommHandle, GroupHandle, Mpi, MpiJob};
-use mana_net::transport::Network;
-use mana_sim::cluster::InterconnectKind;
 use mana_sim::memory::{AddressSpace, Half};
-use mana_sim::sched::{Sim, SimConfig, SimThread};
+use mana_sim::sched::{Sim, SimThread};
 use mana_sim::time::{SimDuration, SimTime};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Panic payload used to abort a rank's simulated thread after a replay
+/// Panic payload used to abort a rank's simulated thread after a restart
 /// failure was recorded; silenced by the quiet panic hook (the scheduler
-/// re-raises it as [`QuietAbort`], silenced likewise) and translated
-/// back into the recorded [`RestartError`] once the simulation unwinds.
+/// re-raises it as [`QuietAbort`](mana_sim::sched::QuietAbort), silenced
+/// likewise) and translated back into the recorded [`RestartError`] once
+/// the simulation unwinds.
 pub(crate) use mana_sim::sched::QuietAbort as ReplayAbort;
-
-/// Shared first-error slot: the first rank to fail replay wins; the rest
-/// of the simulation is torn down.
-type ErrorSlot = Arc<Mutex<Option<RestartError>>>;
 
 /// Records per-stage durations for one rank.
 struct StageClock {
@@ -81,7 +68,7 @@ impl StageClock {
 
 /// One rank's fetched-and-validated image plus the read/decode
 /// accounting that rides into its [`RankRestartStats`].
-struct FetchedImage {
+pub(crate) struct FetchedImage {
     img: CheckpointImage,
     /// Virtual store read duration, charged to the rank's clock in-sim.
     rdur: SimDuration,
@@ -91,250 +78,91 @@ struct FetchedImage {
     pages_shared: u64,
 }
 
-/// The staged restart pipeline for one checkpoint of one job spec.
-pub struct RestartEngine<'a> {
-    store: &'a Arc<dyn CheckpointStore>,
-    ckpt_id: u64,
-    spec: &'a ManaJobSpec,
-}
-
-impl<'a> RestartEngine<'a> {
-    /// An engine restoring checkpoint `ckpt_id` from `store` under `spec`
-    /// (which may name a different cluster/implementation/network than
-    /// the original run).
-    pub fn new(
-        store: &'a Arc<dyn CheckpointStore>,
-        ckpt_id: u64,
-        spec: &'a ManaJobSpec,
-    ) -> RestartEngine<'a> {
-        RestartEngine {
-            store,
-            ckpt_id,
-            spec,
-        }
-    }
-
-    /// Fetch, decode and validate one rank's image.
-    fn fetch_rank(&self, rank: u32) -> Result<FetchedImage, RestartError> {
-        let spec = self.spec;
-        // Chaos seam: a rank can die mid image-read, before the
-        // destination sim boots. Nothing has been written, so the attempt
-        // is cleanly retryable.
-        if spec.cfg.chaos.restart_point(rank, RestartPoint::ImageRead) {
-            return Err(RestartError::Interrupted {
-                rank,
-                point: RestartPoint::ImageRead,
-            });
-        }
-        let shape = io_shape(&spec.cluster, rank, spec.nranks, spec.placement);
-        let path = spec.cfg.image_path(self.ckpt_id, rank);
-        let (data, rdur) = self
-            .store
-            .get(&path, u64::from(rank), shape)
-            .map_err(|source| RestartError::MissingImage {
-                rank,
-                ckpt_id: self.ckpt_id,
-                path: path.clone(),
-                source,
-            })?;
-        let (img, decode) =
-            CheckpointImage::decode_shared(&data).map_err(|source| RestartError::CorruptImage {
-                rank,
-                path: path.clone(),
-                source,
-            })?;
-        if img.nranks != spec.nranks {
-            return Err(RestartError::WorldSizeMismatch {
-                image: img.nranks,
-                requested: spec.nranks,
-            });
-        }
-        if img.comms.is_empty() || !img.comms.iter().any(|c| c.virt == img.world_virt) {
-            return Err(RestartError::NoWorldComm { rank, path });
-        }
-        // Internal consistency of decodable images: every pending
-        // collective's communicator must be in the live set (the
-        // restore would otherwise have nothing to re-engage).
-        for p in &img.pending {
-            if !img.comms.iter().any(|c| c.virt == p.comm_virt) {
-                return Err(RestartError::MalformedImage {
-                    rank,
-                    why: format!(
-                        "pending collective {:#x} references communicator {:#x} \
-                         the image does not carry (at '{path}')",
-                        p.vreq, p.comm_virt
-                    ),
-                });
-            }
-        }
-        Ok(FetchedImage {
-            img,
-            rdur,
-            bytes_copied: decode.bytes_copied,
-            pages_shared: decode.pages_shared,
-        })
-    }
-
-    /// Fetch, decode and validate every rank's image *before* the
-    /// destination simulation boots, so storage and format failures
-    /// surface as typed errors without spinning up threads. The read
-    /// durations are charged to each rank's clock inside the simulation.
-    /// Ranks are fetched in order, so the lowest failing rank's error wins.
-    fn fetch_images(&self) -> Result<Vec<FetchedImage>, RestartError> {
-        (0..self.spec.nranks)
-            .map(|rank| self.fetch_rank(rank))
-            .collect()
-    }
-
-    /// Run the pipeline and the restarted application to completion (or
-    /// kill). A restart *is* a fresh set of processes, so this boots a
-    /// fresh simulation.
-    pub fn run(
-        &self,
-        workload: Arc<dyn Workload>,
-    ) -> Result<(RunOutcome, StatsHub, RestartReport), RestartError> {
-        install_quiet_kill_hook();
-        // Open a restart attempt on the chaos seam before any rank's
-        // image is fetched: restart faults are keyed by chain-wide
-        // restart-attempt number, and the gate resets here.
-        self.spec.cfg.chaos.begin_restart();
-        let images = self.fetch_images()?;
-        let spec = self.spec;
-        // A restart is a fresh incarnation of the chain: reset the chaos
-        // seam's per-incarnation state (kill thunks, crash gate).
-        spec.cfg.chaos.begin_incarnation();
-
-        let sim = Sim::new(SimConfig { seed: spec.seed });
-        let hub = StatsHub::new();
-        let checksums: Checksums = Arc::new(Mutex::new(BTreeMap::new()));
-        let killed = Arc::new(Mutex::new(false));
-        let window: AppWindow = Arc::new(Mutex::new((None, None)));
-        let restart_stats: Arc<Mutex<Vec<(RankRestartStats, SimTime)>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let errslot: ErrorSlot = Arc::new(Mutex::new(None));
-
-        let job = MpiJob::new(
-            &sim,
-            spec.cluster.clone(),
-            spec.nranks,
-            spec.placement,
-            spec.profile.clone(),
-        );
-        let ctrl = Network::<CtrlMsg>::new(&sim, InterconnectKind::Tcp);
-        let cp: ControlPlane = build_control_plane(
-            &sim,
-            &ctrl,
-            &spec.cluster,
-            spec.nranks,
-            spec.placement,
-            &spec.cfg,
-        );
-        {
-            let cx = CoordCtx {
-                topo: cp.topo.clone(),
-                cfg: spec.cfg.clone(),
-                hub: hub.clone(),
-                store: self.store.clone(),
-            };
-            sim.spawn("coordinator", true, move |t| run_coordinator(t, cx));
-        }
-        for (rank, fetched) in images.into_iter().enumerate() {
-            let rank = rank as u32;
-            let (job, workload, checksums, killed, restart_stats, window, errslot) = (
-                job.clone(),
-                workload.clone(),
-                checksums.clone(),
-                killed.clone(),
-                restart_stats.clone(),
-                window.clone(),
-                errslot.clone(),
-            );
-            let (spec, ctrl, store) = (spec.clone(), ctrl.clone(), self.store.clone());
-            let my_ep = cp.helper_eps[rank as usize];
-            let parent_ep = cp.parent_eps[rank as usize];
-            let sim2 = sim.clone();
-            sim.spawn(&format!("rank{rank}"), false, move |t| {
-                let (sh, wrapper, stats) = match rank_restore(&t, &sim2, &job, &spec, rank, fetched)
-                {
-                    Ok(out) => out,
-                    Err(e) => {
-                        let mut slot = errslot.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        drop(slot);
-                        // Unwind this rank; the scheduler propagates the
-                        // failure and tears the simulation down. The quiet
-                        // hook keeps it silent; the engine translates it
-                        // back into the recorded typed error.
-                        std::panic::panic_any(ReplayAbort);
-                    }
-                };
-                restart_stats.lock().push((stats, t.now()));
-                let shape = io_shape(&spec.cluster, rank, spec.nranks, spec.placement);
-                let hx = HelperCtx {
-                    sh: sh.clone(),
-                    ctrl,
-                    my_ep,
-                    parent_ep,
-                    cfg: spec.cfg.clone(),
-                    store,
-                    io_shape: shape,
-                };
-                sim2.spawn(&format!("helper{rank}"), true, move |ht| run_helper(ht, hx));
-                let mut env = AppEnv::mana(t.clone(), wrapper, sh);
-                rank_body_finish(&t, &mut env, &workload, &checksums, &killed, &window);
-            });
-        }
-        let sim_result = catch_unwind(AssertUnwindSafe(|| sim.run()));
-        if let Some(err) = errslot.lock().take() {
-            return Err(err);
-        }
-        if let Err(payload) = sim_result {
-            std::panic::resume_unwind(payload);
-        }
-
-        let mut ranks: Vec<RankRestartStats> = Vec::new();
-        let mut resumed_max = SimTime::ZERO;
-        for (s, at) in restart_stats.lock().iter() {
-            ranks.push(s.clone());
-            resumed_max = resumed_max.max(*at);
-        }
-        ranks.sort_by_key(|r| r.rank);
-        let report = RestartReport {
-            ranks,
-            total: resumed_max.since(SimTime::ZERO),
-        };
-        hub.push_restart(report.clone());
-        let checksums_out = checksums.lock().clone();
-        let killed_out = *killed.lock();
-        Ok((
-            RunOutcome {
-                wall: sim.now().since(SimTime::ZERO),
-                app_wall: crate::runner::app_wall_of(&window),
-                checksums: checksums_out,
-                killed: killed_out,
-                sched: sim.sched_stats(),
-            },
-            hub,
-            report,
-        ))
-    }
-}
-
-/// Engine entry used by the session API.
-pub(crate) fn restart_engine(
+/// Fetch, decode and validate one rank's image of checkpoint `ckpt_id`.
+fn fetch_rank(
     store: &Arc<dyn CheckpointStore>,
     ckpt_id: u64,
     spec: &ManaJobSpec,
-    workload: Arc<dyn Workload>,
-) -> Result<(RunOutcome, StatsHub, RestartReport), RestartError> {
-    RestartEngine::new(store, ckpt_id, spec).run(workload)
+    rank: u32,
+) -> Result<FetchedImage, RestartError> {
+    // Chaos seam: a rank can die mid image-read, before the destination
+    // sim boots. Nothing has been written, so the attempt is cleanly
+    // retryable.
+    if spec.cfg.chaos.restart_point(rank, RestartPoint::ImageRead) {
+        return Err(RestartError::Interrupted {
+            rank,
+            point: RestartPoint::ImageRead,
+        });
+    }
+    let shape = io_shape(&spec.cluster, rank, spec.nranks, spec.placement);
+    let path = spec.cfg.image_path(ckpt_id, rank);
+    let (data, rdur) =
+        store
+            .get(&path, u64::from(rank), shape)
+            .map_err(|source| RestartError::MissingImage {
+                rank,
+                ckpt_id,
+                path: path.clone(),
+                source,
+            })?;
+    let (img, decode) =
+        CheckpointImage::decode_shared(&data).map_err(|source| RestartError::CorruptImage {
+            rank,
+            path: path.clone(),
+            source,
+        })?;
+    if img.nranks != spec.nranks {
+        return Err(RestartError::WorldSizeMismatch {
+            image: img.nranks,
+            requested: spec.nranks,
+        });
+    }
+    if img.comms.is_empty() || !img.comms.iter().any(|c| c.virt == img.world_virt) {
+        return Err(RestartError::NoWorldComm { rank, path });
+    }
+    // Internal consistency of decodable images: every pending
+    // collective's communicator must be in the live set (the
+    // restore would otherwise have nothing to re-engage).
+    for p in &img.pending {
+        if !img.comms.iter().any(|c| c.virt == p.comm_virt) {
+            return Err(RestartError::MalformedImage {
+                rank,
+                why: format!(
+                    "pending collective {:#x} references communicator {:#x} \
+                     the image does not carry (at '{path}')",
+                    p.vreq, p.comm_virt
+                ),
+            });
+        }
+    }
+    Ok(FetchedImage {
+        img,
+        rdur,
+        bytes_copied: decode.bytes_copied,
+        pages_shared: decode.pages_shared,
+    })
 }
 
-/// The per-rank pipeline: every stage timed, every failure typed.
+/// Fetch, decode and validate every rank's image *before* the
+/// destination simulation boots, so storage and format failures surface
+/// as typed errors without spinning up threads. The read durations are
+/// charged to each rank's clock inside the simulation. Ranks are fetched
+/// in order, so the lowest failing rank's error wins.
+pub(crate) fn fetch_images(
+    store: &Arc<dyn CheckpointStore>,
+    ckpt_id: u64,
+    spec: &ManaJobSpec,
+) -> Result<Vec<FetchedImage>, RestartError> {
+    (0..spec.nranks)
+        .map(|rank| fetch_rank(store, ckpt_id, spec, rank))
+        .collect()
+}
+
+/// The per-rank pipeline: every stage timed, every failure typed. Returns
+/// the restored rank state and its fresh lower half, ready for
+/// `ManaMpi::resumed`.
 #[allow(clippy::type_complexity)]
-fn rank_restore(
+pub(crate) fn rank_restore(
     t: &SimThread,
     sim: &Sim,
     job: &Arc<MpiJob>,
@@ -361,11 +189,7 @@ fn rank_restore(
     // and shares the rest with the image it restored from. The new
     // incarnation stamps its own lineage into its dirty summaries.
     let aspace = Arc::new(AddressSpace::new());
-    aspace.set_lineage(crate::runner::aspace_lineage(
-        img.seed,
-        rank,
-        img.ckpt_id + 1,
-    ));
+    aspace.set_lineage(aspace_lineage(img.seed, rank, img.ckpt_id + 1));
     for r in &img.regions {
         aspace
             .restore_region(r)
@@ -420,10 +244,9 @@ fn rank_restore(
     lower.barrier(t, lower.comm_world());
     clock.mark(t, RestartStage::Resync);
 
-    let wrapper: Arc<dyn Mpi> = Arc::new(ManaMpi::resumed(sh.clone(), lower, spec.cfg.clone()));
     Ok((
         sh,
-        wrapper,
+        lower,
         RankRestartStats {
             rank,
             stages: clock.stages,

@@ -2,14 +2,15 @@
 //! record-log compaction.
 //!
 //! MANA's restart path (paper §2.2) boots a brand-new lower half and
-//! re-executes the log of state-mutating MPI calls against it. This
-//! module makes that path a first-class, inspectable pipeline instead of
-//! a free function:
+//! re-executes the log of state-mutating MPI calls against it. A restart
+//! boots through the same boot as a fresh launch ([`crate::runner`]);
+//! this module makes what differs a first-class, inspectable pipeline:
 //!
-//! * [`engine::RestartEngine`] runs typed, individually-timed stages per
-//!   rank — image read, memory restore, state restore, drain-buffer
-//!   reload, lower-half boot, log replay, virtual-id rebind/verify, world
-//!   resync — and reports each stage through
+//! * [`engine`] fetches and validates every rank's image before the
+//!   simulation boots, then runs typed, individually-timed stages on each
+//!   restarted rank — image read, memory restore, state restore,
+//!   drain-buffer reload, lower-half boot, log replay, virtual-id
+//!   rebind/verify, world resync — and reports each stage through
 //!   [`crate::stats::RestartReport`], the way `CkptReport` breaks down
 //!   checkpoint cost.
 //! * [`compact::LogCompactor`] prunes the record log before it is written
@@ -36,5 +37,4 @@ pub mod engine;
 pub mod error;
 
 pub use compact::{BindSource, CompactedLog, CompactionStats, LiveSet, LogCompactor, RebindEntry};
-pub use engine::RestartEngine;
 pub use error::RestartError;

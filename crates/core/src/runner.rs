@@ -1,8 +1,15 @@
-//! Job launch engines: running an application natively and launching it
-//! under MANA on a fresh simulation. The restart path — booting a new
-//! lower half from checkpoint images and replaying the opaque-object log
-//! (§2.1/§2.2) — lives in the [`crate::restart`] subsystem; the session
-//! API ([`crate::session`]) is the lifecycle surface over both.
+//! The boot: every incarnation — a native baseline run, a fresh MANA
+//! launch, a restart from checkpoint images — starts through one
+//! crate-private `boot`. It builds the simulation, the MPI job and the
+//! collectors once, spawns every rank with one body and collects one
+//! [`RunOutcome`]. What differs is only how a rank comes up: a native
+//! rank maps a fresh upper half over the bare library; a MANA rank gets
+//! its helper, its wrapper and a control plane with a coordinator beside
+//! it, and its upper half is either freshly mapped or restored by the
+//! [`crate::restart`] pipeline from a pre-fetched image (§2.1: a restart
+//! *is* a fresh launch of the bootstrap, into which the upper half is
+//! restored). The session API ([`crate::session`]) is the lifecycle
+//! surface over all three.
 
 use crate::cell::JobKilled;
 use crate::config::ManaConfig;
@@ -10,11 +17,13 @@ use crate::coordinator::{run_coordinator, CoordCtx};
 use crate::ctrl::CtrlMsg;
 use crate::env::{AppEnv, Workload};
 use crate::helper::{run_helper, HelperCtx};
+use crate::restart::engine::{fetch_images, rank_restore, ReplayAbort};
+use crate::restart::RestartError;
 use crate::shared::RankShared;
 use crate::split::UpperProgram;
-use crate::stats::StatsHub;
+use crate::stats::{CkptReport, RankRestartStats, RestartReport};
 use crate::store::CheckpointStore;
-use crate::topology::{build_control_plane, ControlPlane};
+use crate::topology::build_control_plane;
 use crate::wrapper::ManaMpi;
 use mana_mpi::{Mpi, MpiAborted, MpiJob, MpiProfile};
 use mana_net::transport::Network;
@@ -66,25 +75,27 @@ pub struct RunOutcome {
     pub sched: SchedStats,
 }
 
-/// Shared (start, end) window collector for app_wall measurement.
-pub(crate) type AppWindow = Arc<Mutex<(Option<SimTime>, Option<SimTime>)>>;
-
-/// Shared per-rank checksum collector.
-pub(crate) type Checksums = Arc<Mutex<BTreeMap<u32, u64>>>;
-
-pub(crate) fn app_wall_of(w: &AppWindow) -> SimDuration {
-    let g = w.lock();
-    match (g.0, g.1) {
-        (Some(s), Some(e)) => e.since(s),
-        _ => SimDuration::ZERO,
-    }
+/// What a boot collects while its simulation runs: ranks push their
+/// checksums, the kill flag and the application window; the coordinator
+/// pushes its checkpoint reports.
+#[derive(Clone, Default)]
+struct Collectors {
+    checksums: Arc<Mutex<BTreeMap<u32, u64>>>,
+    killed: Arc<Mutex<bool>>,
+    /// Earliest workload entry and latest workload exit (`app_wall`).
+    window: Arc<Mutex<(Option<SimTime>, Option<SimTime>)>>,
+    ckpts: Arc<Mutex<Vec<CkptReport>>>,
 }
+
+/// One rank's bring-up, run on the rank's own thread: everything before
+/// its workload starts. An error fails the whole boot.
+type BringUp = Box<dyn FnOnce(&SimThread) -> Result<AppEnv, RestartError> + Send>;
 
 /// Install (once) a panic hook that silences the expected control-flow
 /// unwinds (`JobKilled` at kill-resume, `MpiAborted` from aborted blocking
-/// calls, the restart engine's `ReplayAbort`); real panics still reach the
-/// previous hook.
-pub(crate) fn install_quiet_kill_hook() {
+/// calls, the boot's `ReplayAbort`); real panics still reach the previous
+/// hook.
+fn install_quiet_kill_hook() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -92,10 +103,7 @@ pub(crate) fn install_quiet_kill_hook() {
         std::panic::set_hook(Box::new(move |info| {
             if info.payload().downcast_ref::<JobKilled>().is_none()
                 && info.payload().downcast_ref::<MpiAborted>().is_none()
-                && info
-                    .payload()
-                    .downcast_ref::<crate::restart::engine::ReplayAbort>()
-                    .is_none()
+                && info.payload().downcast_ref::<ReplayAbort>().is_none()
             {
                 prev(info);
             }
@@ -115,36 +123,29 @@ pub(crate) fn io_shape(
     }
 }
 
-pub(crate) fn rank_body_finish(
-    t: &SimThread,
-    env: &mut AppEnv,
-    workload: &Arc<dyn Workload>,
-    checksums: &Arc<Mutex<BTreeMap<u32, u64>>>,
-    killed: &Arc<Mutex<bool>>,
-    window: &AppWindow,
-) {
+fn rank_body_finish(t: &SimThread, env: &mut AppEnv, workload: &Arc<dyn Workload>, c: &Collectors) {
     let rank = env.rank();
     {
-        let mut w = window.lock();
+        let mut w = c.window.lock();
         let now = t.now();
         w.0 = Some(w.0.map_or(now, |s| s.min(now)));
     }
     let result = catch_unwind(AssertUnwindSafe(|| workload.run(env)));
     {
-        let mut w = window.lock();
+        let mut w = c.window.lock();
         let now = t.now();
         w.1 = Some(w.1.map_or(now, |e| e.max(now)));
     }
     match result {
         Ok(()) => {
-            checksums.lock().insert(rank, env.state_checksum());
+            c.checksums.lock().insert(rank, env.state_checksum());
             env.mpi().finalize(t);
         }
         Err(payload) => {
             if payload.downcast_ref::<JobKilled>().is_some()
                 || payload.downcast_ref::<MpiAborted>().is_some()
             {
-                *killed.lock() = true;
+                *c.killed.lock() = true;
             } else {
                 resume_unwind(payload);
             }
@@ -163,182 +164,189 @@ pub(crate) fn aspace_lineage(seed: u64, rank: u32, incarnation: u64) -> u64 {
     splitmix64(seed ^ (u64::from(rank) << 32) ^ splitmix64(incarnation))
 }
 
-/// Engine behind `ManaSession::run_native`: run a workload natively (no
-/// MANA) to completion on a fresh simulation. The baseline for every
-/// runtime-overhead figure.
-pub(crate) fn native_engine(
-    cluster: ClusterSpec,
-    nranks: u32,
-    placement: Placement,
-    profile: MpiProfile,
-    seed: u64,
-    workload: Arc<dyn Workload>,
-) -> RunOutcome {
-    install_quiet_kill_hook();
-    let sim = Sim::new(SimConfig { seed });
-    let job = MpiJob::new(&sim, cluster, nranks, placement, profile.clone());
-    let checksums = Arc::new(Mutex::new(BTreeMap::new()));
-    let killed = Arc::new(Mutex::new(false));
-    let window: AppWindow = Arc::new(Mutex::new((None, None)));
-    for rank in 0..nranks {
-        let (job, workload, checksums, killed, window) = (
-            job.clone(),
-            workload.clone(),
-            checksums.clone(),
-            killed.clone(),
-            window.clone(),
-        );
-        let profile = profile.clone();
-        sim.spawn(&format!("rank{rank}"), false, move |t| {
-            let aspace = Arc::new(AddressSpace::new());
-            UpperProgram::typical(&profile)
-                .map_fresh(&aspace, workload.name(), rank, seed)
-                .expect("upper program");
-            let lower: Arc<dyn Mpi> = Arc::from(job.init_rank(&t, rank, &aspace));
-            let mut env = AppEnv::native(t.clone(), lower, aspace, rank, nranks, seed);
-            rank_body_finish(&t, &mut env, &workload, &checksums, &killed, &window);
-        });
-    }
-    sim.run();
-    let wall = sim.now().since(SimTime::ZERO);
-    let checksums_out = checksums.lock().clone();
-    let killed_out = *killed.lock();
-    RunOutcome {
-        wall,
-        app_wall: app_wall_of(&window),
-        checksums: checksums_out,
-        killed: killed_out,
-        sched: sim.sched_stats(),
-    }
+/// A fresh address space holding `rank`'s freshly mapped upper half.
+fn map_upper(profile: &MpiProfile, app_name: &str, rank: u32, seed: u64) -> Arc<AddressSpace> {
+    let aspace = Arc::new(AddressSpace::new());
+    UpperProgram::typical(profile)
+        .map_fresh(&aspace, app_name, rank, seed)
+        .expect("upper program");
+    aspace
 }
 
-/// Engine behind the session API: launch a MANA job on `sim` writing
-/// images through `store`. The caller drives `sim.run()` and then reads
-/// the collectors.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn launch_engine(
-    sim: &Sim,
-    store: &Arc<dyn CheckpointStore>,
+/// Boot one incarnation of `spec` and run it to completion (or kill).
+/// `wire` sets up whatever runs beside the ranks and returns each rank's
+/// bring-up, in rank order. A rank whose bring-up fails records the first
+/// error and aborts the simulation; the boot returns that error. Returns
+/// the outcome and the coordinator's checkpoint reports.
+fn boot(
     spec: &ManaJobSpec,
-    hub: &StatsHub,
-    workload: Arc<dyn Workload>,
-    checksums: Checksums,
-    killed: Arc<Mutex<bool>>,
-    window: AppWindow,
-) -> Arc<MpiJob> {
+    workload: &Arc<dyn Workload>,
+    wire: impl FnOnce(&Sim, &Arc<MpiJob>, &Collectors) -> Vec<BringUp>,
+) -> Result<(RunOutcome, Vec<CkptReport>), RestartError> {
     install_quiet_kill_hook();
+    let sim = Sim::new(SimConfig { seed: spec.seed });
     let job = MpiJob::new(
-        sim,
+        &sim,
         spec.cluster.clone(),
         spec.nranks,
         spec.placement,
         spec.profile.clone(),
     );
-    // Control plane (DMTCP-style TCP, independent of the MPI fabric),
-    // shaped by `spec.cfg.topology` — flat star or per-node tree.
-    let ctrl = Network::<CtrlMsg>::new(sim, InterconnectKind::Tcp);
-    let cp: ControlPlane = build_control_plane(
-        sim,
-        &ctrl,
-        &spec.cluster,
-        spec.nranks,
-        spec.placement,
-        &spec.cfg,
-    );
-    {
-        let cx = CoordCtx {
-            topo: cp.topo.clone(),
-            cfg: spec.cfg.clone(),
-            hub: hub.clone(),
-            store: store.clone(),
-        };
-        sim.spawn("coordinator", true, move |t| run_coordinator(t, cx));
-    }
-    for rank in 0..spec.nranks {
-        let (job, workload, checksums, killed, window) = (
-            job.clone(),
-            workload.clone(),
-            checksums.clone(),
-            killed.clone(),
-            window.clone(),
-        );
-        let (spec, ctrl, store, hub) = (spec.clone(), ctrl.clone(), store.clone(), hub.clone());
-        let my_ep = cp.helper_eps[rank as usize];
-        let parent_ep = cp.parent_eps[rank as usize];
-        let sim2 = sim.clone();
-        let _ = hub;
+    let c = Collectors::default();
+    let errslot: Arc<Mutex<Option<RestartError>>> = Arc::default();
+    for (rank, bring_up) in wire(&sim, &job, &c).into_iter().enumerate() {
+        let (workload, c, errslot) = (workload.clone(), c.clone(), errslot.clone());
         sim.spawn(&format!("rank{rank}"), false, move |t| {
-            let aspace = Arc::new(AddressSpace::new());
-            aspace.set_lineage(aspace_lineage(spec.seed, rank, 0));
-            UpperProgram::typical(&spec.profile)
-                .map_fresh(&aspace, workload.name(), rank, spec.seed)
-                .expect("upper program");
-            let sh = RankShared::new(
-                &sim2,
-                rank,
-                spec.nranks,
-                workload.name(),
-                spec.seed,
-                aspace.clone(),
-            );
-            sh.cell.register_rank(t.id());
-            sh.cell.bind_job(job.clone());
-            let lower: Arc<dyn Mpi> = Arc::from(job.init_rank(&t, rank, &aspace));
-            let wrapper: Arc<dyn Mpi> =
-                Arc::new(ManaMpi::fresh(sh.clone(), lower, spec.cfg.clone()));
-            let hx = HelperCtx {
-                sh: sh.clone(),
-                ctrl,
-                my_ep,
-                parent_ep,
-                cfg: spec.cfg.clone(),
-                store,
-                io_shape: io_shape(&spec.cluster, rank, spec.nranks, spec.placement),
+            let mut env = match bring_up(&t) {
+                Ok(env) => env,
+                Err(e) => {
+                    errslot.lock().get_or_insert(e);
+                    // Unwind this rank; the scheduler tears the simulation
+                    // down, the quiet hook keeps it silent, and the boot
+                    // returns the recorded error.
+                    std::panic::panic_any(ReplayAbort);
+                }
             };
-            sim2.spawn(&format!("helper{rank}"), true, move |ht| run_helper(ht, hx));
-            let mut env = AppEnv::mana(t.clone(), wrapper, sh);
-            rank_body_finish(&t, &mut env, &workload, &checksums, &killed, &window);
+            rank_body_finish(&t, &mut env, &workload, &c);
         });
     }
-    job
+    let ran = catch_unwind(AssertUnwindSafe(|| sim.run()));
+    if let Some(e) = errslot.lock().take() {
+        return Err(e);
+    }
+    if let Err(payload) = ran {
+        resume_unwind(payload);
+    }
+    let window = *c.window.lock();
+    let outcome = RunOutcome {
+        wall: sim.now().since(SimTime::ZERO),
+        app_wall: match window {
+            (Some(s), Some(e)) => e.since(s),
+            _ => SimDuration::ZERO,
+        },
+        checksums: std::mem::take(&mut *c.checksums.lock()),
+        killed: *c.killed.lock(),
+        sched: sim.sched_stats(),
+    };
+    let ckpts = std::mem::take(&mut *c.ckpts.lock());
+    Ok((outcome, ckpts))
 }
 
-/// Engine behind `ManaSession::run`: launch under MANA and run to
-/// completion (or kill) on a fresh simulation.
-pub(crate) fn mana_engine(
+/// Run `workload` natively (no MANA) — the baseline for every
+/// runtime-overhead figure.
+pub(crate) fn boot_native(spec: &ManaJobSpec, workload: Arc<dyn Workload>) -> RunOutcome {
+    let (seed, nranks) = (spec.seed, spec.nranks);
+    let booted = boot(spec, &workload, |_, job, _| {
+        (0..nranks)
+            .map(|rank| {
+                let (job, profile, name) = (job.clone(), spec.profile.clone(), workload.name());
+                Box::new(move |t: &SimThread| {
+                    let aspace = map_upper(&profile, name, rank, seed);
+                    let lower: Arc<dyn Mpi> = Arc::from(job.init_rank(t, rank, &aspace));
+                    Ok(AppEnv::native(t.clone(), lower, aspace, rank, nranks, seed))
+                }) as BringUp
+            })
+            .collect()
+    });
+    booted.expect("native bring-ups cannot fail").0
+}
+
+/// Run `workload` under MANA writing images through `store`: a fresh
+/// launch, or — with `restart_from` — a restart from that checkpoint's
+/// images, which are fetched and validated before the simulation boots.
+/// Returns the outcome, the checkpoint reports and the restart report.
+pub(crate) fn boot_mana(
     store: &Arc<dyn CheckpointStore>,
     spec: &ManaJobSpec,
     workload: Arc<dyn Workload>,
-) -> (RunOutcome, StatsHub) {
-    let sim = Sim::new(SimConfig { seed: spec.seed });
-    let hub = StatsHub::new();
-    let checksums: Checksums = Arc::new(Mutex::new(BTreeMap::new()));
-    let killed = Arc::new(Mutex::new(false));
-    let window: AppWindow = Arc::new(Mutex::new((None, None)));
-    // A fresh simulation is a fresh incarnation: clear any kill thunks a
-    // previous life of this chain registered with the chaos seam.
+    restart_from: Option<u64>,
+) -> Result<(RunOutcome, Vec<CkptReport>, Option<RestartReport>), RestartError> {
+    let images: Vec<_> = match restart_from {
+        None => (0..spec.nranks).map(|_| None).collect(),
+        Some(ckpt_id) => {
+            // Restart faults are keyed by chain-wide restart attempt:
+            // open one before any rank's image is fetched.
+            spec.cfg.chaos.begin_restart();
+            let fetched = fetch_images(store, ckpt_id, spec)?;
+            fetched.into_iter().map(Some).collect()
+        }
+    };
+    // A boot is a fresh incarnation of the chain: clear the chaos seam's
+    // per-incarnation state (kill thunks, crash gate).
     spec.cfg.chaos.begin_incarnation();
-    launch_engine(
-        &sim,
-        store,
-        spec,
-        &hub,
-        workload,
-        checksums.clone(),
-        killed.clone(),
-        window.clone(),
-    );
-    sim.run();
-    let checksums_out = checksums.lock().clone();
-    let killed_out = *killed.lock();
-    (
-        RunOutcome {
-            wall: sim.now().since(SimTime::ZERO),
-            app_wall: app_wall_of(&window),
-            checksums: checksums_out,
-            killed: killed_out,
-            sched: sim.sched_stats(),
-        },
-        hub,
-    )
+    let restarts: Arc<Mutex<Vec<(RankRestartStats, SimTime)>>> = Arc::default();
+    let (outcome, ckpts) = boot(spec, &workload, |sim, job, c| {
+        // Control plane (DMTCP-style TCP, independent of the MPI fabric),
+        // shaped by `spec.cfg.topology` — flat star or per-node tree.
+        let ctrl = Network::<CtrlMsg>::new(sim, InterconnectKind::Tcp);
+        let cp = build_control_plane(
+            sim,
+            &ctrl,
+            &spec.cluster,
+            spec.nranks,
+            spec.placement,
+            &spec.cfg,
+        );
+        let cx = CoordCtx {
+            topo: cp.topo.clone(),
+            cfg: spec.cfg.clone(),
+            ckpts: c.ckpts.clone(),
+            store: store.clone(),
+        };
+        sim.spawn("coordinator", true, move |t| run_coordinator(t, cx));
+        images
+            .into_iter()
+            .zip(0..)
+            .map(|(image, rank)| {
+                let (sim, job, spec, restarts) =
+                    (sim.clone(), job.clone(), spec.clone(), restarts.clone());
+                let (ctrl, store, name) = (ctrl.clone(), store.clone(), workload.name());
+                let my_ep = cp.helper_eps[rank as usize];
+                let parent_ep = cp.parent_eps[rank as usize];
+                Box::new(move |t: &SimThread| {
+                    let (sh, wrapper) = match image {
+                        None => {
+                            let aspace = map_upper(&spec.profile, name, rank, spec.seed);
+                            aspace.set_lineage(aspace_lineage(spec.seed, rank, 0));
+                            let sh =
+                                RankShared::new(&sim, rank, spec.nranks, name, spec.seed, aspace);
+                            sh.cell.register_rank(t.id());
+                            sh.cell.bind_job(job.clone());
+                            let lower = Arc::from(job.init_rank(t, rank, &sh.aspace));
+                            let wrapper = ManaMpi::fresh(sh.clone(), lower, spec.cfg.clone());
+                            (sh, wrapper)
+                        }
+                        Some(image) => {
+                            let (sh, lower, stats) =
+                                rank_restore(t, &sim, &job, &spec, rank, image)?;
+                            restarts.lock().push((stats, t.now()));
+                            let wrapper = ManaMpi::resumed(sh.clone(), lower, spec.cfg.clone());
+                            (sh, wrapper)
+                        }
+                    };
+                    let hx = HelperCtx {
+                        sh: sh.clone(),
+                        ctrl,
+                        my_ep,
+                        parent_ep,
+                        cfg: spec.cfg.clone(),
+                        store,
+                        io_shape: io_shape(&spec.cluster, rank, spec.nranks, spec.placement),
+                    };
+                    sim.spawn(&format!("helper{rank}"), true, move |ht| run_helper(ht, hx));
+                    Ok(AppEnv::mana(t.clone(), Arc::new(wrapper), sh))
+                }) as BringUp
+            })
+            .collect()
+    })?;
+    let restart_report = restart_from.map(|_| {
+        let mut ranks = std::mem::take(&mut *restarts.lock());
+        let resumed = ranks.iter().map(|(_, at)| *at).max();
+        ranks.sort_by_key(|(s, _)| s.rank);
+        RestartReport {
+            ranks: ranks.into_iter().map(|(s, _)| s).collect(),
+            total: resumed.unwrap_or(SimTime::ZERO).since(SimTime::ZERO),
+        }
+    });
+    Ok((outcome, ckpts, restart_report))
 }

@@ -86,10 +86,9 @@ use crate::chaos::ChaosHandle;
 use crate::config::{AfterCkpt, ManaConfig, TopologyKind};
 use crate::env::Workload;
 use crate::error::{SessionError, StoreError};
-use crate::restart::engine::restart_engine;
 use crate::restart::RestartError;
-use crate::runner::{mana_engine, native_engine, ManaJobSpec, RunOutcome};
-use crate::stats::{CkptReport, RestartReport, StatsHub};
+use crate::runner::{boot_mana, boot_native, ManaJobSpec, RunOutcome};
+use crate::stats::{CkptReport, RestartReport};
 use crate::store::{CheckpointStore, FsStore, GcPolicy};
 use mana_mpi::MpiProfile;
 use mana_sim::cluster::{ClusterSpec, Placement};
@@ -122,7 +121,10 @@ type RestartHook = Box<dyn Fn(&RestartEvent<'_>) + Send + Sync>;
 
 struct SessionInner {
     store: Arc<dyn CheckpointStore>,
-    hub: StatsHub,
+    /// Every checkpoint report across the chain, in completion order.
+    ckpts: Mutex<Vec<CkptReport>>,
+    /// Every restart report across the chain, in completion order.
+    restarts: Mutex<Vec<RestartReport>>,
     gc: GcPolicy,
     /// Image paths of every checkpoint the session completed, in
     /// completion order — the unit the GC policy operates on.
@@ -234,7 +236,8 @@ impl SessionBuilder {
                 store: self
                     .store
                     .unwrap_or_else(|| Arc::new(FsStore::with_config(FsConfig::default()))),
-                hub: StatsHub::new(),
+                ckpts: Mutex::new(Vec::new()),
+                restarts: Mutex::new(Vec::new()),
                 gc: self.gc,
                 registry: Mutex::new(Vec::new()),
                 on_checkpoint: self.on_checkpoint,
@@ -273,12 +276,12 @@ impl ManaSession {
 
     /// All checkpoint reports across the whole chain, in completion order.
     pub fn checkpoints(&self) -> Vec<CkptReport> {
-        self.inner.hub.ckpts()
+        self.inner.ckpts.lock().clone()
     }
 
     /// All restart reports across the whole chain, in completion order.
     pub fn restarts(&self) -> Vec<RestartReport> {
-        self.inner.hub.restarts()
+        self.inner.restarts.lock().clone()
     }
 
     /// The tenant this session belongs to, if one was named.
@@ -404,14 +407,7 @@ impl ManaSession {
                 "native runs cannot take checkpoints; drop the checkpoint schedule".into(),
             ));
         }
-        Ok(native_engine(
-            spec.cluster,
-            spec.nranks,
-            spec.placement,
-            spec.profile,
-            spec.seed,
-            workload,
-        ))
+        Ok(boot_native(&spec, workload))
     }
 
     /// Restart `workload` from checkpoint `ckpt_id` in this session's
@@ -446,8 +442,8 @@ impl ManaSession {
         SessionError::Restart(e)
     }
 
-    /// Shared engine entry: run `spec` (fresh or restarted), collect stats,
-    /// fire hooks, wrap the result in an [`Incarnation`].
+    /// Shared entry: boot `spec` (fresh or restarted), collect stats, fire
+    /// hooks, wrap the result in an [`Incarnation`].
     pub(crate) fn run_spec(
         &self,
         mut spec: ManaJobSpec,
@@ -468,18 +464,9 @@ impl ManaSession {
             spec.cfg.first_ckpt_id = *next;
             *next += spec.cfg.ckpt_times.len() as u64;
         }
-        let (outcome, hub, restart_report) = match restart_from {
-            None => {
-                let (outcome, hub) = mana_engine(&self.inner.store, &spec, workload.clone());
-                (outcome, hub, None)
-            }
-            Some(ckpt_id) => {
-                let (outcome, hub, report) =
-                    restart_engine(&self.inner.store, ckpt_id, &spec, workload.clone())
-                        .map_err(|e| self.classify_restart_error(e))?;
-                (outcome, hub, Some(report))
-            }
-        };
+        let (outcome, ckpts, restart_report) =
+            boot_mana(&self.inner.store, &spec, workload.clone(), restart_from)
+                .map_err(|e| self.classify_restart_error(e))?;
         if let Some(report) = &restart_report {
             let event = RestartEvent {
                 incarnation: index,
@@ -488,24 +475,18 @@ impl ManaSession {
             for hook in &self.inner.on_restart {
                 hook(&event);
             }
-            self.inner.hub.push_restart(report.clone());
+            self.inner.restarts.lock().push(report.clone());
         }
-        for report in hub.ckpts() {
+        for report in &ckpts {
             let event = CkptEvent {
                 incarnation: index,
-                report: &report,
+                report,
             };
             for hook in &self.inner.on_checkpoint {
                 hook(&event);
             }
-            let images = CkptImages {
-                ckpt_id: report.ckpt_id,
-                paths: (0..spec.nranks)
-                    .map(|rank| spec.cfg.image_path(report.ckpt_id, rank))
-                    .collect(),
-            };
-            self.inner.hub.push_ckpt(report);
-            self.register_and_gc(images);
+            self.inner.ckpts.lock().push(report.clone());
+            self.register_and_gc(ckpt_images(&spec, report.ckpt_id));
         }
         Ok(Incarnation {
             session: self.clone(),
@@ -513,7 +494,7 @@ impl ManaSession {
             spec,
             workload,
             outcome,
-            hub,
+            ckpts,
             restart_report,
         })
     }
@@ -742,6 +723,16 @@ impl JobBuilder {
     }
 }
 
+/// The image paths of checkpoint `ckpt_id` under `spec`.
+fn ckpt_images(spec: &ManaJobSpec, ckpt_id: u64) -> CkptImages {
+    CkptImages {
+        ckpt_id,
+        paths: (0..spec.nranks)
+            .map(|rank| spec.cfg.image_path(ckpt_id, rank))
+            .collect(),
+    }
+}
+
 /// Image paths of one completed checkpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CkptImages {
@@ -759,7 +750,7 @@ pub struct Incarnation {
     spec: ManaJobSpec,
     workload: Arc<dyn Workload>,
     outcome: RunOutcome,
-    hub: StatsHub,
+    ckpts: Vec<CkptReport>,
     restart_report: Option<RestartReport>,
 }
 
@@ -799,14 +790,9 @@ impl Incarnation {
         self.outcome.killed
     }
 
-    /// This incarnation's measurement hub.
-    pub fn stats(&self) -> &StatsHub {
-        &self.hub
-    }
-
     /// Checkpoints completed during this incarnation.
     pub fn ckpts(&self) -> Vec<CkptReport> {
-        self.hub.ckpts()
+        self.ckpts.clone()
     }
 
     /// Restart measurements, if this incarnation booted from a checkpoint.
@@ -816,21 +802,15 @@ impl Incarnation {
 
     /// Image paths of every checkpoint this incarnation completed.
     pub fn checkpoint_images(&self) -> Vec<CkptImages> {
-        self.hub
-            .ckpts()
+        self.ckpts
             .iter()
-            .map(|r| CkptImages {
-                ckpt_id: r.ckpt_id,
-                paths: (0..self.spec.nranks)
-                    .map(|rank| self.spec.cfg.image_path(r.ckpt_id, rank))
-                    .collect(),
-            })
+            .map(|r| ckpt_images(&self.spec, r.ckpt_id))
             .collect()
     }
 
     /// Id of the most recent checkpoint this incarnation completed.
     pub fn latest_checkpoint(&self) -> Option<u64> {
-        self.hub.ckpts().iter().map(|r| r.ckpt_id).max()
+        self.ckpts.iter().map(|r| r.ckpt_id).max()
     }
 
     /// Id of the most recent checkpoint this incarnation completed whose
@@ -841,7 +821,7 @@ impl Incarnation {
     /// always keeps the newest).
     pub fn latest_surviving_checkpoint(&self) -> Option<u64> {
         let store = self.session.store();
-        let mut ids: Vec<u64> = self.hub.ckpts().iter().map(|r| r.ckpt_id).collect();
+        let mut ids: Vec<u64> = self.ckpts.iter().map(|r| r.ckpt_id).collect();
         ids.sort_unstable();
         ids.into_iter().rev().find(|id| {
             (0..self.spec.nranks).all(|rank| store.exists(&self.spec.cfg.image_path(*id, rank)))

@@ -1,8 +1,6 @@
 //! Checkpoint/restart instrumentation (feeds Figures 6–8).
 
 use mana_sim::time::{SimDuration, SimTime};
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// Per-rank measurements for one checkpoint.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -298,46 +296,6 @@ impl RestartReport {
     }
 }
 
-/// Shared collector handed to coordinator/restart engines; read by the
-/// benchmark harness after the simulation finishes.
-#[derive(Clone, Default)]
-pub struct StatsHub {
-    inner: Arc<Mutex<HubInner>>,
-}
-
-#[derive(Default)]
-struct HubInner {
-    ckpts: Vec<CkptReport>,
-    restarts: Vec<RestartReport>,
-}
-
-impl StatsHub {
-    /// Fresh collector.
-    pub fn new() -> StatsHub {
-        StatsHub::default()
-    }
-
-    /// Record a completed checkpoint.
-    pub fn push_ckpt(&self, r: CkptReport) {
-        self.inner.lock().ckpts.push(r);
-    }
-
-    /// Record a completed restart.
-    pub fn push_restart(&self, r: RestartReport) {
-        self.inner.lock().restarts.push(r);
-    }
-
-    /// All checkpoint reports so far.
-    pub fn ckpts(&self) -> Vec<CkptReport> {
-        self.inner.lock().ckpts.clone()
-    }
-
-    /// All restart reports so far.
-    pub fn restarts(&self) -> Vec<RestartReport> {
-        self.inner.lock().restarts.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,13 +392,5 @@ mod tests {
             .iter()
             .any(|(s, d)| *s == RestartStage::Replay && *d == SimDuration::millis(9)));
         assert_eq!(RestartStage::Replay.to_string(), "replay");
-    }
-
-    #[test]
-    fn hub_collects() {
-        let hub = StatsHub::new();
-        hub.push_restart(RestartReport::default());
-        assert_eq!(hub.restarts().len(), 1);
-        assert!(hub.ckpts().is_empty());
     }
 }

@@ -87,27 +87,28 @@ pub trait CoordTopology: Send + Sync {
 /// model the sender/receiver CPU on top of it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CtrlCpu {
-    /// Per-frame send CPU to another node (TCP socket + framing).
+    /// Per-frame send CPU to another node (TCP socket + framing). The
+    /// flat coordinator serializes this over all ranks, which is what
+    /// makes the paper's "communication overhead" grow with rank count
+    /// (Figure 8).
     pub send: SimDuration,
     /// Per-frame send CPU to the same node (loopback/UNIX socket).
     pub send_intra: SimDuration,
     /// Per-frame receive CPU for cross-node frames (socket polling over
     /// many descriptors, small-message metadata — §3.4).
     pub recv: SimDuration,
-    /// Per-frame receive CPU for same-node frames.
+    /// Per-frame receive CPU for same-node frames (a sub-coordinator
+    /// gathering its local helpers' replies).
     pub recv_intra: SimDuration,
 }
 
-impl CtrlCpu {
-    fn of(cfg: &ManaConfig) -> CtrlCpu {
-        CtrlCpu {
-            send: cfg.ctrl_send_cpu,
-            send_intra: cfg.ctrl_send_cpu_intra,
-            recv: cfg.ctrl_recv_cpu,
-            recv_intra: cfg.ctrl_recv_cpu_intra,
-        }
-    }
-}
+/// The control plane's CPU rates.
+pub(crate) const CTRL_CPU: CtrlCpu = CtrlCpu {
+    send: SimDuration::micros(30),
+    send_intra: SimDuration::micros(4),
+    recv: SimDuration::micros(80),
+    recv_intra: SimDuration::micros(9),
+};
 
 fn recv_on(
     t: &SimThread,
@@ -132,16 +133,15 @@ fn send_from(
     ctrl: &Network<CtrlMsg>,
     src: EndpointId,
     dst: EndpointId,
-    cpu: CtrlCpu,
     msg: CtrlMsg,
 ) {
     // Per-destination socket cost: a star coordinator serializes this over
     // all ranks (Figure 8's growing communication overhead). Same-node
     // destinations are charged the cheaper loopback rate.
     if ctrl.node_of(src) == ctrl.node_of(dst) {
-        t.advance(cpu.send_intra);
+        t.advance(CTRL_CPU.send_intra);
     } else {
-        t.advance(cpu.send);
+        t.advance(CTRL_CPU.send);
     }
     let bytes = ctrl_msg_bytes(&msg);
     ctrl.send(src, dst, bytes, msg);
@@ -230,7 +230,6 @@ pub struct FlatTopology {
     ctrl: Arc<Network<CtrlMsg>>,
     my_ep: EndpointId,
     rank_eps: Vec<EndpointId>,
-    cpu: CtrlCpu,
 }
 
 impl FlatTopology {
@@ -240,20 +239,18 @@ impl FlatTopology {
         ctrl: Arc<Network<CtrlMsg>>,
         my_ep: EndpointId,
         rank_eps: Vec<EndpointId>,
-        cfg: &ManaConfig,
     ) -> FlatTopology {
         FlatTopology {
             ctrl,
             my_ep,
             rank_eps,
-            cpu: CtrlCpu::of(cfg),
         }
     }
 
     fn recv(&self, t: &SimThread) -> CtrlMsg {
         // The star root's inbox mixes frames from every node, so its
         // polling cost is charged at the cross-node rate.
-        recv_on(t, &self.ctrl, self.my_ep, self.cpu.recv)
+        recv_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv)
     }
 }
 
@@ -272,7 +269,7 @@ impl CoordTopology for FlatTopology {
 
     fn fanout(&self, t: &SimThread, mk: &dyn Fn() -> CtrlMsg) {
         for ep in &self.rank_eps {
-            send_from(t, &self.ctrl, self.my_ep, *ep, self.cpu, mk());
+            send_from(t, &self.ctrl, self.my_ep, *ep, mk());
         }
     }
 
@@ -298,14 +295,7 @@ impl CoordTopology for FlatTopology {
 
     fn scatter_expected(&self, t: &SimThread, _ckpt_id: u64, per_rank: Vec<Vec<(u32, u64)>>) {
         for (ep, from) in self.rank_eps.iter().zip(per_rank) {
-            send_from(
-                t,
-                &self.ctrl,
-                self.my_ep,
-                *ep,
-                self.cpu,
-                CtrlMsg::ExpectedIn { from },
-            );
+            send_from(t, &self.ctrl, self.my_ep, *ep, CtrlMsg::ExpectedIn { from });
         }
     }
 
@@ -351,12 +341,11 @@ pub struct TreeTopology {
     /// (rank-indexed).
     child_of_rank: Vec<u32>,
     nranks: u32,
-    cpu: CtrlCpu,
 }
 
 impl TreeTopology {
     fn recv(&self, t: &SimThread) -> CtrlMsg {
-        recv_on(t, &self.ctrl, self.my_ep, self.cpu.recv)
+        recv_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv)
     }
 }
 
@@ -377,7 +366,7 @@ impl CoordTopology for TreeTopology {
         // One downward frame per node; the sub-coordinators replicate to
         // their local ranks concurrently with each other.
         for c in &self.children {
-            send_from(t, &self.ctrl, self.my_ep, c.ep, self.cpu, mk());
+            send_from(t, &self.ctrl, self.my_ep, c.ep, mk());
         }
     }
 
@@ -447,7 +436,6 @@ impl CoordTopology for TreeTopology {
                 &self.ctrl,
                 self.my_ep,
                 c.ep,
-                self.cpu,
                 CtrlMsg::ExpectedInBatch { per_rank },
             );
         }
@@ -479,7 +467,6 @@ struct SubCoordCtx {
     node: u32,
     /// `(rank, helper endpoint)` for the node's ranks.
     local: Vec<(u32, EndpointId)>,
-    cpu: CtrlCpu,
     /// Fault-injection seam: may order this sub-coordinator killed
     /// mid-agreement, exercising the promotion/failover path.
     chaos: ChaosHandle,
@@ -492,23 +479,23 @@ impl SubCoordCtx {
 
     /// Receive a frame from the root (cross-node polling rate).
     fn recv(&self, t: &SimThread) -> CtrlMsg {
-        recv_on(t, &self.ctrl, self.my_ep, self.cpu.recv)
+        recv_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv)
     }
 
     /// Receive a reply from one of the node's own helpers: same-node
     /// loopback frames are charged the cheaper intra rate — the whole
     /// point of putting a sub-coordinator on every node.
     fn recv_local(&self, t: &SimThread) -> CtrlMsg {
-        recv_on(t, &self.ctrl, self.my_ep, self.cpu.recv_intra)
+        recv_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv_intra)
     }
 
     fn send_root(&self, t: &SimThread, msg: CtrlMsg) {
-        send_from(t, &self.ctrl, self.my_ep, self.root_ep, self.cpu, msg);
+        send_from(t, &self.ctrl, self.my_ep, self.root_ep, msg);
     }
 
     fn fan_out(&self, t: &SimThread, mk: impl Fn() -> CtrlMsg) {
         for (_, ep) in &self.local {
-            send_from(t, &self.ctrl, self.my_ep, *ep, self.cpu, mk());
+            send_from(t, &self.ctrl, self.my_ep, *ep, mk());
         }
     }
 
@@ -598,14 +585,7 @@ impl SubCoordCtx {
                     self.role()
                 )
             });
-            send_from(
-                t,
-                &self.ctrl,
-                self.my_ep,
-                ep,
-                self.cpu,
-                CtrlMsg::ExpectedIn { from },
-            );
+            send_from(t, &self.ctrl, self.my_ep, ep, CtrlMsg::ExpectedIn { from });
         }
 
         // Roll up the node's completions into one frame.
@@ -715,12 +695,7 @@ pub fn build_control_plane(
     let helper_eps: Vec<EndpointId> = node_of.iter().map(|n| ctrl.add_endpoint(*n)).collect();
     match cfg.topology {
         TopologyKind::Flat => {
-            let topo = Arc::new(FlatTopology::new(
-                ctrl.clone(),
-                my_ep,
-                helper_eps.clone(),
-                cfg,
-            ));
+            let topo = Arc::new(FlatTopology::new(ctrl.clone(), my_ep, helper_eps.clone()));
             ControlPlane {
                 topo,
                 parent_eps: vec![my_ep; nranks as usize],
@@ -750,7 +725,6 @@ pub fn build_control_plane(
                         .iter()
                         .map(|r| (*r, helper_eps[*r as usize]))
                         .collect(),
-                    cpu: CtrlCpu::of(cfg),
                     chaos: cfg.chaos.clone(),
                 };
                 children.push(SubLink { ep: sub_ep });
@@ -764,7 +738,6 @@ pub fn build_control_plane(
                 children,
                 child_of_rank,
                 nranks,
-                cpu: CtrlCpu::of(cfg),
             });
             ControlPlane {
                 topo,
@@ -919,7 +892,6 @@ pub fn assert_topologies_agree(a: &TopologyRunReport, b: &TopologyRunReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mana_sim::kernel::KernelModel;
     use mana_sim::sched::SimConfig;
 
     /// Intra-node control frames (a tree sub-coordinator's local fan-out)
@@ -927,8 +899,7 @@ mod tests {
     /// the full socket cost.
     #[test]
     fn intra_node_frames_charged_cheaper_send_rate() {
-        let cfg = ManaConfig::no_checkpoints(KernelModel::unpatched());
-        let cpu = CtrlCpu::of(&cfg);
+        let cpu = CTRL_CPU;
         assert!(
             cpu.send_intra < cpu.send && cpu.recv_intra < cpu.recv,
             "loopback must be cheaper than cross-node TCP: {cpu:?}"
@@ -943,26 +914,12 @@ mod tests {
             let ctrl = ctrl.clone();
             sim.spawn("sender", false, move |t| {
                 let t0 = t.now();
-                send_from(
-                    &t,
-                    &ctrl,
-                    sub,
-                    local,
-                    cpu,
-                    CtrlMsg::IntendCkpt { ckpt_id: 1 },
-                );
+                send_from(&t, &ctrl, sub, local, CtrlMsg::IntendCkpt { ckpt_id: 1 });
                 let intra = t.now().since(t0);
                 assert_eq!(intra, cpu.send_intra, "same-node frame at loopback rate");
 
                 let t1 = t.now();
-                send_from(
-                    &t,
-                    &ctrl,
-                    sub,
-                    remote,
-                    cpu,
-                    CtrlMsg::IntendCkpt { ckpt_id: 1 },
-                );
+                send_from(&t, &ctrl, sub, remote, CtrlMsg::IntendCkpt { ckpt_id: 1 });
                 let inter = t.now().since(t1);
                 assert_eq!(inter, cpu.send, "cross-node frame at socket rate");
                 assert!(intra < inter);
