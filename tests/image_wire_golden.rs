@@ -18,6 +18,12 @@
 //! A change to how the wrapper records, or how the image encodes what it
 //! recorded, must pass these unmodified.
 //!
+//! So is every rank's image from the checkpoint a *restarted* incarnation
+//! writes. Those bytes also carry what restore and replay left in the
+//! virtual-handle tables: the ids restored from the first image, the ids
+//! replay re-created, and the ids later creations were issued. A change to
+//! the tables or to the restart stages must pass them unmodified.
+//!
 //! `IMAGE_FULL`, `DELTA_BLOB` and `CAS_MANIFEST` (both built from image
 //! (a)) were re-pinned when `MPI_Comm_create`, `MPI_Group_excl`,
 //! `MPI_Type_vector` and `MPI_Iallreduce` left the `Mpi` seam: image (a)
@@ -381,4 +387,170 @@ fn product_images_are_pinned() {
         .map(|(name, app, compact)| (name, product_image(app, compact)))
         .collect();
     assert_eq!(got, PRODUCT_IMAGES, "product image bytes moved");
+}
+
+/// `(length, checksum_bytes)` of every rank's second-generation image:
+/// the checkpoint a restarted incarnation writes. Same jobs and workloads
+/// as `PRODUCT_IMAGES`. Only a restarted rank shows how restore and replay
+/// leave the virtual-id allocators: every id a later creation issues lands
+/// in these bytes.
+const RESTARTED_IMAGES: [(&str, [(usize, u64); 8]); 7] = [
+    (
+        "GROMACS",
+        [
+            (17390, 10341557971535224992),
+            (17390, 1720937541841213989),
+            (17390, 5187470107703772567),
+            (17390, 16811823567664922034),
+            (17390, 18182924291726407797),
+            (17390, 12595223866660238248),
+            (17390, 14905017611289960314),
+            (17390, 1285568274972904797),
+        ],
+    ),
+    (
+        "miniFE",
+        [
+            (66483, 11177040702320697502),
+            (66483, 8637486823943559577),
+            (66483, 5668390759140872553),
+            (66483, 4480083417212972400),
+            (66483, 1010808119794487830),
+            (66483, 7414202227946333499),
+            (66483, 119365257078662179),
+            (66483, 15939506039169828496),
+        ],
+    ),
+    (
+        "HPCG",
+        [
+            (83117, 75501157410915045),
+            (83117, 9352263688031859072),
+            (83117, 9010769737096399635),
+            (83117, 14119695216556242725),
+            (83117, 7882245895909163119),
+            (83117, 16953449038727846182),
+            (83117, 6636681897509097520),
+            (83117, 4250968481480635607),
+        ],
+    ),
+    (
+        "CLAMR",
+        [
+            (53665, 12406087371025724542),
+            (53665, 5336660487128580467),
+            (53665, 15869940319210589912),
+            (53665, 9310407213581770402),
+            (53665, 18255928663382034496),
+            (53665, 16478474860824774382),
+            (53665, 13664048465861736955),
+            (53665, 5186100427219364614),
+        ],
+    ),
+    (
+        "LULESH",
+        [
+            (6562, 17628753023576383185),
+            (6562, 13144326638962024050),
+            (6562, 2035405482161280429),
+            (6562, 4488611060167911466),
+            (6562, 12940625120317026678),
+            (6562, 17330141362564640681),
+            (6562, 18243023076664867137),
+            (6562, 22775118662240964),
+        ],
+    ),
+    (
+        "comm-churn",
+        [
+            (1533, 1009650617014048014),
+            (1557, 5628461997233714671),
+            (1533, 6105825941074642172),
+            (1557, 14040406434528382198),
+            (1533, 2402170321717088886),
+            (1557, 5865774131079700177),
+            (1533, 10394543734938264302),
+            (1557, 1840736888938010818),
+        ],
+    ),
+    (
+        "comm-churn, full log",
+        [
+            (5357, 11620246406367077232),
+            (4789, 2441066665758660765),
+            (5357, 12244975468850639594),
+            (4789, 18033165122263051243),
+            (5357, 8774512136566669196),
+            (4789, 8770255480102334322),
+            (5357, 15354095518517181295),
+            (4789, 11179007214273132370),
+        ],
+    ),
+];
+
+/// Every rank's image from the checkpoint a restarted incarnation writes.
+/// The first incarnation is checkpointed and killed a third of the way
+/// into the application window. A probe restart runs to the end and
+/// measures what is left of the window; a second restart from the same
+/// checkpoint is checkpointed halfway through that remainder.
+fn restarted_images(app: Arc<dyn Workload>, compact: bool) -> Vec<(usize, u64)> {
+    let session = ManaSession::builder().store(InMemStore::new()).build();
+    let job = || {
+        JobBuilder::new()
+            .cluster(ClusterSpec::local_cluster(2))
+            .ranks(8)
+            .seed(3)
+            .compact_log(compact)
+    };
+    let clean = session.run(job(), app.clone()).expect("clean run");
+    let at_frac = |out: &mana::core::RunOutcome, num: u64, den: u64| {
+        let (wall, aw) = (out.wall.as_nanos(), out.app_wall.as_nanos());
+        SimTime(wall - aw + aw * num / den)
+    };
+    let killed = session
+        .run(
+            job()
+                .checkpoint_at(at_frac(clean.outcome(), 1, 3))
+                .then_kill(),
+            app,
+        )
+        .expect("checkpoint run");
+    assert!(killed.killed());
+    let probe = killed.restart_on(JobBuilder::new()).expect("probe restart");
+    assert_eq!(probe.checksums(), clean.checksums(), "probe restart");
+    let second = killed
+        .restart_on(JobBuilder::new().checkpoint_at(at_frac(probe.outcome(), 1, 2)))
+        .expect("checkpointing restart");
+    assert_eq!(second.checksums(), clean.checksums(), "second restart");
+    let ckpt = second.ckpts().pop().expect("one checkpoint");
+    (0..8)
+        .map(|rank| {
+            let path = second.spec().cfg.image_path(ckpt.ckpt_id, rank);
+            let (stored, _) = session
+                .store()
+                .get(&path, u64::from(rank), SHAPE)
+                .expect("stored");
+            pinned(&stored)
+        })
+        .collect()
+}
+
+#[test]
+fn restarted_images_are_pinned() {
+    let apps = AppKind::all().map(|kind| (kind.name(), make_app_small(kind, 4), true));
+    let churn = || -> Arc<dyn Workload> { Arc::new(CommChurn::default()) };
+    let churns = [
+        ("comm-churn", churn(), true),
+        ("comm-churn, full log", churn(), false),
+    ];
+    let got: Vec<_> = apps
+        .into_iter()
+        .chain(churns)
+        .map(|(name, app, compact)| (name, restarted_images(app, compact)))
+        .collect();
+    let want: Vec<_> = RESTARTED_IMAGES
+        .iter()
+        .map(|(name, images)| (*name, images.to_vec()))
+        .collect();
+    assert_eq!(got, want, "restarted image bytes moved");
 }
