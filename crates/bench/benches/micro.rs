@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks: real wall-clock costs of MANA's hot
 //! structures — the things the paper identifies as overhead sources.
 //!
-//! * `virtid_*`: virtual-handle hash-table translation (the paper's
-//!   second overhead source, §3.3);
+//! * `virtid_*`: virtual-handle translation through one class's handle
+//!   table under its lock, as the wrapper pays it (the paper's second
+//!   overhead source, §3.3);
 //! * `codec_*`: checkpoint-image encode/decode throughput;
 //! * `drain_buffer_*`: drained-message matching;
 //! * `event_queue`: discrete-event scheduler throughput (substrate);
@@ -13,24 +14,28 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mana_core::buffer::{BufferedMsg, DrainBuffer};
 use mana_core::image::{CheckpointImage, ImageBytes};
-use mana_core::virtid::{HandleClass, VirtTable};
+use mana_core::virtid::{HandleClass, HandleTable};
 use mana_mpi::{SrcSpec, TagSpec};
 use mana_sim::memory::{DenseSnap, Half, RegionKind, RegionSnapshot, SnapshotContent};
+use parking_lot::Mutex;
 
 fn bench_virtid(c: &mut Criterion) {
-    let table = VirtTable::new(HandleClass::Comm);
-    let virts: Vec<u64> = (0..256).map(|i| table.intern(0x4400_0000 + i)).collect();
+    // The datatype table: its entry is the bare real handle.
+    let table = Mutex::new(HandleTable::<u64>::new(HandleClass::Dtype));
+    let virts: Vec<u64> = (0..256)
+        .map(|i| table.lock().intern(0x4400_0000 + i))
+        .collect();
     c.bench_function("virtid_translate", |b| {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % virts.len();
-            black_box(table.real_of(black_box(virts[i])))
+            black_box(*table.lock().get(black_box(virts[i])))
         })
     });
     c.bench_function("virtid_intern_remove", |b| {
         b.iter(|| {
-            let v = table.intern(black_box(0x9900_0000));
-            table.remove(v);
+            let v = table.lock().intern(black_box(0x9900_0000));
+            black_box(table.lock().remove(v));
         })
     });
 }

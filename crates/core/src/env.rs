@@ -832,7 +832,7 @@ impl AppEnv {
                 .iter()
                 .find(|(_, m)| m.cart_dims == dims && !m.members.is_empty())
                 .expect("restored cart communicator");
-            return CommHandle(*virt);
+            return CommHandle(virt);
         }
         let out = self.mpi.cart_create(&self.t, comm, dims, periodic, true);
         self.with_progress(|p| {

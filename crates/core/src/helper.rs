@@ -18,8 +18,8 @@ use crate::buffer::BufferedMsg;
 use crate::chaos::InjectPoint;
 use crate::config::ManaConfig;
 use crate::ctrl::{ctrl_msg_bytes, protocol_violation, CtrlMsg, ProtocolPhase};
-use crate::image::CheckpointImage;
-use crate::shared::RankShared;
+use crate::image::{CheckpointImage, PendingColl, VirtCommEntry};
+use crate::shared::{RankShared, WReq};
 use crate::stats::RankCkptStats;
 use crate::store::CheckpointStore;
 use mana_mpi::{CommHandle, Mpi, SrcSpec, TagSpec};
@@ -78,8 +78,8 @@ fn progress_vec(sh: &Arc<RankShared>) -> Vec<(u64, u64)> {
         .iter()
         .filter(|(_, m)| !m.members.is_empty())
         .map(|(v, m)| {
-            let dec = incomplete.iter().filter(|i| i.comm_virt == *v).count() as u64;
-            (*v, m.wseq.saturating_sub(dec))
+            let dec = incomplete.iter().filter(|i| i.comm_virt == v).count() as u64;
+            (v, m.wseq.saturating_sub(dec))
         })
         .collect()
 }
@@ -348,21 +348,30 @@ fn build_image(
     compact: bool,
 ) -> (CheckpointImage, u64, mana_sim::memory::SnapshotStats) {
     use crate::restart::compact::{LiveSet, LogCompactor};
-    let comms: Vec<crate::image::VirtCommEntry> = sh
+    let comms: Vec<VirtCommEntry> = sh
         .comms
         .lock()
         .iter()
-        .map(|(virt, m)| crate::image::VirtCommEntry {
-            virt: *virt,
+        .map(|(virt, m)| VirtCommEntry {
+            virt,
             members: m.members.to_vec(),
             cart_dims: m.cart_dims.clone(),
             cart_periodic: m.cart_periodic.clone(),
         })
         .collect();
-    let groups = sh.virt.group.live_virts();
-    let dtypes = sh.virt.dtype.live_virts();
+    let groups: Vec<u64> = sh.groups.lock().iter().map(|(v, _)| v).collect();
+    let dtypes: Vec<u64> = sh.dtypes.lock().iter().map(|(v, _)| v).collect();
+    let pending = sh
+        .reqs
+        .lock()
+        .iter()
+        .filter_map(|(vreq, r)| match *r {
+            WReq::TwoPhase { comm_virt, .. } => Some(PendingColl { vreq, comm_virt }),
+            WReq::LowerSend(_) => None,
+        })
+        .collect();
     let world_virt = *sh.world_virt.lock();
-    let entries = sh.log.entries();
+    let entries = sh.log.lock().clone();
     let recorded = entries.len() as u64;
     let compacted = if compact {
         let live = LiveSet::new(
@@ -390,7 +399,7 @@ fn build_image(
         log: compacted.entries,
         counters: sh.counters.lock().clone(),
         buffered: sh.buffer.lock().snapshot(),
-        pending: sh.pending.lock().values().map(|p| p.desc.clone()).collect(),
+        pending,
         ops_done: progress.ops_done,
         allocs: progress.allocs.clone(),
         slots: progress.slots.clone(),

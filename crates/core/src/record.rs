@@ -15,17 +15,17 @@
 //! product caller. The image codec numbers the variants; numbers of
 //! calls that left the seam are retired, never reused (see `image.rs`).
 //!
-//! The log also powers the restart engine's [`LogCompactor`]: every
-//! creation entry is tagged (in memory, not on the wire) with its index in
-//! the log, so a later `*Free` can cancel it in O(1) and whole dead
-//! derivation subtrees can be elided from the image. See
+//! A rank's log is a plain `Vec<LoggedCall>` in call order
+//! ([`crate::shared::RankShared::log`]). On its way into an image the
+//! [`LogCompactor`] maps each virtual id to the entry that created it
+//! ([`LoggedCall::created_virt`]) and to the `*Free` that freed it, so it
+//! can cancel the pair and elide whole dead derivation subtrees. See
 //! [`crate::restart::compact`] for the elision rules and the
 //! cross-rank-consistency argument.
 //!
 //! [`LogCompactor`]: crate::restart::compact::LogCompactor
 
 use mana_mpi::BaseType;
-use std::collections::HashMap;
 
 /// One recorded state-mutating call. All handles are virtual ids.
 #[derive(Clone, Debug, PartialEq)]
@@ -146,117 +146,9 @@ impl LoggedCall {
     }
 }
 
-#[derive(Default)]
-struct LogInner {
-    entries: Vec<LoggedCall>,
-    /// virt id -> index of its creation entry (virtual ids are never
-    /// reused, so the creator is unique). Lets a `*Free` cancel its
-    /// creation in O(1) during compaction.
-    created_at: HashMap<u64, usize>,
-}
-
-/// Append-only log of state-mutating calls for one rank.
-#[derive(Default)]
-pub struct ReplayLog {
-    inner: parking_lot::Mutex<LogInner>,
-}
-
-impl ReplayLog {
-    /// Empty log.
-    pub fn new() -> ReplayLog {
-        ReplayLog::default()
-    }
-
-    /// Record a call, returning its index. Creation entries tag their
-    /// result handle with this index so frees can cancel them.
-    pub fn push(&self, c: LoggedCall) -> usize {
-        let mut inner = self.inner.lock();
-        let idx = inner.entries.len();
-        if let Some(v) = c.created_virt() {
-            inner.created_at.insert(v, idx);
-        }
-        inner.entries.push(c);
-        idx
-    }
-
-    /// Index of the entry that created `virt`, if it is in the log.
-    pub fn creation_index_of(&self, virt: u64) -> Option<usize> {
-        self.inner.lock().created_at.get(&virt).copied()
-    }
-
-    /// Snapshot of all entries (image serialization / replay).
-    pub fn entries(&self) -> Vec<LoggedCall> {
-        self.inner.lock().entries.clone()
-    }
-
-    /// Restore from an image, rebuilding the creation-index tags.
-    pub fn load(&self, entries: Vec<LoggedCall>) {
-        let mut inner = self.inner.lock();
-        inner.created_at.clear();
-        for (idx, c) in entries.iter().enumerate() {
-            if let Some(v) = c.created_virt() {
-                inner.created_at.insert(v, idx);
-            }
-        }
-        inner.entries = entries;
-    }
-
-    /// Number of recorded calls.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log_roundtrip() {
-        let log = ReplayLog::new();
-        log.push(LoggedCall::CommDup {
-            parent: 0x1000_0000,
-            result: 0x1000_0001,
-        });
-        log.push(LoggedCall::TypeBase {
-            base: BaseType::Double,
-            result: 0x3000_0000,
-        });
-        assert_eq!(log.len(), 2);
-        let snap = log.entries();
-        let log2 = ReplayLog::new();
-        log2.load(snap.clone());
-        assert_eq!(log2.entries(), snap);
-    }
-
-    #[test]
-    fn creation_indices_tag_results() {
-        let log = ReplayLog::new();
-        let i0 = log.push(LoggedCall::CommDup {
-            parent: 0x1000_0000,
-            result: 0x1000_0001,
-        });
-        let i1 = log.push(LoggedCall::CommGroup {
-            comm: 0x1000_0001,
-            members: vec![0, 1],
-            result: 0x2000_0000,
-        });
-        log.push(LoggedCall::CommFree { comm: 0x1000_0001 });
-        assert_eq!((i0, i1), (0, 1));
-        assert_eq!(log.creation_index_of(0x1000_0001), Some(0));
-        assert_eq!(log.creation_index_of(0x2000_0000), Some(1));
-        assert_eq!(log.creation_index_of(0xdead), None);
-
-        // Reload rebuilds the tags.
-        let log2 = ReplayLog::new();
-        log2.load(log.entries());
-        assert_eq!(log2.creation_index_of(0x2000_0000), Some(1));
-    }
 
     #[test]
     fn created_and_freed_virts() {

@@ -26,11 +26,11 @@ use crate::record::LoggedCall;
 use crate::restart::compact::BindSource;
 use crate::restart::error::RestartError;
 use crate::runner::{aspace_lineage, io_shape, ManaJobSpec};
-use crate::shared::{CommMeta, PendingRt, RankShared, WReq};
+use crate::shared::{CommMeta, GroupMeta, RankShared, WReq};
 use crate::stats::{RankRestartStats, RestartStage};
 use crate::store::CheckpointStore;
 use crate::virtid::{HandleClass, UNBOUND_REAL};
-use mana_mpi::{CommHandle, GroupHandle, Mpi, MpiJob};
+use mana_mpi::{CommHandle, DtypeHandle, GroupHandle, Mpi, MpiJob};
 use mana_sim::memory::{AddressSpace, Half};
 use mana_sim::sched::{Sim, SimThread};
 use mana_sim::time::{SimDuration, SimTime};
@@ -207,12 +207,12 @@ pub(crate) fn rank_restore(
     aspace.set_brk_owner(Half::Lower);
     clock.mark(t, RestartStage::MemoryRestore);
 
-    // Stage 3: reload MANA's per-rank state (virtual tables, counters,
+    // Stage 3: reload MANA's per-rank state (handle tables, counters,
     // progress cursor, pending collectives).
     let sh = RankShared::new(sim, rank, spec.nranks, &img.app_name, img.seed, aspace);
     sh.cell.register_rank(t.id());
     sh.cell.bind_job(job.clone());
-    restore_state(&sh, &img, rank)?;
+    restore_state(&sh, &img);
     clock.mark(t, RestartStage::StateRestore);
 
     // Stage 4: reload the drained in-flight messages.
@@ -229,14 +229,13 @@ pub(crate) fn rank_restore(
     // leak into the fresh address space, so an interrupted attempt is
     // retryable against the very same image.
     chaos_point(spec, rank, RestartPoint::Replay)?;
-    let entries = sh.log.entries();
-    let replayed = replay_verified(t, &sh, lower.as_ref(), rank, &entries, &img)?;
+    let reals = replay_verified(t, &sh, lower.as_ref(), rank, &img)?;
     clock.mark(t, RestartStage::Replay);
 
-    // Stage 7: re-point communicator metadata at the fresh real handles
-    // and verify every live virtual id got bound.
+    // Stage 7: install the fresh real handles in the handle tables and
+    // verify every live virtual id got bound.
     chaos_point(spec, rank, RestartPoint::Rebind)?;
-    rebind_and_verify(&sh, rank)?;
+    rebind_and_verify(&sh, lower.as_ref(), rank, &reals)?;
     clock.mark(t, RestartStage::Rebind);
 
     // Stage 8: synchronize the world before resuming the application.
@@ -250,7 +249,7 @@ pub(crate) fn rank_restore(
         RankRestartStats {
             rank,
             stages: clock.stages,
-            replayed_calls: replayed,
+            replayed_calls: img.log.len() as u64,
             bytes_copied,
             pages_shared,
         },
@@ -269,17 +268,13 @@ fn chaos_point(spec: &ManaJobSpec, rank: u32, point: RestartPoint) -> Result<(),
 }
 
 /// Load image state into a fresh `RankShared` (everything except the
-/// drain buffer, which is its own stage). Inconsistencies a decodable
-/// image can still carry surface as typed errors (they are also
-/// pre-validated in `fetch_images`; this keeps the in-sim path honest).
-fn restore_state(
-    sh: &Arc<RankShared>,
-    img: &CheckpointImage,
-    rank: u32,
-) -> Result<(), RestartError> {
+/// drain buffer, which is its own stage). Every restored handle entry is
+/// unbound until stage 7 installs what replay bound. `fetch_rank` has
+/// checked that each pending collective's communicator is in the image.
+fn restore_state(sh: &Arc<RankShared>, img: &CheckpointImage) {
     *sh.world_virt.lock() = img.world_virt;
     *sh.counters.lock() = img.counters.clone();
-    sh.log.load(img.log.clone());
+    *sh.log.lock() = img.log.clone();
     {
         let mut p = sh.progress.lock();
         p.resume_skip = img.ops_done;
@@ -294,69 +289,57 @@ fn restore_state(
         p.step_created = img.step_created.clone();
         p.created_cursor = 0;
     }
-    {
-        let mut comms = sh.comms.lock();
-        for c in &img.comms {
-            sh.virt.comm.restore_virt(c.virt);
-            comms.insert(
-                c.virt,
-                CommMeta {
-                    real: 0,
-                    members: c.members.as_slice().into(),
-                    cart_dims: c.cart_dims.clone(),
-                    cart_periodic: c.cart_periodic.clone(),
-                    wseq: 0,
-                },
-            );
-        }
+    let mut comms = sh.comms.lock();
+    for c in &img.comms {
+        comms.restore(
+            c.virt,
+            CommMeta {
+                real: UNBOUND_REAL,
+                members: c.members.as_slice().into(),
+                cart_dims: c.cart_dims.clone(),
+                cart_periodic: c.cart_periodic.clone(),
+                wseq: 0,
+            },
+        );
     }
+    let mut groups = sh.groups.lock();
     for g in &img.groups {
-        sh.virt.group.restore_virt(*g);
+        groups.restore(
+            *g,
+            GroupMeta {
+                real: UNBOUND_REAL,
+                members: Vec::new(),
+            },
+        );
     }
+    let mut dtypes = sh.dtypes.lock();
     for d in &img.dtypes {
-        sh.virt.dtype.restore_virt(*d);
+        dtypes.restore(*d, UNBOUND_REAL);
     }
-    {
-        let mut pending = sh.pending.lock();
-        let mut wreqs = sh.wreqs.lock();
-        for p in &img.pending {
-            sh.virt.req.restore_virt(p.vreq);
-            wreqs.insert(p.vreq, WReq::TwoPhase);
-            pending.insert(
-                p.vreq,
-                PendingRt {
-                    desc: p.clone(),
-                    lower_phase1: None,
-                },
-            );
-            // The rank had entered the nonblocking trivial barrier before
-            // the checkpoint; re-engage the fresh cell so the coordinator
-            // keeps seeing it in phase 1. The instance number is
-            // re-derived identically on every member (all-or-none: phase-2
-            // completion is collective, so either every member's image
-            // carries the pending descriptor or none does).
-            let mut comms = sh.comms.lock();
-            let meta = comms
-                .get_mut(&p.comm_virt)
-                .ok_or_else(|| RestartError::MalformedImage {
-                    rank,
-                    why: format!(
-                        "pending collective {:#x} references communicator {:#x} \
-                             the image does not carry",
-                        p.vreq, p.comm_virt
-                    ),
-                })?;
-            meta.wseq += 1;
-            let inst = crate::cell::CollInstance {
-                comm_virt: p.comm_virt,
-                wseq: meta.wseq,
-                size: meta.members.len() as u32,
-            };
-            drop(comms);
-            sh.cell.restore_engaged(inst);
-        }
+    let mut reqs = sh.reqs.lock();
+    for p in &img.pending {
+        let comm_virt = p.comm_virt;
+        reqs.restore(
+            p.vreq,
+            WReq::TwoPhase {
+                comm_virt,
+                lower_phase1: None,
+            },
+        );
+        // The rank had entered the nonblocking trivial barrier before
+        // the checkpoint; re-engage the fresh cell so the coordinator
+        // keeps seeing it in phase 1. The instance number is re-derived
+        // identically on every member (all-or-none: phase-2 completion is
+        // collective, so either every member's image carries the pending
+        // descriptor or none does).
+        let meta = comms.get_mut(comm_virt);
+        meta.wseq += 1;
+        sh.cell.restore_engaged(crate::cell::CollInstance {
+            comm_virt,
+            wseq: meta.wseq,
+            size: meta.members.len() as u32,
+        });
     }
-    Ok(())
 }
 
 fn divergence(rank: u32, call_index: usize, expected: String, got: String) -> RestartError {
@@ -368,39 +351,39 @@ fn divergence(rank: u32, call_index: usize, expected: String, got: String) -> Re
     }
 }
 
-/// Re-execute the record-replay log against a fresh lower half, rebinding
-/// every virtual handle (§2.2) and verifying each binding against the
-/// image's rebind map. Collective creation calls synchronize through the
-/// new library because every participating rank replays a consistent
-/// sequence (the compactor's contract). Returns the replayed-entry count.
+/// Re-execute the image's record-replay log against a fresh lower half
+/// (§2.2), verifying each creation against the image's rebind map.
+/// Collective creation calls synchronize through the new library because
+/// every participating rank replays a consistent sequence (the
+/// compactor's contract). Returns the real handle replay bound to each
+/// virtual id still alive at the end of the log, in one map: the class id
+/// spaces are disjoint. Every id replay creates moves its class's
+/// allocator past it, even one the log frees later.
 fn replay_verified(
     t: &SimThread,
     sh: &Arc<RankShared>,
     lower: &dyn Mpi,
     rank: u32,
-    entries: &[LoggedCall],
     img: &CheckpointImage,
-) -> Result<u64, RestartError> {
-    let virt = &sh.virt;
+) -> Result<HashMap<u64, u64>, RestartError> {
     let expect: HashMap<u64, BindSource> = img.rebind.iter().map(|r| (r.virt, r.source)).collect();
     // The world communicator binds first, from the image's explicit id.
-    virt.comm.bind(img.world_virt, lower.comm_world().0);
+    let mut reals = HashMap::from([(img.world_virt, lower.comm_world().0)]);
 
     // Look up an input binding, or report which entry referenced what.
-    let input = |class: &'static str,
-                 table: &crate::virtid::VirtTable,
+    let input = |reals: &HashMap<u64, u64>,
+                 class: &'static str,
                  v: u64,
                  idx: usize|
      -> Result<u64, RestartError> {
-        match table.try_real_of(v) {
-            Some(r) if r != UNBOUND_REAL => Ok(r),
-            _ => Err(divergence(
+        reals.get(&v).copied().ok_or_else(|| {
+            divergence(
                 rank,
                 idx,
                 format!("{class} input {v:#x} bound before this entry"),
                 "unbound virtual id".to_string(),
-            )),
-        }
+            )
+        })
     };
     // Verify a replayed creation lands where the rebind map says.
     let verify_bind = |v: u64, idx: usize| -> Result<(), RestartError> {
@@ -421,13 +404,12 @@ fn replay_verified(
         }
     };
 
-    for (idx, entry) in entries.iter().enumerate() {
-        match entry {
+    for (idx, entry) in img.log.iter().enumerate() {
+        let (virt, real) = match entry {
             LoggedCall::CommDup { parent, result } => {
-                let pr = CommHandle(input("comm", &virt.comm, *parent, idx)?);
-                let nr = lower.comm_dup(t, pr);
-                verify_bind(*result, idx)?;
-                virt.comm.bind(*result, nr.0);
+                let pr = CommHandle(input(&reals, "comm", *parent, idx)?);
+                sh.comms.lock().reserve(*result);
+                (*result, lower.comm_dup(t, pr).0)
             }
             LoggedCall::CommSplit {
                 parent,
@@ -435,17 +417,17 @@ fn replay_verified(
                 key,
                 result,
             } => {
-                let pr = CommHandle(input("comm", &virt.comm, *parent, idx)?);
-                let nr = lower.comm_split(t, pr, *color, *key);
-                verify_bind(*result, idx)?;
-                virt.comm.bind(*result, nr.0);
+                let pr = CommHandle(input(&reals, "comm", *parent, idx)?);
+                sh.comms.lock().reserve(*result);
+                (*result, lower.comm_split(t, pr, *color, *key).0)
             }
             LoggedCall::CommFree { comm } => {
-                let r = input("comm", &virt.comm, *comm, idx)?;
+                let r = input(&reals, "comm", *comm, idx)?;
                 if r != 0 {
                     lower.comm_free(t, CommHandle(r));
                 }
-                virt.comm.remove(*comm);
+                reals.remove(comm);
+                continue;
             }
             LoggedCall::CartCreate {
                 parent,
@@ -453,10 +435,9 @@ fn replay_verified(
                 periodic,
                 result,
             } => {
-                let pr = CommHandle(input("comm", &virt.comm, *parent, idx)?);
-                let nr = lower.cart_create(t, pr, dims, periodic, false);
-                verify_bind(*result, idx)?;
-                virt.comm.bind(*result, nr.0);
+                let pr = CommHandle(input(&reals, "comm", *parent, idx)?);
+                sh.comms.lock().reserve(*result);
+                (*result, lower.cart_create(t, pr, dims, periodic, false).0)
             }
             LoggedCall::CommGroup {
                 members, result, ..
@@ -468,93 +449,81 @@ fn replay_verified(
                 let wg = lower.comm_group(lower.comm_world());
                 let rg = lower.group_incl(wg, members);
                 lower.group_free(wg);
-                verify_bind(*result, idx)?;
-                virt.group.bind(*result, rg.0);
-                sh.groups.lock().insert(*result, lower.group_members(rg));
+                sh.groups.lock().reserve(*result);
+                (*result, rg.0)
             }
             LoggedCall::GroupIncl {
                 group,
                 ranks,
                 result,
             } => {
-                let rg = GroupHandle(input("group", &virt.group, *group, idx)?);
-                let ng = lower.group_incl(rg, ranks);
-                verify_bind(*result, idx)?;
-                virt.group.bind(*result, ng.0);
-                sh.groups.lock().insert(*result, lower.group_members(ng));
+                let rg = GroupHandle(input(&reals, "group", *group, idx)?);
+                sh.groups.lock().reserve(*result);
+                (*result, lower.group_incl(rg, ranks).0)
             }
             LoggedCall::GroupFree { group } => {
-                let r = input("group", &virt.group, *group, idx)?;
+                let r = input(&reals, "group", *group, idx)?;
                 lower.group_free(GroupHandle(r));
-                virt.group.remove(*group);
-                sh.groups.lock().remove(group);
+                reals.remove(group);
+                continue;
             }
             LoggedCall::TypeBase { base, result } => {
-                let r = lower.type_base(*base);
-                verify_bind(*result, idx)?;
-                virt.dtype.bind(*result, r.0);
                 sh.dtype_base_cache.lock().insert(*base, *result);
+                sh.dtypes.lock().reserve(*result);
+                (*result, lower.type_base(*base).0)
             }
             LoggedCall::TypeContiguous {
                 count,
                 inner,
                 result,
             } => {
-                let ri = mana_mpi::DtypeHandle(input("dtype", &virt.dtype, *inner, idx)?);
-                let r = lower.type_contiguous(*count, ri);
-                verify_bind(*result, idx)?;
-                virt.dtype.bind(*result, r.0);
+                let ri = DtypeHandle(input(&reals, "dtype", *inner, idx)?);
+                sh.dtypes.lock().reserve(*result);
+                (*result, lower.type_contiguous(*count, ri).0)
             }
             LoggedCall::TypeFree { dtype } => {
-                let r = input("dtype", &virt.dtype, *dtype, idx)?;
-                lower.type_free(mana_mpi::DtypeHandle(r));
-                virt.dtype.remove(*dtype);
+                let r = input(&reals, "dtype", *dtype, idx)?;
+                lower.type_free(DtypeHandle(r));
+                reals.remove(dtype);
                 sh.dtype_base_cache.lock().retain(|_, v| *v != *dtype);
+                continue;
             }
-        }
+        };
+        verify_bind(virt, idx)?;
+        reals.insert(virt, real);
     }
-    Ok(entries.len() as u64)
+    Ok(reals)
 }
 
-/// Re-point communicator metadata at the fresh real handles and verify
-/// that every live virtual id (non-null communicators, groups, datatypes)
-/// ended up bound — the rebind map's completeness check.
-fn rebind_and_verify(sh: &Arc<RankShared>, rank: u32) -> Result<(), RestartError> {
-    {
-        let mut comms = sh.comms.lock();
-        for (v, meta) in comms.iter_mut() {
-            if meta.members.is_empty() {
-                continue; // burned/null id; never bound
-            }
-            match sh.virt.comm.try_real_of(*v) {
-                Some(r) if r != UNBOUND_REAL => meta.real = r,
-                _ => {
-                    return Err(RestartError::UnboundVirtual {
-                        rank,
-                        class: HandleClass::Comm,
-                        virt: *v,
-                    })
-                }
-            }
-        }
+/// Install the real handles replay bound into the handle tables, and
+/// verify that every live virtual id (non-null communicators, groups,
+/// datatypes) got one — the rebind map's completeness check.
+fn rebind_and_verify(
+    sh: &Arc<RankShared>,
+    lower: &dyn Mpi,
+    rank: u32,
+    reals: &HashMap<u64, u64>,
+) -> Result<(), RestartError> {
+    let bound = |class: HandleClass, virt: u64| {
+        reals
+            .get(&virt)
+            .copied()
+            .ok_or(RestartError::UnboundVirtual { rank, class, virt })
+    };
+    for (v, meta) in sh.comms.lock().iter_mut() {
+        // A burned id stays bound to MPI_COMM_NULL.
+        meta.real = if meta.members.is_empty() {
+            0
+        } else {
+            bound(HandleClass::Comm, v)?
+        };
     }
-    for g in sh.virt.group.live_virts() {
-        if sh.virt.group.try_real_of(g) == Some(UNBOUND_REAL) {
-            return Err(RestartError::UnboundVirtual {
-                rank,
-                class: HandleClass::Group,
-                virt: g,
-            });
-        }
+    for (v, g) in sh.groups.lock().iter_mut() {
+        g.real = bound(HandleClass::Group, v)?;
+        g.members = lower.group_members(GroupHandle(g.real));
     }
-    for d in sh.virt.dtype.live_virts() {
-        if sh.virt.dtype.try_real_of(d) == Some(UNBOUND_REAL) {
-            return Err(RestartError::UnboundVirtual {
-                rank,
-                class: HandleClass::Dtype,
-                virt: d,
-            });
-        }
+    for (v, real) in sh.dtypes.lock().iter_mut() {
+        *real = bound(HandleClass::Dtype, v)?;
     }
     Ok(())
 }

@@ -12,7 +12,10 @@
 //!   drain-buffer reload, lower-half boot, log replay, virtual-id
 //!   rebind/verify, world resync — and reports each stage through
 //!   [`crate::stats::RestartReport`], the way `CkptReport` breaks down
-//!   checkpoint cost.
+//!   checkpoint cost. State restore puts every live virtual id back in
+//!   its class's [`crate::virtid::HandleTable`], unbound; replay collects
+//!   the real handles the fresh library issues; rebind installs them and
+//!   rejects any live id left unbound.
 //! * [`compact::LogCompactor`] prunes the record log before it is written
 //!   into the image: `CommFree`/`GroupFree`/`TypeFree` cancel their
 //!   creation entries and dead derivation subtrees are elided, so restart

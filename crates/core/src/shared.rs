@@ -1,17 +1,21 @@
 //! Per-rank MANA state shared between the rank's main thread, its wrapper,
 //! and its checkpoint helper thread. Everything in here (except the lower
 //! half reference and the cell) is what a checkpoint image captures.
+//!
+//! Each virtual handle is stored once: its class's [`HandleTable`] maps
+//! the id to one entry holding the real handle and the wrapper's state
+//! for it — [`CommMeta`] for communicators, [`GroupMeta`] for groups, the
+//! bare real handle for datatypes and [`WReq`] for requests.
 
 use crate::buffer::{DrainBuffer, PairCounters};
 use crate::cell::CkptCell;
-use crate::image::PendingColl;
-use crate::record::ReplayLog;
-use crate::virtid::VirtRegistry;
+use crate::record::LoggedCall;
+use crate::virtid::{HandleClass, HandleTable};
 use mana_mpi::{Mpi, ReqHandle};
 use mana_sim::memory::AddressSpace;
 use mana_sim::sched::Sim;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Wrapper-side metadata for one virtual communicator.
@@ -41,21 +45,30 @@ impl CommMeta {
     }
 }
 
+/// Wrapper-side state of one virtual group.
+#[derive(Debug)]
+pub struct GroupMeta {
+    /// Current lower-half real handle.
+    pub real: u64,
+    /// Members as global job ranks, group-rank order.
+    pub members: Vec<u32>,
+}
+
 /// Wrapper-level request state behind a virtual request id.
+#[derive(Clone, Copy)]
 pub enum WReq {
     /// A lower-half send request (eager already done or rendezvous).
     LowerSend(ReqHandle),
-    /// A two-phase nonblocking collective (see `pending` map).
-    TwoPhase,
-}
-
-/// Runtime state of an outstanding two-phase nonblocking collective.
-pub struct PendingRt {
-    /// Serializable descriptor (survives checkpoints).
-    pub desc: PendingColl,
-    /// Lower-half phase-1 (ibarrier) request — `None` right after restart,
-    /// in which case completion re-issues phase 1 from scratch.
-    pub lower_phase1: Option<ReqHandle>,
+    /// An outstanding two-phase `MPI_Ibarrier` (§4.2). It survives
+    /// checkpoints as an image's pending collective.
+    TwoPhase {
+        /// Virtual communicator.
+        comm_virt: u64,
+        /// Lower-half phase-1 (ibarrier) request — `None` right after
+        /// restart, in which case completion re-issues phase 1 from
+        /// scratch.
+        lower_phase1: Option<ReqHandle>,
+    },
 }
 
 /// Environment-level nonblocking-request slot. Slots are part of the
@@ -88,7 +101,7 @@ pub enum SlotState {
         vreq: Option<u64>,
     },
     /// A two-phase nonblocking collective; `vreq` is persistent (the
-    /// wrapper's pending table is serialized under the same id).
+    /// wrapper's request entry is serialized under the same id).
     CollPending {
         /// Persistent wrapper request id.
         vreq: u64,
@@ -143,29 +156,25 @@ pub struct RankShared {
     pub seed: u64,
     /// Checkpoint state machine (rank ↔ helper).
     pub cell: CkptCell,
-    /// Virtual-handle tables.
-    pub virt: VirtRegistry,
-    /// Record-replay log.
-    pub log: ReplayLog,
+    /// Record-replay log (paper §2.2), in call order.
+    pub log: Mutex<Vec<LoggedCall>>,
     /// Point-to-point bookmark counters.
     pub counters: Mutex<PairCounters>,
     /// Drained-message buffer.
     pub buffer: Mutex<DrainBuffer>,
     /// Application progress cursor.
     pub progress: Mutex<Progress>,
-    /// Virtual communicator metadata (deterministic iteration order).
-    pub comms: Mutex<BTreeMap<u64, CommMeta>>,
-    /// Virtual group membership.
-    pub groups: Mutex<BTreeMap<u64, Vec<u32>>>,
-    /// Live virtual datatype ids (definitions live in the lower half and
-    /// are reconstructed by replay).
-    pub dtypes: Mutex<BTreeMap<u64, ()>>,
+    /// Virtual communicators.
+    pub comms: Mutex<HandleTable<CommMeta>>,
+    /// Virtual groups.
+    pub groups: Mutex<HandleTable<GroupMeta>>,
+    /// Virtual datatypes and their real handles (definitions live in the
+    /// lower half and are reconstructed by replay).
+    pub dtypes: Mutex<HandleTable<u64>>,
     /// Cached per-base predefined datatype virtual ids.
     pub dtype_base_cache: Mutex<HashMap<mana_mpi::BaseType, u64>>,
-    /// Wrapper request table.
-    pub wreqs: Mutex<HashMap<u64, WReq>>,
-    /// Outstanding two-phase nonblocking collectives.
-    pub pending: Mutex<BTreeMap<u64, PendingRt>>,
+    /// Virtual requests.
+    pub reqs: Mutex<HandleTable<WReq>>,
     /// The rank's address space.
     pub aspace: Arc<AddressSpace>,
     /// The current lower half (set per incarnation; used by the helper's
@@ -194,17 +203,15 @@ impl RankShared {
             app_name: app_name.to_string(),
             seed,
             cell: CkptCell::new(sim),
-            virt: VirtRegistry::new(),
-            log: ReplayLog::new(),
+            log: Mutex::new(Vec::new()),
             counters: Mutex::new(PairCounters::default()),
             buffer: Mutex::new(DrainBuffer::new()),
             progress: Mutex::new(Progress::default()),
-            comms: Mutex::new(BTreeMap::new()),
-            groups: Mutex::new(BTreeMap::new()),
-            dtypes: Mutex::new(BTreeMap::new()),
+            comms: Mutex::new(HandleTable::new(HandleClass::Comm)),
+            groups: Mutex::new(HandleTable::new(HandleClass::Group)),
+            dtypes: Mutex::new(HandleTable::new(HandleClass::Dtype)),
             dtype_base_cache: Mutex::new(HashMap::new()),
-            wreqs: Mutex::new(HashMap::new()),
-            pending: Mutex::new(BTreeMap::new()),
+            reqs: Mutex::new(HandleTable::new(HandleClass::Req)),
             aspace,
             lower: Mutex::new(None),
             world_virt: Mutex::new(0),
@@ -213,11 +220,7 @@ impl RankShared {
 
     /// Metadata for a virtual communicator.
     pub fn comm_meta(&self, comm_virt: u64) -> CommMeta {
-        self.comms
-            .lock()
-            .get(&comm_virt)
-            .unwrap_or_else(|| panic!("unknown virtual communicator {comm_virt:#x}"))
-            .clone()
+        self.comms.lock().get(comm_virt).clone()
     }
 
     /// Live (non-null) virtual communicators in id order — the drain
@@ -227,7 +230,7 @@ impl RankShared {
             .lock()
             .iter()
             .filter(|(_, m)| m.real != 0)
-            .map(|(v, _)| *v)
+            .map(|(v, _)| v)
             .collect()
     }
 }

@@ -144,8 +144,8 @@ pub enum RestartStage {
     ImageRead,
     /// Re-map upper-half memory regions and the mmap cursor.
     MemoryRestore,
-    /// Reload virtual-handle tables, communicator metadata, bookmark
-    /// counters, progress cursor and pending collectives.
+    /// Reload the handle tables (live ids unbound), bookmark counters,
+    /// progress cursor and pending collectives.
     StateRestore,
     /// Reload the drained in-flight message buffer.
     DrainReload,
@@ -153,8 +153,8 @@ pub enum RestartStage {
     LowerBoot,
     /// Replay the (compacted) opaque-object log against the new library.
     Replay,
-    /// Re-point communicator metadata at the fresh real handles and
-    /// verify every live virtual id is bound (the rebind map check).
+    /// Install the fresh real handles in the handle tables and verify
+    /// every live virtual id is bound (the rebind map check).
     Rebind,
     /// World-barrier resynchronization before resuming the application.
     Resync,

@@ -7,14 +7,20 @@
 //! stable *virtual* ids (what the application sees) and the current lower
 //! half's *real* ids.
 //!
-//! Each translation is a hash-table lookup under a lock; the paper calls
-//! this out as the second (smaller) source of runtime overhead, and the
-//! wrapper charges [`crate::config::ManaConfig::virt_cost`] per translation
-//! accordingly. The `micro_virtid` criterion bench measures the real cost
-//! of this exact structure.
+//! Each handle class has one [`HandleTable`]: virtual id → the one entry
+//! that holds the real handle and whatever else the wrapper keeps for it
+//! (see [`crate::shared::RankShared`]), plus the class's id allocator.
+//! Each translation is a map lookup under the table's lock; the paper
+//! calls this out as the second (smaller) source of runtime overhead, and
+//! the wrapper charges [`crate::config::ManaConfig::virt_cost`] per
+//! translation accordingly. The `micro` bench's `virtid_*` cases time
+//! this structure under its lock.
+//!
+//! A virtual id is never issued twice. Fresh ids count up from the class
+//! base, and an id restored from an image or re-created by restart replay
+//! moves the allocator past it, even one the log frees later.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Handle classes with independent virtual id spaces.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -43,156 +49,80 @@ fn base_of(class: HandleClass) -> u64 {
     }
 }
 
-#[derive(Default)]
-struct Table {
-    v2r: HashMap<u64, u64>,
-    r2v: HashMap<u64, u64>,
+fn unknown(class: HandleClass, virt: u64) -> ! {
+    panic!("unknown virtual {class:?} handle {virt:#x}")
+}
+
+/// One handle class's live virtual ids, each with its entry, in id order
+/// (deterministic iteration; image serialization).
+pub struct HandleTable<E> {
+    class: HandleClass,
+    entries: BTreeMap<u64, E>,
     next: u64,
 }
 
-/// One class's virtual↔real translation table.
-pub struct VirtTable {
-    class: HandleClass,
-    inner: Mutex<Table>,
-}
-
-impl VirtTable {
+impl<E> HandleTable<E> {
     /// Empty table for `class`.
-    pub fn new(class: HandleClass) -> VirtTable {
-        VirtTable {
+    pub fn new(class: HandleClass) -> HandleTable<E> {
+        HandleTable {
             class,
-            inner: Mutex::new(Table {
-                next: base_of(class),
-                ..Table::default()
-            }),
+            entries: BTreeMap::new(),
+            next: base_of(class),
         }
     }
 
-    /// Allocate a fresh virtual id bound to `real`.
-    pub fn intern(&self, real: u64) -> u64 {
-        let mut t = self.inner.lock();
-        let v = t.next;
-        t.next += 1;
-        t.v2r.insert(v, real);
-        t.r2v.insert(real, v);
+    /// Allocate a fresh virtual id for `entry`.
+    pub fn intern(&mut self, entry: E) -> u64 {
+        let v = self.next;
+        self.next += 1;
+        self.entries.insert(v, entry);
         v
     }
 
-    /// Real id behind `virt`. Panics on unknown handles — an application
+    /// Entry behind `virt`. Panics on unknown handles — an application
     /// using a stale handle is a bug in any MPI program.
-    pub fn real_of(&self, virt: u64) -> u64 {
-        *self
-            .inner
-            .lock()
-            .v2r
+    pub fn get(&self, virt: u64) -> &E {
+        self.entries
             .get(&virt)
-            .unwrap_or_else(|| panic!("unknown virtual {:?} handle {virt:#x}", self.class))
+            .unwrap_or_else(|| unknown(self.class, virt))
     }
 
-    /// Real id behind `virt`, or `None` for an unknown handle. The restart
-    /// engine's verified replay uses this so a malformed log surfaces as a
-    /// typed [`crate::restart::RestartError`] instead of a panic.
-    pub fn try_real_of(&self, virt: u64) -> Option<u64> {
-        self.inner.lock().v2r.get(&virt).copied()
+    /// Mutable entry behind `virt`; panics like [`HandleTable::get`].
+    pub fn get_mut(&mut self, virt: u64) -> &mut E {
+        let class = self.class;
+        self.entries
+            .get_mut(&virt)
+            .unwrap_or_else(|| unknown(class, virt))
     }
 
-    /// This table's handle class.
-    pub fn class(&self) -> HandleClass {
-        self.class
+    /// Drop `virt` (object freed), returning its entry; panics like
+    /// [`HandleTable::get`]. The id is not reissued.
+    pub fn remove(&mut self, virt: u64) -> E {
+        self.entries
+            .remove(&virt)
+            .unwrap_or_else(|| unknown(self.class, virt))
     }
 
-    /// Virtual id for a real handle, if it is tracked.
-    pub fn virt_of(&self, real: u64) -> Option<u64> {
-        self.inner.lock().r2v.get(&real).copied()
+    /// Install an entry restored from a checkpoint image under its
+    /// original id (restart replay binds its real handle later).
+    pub fn restore(&mut self, virt: u64, entry: E) {
+        self.reserve(virt);
+        self.entries.insert(virt, entry);
     }
 
-    /// Rebind `virt` to a new real id (restart replay: the fresh library
-    /// issued different handle values).
-    pub fn rebind(&self, virt: u64, new_real: u64) {
-        let mut t = self.inner.lock();
-        let old = t
-            .v2r
-            .insert(virt, new_real)
-            .unwrap_or_else(|| panic!("rebind of unknown virtual handle {virt:#x}"));
-        t.r2v.remove(&old);
-        t.r2v.insert(new_real, virt);
+    /// Never issue `virt` again: restart replay re-created it.
+    pub fn reserve(&mut self, virt: u64) {
+        self.next = self.next.max(virt + 1);
     }
 
-    /// Register a virtual id restored from a checkpoint image, not yet
-    /// bound to any real handle (replay will `rebind` it).
-    pub fn restore_virt(&self, virt: u64) {
-        let mut t = self.inner.lock();
-        t.v2r.insert(virt, UNBOUND_REAL);
-        t.next = t.next.max(virt + 1);
+    /// Live ids and their entries, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &E)> {
+        self.entries.iter().map(|(v, e)| (*v, e))
     }
 
-    /// Bind `virt` to `real`, inserting or updating (replay path: log
-    /// entries may reference virtual ids that were freed later in the log
-    /// and therefore are not in the restored live set).
-    pub fn bind(&self, virt: u64, real: u64) {
-        let mut t = self.inner.lock();
-        if let Some(old) = t.v2r.insert(virt, real) {
-            t.r2v.remove(&old);
-        }
-        t.r2v.insert(real, virt);
-        t.next = t.next.max(virt + 1);
-    }
-
-    /// Drop a virtual id (object freed).
-    pub fn remove(&self, virt: u64) {
-        let mut t = self.inner.lock();
-        if let Some(r) = t.v2r.remove(&virt) {
-            t.r2v.remove(&r);
-        }
-    }
-
-    /// All live virtual ids, sorted (deterministic iteration; image
-    /// serialization).
-    pub fn live_virts(&self) -> Vec<u64> {
-        let t = self.inner.lock();
-        let mut v: Vec<u64> = t.v2r.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Number of live handles.
-    pub fn len(&self) -> usize {
-        self.inner.lock().v2r.len()
-    }
-
-    /// Whether no handles are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The four tables MANA maintains per rank.
-pub struct VirtRegistry {
-    /// Communicator handles.
-    pub comm: VirtTable,
-    /// Group handles.
-    pub group: VirtTable,
-    /// Datatype handles.
-    pub dtype: VirtTable,
-    /// Request handles.
-    pub req: VirtTable,
-}
-
-impl Default for VirtRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl VirtRegistry {
-    /// Fresh registry.
-    pub fn new() -> VirtRegistry {
-        VirtRegistry {
-            comm: VirtTable::new(HandleClass::Comm),
-            group: VirtTable::new(HandleClass::Group),
-            dtype: VirtTable::new(HandleClass::Dtype),
-            req: VirtTable::new(HandleClass::Req),
-        }
+    /// Live ids and their mutable entries, in id order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut E)> {
+        self.entries.iter_mut().map(|(v, e)| (*v, e))
     }
 }
 
@@ -202,61 +132,63 @@ mod tests {
 
     #[test]
     fn intern_translate_roundtrip() {
-        let t = VirtTable::new(HandleClass::Comm);
+        let mut t = HandleTable::new(HandleClass::Comm);
         let v1 = t.intern(0x4400_0000);
         let v2 = t.intern(0x4400_0001);
         assert_ne!(v1, v2);
-        assert_eq!(t.real_of(v1), 0x4400_0000);
-        assert_eq!(t.virt_of(0x4400_0001), Some(v2));
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn rebind_after_restart() {
-        let t = VirtTable::new(HandleClass::Comm);
-        let v = t.intern(100);
-        // Restart: new library issues a pointer-like handle instead.
-        t.rebind(v, 0x7f00_0000_0040);
-        assert_eq!(t.real_of(v), 0x7f00_0000_0040);
-        assert_eq!(t.virt_of(100), None);
-        assert_eq!(t.virt_of(0x7f00_0000_0040), Some(v));
-    }
-
-    #[test]
-    fn restore_then_rebind() {
-        let t = VirtTable::new(HandleClass::Dtype);
-        t.restore_virt(0x3000_0005);
-        t.rebind(0x3000_0005, 77);
-        assert_eq!(t.real_of(0x3000_0005), 77);
-        // Fresh interns never collide with restored ids.
-        let v = t.intern(88);
-        assert!(v > 0x3000_0005);
+        assert_eq!(*t.get(v1), 0x4400_0000);
+        assert_eq!(*t.get(v2), 0x4400_0001);
+        assert!(t.iter().map(|(v, _)| v).eq([v1, v2]));
     }
 
     #[test]
     fn remove_frees() {
-        let t = VirtTable::new(HandleClass::Group);
+        let mut t = HandleTable::new(HandleClass::Group);
         let v = t.intern(5);
-        t.remove(v);
-        assert!(t.is_empty());
-        assert_eq!(t.virt_of(5), None);
+        assert_eq!(t.remove(v), 5);
+        assert_eq!(t.iter().count(), 0);
+        // A freed id is never reissued.
+        assert!(t.intern(6) > v);
     }
 
     #[test]
-    #[should_panic(expected = "unknown virtual")]
+    fn restore_then_rebind() {
+        let mut t = HandleTable::new(HandleClass::Dtype);
+        t.restore(0x3000_0005, UNBOUND_REAL);
+        *t.get_mut(0x3000_0005) = 77;
+        assert_eq!(*t.get(0x3000_0005), 77);
+        // Fresh interns never collide with restored ids.
+        assert_eq!(t.intern(88), 0x3000_0006);
+    }
+
+    #[test]
+    fn rebind_after_restart() {
+        // Replay re-created 0x1000_0007 and the log freed it: it is not
+        // live, but the allocator must still move past it.
+        let mut t = HandleTable::new(HandleClass::Comm);
+        t.restore(0x1000_0002, UNBOUND_REAL);
+        t.reserve(0x1000_0007);
+        *t.get_mut(0x1000_0002) = 0x7f00_0000_0040;
+        assert_eq!(*t.get(0x1000_0002), 0x7f00_0000_0040);
+        assert_eq!(t.intern(2), 0x1000_0008);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown virtual Comm handle 0x10000099")]
     fn stale_handle_panics() {
-        let t = VirtTable::new(HandleClass::Comm);
-        t.real_of(0x1000_0099);
+        let t: HandleTable<u64> = HandleTable::new(HandleClass::Comm);
+        t.get(0x1000_0099);
     }
 
     #[test]
     fn classes_have_disjoint_spaces() {
-        let r = VirtRegistry::new();
-        let c = r.comm.intern(1);
-        let g = r.group.intern(1);
-        let d = r.dtype.intern(1);
-        let q = r.req.intern(1);
-        let all = [c, g, d, q];
+        let all = [
+            HandleClass::Comm,
+            HandleClass::Group,
+            HandleClass::Dtype,
+            HandleClass::Req,
+        ]
+        .map(|class| HandleTable::new(class).intern(1));
         for i in 0..4 {
             for j in i + 1..4 {
                 assert_ne!(all[i], all[j]);

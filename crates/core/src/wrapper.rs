@@ -5,8 +5,10 @@
 //!
 //! * every call into the lower half pays the FS-register round-trip
 //!   (§3.3's dominant overhead source, [`KernelModel::fs_roundtrip`]);
-//! * every opaque handle crossing the boundary is translated through the
-//!   virtual-id tables (§2.2; costs [`ManaConfig::virt_cost`] per lookup);
+//! * every opaque handle crossing the boundary is translated through its
+//!   class's virtual-id table, whose entry holds the real handle and all
+//!   the wrapper keeps for it (§2.2; costs [`ManaConfig::virt_cost`] per
+//!   lookup);
 //! * state-mutating calls are appended to the record-replay log (§2.2);
 //! * point-to-point traffic is counted for the drain bookmarks (§2.3) and
 //!   receives consult the drained-message buffer first;
@@ -18,9 +20,8 @@
 
 use crate::cell::{CollInstance, Park};
 use crate::config::ManaConfig;
-use crate::image::PendingColl;
 use crate::record::LoggedCall;
-use crate::shared::{CommMeta, PendingRt, RankShared, WReq};
+use crate::shared::{CommMeta, GroupMeta, RankShared, WReq};
 use mana_mpi::{
     BaseType, CommHandle, DtypeHandle, GroupHandle, Mpi, Msg, Rank, ReduceOp, ReqHandle, SrcSpec,
     Status, Tag, TagSpec, COMM_NULL,
@@ -28,6 +29,23 @@ use mana_mpi::{
 use mana_sim::sched::SimThread;
 use mana_sim::time::SimDuration;
 use std::sync::Arc;
+
+/// Intern a communicator with fresh collective sequence numbering.
+fn register_comm(
+    sh: &RankShared,
+    real: u64,
+    members: Arc<[u32]>,
+    cart_dims: Vec<u32>,
+    cart_periodic: Vec<bool>,
+) -> u64 {
+    sh.comms.lock().intern(CommMeta {
+        real,
+        members,
+        cart_dims,
+        cart_periodic,
+        wseq: 0,
+    })
+}
 
 /// The MANA wrapper for one rank.
 pub struct ManaMpi {
@@ -43,18 +61,8 @@ impl ManaMpi {
     pub fn fresh(sh: Arc<RankShared>, lower: Arc<dyn Mpi>, cfg: ManaConfig) -> ManaMpi {
         let world_real = lower.comm_world();
         let members: Arc<[u32]> = (0..lower.comm_size(world_real)).collect();
-        let world_virt = sh.virt.comm.intern(world_real.0);
+        let world_virt = register_comm(&sh, world_real.0, members, Vec::new(), Vec::new());
         *sh.world_virt.lock() = world_virt;
-        sh.comms.lock().insert(
-            world_virt,
-            CommMeta {
-                real: world_real.0,
-                members,
-                cart_dims: Vec::new(),
-                cart_periodic: Vec::new(),
-                wseq: 0,
-            },
-        );
         *sh.lower.lock() = Some(lower.clone());
         ManaMpi {
             sh,
@@ -65,9 +73,9 @@ impl ManaMpi {
     }
 
     /// Wrap a fresh lower half for a *restarted* incarnation: the shared
-    /// state (virtual tables, comm metadata, buffers) was already restored
-    /// and replayed by the restart engine, which also recorded the world
-    /// communicator's virtual id from the image.
+    /// state (handle tables, buffers) was already restored and rebound by
+    /// the restart engine, which also recorded the world communicator's
+    /// virtual id from the image.
     pub fn resumed(sh: Arc<RankShared>, lower: Arc<dyn Mpi>, cfg: ManaConfig) -> ManaMpi {
         let world_virt = *sh.world_virt.lock();
         assert_ne!(
@@ -117,7 +125,7 @@ impl ManaMpi {
 
     fn next_instance(&self, comm_virt: u64, size: u32) -> CollInstance {
         let mut comms = self.sh.comms.lock();
-        let m = comms.get_mut(&comm_virt).expect("known communicator");
+        let m = comms.get_mut(comm_virt);
         m.wseq += 1;
         CollInstance {
             comm_virt,
@@ -207,39 +215,10 @@ impl ManaMpi {
         }
     }
 
-    fn register_comm(
-        &self,
-        real: u64,
-        members: Arc<[u32]>,
-        cart_dims: Vec<u32>,
-        cart_periodic: Vec<bool>,
-    ) -> u64 {
-        let virt = self.sh.virt.comm.intern(real);
-        self.sh.comms.lock().insert(
-            virt,
-            CommMeta {
-                real,
-                members,
-                cart_dims,
-                cart_periodic,
-                wseq: 0,
-            },
-        );
-        virt
-    }
-
     /// Complete an outstanding two-phase `MPI_Ibarrier`. Implements the
     /// paper's §4.2 proposal: wait for the nonblocking trivial barrier,
     /// then run the converted-to-blocking real barrier.
-    fn finish_pending(&self, t: &SimThread, vreq: u64) {
-        // Read (don't consume) the descriptor: a checkpoint-kill can land
-        // while blocked in the phase-1 wait below, and the descriptor must
-        // still be in the image for the restarted wait to re-execute.
-        let (comm_virt, lower_phase1) = {
-            let pending = self.sh.pending.lock();
-            let e = pending.get(&vreq).expect("unknown pending collective");
-            (e.desc.comm_virt, e.lower_phase1)
-        };
+    fn finish_pending(&self, t: &SimThread, comm_virt: u64, lower_phase1: Option<ReqHandle>) {
         let meta = self.meta(t, comm_virt);
         let real = CommHandle(meta.real);
         // Phase 1: wait for (or re-issue after restart) the ibarrier.
@@ -260,7 +239,6 @@ impl ManaMpi {
         self.fs(t);
         self.lower.barrier(t, real);
         self.sh.cell.exit_phase2();
-        self.sh.pending.lock().remove(&vreq);
     }
 }
 
@@ -312,31 +290,28 @@ impl Mpi for ManaMpi {
         self.sh.counters.lock().on_send(dst_global);
         self.fs(t);
         let lreq = self.lower.isend(t, msg, dst, tag, CommHandle(meta.real));
-        let vreq = self.sh.virt.req.intern(lreq.0);
-        self.sh.wreqs.lock().insert(vreq, WReq::LowerSend(lreq));
-        ReqHandle(vreq)
+        ReqHandle(self.sh.reqs.lock().intern(WReq::LowerSend(lreq)))
     }
 
     fn wait(&self, t: &SimThread, req: ReqHandle) {
         self.vcost(t);
-        // Consume the request only after completion (checkpoint-kill can
-        // interrupt the blocking part; the restarted wait re-executes).
-        let lower_send = match self.sh.wreqs.lock().get(&req.0) {
-            None => panic!("unknown virtual request {:#x}", req.0),
-            Some(WReq::LowerSend(l)) => Some(*l),
-            Some(WReq::TwoPhase) => None,
-        };
-        match lower_send {
-            Some(lreq) => {
+        // Consume the request only after completion: a checkpoint-kill
+        // can land in the blocking part, and a pending collective must
+        // still be in the image for the restarted wait to re-execute.
+        let wreq = *self.sh.reqs.lock().get(req.0);
+        match wreq {
+            WReq::LowerSend(lreq) => {
                 self.fs(t);
                 self.sh
                     .cell
                     .with_park(Park::InLowerSend, || self.lower.wait(t, lreq));
             }
-            None => self.finish_pending(t, req.0),
+            WReq::TwoPhase {
+                comm_virt,
+                lower_phase1,
+            } => self.finish_pending(t, comm_virt, lower_phase1),
         }
-        self.sh.wreqs.lock().remove(&req.0);
-        self.sh.virt.req.remove(req.0);
+        self.sh.reqs.lock().remove(req.0);
     }
 
     fn iprobe(
@@ -415,31 +390,23 @@ impl Mpi for ManaMpi {
         self.fs(t);
         let lreq = self.lower.ibarrier(t, CommHandle(meta.real));
         self.sh.cell.detach_engaged();
-        let vreq = self.sh.virt.req.intern(u64::MAX - 1);
-        self.sh.wreqs.lock().insert(vreq, WReq::TwoPhase);
-        self.sh.pending.lock().insert(
-            vreq,
-            PendingRt {
-                desc: PendingColl {
-                    vreq,
-                    comm_virt: comm.0,
-                },
-                lower_phase1: Some(lreq),
-            },
-        );
-        ReqHandle(vreq)
+        ReqHandle(self.sh.reqs.lock().intern(WReq::TwoPhase {
+            comm_virt: comm.0,
+            lower_phase1: Some(lreq),
+        }))
     }
 
     fn comm_dup(&self, t: &SimThread, comm: CommHandle) -> CommHandle {
         let meta = self.meta(t, comm.0);
         let new_real = self.two_phase(t, comm.0, |real| self.lower.comm_dup(t, real));
-        let virt = self.register_comm(
+        let virt = register_comm(
+            &self.sh,
             new_real.0,
             meta.members.clone(),
             meta.cart_dims.clone(),
             meta.cart_periodic.clone(),
         );
-        self.sh.log.push(LoggedCall::CommDup {
+        self.sh.log.lock().push(LoggedCall::CommDup {
             parent: comm.0,
             result: virt,
         });
@@ -448,28 +415,19 @@ impl Mpi for ManaMpi {
 
     fn comm_split(&self, t: &SimThread, comm: CommHandle, color: i32, key: i32) -> CommHandle {
         let new_real = self.two_phase(t, comm.0, |real| self.lower.comm_split(t, real, color, key));
-        let virt = if new_real == COMM_NULL {
-            // Burn a virtual id so allocation stays aligned across ranks.
-            let v = self.sh.virt.comm.intern(0);
-            self.sh.comms.lock().insert(
-                v,
-                CommMeta {
-                    real: 0,
-                    members: Arc::from([]),
-                    cart_dims: Vec::new(),
-                    cart_periodic: Vec::new(),
-                    wseq: 0,
-                },
-            );
-            v
+        let members: Arc<[u32]> = if new_real == COMM_NULL {
+            // Burn a virtual id (real handle 0, no members) so allocation
+            // stays aligned across ranks.
+            Arc::from([])
         } else {
             self.fs(t);
             let g = self.lower.comm_group(new_real);
             let members = self.lower.group_members(g);
             self.lower.group_free(g);
-            self.register_comm(new_real.0, members.into(), Vec::new(), Vec::new())
+            members.into()
         };
-        self.sh.log.push(LoggedCall::CommSplit {
+        let virt = register_comm(&self.sh, new_real.0, members, Vec::new(), Vec::new());
+        self.sh.log.lock().push(LoggedCall::CommSplit {
             parent: comm.0,
             color,
             key,
@@ -488,21 +446,25 @@ impl Mpi for ManaMpi {
         if meta.real != 0 {
             self.lower.comm_free(t, CommHandle(meta.real));
         }
-        self.sh.log.push(LoggedCall::CommFree { comm: comm.0 });
-        self.sh.virt.comm.remove(comm.0);
-        self.sh.comms.lock().remove(&comm.0);
+        self.sh
+            .log
+            .lock()
+            .push(LoggedCall::CommFree { comm: comm.0 });
+        self.sh.comms.lock().remove(comm.0);
     }
 
     fn comm_group(&self, comm: CommHandle) -> GroupHandle {
         let meta = self.meta_untimed(comm.0);
         let real_g = self.lower.comm_group(CommHandle(meta.real));
         let members = self.lower.group_members(real_g);
-        let virt = self.sh.virt.group.intern(real_g.0);
-        self.sh.groups.lock().insert(virt, members.clone());
+        let virt = self.sh.groups.lock().intern(GroupMeta {
+            real: real_g.0,
+            members: members.clone(),
+        });
         // Membership is recorded so restart replay can rebuild the group
         // locally — the compactor then need not keep a dead source
         // communicator alive just for its group.
-        self.sh.log.push(LoggedCall::CommGroup {
+        self.sh.log.lock().push(LoggedCall::CommGroup {
             comm: comm.0,
             members,
             result: virt,
@@ -511,12 +473,14 @@ impl Mpi for ManaMpi {
     }
 
     fn group_incl(&self, group: GroupHandle, ranks: &[Rank]) -> GroupHandle {
-        let real_g = GroupHandle(self.sh.virt.group.real_of(group.0));
+        let real_g = GroupHandle(self.sh.groups.lock().get(group.0).real);
         let new_real = self.lower.group_incl(real_g, ranks);
         let members = self.lower.group_members(new_real);
-        let virt = self.sh.virt.group.intern(new_real.0);
-        self.sh.groups.lock().insert(virt, members);
-        self.sh.log.push(LoggedCall::GroupIncl {
+        let virt = self.sh.groups.lock().intern(GroupMeta {
+            real: new_real.0,
+            members,
+        });
+        self.sh.log.lock().push(LoggedCall::GroupIncl {
             group: group.0,
             ranks: ranks.to_vec(),
             result: virt,
@@ -525,15 +489,16 @@ impl Mpi for ManaMpi {
     }
 
     fn group_free(&self, group: GroupHandle) {
-        let real_g = GroupHandle(self.sh.virt.group.real_of(group.0));
+        let real_g = GroupHandle(self.sh.groups.lock().remove(group.0).real);
         self.lower.group_free(real_g);
-        self.sh.log.push(LoggedCall::GroupFree { group: group.0 });
-        self.sh.virt.group.remove(group.0);
-        self.sh.groups.lock().remove(&group.0);
+        self.sh
+            .log
+            .lock()
+            .push(LoggedCall::GroupFree { group: group.0 });
     }
 
     fn group_members(&self, group: GroupHandle) -> Vec<Rank> {
-        self.sh.groups.lock()[&group.0].clone()
+        self.sh.groups.lock().get(group.0).members.clone()
     }
 
     fn cart_create(
@@ -548,13 +513,14 @@ impl Mpi for ManaMpi {
         let new_real = self.two_phase(t, comm.0, |real| {
             self.lower.cart_create(t, real, dims, periodic, reorder)
         });
-        let virt = self.register_comm(
+        let virt = register_comm(
+            &self.sh,
             new_real.0,
             meta.members.clone(),
             dims.to_vec(),
             periodic.to_vec(),
         );
-        self.sh.log.push(LoggedCall::CartCreate {
+        self.sh.log.lock().push(LoggedCall::CartCreate {
             parent: comm.0,
             dims: dims.to_vec(),
             periodic: periodic.to_vec(),
@@ -573,21 +539,20 @@ impl Mpi for ManaMpi {
             return DtypeHandle(*v);
         }
         let real = self.lower.type_base(base);
-        let virt = self.sh.virt.dtype.intern(real.0);
+        let virt = self.sh.dtypes.lock().intern(real.0);
         self.sh.dtype_base_cache.lock().insert(base, virt);
-        self.sh.dtypes.lock().insert(virt, ());
         self.sh
             .log
+            .lock()
             .push(LoggedCall::TypeBase { base, result: virt });
         DtypeHandle(virt)
     }
 
     fn type_contiguous(&self, count: u32, inner: DtypeHandle) -> DtypeHandle {
-        let real_inner = DtypeHandle(self.sh.virt.dtype.real_of(inner.0));
+        let real_inner = DtypeHandle(*self.sh.dtypes.lock().get(inner.0));
         let real = self.lower.type_contiguous(count, real_inner);
-        let virt = self.sh.virt.dtype.intern(real.0);
-        self.sh.dtypes.lock().insert(virt, ());
-        self.sh.log.push(LoggedCall::TypeContiguous {
+        let virt = self.sh.dtypes.lock().intern(real.0);
+        self.sh.log.lock().push(LoggedCall::TypeContiguous {
             count,
             inner: inner.0,
             result: virt,
@@ -596,11 +561,12 @@ impl Mpi for ManaMpi {
     }
 
     fn type_free(&self, dtype: DtypeHandle) {
-        let real = DtypeHandle(self.sh.virt.dtype.real_of(dtype.0));
+        let real = DtypeHandle(self.sh.dtypes.lock().remove(dtype.0));
         self.lower.type_free(real);
-        self.sh.log.push(LoggedCall::TypeFree { dtype: dtype.0 });
-        self.sh.virt.dtype.remove(dtype.0);
-        self.sh.dtypes.lock().remove(&dtype.0);
+        self.sh
+            .log
+            .lock()
+            .push(LoggedCall::TypeFree { dtype: dtype.0 });
         self.sh.dtype_base_cache.lock().retain(|_, v| *v != dtype.0);
     }
 
