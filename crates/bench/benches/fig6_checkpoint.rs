@@ -22,7 +22,6 @@ fn main() {
         "write-dominated; 5.9 GB..4 TB total; per-rank sizes annotated (93 MB..2 GB)",
     );
     let rpn = scale.ranks_per_node();
-    let session = lustre_session();
     let mut table = Table::new(&[
         "app",
         "nodes",
@@ -42,6 +41,9 @@ fn main() {
             };
             let cluster = ClusterSpec::cori(nodes);
             let dir = format!("fig6-{}-{}", app.name(), nodes);
+            // A session per row: its store frees the row's images when
+            // the row is done, instead of holding every row's to exit.
+            let session = lustre_session();
             let killed = checkpoint_run(app, &cluster, nranks, 6, 44, &session, &dir, true);
             let report = &killed.ckpts()[0];
             table.row(vec![

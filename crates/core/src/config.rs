@@ -88,6 +88,18 @@ impl ManaConfig {
         }
     }
 
+    /// Whether this incarnation ends after checkpoint `ckpt_id`: it is
+    /// the last scheduled checkpoint and the job is killed after it. The
+    /// coordinator kills the job after it, and each rank's helper freezes
+    /// its memory onto the image's pages instead of keeping the live
+    /// buffers beside them.
+    pub fn ends_after(&self, ckpt_id: u64) -> bool {
+        self.after_last_ckpt == AfterCkpt::Kill
+            && ckpt_id
+                .checked_sub(self.first_ckpt_id)
+                .is_some_and(|i| i + 1 == self.ckpt_times.len() as u64)
+    }
+
     /// Image path for `rank` under checkpoint `ckpt_id`.
     pub fn image_path(&self, ckpt_id: u64, rank: u32) -> String {
         format!("{}/ckpt_{ckpt_id}/rank_{rank}.mana", self.ckpt_dir)
@@ -140,6 +152,19 @@ mod tests {
         assert_eq!(c.after_last_ckpt, AfterCkpt::Continue);
         assert_eq!(c.image_path(2, 7), "ckpt/ckpt_2/rank_7.mana");
         assert_eq!(c.topology, TopologyKind::Flat, "flat is the default");
+    }
+
+    #[test]
+    fn only_the_last_checkpoint_of_a_killed_schedule_ends_it() {
+        let mut c = ManaConfig::no_checkpoints(KernelModel::unpatched());
+        c.first_ckpt_id = 4;
+        c.ckpt_times = vec![SimTime(10), SimTime(20)];
+        assert!(!(3..7).any(|id| c.ends_after(id)), "continue never ends");
+        c.after_last_ckpt = AfterCkpt::Kill;
+        let ends: Vec<u64> = (0..8).filter(|&id| c.ends_after(id)).collect();
+        assert_eq!(ends, [5]);
+        c.ckpt_times.clear();
+        assert!(!(0..8).any(|id| c.ends_after(id)), "no schedule, no end");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! (who is gated and will stay gated), because then nobody can slip into
 //! the real collective during the checkpoint.
 
-use crate::config::{AfterCkpt, ManaConfig};
+use crate::config::ManaConfig;
 use crate::ctrl::{CtrlMsg, StateAgg};
 use crate::stats::CkptReport;
 use crate::store::CheckpointStore;
@@ -58,8 +58,8 @@ pub fn run_coordinator(t: SimThread, cx: CoordCtx) {
         if *at > now {
             t.advance(*at - now);
         }
-        let kill = i + 1 == times.len() && cx.cfg.after_last_ckpt == AfterCkpt::Kill;
-        run_checkpoint(&t, &cx, cx.cfg.first_ckpt_id + i as u64, kill);
+        let ckpt_id = cx.cfg.first_ckpt_id + i as u64;
+        run_checkpoint(&t, &cx, ckpt_id, cx.cfg.ends_after(ckpt_id));
     }
 }
 

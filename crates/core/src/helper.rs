@@ -213,8 +213,12 @@ fn do_checkpoint(t: &SimThread, hx: &HelperCtx, ckpt_id: u64) -> bool {
     //    record log is compacted here, on its way into the image). The
     //    snapshot is copy-on-write: clean pages are shared with the
     //    previous committed checkpoint epoch, dirty pages are copied.
+    //    When the job is killed after this checkpoint, the snapshot also
+    //    freezes each region onto its copy, so the rank never holds its
+    //    memory twice; an aborted round thaws a region on its next write.
     sh.cell.helper_wait(t, |c| c.snapshot_safe());
-    let (img, log_recorded, snap_stats) = build_image(sh, ckpt_id, hx.cfg.compact_log);
+    let (img, log_recorded, snap_stats) =
+        build_image(sh, ckpt_id, hx.cfg.compact_log, hx.cfg.ends_after(ckpt_id));
     let img = std::sync::Arc::new(img);
     let encoded = CheckpointImage::encode_shared(&img);
     let logical = img.logical_bytes();
@@ -346,6 +350,7 @@ fn build_image(
     sh: &Arc<RankShared>,
     ckpt_id: u64,
     compact: bool,
+    freeze: bool,
 ) -> (CheckpointImage, u64, mana_sim::memory::SnapshotStats) {
     use crate::restart::compact::{LiveSet, LogCompactor};
     let comms: Vec<VirtCommEntry> = sh
@@ -383,7 +388,11 @@ fn build_image(
     } else {
         LogCompactor::passthrough(world_virt, &entries)
     };
-    let snap = sh.aspace.snapshot_half_tracked(Half::Upper);
+    let snap = if freeze {
+        sh.aspace.snapshot_half_freezing(Half::Upper)
+    } else {
+        sh.aspace.snapshot_half_tracked(Half::Upper)
+    };
     let progress = sh.progress.lock();
     let img = CheckpointImage {
         rank: sh.rank,

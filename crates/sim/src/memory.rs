@@ -132,6 +132,32 @@ impl DenseBuf {
         b
     }
 
+    /// Buffer holding `snap`'s content, built straight from its pages
+    /// (no zero fill first).
+    fn from_snap(snap: &DenseSnap) -> DenseBuf {
+        let mut words = Vec::with_capacity(snap.len.div_ceil(8));
+        for p in snap.pages() {
+            // Every page but a short last one is a whole number of words.
+            let mut chunks = p.chunks_exact(8);
+            words.extend(
+                chunks
+                    .by_ref()
+                    .map(|w| u64::from_ne_bytes(w.try_into().expect("8-byte chunk"))),
+            );
+            let tail = chunks.remainder();
+            if !tail.is_empty() {
+                let mut w = [0u8; 8];
+                w[..tail.len()].copy_from_slice(tail);
+                words.push(u64::from_ne_bytes(w));
+            }
+        }
+        debug_assert_eq!(words.len(), snap.len.div_ceil(8));
+        DenseBuf {
+            words,
+            len: snap.len,
+        }
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -175,12 +201,14 @@ impl Clone for DenseBuf {
 pub enum Backing {
     /// Real bytes: fully saved/restored in checkpoint images.
     Dense(DenseBuf),
-    /// Restored content still sitting in the checkpoint image's frozen
-    /// rope — the stored pages installed directly, zero restore-time
-    /// copies. Reads within one page are served straight from the rope;
-    /// the first write (or multi-page read) thaws the region into a
-    /// private [`DenseBuf`]. Snapshotting a still-frozen region shares
-    /// every page.
+    /// Content sitting in a checkpoint image's frozen rope, zero copies
+    /// of its own. Two sources install it: restore maps the stored pages
+    /// in directly, and [`AddressSpace::snapshot_half_freezing`] swaps a
+    /// region's live buffer for the rope it has just snapshotted. Reads
+    /// within one page are served straight from the rope; the first
+    /// write (or multi-page read) thaws the region into a private
+    /// [`DenseBuf`]. Snapshotting a still-frozen region shares every
+    /// page.
     Frozen(DenseSnap),
     /// Synthetic bulk footprint: content is the deterministic function
     /// [`pattern_byte`] of (seed, offset); only the descriptor is stored.
@@ -221,19 +249,15 @@ pub struct Region {
 }
 
 impl Region {
-    /// Materialize frozen (restored, zero-copy) content into a private
-    /// dense buffer — the deferred restore copy, paid only on the first
-    /// write or multi-page read. Content is unchanged, so no pages are
-    /// marked dirty: the region still equals its committed epoch.
+    /// Materialize frozen (zero-copy) content into a private dense
+    /// buffer — the deferred copy, paid only on the first write or
+    /// multi-page read. Content is unchanged, so no pages are marked
+    /// dirty: the region still equals the rope it was frozen on, and the
+    /// pages that rope holds ahead of the committed epoch (a freezing
+    /// snapshot not yet committed) are in the staged dirty set.
     fn thaw(&mut self) {
         if let Backing::Frozen(rope) = &self.backing {
-            let mut buf = DenseBuf::zeroed(rope.len());
-            let mut off = 0;
-            for p in rope.pages() {
-                buf.as_bytes_mut()[off..off + p.len()].copy_from_slice(p);
-                off += p.len();
-            }
-            self.backing = Backing::Dense(buf);
+            self.backing = Backing::Dense(DenseBuf::from_snap(rope));
         }
     }
 }
@@ -1111,6 +1135,23 @@ impl AddressSpace {
     /// harmless — the next snapshot folds its dirty set back in and diffs
     /// against the still-committed base.
     pub fn snapshot_half_tracked(&self, half: Half) -> HalfSnapshot {
+        self.snapshot_half_with(half, false)
+    }
+
+    /// [`snapshot_half_tracked`](AddressSpace::snapshot_half_tracked)
+    /// for a checkpoint the process does not outlive: each dense region
+    /// becomes [`Backing::Frozen`] over its own snapshot rope as soon as
+    /// it is copied, and its live buffer is dropped before the next
+    /// region is copied. The half then holds its content once, not twice,
+    /// and peaks at one region's copy above it. The snapshot, dirty
+    /// summaries and stats equal the unfreezing call's; a process that
+    /// does run on after all (an aborted round) thaws each region on its
+    /// first write.
+    pub fn snapshot_half_freezing(&self, half: Half) -> HalfSnapshot {
+        self.snapshot_half_with(half, true)
+    }
+
+    fn snapshot_half_with(&self, half: Half, freeze: bool) -> HalfSnapshot {
         let mut inner = self.inner.lock();
         inner.snap_seq += 1;
         let seq = inner.snap_seq;
@@ -1121,30 +1162,42 @@ impl AddressSpace {
             stats: SnapshotStats::default(),
         };
         for r in inner.regions.values_mut().filter(|r| r.half == half) {
+            // A snapshot that was never committed still holds pages newer
+            // than the committed base: fold its dirty set back into the
+            // live bitmap before diffing.
+            if let Some(st) = r.track.staged.take() {
+                bits_or_into(&mut r.track.dirty, &st.dirty_at_snap);
+            }
             let content = match &r.backing {
                 Backing::Pattern { seed } => SnapshotContent::Pattern { seed: *seed },
                 Backing::Frozen(rope) => {
-                    // Still frozen means never written since restore (a
-                    // write thaws): the snapshot *is* the rope, every page
-                    // shared, zero bytes copied.
-                    if let Some(st) = r.track.staged.take() {
-                        bits_or_into(&mut r.track.dirty, &st.dirty_at_snap);
-                    }
+                    // Still frozen means never written since the rope was
+                    // installed (a write thaws): the snapshot *is* the
+                    // rope, every page shared, zero bytes copied. A rope
+                    // from restore is the committed base itself, so its
+                    // folded bits are empty. A rope from a freezing
+                    // snapshot whose round never committed is ahead of
+                    // the base by exactly the folded bits: report them.
                     let npages = rope.page_count();
                     let base_ok = r
                         .track
                         .committed
                         .as_ref()
                         .is_some_and(|c| c.len() == rope.len());
-                    out.stats.clean_pages_shared += npages as u64;
-                    out.dirty.push(RegionDirty {
+                    let mut pages = r.track.dirty.clone();
+                    pages.resize(bitmap_words(npages), 0);
+                    let summary = RegionDirty {
                         start: r.start,
                         lineage,
                         seq,
                         base_seq: base_ok.then_some(r.track.committed_seq),
                         page_count: npages as u64,
-                        pages: vec![0u64; bitmap_words(npages)],
-                    });
+                        pages,
+                    };
+                    let dirty = summary.dirty_pages();
+                    out.stats.dirty_pages += dirty;
+                    out.stats.clean_pages_shared += npages as u64 - dirty;
+                    out.dirty.push(summary);
                     let rope = rope.clone();
                     r.track.staged = Some(Staged {
                         rope: rope.clone(),
@@ -1154,12 +1207,6 @@ impl AddressSpace {
                     SnapshotContent::Dense(rope)
                 }
                 Backing::Dense(b) => {
-                    // A snapshot that was never committed still holds
-                    // pages newer than the committed base: fold its dirty
-                    // set back into the live bitmap before diffing.
-                    if let Some(st) = r.track.staged.take() {
-                        bits_or_into(&mut r.track.dirty, &st.dirty_at_snap);
-                    }
                     let bytes = b.as_bytes();
                     let npages = pages_of_len(bytes.len());
                     // A committed epoch is only a usable base when the
@@ -1205,6 +1252,10 @@ impl AddressSpace {
                         dirty_at_snap: std::mem::take(&mut r.track.dirty),
                         seq,
                     });
+                    if freeze {
+                        // Drops the live buffer: the rope is the content now.
+                        r.backing = Backing::Frozen(rope.clone());
+                    }
                     SnapshotContent::Dense(rope)
                 }
             };
@@ -1807,6 +1858,104 @@ mod tests {
             assert_eq!(tracked.regions, full, "epoch {epoch}");
             a.clear_dirty(Half::Upper);
         }
+    }
+
+    #[test]
+    fn freezing_snapshot_leaves_no_live_copy() {
+        let a = AddressSpace::new();
+        let addr = a
+            .map(
+                Half::Upper,
+                RegionKind::Mmap,
+                "d",
+                3 * PAGE,
+                dense(3 * PAGE as usize),
+            )
+            .unwrap();
+        a.map(
+            Half::Upper,
+            RegionKind::Mmap,
+            "tail",
+            PAGE + 100,
+            dense(PAGE as usize + 100),
+        )
+        .unwrap();
+        a.map(
+            Half::Upper,
+            RegionKind::Mmap,
+            "bulk",
+            1 << 20,
+            Backing::Pattern { seed: 2 },
+        )
+        .unwrap();
+        a.write_bytes(addr + PAGE, &[4u8; 64]).unwrap();
+        let before = a.checksum_half(Half::Upper);
+        let s = a.snapshot_half_freezing(Half::Upper);
+        assert_eq!(s.stats.bytes_copied, 4 * PAGE + 100);
+        let inner = a.inner.lock();
+        for (r, snap) in inner.regions.values().zip(&s.regions) {
+            match (&r.backing, &snap.content) {
+                (Backing::Frozen(rope), SnapshotContent::Dense(d)) => {
+                    for i in 0..d.page_count() {
+                        assert!(Page::ptr_eq(&rope.pages[i], &d.pages[i]), "page {i}");
+                    }
+                }
+                (Backing::Pattern { .. }, SnapshotContent::Pattern { .. }) => {}
+                (Backing::Dense(_), _) => panic!("region '{}' still dense", r.name),
+                _ => panic!("region '{}' changed kind", r.name),
+            }
+        }
+        drop(inner);
+        assert_eq!(a.checksum_half(Half::Upper), before);
+    }
+
+    #[test]
+    fn aborted_freeze_reports_the_pages_ahead_of_the_base() {
+        let a = AddressSpace::new();
+        let addr = a
+            .map(
+                Half::Upper,
+                RegionKind::Mmap,
+                "d",
+                4 * PAGE,
+                dense(4 * PAGE as usize),
+            )
+            .unwrap();
+        let base = a.snapshot_half_tracked(Half::Upper);
+        a.clear_dirty(Half::Upper);
+        a.write_bytes(addr + PAGE, &[1u8; 8]).unwrap();
+        a.write_bytes(addr + 3 * PAGE, &[3u8; 8]).unwrap();
+        let frozen = a.snapshot_half_freezing(Half::Upper);
+        assert_eq!(frozen.stats.dirty_pages, 2);
+        // The round aborts: no `clear_dirty`. The region is still frozen,
+        // and its rope holds two pages the committed base lacks.
+        let s = a.snapshot_half_tracked(Half::Upper);
+        let summary = &s.dirty[0];
+        assert_eq!(summary.base_seq, Some(base.dirty[0].seq));
+        assert_eq!(summary.dirty_pages(), 2);
+        assert!(summary.is_dirty(1) && summary.is_dirty(3));
+        assert!(!summary.is_dirty(0) && !summary.is_dirty(2));
+        assert_eq!(s.stats.dirty_pages, 2);
+        assert_eq!(s.stats.clean_pages_shared, 2);
+        assert_eq!(s.stats.bytes_copied, 0, "a frozen region copies nothing");
+        assert_eq!(s.regions, a.snapshot_half_full(Half::Upper));
+        // The bits stay staged: committing this snapshot makes them the
+        // base, and the next snapshot is clean.
+        a.clear_dirty(Half::Upper);
+        let next = a.snapshot_half_tracked(Half::Upper);
+        assert_eq!(next.stats.dirty_pages, 0);
+    }
+
+    #[test]
+    fn thaw_rebuilds_a_short_last_page() {
+        let len = 2 * PAGE as usize + 13;
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+        let snap = DenseSnap::from_bytes(&bytes);
+        assert_eq!(snap.page(2).len(), 13);
+        let buf = DenseBuf::from_snap(&snap);
+        assert_eq!(buf.len(), len);
+        assert_eq!(buf.as_bytes(), &snap.to_vec()[..]);
+        assert_eq!(DenseBuf::from_snap(&DenseSnap::from_bytes(&[])).len(), 0);
     }
 
     #[test]

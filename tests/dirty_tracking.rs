@@ -6,7 +6,9 @@
 //! "Observationally identical" means: byte-identical region contents,
 //! byte-identical encoded checkpoint images, and equal post-restore
 //! `checksum_half` — the dirty bitmap may only ever change *how little*
-//! is copied, never what a snapshot contains.
+//! is copied, never what a snapshot contains. Any snapshot may be a
+//! freezing one (the checkpoint-and-kill path), whose regions the later
+//! writes thaw.
 
 use mana::core::buffer::PairCounters;
 use mana::core::image::CheckpointImage;
@@ -28,12 +30,13 @@ enum Op {
         len: u64,
         fill: u8,
     },
-    /// Tracked snapshot, compared against the full-copy reference, then
-    /// committed (the checkpoint-success path).
-    SnapshotCommit,
+    /// Tracked snapshot (freezing the regions if `freeze`), compared
+    /// against the full-copy reference, then committed (the
+    /// checkpoint-success path).
+    SnapshotCommit { freeze: bool },
     /// Tracked snapshot compared against the reference but *not*
     /// committed (the aborted-checkpoint path).
-    SnapshotAbort,
+    SnapshotAbort { freeze: bool },
     /// Grow the brk heap by one page (length-changing mutation).
     Grow,
 }
@@ -48,8 +51,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
                 fill,
             }
         }),
-        Just(Op::SnapshotCommit),
-        Just(Op::SnapshotAbort),
+        any::<bool>().prop_map(|freeze| Op::SnapshotCommit { freeze }),
+        any::<bool>().prop_map(|freeze| Op::SnapshotAbort { freeze }),
         Just(Op::Grow),
     ]
 }
@@ -240,8 +243,12 @@ proptest! {
                     a.sbrk(Half::Upper, PAGE).unwrap();
                     heap_len += PAGE;
                 }
-                Op::SnapshotCommit | Op::SnapshotAbort => {
-                    let tracked = a.snapshot_half_tracked(Half::Upper);
+                Op::SnapshotCommit { freeze } | Op::SnapshotAbort { freeze } => {
+                    let tracked = if *freeze {
+                        a.snapshot_half_freezing(Half::Upper)
+                    } else {
+                        a.snapshot_half_tracked(Half::Upper)
+                    };
                     let full = a.snapshot_half_full(Half::Upper);
 
                     // 1. Region-level equality (contents, not identity).
@@ -275,7 +282,7 @@ proptest! {
                     let summarized: u64 = tracked.dirty.iter().map(|d| d.dirty_pages()).sum();
                     prop_assert_eq!(tracked.stats.dirty_pages, summarized);
 
-                    if matches!(op, Op::SnapshotCommit) {
+                    if matches!(op, Op::SnapshotCommit { .. }) {
                         a.clear_dirty(Half::Upper);
                     }
                 }
