@@ -97,46 +97,37 @@ pub fn make_app(kind: AppKind, steps: u64, nodes: u32, with_bulk: bool) -> Arc<d
 
 /// Small-scale variant for correctness tests (fast, no bulk footprint).
 pub fn make_app_small(kind: AppKind, steps: u64) -> Arc<dyn Workload> {
-    make_app_with_bulk(kind, steps, 0)
-}
-
-/// Small-scale variant with an explicit per-rank bulk footprint —
-/// between [`make_app_small`] (no footprint) and [`make_app`] (the
-/// paper's Figure 6 footprints): fast iteration parameters, but images
-/// whose size the caller controls. The fleet scheduler uses this to make
-/// checkpoint traffic page-dominated without paper-scale memory.
-pub fn make_app_with_bulk(kind: AppKind, steps: u64, bulk_bytes: u64) -> Arc<dyn Workload> {
     match kind {
         AppKind::Gromacs => Arc::new(Gromacs {
             steps,
             particles: 300,
             neighbors: 2,
             chunk: 48,
-            bulk_bytes,
+            bulk_bytes: 0,
         }),
         AppKind::MiniFe => Arc::new(MiniFe {
             iters: steps,
             rows: 2000,
             boundary: 64,
-            bulk_bytes,
+            bulk_bytes: 0,
             ns_per_row: 18,
         }),
         AppKind::Hpcg => Arc::new(Hpcg {
             iters: steps,
             rows: 2500,
             boundary: 96,
-            bulk_bytes,
+            bulk_bytes: 0,
         }),
         AppKind::Clamr => Arc::new(Clamr {
             steps,
             cells: 1500,
             rebalance_every: 5,
-            bulk_bytes,
+            bulk_bytes: 0,
         }),
         AppKind::Lulesh => Arc::new(Lulesh {
             steps,
             edge: 6,
-            bulk_bytes,
+            bulk_bytes: 0,
         }),
     }
 }

@@ -35,17 +35,6 @@ pub enum StoreError {
         /// What part of the envelope is missing.
         why: String,
     },
-    /// A tenant's stored checkpoint bytes exceed its byte budget — typed
-    /// back-pressure from per-tenant quota enforcement (session quotas
-    /// and the fleet scheduler's quota pass both emit this).
-    QuotaExceeded {
-        /// The tenant over budget.
-        tenant: String,
-        /// Stored logical bytes attributed to the tenant.
-        used: u64,
-        /// The tenant's byte budget.
-        limit: u64,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -58,14 +47,6 @@ impl fmt::Display for StoreError {
             StoreError::Torn { path, why } => {
                 write!(f, "checkpoint object at '{path}' torn mid-write: {why}")
             }
-            StoreError::QuotaExceeded {
-                tenant,
-                used,
-                limit,
-            } => write!(
-                f,
-                "tenant '{tenant}' over checkpoint quota: {used} bytes stored, limit {limit}"
-            ),
         }
     }
 }
@@ -173,10 +154,6 @@ pub enum SessionError {
     },
     /// A [`crate::session::JobBuilder`] described an unrunnable job.
     InvalidSpec(String),
-    /// A storage-level refusal surfaced through the session — today that
-    /// is [`StoreError::QuotaExceeded`] back-pressure from per-tenant
-    /// quota enforcement.
-    Store(StoreError),
 }
 
 impl fmt::Display for SessionError {
@@ -216,7 +193,6 @@ impl fmt::Display for SessionError {
                 "recovery exhausted after {attempts} restart attempts; last error: {source}"
             ),
             SessionError::InvalidSpec(why) => write!(f, "invalid job description: {why}"),
-            SessionError::Store(e) => write!(f, "{e}"),
         }
     }
 }
@@ -227,7 +203,6 @@ impl std::error::Error for SessionError {
             SessionError::Restart(e) => Some(e),
             SessionError::CheckpointGone { source, .. } => Some(source),
             SessionError::RecoveryExhausted { source, .. } => Some(source),
-            SessionError::Store(e) => Some(e),
             _ => None,
         }
     }
@@ -236,12 +211,6 @@ impl std::error::Error for SessionError {
 impl From<RestartError> for SessionError {
     fn from(e: RestartError) -> SessionError {
         SessionError::Restart(e)
-    }
-}
-
-impl From<StoreError> for SessionError {
-    fn from(e: StoreError) -> SessionError {
-        SessionError::Store(e)
     }
 }
 
@@ -290,19 +259,6 @@ mod tests {
         }
         .to_string();
         assert!(s.contains("d/x") && s.contains("delta base"), "{s}");
-
-        let quota = StoreError::QuotaExceeded {
-            tenant: "acme".into(),
-            used: 300,
-            limit: 256,
-        };
-        let s = quota.to_string();
-        assert!(
-            s.contains("acme") && s.contains("300") && s.contains("256"),
-            "{s}"
-        );
-        let s = SessionError::from(quota).to_string();
-        assert!(s.contains("acme"), "{s}");
     }
 
     #[test]

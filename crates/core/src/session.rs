@@ -85,7 +85,7 @@
 use crate::chaos::ChaosHandle;
 use crate::config::{AfterCkpt, ManaConfig, TopologyKind};
 use crate::env::Workload;
-use crate::error::{SessionError, StoreError};
+use crate::error::SessionError;
 use crate::restart::RestartError;
 use crate::runner::{boot_mana, boot_native, ManaJobSpec, RunOutcome};
 use crate::stats::{CkptReport, RestartReport};
@@ -133,15 +133,6 @@ struct SessionInner {
     on_restart: Vec<RestartHook>,
     next_incarnation: Mutex<u64>,
     next_ckpt_id: Mutex<u64>,
-    /// Tenant identity in a multi-session deployment (fleet scheduling,
-    /// shared stores, quota attribution).
-    tenant: Option<String>,
-    /// Byte budget for this tenant's stored checkpoints, enforced as a
-    /// GC layer over [`GcPolicy`] (oldest checkpoints reclaimed first,
-    /// the newest always kept restartable).
-    quota: Option<u64>,
-    /// Typed back-pressure the quota layer emitted, in event order.
-    quota_events: Mutex<Vec<StoreError>>,
 }
 
 /// Owner of checkpoint storage, lifecycle hooks and statistics across a
@@ -161,8 +152,6 @@ pub struct SessionBuilder {
     gc: GcPolicy,
     on_checkpoint: Vec<CkptHook>,
     on_restart: Vec<RestartHook>,
-    tenant: Option<String>,
-    quota: Option<u64>,
 }
 
 impl SessionBuilder {
@@ -187,27 +176,6 @@ impl SessionBuilder {
     /// exist across the whole chain.
     pub fn gc(mut self, policy: GcPolicy) -> SessionBuilder {
         self.gc = policy;
-        self
-    }
-
-    /// Name the tenant this session belongs to. Purely an identity in a
-    /// single-session world; in a fleet it attributes shared-store usage,
-    /// quotas and back-pressure to a job owner.
-    pub fn tenant(mut self, name: impl Into<String>) -> SessionBuilder {
-        self.tenant = Some(name.into());
-        self
-    }
-
-    /// Cap the tenant's stored checkpoint bytes (as charged by the
-    /// session store's `logical_len`). Enforcement is a GC layer on top
-    /// of [`SessionBuilder::gc`]: when a new checkpoint pushes usage over
-    /// the cap, the oldest checkpoints' images are reclaimed until usage
-    /// fits — but the newest checkpoint is always kept, so the job stays
-    /// restartable. Every violation is recorded as a typed
-    /// [`StoreError::QuotaExceeded`] event
-    /// (see [`ManaSession::quota_events`]).
-    pub fn quota_bytes(mut self, limit: u64) -> SessionBuilder {
-        self.quota = Some(limit);
         self
     }
 
@@ -244,9 +212,6 @@ impl SessionBuilder {
                 on_restart: self.on_restart,
                 next_incarnation: Mutex::new(0),
                 next_ckpt_id: Mutex::new(1),
-                tenant: self.tenant,
-                quota: self.quota,
-                quota_events: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -284,38 +249,6 @@ impl ManaSession {
         self.inner.restarts.lock().clone()
     }
 
-    /// The tenant this session belongs to, if one was named.
-    pub fn tenant(&self) -> Option<&str> {
-        self.inner.tenant.as_deref()
-    }
-
-    /// The tenant's stored-byte budget, if one was set.
-    pub fn quota_bytes(&self) -> Option<u64> {
-        self.inner.quota
-    }
-
-    /// Stored bytes currently attributed to this session: the sum of the
-    /// store-charged `logical_len` over every registered image still in
-    /// the store. This is what [`SessionBuilder::quota_bytes`] meters.
-    pub fn stored_bytes(&self) -> u64 {
-        let reg = self.inner.registry.lock();
-        self.usage_of(&reg)
-    }
-
-    /// Typed quota back-pressure events emitted so far, in event order —
-    /// each is a [`StoreError::QuotaExceeded`] carrying the tenant, its
-    /// usage at violation time and the limit.
-    pub fn quota_events(&self) -> Vec<StoreError> {
-        self.inner.quota_events.lock().clone()
-    }
-
-    fn usage_of(&self, reg: &[CkptImages]) -> u64 {
-        reg.iter()
-            .flat_map(|c| c.paths.iter())
-            .map(|p| self.inner.store.logical_len(p).unwrap_or(0))
-            .sum()
-    }
-
     /// Ids of the checkpoints whose images are all still in the store —
     /// i.e. the ones a restart can come from. Under
     /// [`GcPolicy::KeepLast`] this is the rolling window of the newest
@@ -341,12 +274,7 @@ impl ManaSession {
 
     /// Record a completed checkpoint's image set and enforce the GC
     /// policy: with `KeepLast(n)`, delete the oldest checkpoints' images
-    /// until at most `n` remain registered. The tenant byte quota (if
-    /// set) is a second GC layer on top: a registration that pushes
-    /// usage over the budget emits a typed
-    /// [`StoreError::QuotaExceeded`] event and reclaims oldest-first
-    /// until usage fits — always keeping the newest checkpoint, so the
-    /// job stays restartable even while over budget.
+    /// until at most `n` remain registered.
     fn register_and_gc(&self, images: CkptImages) {
         let mut reg = self.inner.registry.lock();
         reg.push(images);
@@ -355,29 +283,6 @@ impl ManaSession {
                 let old = reg.remove(0);
                 for path in &old.paths {
                     self.inner.store.remove(path);
-                }
-            }
-        }
-        if let Some(limit) = self.inner.quota {
-            let used = self.usage_of(&reg);
-            if used > limit {
-                self.inner
-                    .quota_events
-                    .lock()
-                    .push(StoreError::QuotaExceeded {
-                        tenant: self
-                            .inner
-                            .tenant
-                            .clone()
-                            .unwrap_or_else(|| "default".into()),
-                        used,
-                        limit,
-                    });
-                while reg.len() > 1 && self.usage_of(&reg) > limit {
-                    let old = reg.remove(0);
-                    for path in &old.paths {
-                        self.inner.store.remove(path);
-                    }
                 }
             }
         }

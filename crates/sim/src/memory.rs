@@ -413,8 +413,8 @@ impl DenseSnap {
 
     /// Rebuild a snapshot from already-frozen page handles — zero-copy:
     /// the pages stay shared with whoever else holds them (the
-    /// content-addressed store reassembles images from its fleet-wide
-    /// page pool this way). Returns `None` unless the handles follow the
+    /// content-addressed store reassembles images from its page pool
+    /// this way). Returns `None` unless the handles follow the
     /// canonical chunking of `len`: every page [`PAGE`] bytes except a
     /// shorter final page.
     pub fn from_pages(len: usize, pages: Vec<Page>) -> Option<DenseSnap> {

@@ -1,24 +1,23 @@
-//! Content-addressed checkpoint storage with fleet-wide page dedup.
+//! Content-addressed checkpoint storage with store-wide page dedup.
 //!
-//! In a production deployment hundreds of jobs checkpoint against one
-//! filesystem, and most of the bytes are *the same bytes*: program text,
-//! read-only tables and converged data are near-identical across ranks of
-//! one job and across jobs running the same code. [`CasStore`] exploits
+//! Most of a checkpoint's bytes are *the same bytes*: program text,
+//! read-only tables and converged data are near-identical across the
+//! ranks of one job and across its generations. [`CasStore`] exploits
 //! that by content-addressing every 4 KiB page of every dense region:
 //! rank images on their way in (any object whose path parses as
 //! `dir/ckpt_<id>/rank_<r>.mana` and whose bytes decode as a
 //! [`CheckpointImage`]) are decomposed into their [`PAGE`](mana_sim::memory::PAGE)-sized snapshot
-//! pages, each page is addressed by its digest, and only pages never seen
-//! before are stored — once, fleet-wide, no matter how many tenants, ranks
-//! or generations present them. What reaches the inner store at the image
-//! path is a small *manifest*: the image's metadata plus, per dense
-//! region, the ordered pool-slot list of its pages.
+//! pages, each page is addressed by its memoized digest, and only pages
+//! never seen before are stored — once per store, no matter how many
+//! ranks, generations or sessions present them. What reaches the inner
+//! store at the image path is a small *manifest*: the image's metadata
+//! plus, per dense region, the ordered pool-slot list of its pages.
 //!
 //! Pages are refcounted: overwriting or removing an image releases its
 //! references, and a page is reclaimed exactly when its last referencing
-//! image goes away — so one tenant's GC can never corrupt another
-//! tenant's checkpoints ([`CheckpointStore::remove`] composes safely with
-//! session GC and fleet quota enforcement).
+//! image goes away — so removing one checkpoint can never corrupt
+//! another that shares its pages ([`CheckpointStore::remove`] composes
+//! safely with session GC).
 //!
 //! Cost model: `put` charges the inner store only for the manifest plus
 //! the *newly unique* page bytes (dedup saves write bandwidth and
@@ -41,7 +40,7 @@
 //! the pool's own handle ([`CasStats::pages_hashed`]): at 1 % dirty,
 //! ~1 % of them. A clean page shared from the snapshot an earlier
 //! generation stored is free; equal bytes in a fresh allocation (another
-//! tenant's twin image) are charged in full.
+//! job's twin image) are charged in full.
 //!
 //! Non-image objects pass through unmodified.
 
@@ -131,11 +130,9 @@ struct PoolEntry {
 }
 
 /// Per-path bookkeeping for a CAS-encoded image: which pool pages it
-/// references (in no particular order — release only) and its logical
-/// pre-dedup size.
+/// references (in no particular order — release only).
 struct CasObject {
     slots: Vec<Slot>,
-    original_len: u64,
 }
 
 /// Cumulative dedup counters. Monotone; sample before/after a window
@@ -358,8 +355,7 @@ fn is_manifest(data: &ImageBytes) -> bool {
 ///
 /// For a CAS-encoded image its `logical_len` reports the post-dedup
 /// charge (manifest plus newly-unique page bytes at put time) — what the
-/// inner tier sees. Use [`CasStore::original_len`] for the logical
-/// pre-dedup size.
+/// inner tier sees.
 pub struct CasStore<S> {
     cfg: CasConfig,
     inner: S,
@@ -400,14 +396,6 @@ impl<S: CheckpointStore> CasStore<S> {
             .values()
             .map(|e| e.data.len() as u64)
             .sum()
-    }
-
-    /// Logical pre-dedup size of the image at `path`, if this store
-    /// CAS-encoded it — what the object would have charged a plain
-    /// backend. [`CheckpointStore::logical_len`] reports the much
-    /// smaller post-dedup charge.
-    pub fn original_len(&self, path: &str) -> Option<u64> {
-        self.state.lock().objects.get(path).map(|o| o.original_len)
     }
 }
 
@@ -479,13 +467,7 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         let manifest_len = manifest.len() as u64;
         st.stats.bytes_new += new_bytes;
         st.stats.manifest_bytes += manifest_len;
-        st.objects.insert(
-            path.to_string(),
-            CasObject {
-                slots,
-                original_len: logical_len,
-            },
-        );
+        st.objects.insert(path.to_string(), CasObject { slots });
         drop(guard);
         // The inner tier is charged for what actually lands on it: the
         // manifest plus the newly unique page bytes. Digest CPU covers
@@ -679,7 +661,6 @@ mod tests {
             "reassembly must be bit-exact"
         );
         assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img);
-        assert_eq!(s.original_len(&p), Some(img.logical_bytes()));
     }
 
     #[test]
@@ -793,7 +774,10 @@ mod tests {
         let (bytes, _) = s.get(&p, 0, SHAPE).expect("a kept manifest resolves");
         assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img);
         assert_eq!(s.pool_pages(), 16);
-        assert_eq!(s.original_len(&p), Some(img.logical_bytes()));
+        assert!(
+            s.state.lock().objects.contains_key(&p),
+            "its references are kept"
+        );
     }
 
     #[test]

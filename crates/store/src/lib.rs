@@ -28,10 +28,9 @@
 //!   (typed [`mana_core::StoreError::Torn`]), and its
 //!   [`maintain`](CheckpointStore::maintain) scan after a crash
 //!   quarantines every partial image;
-//! * [`CasStore`] — content-addressed storage that digests every 4 KiB
-//!   page of every rank image and stores identical pages once,
-//!   fleet-wide, with refcounted GC — the cross-job dedup layer the
-//!   fleet scheduler (`mana-fleet`) runs its shared storage plane on;
+//! * [`CasStore`] — content-addressed storage that keys every 4 KiB
+//!   page of every rank image by its digest and stores identical pages
+//!   once per store, with refcounted GC;
 //! * [`conformance::exercise_store`] — the shared semantics suite every
 //!   backend passes.
 //!

@@ -209,15 +209,10 @@ impl CheckpointStore for ReplicatedStore {
                 // bad replica must not fail a read a healthy peer can
                 // serve. Remember the most telling error for the case
                 // where every replica is bad.
-                Err(
-                    e @ (StoreError::NotFound(_)
-                    | StoreError::Corrupt { .. }
-                    | StoreError::Torn { .. }),
-                ) => {
+                Err(e) => {
                     failover += self.cfg.failover_latency;
                     last_err = Some(e);
                 }
-                Err(e) => return Err(e),
             }
         }
         Err(last_err.unwrap_or_else(|| StoreError::NotFound(path.to_string())))

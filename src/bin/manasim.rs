@@ -4,8 +4,6 @@
 //! manasim run     --app hpcg --ranks 16 --nodes 2 --mpi cray --steps 10 [--ckpt-at-frac 0.5 [--kill]]
 //! manasim migrate --app gromacs --ranks 8 --from cori:4 --to local:2 --from-mpi cray --to-mpi openmpi
 //! manasim verify  [--ranks N] [--colls K]       # protocol model checking
-//! manasim fleet   --tenants 64 [--ranks N] [--steps N] [--ckpts N]
-//!                 [--admission bounded|unbounded] [--quota-kb N]
 //! manasim chaos   --seed 7 --faults 3 [--restart-faults N] [--drain-faults N]
 //!                 [--topology tree] [--ranks N] [--nodes N]
 //!                 [--replicas N] [--app <name>]
@@ -14,6 +12,9 @@
 //! Because the simulated filesystem lives in process memory, `migrate`
 //! performs the whole life cycle (run → checkpoint → kill → restart) in
 //! one invocation.
+//!
+//! Bad input (a flag the subcommand does not take, a value out of range)
+//! is one `error:` line or the usage text on stderr and exit code 2.
 
 use mana::apps::AppKind;
 use mana::core::{JobBuilder, ManaSession, RunOutcome, SessionError};
@@ -25,17 +26,30 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  manasim run --app <gromacs|minife|hpcg|clamr|lulesh> [--ranks N] [--nodes N]\n              [--mpi <cray|openmpi|mpich|mpich-debug>] [--steps N] [--seed N]\n              [--patched-kernel] [--ckpt-at-frac F [--kill]]\n  manasim migrate --app <name> [--ranks N] [--steps N] [--seed N]\n              [--from <cori|local>:<nodes>] [--to <cori|local>:<nodes>]\n              [--from-mpi <impl>] [--to-mpi <impl>]\n  manasim verify [--ranks N] [--colls K]\n  manasim fleet [--tenants N] [--ranks N] [--steps N] [--ckpts N]\n              [--admission <bounded|unbounded>] [--quota-kb N] [--no-verify]\n  manasim chaos [--seed N] [--faults N] [--restart-faults N] [--drain-faults N]\n              [--topology <flat|tree>] [--ranks N]\n              [--nodes N] [--replicas N] [--steps N] [--app <name>]"
+        "usage:\n  manasim run --app <gromacs|minife|hpcg|clamr|lulesh> [--ranks N] [--nodes N]\n              [--mpi <cray|openmpi|mpich|mpich-debug>] [--steps N] [--seed N]\n              [--patched-kernel] [--ckpt-at-frac F [--kill]]\n  manasim migrate --app <name> [--ranks N] [--steps N] [--seed N]\n              [--from <cori|local>:<nodes>] [--to <cori|local>:<nodes>]\n              [--from-mpi <impl>] [--to-mpi <impl>]\n  manasim verify [--ranks N] [--colls K]\n  manasim chaos [--seed N] [--faults N] [--restart-faults N] [--drain-faults N]\n              [--topology <flat|tree>] [--ranks N]\n              [--nodes N] [--replicas N] [--steps N] [--app <name>]"
     );
     exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// One `error:` line on stderr and exit code 2: the command line itself
+/// is wrong.
+fn bad_input(why: &str) -> ! {
+    eprintln!("error: {why}");
+    exit(2)
+}
+
+/// `--key value` pairs (a bare `--key` is `true`). `known` lists the
+/// flags `cmd` reads, space-separated; any other flag is refused, so a
+/// typo never runs the defaults silently.
+fn parse_flags(cmd: &str, known: &str, args: &[String]) -> HashMap<String, String> {
     let mut m = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(key) = a.strip_prefix("--") {
+            if !known.split_whitespace().any(|k| k == key) {
+                bad_input(&format!("manasim {cmd} has no flag --{key}"));
+            }
             let val = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 i += 1;
                 args[i].clone()
@@ -96,18 +110,44 @@ fn get<'a>(f: &'a HashMap<String, String>, k: &str, default: &'a str) -> &'a str
     f.get(k).map(String::as_str).unwrap_or(default)
 }
 
-fn cmd_run(flags: HashMap<String, String>) {
+/// `--k` parsed as a number (`default` when absent); the usage on junk.
+fn num<T: std::str::FromStr>(f: &HashMap<String, String>, k: &str, default: &str) -> T {
+    get(f, k, default).parse().unwrap_or_else(|_| usage())
+}
+
+/// `--k` as a count of ranks, nodes or replicas: at least 1.
+fn count<T: std::str::FromStr + From<u8> + PartialOrd>(
+    f: &HashMap<String, String>,
+    k: &str,
+    default: &str,
+) -> T {
+    let n: T = num(f, k, default);
+    if n < T::from(1) {
+        bad_input(&format!("--{k} must be at least 1"));
+    }
+    n
+}
+
+fn cmd_run(args: &[String]) {
+    let flags = parse_flags(
+        "run",
+        "app nodes ranks steps seed patched-kernel mpi ckpt-at-frac kill",
+        args,
+    );
     let kind = app_kind(get(&flags, "app", "hpcg"));
-    let nodes: u32 = get(&flags, "nodes", "2")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    let ranks: u32 = get(&flags, "ranks", "8")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    let steps: u64 = get(&flags, "steps", "10")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    let seed: u64 = get(&flags, "seed", "1").parse().unwrap_or_else(|_| usage());
+    let nodes: u32 = num(&flags, "nodes", "2");
+    let ranks: u32 = num(&flags, "ranks", "8");
+    let steps: u64 = num(&flags, "steps", "10");
+    let seed: u64 = num(&flags, "seed", "1");
+    // Outside (0, 1) the checkpoint falls before the application window
+    // or after the job ends: only the open interval names a point in it.
+    let frac = flags.contains_key("ckpt-at-frac").then(|| {
+        let frac: f64 = num(&flags, "ckpt-at-frac", "");
+        if !(frac > 0.0 && frac < 1.0) {
+            bad_input(&format!("--ckpt-at-frac must be in (0, 1), got {frac}"));
+        }
+        frac
+    });
     let mut c = ClusterSpec::cori(nodes);
     if flags.contains_key("patched-kernel") {
         c = c.with_patched_kernel();
@@ -136,8 +176,7 @@ fn cmd_run(flags: HashMap<String, String>) {
     println!("  total {}   application {}", out.wall, out.app_wall);
     print_sched(out);
 
-    if let Some(frac) = flags.get("ckpt-at-frac") {
-        let frac: f64 = frac.parse().unwrap_or_else(|_| usage());
+    if let Some(frac) = frac {
         let at = out.wall.as_nanos() - (out.app_wall.as_nanos() as f64 * (1.0 - frac)) as u64;
         let mut job = job().checkpoint_at(SimTime(at));
         if flags.contains_key("kill") {
@@ -198,15 +237,16 @@ fn print_sched(out: &RunOutcome) {
     );
 }
 
-fn cmd_migrate(flags: HashMap<String, String>) {
+fn cmd_migrate(args: &[String]) {
+    let flags = parse_flags(
+        "migrate",
+        "app ranks steps seed from to from-mpi to-mpi",
+        args,
+    );
     let kind = app_kind(get(&flags, "app", "gromacs"));
-    let ranks: u32 = get(&flags, "ranks", "8")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    let steps: u64 = get(&flags, "steps", "12")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    let seed: u64 = get(&flags, "seed", "1").parse().unwrap_or_else(|_| usage());
+    let ranks: u32 = num(&flags, "ranks", "8");
+    let steps: u64 = num(&flags, "steps", "12");
+    let seed: u64 = num(&flags, "seed", "1");
     let from = cluster(get(&flags, "from", "cori:4"));
     let to = cluster(get(&flags, "to", "local:2"));
     let from_mpi = profile(get(&flags, "from-mpi", "cray"));
@@ -274,13 +314,10 @@ fn cmd_migrate(flags: HashMap<String, String>) {
     }
 }
 
-fn cmd_verify(flags: HashMap<String, String>) {
-    let ranks: usize = get(&flags, "ranks", "3")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    let colls: usize = get(&flags, "colls", "2")
-        .parse()
-        .unwrap_or_else(|_| usage());
+fn cmd_verify(args: &[String]) {
+    let flags = parse_flags("verify", "ranks colls", args);
+    let ranks: usize = count(&flags, "ranks", "3");
+    let colls: usize = num(&flags, "colls", "2");
     let spec = mana::model_check::Spec::uniform_world(ranks, colls);
     println!("model-checking the two-phase protocol: {ranks} ranks x {colls} collectives ...");
     let out = mana::model_check::check(&spec);
@@ -299,128 +336,16 @@ fn cmd_verify(flags: HashMap<String, String>) {
     }
 }
 
-fn cmd_fleet(flags: HashMap<String, String>) {
-    use mana::fleet::{AdmissionPolicy, Backpressure, FleetConfig, FleetScheduler, TenantSpec};
-    let tenants: usize = get(&flags, "tenants", "64")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    let ranks: u32 = get(&flags, "ranks", "2")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    let steps: u64 = get(&flags, "steps", "5")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    let ckpts: u32 = get(&flags, "ckpts", "2")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    let quota_kb: Option<u64> = flags
-        .get("quota-kb")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()));
-    let policy = match get(&flags, "admission", "bounded") {
-        "bounded" => AdmissionPolicy::Bounded,
-        "unbounded" => AdmissionPolicy::Unbounded,
-        other => {
-            eprintln!("unknown admission policy: {other}");
-            usage()
-        }
-    };
-    let mut cfg = FleetConfig::default();
-    cfg.admission.policy = policy;
-    cfg.verify_restarts = !flags.contains_key("no-verify");
-
-    let specs: Vec<TenantSpec> = (0..tenants)
-        .map(|i| TenantSpec {
-            ranks,
-            steps,
-            ckpts,
-            quota_bytes: quota_kb.map(|kb| kb * 1024),
-            ..TenantSpec::nth(i)
-        })
-        .collect();
-    println!(
-        "fleet: {tenants} tenant job(s) x {ranks} rank(s), {ckpts} checkpoint(s) each, admission {}",
-        match policy {
-            AdmissionPolicy::Bounded => "bounded",
-            AdmissionPolicy::Unbounded => "unbounded",
-        }
-    );
-    let report = FleetScheduler::in_memory(cfg).run(&specs);
-
-    println!(
-        "  checkpoints: {} granted, {} shed; p50 visible {}, p99 visible {}, makespan {}",
-        report.granted(),
-        report.shed(),
-        report.p50_visible,
-        report.p99_visible,
-        report.makespan
-    );
-    println!(
-        "  shared plane: {:.2} MB offered, {:.2} MB stored ({:.1}% — {:.2}x dedup), pool {:.2} MB",
-        report.stats.bytes_in as f64 / 1e6,
-        (report.stats.bytes_new + report.stats.manifest_bytes) as f64 / 1e6,
-        report.stored_fraction() * 100.0,
-        1.0 / report.stored_fraction().max(f64::MIN_POSITIVE),
-        report.pool_bytes as f64 / 1e6
-    );
-    for e in &report.epochs {
-        println!(
-            "    epoch {}: {:.2} MB in, {:.2} MB stored ({:.2}x dedup)",
-            e.epoch,
-            e.bytes_in as f64 / 1e6,
-            e.bytes_stored as f64 / 1e6,
-            e.dedup_ratio()
-        );
-    }
-    let quota_hit: Vec<&mana::fleet::TenantReport> = report
-        .tenants
-        .iter()
-        .filter(|t| !t.quota_events.is_empty())
-        .collect();
-    if !quota_hit.is_empty() {
-        println!("  quota back-pressure:");
-        for t in quota_hit {
-            println!(
-                "    {}: {} event(s), {} B still stored",
-                t.name,
-                t.quota_events.len(),
-                t.stored_final
-            );
-        }
-    }
-    for r in &report.records {
-        if let mana::fleet::Admission::Shed(Backpressure::QueueTimeout { waited, limit }) =
-            r.decision
-        {
-            println!(
-                "    shed: tenant {} ckpt {} (would wait {waited} > {limit})",
-                report.tenants[r.tenant].name, r.ckpt_id
-            );
-        }
-    }
-    if cfg!(debug_assertions) && tenants > 16 {
-        eprintln!("  (debug build: large fleets are faster with --release)");
-    }
-    if report.tenants.iter().any(|t| t.verified == Some(false)) {
-        for t in report.tenants.iter().filter(|t| t.verified == Some(false)) {
-            eprintln!("  tenant {} FAILED restart verification", t.name);
-        }
-        exit(1);
-    }
-    if report.tenants.iter().all(|t| t.verified == Some(true)) {
-        println!(
-            "  all {} tenants restarted from their latest surviving checkpoint ✓",
-            report.tenants.len()
-        );
-    }
-}
-
-fn cmd_chaos(flags: HashMap<String, String>) {
+fn cmd_chaos(args: &[String]) {
     use mana::chaos::ChaosHarness;
     use mana::core::config::TopologyKind;
-    let seed: u64 = get(&flags, "seed", "0").parse().unwrap_or_else(|_| usage());
-    let faults: usize = get(&flags, "faults", "3")
-        .parse()
-        .unwrap_or_else(|_| usage());
+    let flags = parse_flags(
+        "chaos",
+        "seed faults topology ranks nodes replicas steps restart-faults drain-faults app",
+        args,
+    );
+    let seed: u64 = num(&flags, "seed", "0");
+    let faults: usize = num(&flags, "faults", "3");
     let mut h = ChaosHarness::new(seed, faults);
     h.topology = match get(&flags, "topology", "tree") {
         "flat" => TopologyKind::Flat,
@@ -430,24 +355,12 @@ fn cmd_chaos(flags: HashMap<String, String>) {
             usage()
         }
     };
-    h.nranks = get(&flags, "ranks", "4")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    h.nodes = get(&flags, "nodes", "2")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    h.replicas = get(&flags, "replicas", "2")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    h.steps = get(&flags, "steps", "5")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    h.restart_faults = get(&flags, "restart-faults", "0")
-        .parse()
-        .unwrap_or_else(|_| usage());
-    h.drain_faults = get(&flags, "drain-faults", "0")
-        .parse()
-        .unwrap_or_else(|_| usage());
+    h.nranks = count(&flags, "ranks", "4");
+    h.nodes = count(&flags, "nodes", "2");
+    h.replicas = count(&flags, "replicas", "2");
+    h.steps = num(&flags, "steps", "5");
+    h.restart_faults = num(&flags, "restart-faults", "0");
+    h.drain_faults = num(&flags, "drain-faults", "0");
     if let Some(app) = flags.get("app") {
         h.app = app_kind(app);
     }
@@ -470,11 +383,10 @@ fn cmd_chaos(flags: HashMap<String, String>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("run") => cmd_run(parse_flags(&args[1..])),
-        Some("migrate") => cmd_migrate(parse_flags(&args[1..])),
-        Some("verify") => cmd_verify(parse_flags(&args[1..])),
-        Some("fleet") => cmd_fleet(parse_flags(&args[1..])),
-        Some("chaos") => cmd_chaos(parse_flags(&args[1..])),
+        Some("run") => cmd_run(&args[1..]),
+        Some("migrate") => cmd_migrate(&args[1..]),
+        Some("verify") => cmd_verify(&args[1..]),
+        Some("chaos") => cmd_chaos(&args[1..]),
         _ => usage(),
     }
 }

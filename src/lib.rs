@@ -12,7 +12,6 @@
 //! | [`core`] | MANA itself: split process, virtualization, record-replay, drain, two-phase collectives, coordinator, images, sessions, restart |
 //! | [`store`] | composable checkpoint-storage backends: tiered/burst-buffer (async drain), compressing, replicated, incremental-delta |
 //! | [`apps`] | GROMACS/miniFE/HPCG/CLAMR/LULESH-like workloads + OSU microbenchmarks |
-//! | [`fleet`] | multi-tenant fleet scheduling: admission control, per-tenant quotas, cross-job dedup over a shared CAS plane |
 //! | [`chaos`] | seeded fault injection: kill ranks/nodes/sub-coordinators mid-protocol, tear image writes, darken replicas — and verify every chain heals |
 //! | [`model_check`] | explicit-state verification of the checkpoint protocol (§2.6) |
 //!
@@ -66,7 +65,6 @@
 pub use mana_apps as apps;
 pub use mana_chaos as chaos;
 pub use mana_core as core;
-pub use mana_fleet as fleet;
 pub use mana_model_check as model_check;
 pub use mana_mpi as mpi;
 pub use mana_net as net;

@@ -124,17 +124,37 @@ fn small_hpcg_restarts_to_native_checksums_from_every_cut() {
     sweep(make_app_small(AppKind::Hpcg, 6), 8);
 }
 
-#[test]
-fn hpcg_cut_between_smoothing_levels_restarts_to_native_checksums() {
-    let app = Hpcg {
+/// HPCG with 40 000 rows per rank: a sweep op outlasts the agreement.
+fn long_sweep_hpcg() -> Arc<dyn Workload> {
+    Arc::new(Hpcg {
         iters: 2,
         rows: 40_000,
         boundary: 96,
         bulk_bytes: 0,
-    };
-    let between = sweep(Arc::new(app), 4);
+    })
+}
+
+#[test]
+fn hpcg_cut_between_smoothing_levels_restarts_to_native_checksums() {
+    let between = sweep(long_sweep_hpcg(), 4);
     assert!(
         between >= CUTS / 4,
         "only {between} of {CUTS} cuts landed between smoothing levels"
     );
+}
+
+// Known case A: at 2 ranks cuts 23 and 24 (cursors [32, 0] and [0, 4])
+// restart under Open MPI to wrong checksums; at 3 ranks cut 23 (cursors
+// [0, 0, 0]) does.
+
+#[test]
+#[ignore = "known case A: prologue re-runs on a cursor-0 restart (ROADMAP item 1)"]
+fn two_rank_hpcg_restarts_to_native_checksums_from_every_cut() {
+    sweep(long_sweep_hpcg(), 2);
+}
+
+#[test]
+#[ignore = "known case A: prologue re-runs on a cursor-0 restart (ROADMAP item 1)"]
+fn three_rank_hpcg_restarts_to_native_checksums_from_every_cut() {
+    sweep(long_sweep_hpcg(), 3);
 }
