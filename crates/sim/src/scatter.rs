@@ -16,10 +16,26 @@
 //! benchmarks can assert the hot put path performs none. A second counter
 //! tallies the shared-page bytes hashed, so a test can count that a put
 //! hashes only the pages that are new.
+//!
+//! **Digest workers.** Re-hashing a large buffer chunk by chunk
+//! ([`ScatterBuf::rehash_chunks`]) fans the chunks out over the CPUs the
+//! process may use, one thread per 512 KiB at most: consecutive runs of
+//! chunks go to scoped OS threads, the last run stays on the calling
+//! thread, and the digests come back in chunk order. The workers only hash
+//! immutable bytes — they allocate nothing, take no lock, never park and
+//! never touch a `Sim` — and their hashed-byte tallies are credited to the
+//! calling thread. Below 1 MiB, with one CPU allowed, or with chunks far
+//! smaller than pages, the calling thread hashes alone; so it does a run
+//! whose thread the OS refuses. These workers are the only OS threads the
+//! simulator ever runs beside its own.
 
 use crate::checksum::{checksum_bytes, Checksum};
 use crate::page::Page;
 use std::cell::Cell;
+use std::num::NonZeroUsize;
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::OnceLock;
 
 /// One segment of a [`ScatterBuf`].
 #[derive(Clone)]
@@ -99,8 +115,9 @@ pub fn tally_shared_flatten(n: u64) {
 /// the calling OS thread since its last [`reset_shared_hashed_bytes`]:
 /// every [`Page::digest`] that fills its memo, and every shared segment
 /// streamed by [`ScatterBuf::checksum`] or [`ScatterBuf::rehash_chunks`].
-/// A memo hit adds nothing, so a put through the journal adds exactly the
-/// bytes of the pages that are new since the last snapshot.
+/// Bytes that digest workers hash for a call count on the thread that made
+/// the call. A memo hit adds nothing, so a put through the journal adds
+/// exactly the bytes of the pages that are new since the last snapshot.
 pub fn shared_hashed_bytes() -> u64 {
     SHARED_HASHED_BYTES.get()
 }
@@ -112,6 +129,64 @@ pub fn reset_shared_hashed_bytes() {
 
 pub(crate) fn tally_shared_hashed(n: u64) {
     SHARED_HASHED_BYTES.set(SHARED_HASHED_BYTES.get() + n);
+}
+
+/// The least digest work, in bytes, worth a thread of its own: starting a
+/// scoped worker costs tens of microseconds, about what one CPU takes to
+/// hash a few hundred KiB. A buffer of less than twice this is hashed on
+/// the calling thread alone, and a larger one on at most one thread per
+/// this many bytes.
+const WORKER_MIN_BYTES: usize = 512 << 10;
+
+/// Chunks averaging fewer bytes than this are hashed on the calling thread
+/// alone. Handing chunks to workers keeps each chunk's length and digest
+/// (16 bytes) until the fold, so this bounds that to 1/64 of the buffer
+/// whatever a chunk table says; real tables cut pages of 4 KiB.
+const WORKER_MIN_AVG_CHUNK: usize = 1024;
+
+/// How many CPUs the process may run on (its affinity mask), read once.
+fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Hash `segments` from byte `skip` on, cut into consecutive chunks of
+/// `lens` bytes, passing each chunk's digest to `each` in order; returns
+/// the shared bytes hashed. A chunk that spans segments is streamed across
+/// them, and one reaching past the end is digested as far as the bytes go.
+fn rehash_run(
+    segments: &[Segment],
+    mut skip: usize,
+    lens: impl IntoIterator<Item = usize>,
+    mut each: impl FnMut(u64),
+) -> u64 {
+    let mut segments = segments.iter();
+    let mut rest: &[u8] = &[];
+    let mut shared = false;
+    let mut hashed = 0;
+    for len in lens {
+        let mut c = Checksum::new();
+        let mut want = len;
+        while want > 0 {
+            if rest.is_empty() {
+                let Some(seg) = segments.next() else { break };
+                rest = seg.as_bytes();
+                shared = matches!(seg, Segment::Shared(_));
+                let skipped = skip.min(rest.len());
+                (rest, skip) = (&rest[skipped..], skip - skipped);
+                continue;
+            }
+            let (head, tail) = rest.split_at(want.min(rest.len()));
+            c.update(head);
+            if shared {
+                hashed += head.len() as u64;
+            }
+            rest = tail;
+            want -= head.len();
+        }
+        each(c.digest());
+    }
+    hashed
 }
 
 /// An ordered scatter of byte segments whose concatenation is the
@@ -290,8 +365,9 @@ impl ScatterBuf {
     /// Checksum of the content, streamed segment-by-segment — equal to
     /// [`checksum_bytes`] of the flattened content, with no flatten.
     pub fn checksum(&self) -> u64 {
+        // One chunk is one stream: there is nothing to hand a worker.
         let mut digest = 0;
-        self.rehash_chunks([self.len], |d| digest = d);
+        tally_shared_hashed(rehash_run(&self.segments, 0, [self.len], |d| digest = d));
         digest
     }
 
@@ -300,29 +376,88 @@ impl ScatterBuf {
     /// Every chunk is hashed from the bytes — a page's memo is never read
     /// — and a chunk that spans segments, or ends inside one, is streamed
     /// across them with no flatten. A chunk reaching past the end of the
-    /// content is digested as far as the content goes.
-    pub fn rehash_chunks(&self, lens: impl IntoIterator<Item = usize>, mut each: impl FnMut(u64)) {
-        let mut segments = self.segments.iter();
-        let mut rest: &[u8] = &[];
-        let mut shared = false;
-        for len in lens {
-            let mut c = Checksum::new();
-            let mut want = len;
-            while want > 0 {
-                if rest.is_empty() {
-                    let Some(seg) = segments.next() else { break };
-                    rest = seg.as_bytes();
-                    shared = matches!(seg, Segment::Shared(_));
-                }
-                let (head, tail) = rest.split_at(want.min(rest.len()));
-                c.update(head);
-                if shared {
-                    tally_shared_hashed(head.len() as u64);
-                }
-                rest = tail;
-                want -= head.len();
+    /// content is digested as far as the content goes. A buffer of 1 MiB
+    /// or more is hashed by digest workers on the CPUs the process may use
+    /// (module docs); `each` still runs on the calling thread, in chunk
+    /// order.
+    pub fn rehash_chunks(&self, lens: impl IntoIterator<Item = usize>, each: impl FnMut(u64)) {
+        let workers = cpus().min(self.len / WORKER_MIN_BYTES);
+        self.rehash_chunks_on(workers, self.len / WORKER_MIN_AVG_CHUNK, lens, each);
+    }
+
+    /// [`ScatterBuf::rehash_chunks`] on up to `workers` threads, whatever
+    /// the buffer's size, unless `lens` has more than `max_chunks` chunks.
+    pub(crate) fn rehash_chunks_on(
+        &self,
+        workers: usize,
+        max_chunks: usize,
+        lens: impl IntoIterator<Item = usize>,
+        mut each: impl FnMut(u64),
+    ) {
+        let mut lens = lens.into_iter();
+        let head: Vec<usize> = if workers > 1 {
+            lens.by_ref().take(max_chunks.saturating_add(1)).collect()
+        } else {
+            Vec::new()
+        };
+        if workers <= 1 || head.len() > max_chunks {
+            let lens = head.into_iter().chain(lens);
+            tally_shared_hashed(rehash_run(&self.segments, 0, lens, each));
+            return;
+        }
+        let lens = head;
+        // Cut the chunks into `parts` consecutive runs of about equal
+        // bytes: each run's first chunk and the byte it starts at.
+        let parts = workers.min(lens.len().max(1));
+        let mut total = 0usize;
+        for &len in &lens {
+            total = total.saturating_add(len).min(self.len);
+        }
+        let mut starts = vec![(0, 0)];
+        let mut at = 0usize;
+        for (i, &len) in lens.iter().enumerate() {
+            at = at.saturating_add(len).min(self.len);
+            if starts.len() < parts && i + 1 < lens.len() && at >= total / parts * starts.len() {
+                starts.push((i + 1, at));
             }
-            each(c.digest());
+        }
+        let digests: Vec<AtomicU64> = lens.iter().map(|_| AtomicU64::new(0)).collect();
+        let fill = |run: usize| {
+            let (first, skip) = starts[run];
+            let end = starts.get(run + 1).map_or(lens.len(), |&(next, _)| next);
+            let mut slots = digests[first..end].iter();
+            rehash_run(
+                &self.segments,
+                skip,
+                lens[first..end].iter().copied(),
+                |d| {
+                    slots.next().expect("one slot per chunk").store(d, Relaxed);
+                },
+            )
+        };
+        let hashed = std::thread::scope(|s| {
+            let fill = &fill;
+            let mut hashed = 0;
+            let last = starts.len() - 1;
+            let mut spawned = Vec::with_capacity(last);
+            for run in 0..last {
+                match std::thread::Builder::new().spawn_scoped(s, move || fill(run)) {
+                    Ok(worker) => spawned.push(worker),
+                    // A refused thread costs speed, not the digests.
+                    Err(_) => hashed += fill(run),
+                }
+            }
+            hashed += fill(last);
+            for worker in spawned {
+                hashed += worker
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e));
+            }
+            hashed
+        });
+        tally_shared_hashed(hashed);
+        for digest in digests {
+            each(digest.into_inner());
         }
     }
 }
@@ -497,6 +632,65 @@ mod tests {
             3 * (4096 + 13),
             "a re-hash never reads a memo"
         );
+    }
+
+    /// Many segments of assorted kinds and lengths, fresh pages included.
+    fn many() -> ScatterBuf {
+        let mut b = ScatterBuf::new();
+        for i in 0..40usize {
+            let len = 1 + (i * 997) % 5000;
+            let bytes: Vec<u8> = (0..len).map(|k| (k * 31 + i) as u8).collect();
+            if i % 3 == 0 {
+                b.push_owned(bytes);
+            } else {
+                b.push_shared(shared(&bytes));
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn digest_workers_return_the_serial_digests_in_order() {
+        let b = many();
+        let flat = b.to_vec();
+        let seg_lens: Vec<usize> = b.segments().map(<[u8]>::len).collect();
+        // Segment-aligned; zero-length chunks among them; chunks spanning
+        // segments; fewer chunks than workers; past the end.
+        for lens in [
+            seg_lens.clone(),
+            seg_lens.iter().flat_map(|&l| [0, l, 0]).collect(),
+            vec![333; flat.len() / 333 + 3],
+            vec![7000, 0, 25_000, 1, 40_000, 9000],
+            vec![flat.len()],
+            vec![],
+        ] {
+            let mut want = Vec::new();
+            let mut at = 0usize;
+            for &len in &lens {
+                let end = at.saturating_add(len).min(flat.len());
+                want.push(checksum_bytes(&flat[at..end]));
+                at = end;
+            }
+            reset_shared_hashed_bytes();
+            let mut serial = Vec::new();
+            b.rehash_chunks_on(1, usize::MAX, lens.iter().copied(), |d| serial.push(d));
+            let serial_hashed = shared_hashed_bytes();
+            assert_eq!(serial, want);
+            // Workers, then a chunk cap the table meets (workers) or
+            // exceeds (the calling thread alone, from the same iterator).
+            let n = lens.len();
+            for (workers, max_chunks) in [(2, n), (3, n), (8, n), (3, n.wrapping_sub(1)), (8, 0)] {
+                reset_shared_hashed_bytes();
+                let mut got = Vec::new();
+                b.rehash_chunks_on(workers, max_chunks, lens.iter().copied(), |d| got.push(d));
+                assert_eq!(got, want, "{workers} workers, {n} chunks, cap {max_chunks}");
+                assert_eq!(
+                    shared_hashed_bytes(),
+                    serial_hashed,
+                    "{workers} workers' tallies reach the caller"
+                );
+            }
+        }
     }
 
     #[test]

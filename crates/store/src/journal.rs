@@ -36,6 +36,17 @@
 //! segments (a flattened or re-cut envelope) is streamed across them with
 //! no flatten. A digest remembered at put time would verify nothing.
 //!
+//! **Validation hashes on the CPUs the process may use.** The chunk
+//! digests are independent until the fold, so validation
+//! ([`ScatterBuf::rehash_chunks`]) of a payload of a MiB or more hands
+//! consecutive runs of chunks to digest workers: scoped OS threads that
+//! only hash immutable bytes, one per 512 KiB at most. The digests are
+//! folded in chunk order on the calling thread, so envelopes, digests and
+//! every error are the same as a one-thread hash gives. A smaller payload,
+//! a process allowed one CPU, or a table of chunks far smaller than pages
+//! hashes on the calling thread alone, and so does framing, which hashes
+//! only the new pages. The simulator itself stays on one OS thread.
+//!
 //! Version 3 made the commit digest a fold over per-chunk digests (version
 //! 2 hashed the payload bytes as one stream). There is no reader for an
 //! older version: envelopes live in simulated stores that do not outlast
@@ -600,6 +611,56 @@ mod tests {
         reset_shared_hashed_bytes();
         assert!(j.exists("h/ckpt_3/rank_0.mana"));
         assert_eq!(shared_hashed_bytes(), PAGES * PAGE, "so does exists");
+    }
+
+    #[test]
+    fn digest_workers_hash_for_the_caller_above_the_parallel_threshold() {
+        use mana_sim::page::Page;
+        use mana_sim::scatter::{reset_shared_hashed_bytes, shared_hashed_bytes};
+        // 4 MiB of pages, above the size from which digest workers
+        // validate; 1.2 MiB of them new in the second generation.
+        const PAGES: usize = 1024;
+        const PAGE: usize = 4096;
+        const FRESH: usize = 300;
+        let page = |seed: usize| Page::from(&[seed as u8; PAGE][..]);
+        let mut pages: Vec<Page> = (0..PAGES).map(page).collect();
+        let j = JournaledStore::new(InMemStore::new());
+        let put = |generation: u64, pages: &[Page]| {
+            let mut payload = ScatterBuf::from_vec(generation.to_le_bytes().to_vec());
+            for p in pages {
+                payload.push_shared(p.clone());
+            }
+            reset_shared_hashed_bytes();
+            j.put(&format!("w/ckpt_{generation}"), payload.into(), 0, 0, SHAPE);
+            shared_hashed_bytes()
+        };
+        assert_eq!(put(1, &pages), (PAGES * PAGE) as u64, "every page is new");
+        for (i, p) in pages
+            .iter_mut()
+            .enumerate()
+            .step_by(PAGES / FRESH)
+            .take(FRESH)
+        {
+            *p = page(i + 7);
+        }
+        assert_eq!(put(2, &pages), (FRESH * PAGE) as u64, "the new pages only");
+        for generation in [1, 2] {
+            reset_shared_hashed_bytes();
+            let (got, _) = j.get(&format!("w/ckpt_{generation}"), 0, SHAPE).unwrap();
+            assert_eq!(
+                shared_hashed_bytes(),
+                (PAGES * PAGE) as u64,
+                "a get re-hashes"
+            );
+            assert_eq!(got.scatter().shared_len(), PAGES * PAGE);
+        }
+        reset_shared_hashed_bytes();
+        assert!(j.exists("w/ckpt_2"));
+        assert_eq!(
+            shared_hashed_bytes(),
+            (PAGES * PAGE) as u64,
+            "so does exists"
+        );
     }
 
     #[test]

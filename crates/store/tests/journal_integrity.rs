@@ -13,12 +13,18 @@
 //!   shared pages, still validates and returns the identical payload;
 //! * a get of an unmodified envelope flattens no shared byte.
 //!
-//! The test knows only the envelope's outline — a header, the payload,
-//! then a 16-byte trailer (digest word, commit word) — so it holds for any
-//! envelope version with that outline.
+//! One payload is large enough (2.5 MiB) that validation hashes it on the
+//! CPUs the process may use; it is checked the same way, on a sample of
+//! pages and prefixes.
+//!
+//! These checks know only the envelope's outline — a header, the payload,
+//! then a 16-byte trailer (digest word, commit word) — so they hold for any
+//! envelope version with that outline. One more writes a version-3 header
+//! by hand, with a chunk table of one-byte chunks over a large payload.
 
 use mana_core::error::StoreError;
 use mana_core::{CheckpointStore, InMemStore};
+use mana_sim::checksum::{checksum_bytes, Checksum};
 use mana_sim::fs::IoShape;
 use mana_sim::memory::DenseSnap;
 use mana_sim::rng::splitmix64;
@@ -208,5 +214,115 @@ fn a_get_of_an_unmodified_envelope_flattens_no_shared_byte() {
         let (got, _) = journal.get(PATH, 0, SHAPE).expect("committed");
         assert_eq!(shared_flatten_bytes(), 0, "seed {seed}");
         assert_eq!(got.scatter(), &payload);
+    }
+}
+
+/// A seeded 2.5 MiB payload: 640 full pages, each behind a small owned
+/// run, with a few short pages among them.
+fn large_payload(seed: u64) -> ScatterBuf {
+    let mut d = Draw(seed);
+    let mut buf = ScatterBuf::new();
+    for k in 0..640 {
+        let len = d.range(1, 40);
+        buf.push_owned(d.bytes(len));
+        let len = if k % 97 == 5 { d.range(1, 4095) } else { 4096 };
+        push_page(&mut buf, &d.bytes(len));
+    }
+    buf
+}
+
+#[test]
+fn a_payload_hashed_by_digest_workers_keeps_the_contract() {
+    let payload = large_payload(11);
+    assert!(payload.len() > 2 << 20);
+    let (journal, inner, env) = journaled(&payload);
+    let mut d = Draw(0x1a76e);
+
+    // Strict prefixes: inside the header, the payload and the trailer.
+    for keep in [
+        0,
+        30,
+        3000,
+        env.len() / 2,
+        env.len() - TRAILER,
+        env.len() - 1,
+    ] {
+        match read_back(&journal, &inner, env.slice(0, keep)) {
+            Err(StoreError::Torn { .. }) => {}
+            other => panic!("prefix of {keep} bytes gave {other:?}"),
+        }
+    }
+
+    // Pages swapped for twins with one bit flipped, early, middle and late.
+    let pages: Vec<usize> = env
+        .raw_segments()
+        .iter()
+        .enumerate()
+        .filter_map(|(k, seg)| seg.shared_handle().map(|_| k))
+        .collect();
+    for k in [pages[0], pages[pages.len() / 2], pages[pages.len() - 1]] {
+        let mut bytes = env.raw_segments()[k].as_bytes().to_vec();
+        let bit = d.range(0, bytes.len() * 8 - 1);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let mut twin = ScatterBuf::new();
+        push_page(&mut twin, &bytes);
+        match read_back(&journal, &inner, replace_segment(&env, k, &twin)) {
+            Err(StoreError::Corrupt { .. }) => {}
+            other => panic!("page segment {k} swapped gave {other:?}"),
+        }
+    }
+
+    // Flattened, and re-cut so that chunks span segments.
+    let flat = env.to_vec();
+    let got = read_back(&journal, &inner, flat.clone().into()).expect("flattened");
+    assert_eq!(got, payload, "flattened");
+    let mut recut = ScatterBuf::new();
+    let mut rest = &flat[..];
+    while !rest.is_empty() {
+        let (run, tail) = rest.split_at(d.range(1, 9000).min(rest.len()));
+        if run.len() <= 4096 && d.range(0, 1) == 0 {
+            push_page(&mut recut, run);
+        } else {
+            recut.push_owned(run.to_vec());
+        }
+        rest = tail;
+    }
+    let got = read_back(&journal, &inner, recut).expect("re-cut");
+    assert_eq!(got, payload, "re-cut");
+    assert_eq!(read_back(&journal, &inner, env).expect("whole"), payload);
+}
+
+#[test]
+fn a_large_payload_cut_into_one_byte_chunks_validates_by_its_fold() {
+    let mut d = Draw(0x0b17e);
+    let mut payload = ScatterBuf::new();
+    for _ in 0..320 {
+        push_page(&mut payload, &d.bytes(4096));
+    }
+    let (journal, inner, _) = journaled(&payload);
+    // Version 3: magic, version, payload length, one table run of
+    // `len` chunks of one byte each.
+    let len = payload.len();
+    let mut header = b"MANAJNL1".to_vec();
+    header.extend_from_slice(&3u32.to_le_bytes());
+    header.extend_from_slice(&(len as u64).to_le_bytes());
+    header.extend_from_slice(&1u32.to_le_bytes());
+    header.extend_from_slice(&(len as u32).to_le_bytes());
+    header.extend_from_slice(&1u64.to_le_bytes());
+    let mut fold = Checksum::new();
+    fold.update(&header);
+    for byte in payload.to_vec() {
+        fold.update_u64(checksum_bytes(&[byte]));
+    }
+    let fold = fold.digest();
+    for (digest, valid) in [(fold, true), (fold ^ 1, false)] {
+        let mut env = ScatterBuf::from_vec(header.clone());
+        env.append(payload.clone());
+        env.push_owned([digest.to_le_bytes(), *b"COMMITED"].concat());
+        match read_back(&journal, &inner, env) {
+            Ok(got) if valid => assert_eq!(got, payload),
+            Err(StoreError::Corrupt { .. }) if !valid => {}
+            other => panic!("fold {digest:#x} gave {other:?}"),
+        }
     }
 }

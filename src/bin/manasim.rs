@@ -13,6 +13,10 @@
 //! performs the whole life cycle (run → checkpoint → kill → restart) in
 //! one invocation.
 //!
+//! `run` prints the host seconds each run took on stderr, one line per
+//! run: with `--ckpt-at-frac` that is the probe run, which finds the
+//! application window, and then the checkpointed run.
+//!
 //! Bad input (a flag the subcommand does not take, a value out of range)
 //! is one `error:` line or the usage text on stderr and exit code 2.
 
@@ -23,6 +27,7 @@ use mana::sim::cluster::ClusterSpec;
 use mana::sim::time::SimTime;
 use std::collections::HashMap;
 use std::process::exit;
+use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
@@ -171,7 +176,9 @@ fn cmd_run(args: &[String]) {
         mpi.name,
         mpi.version
     );
+    let started = Instant::now();
     let probe = session.run(job(), app.clone()).unwrap_or_else(|e| fail(&e));
+    print_host(started, if frac.is_some() { "probe run" } else { "run" });
     let out = probe.outcome();
     println!("  total {}   application {}", out.wall, out.app_wall);
     print_sched(out);
@@ -182,7 +189,9 @@ fn cmd_run(args: &[String]) {
         if flags.contains_key("kill") {
             job = job.then_kill();
         }
+        let started = Instant::now();
         let run = session.run(job, app).unwrap_or_else(|e| fail(&e));
+        print_host(started, "checkpointed run");
         for r in run.ckpts() {
             println!(
                 "  checkpoint #{}: total {} (write {}, drain {}, comm {}), {} MB/rank, {} extra iterations",
@@ -226,6 +235,14 @@ fn fail(e: &SessionError) -> ! {
     } else {
         1
     })
+}
+
+/// Host seconds since `started`, on stderr: stdout stays identical
+/// between two runs of one seed. With `--ckpt-at-frac` the job runs twice
+/// (a probe that finds the application window, then the checkpointed
+/// run), so each run gets its own line.
+fn print_host(started: Instant, what: &str) {
+    eprintln!("  host: {:.2} s ({what})", started.elapsed().as_secs_f64());
 }
 
 /// The run's deterministic simulation cost (same seed, same counts).
