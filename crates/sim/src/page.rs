@@ -15,6 +15,13 @@
 //! checkpoints is hashed once in its lifetime. Debug builds re-derive the
 //! digest on every memo hit and assert the two agree.
 //!
+//! Readers that check integrity may trust the memo as they would a fresh
+//! hash: it is filled only by hashing this page's own bytes, which never
+//! change, and bytes that differ live in a different page with a memo of
+//! its own. Journal validation relies on exactly that when it takes a
+//! stored page's digest from the memo, so a page is hashed once on reads
+//! as well as on puts.
+//!
 //! The single allocation is a header (reference count, length, memo)
 //! followed by the bytes; no safe standard type lays a header and a
 //! runtime-sized byte run out that way, so this module holds the `unsafe`

@@ -14,28 +14,21 @@
 //! bytes (the restart decode path); every byte copied *out of a shared
 //! segment* by such a flatten is tallied in a per-thread counter so
 //! benchmarks can assert the hot put path performs none. A second counter
-//! tallies the shared-page bytes hashed, so a test can count that a put
-//! hashes only the pages that are new.
+//! tallies the shared-page bytes hashed, so a test can count that a put,
+//! and a read of what it stored, hash only the pages that are new.
 //!
-//! **Digest workers.** Re-hashing a large buffer chunk by chunk
-//! ([`ScatterBuf::rehash_chunks`]) fans the chunks out over the CPUs the
-//! process may use, one thread per 512 KiB at most: consecutive runs of
-//! chunks go to scoped OS threads, the last run stays on the calling
-//! thread, and the digests come back in chunk order. The workers only hash
-//! immutable bytes — they allocate nothing, take no lock, never park and
-//! never touch a `Sim` — and their hashed-byte tallies are credited to the
-//! calling thread. Below 1 MiB, with one CPU allowed, or with chunks far
-//! smaller than pages, the calling thread hashes alone; so it does a run
-//! whose thread the OS refuses. These workers are the only OS threads the
-//! simulator ever runs beside its own.
+//! **Chunk digests read the memo.** [`ScatterBuf::chunk_digests`], which
+//! journal validation folds, takes a chunk that is exactly one whole
+//! segment from [`Segment::digest`] — a shared page's memo — and streams
+//! only a chunk that is cut across or inside segments. That gives the
+//! same digests as hashing every chunk from its bytes, because a page's
+//! bytes never change and its memo is only ever filled from them: a page
+//! with other bytes is another page, with a memo of its own. Everything
+//! here runs on the calling thread.
 
 use crate::checksum::{checksum_bytes, Checksum};
 use crate::page::Page;
 use std::cell::Cell;
-use std::num::NonZeroUsize;
-use std::sync::atomic::AtomicU64;
-use std::sync::atomic::Ordering::Relaxed;
-use std::sync::OnceLock;
 
 /// One segment of a [`ScatterBuf`].
 #[derive(Clone)]
@@ -113,11 +106,11 @@ pub fn tally_shared_flatten(n: u64) {
 
 /// Cumulative count of shared-page bytes hashed by the content digest on
 /// the calling OS thread since its last [`reset_shared_hashed_bytes`]:
-/// every [`Page::digest`] that fills its memo, and every shared segment
-/// streamed by [`ScatterBuf::checksum`] or [`ScatterBuf::rehash_chunks`].
-/// Bytes that digest workers hash for a call count on the thread that made
-/// the call. A memo hit adds nothing, so a put through the journal adds
-/// exactly the bytes of the pages that are new since the last snapshot.
+/// every [`Page::digest`] that fills its memo, and every shared byte
+/// streamed by [`ScatterBuf::checksum`] or [`ScatterBuf::chunk_digests`].
+/// A memo hit adds nothing, so a put through the journal adds exactly the
+/// bytes of the pages that are new since the last snapshot, and a read of
+/// an envelope whose pages were framed adds none.
 pub fn shared_hashed_bytes() -> u64 {
     SHARED_HASHED_BYTES.get()
 }
@@ -129,64 +122,6 @@ pub fn reset_shared_hashed_bytes() {
 
 pub(crate) fn tally_shared_hashed(n: u64) {
     SHARED_HASHED_BYTES.set(SHARED_HASHED_BYTES.get() + n);
-}
-
-/// The least digest work, in bytes, worth a thread of its own: starting a
-/// scoped worker costs tens of microseconds, about what one CPU takes to
-/// hash a few hundred KiB. A buffer of less than twice this is hashed on
-/// the calling thread alone, and a larger one on at most one thread per
-/// this many bytes.
-const WORKER_MIN_BYTES: usize = 512 << 10;
-
-/// Chunks averaging fewer bytes than this are hashed on the calling thread
-/// alone. Handing chunks to workers keeps each chunk's length and digest
-/// (16 bytes) until the fold, so this bounds that to 1/64 of the buffer
-/// whatever a chunk table says; real tables cut pages of 4 KiB.
-const WORKER_MIN_AVG_CHUNK: usize = 1024;
-
-/// How many CPUs the process may run on (its affinity mask), read once.
-fn cpus() -> usize {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
-/// Hash `segments` from byte `skip` on, cut into consecutive chunks of
-/// `lens` bytes, passing each chunk's digest to `each` in order; returns
-/// the shared bytes hashed. A chunk that spans segments is streamed across
-/// them, and one reaching past the end is digested as far as the bytes go.
-fn rehash_run(
-    segments: &[Segment],
-    mut skip: usize,
-    lens: impl IntoIterator<Item = usize>,
-    mut each: impl FnMut(u64),
-) -> u64 {
-    let mut segments = segments.iter();
-    let mut rest: &[u8] = &[];
-    let mut shared = false;
-    let mut hashed = 0;
-    for len in lens {
-        let mut c = Checksum::new();
-        let mut want = len;
-        while want > 0 {
-            if rest.is_empty() {
-                let Some(seg) = segments.next() else { break };
-                rest = seg.as_bytes();
-                shared = matches!(seg, Segment::Shared(_));
-                let skipped = skip.min(rest.len());
-                (rest, skip) = (&rest[skipped..], skip - skipped);
-                continue;
-            }
-            let (head, tail) = rest.split_at(want.min(rest.len()));
-            c.update(head);
-            if shared {
-                hashed += head.len() as u64;
-            }
-            rest = tail;
-            want -= head.len();
-        }
-        each(c.digest());
-    }
-    hashed
 }
 
 /// An ordered scatter of byte segments whose concatenation is the
@@ -309,6 +244,70 @@ impl ScatterBuf {
         out
     }
 
+    /// The segment holding byte `at` and `at`'s offset in it, or the
+    /// segment count when `at` is the end. The lengths are read from
+    /// whichever end of the buffer is nearer `at`; each length of a shared
+    /// segment is a read of that page.
+    fn locate(&self, at: usize) -> (usize, usize) {
+        if at >= self.len {
+            return (self.segments.len(), 0);
+        }
+        if at <= self.len / 2 {
+            let mut start = 0;
+            for (i, seg) in self.segments.iter().enumerate() {
+                let end = start + seg.as_bytes().len();
+                if at < end {
+                    return (i, at - start);
+                }
+                start = end;
+            }
+        } else {
+            let mut end = self.len;
+            for (i, seg) in self.segments.iter().enumerate().rev() {
+                let start = end - seg.as_bytes().len();
+                if at >= start {
+                    return (i, at - start);
+                }
+                end = start;
+            }
+        }
+        unreachable!("segment lengths sum to len")
+    }
+
+    /// Split the content at byte `at`: `self` keeps `[0, at)` and the rest
+    /// is returned. Whole segments move without a copy or a reference
+    /// count touch, and only the segments between `at` and the nearer end
+    /// are read, so cutting a small header or trailer off a large envelope
+    /// costs nothing per page. A segment straddling `at` becomes two owned
+    /// runs: an owned one is split in place, a shared one is copied (and
+    /// tallied in [`shared_flatten_bytes`]).
+    pub fn split_off(&mut self, at: usize) -> ScatterBuf {
+        let at = at.min(self.len);
+        let (i, within) = self.locate(at);
+        let mut tail = ScatterBuf {
+            segments: self.segments.split_off(i),
+            len: self.len - at,
+        };
+        self.len = at;
+        if within > 0 {
+            let head = match &mut tail.segments[0] {
+                Segment::Owned(v) => {
+                    let rest = v.split_off(within);
+                    std::mem::replace(v, rest)
+                }
+                seg @ Segment::Shared(_) => {
+                    let (head, rest) = seg.as_bytes().split_at(within);
+                    tally_shared_flatten(seg.as_bytes().len() as u64);
+                    let head = head.to_vec();
+                    *seg = Segment::Owned(rest.to_vec());
+                    head
+                }
+            };
+            self.segments.push(Segment::Owned(head));
+        }
+        tail
+    }
+
     /// Flatten into a contiguous vector (copies; shared bytes copied are
     /// tallied in [`shared_flatten_bytes`]).
     pub fn to_vec(&self) -> Vec<u8> {
@@ -365,100 +364,54 @@ impl ScatterBuf {
     /// Checksum of the content, streamed segment-by-segment — equal to
     /// [`checksum_bytes`] of the flattened content, with no flatten.
     pub fn checksum(&self) -> u64 {
-        // One chunk is one stream: there is nothing to hand a worker.
-        let mut digest = 0;
-        tally_shared_hashed(rehash_run(&self.segments, 0, [self.len], |d| digest = d));
-        digest
-    }
-
-    /// Re-hash the content cut into consecutive chunks of `lens` bytes,
-    /// passing each chunk's [`checksum_bytes`] digest to `each` in order.
-    /// Every chunk is hashed from the bytes — a page's memo is never read
-    /// — and a chunk that spans segments, or ends inside one, is streamed
-    /// across them with no flatten. A chunk reaching past the end of the
-    /// content is digested as far as the content goes. A buffer of 1 MiB
-    /// or more is hashed by digest workers on the CPUs the process may use
-    /// (module docs); `each` still runs on the calling thread, in chunk
-    /// order.
-    pub fn rehash_chunks(&self, lens: impl IntoIterator<Item = usize>, each: impl FnMut(u64)) {
-        let workers = cpus().min(self.len / WORKER_MIN_BYTES);
-        self.rehash_chunks_on(workers, self.len / WORKER_MIN_AVG_CHUNK, lens, each);
-    }
-
-    /// [`ScatterBuf::rehash_chunks`] on up to `workers` threads, whatever
-    /// the buffer's size, unless `lens` has more than `max_chunks` chunks.
-    pub(crate) fn rehash_chunks_on(
-        &self,
-        workers: usize,
-        max_chunks: usize,
-        lens: impl IntoIterator<Item = usize>,
-        mut each: impl FnMut(u64),
-    ) {
-        let mut lens = lens.into_iter();
-        let head: Vec<usize> = if workers > 1 {
-            lens.by_ref().take(max_chunks.saturating_add(1)).collect()
-        } else {
-            Vec::new()
-        };
-        if workers <= 1 || head.len() > max_chunks {
-            let lens = head.into_iter().chain(lens);
-            tally_shared_hashed(rehash_run(&self.segments, 0, lens, each));
-            return;
-        }
-        let lens = head;
-        // Cut the chunks into `parts` consecutive runs of about equal
-        // bytes: each run's first chunk and the byte it starts at.
-        let parts = workers.min(lens.len().max(1));
-        let mut total = 0usize;
-        for &len in &lens {
-            total = total.saturating_add(len).min(self.len);
-        }
-        let mut starts = vec![(0, 0)];
-        let mut at = 0usize;
-        for (i, &len) in lens.iter().enumerate() {
-            at = at.saturating_add(len).min(self.len);
-            if starts.len() < parts && i + 1 < lens.len() && at >= total / parts * starts.len() {
-                starts.push((i + 1, at));
+        let mut c = Checksum::new();
+        for seg in &self.segments {
+            c.update(seg.as_bytes());
+            if let Segment::Shared(p) = seg {
+                tally_shared_hashed(p.len() as u64);
             }
         }
-        let digests: Vec<AtomicU64> = lens.iter().map(|_| AtomicU64::new(0)).collect();
-        let fill = |run: usize| {
-            let (first, skip) = starts[run];
-            let end = starts.get(run + 1).map_or(lens.len(), |&(next, _)| next);
-            let mut slots = digests[first..end].iter();
-            rehash_run(
-                &self.segments,
-                skip,
-                lens[first..end].iter().copied(),
-                |d| {
-                    slots.next().expect("one slot per chunk").store(d, Relaxed);
-                },
-            )
-        };
-        let hashed = std::thread::scope(|s| {
-            let fill = &fill;
-            let mut hashed = 0;
-            let last = starts.len() - 1;
-            let mut spawned = Vec::with_capacity(last);
-            for run in 0..last {
-                match std::thread::Builder::new().spawn_scoped(s, move || fill(run)) {
-                    Ok(worker) => spawned.push(worker),
-                    // A refused thread costs speed, not the digests.
-                    Err(_) => hashed += fill(run),
+        c.digest()
+    }
+
+    /// Digest the content cut into consecutive chunks of `lens` bytes,
+    /// passing each chunk's [`checksum_bytes`] digest to `each` in order.
+    /// A chunk that is exactly one whole segment is that segment's
+    /// [`Segment::digest`] (a shared page's memo); any other chunk — one
+    /// that spans segments or ends inside one — is streamed across them
+    /// with no flatten. A chunk reaching past the end of the content is
+    /// digested as far as the content goes.
+    pub fn chunk_digests(&self, lens: impl IntoIterator<Item = usize>, mut each: impl FnMut(u64)) {
+        let mut segments = self.segments.iter().peekable();
+        let mut rest: &[u8] = &[];
+        let mut shared = false;
+        let mut hashed = 0;
+        for len in lens {
+            if rest.is_empty() {
+                if let Some(seg) = segments.next_if(|seg| seg.as_bytes().len() == len) {
+                    each(seg.digest());
+                    continue;
                 }
             }
-            hashed += fill(last);
-            for worker in spawned {
-                hashed += worker
-                    .join()
-                    .unwrap_or_else(|e| std::panic::resume_unwind(e));
+            let mut c = Checksum::new();
+            let mut want = len;
+            while want > 0 {
+                if rest.is_empty() {
+                    let Some(seg) = segments.next() else { break };
+                    rest = seg.as_bytes();
+                    shared = matches!(seg, Segment::Shared(_));
+                }
+                let (head, tail) = rest.split_at(want.min(rest.len()));
+                c.update(head);
+                if shared {
+                    hashed += head.len() as u64;
+                }
+                rest = tail;
+                want -= head.len();
             }
-            hashed
-        });
-        tally_shared_hashed(hashed);
-        for digest in digests {
-            each(digest.into_inner());
+            each(c.digest());
         }
+        tally_shared_hashed(hashed);
     }
 }
 
@@ -589,9 +542,11 @@ mod tests {
             vec![b.len()],
             vec![2000],
             vec![4189, 50],
+            vec![3, 0, 4096, 0, 77, 13],
+            vec![1, 2, 4096, 90],
         ] {
             let mut got = Vec::new();
-            b.rehash_chunks(lens.iter().copied(), |d| got.push(d));
+            b.chunk_digests(lens.iter().copied(), |d| got.push(d));
             let mut want = Vec::new();
             let mut at = 0;
             for len in lens {
@@ -626,70 +581,59 @@ mod tests {
             2 * (4096 + 13),
             "memo hits hash nothing"
         );
-        b.rehash_chunks([3, 4096, 77, 13], |_| {});
+        b.chunk_digests([3, 4096, 77, 13], |_| {});
+        assert_eq!(
+            shared_hashed_bytes(),
+            2 * (4096 + 13),
+            "a whole-page chunk is a memo hit"
+        );
+        // Re-cut: the first chunk ends inside the page, the second spans
+        // the rest of it, the owned run and the short page.
+        b.chunk_digests([1000, b.len() - 1000], |_| {});
         assert_eq!(
             shared_hashed_bytes(),
             3 * (4096 + 13),
-            "a re-hash never reads a memo"
+            "a re-cut chunk is hashed in full"
         );
-    }
-
-    /// Many segments of assorted kinds and lengths, fresh pages included.
-    fn many() -> ScatterBuf {
-        let mut b = ScatterBuf::new();
-        for i in 0..40usize {
-            let len = 1 + (i * 997) % 5000;
-            let bytes: Vec<u8> = (0..len).map(|k| (k * 31 + i) as u8).collect();
-            if i % 3 == 0 {
-                b.push_owned(bytes);
-            } else {
-                b.push_shared(shared(&bytes));
-            }
-        }
-        b
+        // A fresh page with its memo empty is hashed once, then remembered.
+        let mut fresh = ScatterBuf::new();
+        fresh.push_shared(shared(&[8; 100]));
+        reset_shared_hashed_bytes();
+        fresh.chunk_digests([100], |_| {});
+        fresh.chunk_digests([100], |_| {});
+        assert_eq!(shared_hashed_bytes(), 100, "memo filled once");
     }
 
     #[test]
-    fn digest_workers_return_the_serial_digests_in_order() {
-        let b = many();
+    fn split_off_moves_whole_segments_and_copies_only_a_straddled_one() {
+        let b = mixed();
         let flat = b.to_vec();
-        let seg_lens: Vec<usize> = b.segments().map(<[u8]>::len).collect();
-        // Segment-aligned; zero-length chunks among them; chunks spanning
-        // segments; fewer chunks than workers; past the end.
-        for lens in [
-            seg_lens.clone(),
-            seg_lens.iter().flat_map(|&l| [0, l, 0]).collect(),
-            vec![333; flat.len() / 333 + 3],
-            vec![7000, 0, 25_000, 1, 40_000, 9000],
-            vec![flat.len()],
-            vec![],
+        // Segment boundaries from either end, cuts inside the owned runs
+        // and the pages, and past the end.
+        for (at, copied) in [
+            (0, 0),
+            (2, 0),
+            (3, 0),
+            (1000, 4096),
+            (3 + 4096, 0),
+            (4150, 0),
+            (4176, 0),
+            (4180, 13),
+            (4189, 0),
+            (9999, 0),
         ] {
-            let mut want = Vec::new();
-            let mut at = 0usize;
-            for &len in &lens {
-                let end = at.saturating_add(len).min(flat.len());
-                want.push(checksum_bytes(&flat[at..end]));
-                at = end;
-            }
-            reset_shared_hashed_bytes();
-            let mut serial = Vec::new();
-            b.rehash_chunks_on(1, usize::MAX, lens.iter().copied(), |d| serial.push(d));
-            let serial_hashed = shared_hashed_bytes();
-            assert_eq!(serial, want);
-            // Workers, then a chunk cap the table meets (workers) or
-            // exceeds (the calling thread alone, from the same iterator).
-            let n = lens.len();
-            for (workers, max_chunks) in [(2, n), (3, n), (8, n), (3, n.wrapping_sub(1)), (8, 0)] {
-                reset_shared_hashed_bytes();
-                let mut got = Vec::new();
-                b.rehash_chunks_on(workers, max_chunks, lens.iter().copied(), |d| got.push(d));
-                assert_eq!(got, want, "{workers} workers, {n} chunks, cap {max_chunks}");
-                assert_eq!(
-                    shared_hashed_bytes(),
-                    serial_hashed,
-                    "{workers} workers' tallies reach the caller"
-                );
-            }
+            let mut head = b.clone();
+            reset_shared_flatten_bytes();
+            let tail = head.split_off(at);
+            assert_eq!(shared_flatten_bytes(), copied, "cut at {at}");
+            let at = at.min(flat.len());
+            assert_eq!((head.len(), tail.len()), (at, flat.len() - at));
+            assert_eq!(
+                head.shared_len() + tail.shared_len() + copied as usize,
+                b.shared_len()
+            );
+            assert_eq!(head.to_vec(), &flat[..at]);
+            assert_eq!(tail.to_vec(), &flat[at..]);
         }
     }
 

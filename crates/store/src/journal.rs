@@ -26,26 +26,26 @@
 //! there, never silently half there. Bit rot in a fully-written envelope
 //! is caught by the fold and surfaces as [`StoreError::Corrupt`].
 //!
-//! **Put reads the memo; get, `exists` and `maintain` re-hash.** The
-//! framing cuts one chunk per payload segment, so a chunk that is a shared
-//! rope page contributes its memoized digest ([`Page::digest`]): a page
-//! that stayed clean since an earlier snapshot was hashed then, and a put
-//! hashes only the pages that are new plus the small owned metadata runs.
-//! Validation never reads a memo. It re-hashes every chunk from the stored
-//! bytes, following the recorded table, so a chunk that now spans several
-//! segments (a flattened or re-cut envelope) is streamed across them with
-//! no flatten. A digest remembered at put time would verify nothing.
+//! **Put and validation both read the memo.** The framing cuts one chunk
+//! per payload segment, so a chunk that is a shared rope page contributes
+//! its memoized digest ([`Page::digest`]): a page that stayed clean since
+//! an earlier snapshot was hashed then, and a put hashes only the pages
+//! that are new plus the small owned metadata runs. Validation (get,
+//! `exists` and `maintain`) follows the recorded table over the *stored*
+//! segments ([`ScatterBuf::chunk_digests`]): a chunk that is still exactly
+//! one stored segment contributes that segment's digest — the memo of the
+//! stored page, or a hash of an owned run — and a chunk that now spans or
+//! cuts segments (a flattened or re-cut envelope) is streamed across them
+//! with no flatten. So a page is hashed once in its lifetime, on puts and
+//! on reads alike.
 //!
-//! **Validation hashes on the CPUs the process may use.** The chunk
-//! digests are independent until the fold, so validation
-//! ([`ScatterBuf::rehash_chunks`]) of a payload of a MiB or more hands
-//! consecutive runs of chunks to digest workers: scoped OS threads that
-//! only hash immutable bytes, one per 512 KiB at most. The digests are
-//! folded in chunk order on the calling thread, so envelopes, digests and
-//! every error are the same as a one-thread hash gives. A smaller payload,
-//! a process allowed one CPU, or a table of chunks far smaller than pages
-//! hashes on the calling thread alone, and so does framing, which hashes
-//! only the new pages. The simulator itself stays on one OS thread.
+//! This verifies as much as hashing every chunk from its bytes. A page's
+//! bytes never change after it is built, and its memo is only filled by
+//! hashing those bytes (debug builds re-derive it on every hit). Damage
+//! below the journal cannot reach a stored page in place: rot, a tear or
+//! a swap leaves owned bytes or a different page, and a different page's
+//! memo comes from its own bytes. The digest is taken from the page the
+//! store holds, never from the page that was framed.
 //!
 //! Version 3 made the commit digest a fold over per-chunk digests (version
 //! 2 hashed the payload bytes as one stream). There is no reader for an
@@ -212,12 +212,13 @@ impl JournaledStore {
 
     /// Validate `env` and return the payload scatter on success. Only the
     /// header, table and trailer are materialized (they are owned segments
-    /// as framed); the payload stays a scatter — its shared rope pages
-    /// pass through unflattened — and every chunk the table records is
-    /// re-hashed from the stored bytes, never from a page memo. Lengths
+    /// as framed) and split off the envelope, so the payload's shared rope
+    /// pages move out unflattened and unread. Every chunk the table
+    /// records is digested from the stored segments: a stored page's memo
+    /// when the chunk is that whole page, its bytes otherwise. Lengths
     /// read from the envelope are checked before any arithmetic or
     /// allocation uses them.
-    fn validate(path: &str, env: &ScatterBuf) -> Result<ScatterBuf, StoreError> {
+    fn validate(path: &str, mut env: ScatterBuf) -> Result<ScatterBuf, StoreError> {
         let torn = |why: &str| StoreError::Torn {
             path: path.to_string(),
             why: why.to_string(),
@@ -281,17 +282,17 @@ impl JournaledStore {
                 env.len() - total
             )));
         }
-        let trailer = env.slice(total - TRAILER, total).to_vec();
+        let trailer = env.split_off(total - TRAILER).to_vec();
         if u64_at(&trailer, 8) != COMMIT {
             return Err(torn("commit record never written"));
         }
-        let payload = env.slice(header_len, total - TRAILER);
+        let payload = env.split_off(header_len);
         let mut fold = Checksum::new();
         fold.update(&header);
         // Every length fits: the chunks cover the payload, which is in memory.
         let lens = table(&header)
             .flat_map(|(count, len)| std::iter::repeat_n(len as usize, count as usize));
-        payload.rehash_chunks(lens, |digest| fold.update_u64(digest));
+        payload.chunk_digests(lens, |digest| fold.update_u64(digest));
         let (got, want) = (fold.digest(), u64_at(&trailer, 0));
         if got != want {
             return Err(corrupt(format!(
@@ -304,7 +305,7 @@ impl JournaledStore {
     /// Is the object at `path` present and committed?
     fn validated_get(&self, path: &str) -> Result<(), StoreError> {
         let (env, _) = self.inner.get(path, 0, NEUTRAL_SHAPE)?;
-        JournaledStore::validate(path, env.scatter()).map(|_| ())
+        JournaledStore::validate(path, env.into_scatter()).map(|_| ())
     }
 }
 
@@ -345,7 +346,7 @@ impl CheckpointStore for JournaledStore {
         shape: IoShape,
     ) -> Result<(ImageBytes, SimDuration), StoreError> {
         let (env, dur) = self.inner.get(path, rank, shape)?;
-        let payload = JournaledStore::validate(path, env.scatter())?;
+        let payload = JournaledStore::validate(path, env.into_scatter())?;
         Ok((ImageBytes::from(payload), dur))
     }
 
@@ -562,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn a_put_hashes_only_pages_new_since_the_last_snapshot_and_a_get_all() {
+    fn a_put_hashes_only_pages_new_since_the_last_snapshot_and_a_get_none() {
         use mana_sim::memory::{
             AddressSpace, Backing, DenseBuf, Half, RegionKind, SnapshotContent, PAGE,
         };
@@ -605,62 +606,67 @@ mod tests {
         j.get("h/ckpt_2/rank_0.mana", 0, SHAPE).unwrap();
         assert_eq!(
             shared_hashed_bytes(),
-            PAGES * PAGE,
-            "a get validates in full"
+            0,
+            "a get reads the stored pages' memos"
         );
         reset_shared_hashed_bytes();
         assert!(j.exists("h/ckpt_3/rank_0.mana"));
-        assert_eq!(shared_hashed_bytes(), PAGES * PAGE, "so does exists");
+        assert_eq!(shared_hashed_bytes(), 0, "so does exists");
     }
 
     #[test]
-    fn digest_workers_hash_for_the_caller_above_the_parallel_threshold() {
+    fn a_maintenance_walk_hashes_no_committed_page() {
+        use crate::{DrainMode, ReplicaConfig, ReplicatedStore, TierConfig, TieredStore};
         use mana_sim::page::Page;
         use mana_sim::scatter::{reset_shared_hashed_bytes, shared_hashed_bytes};
-        // 4 MiB of pages, above the size from which digest workers
-        // validate; 1.2 MiB of them new in the second generation.
-        const PAGES: usize = 1024;
-        const PAGE: usize = 4096;
-        const FRESH: usize = 300;
-        let page = |seed: usize| Page::from(&[seed as u8; PAGE][..]);
-        let mut pages: Vec<Page> = (0..PAGES).map(page).collect();
-        let j = JournaledStore::new(InMemStore::new());
-        let put = |generation: u64, pages: &[Page]| {
-            let mut payload = ScatterBuf::from_vec(generation.to_le_bytes().to_vec());
-            for p in pages {
-                payload.push_shared(p.clone());
-            }
-            reset_shared_hashed_bytes();
-            j.put(&format!("w/ckpt_{generation}"), payload.into(), 0, 0, SHAPE);
-            shared_hashed_bytes()
-        };
-        assert_eq!(put(1, &pages), (PAGES * PAGE) as u64, "every page is new");
-        for (i, p) in pages
-            .iter_mut()
-            .enumerate()
-            .step_by(PAGES / FRESH)
-            .take(FRESH)
-        {
-            *p = page(i + 7);
-        }
-        assert_eq!(put(2, &pages), (FRESH * PAGE) as u64, "the new pages only");
-        for generation in [1, 2] {
-            reset_shared_hashed_bytes();
-            let (got, _) = j.get(&format!("w/ckpt_{generation}"), 0, SHAPE).unwrap();
-            assert_eq!(
-                shared_hashed_bytes(),
-                (PAGES * PAGE) as u64,
-                "a get re-hashes"
-            );
-            assert_eq!(got.scatter().shared_len(), PAGES * PAGE);
-        }
-        reset_shared_hashed_bytes();
-        assert!(j.exists("w/ckpt_2"));
-        assert_eq!(
-            shared_hashed_bytes(),
-            (PAGES * PAGE) as u64,
-            "so does exists"
+        // The chaos driver's stack: Tiered(Journaled(Replicated(InMem × 2))).
+        let replicated = ReplicatedStore::with_replicas(
+            ReplicaConfig {
+                write_quorum: 2,
+                ..ReplicaConfig::default()
+            },
+            2,
+            |_| InMemStore::new(),
         );
+        let journal = Arc::new(JournaledStore::new(replicated));
+        let tiered = TieredStore::new(TierConfig::burst_buffer(DrainMode::Async), journal.clone());
+        let path = |generation: u8| format!("m/ckpt_{generation}/rank_0.mana");
+        for generation in 1..=3u8 {
+            let mut payload = ScatterBuf::from_vec(vec![generation; 24]);
+            for p in 0..16u8 {
+                payload.push_shared(Page::from(&[generation ^ p; 4096][..]));
+            }
+            if generation == 3 {
+                journal.arm_torn_put(&path(generation), 0.5);
+            }
+            tiered.put(&path(generation), payload.into(), 0, 0, SHAPE);
+            // Drains frame the envelope into the journal: its put hashes
+            // the new pages.
+            tiered.begin_epoch();
+        }
+        assert_eq!(journal.torn_writes(), vec![path(3)]);
+        assert!(tiered.drain_ledger().is_empty());
+
+        reset_shared_hashed_bytes();
+        let mut report = Maintenance::default();
+        tiered.maintain(&mut report);
+        assert!(tiered.exists(&path(1)) && tiered.exists(&path(2)));
+        assert_eq!(shared_hashed_bytes(), 0, "memo hits only");
+        assert_eq!(report.scanned, 3);
+        let quarantined: Vec<(&str, &str)> = report
+            .quarantined
+            .iter()
+            .map(|q| (q.path.as_str(), q.why.as_str()))
+            .collect();
+        assert_eq!(
+            quarantined,
+            vec![(
+                "m/ckpt_3/rank_0.mana",
+                "checkpoint object at 'm/ckpt_3/rank_0.mana' torn mid-write: \
+                 payload or commit trailer incomplete"
+            )]
+        );
+        assert!(!tiered.exists(&path(3)));
     }
 
     #[test]

@@ -13,9 +13,17 @@
 //!   shared pages, still validates and returns the identical payload;
 //! * a get of an unmodified envelope flattens no shared byte.
 //!
-//! One payload is large enough (2.5 MiB) that validation hashes it on the
-//! CPUs the process may use; it is checked the same way, on a sample of
-//! pages and prefixes.
+//! One payload is large (2.5 MiB, 640 pages); it is checked the same way,
+//! on a sample of pages and prefixes.
+//!
+//! Validation takes a chunk that is one whole stored page from that page's
+//! digest memo, so three more checks pin that this verifies as much as a
+//! full re-hash: a bit-flipped twin whose memo was filled *before* it was
+//! swapped in is still `Corrupt`; a fresh page with equal bytes (its memo
+//! empty) validates; and every seeded case reads back with the verdict of
+//! an outside fold that this file computes itself, with `checksum_bytes`
+//! over each chunk of the flattened envelope. The outside fold reads the
+//! version-3 header and chunk table.
 //!
 //! These checks know only the envelope's outline — a header, the payload,
 //! then a 16-byte trailer (digest word, commit word) — so they hold for any
@@ -27,6 +35,7 @@ use mana_core::{CheckpointStore, InMemStore};
 use mana_sim::checksum::{checksum_bytes, Checksum};
 use mana_sim::fs::IoShape;
 use mana_sim::memory::DenseSnap;
+use mana_sim::page::Page;
 use mana_sim::rng::splitmix64;
 use mana_sim::scatter::{reset_shared_flatten_bytes, shared_flatten_bytes, ScatterBuf, Segment};
 use mana_store::JournaledStore;
@@ -324,5 +333,161 @@ fn a_large_payload_cut_into_one_byte_chunks_validates_by_its_fold() {
             Err(StoreError::Corrupt { .. }) if !valid => {}
             other => panic!("fold {digest:#x} gave {other:?}"),
         }
+    }
+}
+
+/// A page holding `bytes`, its digest memo filled.
+fn hashed_page(bytes: &[u8]) -> ScatterBuf {
+    let page = Page::from(bytes);
+    page.digest();
+    let mut buf = ScatterBuf::new();
+    buf.push_shared(page);
+    buf
+}
+
+/// The fold of a whole version-3 envelope, computed here from its
+/// flattened bytes: the header and chunk table, then `checksum_bytes` of
+/// each chunk the table records. Returns the computed and the recorded
+/// fold, or `None` when `env` is not a whole envelope (a strict prefix,
+/// or a table that does not cover the payload).
+fn outside_fold(env: &ScatterBuf) -> Option<(u64, u64)> {
+    let flat = env.to_vec();
+    let u32_at = |at: usize| Some(u32::from_le_bytes(flat.get(at..at + 4)?.try_into().ok()?));
+    let u64_at = |at: usize| Some(u64::from_le_bytes(flat.get(at..at + 8)?.try_into().ok()?));
+    let payload_len = usize::try_from(u64_at(12)?).ok()?;
+    let runs = u32_at(20)? as usize;
+    let header_len = 24 + 12 * runs;
+    let end = header_len.checked_add(payload_len)?;
+    if flat.len() != end + TRAILER || !flat.ends_with(b"COMMITED") {
+        return None;
+    }
+    let mut fold = Checksum::new();
+    fold.update(&flat[..header_len]);
+    let mut at = header_len;
+    for run in 0..runs {
+        let count = u32_at(24 + 12 * run)?;
+        let len = usize::try_from(u64_at(28 + 12 * run)?).ok()?;
+        for _ in 0..count {
+            let next = at.checked_add(len).filter(|&next| next <= end)?;
+            fold.update_u64(checksum_bytes(&flat[at..next]));
+            at = next;
+        }
+    }
+    (at == end).then(|| (fold.digest(), u64_at(end).expect("trailer")))
+}
+
+/// Store `env` in place of the envelope, read it back through the journal,
+/// and check the verdict against [`outside_fold`]: a matching fold reads
+/// back as `payload`, a differing one is `Corrupt`, and an envelope that
+/// is not whole is an error.
+fn check_verdict(
+    journal: &JournaledStore,
+    inner: &InMemStore,
+    env: ScatterBuf,
+    payload: &ScatterBuf,
+    what: &str,
+) {
+    let outside = outside_fold(&env);
+    match (outside, read_back(journal, inner, env)) {
+        (Some((got, want)), Ok(back)) if got == want => assert_eq!(&back, payload, "{what}"),
+        (Some((got, want)), Err(StoreError::Corrupt { .. })) if got != want => {}
+        (None, Err(_)) => {}
+        (outside, verdict) => panic!("{what}: outside fold {outside:x?}, journal {verdict:?}"),
+    }
+}
+
+#[test]
+fn a_flipped_twin_whose_memo_was_filled_before_the_swap_is_corrupt() {
+    for seed in 0..SEEDS {
+        let (journal, inner, env) = journaled(&payload(seed, 4096));
+        let mut d = Draw(seed ^ 0x3e30);
+        let mut swapped = 0;
+        for (k, seg) in env.raw_segments().iter().enumerate() {
+            let Segment::Shared(page) = seg else { continue };
+            let mut bytes = page.to_vec();
+            let bit = d.range(0, bytes.len() * 8 - 1);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            match read_back(
+                &journal,
+                &inner,
+                replace_segment(&env, k, &hashed_page(&bytes)),
+            ) {
+                Err(StoreError::Corrupt { .. }) => swapped += 1,
+                other => panic!("seed {seed}: hashed twin of segment {k} gave {other:?}"),
+            }
+        }
+        assert!(swapped > 0, "seed {seed}: no shared page to swap");
+    }
+}
+
+#[test]
+fn a_fresh_page_with_equal_bytes_validates() {
+    for seed in 0..SEEDS {
+        let payload = payload(seed, 4096);
+        let (journal, inner, env) = journaled(&payload);
+        // Every stored page replaced by a new page holding its bytes, the
+        // new page's memo still empty.
+        let mut fresh = ScatterBuf::new();
+        for seg in env.raw_segments() {
+            match seg {
+                Segment::Owned(v) => fresh.push_owned(v.clone()),
+                Segment::Shared(p) => fresh.push_shared(Page::from(&p[..])),
+            }
+        }
+        assert_eq!(fresh.shared_len(), env.shared_len());
+        let got = read_back(&journal, &inner, fresh).expect("fresh pages");
+        assert_eq!(got, payload, "seed {seed}");
+    }
+}
+
+#[test]
+fn every_seeded_verdict_equals_an_outside_fold() {
+    for seed in 0..SEEDS {
+        let payload = payload(seed, 600);
+        let (journal, inner, env) = journaled(&payload);
+        let check = |env: ScatterBuf, what: String| {
+            check_verdict(
+                &journal,
+                &inner,
+                env,
+                &payload,
+                &format!("seed {seed}: {what}"),
+            )
+        };
+        check(env.clone(), "unmodified".into());
+        for keep in 0..env.len() {
+            check(env.slice(0, keep), format!("prefix of {keep} bytes"));
+        }
+        let flat = env.to_vec();
+        let start = flat.len() - TRAILER - payload.len();
+        let mut d = Draw(seed ^ 0x0f01d);
+        for at in start..start + payload.len() {
+            let mut bad = flat.clone();
+            bad[at] ^= d.range(1, 255) as u8;
+            check(bad.into(), format!("flip of payload byte {}", at - start));
+        }
+        for (k, seg) in env.raw_segments().iter().enumerate() {
+            let Segment::Shared(page) = seg else { continue };
+            let mut bytes = page.to_vec();
+            let bit = d.range(0, bytes.len() * 8 - 1);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let twin = replace_segment(&env, k, &hashed_page(&bytes));
+            check(twin, format!("hashed twin of segment {k}"));
+            let equal = replace_segment(&env, k, &hashed_page(page));
+            check(equal, format!("equal page in segment {k}"));
+        }
+        check(flat.clone().into(), "flattened".into());
+        let mut recut = ScatterBuf::new();
+        let mut rest = &flat[..];
+        while !rest.is_empty() {
+            let (run, tail) = rest.split_at(d.range(1, 700).min(rest.len()));
+            if d.range(0, 1) == 0 {
+                push_page(&mut recut, run);
+            } else {
+                recut.push_owned(run.to_vec());
+            }
+            rest = tail;
+        }
+        check(recut, "re-cut".into());
     }
 }
