@@ -11,7 +11,7 @@ use mana_bench::{
 use mana_core::FsStore;
 use mana_sim::cluster::ClusterSpec;
 use mana_sim::fs::FsConfig;
-use mana_store::{DrainMode, TierConfig, TieredStore};
+use mana_store::{TierConfig, TieredStore};
 use std::sync::Arc;
 
 fn main() {
@@ -82,7 +82,7 @@ fn main() {
             true,
         );
         let tiered_session = session_with(Arc::new(TieredStore::new(
-            TierConfig::burst_buffer(DrainMode::Async),
+            TierConfig::burst_buffer(),
             FsStore::with_config(FsConfig::default()),
         )));
         let dir = format!("fig6t-bb-{nodes}");

@@ -9,7 +9,7 @@ use mana_bench::{
 use mana_core::{FsStore, JobBuilder};
 use mana_sim::cluster::ClusterSpec;
 use mana_sim::fs::FsConfig;
-use mana_store::{DrainMode, TierConfig, TieredStore};
+use mana_store::{TierConfig, TieredStore};
 use std::sync::Arc;
 
 fn main() {
@@ -89,7 +89,7 @@ fn main() {
         let fs_session = session_with(Arc::new(FsStore::with_config(FsConfig::default())));
         let fs_t = restart_total(&fs_session, format!("fig7t-fs-{nodes}"));
         let bb_session = session_with(Arc::new(TieredStore::new(
-            TierConfig::burst_buffer(DrainMode::Async),
+            TierConfig::burst_buffer(),
             FsStore::with_config(FsConfig::default()),
         )));
         let bb_t = restart_total(&bb_session, format!("fig7t-bb-{nodes}"));

@@ -7,10 +7,6 @@
 //! backoff downtime accrued, drains resumed, images quarantined or
 //! fallen back past — versus how many faults were injected.
 //!
-//! Every run writes the machine-readable `BENCH_chaos.json`: recovery
-//! downtime versus injected fault count, plus a histogram of supervisor
-//! attempts per chain.
-//!
 //! Run with `--test` for the CI smoke: asserts 100% recovery (every
 //! chain heals back to the fault-free checksums) over 32 seeded
 //! schedules mixing checkpoint-, restart- and drain-phase faults, with
@@ -19,7 +15,6 @@
 
 use mana_bench::{banner, Table};
 use mana_chaos::{ChaosHarness, ChaosReport};
-use std::collections::BTreeMap;
 
 /// One chain per (seed, fault mix): checkpoint faults always on; every
 /// even seed also interrupts two async drains (which puts the burst-
@@ -31,9 +26,7 @@ fn mixed_chain(seed: u64, faults: usize) -> ChaosReport {
     h.run()
 }
 
-fn sweep() -> Vec<ChaosReport> {
-    let mut all = Vec::new();
-
+fn sweep() {
     let mut table = Table::new(&[
         "faults",
         "chains",
@@ -64,7 +57,6 @@ fn sweep() -> Vec<ChaosReport> {
             sum(&|r| r.quarantined.len()).to_string(),
             sum(&|r| r.checkpoints).to_string(),
         ]);
-        all.extend(reports);
     }
     table.print();
     println!(
@@ -115,7 +107,6 @@ fn sweep() -> Vec<ChaosReport> {
                     .sum::<f64>()
             ),
         ]);
-        all.extend(reports);
     }
     table.print();
     println!(
@@ -170,7 +161,6 @@ fn sweep() -> Vec<ChaosReport> {
                 .sum::<usize>()
                 .to_string(),
         ]);
-        all.extend(reports);
     }
     table.print();
     println!(
@@ -178,51 +168,6 @@ fn sweep() -> Vec<ChaosReport> {
          quarantines the entry and recovery falls back to an older survivor —\n\
          a burst-tier-committed image is never silently lost.\n"
     );
-    all
-}
-
-/// Write `BENCH_chaos.json`: per-chain recovery downtime vs injected
-/// fault count, plus a histogram of supervisor attempts per chain.
-fn write_json(reports: &[ChaosReport]) {
-    let mut hist: BTreeMap<u32, usize> = BTreeMap::new();
-    for r in reports {
-        *hist.entry(r.supervisor.attempts).or_insert(0) += 1;
-    }
-    let mut s = String::from("{\n  \"chains\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let injected =
-            r.plan.faults.len() + r.plan.restart_faults.len() + r.plan.drain_faults.len();
-        s.push_str(&format!(
-            "    {{\"seed\": {}, \"faults_injected\": {}, \"restart_kills\": {}, \
-             \"drain_faults\": {}, \"incarnations\": {}, \"supervisor_attempts\": {}, \
-             \"faults_absorbed\": {}, \"image_fallbacks\": {}, \"drains_resumed\": {}, \
-             \"drains_lost\": {}, \"downtime_ms\": {:.3}, \"healed\": {}}}{}\n",
-            r.plan.seed,
-            injected,
-            r.restart_crashes.len(),
-            r.drain_faults_hit.len(),
-            r.incarnations,
-            r.supervisor.attempts,
-            r.supervisor.faults_absorbed,
-            r.image_fallbacks(),
-            r.drains_resumed.len(),
-            r.drains_quarantined.len(),
-            r.supervisor.total_downtime.as_secs_f64() * 1e3,
-            r.healed(),
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"supervisor_attempts_histogram\": {");
-    let n = hist.len();
-    for (i, (attempts, chains)) in hist.iter().enumerate() {
-        s.push_str(&format!(
-            "\"{attempts}\": {chains}{}",
-            if i + 1 < n { ", " } else { "" }
-        ));
-    }
-    s.push_str("}\n}\n");
-    std::fs::write("BENCH_chaos.json", s).expect("write BENCH_chaos.json");
-    println!("wrote BENCH_chaos.json");
 }
 
 /// CI smoke: 100% recovery over 32 seeded schedules mixing checkpoint-,
@@ -252,7 +197,6 @@ fn smoke() {
         fallbacks >= 1,
         "smoke must fall back past at least one destroyed image"
     );
-    write_json(&reports);
     println!(
         "smoke: 32/32 chains healed ({crashes} gang-crashes, {failovers} failovers, \
          {torn} torn writes quarantined, {outages} replica outages, \
@@ -270,8 +214,7 @@ fn main() {
     );
     if is_smoke {
         smoke();
-        return;
+    } else {
+        sweep();
     }
-    let reports = sweep();
-    write_json(&reports);
 }

@@ -4,7 +4,7 @@
 //! weakened coordinator rule — evidence the verification has teeth.
 
 use mana_bench::{banner, Table};
-use mana_model_check::{check, CoordRule, Spec};
+use mana_model_check::{check, check_under, Spec};
 
 fn main() {
     banner(
@@ -37,9 +37,7 @@ fn main() {
         ]);
     }
     // Negative control: drop the slip-prevention term of the do-ckpt rule.
-    let mut weak = Spec::uniform_world(2, 1);
-    weak.rule = CoordRule::no_full_phase1_check();
-    let out = check(&weak);
+    let out = check_under(&Spec::uniform_world(2, 1), |agg| agg.exit_phase2 == 0);
     table.row(vec![
         "2 ranks, 1 collective, WEAKENED rule (negative control)".into(),
         out.states.to_string(),

@@ -90,21 +90,10 @@ pub fn lustre_session() -> ManaSession {
     ManaSession::new()
 }
 
-/// Session backed by an explicit (possibly shared) checkpoint store —
-/// used by the storage-backend comparisons.
+/// Session backed by an explicit checkpoint store — used by the
+/// tiered-vs-Lustre rows of Figs. 6 and 7.
 pub fn session_with(store: Arc<dyn CheckpointStore>) -> ManaSession {
     ManaSession::builder().shared_store(store).build()
-}
-
-/// Total logical bytes currently occupying `store` (what the slow tier
-/// actually holds — compressed/delta backends report their shrunken
-/// sizes here).
-pub fn stored_bytes(store: &dyn CheckpointStore) -> u64 {
-    store
-        .list()
-        .iter()
-        .map(|p| store.logical_len(p).unwrap_or(0))
-        .sum()
 }
 
 /// LULESH needs rank counts that factor into a 3-D grid; clamp a generic

@@ -33,8 +33,8 @@ use mana_core::{CheckpointStore, InMemStore, JobBuilder, ManaSession, Workload};
 use mana_sim::cluster::ClusterSpec;
 use mana_sim::time::SimTime;
 use mana_store::{
-    DrainMode, HealReport, JournaledStore, Maintenance, QuarantinedObject, ReplicaConfig,
-    ReplicatedStore, TierConfig, TieredStore,
+    HealReport, JournaledStore, Maintenance, QuarantinedObject, ReplicaConfig, ReplicatedStore,
+    TierConfig, TieredStore,
 };
 use parking_lot::Mutex;
 use std::fmt;
@@ -224,7 +224,7 @@ impl ChaosHarness {
         let journal = Arc::new(JournaledStore::new(replicated.clone()).with_chaos(handle.clone()));
         let tiered = (!plan.drain_faults.is_empty()).then(|| {
             Arc::new(
-                TieredStore::new(TierConfig::burst_buffer(DrainMode::Async), journal.clone())
+                TieredStore::new(TierConfig::burst_buffer(), journal.clone())
                     .with_chaos(handle.clone()),
             )
         });

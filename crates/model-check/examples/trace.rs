@@ -1,4 +1,5 @@
 //! Counterexample path tracer (debug tooling).
+use mana_core::coordinator::checkpoint_safe;
 use mana_model_check::explore::successors;
 use mana_model_check::spec::Spec;
 use mana_model_check::state::State;
@@ -12,7 +13,7 @@ fn main() {
     seen.insert(init.clone(), None);
     queue.push_back(init);
     while let Some(s) = queue.pop_front() {
-        match successors(&spec, &s) {
+        match successors(&spec, &s, checkpoint_safe) {
             Err(v) => {
                 println!("VIOLATION: {v:?}");
                 let mut path = vec![s.clone()];

@@ -2,7 +2,10 @@
 
 use crate::spec::Spec;
 use crate::state::{CMsg, CPhase, RMsg, RPhase, ReplyKind, State};
-use std::collections::{HashMap, HashSet, VecDeque};
+use mana_core::coordinator::checkpoint_safe;
+use mana_core::ctrl::RankReply;
+use mana_core::{CollInstance, StateAgg};
+use std::collections::{HashSet, VecDeque};
 
 /// A property violation, with a human-readable description.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,9 +53,14 @@ impl CheckOutcome {
     }
 }
 
-/// Generate all successors of `s`. Any violation encountered while firing
-/// a transition is returned instead. Public for counterexample tooling.
-pub fn successors(spec: &Spec, s: &State) -> Result<Vec<State>, Violation> {
+/// Generate all successors of `s` under the do-ckpt `rule`. Any
+/// violation encountered while firing a transition is returned instead.
+/// Public for counterexample tooling.
+pub fn successors(
+    spec: &Spec,
+    s: &State,
+    rule: fn(&StateAgg) -> bool,
+) -> Result<Vec<State>, Violation> {
     let n = spec.nranks();
     let mut out = Vec::new();
 
@@ -166,11 +174,11 @@ pub fn successors(spec: &Spec, s: &State) -> Result<Vec<State>, Violation> {
                     t.replies[r] = Some(msg);
                     if t.replies.iter().all(Option::is_some) {
                         // End of round: apply the do-ckpt rule.
-                        let unsafe_round = round_unsafe(spec, &t.replies);
+                        let safe = rule(&round_agg(&t.replies));
                         for q in t.replies.iter_mut() {
                             *q = None;
                         }
-                        if unsafe_round {
+                        if !safe {
                             for q in 0..n {
                                 t.to_rank[q].push_back(CMsg::Intend);
                             }
@@ -220,49 +228,37 @@ pub fn successors(spec: &Spec, s: &State) -> Result<Vec<State>, Violation> {
     Ok(out)
 }
 
-/// The coordinator's do-ckpt refusal rule over a complete round.
-///
-/// An in-phase-1 instance `(c, seq, size)` is *safe to checkpoint* only if
-/// at least one member provably has not entered its trivial barrier:
-/// members split into in-barrier reporters (`k`), ranks whose progress on
-/// `c` exceeds `seq` (already past — the barrier must have completed), and
-/// blockers (progress ≤ seq, not in this barrier — gated or will gate, so
-/// the barrier cannot complete during the checkpoint). Safe ⟺
-/// `k + passed < size`.
-fn round_unsafe(spec: &Spec, replies: &[Option<RMsg>]) -> bool {
-    let states: Vec<(&ReplyKind, &Vec<usize>)> = replies
-        .iter()
-        .map(|r| match r {
-            Some(RMsg::State { kind, progress }) => (kind, progress),
-            _ => unreachable!("round evaluated before completion"),
-        })
-        .collect();
-    if spec.rule.reject_exit_phase2
-        && states
+/// Fold a complete round's replies into the coordinator's [`StateAgg`],
+/// exactly as a flat coordinator absorbs them. The model numbers a
+/// communicator's collectives from 0 and the wrapper from 1, so the
+/// model's instance `(comm, seq)` is core's `(comm, seq + 1)`; a progress
+/// entry is a completed count in both.
+fn round_agg(replies: &[Option<RMsg>]) -> StateAgg {
+    let mut agg = StateAgg::default();
+    for reply in replies {
+        let Some(RMsg::State { kind, progress }) = reply else {
+            unreachable!("round evaluated before completion")
+        };
+        let (reply, instance) = match *kind {
+            ReplyKind::Ready => (RankReply::Ready, None),
+            ReplyKind::ExitPhase2 => (RankReply::ExitPhase2, None),
+            ReplyKind::InPhase1(comm, seq, size) => (
+                RankReply::InPhase1,
+                Some(CollInstance {
+                    comm_virt: comm as u64,
+                    wseq: seq as u64 + 1,
+                    size: size as u32,
+                }),
+            ),
+        };
+        let progress: Vec<(u64, u64)> = progress
             .iter()
-            .any(|(k, _)| matches!(k, ReplyKind::ExitPhase2))
-    {
-        return true;
+            .enumerate()
+            .map(|(comm, done)| (comm as u64, *done as u64))
+            .collect();
+        agg.absorb(reply, instance, &progress);
     }
-    if spec.rule.reject_full_phase1 {
-        let mut counts: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-        for (kind, _) in &states {
-            if let ReplyKind::InPhase1(comm, seq, size) = kind {
-                let e = counts.entry((*comm, *seq)).or_insert((0, *size));
-                e.0 += 1;
-            }
-        }
-        for ((comm, seq), (k, size)) in &counts {
-            let passed = states
-                .iter()
-                .filter(|(_, progress)| progress.get(*comm).copied().unwrap_or(0) > *seq)
-                .count();
-            if k + passed >= *size {
-                return true;
-            }
-        }
-    }
-    false
+    agg
 }
 
 /// With every image taken, no collective instance may be straddled: for
@@ -298,8 +294,16 @@ fn cut_violation(spec: &Spec, s: &State) -> Option<Violation> {
     None
 }
 
-/// Exhaustively explore `spec`'s state space.
+/// Exhaustively explore `spec`'s state space under the coordinator's own
+/// do-ckpt rule, [`checkpoint_safe`].
 pub fn check(spec: &Spec) -> CheckOutcome {
+    check_under(spec, checkpoint_safe)
+}
+
+/// Exhaustively explore `spec`'s state space, sending do-ckpt after a
+/// complete round exactly when `rule` holds for its aggregate. Tests pass
+/// a weakened rule to show the checker catches what it lets through.
+pub fn check_under(spec: &Spec, rule: fn(&StateAgg) -> bool) -> CheckOutcome {
     spec.validate();
     let init = State::init(spec);
     let mut seen: HashSet<State> = HashSet::new();
@@ -309,7 +313,7 @@ pub fn check(spec: &Spec) -> CheckOutcome {
     let mut transitions = 0usize;
 
     while let Some(s) = queue.pop_front() {
-        let succs = match successors(spec, &s) {
+        let succs = match successors(spec, &s, rule) {
             Ok(v) => v,
             Err(violation) => {
                 return CheckOutcome {
@@ -345,7 +349,6 @@ pub fn check(spec: &Spec) -> CheckOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::CoordRule;
 
     #[test]
     fn two_ranks_one_collective_safe() {
@@ -373,9 +376,7 @@ mod tests {
         // Without the full-phase-1 refusal, all members can assemble in
         // the trivial barrier, slip into the real collective, and receive
         // do-ckpt inside it — the checker must find that.
-        let mut spec = Spec::uniform_world(2, 1);
-        spec.rule = CoordRule::no_full_phase1_check();
-        let out = check(&spec);
+        let out = check_under(&Spec::uniform_world(2, 1), |agg| agg.exit_phase2 == 0);
         assert!(
             matches!(
                 out.violation,
@@ -393,7 +394,6 @@ mod tests {
         let spec = Spec {
             comms: vec![vec![0, 1]],
             programs: vec![vec![0], vec![0]],
-            rule: CoordRule::full(),
         };
         let out = check(&spec);
         assert!(out.ok(), "{:?}", out.violation);

@@ -8,11 +8,13 @@
 //! any deadlocks or broken invariants."
 //!
 //! This crate is the equivalent artifact for this reproduction: a small
-//! explicit-state breadth-first model checker over the protocol exactly as
+//! explicit-state breadth-first model checker over the protocol as
 //! *implemented* in `mana-core` — the pre-wrapper gate, commit-through
 //! phase semantics, ready/in-phase-1/exit-phase-2 replies, and the
-//! coordinator's do-ckpt safety rule (refuse while any reply is
-//! exit-phase-2 or any phase-1 trivial barrier is fully assembled).
+//! coordinator's do-ckpt safety rule. The rule is not modelled: each
+//! complete round's replies are folded into a `mana_core::StateAgg` with
+//! `StateAgg::absorb` and decided by `mana_core::coordinator::checkpoint_safe`,
+//! the function the running coordinator calls.
 //!
 //! Checked properties, over every interleaving of rank steps, barrier
 //! exits, collective exits and message deliveries (per-pair FIFO channels,
@@ -25,10 +27,11 @@
 //! * **Completion** — in every terminal state all ranks finished their
 //!   programs and the checkpoint, once initiated, completed.
 //!
-//! The coordinator's safety rule is parameterized so tests can *remove*
+//! [`check_under`] takes the rule as a parameter, so tests can *weaken*
 //! it and watch the checker catch the resulting violation — evidence the
-//! checker has teeth, and that the rule (the liveness/safety refinement
-//! documented in DESIGN.md) is load-bearing.
+//! checker has teeth, and that the rule's refinement (refuse while a
+//! phase-1 trivial barrier is fully assembled or already passed) is
+//! load-bearing.
 
 #![warn(missing_docs)]
 
@@ -36,6 +39,6 @@ pub mod explore;
 pub mod spec;
 pub mod state;
 
-pub use explore::{check, CheckOutcome, Violation};
-pub use spec::{CoordRule, Spec};
+pub use explore::{check, check_under, CheckOutcome, Violation};
+pub use spec::Spec;
 pub use state::State;

@@ -1,35 +1,4 @@
-//! Model configuration: rank programs, communicators, coordinator rule.
-
-/// Which safety conditions the modelled coordinator applies before sending
-/// do-ckpt. The real implementation uses [`CoordRule::full`]; weakened
-/// rules exist so tests can demonstrate the checker catching violations.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CoordRule {
-    /// Re-iterate when any rank reported exit-phase-2 (Algorithm 2 line 7).
-    pub reject_exit_phase2: bool,
-    /// Re-iterate when some phase-1 instance has all members inside the
-    /// trivial barrier (the slip-prevention refinement).
-    pub reject_full_phase1: bool,
-}
-
-impl CoordRule {
-    /// The implemented rule.
-    pub fn full() -> CoordRule {
-        CoordRule {
-            reject_exit_phase2: true,
-            reject_full_phase1: true,
-        }
-    }
-
-    /// Literal Algorithm 2 without the slip-prevention refinement
-    /// (demonstrably unsafe; see tests).
-    pub fn no_full_phase1_check() -> CoordRule {
-        CoordRule {
-            reject_exit_phase2: true,
-            reject_full_phase1: false,
-        }
-    }
-}
+//! Model configuration: rank programs and communicators.
 
 /// A model instance.
 #[derive(Clone, Debug)]
@@ -40,8 +9,6 @@ pub struct Spec {
     /// rank performs (wrapped) collectives. Compute steps are implicit
     /// between entries.
     pub programs: Vec<Vec<usize>>,
-    /// Coordinator rule under test.
-    pub rule: CoordRule,
 }
 
 impl Spec {
@@ -55,7 +22,6 @@ impl Spec {
         Spec {
             comms: vec![(0..nranks).collect()],
             programs: vec![vec![0; k]; nranks],
-            rule: CoordRule::full(),
         }
     }
 
@@ -69,7 +35,6 @@ impl Spec {
                 vec![1, 2, 0], // rank 1: both subcomms, then world
                 vec![2, 0],    // rank 2: comm {1,2}, then world
             ],
-            rule: CoordRule::full(),
         }
     }
 
@@ -127,7 +92,6 @@ mod tests {
         let s = Spec {
             comms: vec![vec![0, 1]],
             programs: vec![vec![0, 0], vec![0]],
-            rule: CoordRule::full(),
         };
         s.validate();
     }

@@ -82,8 +82,8 @@ thread_local! {
 /// Cumulative count of bytes memcpy'd out of shared (rope-page) segments
 /// by [`ScatterBuf::to_vec`]/[`ScatterBuf::into_vec`] on the calling OS
 /// thread since its last [`reset_shared_flatten_bytes`]. The zero-copy
-/// put path must leave this untouched; the `fig_ckpt_path` smoke asserts
-/// exactly that.
+/// put and restore paths must leave this untouched;
+/// `tests/store_zero_flatten.rs` asserts exactly that.
 pub fn shared_flatten_bytes() -> u64 {
     SHARED_FLATTEN_BYTES.get()
 }

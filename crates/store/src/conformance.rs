@@ -184,7 +184,7 @@ mod tests {
     use crate::compress::{CompressingStore, CompressionConfig};
     use crate::delta::{DeltaConfig, DeltaStore};
     use crate::replicated::{ReplicaConfig, ReplicatedStore};
-    use crate::tiered::{DrainMode, TierConfig, TieredStore};
+    use crate::tiered::{TierConfig, TieredStore};
     use mana_core::store::{FsStore, InMemStore};
     use mana_sim::fs::FsConfig;
 
@@ -199,17 +199,15 @@ mod tests {
     }
 
     #[test]
-    fn tiered_conforms_in_both_modes_over_both_tiers() {
-        for drain in [DrainMode::Sync, DrainMode::Async] {
-            exercise_store(
-                &TieredStore::new(TierConfig::burst_buffer(drain), lustre()),
-                StoreChecks::timed(),
-            );
-            exercise_store(
-                &TieredStore::new(TierConfig::burst_buffer(drain), InMemStore::new()),
-                StoreChecks::timed(), // the fast tier itself has latency
-            );
-        }
+    fn tiered_conforms_over_both_tiers() {
+        exercise_store(
+            &TieredStore::new(TierConfig::burst_buffer(), lustre()),
+            StoreChecks::timed(),
+        );
+        exercise_store(
+            &TieredStore::new(TierConfig::burst_buffer(), InMemStore::new()),
+            StoreChecks::timed(), // the fast tier itself has latency
+        );
     }
 
     #[test]
@@ -252,7 +250,7 @@ mod tests {
     fn a_full_stack_conforms() {
         // Burst buffer → compression → delta → Lustre, all composed.
         let stack = TieredStore::new(
-            TierConfig::burst_buffer(DrainMode::Async),
+            TierConfig::burst_buffer(),
             CompressingStore::new(
                 CompressionConfig::default(),
                 DeltaStore::new(DeltaConfig::default(), lustre()),

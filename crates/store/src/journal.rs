@@ -616,7 +616,7 @@ mod tests {
 
     #[test]
     fn a_maintenance_walk_hashes_no_committed_page() {
-        use crate::{DrainMode, ReplicaConfig, ReplicatedStore, TierConfig, TieredStore};
+        use crate::{ReplicaConfig, ReplicatedStore, TierConfig, TieredStore};
         use mana_sim::page::Page;
         use mana_sim::scatter::{reset_shared_hashed_bytes, shared_hashed_bytes};
         // The chaos driver's stack: Tiered(Journaled(Replicated(InMem × 2))).
@@ -629,7 +629,7 @@ mod tests {
             |_| InMemStore::new(),
         );
         let journal = Arc::new(JournaledStore::new(replicated));
-        let tiered = TieredStore::new(TierConfig::burst_buffer(DrainMode::Async), journal.clone());
+        let tiered = TieredStore::new(TierConfig::burst_buffer(), journal.clone());
         let path = |generation: u8| format!("m/ckpt_{generation}/rank_0.mana");
         for generation in 1..=3u8 {
             let mut payload = ScatterBuf::from_vec(vec![generation; 24]);

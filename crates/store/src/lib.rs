@@ -9,9 +9,9 @@
 //! behind the same [`CheckpointStore`] seam:
 //!
 //! * [`TieredStore`] — a bounded-capacity burst-buffer tier over a slow
-//!   global tier, with a synchronous and an **async-drain** mode in which
-//!   `put` charges only the fast-tier write and the drain completes on a
-//!   modeled background clock (forked-checkpoint semantics: a later `get`
+//!   global tier: `put` commits to the burst tier and charges only the
+//!   fast-tier write, and the drain completes on a modeled background
+//!   clock (forked-checkpoint semantics: a later `get`
 //!   or capacity pressure pays the remaining drain time);
 //! * [`CompressingStore`] — shrinks stored `logical_len` by a
 //!   content-seeded ratio and charges compress/decompress CPU time;
@@ -57,11 +57,11 @@
 //! ```
 //! use mana_core::{CheckpointStore, FsStore};
 //! use mana_sim::fs::{FsConfig, IoShape};
-//! use mana_store::{CompressingStore, CompressionConfig, DrainMode, TierConfig, TieredStore};
+//! use mana_store::{CompressingStore, CompressionConfig, TierConfig, TieredStore};
 //!
 //! let lustre = FsStore::with_config(FsConfig::default());
 //! let compressed = CompressingStore::new(CompressionConfig::default(), lustre);
-//! let store = TieredStore::new(TierConfig::burst_buffer(DrainMode::Async), compressed);
+//! let store = TieredStore::new(TierConfig::burst_buffer(), compressed);
 //!
 //! let shape = IoShape { writers_on_node: 1, total_writers: 1 };
 //! // The checkpoint-visible cost is the burst-buffer write alone; the
@@ -89,4 +89,4 @@ pub use delta::{DeltaConfig, DeltaStore};
 pub use journal::{JournaledStore, QUARANTINE_PREFIX};
 pub use mana_core::store::{CheckpointStore, HealReport, Maintenance, QuarantinedObject};
 pub use replicated::{ReplicaConfig, ReplicatedStore};
-pub use tiered::{DrainEntry, DrainMode, DrainState, TierConfig, TieredStore};
+pub use tiered::{DrainEntry, DrainState, TierConfig, TieredStore};

@@ -1,10 +1,9 @@
 //! Two-tier checkpoint storage: a bounded fast tier (burst buffer /
 //! node-local SSD) absorbing writes in front of a slow global tier.
 //!
-//! The interesting mode is [`DrainMode::Async`]: `put` commits the image
-//! to the fast tier only — the duration it returns (what the
-//! checkpointing rank's clock advances by) covers just the burst-buffer
-//! write — and the drain to the global tier happens later, exactly the
+//! `put` commits the image to the fast tier only — the duration it
+//! returns (what the checkpointing rank's clock advances by) covers just
+//! the burst-buffer write — and the drain to the global tier happens later, exactly the
 //! forked-checkpoint overlap DMTCP uses. Every deferred write is an
 //! entry in a persistent **drain ledger**, so a crash
 //! mid-drain is *detectable*: the store's
@@ -35,16 +34,6 @@ use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 
-/// When the fast→slow drain's cost is charged.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DrainMode {
-    /// `put` charges fast write + full drain (write-through).
-    Sync,
-    /// `put` charges only the fast write; the drain completes on the
-    /// modeled background clock (forked-checkpoint overlap).
-    Async,
-}
-
 /// Parameters of the fast tier.
 #[derive(Clone, Debug)]
 pub struct TierConfig {
@@ -56,19 +45,16 @@ pub struct TierConfig {
     /// Fast-tier capacity in logical bytes; an object larger than this
     /// bypasses the fast tier entirely.
     pub capacity: u64,
-    /// Drain mode.
-    pub drain: DrainMode,
 }
 
 impl TierConfig {
     /// A DataWarp-like burst buffer: ~5 GB/s per node, cheap metadata
     /// operations, 64 GiB of capacity.
-    pub fn burst_buffer(drain: DrainMode) -> TierConfig {
+    pub fn burst_buffer() -> TierConfig {
         TierConfig {
             bw: 5.0e9,
             op_latency: SimDuration::micros(200),
             capacity: 64 << 30,
-            drain,
         }
     }
 }
@@ -101,7 +87,7 @@ struct FastObj {
     /// drained — the slow tier is then the authority — or after a
     /// fast-tier loss).
     data: Option<ImageBytes>,
-    /// Drain-ledger state; `None` for drained/sync residents.
+    /// Drain-ledger state; `None` for drained residents.
     drain: Option<DrainState>,
 }
 
@@ -258,16 +244,8 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
             self.state.lock().evict(&victim);
         }
 
-        let (kept, drain_state, charged) = match self.cfg.drain {
-            // Write-through: slow-durable before put returns, no ledger.
-            DrainMode::Sync => {
-                let d = self.slow.put(path, data, logical_len, rank, shape);
-                (None, None, d)
-            }
-            // Burst-tier commit: the bytes stay fast-side under a ledger
-            // entry until a drain retires them.
-            DrainMode::Async => (Some(data), Some(DrainState::Pending), SimDuration::ZERO),
-        };
+        // Burst-tier commit: the bytes stay fast-side under a ledger entry
+        // until a drain retires them.
         let mut st = self.state.lock();
         st.objects.insert(
             path.to_string(),
@@ -275,14 +253,14 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
                 logical_len,
                 rank,
                 shape,
-                data: kept,
-                drain: drain_state,
+                data: Some(data),
+                drain: Some(DrainState::Pending),
             },
         );
         st.order.push_back(path.to_string());
         st.used += logical_len;
         drop(st);
-        paid_overwrite + paid_evict + self.fast_xfer(logical_len, shape) + charged
+        paid_overwrite + paid_evict + self.fast_xfer(logical_len, shape)
     }
 
     fn get(
@@ -328,11 +306,7 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
         // drain here — mid-write (torn) or by killing the burst buffer
         // under it — in which case draining stops for this epoch,
         // exactly what a node death mid-drain leaves behind.
-        let fault = if self.cfg.drain == DrainMode::Async {
-            self.chaos.take_drain_fault(self.chaos.attempts_seen())
-        } else {
-            None
-        };
+        let fault = self.chaos.take_drain_fault(self.chaos.attempts_seen());
         let outstanding = self.drain_ledger();
         let mut fault = fault.filter(|_| !outstanding.is_empty());
         for DrainEntry { path, .. } in outstanding {
@@ -498,27 +472,25 @@ mod tests {
         report
     }
 
-    fn cfg(drain: DrainMode) -> TierConfig {
+    fn cfg() -> TierConfig {
         TierConfig {
             bw: 10e9,
             op_latency: SimDuration::micros(100),
             capacity: 1 << 30,
-            drain,
         }
     }
 
     #[test]
     fn async_put_is_cheaper_than_sync_put() {
-        let sync = TieredStore::new(cfg(DrainMode::Sync), lustre());
-        let asyn = TieredStore::new(cfg(DrainMode::Async), lustre());
+        let asyn = TieredStore::new(cfg(), lustre());
         let len = 100 << 20; // 100 MB: ~0.1s on Lustre, ~0.01s on the BB
-        let ds = sync.put("x", Vec::new().into(), len, 0, SHAPE);
+        let ds = lustre().put("x", Vec::new().into(), len, 0, SHAPE);
         let da = asyn.put("x", Vec::new().into(), len, 0, SHAPE);
         assert!(
             da.as_nanos() * 5 < ds.as_nanos(),
-            "async {da} should be far below sync {ds}"
+            "async {da} should be far below a write-through {ds}"
         );
-        // The deferred write is visible in the ledger; sync wrote through.
+        // The deferred write is visible in the ledger.
         assert!(asyn.has_pending_drain("x"));
         assert_eq!(
             asyn.drain_ledger(),
@@ -527,8 +499,6 @@ mod tests {
                 state: DrainState::Pending,
             }]
         );
-        assert!(!sync.has_pending_drain("x"));
-        assert!(sync.slow().exists("x"));
         // Burst-tier commit: visible before the slow tier has it.
         assert!(asyn.exists("x"));
         assert!(!asyn.slow().exists("x"));
@@ -536,7 +506,7 @@ mod tests {
 
     #[test]
     fn get_reads_through_the_outstanding_drain() {
-        let store = TieredStore::new(cfg(DrainMode::Async), lustre());
+        let store = TieredStore::new(cfg(), lustre());
         let fast_only = store.put("x", vec![1, 2].into(), 100 << 20, 0, SHAPE);
         assert!(store.has_pending_drain("x"));
         let (data, rd) = store.get("x", 0, SHAPE).unwrap();
@@ -554,7 +524,7 @@ mod tests {
 
     #[test]
     fn background_clock_retires_the_ledger_by_the_next_epoch() {
-        let store = TieredStore::new(cfg(DrainMode::Async), lustre());
+        let store = TieredStore::new(cfg(), lustre());
         store.put("x", Vec::new().into(), 100 << 20, 0, SHAPE);
         assert!(store.has_pending_drain("x"));
         assert!(!store.slow().exists("x"));
@@ -566,7 +536,7 @@ mod tests {
 
     #[test]
     fn capacity_pressure_drains_the_evicted_resident() {
-        let mut c = cfg(DrainMode::Async);
+        let mut c = cfg();
         c.capacity = 150 << 20;
         let store = TieredStore::new(c, lustre());
         let d_small = store.put("a", Vec::new().into(), 100 << 20, 0, SHAPE);
@@ -587,7 +557,7 @@ mod tests {
 
     #[test]
     fn oversize_objects_bypass_the_fast_tier() {
-        let mut c = cfg(DrainMode::Async);
+        let mut c = cfg();
         c.capacity = 1 << 20;
         let store = TieredStore::new(c, lustre());
         let d = store.put("big", Vec::new().into(), 10 << 20, 0, SHAPE);
@@ -603,7 +573,7 @@ mod tests {
 
     #[test]
     fn zero_latency_slow_tier_still_works() {
-        let store = TieredStore::new(cfg(DrainMode::Async), InMemStore::new());
+        let store = TieredStore::new(cfg(), InMemStore::new());
         store.put("x", vec![9].into(), 4096, 0, SHAPE);
         let (data, _) = store.get("x", 0, SHAPE).unwrap();
         assert_eq!(data.to_vec(), vec![9]);
@@ -613,7 +583,7 @@ mod tests {
 
     #[test]
     fn recover_resumes_pending_drains() {
-        let store = TieredStore::new(cfg(DrainMode::Async), InMemStore::new());
+        let store = TieredStore::new(cfg(), InMemStore::new());
         store.put("a", vec![1].into(), 4096, 0, SHAPE);
         store.put("b", vec![2].into(), 4096, 1, SHAPE);
         assert_eq!(store.drain_ledger().len(), 2);
@@ -652,7 +622,7 @@ mod tests {
         use crate::journal::JournaledStore;
         let chaos = ChaosHandle::new(TearOldestAt(0));
         let store = TieredStore::new(
-            cfg(DrainMode::Async),
+            cfg(),
             JournaledStore::new(InMemStore::new()).with_chaos(chaos.clone()),
         )
         .with_chaos(chaos.clone());
@@ -695,8 +665,7 @@ mod tests {
     #[test]
     fn lost_fast_tier_quarantines_the_entry() {
         let chaos = ChaosHandle::new(LoseOldestAt(0));
-        let store =
-            TieredStore::new(cfg(DrainMode::Async), InMemStore::new()).with_chaos(chaos.clone());
+        let store = TieredStore::new(cfg(), InMemStore::new()).with_chaos(chaos.clone());
         store.put("a", vec![1].into(), 4096, 0, SHAPE);
         store.put("b", vec![2].into(), 4096, 1, SHAPE);
 
@@ -726,7 +695,7 @@ mod tests {
                     _ => ChaosHandle::new(LoseOldestAt(fault_epoch)),
                 };
                 let store = TieredStore::new(
-                    cfg(DrainMode::Async),
+                    cfg(),
                     crate::journal::JournaledStore::new(InMemStore::new())
                         .with_chaos(chaos.clone()),
                 )

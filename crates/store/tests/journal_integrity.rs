@@ -241,7 +241,7 @@ fn large_payload(seed: u64) -> ScatterBuf {
 }
 
 #[test]
-fn a_payload_hashed_by_digest_workers_keeps_the_contract() {
+fn a_large_payload_reads_prefixes_torn_twins_corrupt_and_recut_envelopes_back() {
     let payload = large_payload(11);
     assert!(payload.len() > 2 << 20);
     let (journal, inner, env) = journaled(&payload);

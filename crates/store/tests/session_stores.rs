@@ -10,8 +10,8 @@ use mana_sim::cluster::ClusterSpec;
 use mana_sim::fs::FsConfig;
 use mana_sim::time::{SimDuration, SimTime};
 use mana_store::{
-    CompressingStore, CompressionConfig, DeltaConfig, DeltaStore, DrainMode, ReplicaConfig,
-    ReplicatedStore, TierConfig, TieredStore,
+    CompressingStore, CompressionConfig, DeltaConfig, DeltaStore, ReplicaConfig, ReplicatedStore,
+    TierConfig, TieredStore,
 };
 use std::sync::Arc;
 
@@ -109,7 +109,7 @@ fn tiered_async_drain_beats_synchronous_lustre() {
     let fs_report = &fs_killed.ckpts()[0];
 
     let tiered = Arc::new(TieredStore::new(
-        TierConfig::burst_buffer(DrainMode::Async),
+        TierConfig::burst_buffer(),
         FsStore::with_config(fs_cfg.clone()),
     ));
     let tiered_session = ManaSession::builder()
@@ -263,18 +263,8 @@ fn every_backend_round_trips_a_real_checkpoint() {
     let fs = || FsStore::with_config(FsConfig::default());
     let stores: Vec<(&str, Arc<dyn CheckpointStore>)> = vec![
         (
-            "tiered-sync",
-            Arc::new(TieredStore::new(
-                TierConfig::burst_buffer(DrainMode::Sync),
-                fs(),
-            )),
-        ),
-        (
-            "tiered-async",
-            Arc::new(TieredStore::new(
-                TierConfig::burst_buffer(DrainMode::Async),
-                fs(),
-            )),
+            "tiered",
+            Arc::new(TieredStore::new(TierConfig::burst_buffer(), fs())),
         ),
         (
             "compressing",
@@ -295,7 +285,7 @@ fn every_backend_round_trips_a_real_checkpoint() {
         (
             "full-stack",
             Arc::new(TieredStore::new(
-                TierConfig::burst_buffer(DrainMode::Async),
+                TierConfig::burst_buffer(),
                 CompressingStore::new(
                     CompressionConfig::default(),
                     DeltaStore::new(DeltaConfig::default(), fs()),

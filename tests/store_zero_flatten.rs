@@ -1,23 +1,35 @@
-//! The store write path copies no shared page, whatever the stack order.
+//! The store data path copies no shared page, whatever the stack order,
+//! and the checkpoint write path costs O(dirty pages).
 //!
 //! A snapshot's dense pages reach the store as shared `Arc` segments; a
 //! layer that wants to look inside an object it was handed must find out
 //! whether it is a rank image without flattening it. This drives a
 //! shared-page image, 1 % and 100 % dirty, through
 //! `Journaled(Compressing(Delta(InMem)))` — where the layers under the
-//! journal see a framed envelope, not an image — and through `Cas(InMem)`,
-//! and asserts the process-wide flatten census did not move during the
-//! puts.
+//! journal see a framed envelope, not an image — through `Cas(InMem)`,
+//! and through `InMem`, `Fs` and `Delta(InMem)`, and asserts:
 //!
-//! One `#[test]` in a binary of its own: the census is a process-global
-//! counter, so a neighbouring test flattening anything would race it.
+//! * *write side* — the process-wide flatten census did not move during
+//!   the puts, and the 1 %-dirty generation copies and hashes at most 2 %
+//!   and stores at most 25 % of what the 100 %-dirty one does;
+//! * *read side* — every generation read back through each of the five
+//!   by get → `decode_shared` → `restore_region` flattens nothing,
+//!   installs every dense page as a shared handle, copies 0 bytes when
+//!   the store hands back the attached image, and restores that
+//!   generation's memory exactly.
+//!
+//! The ledger's `store_put_32m` and `store_get_32m` time the same paths;
+//! this test is where their zero-copy and O(dirty) claims are asserted.
+//!
+//! One `#[test]` in a binary of its own: the flatten and hash censuses
+//! are process-global counters, so a neighbouring test would race them.
 
 use mana::core::buffer::PairCounters;
 use mana::core::image::CheckpointImage;
-use mana::core::{CheckpointStore, InMemStore};
-use mana::sim::fs::IoShape;
+use mana::core::{CheckpointStore, FsStore, InMemStore};
+use mana::sim::fs::{FsConfig, IoShape};
 use mana::sim::memory::{AddressSpace, Backing, DenseBuf, Half, HalfSnapshot, RegionKind, PAGE};
-use mana::sim::scatter::shared_flatten_bytes;
+use mana::sim::scatter::{shared_flatten_bytes, shared_hashed_bytes};
 use mana::store::{
     CasConfig, CasStore, CompressingStore, CompressionConfig, DeltaConfig, DeltaStore,
     JournaledStore,
@@ -85,21 +97,27 @@ fn puts_flatten_no_shared_page_and_round_trip() {
         .collect();
     let total_pages = REGIONS * PAGES_PER_REGION;
 
-    let stacks: [(&str, Box<dyn CheckpointStore>); 2] = [
-        (
-            "Journaled(Compressing(Delta(InMem)))",
-            Box::new(JournaledStore::new(CompressingStore::new(
-                CompressionConfig::default(),
-                DeltaStore::new(DeltaConfig::default(), InMemStore::new()),
-            ))),
-        ),
-        (
-            "Cas(InMem)",
-            Box::new(CasStore::new(CasConfig::default(), InMemStore::new())),
-        ),
+    let journaled = JournaledStore::new(CompressingStore::new(
+        CompressionConfig::default(),
+        DeltaStore::new(DeltaConfig::default(), InMemStore::new()),
+    ));
+    let in_mem = InMemStore::new();
+    let fs = FsStore::with_config(FsConfig::default());
+    let delta = DeltaStore::new(DeltaConfig::default(), InMemStore::new());
+    let cas = CasStore::new(CasConfig::default(), InMemStore::new());
+    let stacks: [(&str, &dyn CheckpointStore); 5] = [
+        ("Journaled(Compressing(Delta(InMem)))", &journaled),
+        ("Cas(InMem)", &cas),
+        ("InMem", &in_mem),
+        ("Fs", &fs),
+        ("Delta(InMem)", &delta),
     ];
 
-    // Generation 1 primes both stacks; 2 is 1 % dirty, 3 is 100 % dirty.
+    // Generation 1 primes the stores; 2 is 1 % dirty, 3 is 100 % dirty.
+    // Per generation: the bytes its snapshot copied, the page bytes
+    // hashed from snapshot to the last put, the bytes `Delta(InMem)`
+    // stored, and the live memory's checksum.
+    let (mut copied, mut hashed, mut stored, mut live) = (vec![], vec![], vec![], vec![]);
     let mut generation = 0;
     for dirty_pages in [0, total_pages / 100, total_pages] {
         for page in 0..dirty_pages {
@@ -110,7 +128,9 @@ fn puts_flatten_no_shared_page_and_round_trip() {
                 .expect("touch a mapped page");
         }
         generation += 1;
+        let hashed_before = shared_hashed_bytes();
         let snap = mem.snapshot_half_tracked(Half::Upper);
+        copied.push(snap.stats.bytes_copied);
         let image = Arc::new(image_around(generation, snap));
         for (name, store) in &stacks {
             let encoded = CheckpointImage::encode_shared(&image);
@@ -123,21 +143,62 @@ fn puts_flatten_no_shared_page_and_round_trip() {
                 "{name}: put of generation {generation} flattened shared pages"
             );
         }
+        hashed.push(shared_hashed_bytes() - hashed_before);
+        stored.push(delta.logical_len(&path(generation)).expect("stored"));
+        live.push(mem.checksum_half(Half::Upper));
         mem.clear_dirty(Half::Upper);
     }
 
-    let live = mem.checksum_half(Half::Upper);
+    let (one, all) = (1, 2);
+    assert!(
+        copied[one] * 50 <= copied[all],
+        "1 %-dirty snapshot copied {} bytes vs {} all-dirty (> 2 %)",
+        copied[one],
+        copied[all]
+    );
+    assert!(
+        hashed[one] * 50 <= hashed[all],
+        "1 %-dirty generation hashed {} page bytes vs {} all-dirty (> 2 %)",
+        hashed[one],
+        hashed[all]
+    );
+    assert!(
+        stored[one] * 4 <= stored[all],
+        "1 %-dirty delta stored {} bytes vs {} all-dirty (> 25 %)",
+        stored[one],
+        stored[all]
+    );
+
     for (name, store) in &stacks {
-        let (bytes, _) = store.get(&path(generation), 0, SHAPE).expect("newest");
-        let (image, _) = CheckpointImage::decode_shared(&bytes).expect("decodes");
-        let restored = AddressSpace::new();
-        for region in &image.regions {
-            restored.restore_region(region).expect("restore");
+        for generation in 1..=generation {
+            let before = shared_flatten_bytes();
+            let (bytes, _) = store.get(&path(generation), 0, SHAPE).expect("get");
+            let (image, stats) = CheckpointImage::decode_shared(&bytes).expect("decodes");
+            let restored = AddressSpace::new();
+            for region in &image.regions {
+                restored.restore_region(region).expect("restore");
+            }
+            assert_eq!(
+                shared_flatten_bytes() - before,
+                0,
+                "{name}: restoring generation {generation} flattened shared pages"
+            );
+            assert_eq!(
+                stats.pages_shared, total_pages,
+                "{name}: generation {generation} installed {} of {total_pages} pages shared",
+                stats.pages_shared
+            );
+            if bytes.image().is_some() {
+                assert_eq!(
+                    stats.bytes_copied, 0,
+                    "{name}: decode of generation {generation}'s attached image copied bytes"
+                );
+            }
+            assert_eq!(
+                restored.checksum_half(Half::Upper),
+                live[generation as usize - 1],
+                "{name}: generation {generation} does not restore to its memory"
+            );
         }
-        assert_eq!(
-            restored.checksum_half(Half::Upper),
-            live,
-            "{name}: newest generation does not restore to the live state"
-        );
     }
 }
