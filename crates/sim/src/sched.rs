@@ -893,6 +893,149 @@ mod tests {
         assert_eq!(hits.load(O::SeqCst), 2);
     }
 
+    /// A seeded schedule that exercises every path through dispatch: ties
+    /// between equal advances, zero-duration advances, blocks released by
+    /// other threads and by `Call` events, spurious wakes that land while
+    /// the target is inside an advance (or blocked, or finished), `Call`
+    /// events queued at instants that already hold wakes, and threads
+    /// spawned mid-run. Every resume is logged as `(now, thread, step)`;
+    /// the log's checksum and the dispatch counts are pinned, so any change
+    /// to the `(time, seq)` order of events shows here.
+    #[test]
+    fn a_seeded_mixed_schedule_resumes_in_pinned_order() {
+        use crate::checksum::Checksum;
+        use crate::rng::splitmix64;
+
+        const WORKERS: usize = 16;
+        const STEPS: u64 = 48;
+        const CHILDREN: u64 = 4;
+        /// Step of a resume logged by a `Call` event rather than a thread.
+        const CALL: u64 = u64::MAX;
+
+        let sim = Sim::new(SimConfig { seed: 0x5eed_0de5 });
+        let log = Arc::new(Mutex::new(Vec::<(u64, usize, u64)>::new()));
+        // Blocked workers, in the order they blocked, and each one's
+        // release flag.
+        let waiting = Arc::new(Mutex::new(Vec::<SimThreadId>::new()));
+        let released: Arc<Vec<AtomicBool>> =
+            Arc::new((0..=WORKERS).map(|_| AtomicBool::new(false)).collect());
+        let finished = Arc::new(AtomicU64::new(0));
+        let children = Arc::new(AtomicU64::new(0));
+
+        fn release_first(sim: &Sim, waiting: &Mutex<Vec<SimThreadId>>, released: &[AtomicBool]) {
+            let first = {
+                let mut w = waiting.lock();
+                (!w.is_empty()).then(|| w.remove(0))
+            };
+            if let Some(id) = first {
+                released[id.0].store(true, O::SeqCst);
+                sim.wake(id);
+            }
+        }
+
+        for w in 0..WORKERS {
+            let (sim2, log, waiting, released, finished, children) = (
+                sim.clone(),
+                log.clone(),
+                waiting.clone(),
+                released.clone(),
+                finished.clone(),
+                children.clone(),
+            );
+            sim.spawn(&format!("w{w}"), false, move |t| {
+                let me = t.id();
+                let mut rng = splitmix64(sim2.seed() ^ w as u64);
+                for step in 0..STEPS {
+                    rng = splitmix64(rng);
+                    let pick = rng % 16;
+                    let arg = (rng >> 8) % 4;
+                    match pick {
+                        // Equal durations: many threads land on one instant.
+                        0..=5 => t.advance(SimDuration::nanos(5 * arg)),
+                        6 | 7 => t.yield_now(),
+                        8 | 9 => {
+                            waiting.lock().push(me);
+                            t.block_until(|| released[me.0].swap(false, O::SeqCst).then_some(()));
+                        }
+                        10 | 11 => {
+                            release_first(&sim2, &waiting, &released);
+                            t.advance(SimDuration::nanos(arg));
+                        }
+                        12 => {
+                            // Spurious: the target is advancing, blocked
+                            // (its flag stays clear) or already done.
+                            let target = 1 + ((rng >> 16) as usize % WORKERS);
+                            sim2.wake(SimThreadId(target));
+                            t.yield_now();
+                        }
+                        13 | 14 => {
+                            // A call at an instant other threads' wakes
+                            // already occupy; half of them release a waiter.
+                            let (log, waiting, released) =
+                                (log.clone(), waiting.clone(), released.clone());
+                            let at = sim2.now() + SimDuration::nanos(5 * arg);
+                            sim2.call_at(at, move |sim| {
+                                log.lock().push((sim.now().as_nanos(), me.0, CALL));
+                                if arg.is_multiple_of(2) {
+                                    release_first(sim, &waiting, &released);
+                                }
+                            });
+                            t.advance(SimDuration::nanos(5));
+                        }
+                        _ => {
+                            if children.fetch_add(1, O::SeqCst) < CHILDREN {
+                                let log = log.clone();
+                                sim2.spawn(&format!("w{w}.child"), false, move |c| {
+                                    for k in 0..6 {
+                                        c.advance(SimDuration::nanos(5 * (k % 2)));
+                                        log.lock().push((c.now().as_nanos(), c.id().0, k));
+                                    }
+                                });
+                            }
+                            t.yield_now();
+                        }
+                    }
+                    log.lock().push((t.now().as_nanos(), me.0, step));
+                }
+                finished.fetch_add(1, O::SeqCst);
+            });
+        }
+        // Releases whoever is still blocked until every worker is done.
+        let (sim2, waiting2, released2) = (sim.clone(), waiting.clone(), released.clone());
+        sim.spawn("releaser", false, move |t| {
+            while finished.load(O::SeqCst) < WORKERS as u64 {
+                t.advance(SimDuration::nanos(7));
+                while !waiting2.lock().is_empty() {
+                    release_first(&sim2, &waiting2, &released2);
+                }
+            }
+        });
+        sim.run();
+
+        let log = log.lock().clone();
+        assert_eq!(log.len(), 901, "resumes logged");
+        let mut sum = Checksum::new();
+        for (now, thread, step) in &log {
+            sum.update_u64(*now);
+            sum.update_u64(*thread as u64);
+            sum.update_u64(*step);
+        }
+        assert_eq!(
+            (sum.digest(), sim.now().as_nanos(), sim.thread_count()),
+            (11052759633991801516, 231, 21),
+            "resume order"
+        );
+        assert_eq!(
+            sim.sched_stats(),
+            SchedStats {
+                handoffs: 775,
+                self_wakes: 112,
+                calls: 109,
+                stale_wakes: 7,
+            }
+        );
+    }
+
     // ---- what running on hand-made stacks has to get right ----
 
     /// Run `sim` and return what `run()` panicked with.
