@@ -20,8 +20,10 @@
 //!
 //! What it asks of the scheduler: call [`switch`] only from the context
 //! passed as `from` (checked against `from`'s stack range where it has
-//! one), and resume a coroutine only on the OS thread that started it
-//! (all of a `Sim`'s coroutines run inside its one `Sim::run` call).
+//! one), resume a coroutine only on the OS thread that started it (all of
+//! a `Sim`'s coroutines run inside its one `Sim::run` call), and keep a
+//! coroutine alive while a [`Context`] of it can still be switched
+//! through (the contract on [`Context`]).
 //!
 //! **Porting.** x86-64 System V on Linux only. Another target needs its
 //! own `switch_ctx` (save the callee-saved registers, swap stack
@@ -39,7 +41,7 @@ use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::ffi::{c_int, c_void};
 use std::io;
-use std::ptr;
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -144,7 +146,7 @@ impl Drop for Stack {
 }
 
 /// What a coroutine runs: a closure that returns the context to leave to.
-type Entry = Box<dyn FnOnce() -> Arc<Coroutine> + Send>;
+type Entry = Box<dyn FnOnce() -> Context + Send>;
 
 /// A flow of control that can be suspended and resumed by [`switch`]:
 /// either one with a stack of its own that runs an entry closure, or the
@@ -165,15 +167,39 @@ pub(crate) struct Coroutine {
     entry: Mutex<Option<Entry>>,
 }
 
-/// What a finished coroutine cannot drop itself: the stack it is standing
-/// on and its reference to the context it is leaving to.
-type Zombie = (Option<Stack>, Arc<Coroutine>);
-
 thread_local! {
-    /// The last coroutine to finish on this OS thread. One slot suffices:
-    /// by the time another finishes, the previous one has long switched
-    /// away. Per OS thread, because only then is that ordering certain.
-    static ZOMBIE: RefCell<Option<Zombie>> = const { RefCell::new(None) };
+    /// The stack of the last coroutine to finish on this OS thread, which
+    /// it cannot free while standing on it. One slot suffices: by the time
+    /// another finishes, the previous one has long switched away. Per OS
+    /// thread, because only then is that ordering certain.
+    static ZOMBIE: RefCell<Option<Stack>> = const { RefCell::new(None) };
+}
+
+/// A non-owning handle to a [`Coroutine`], which is what [`switch`] takes:
+/// copying one touches no reference count, so a hand-off costs none.
+///
+/// **Safety contract.** A `Context` does not keep its coroutine alive.
+/// Whoever makes one with [`Context::of`] must keep an owning `Arc` of the
+/// same coroutine until no switch through the handle (or through a copy)
+/// can happen any more. The scheduler meets this by construction: its slot
+/// table owns every coroutine of a `Sim`, the driver's host context
+/// included, removes none while the `Sim` lives, and switches between
+/// them only inside `Sim::run`, which holds the `Sim`.
+#[derive(Clone, Copy)]
+pub(crate) struct Context(NonNull<Coroutine>);
+
+impl Context {
+    /// A handle to `co`, valid while an owner keeps `co` alive.
+    pub(crate) fn of(co: &Arc<Coroutine>) -> Context {
+        Context(NonNull::from(&**co))
+    }
+
+    fn get(&self) -> &Coroutine {
+        // SAFETY: the type's contract keeps the coroutine alive for as
+        // long as its handle can be switched through, which is the only
+        // use this reference is put to.
+        unsafe { self.0.as_ref() }
+    }
 }
 
 impl Coroutine {
@@ -193,7 +219,7 @@ impl Coroutine {
     /// panic escaping `entry` aborts the process. Fails when the stack
     /// cannot be mapped.
     pub(crate) fn new(
-        entry: impl FnOnce() -> Arc<Coroutine> + Send + 'static,
+        entry: impl FnOnce() -> Context + Send + 'static,
     ) -> io::Result<Arc<Coroutine>> {
         let stack = Stack::map()?;
         let top = stack.top();
@@ -239,7 +265,8 @@ impl Coroutine {
 /// has a stack of its own), and no lock guard may be live in the caller:
 /// every other context runs on this same OS thread, so a lock held across
 /// the switch is one the next context to want it can never get.
-pub(crate) fn switch(from: &Coroutine, to: &Coroutine) {
+pub(crate) fn switch(from: Context, to: Context) {
+    let (from, to) = (from.get(), to.get());
     let here = ptr::from_ref(&to) as usize;
     assert!(
         from.base == 0 || (from.base..from.base + MAP_LEN).contains(&here),
@@ -302,8 +329,8 @@ unsafe extern "C" fn switch_ctx(save: *mut *mut u8, to: *mut u8) {
 extern "C" fn entry_point(co: *const Coroutine) -> ! {
     let sp = {
         // SAFETY: `co` came from `Arc::as_ptr` in `Coroutine::new`. The
-        // context that switched here did so through a `&Coroutine` borrow
-        // (`switch`) or an `Arc` it parked in the zombie slot (below), and
+        // context that switched here did so through a `Context`, whose
+        // contract keeps the coroutine alive across the switch, and
         // nothing has run since, so the allocation is live and counting
         // one more owner of it is sound.
         let me = unsafe {
@@ -312,18 +339,19 @@ extern "C" fn entry_point(co: *const Coroutine) -> ! {
         };
         let entry = me.entry.lock().take();
         let next = entry.expect("a coroutine starts once")();
-        let sp = next.take_sp();
+        let sp = next.get().take_sp();
         let stack = me.stack.lock().take();
         drop(me);
         // This frame may own nothing once it switches away. The previous
         // zombie, released here, is another coroutine's stack.
-        drop(ZOMBIE.with(|slot| slot.replace(Some((stack, next)))));
+        drop(ZOMBIE.with(|slot| slot.replace(stack)));
         sp
     };
     let mut unused = ptr::null_mut();
-    // SAFETY: `sp` was taken from a suspended context the zombie slot keeps
-    // alive (see `switch` for why its stack is mapped). Nothing resumes the
-    // context saved into `unused`: this coroutine's `sp` stays null.
+    // SAFETY: `sp` was taken from a suspended context that the owner of
+    // `next` keeps alive (see `switch` for why its stack is mapped).
+    // Nothing resumes the context saved into `unused`: this coroutine's
+    // `sp` stays null.
     unsafe { switch_ctx(&mut unused, sp) };
     unreachable!("a finished coroutine was resumed")
 }
@@ -345,14 +373,15 @@ mod tests {
             let mine = me2.lock().take().unwrap();
             for i in 0..3 {
                 l.lock().push(i);
-                switch(&mine, &h);
+                switch(Context::of(&mine), Context::of(&h));
             }
-            h
+            // The test frame's `host` keeps the context it leaves to alive.
+            Context::of(&h)
         })
         .unwrap();
         *me.lock() = Some(co.clone());
         for _ in 0..4 {
-            switch(&host, &co);
+            switch(Context::of(&host), Context::of(&co));
         }
         assert_eq!(*log.lock(), vec![0, 1, 2]);
         // Finished: its own stack is the zombie's now.
@@ -378,6 +407,6 @@ mod tests {
     #[should_panic(expected = "running or has finished")]
     fn resuming_a_running_context_is_refused() {
         let host = Coroutine::host();
-        switch(&host, &host);
+        switch(Context::of(&host), Context::of(&host));
     }
 }

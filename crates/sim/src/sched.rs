@@ -42,7 +42,7 @@
 //! targets fail to compile with a message naming the two functions to
 //! port.
 
-use crate::coro::{self, Coroutine};
+use crate::coro::{self, Context, Coroutine};
 use crate::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::cmp::Ordering;
@@ -112,6 +112,8 @@ struct ThreadSlot {
     state: ThreadState,
     daemon: bool,
     /// Where the thread is suspended while it does not hold the baton.
+    /// Owned here for the `Sim`'s whole life (slots are never removed),
+    /// which is what lets a hand-off pass [`Context`]s instead of clones.
     co: Arc<Coroutine>,
 }
 
@@ -149,6 +151,37 @@ struct SchedState {
     /// [`Sim::run`] has been called (it may be called once).
     run_called: bool,
     driver_woken: bool,
+}
+
+impl SchedState {
+    fn push(&mut self, time: SimTime, action: Action) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Event { time, seq, action });
+    }
+
+    /// Queue a wake for `me` at `time` and take the earliest event, as a
+    /// push followed by a pop would, with at most one sift: `me`'s own wake
+    /// when it is the earliest (it never enters the heap), else the heap
+    /// top, whose place `me`'s wake takes.
+    fn push_wake_and_pop(&mut self, me: SimThreadId, time: SimTime) -> Event {
+        let seq = self.seq;
+        self.seq += 1;
+        let mine = Event {
+            time,
+            seq,
+            action: Action::Wake(me),
+        };
+        match self.queue.peek_mut() {
+            // The top's seq is older, so it wins a tie.
+            Some(mut top) if top.time <= time => std::mem::replace(&mut *top, mine),
+            _ => mine,
+        }
+    }
+
+    fn context(&self, id: SimThreadId) -> Context {
+        Context::of(&self.threads[id.0].co)
+    }
 }
 
 /// Panic payload used to unwind parked simulated threads at shutdown.
@@ -314,14 +347,7 @@ impl Sim {
         if !daemon {
             st.live += 1;
         }
-        let t0 = self.now();
-        let seq = st.seq;
-        st.seq += 1;
-        st.queue.push(Event {
-            time: t0,
-            seq,
-            action: Action::Wake(id),
-        });
+        st.push(self.now(), Action::Wake(id));
         id
     }
 
@@ -329,7 +355,7 @@ impl Sim {
     /// leave to. Everything this frame owns — the body, its `SimThread`,
     /// this `Sim` handle, a panic payload — is dropped by the time it
     /// returns, because the stack under it is recycled right after.
-    fn thread_main(self, id: SimThreadId, body: impl FnOnce(SimThread)) -> Arc<Coroutine> {
+    fn thread_main(self, id: SimThreadId, body: impl FnOnce(SimThread)) -> Context {
         if self.inner.shutdown.load(AtomicOrd::SeqCst) {
             // First resumed by the teardown sweep: never ran, never will.
             drop(body);
@@ -353,15 +379,11 @@ impl Sim {
 
     /// Schedule `f` to run at absolute virtual time `time` (clamped to now).
     pub fn call_at(&self, time: SimTime, f: impl FnOnce(&Sim) + Send + 'static) {
-        let mut st = self.inner.state.lock();
         let time = time.max(self.now());
-        let seq = st.seq;
-        st.seq += 1;
-        st.queue.push(Event {
-            time,
-            seq,
-            action: Action::Call(Box::new(f)),
-        });
+        self.inner
+            .state
+            .lock()
+            .push(time, Action::Call(Box::new(f)));
     }
 
     /// Push a wake event for `tid` at the current virtual time.
@@ -369,15 +391,8 @@ impl Sim {
     /// Wakes may be spurious by design; blocked threads must recheck their
     /// condition.
     pub fn wake(&self, tid: SimThreadId) {
-        let mut st = self.inner.state.lock();
         let now = self.now();
-        let seq = st.seq;
-        st.seq += 1;
-        st.queue.push(Event {
-            time: now,
-            seq,
-            action: Action::Wake(tid),
-        });
+        self.inner.state.lock().push(now, Action::Wake(tid));
     }
 
     /// Run the simulation to completion: until every non-daemon thread has
@@ -403,7 +418,7 @@ impl Sim {
             }
         }
         // Hand the baton to the first event; park the driver.
-        self.dispatch_and_park(DRIVER);
+        self.dispatch_and_park(DRIVER, None);
         // Resumed: simulation completed, deadlocked, or a thread panicked.
         let (msg, quiet) = {
             let mut st = self.inner.state.lock();
@@ -436,7 +451,7 @@ impl Sim {
     /// back here.
     fn shutdown_all(&self) {
         self.inner.shutdown.store(true, AtomicOrd::SeqCst);
-        let driver = self.inner.state.lock().threads[DRIVER.0].co.clone();
+        let driver = self.inner.state.lock().context(DRIVER);
         let mut next = 1;
         loop {
             let co = {
@@ -449,23 +464,23 @@ impl Sim {
                     continue;
                 }
                 slot.state = ThreadState::Running;
-                slot.co.clone()
+                Context::of(&slot.co)
             };
-            coro::switch(&driver, &co);
+            coro::switch(driver, co);
         }
     }
 
     /// A thread torn down by the sweep is done; the baton goes back to the
     /// driver.
-    fn mark_done_quietly(&self, id: SimThreadId) -> Arc<Coroutine> {
+    fn mark_done_quietly(&self, id: SimThreadId) -> Context {
         let mut st = self.inner.state.lock();
         st.threads[id.0].state = ThreadState::Done;
-        st.threads[DRIVER.0].co.clone()
+        st.context(DRIVER)
     }
 
     /// Called when a thread's body returns or panics; returns the context
     /// the baton goes to.
-    fn finish_thread(&self, id: SimThreadId, panic_msg: Option<String>) -> Arc<Coroutine> {
+    fn finish_thread(&self, id: SimThreadId, panic_msg: Option<String>) -> Context {
         let fail = panic_msg.is_some();
         {
             let mut st = self.inner.state.lock();
@@ -484,35 +499,39 @@ impl Sim {
                 // Wake the driver: either to propagate the failure
                 // immediately or because all real work is done.
                 st.driver_woken = true;
-                let now = self.now();
-                let seq = st.seq;
-                st.seq += 1;
-                st.queue.push(Event {
-                    time: now,
-                    seq,
-                    action: Action::Wake(DRIVER),
-                });
+                st.push(self.now(), Action::Wake(DRIVER));
             }
             if fail {
                 // Fail fast: hand the baton straight to the driver.
-                return st.threads[DRIVER.0].co.clone();
+                return st.context(DRIVER);
             }
         }
         let (_, next) = self
-            .dispatch(id, /*park:*/ false)
+            .dispatch(id, /*park:*/ false, None)
             .expect("an exiting thread always passes the baton on");
         next
     }
 
-    /// Core scheduling step. Pops events until one transfers the baton.
-    /// Returns `None` when it stays with `me` (only when `park` is true
-    /// and the event wakes `me`, or the driver finds the queue empty);
-    /// otherwise `me`'s own context and the one to switch to, with `me`
-    /// marked parked (if `park`; else `me` is exiting).
-    fn dispatch(&self, me: SimThreadId, park: bool) -> Option<(Arc<Coroutine>, Arc<Coroutine>)> {
+    /// Core scheduling step. Pops events until one transfers the baton;
+    /// with `wake_me_at`, first queues a wake for `me` at that time, under
+    /// the same lock acquisition as the first pop. Returns `None` when the
+    /// baton stays with `me` (only when `park` is true and the event wakes
+    /// `me`, or the driver finds the queue empty); otherwise `me`'s own
+    /// context and the one to switch to, with `me` marked parked (if
+    /// `park`; else `me` is exiting).
+    fn dispatch(
+        &self,
+        me: SimThreadId,
+        park: bool,
+        mut wake_me_at: Option<SimTime>,
+    ) -> Option<(Context, Context)> {
         loop {
             let mut st = self.inner.state.lock();
-            let ev = match st.queue.pop() {
+            let next = match wake_me_at.take() {
+                Some(time) => Some(st.push_wake_and_pop(me, time)),
+                None => st.queue.pop(),
+            };
+            let ev = match next {
                 Some(ev) => ev,
                 None => {
                     // No events: completion is signalled through an explicit
@@ -538,7 +557,7 @@ impl Sim {
                     if park {
                         st.threads[me.0].state = ThreadState::Blocked;
                     }
-                    return Some((st.threads[me.0].co.clone(), st.threads[DRIVER.0].co.clone()));
+                    return Some((st.context(me), st.context(DRIVER)));
                 }
             };
             let now = self.now();
@@ -577,11 +596,9 @@ impl Sim {
                                 st.threads[me.0].state = ThreadState::Blocked;
                             }
                             // Both contexts come out under the one lock
-                            // acquisition this hand-off already needs.
-                            return Some((
-                                st.threads[me.0].co.clone(),
-                                st.threads[tid.0].co.clone(),
-                            ));
+                            // acquisition this hand-off already needs,
+                            // as handles: the slot table owns them.
+                            return Some((st.context(me), st.context(tid)));
                         }
                     }
                 }
@@ -589,8 +606,9 @@ impl Sim {
         }
     }
 
-    /// Pass the baton on and park `me` until it comes back.
-    fn dispatch_and_park(&self, me: SimThreadId) {
+    /// Pass the baton on and park `me` until it comes back; with
+    /// `wake_me_at`, queue `me`'s wake first (see [`Sim::dispatch`]).
+    fn dispatch_and_park(&self, me: SimThreadId, wake_me_at: Option<SimTime>) {
         if me != DRIVER {
             let held =
                 parking_lot::live_guards() - self.inner.guard_baseline.load(AtomicOrd::Relaxed);
@@ -601,10 +619,10 @@ impl Sim {
                 panic!("parked holding {held} lock guard{s}");
             }
         }
-        if let Some((mine, to)) = self.dispatch(me, /*park:*/ true) {
+        if let Some((mine, to)) = self.dispatch(me, /*park:*/ true, wake_me_at) {
             // The state lock was released inside `dispatch`: no guard of
             // ours is live across the switch.
-            coro::switch(&mine, &to);
+            coro::switch(mine, to);
             if me != DRIVER && self.inner.shutdown.load(AtomicOrd::SeqCst) {
                 panic::panic_any(ShutdownToken);
             }
@@ -631,25 +649,12 @@ impl SimThread {
     /// Advance virtual time by `d` (models compute or fixed-cost work).
     /// Other threads with earlier events run in between.
     pub fn advance(&self, d: SimDuration) {
-        let target = {
-            let mut st = self.sim.inner.state.lock();
-            let t = self.sim.now() + d;
-            let seq = st.seq;
-            st.seq += 1;
-            st.queue.push(Event {
-                time: t,
-                seq,
-                action: Action::Wake(self.id),
-            });
-            t
-        };
+        let target = self.sim.now() + d;
+        self.sim.dispatch_and_park(self.id, Some(target));
         // Spurious wakes (another thread waking this one while it sleeps)
         // must not cut the advance short; re-park until the target wake.
-        loop {
-            self.sim.dispatch_and_park(self.id);
-            if self.sim.now() >= target {
-                return;
-            }
+        while self.sim.now() < target {
+            self.sim.dispatch_and_park(self.id, None);
         }
     }
 
@@ -664,7 +669,7 @@ impl SimThread {
     /// Wakeups may be spurious: callers must re-check their condition in a
     /// loop. Never call while holding a shared lock.
     pub fn block(&self) {
-        self.sim.dispatch_and_park(self.id);
+        self.sim.dispatch_and_park(self.id, None);
     }
 
     /// Convenience loop: park until `cond` yields a value.
