@@ -830,7 +830,7 @@ impl AppEnv {
             let comms = sh.comms.lock();
             let (virt, _) = comms
                 .iter()
-                .find(|(_, m)| m.cart_dims == dims && !m.members.is_empty())
+                .find(|(_, m)| *m.cart_dims == *dims && !m.members.is_empty())
                 .expect("restored cart communicator");
             return CommHandle(virt);
         }

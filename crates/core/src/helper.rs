@@ -360,8 +360,8 @@ fn build_image(
         .map(|(virt, m)| VirtCommEntry {
             virt,
             members: m.members.to_vec(),
-            cart_dims: m.cart_dims.clone(),
-            cart_periodic: m.cart_periodic.clone(),
+            cart_dims: m.cart_dims.to_vec(),
+            cart_periodic: m.cart_periodic.to_vec(),
         })
         .collect();
     let groups: Vec<u64> = sh.groups.lock().iter().map(|(v, _)| v).collect();

@@ -296,8 +296,8 @@ fn restore_state(sh: &Arc<RankShared>, img: &CheckpointImage) {
             CommMeta {
                 real: UNBOUND_REAL,
                 members: c.members.as_slice().into(),
-                cart_dims: c.cart_dims.clone(),
-                cart_periodic: c.cart_periodic.clone(),
+                cart_dims: c.cart_dims.as_slice().into(),
+                cart_periodic: c.cart_periodic.as_slice().into(),
                 wseq: 0,
             },
         );

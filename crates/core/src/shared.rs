@@ -23,13 +23,14 @@ use std::sync::Arc;
 pub struct CommMeta {
     /// Current lower-half real handle (0 for a null/burned id).
     pub real: u64,
-    /// Members as global job ranks, comm-rank order. Shared: every
-    /// [`RankShared::comm_meta`] lookup clones the handle, not the list.
+    /// Members as global job ranks, comm-rank order. Shared, like the
+    /// Cartesian lists: every [`RankShared::comm_meta`] lookup clones the
+    /// handles, not the lists.
     pub members: Arc<[u32]>,
     /// Cartesian dims if a topology is attached.
-    pub cart_dims: Vec<u32>,
+    pub cart_dims: Arc<[u32]>,
     /// Cartesian periodicity.
-    pub cart_periodic: Vec<bool>,
+    pub cart_periodic: Arc<[bool]>,
     /// Wrapper-collective sequence counter on this communicator (instance
     /// ids for the coordinator's safety rule; aligned across ranks).
     pub wseq: u64,

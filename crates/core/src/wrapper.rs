@@ -35,8 +35,8 @@ fn register_comm(
     sh: &RankShared,
     real: u64,
     members: Arc<[u32]>,
-    cart_dims: Vec<u32>,
-    cart_periodic: Vec<bool>,
+    cart_dims: Arc<[u32]>,
+    cart_periodic: Arc<[bool]>,
 ) -> u64 {
     sh.comms.lock().intern(CommMeta {
         real,
@@ -61,7 +61,7 @@ impl ManaMpi {
     pub fn fresh(sh: Arc<RankShared>, lower: Arc<dyn Mpi>, cfg: ManaConfig) -> ManaMpi {
         let world_real = lower.comm_world();
         let members: Arc<[u32]> = (0..lower.comm_size(world_real)).collect();
-        let world_virt = register_comm(&sh, world_real.0, members, Vec::new(), Vec::new());
+        let world_virt = register_comm(&sh, world_real.0, members, Arc::default(), Arc::default());
         *sh.world_virt.lock() = world_virt;
         *sh.lower.lock() = Some(lower.clone());
         ManaMpi {
@@ -426,7 +426,13 @@ impl Mpi for ManaMpi {
             self.lower.group_free(g);
             members.into()
         };
-        let virt = register_comm(&self.sh, new_real.0, members, Vec::new(), Vec::new());
+        let virt = register_comm(
+            &self.sh,
+            new_real.0,
+            members,
+            Arc::default(),
+            Arc::default(),
+        );
         self.sh.log.lock().push(LoggedCall::CommSplit {
             parent: comm.0,
             color,
@@ -517,8 +523,8 @@ impl Mpi for ManaMpi {
             &self.sh,
             new_real.0,
             meta.members.clone(),
-            dims.to_vec(),
-            periodic.to_vec(),
+            dims.into(),
+            periodic.into(),
         );
         self.sh.log.lock().push(LoggedCall::CartCreate {
             parent: comm.0,
