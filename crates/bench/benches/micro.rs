@@ -6,7 +6,9 @@
 //!   overhead source, §3.3);
 //! * `codec_*`: checkpoint-image encode/decode throughput;
 //! * `drain_buffer_*`: drained-message matching;
-//! * `event_queue`: discrete-event scheduler throughput (substrate);
+//! * `event_queue_*`: discrete-event scheduler throughput: one thread's
+//!   advances are all self-wakes, 64 threads advancing in lockstep hand
+//!   the baton on at every advance (the session workloads' shape);
 //! * `coll_cost`: collective cost-model evaluation;
 //! * `checksum/checksum_1mb`: the content-digest kernel's rate (printed as
 //!   GB/s — every store layer's hashing cost is this number × bytes).
@@ -136,6 +138,20 @@ fn bench_event_queue(c: &mut Criterion) {
                     t.advance(mana_sim::time::SimDuration::nanos(10));
                 }
             });
+            sim.run();
+            black_box(sim.now())
+        })
+    });
+    c.bench_function("event_queue_64_lockstep", |b| {
+        b.iter(|| {
+            let sim = mana_sim::sched::Sim::new(mana_sim::sched::SimConfig::default());
+            for _ in 0..64 {
+                sim.spawn("t", false, |t| {
+                    for _ in 0..160 {
+                        t.advance(mana_sim::time::SimDuration::nanos(10));
+                    }
+                });
+            }
             sim.run();
             black_box(sim.now())
         })
