@@ -247,9 +247,14 @@ impl Coroutine {
         Ok(co)
     }
 
-    /// Claim the right to resume this context.
+    /// Claim the right to resume this context. A load and a store, not a
+    /// swap: only the OS thread running the `Sim` ever resumes its
+    /// contexts (`switch` refuses a `from` whose stack the caller is not
+    /// on), so no second thread can race for `sp`, and the locked
+    /// read-modify-write would be a hand-off's dearest instruction.
     fn take_sp(&self) -> *mut u8 {
-        let sp = self.sp.swap(ptr::null_mut(), Ordering::Acquire);
+        let sp = self.sp.load(Ordering::Acquire);
+        self.sp.store(ptr::null_mut(), Ordering::Relaxed);
         assert!(
             !sp.is_null(),
             "switched to a coroutine that is running or has finished"
