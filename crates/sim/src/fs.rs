@@ -41,8 +41,10 @@ pub struct FsConfig {
 impl Default for FsConfig {
     fn default() -> Self {
         // Loosely Cori-scale: ~1.3 GB/s per node to Lustre, ~700 GB/s
-        // aggregate; calibrated so 4 TB over 64 nodes lands in the paper's
-        // ~30-40 s checkpoint band.
+        // aggregate. Not calibrated to the paper's ~30-40 s checkpoint
+        // band: 4 TB over 64 nodes is 62.5 GB per node, which at `node_bw`
+        // is 48 s before the write straggler factor of up to 4x. ROADMAP
+        // item 6 is the calibration against Figs. 6 and 7.
         FsConfig {
             node_bw: 1.3e9,
             aggregate_bw: 700e9,

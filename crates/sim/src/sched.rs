@@ -7,8 +7,11 @@
 //! runs at any moment — it holds the "baton". A thread that blocks or
 //! advances virtual time selects the earliest pending event — ordered by
 //! `(virtual time, sequence number)`, a total order — and switches stacks
-//! straight to the thread that event wakes (~0.1 µs; no kernel, no bounce
-//! through the driver). This gives:
+//! straight to the thread that event wakes: one acquisition of the state
+//! lock, no reference counting, no kernel and no bounce through the driver
+//! (about 40 ns with two threads and 85 ns with 64 on a 2-CPU x86-64 box;
+//! the event heap is deeper and the stacks colder as threads are added).
+//! This gives:
 //!
 //! * natural imperative code for rank programs (no hand-written state
 //!   machines), and
