@@ -157,10 +157,16 @@ struct SchedState {
 }
 
 impl SchedState {
-    fn push(&mut self, time: SimTime, action: Action) {
+    /// The next event in sequence order.
+    fn event(&mut self, time: SimTime, action: Action) -> Event {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Event { time, seq, action });
+        Event { time, seq, action }
+    }
+
+    fn push(&mut self, time: SimTime, action: Action) {
+        let ev = self.event(time, action);
+        self.queue.push(ev);
     }
 
     /// Queue a wake for `me` at `time` and take the earliest event, as a
@@ -168,13 +174,7 @@ impl SchedState {
     /// when it is the earliest (it never enters the heap), else the heap
     /// top, whose place `me`'s wake takes.
     fn push_wake_and_pop(&mut self, me: SimThreadId, time: SimTime) -> Event {
-        let seq = self.seq;
-        self.seq += 1;
-        let mine = Event {
-            time,
-            seq,
-            action: Action::Wake(me),
-        };
+        let mine = self.event(time, Action::Wake(me));
         match self.queue.peek_mut() {
             // The top's seq is older, so it wins a tie.
             Some(mut top) if top.time <= time => std::mem::replace(&mut *top, mine),
