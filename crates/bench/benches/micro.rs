@@ -2,8 +2,8 @@
 //! structures — the things the paper identifies as overhead sources.
 //!
 //! * `virtid_*`: virtual-handle translation through one class's handle
-//!   table under its lock, as the wrapper pays it (the paper's second
-//!   overhead source, §3.3);
+//!   table under one uncontended lock, as the wrapper pays it under its
+//!   rank's state lock (the paper's second overhead source, §3.3);
 //! * `codec_*`: checkpoint-image encode/decode throughput;
 //! * `drain_buffer_*`: drained-message matching;
 //! * `event_queue_*`: discrete-event scheduler throughput: one thread's

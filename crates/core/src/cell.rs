@@ -105,16 +105,17 @@ struct CellSt {
 /// The shared cell.
 pub struct CkptCell {
     sim: Sim,
-    job: Mutex<Option<Arc<MpiJob>>>,
+    /// The MPI job, aborted on kill.
+    job: Option<Arc<MpiJob>>,
     st: Mutex<CellSt>,
 }
 
 impl CkptCell {
-    /// Fresh cell for one rank incarnation.
-    pub fn new(sim: &Sim) -> CkptCell {
+    /// Fresh cell for one rank incarnation; a kill aborts `job`.
+    pub fn new(sim: &Sim, job: Option<Arc<MpiJob>>) -> CkptCell {
         CkptCell {
             sim: sim.clone(),
-            job: Mutex::new(None),
+            job,
             st: Mutex::new(CellSt {
                 phase: Phase::Outside,
                 park: Park::Running,
@@ -129,11 +130,6 @@ impl CkptCell {
                 helper_tid: None,
             }),
         }
-    }
-
-    /// Bind the job (for abort-on-kill).
-    pub fn bind_job(&self, job: Arc<MpiJob>) {
-        *self.job.lock() = Some(job);
     }
 
     /// Register the rank main thread.
@@ -381,7 +377,7 @@ impl CkptCell {
         st.intent = false;
         if kill {
             st.kill = true;
-            if let Some(job) = self.job.lock().as_ref() {
+            if let Some(job) = &self.job {
                 job.abort();
             }
         }
@@ -400,7 +396,7 @@ mod tests {
     #[test]
     fn intent_replies_by_phase() {
         let sim = Sim::new(SimConfig::default());
-        let cell = CkptCell::new(&sim);
+        let cell = CkptCell::new(&sim, None);
         assert_eq!(cell.on_intent(), Some(RankReply::Ready));
         // Phase transitions are rank-side; simulate directly.
         cell.st.lock().phase = Phase::Phase1;
@@ -416,7 +412,7 @@ mod tests {
     #[test]
     fn gate_blocks_while_intent_pending() {
         let sim = Sim::new(SimConfig::default());
-        let cell = Arc::new(CkptCell::new(&sim));
+        let cell = Arc::new(CkptCell::new(&sim, None));
         let inst = CollInstance {
             comm_virt: 0x1000_0000,
             wseq: 0,
@@ -454,7 +450,7 @@ mod tests {
     #[test]
     fn quiesce_parks_until_resume() {
         let sim = Sim::new(SimConfig::default());
-        let cell = Arc::new(CkptCell::new(&sim));
+        let cell = Arc::new(CkptCell::new(&sim, None));
         let log = Arc::new(Mutex::new(Vec::new()));
         {
             let (cell, log) = (cell.clone(), log.clone());
@@ -491,7 +487,7 @@ mod tests {
     #[test]
     fn kill_unwinds_rank() {
         let sim = Sim::new(SimConfig::default());
-        let cell = Arc::new(CkptCell::new(&sim));
+        let cell = Arc::new(CkptCell::new(&sim, None));
         let died = Arc::new(Mutex::new(false));
         {
             let (cell, died) = (cell.clone(), died.clone());

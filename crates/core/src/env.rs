@@ -24,7 +24,7 @@
 //! bit-identical to an uninterrupted one (the integration tests assert
 //! exactly this via state checksums).
 
-use crate::shared::{RankShared, SlotState};
+use crate::shared::{Progress, RankShared, SlotState};
 use mana_mpi::{BaseType, CommHandle, Mpi, Msg, ReduceOp, ReqHandle, SrcSpec, Status, TagSpec};
 use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, RegionKind};
 use mana_sim::pod::Pod;
@@ -59,6 +59,17 @@ impl<T: Pod> Arr<T> {
 /// Identifier of a nonblocking-request slot (deterministic across resume).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SlotId(pub u64);
+
+/// Allocate the next slot id, growing the slot table to hold it.
+fn next_slot(p: &mut Progress) -> SlotId {
+    let id = p.slot_seq;
+    p.slot_seq += 1;
+    let idx = id as usize;
+    if p.slots.len() <= idx {
+        p.slots.resize(idx + 1, SlotState::Empty);
+    }
+    SlotId(id)
+}
 
 /// Read-only/mutable access to managed memory inside a `work` closure.
 pub struct MemView<'a> {
@@ -120,8 +131,9 @@ pub trait Workload: Send + Sync {
 pub struct AppEnv {
     t: SimThread,
     mpi: Arc<dyn Mpi>,
+    /// The rank's MANA state (its progress cursor); `None` in native runs.
     sh: Option<Arc<RankShared>>,
-    native_progress: Arc<Mutex<crate::shared::Progress>>,
+    native_progress: Mutex<Progress>,
     aspace: Arc<AddressSpace>,
     rank: u32,
     nranks: u32,
@@ -143,7 +155,7 @@ impl AppEnv {
             t,
             mpi,
             sh: None,
-            native_progress: Arc::new(Mutex::new(crate::shared::Progress::default())),
+            native_progress: Mutex::default(),
             aspace,
             rank,
             nranks,
@@ -159,7 +171,7 @@ impl AppEnv {
             nranks: sh.nranks,
             seed: sh.seed,
             aspace: sh.aspace.clone(),
-            native_progress: Arc::new(Mutex::new(crate::shared::Progress::default())),
+            native_progress: Mutex::default(),
             mpi,
             sh: Some(sh),
         }
@@ -196,9 +208,9 @@ impl AppEnv {
         self.mpi.comm_world()
     }
 
-    fn with_progress<R>(&self, f: impl FnOnce(&mut crate::shared::Progress) -> R) -> R {
+    fn with_progress<R>(&self, f: impl FnOnce(&mut Progress) -> R) -> R {
         match &self.sh {
-            Some(sh) => f(&mut sh.progress.lock()),
+            Some(sh) => f(&mut sh.state.lock().progress),
             None => f(&mut self.native_progress.lock()),
         }
     }
@@ -248,33 +260,24 @@ impl AppEnv {
 
     // ----- managed memory ---------------------------------------------------
 
-    fn alloc_bytes_inner(&self, name: &str, bytes: u64) -> u64 {
-        // Resume path: rebind to the restored region in allocation order.
+    /// Map a `bytes`-long upper-half region backed by `backing()`, or, on
+    /// resume, rebind to the restored region in allocation order.
+    fn alloc_region(&self, name: &str, bytes: u64, backing: impl FnOnce() -> Backing) -> u64 {
         let bound = self.with_progress(|p| {
-            if p.alloc_cursor < p.allocs.len() {
-                let (addr, len) = p.allocs[p.alloc_cursor];
-                assert_eq!(
-                    len, bytes,
-                    "allocation sequence diverged on resume (expected {len} bytes, got {bytes})"
-                );
-                p.alloc_cursor += 1;
-                Some(addr)
-            } else {
-                None
-            }
+            let &(addr, len) = p.allocs.get(p.alloc_cursor)?;
+            assert_eq!(
+                len, bytes,
+                "allocation sequence diverged on resume (expected {len} bytes, got {bytes})"
+            );
+            p.alloc_cursor += 1;
+            Some(addr)
         });
         if let Some(addr) = bound {
             return addr;
         }
         let addr = self
             .aspace
-            .map(
-                Half::Upper,
-                RegionKind::Mmap,
-                name,
-                bytes,
-                Backing::Dense(DenseBuf::zeroed(bytes as usize)),
-            )
+            .map(Half::Upper, RegionKind::Mmap, name, bytes, backing())
             .expect("managed allocation");
         self.with_progress(|p| {
             p.allocs.push((addr, bytes));
@@ -283,9 +286,11 @@ impl AppEnv {
         addr
     }
 
-    /// Allocate (or rebind on resume) a managed `f64` array.
-    pub fn alloc_f64(&mut self, name: &str, len: usize) -> Arr<f64> {
-        let addr = self.alloc_bytes_inner(name, (len * 8) as u64);
+    fn alloc_arr<T: Pod>(&self, name: &str, len: usize) -> Arr<T> {
+        let bytes = len * std::mem::size_of::<T>();
+        let addr = self.alloc_region(name, bytes as u64, || {
+            Backing::Dense(DenseBuf::zeroed(bytes))
+        });
         Arr {
             addr,
             len,
@@ -293,14 +298,14 @@ impl AppEnv {
         }
     }
 
+    /// Allocate (or rebind on resume) a managed `f64` array.
+    pub fn alloc_f64(&mut self, name: &str, len: usize) -> Arr<f64> {
+        self.alloc_arr(name, len)
+    }
+
     /// Allocate (or rebind on resume) a managed `u64` array.
     pub fn alloc_u64(&mut self, name: &str, len: usize) -> Arr<u64> {
-        let addr = self.alloc_bytes_inner(name, (len * 8) as u64);
-        Arr {
-            addr,
-            len,
-            _pd: PhantomData,
-        }
+        self.alloc_arr(name, len)
     }
 
     /// Allocate a large pattern-backed region modelling bulk application
@@ -308,35 +313,7 @@ impl AppEnv {
     /// dense bytes). Returns its address.
     pub fn alloc_bulk(&mut self, name: &str, bytes: u64) -> u64 {
         let seed = mana_sim::rng::derive_seed_idx(self.seed, name, u64::from(self.rank));
-        // Resume rebinding applies here too.
-        let bound = self.with_progress(|p| {
-            if p.alloc_cursor < p.allocs.len() {
-                let (addr, len) = p.allocs[p.alloc_cursor];
-                assert_eq!(len, bytes, "bulk allocation diverged on resume");
-                p.alloc_cursor += 1;
-                Some(addr)
-            } else {
-                None
-            }
-        });
-        if let Some(addr) = bound {
-            return addr;
-        }
-        let addr = self
-            .aspace
-            .map(
-                Half::Upper,
-                RegionKind::Mmap,
-                name,
-                bytes,
-                Backing::Pattern { seed },
-            )
-            .expect("bulk allocation");
-        self.with_progress(|p| {
-            p.allocs.push((addr, bytes));
-            p.alloc_cursor = p.allocs.len();
-        });
-        addr
+        self.alloc_region(name, bytes, || Backing::Pattern { seed })
     }
 
     /// Read-only access outside `work` (e.g. building a send payload from
@@ -439,12 +416,7 @@ impl AppEnv {
         tag: TagSpec,
     ) -> Status {
         if self.op_skip() {
-            return Status {
-                source: 0,
-                tag: 0,
-                bytes: 0,
-                modeled_bytes: 0,
-            };
+            return Status::default();
         }
         let (data, status) = self.mpi.recv(&self.t, src, tag, comm);
         assert!(
@@ -461,42 +433,26 @@ impl AppEnv {
     /// Blocking receive whose payload is discarded (microbenchmarks).
     pub fn recv_discard(&mut self, comm: CommHandle, src: SrcSpec, tag: TagSpec) -> Status {
         if self.op_skip() {
-            return Status {
-                source: 0,
-                tag: 0,
-                bytes: 0,
-                modeled_bytes: 0,
-            };
+            return Status::default();
         }
         let (_, status) = self.mpi.recv(&self.t, src, tag, comm);
         self.op_done();
         status
     }
 
-    fn new_slot(&self, state: SlotState) -> SlotId {
+    /// Fill a fresh slot with `state` and complete the operation.
+    fn new_slot_done(&self, state: SlotState) -> SlotId {
         self.with_progress(|p| {
-            let id = p.slot_seq;
-            p.slot_seq += 1;
-            let idx = id as usize;
-            if p.slots.len() <= idx {
-                p.slots.resize(idx + 1, SlotState::Empty);
-            }
-            p.slots[idx] = state;
-            SlotId(id)
+            let slot = next_slot(p);
+            p.slots[slot.0 as usize] = state;
+            p.ops_done += 1;
+            slot
         })
     }
 
     fn skip_slot(&self) -> SlotId {
         // The slot was created before the checkpoint; just re-derive its id.
-        self.with_progress(|p| {
-            let id = p.slot_seq;
-            p.slot_seq += 1;
-            let idx = id as usize;
-            if p.slots.len() <= idx {
-                p.slots.resize(idx + 1, SlotState::Empty);
-            }
-            SlotId(id)
-        })
+        self.with_progress(next_slot)
     }
 
     /// Nonblocking send from a managed array.
@@ -519,9 +475,7 @@ impl AppEnv {
             )
             .expect("send window");
         let req = self.mpi.isend(&self.t, Msg::real(&bytes), dst, tag, comm);
-        let slot = self.new_slot(SlotState::SendIssued { vreq: Some(req.0) });
-        self.op_done();
-        slot
+        self.new_slot_done(SlotState::SendIssued { vreq: Some(req.0) })
     }
 
     /// Nonblocking receive into a managed array.
@@ -538,15 +492,13 @@ impl AppEnv {
         }
         // Deferred-matching receive: record the descriptor; the wait
         // operation performs the matching (buffer-first under MANA).
-        let slot = self.new_slot(SlotState::RecvPosted {
+        self.new_slot_done(SlotState::RecvPosted {
             comm_virt: comm.0,
             src,
             tag,
             arr_addr: arr.addr,
             offset: (offset * 8) as u64,
-        });
-        self.op_done();
-        slot
+        })
     }
 
     /// Complete a nonblocking operation.
@@ -583,8 +535,10 @@ impl AppEnv {
             }
             SlotState::CollPending { vreq } => self.mpi.wait(&self.t, ReqHandle(vreq)),
         }
-        self.with_progress(|p| p.slots[slot.0 as usize] = SlotState::Empty);
-        self.op_done();
+        self.with_progress(|p| {
+            p.slots[slot.0 as usize] = SlotState::Empty;
+            p.ops_done += 1;
+        });
     }
 
     // ----- collectives --------------------------------------------------------
@@ -699,9 +653,7 @@ impl AppEnv {
             return self.skip_slot();
         }
         let req = self.mpi.ibarrier(&self.t, comm);
-        let slot = self.new_slot(SlotState::CollPending { vreq: req.0 });
-        self.op_done();
-        slot
+        self.new_slot_done(SlotState::CollPending { vreq: req.0 })
     }
 
     // ----- opaque-object churn (state-mutating; MANA records these) ---------
@@ -716,25 +668,35 @@ impl AppEnv {
     // contract; virtual ids are stable across restarts, so they reload
     // correctly.
 
+    /// The next handle of the restored ledger, consumed by a skipped
+    /// creation.
+    fn ledger_next(&self) -> Option<u64> {
+        self.with_progress(|p| {
+            let v = *p.step_created.get(p.created_cursor)?;
+            p.created_cursor += 1;
+            Some(v)
+        })
+    }
+
+    /// Append a created handle to the ledger and complete the operation.
+    fn created_done(&self, v: u64) {
+        self.with_progress(|p| {
+            p.step_created.push(v);
+            p.created_cursor = p.step_created.len();
+            p.ops_done += 1;
+        });
+    }
+
     /// Ledger-driven creation: skip path pops the restored ledger, real
     /// path runs `create` and appends its handle.
     fn handle_op(&mut self, what: &str, create: impl FnOnce(&Self) -> u64) -> u64 {
         if self.op_skip() {
-            return self.with_progress(|p| {
-                let v = *p
-                    .step_created
-                    .get(p.created_cursor)
-                    .unwrap_or_else(|| panic!("handle ledger exhausted resuming {what}"));
-                p.created_cursor += 1;
-                v
-            });
+            return self
+                .ledger_next()
+                .unwrap_or_else(|| panic!("handle ledger exhausted resuming {what}"));
         }
         let v = create(self);
-        self.with_progress(|p| {
-            p.step_created.push(v);
-            p.created_cursor = p.step_created.len();
-        });
-        self.op_done();
+        self.created_done(v);
         v
     }
 
@@ -816,30 +778,20 @@ impl AppEnv {
     /// metadata carries these dims.
     pub fn cart_create(&mut self, comm: CommHandle, dims: &[u32], periodic: &[bool]) -> CommHandle {
         if self.op_skip() {
-            let from_ledger = self.with_progress(|p| {
-                let v = p.step_created.get(p.created_cursor).copied();
-                if v.is_some() {
-                    p.created_cursor += 1;
-                }
-                v
-            });
-            if let Some(v) = from_ledger {
+            if let Some(v) = self.ledger_next() {
                 return CommHandle(v);
             }
             let sh = self.sh.as_ref().expect("skip only under MANA");
-            let comms = sh.comms.lock();
-            let (virt, _) = comms
+            let st = sh.state.lock();
+            let (virt, _) = st
+                .comms
                 .iter()
                 .find(|(_, m)| *m.cart_dims == *dims && !m.members.is_empty())
                 .expect("restored cart communicator");
             return CommHandle(virt);
         }
         let out = self.mpi.cart_create(&self.t, comm, dims, periodic, true);
-        self.with_progress(|p| {
-            p.step_created.push(out.0);
-            p.created_cursor = p.step_created.len();
-        });
-        self.op_done();
+        self.created_done(out.0);
         out
     }
 }

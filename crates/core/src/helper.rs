@@ -15,11 +15,12 @@
 //! `crate::topology`).
 
 use crate::buffer::BufferedMsg;
+use crate::cell::CollInstance;
 use crate::chaos::InjectPoint;
 use crate::config::ManaConfig;
-use crate::ctrl::{ctrl_msg_bytes, protocol_violation, CtrlMsg, ProtocolPhase};
-use crate::image::{CheckpointImage, PendingColl, VirtCommEntry};
-use crate::shared::{RankShared, WReq};
+use crate::ctrl::{ctrl_msg_bytes, protocol_violation, CtrlMsg, ProtocolPhase, RankReply};
+use crate::image::CheckpointImage;
+use crate::shared::RankShared;
 use crate::stats::RankCkptStats;
 use crate::store::CheckpointStore;
 use mana_mpi::{CommHandle, Mpi, SrcSpec, TagSpec};
@@ -35,6 +36,8 @@ use std::sync::Arc;
 pub struct HelperCtx {
     /// The rank's shared MANA state.
     pub sh: Arc<RankShared>,
+    /// The rank's lower half (the drain pumps it).
+    pub lower: Arc<dyn Mpi>,
     /// Control plane.
     pub ctrl: Arc<Network<CtrlMsg>>,
     /// This helper's control endpoint.
@@ -68,20 +71,35 @@ fn recv_ctrl(t: &SimThread, hx: &HelperCtx) -> CtrlMsg {
     }
 }
 
-/// Per-communicator completed wrapped-collective counts for this rank's
-/// reply: the comm metadata's sequence counters minus any instance whose
-/// number was consumed but not completed (gated or engaged).
-fn progress_vec(sh: &Arc<RankShared>) -> Vec<(u64, u64)> {
-    let incomplete = sh.cell.initiated_incomplete();
-    sh.comms
+/// Report this rank's protocol state to the parent, with its
+/// per-communicator completed wrapped-collective counts: the comm
+/// metadata's sequence counters minus any instance whose number was
+/// consumed but not completed (gated or engaged).
+fn send_state(t: &SimThread, hx: &HelperCtx, reply: RankReply, instance: Option<CollInstance>) {
+    let incomplete = hx.sh.cell.initiated_incomplete();
+    let progress = hx
+        .sh
+        .state
         .lock()
+        .comms
         .iter()
         .filter(|(_, m)| !m.members.is_empty())
         .map(|(v, m)| {
             let dec = incomplete.iter().filter(|i| i.comm_virt == v).count() as u64;
             (v, m.wseq.saturating_sub(dec))
         })
-        .collect()
+        .collect();
+    let rank = hx.sh.rank;
+    ctrl_send(
+        t,
+        hx,
+        CtrlMsg::State {
+            rank,
+            reply,
+            instance,
+            progress,
+        },
+    );
 }
 
 /// Helper thread main loop. Runs forever (daemon); exits after a
@@ -99,17 +117,7 @@ pub fn run_helper(t: SimThread, hx: HelperCtx) {
     }
     loop {
         if hx.sh.cell.take_pending_exit_phase2() {
-            let progress = progress_vec(&hx.sh);
-            ctrl_send(
-                &t,
-                &hx,
-                CtrlMsg::State {
-                    rank: hx.sh.rank,
-                    reply: crate::ctrl::RankReply::ExitPhase2,
-                    instance: None,
-                    progress,
-                },
-            );
+            send_state(&t, &hx, RankReply::ExitPhase2, None);
         }
         if let Some(msg) = hx.ctrl.poll(hx.my_ep) {
             match msg {
@@ -122,20 +130,10 @@ pub fn run_helper(t: SimThread, hx: HelperCtx) {
                         return; // mid-agreement crash: the job is dead
                     }
                     if let Some(reply) = hx.sh.cell.on_intent() {
-                        let instance = (reply == crate::ctrl::RankReply::InPhase1)
+                        let instance = (reply == RankReply::InPhase1)
                             .then(|| hx.sh.cell.current_instance())
                             .flatten();
-                        let progress = progress_vec(&hx.sh);
-                        ctrl_send(
-                            &t,
-                            &hx,
-                            CtrlMsg::State {
-                                rank: hx.sh.rank,
-                                reply,
-                                instance,
-                                progress,
-                            },
-                        );
+                        send_state(&t, &hx, reply, instance);
                     }
                 }
                 CtrlMsg::DoCkpt { ckpt_id } => {
@@ -162,20 +160,18 @@ pub fn run_helper(t: SimThread, hx: HelperCtx) {
 /// killed (migration workflow).
 fn do_checkpoint(t: &SimThread, hx: &HelperCtx, ckpt_id: u64) -> bool {
     let sh = &hx.sh;
+    // Chaos seam: a firing fault kills the rank at `point`.
+    let dies = |point, path| hx.cfg.chaos.rank_point(ckpt_id, sh.rank, point, path);
     // 1. Quiesce: stop the rank from initiating new sends.
     sh.cell.set_do_ckpt();
     sh.cell.helper_wait(t, |c| c.bookmark_safe());
-    if hx
-        .cfg
-        .chaos
-        .rank_point(ckpt_id, sh.rank, InjectPoint::Bookmark, None)
-    {
+    if dies(InjectPoint::Bookmark, None) {
         return true; // died quiesced, bookmark never sent
     }
 
     // 2. Bookmark exchange (via the coordinator: a star-shaped variation
     //    of the all-to-all exchange, §2.3).
-    let sent = sh.counters.lock().sent_vec();
+    let sent = sh.state.lock().counters.sent_vec();
     ctrl_send(
         t,
         hx,
@@ -195,18 +191,13 @@ fn do_checkpoint(t: &SimThread, hx: &HelperCtx, ckpt_id: u64) -> bool {
         ),
     };
 
-    if hx
-        .cfg
-        .chaos
-        .rank_point(ckpt_id, sh.rank, InjectPoint::Drain, None)
-    {
+    if dies(InjectPoint::Drain, None) {
         return true; // died with the wire still carrying messages
     }
 
     // 3. Drain in-flight messages into the checkpoint buffer.
     let drain_t0 = t.now();
-    let lower = sh.lower.lock().clone().expect("lower half bound");
-    drain(t, sh, lower.as_ref(), &expected);
+    drain(t, sh, hx.lower.as_ref(), &expected);
     let drain_dur = t.now().since(drain_t0);
 
     // 4. Wait for a snapshot-consistent park state, then snapshot (the
@@ -228,22 +219,14 @@ fn do_checkpoint(t: &SimThread, hx: &HelperCtx, ckpt_id: u64) -> bool {
 
     // 5. Write + fsync through the checkpoint store.
     let path = hx.cfg.image_path(ckpt_id, sh.rank);
-    if hx
-        .cfg
-        .chaos
-        .rank_point(ckpt_id, sh.rank, InjectPoint::Encode, Some(&path))
-    {
+    if dies(InjectPoint::Encode, Some(&path)) {
         return true; // died with the image encoded but never written
     }
     let wdur = hx
         .store
         .put(&path, encoded, logical, u64::from(sh.rank), hx.io_shape);
     t.advance(wdur);
-    if hx
-        .cfg
-        .chaos
-        .rank_point(ckpt_id, sh.rank, InjectPoint::Publish, None)
-    {
+    if dies(InjectPoint::Publish, None) {
         // Died after the write but before reporting CkptDone: the round
         // can never commit, so the (possibly torn) image is unreferenced.
         return true;
@@ -295,30 +278,33 @@ fn do_checkpoint(t: &SimThread, hx: &HelperCtx, ckpt_id: u64) -> bool {
 fn drain(t: &SimThread, sh: &Arc<RankShared>, lower: &dyn Mpi, expected: &[(u32, u64)]) {
     let expected: BTreeMap<u32, u64> = expected.iter().copied().collect();
     loop {
-        let missing: u64 = {
-            let counters = sh.counters.lock();
-            let buffer = sh.buffer.lock();
-            expected
+        // Done, or the live (non-null) communicators to pump.
+        let live: Vec<_> = {
+            let st = sh.state.lock();
+            let missing: u64 = expected
                 .iter()
                 .map(|(src, cnt)| {
-                    let have =
-                        counters.recvd.get(src).copied().unwrap_or(0) + buffer.count_from(*src);
+                    let have = st.counters.recvd.get(src).copied().unwrap_or(0)
+                        + st.buffer.count_from(*src);
                     cnt.saturating_sub(have)
                 })
-                .sum()
+                .sum();
+            if missing == 0 {
+                return;
+            }
+            st.comms
+                .iter()
+                .filter(|(_, m)| m.real != 0)
+                .map(|(v, m)| (v, CommHandle(m.real), m.members.clone()))
+                .collect()
         };
-        if missing == 0 {
-            return;
-        }
         let mut stole = false;
-        for comm_virt in sh.live_comm_virts() {
-            let meta = sh.comm_meta(comm_virt);
-            let real = CommHandle(meta.real);
+        for (comm_virt, real, members) in live {
             while let Some(st) = lower.iprobe(t, SrcSpec::Any, TagSpec::Any, real) {
                 let (data, status) =
                     lower.recv(t, SrcSpec::Rank(st.source), TagSpec::Tag(st.tag), real);
-                let src_global = meta.members[status.source as usize];
-                sh.buffer.lock().push(BufferedMsg {
+                let src_global = members[status.source as usize];
+                sh.state.lock().buffer.push(BufferedMsg {
                     comm_virt,
                     src_local: status.source,
                     src_global,
@@ -336,64 +322,26 @@ fn drain(t: &SimThread, sh: &Arc<RankShared>, lower: &dyn Mpi, expected: &[(u32,
     }
 }
 
-/// Capture the rank's checkpointable state. With `compact` set, the
-/// record log is pruned by the [`LogCompactor`] — freed opaque objects
-/// and dead derivation subtrees are elided — before serialization; either
-/// way the image carries the explicit virtual-id rebind map verified at
-/// replay. Memory is captured through the dirty-tracked copy-on-write
-/// snapshot path (O(dirty bytes), not O(address space)); the summaries
-/// ride in the image for `DeltaStore`. Returns the image, the
+/// Capture the rank's checkpointable state: its memory through the
+/// dirty-tracked copy-on-write snapshot path (O(dirty bytes), not
+/// O(address space)), whose summaries ride in the image for `DeltaStore`,
+/// then its MANA state under one guard ([`RankState::capture`], which
+/// compacts the record log when `compact` is set). Returns the image, the
 /// pre-compaction log length, and the snapshot's copy accounting.
 ///
-/// [`LogCompactor`]: crate::restart::compact::LogCompactor
+/// [`RankState::capture`]: crate::shared::RankState::capture
 fn build_image(
     sh: &Arc<RankShared>,
     ckpt_id: u64,
     compact: bool,
     freeze: bool,
 ) -> (CheckpointImage, u64, mana_sim::memory::SnapshotStats) {
-    use crate::restart::compact::{LiveSet, LogCompactor};
-    let comms: Vec<VirtCommEntry> = sh
-        .comms
-        .lock()
-        .iter()
-        .map(|(virt, m)| VirtCommEntry {
-            virt,
-            members: m.members.to_vec(),
-            cart_dims: m.cart_dims.to_vec(),
-            cart_periodic: m.cart_periodic.to_vec(),
-        })
-        .collect();
-    let groups: Vec<u64> = sh.groups.lock().iter().map(|(v, _)| v).collect();
-    let dtypes: Vec<u64> = sh.dtypes.lock().iter().map(|(v, _)| v).collect();
-    let pending = sh
-        .reqs
-        .lock()
-        .iter()
-        .filter_map(|(vreq, r)| match *r {
-            WReq::TwoPhase { comm_virt, .. } => Some(PendingColl { vreq, comm_virt }),
-            WReq::LowerSend(_) => None,
-        })
-        .collect();
-    let world_virt = *sh.world_virt.lock();
-    let entries = sh.log.lock().clone();
-    let recorded = entries.len() as u64;
-    let compacted = if compact {
-        let live = LiveSet::new(
-            comms.iter().map(|c| c.virt),
-            groups.iter().copied(),
-            dtypes.iter().copied(),
-        );
-        LogCompactor::compact(world_virt, &entries, &live)
-    } else {
-        LogCompactor::passthrough(world_virt, &entries)
-    };
     let snap = if freeze {
         sh.aspace.snapshot_half_freezing(Half::Upper)
     } else {
         sh.aspace.snapshot_half_tracked(Half::Upper)
     };
-    let progress = sh.progress.lock();
+    let (state, recorded) = sh.state.lock().capture(compact);
     let img = CheckpointImage {
         rank: sh.rank,
         nranks: sh.nranks,
@@ -402,22 +350,8 @@ fn build_image(
         seed: sh.seed,
         regions: snap.regions,
         upper_cursor: sh.aspace.upper_mmap_cursor(),
-        comms,
-        groups,
-        dtypes,
-        log: compacted.entries,
-        counters: sh.counters.lock().clone(),
-        buffered: sh.buffer.lock().snapshot(),
-        pending,
-        ops_done: progress.ops_done,
-        allocs: progress.allocs.clone(),
-        slots: progress.slots.clone(),
-        slot_seq: progress.slot_seq,
-        slot_seq_at_step: progress.slot_seq_at_step,
-        world_virt,
-        rebind: compacted.rebind,
-        step_created: progress.step_created.clone(),
         dirty: snap.dirty,
+        ..state
     };
     (img, recorded, snap.stats)
 }

@@ -52,7 +52,7 @@ pub struct PendingColl {
 }
 
 /// The complete per-rank checkpoint image.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CheckpointImage {
     /// Rank id.
     pub rank: u32,
@@ -979,7 +979,7 @@ fn dec_call(d: &mut ScatterDec<'_>) -> Result<LoggedCall, CodecError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::restart::compact::derive_rebind;
     use mana_sim::memory::DenseSnap;
@@ -989,7 +989,7 @@ mod tests {
         CheckpointImage::decode_shared(&ImageBytes::from_vec(bytes.to_vec())).map(|(img, _)| img)
     }
 
-    fn sample() -> CheckpointImage {
+    pub(crate) fn sample() -> CheckpointImage {
         let mut counters = PairCounters::default();
         counters.on_send(1);
         counters.on_send(1);

@@ -16,7 +16,7 @@
 //! calls that left the seam are retired, never reused (see `image.rs`).
 //!
 //! A rank's log is a plain `Vec<LoggedCall>` in call order
-//! ([`crate::shared::RankShared::log`]). On its way into an image the
+//! ([`crate::shared::RankState::log`]). On its way into an image the
 //! [`LogCompactor`] maps each virtual id to the entry that created it
 //! ([`LoggedCall::created_virt`]) and to the `*Free` that freed it, so it
 //! can cancel the pair and elide whole dead derivation subtrees. See

@@ -26,13 +26,13 @@ use crate::record::LoggedCall;
 use crate::restart::compact::BindSource;
 use crate::restart::error::RestartError;
 use crate::runner::{aspace_lineage, io_shape, ManaJobSpec};
-use crate::shared::{CommMeta, GroupMeta, RankShared, WReq};
+use crate::shared::{RankShared, RankState};
 use crate::stats::{RankRestartStats, RestartStage};
 use crate::store::CheckpointStore;
-use crate::virtid::{HandleClass, UNBOUND_REAL};
+use crate::virtid::HandleClass;
 use mana_mpi::{CommHandle, DtypeHandle, GroupHandle, Mpi, MpiJob};
 use mana_sim::memory::{AddressSpace, Half};
-use mana_sim::sched::{Sim, SimThread};
+use mana_sim::sched::SimThread;
 use mana_sim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -164,7 +164,6 @@ pub(crate) fn fetch_images(
 #[allow(clippy::type_complexity)]
 pub(crate) fn rank_restore(
     t: &SimThread,
-    sim: &Sim,
     job: &Arc<MpiJob>,
     spec: &ManaJobSpec,
     rank: u32,
@@ -207,16 +206,20 @@ pub(crate) fn rank_restore(
     aspace.set_brk_owner(Half::Lower);
     clock.mark(t, RestartStage::MemoryRestore);
 
-    // Stage 3: reload MANA's per-rank state (handle tables, counters,
-    // progress cursor, pending collectives).
-    let sh = RankShared::new(sim, rank, spec.nranks, &img.app_name, img.seed, aspace);
+    // Stage 3: reload MANA's per-rank state but the drain buffer, every
+    // handle unbound until stage 7, and re-engage the cell in each pending
+    // collective's phase 1 (`fetch_rank` checked its communicator).
+    let sh = RankShared::new(job, rank, &img.app_name, img.seed, aspace);
     sh.cell.register_rank(t.id());
-    sh.cell.bind_job(job.clone());
-    restore_state(&sh, &img);
+    let (state, engaged) = RankState::restored(&img);
+    *sh.state.lock() = state;
+    for inst in engaged {
+        sh.cell.restore_engaged(inst);
+    }
     clock.mark(t, RestartStage::StateRestore);
 
     // Stage 4: reload the drained in-flight messages.
-    sh.buffer.lock().load(img.buffered.clone());
+    sh.state.lock().buffer.load(img.buffered.clone());
     clock.mark(t, RestartStage::DrainReload);
 
     // Stage 5: boot the fresh lower half.
@@ -264,81 +267,6 @@ fn chaos_point(spec: &ManaJobSpec, rank: u32, point: RestartPoint) -> Result<(),
         Err(RestartError::Interrupted { rank, point })
     } else {
         Ok(())
-    }
-}
-
-/// Load image state into a fresh `RankShared` (everything except the
-/// drain buffer, which is its own stage). Every restored handle entry is
-/// unbound until stage 7 installs what replay bound. `fetch_rank` has
-/// checked that each pending collective's communicator is in the image.
-fn restore_state(sh: &Arc<RankShared>, img: &CheckpointImage) {
-    *sh.world_virt.lock() = img.world_virt;
-    *sh.counters.lock() = img.counters.clone();
-    *sh.log.lock() = img.log.clone();
-    {
-        let mut p = sh.progress.lock();
-        p.resume_skip = img.ops_done;
-        p.resuming = true;
-        p.allocs = img.allocs.clone();
-        p.alloc_cursor = 0;
-        p.slots = img.slots.clone();
-        // Rewind the slot allocator to the interrupted step's start: the
-        // fast-forwarded (skipped) operations re-derive their original ids.
-        p.slot_seq = img.slot_seq_at_step;
-        p.slot_seq_at_step = img.slot_seq_at_step;
-        p.step_created = img.step_created.clone();
-        p.created_cursor = 0;
-    }
-    let mut comms = sh.comms.lock();
-    for c in &img.comms {
-        comms.restore(
-            c.virt,
-            CommMeta {
-                real: UNBOUND_REAL,
-                members: c.members.as_slice().into(),
-                cart_dims: c.cart_dims.as_slice().into(),
-                cart_periodic: c.cart_periodic.as_slice().into(),
-                wseq: 0,
-            },
-        );
-    }
-    let mut groups = sh.groups.lock();
-    for g in &img.groups {
-        groups.restore(
-            *g,
-            GroupMeta {
-                real: UNBOUND_REAL,
-                members: Vec::new(),
-            },
-        );
-    }
-    let mut dtypes = sh.dtypes.lock();
-    for d in &img.dtypes {
-        dtypes.restore(*d, UNBOUND_REAL);
-    }
-    let mut reqs = sh.reqs.lock();
-    for p in &img.pending {
-        let comm_virt = p.comm_virt;
-        reqs.restore(
-            p.vreq,
-            WReq::TwoPhase {
-                comm_virt,
-                lower_phase1: None,
-            },
-        );
-        // The rank had entered the nonblocking trivial barrier before
-        // the checkpoint; re-engage the fresh cell so the coordinator
-        // keeps seeing it in phase 1. The instance number is re-derived
-        // identically on every member (all-or-none: phase-2 completion is
-        // collective, so either every member's image carries the pending
-        // descriptor or none does).
-        let meta = comms.get_mut(comm_virt);
-        meta.wseq += 1;
-        sh.cell.restore_engaged(crate::cell::CollInstance {
-            comm_virt,
-            wseq: meta.wseq,
-            size: meta.members.len() as u32,
-        });
     }
 }
 
@@ -408,7 +336,7 @@ fn replay_verified(
         let (virt, real) = match entry {
             LoggedCall::CommDup { parent, result } => {
                 let pr = CommHandle(input(&reals, "comm", *parent, idx)?);
-                sh.comms.lock().reserve(*result);
+                sh.state.lock().comms.reserve(*result);
                 (*result, lower.comm_dup(t, pr).0)
             }
             LoggedCall::CommSplit {
@@ -418,7 +346,7 @@ fn replay_verified(
                 result,
             } => {
                 let pr = CommHandle(input(&reals, "comm", *parent, idx)?);
-                sh.comms.lock().reserve(*result);
+                sh.state.lock().comms.reserve(*result);
                 (*result, lower.comm_split(t, pr, *color, *key).0)
             }
             LoggedCall::CommFree { comm } => {
@@ -436,7 +364,7 @@ fn replay_verified(
                 result,
             } => {
                 let pr = CommHandle(input(&reals, "comm", *parent, idx)?);
-                sh.comms.lock().reserve(*result);
+                sh.state.lock().comms.reserve(*result);
                 (*result, lower.cart_create(t, pr, dims, periodic, false).0)
             }
             LoggedCall::CommGroup {
@@ -449,7 +377,7 @@ fn replay_verified(
                 let wg = lower.comm_group(lower.comm_world());
                 let rg = lower.group_incl(wg, members);
                 lower.group_free(wg);
-                sh.groups.lock().reserve(*result);
+                sh.state.lock().groups.reserve(*result);
                 (*result, rg.0)
             }
             LoggedCall::GroupIncl {
@@ -458,7 +386,7 @@ fn replay_verified(
                 result,
             } => {
                 let rg = GroupHandle(input(&reals, "group", *group, idx)?);
-                sh.groups.lock().reserve(*result);
+                sh.state.lock().groups.reserve(*result);
                 (*result, lower.group_incl(rg, ranks).0)
             }
             LoggedCall::GroupFree { group } => {
@@ -468,8 +396,10 @@ fn replay_verified(
                 continue;
             }
             LoggedCall::TypeBase { base, result } => {
-                sh.dtype_base_cache.lock().insert(*base, *result);
-                sh.dtypes.lock().reserve(*result);
+                let mut st = sh.state.lock();
+                st.dtype_base_cache.insert(*base, *result);
+                st.dtypes.reserve(*result);
+                drop(st);
                 (*result, lower.type_base(*base).0)
             }
             LoggedCall::TypeContiguous {
@@ -478,14 +408,14 @@ fn replay_verified(
                 result,
             } => {
                 let ri = DtypeHandle(input(&reals, "dtype", *inner, idx)?);
-                sh.dtypes.lock().reserve(*result);
+                sh.state.lock().dtypes.reserve(*result);
                 (*result, lower.type_contiguous(*count, ri).0)
             }
             LoggedCall::TypeFree { dtype } => {
                 let r = input(&reals, "dtype", *dtype, idx)?;
                 lower.type_free(DtypeHandle(r));
                 reals.remove(dtype);
-                sh.dtype_base_cache.lock().retain(|_, v| *v != *dtype);
+                sh.state.lock().dtype_base_cache.retain(|_, v| *v != *dtype);
                 continue;
             }
         };
@@ -510,7 +440,8 @@ fn rebind_and_verify(
             .copied()
             .ok_or(RestartError::UnboundVirtual { rank, class, virt })
     };
-    for (v, meta) in sh.comms.lock().iter_mut() {
+    let mut st = sh.state.lock();
+    for (v, meta) in st.comms.iter_mut() {
         // A burned id stays bound to MPI_COMM_NULL.
         meta.real = if meta.members.is_empty() {
             0
@@ -518,11 +449,11 @@ fn rebind_and_verify(
             bound(HandleClass::Comm, v)?
         };
     }
-    for (v, g) in sh.groups.lock().iter_mut() {
+    for (v, g) in st.groups.iter_mut() {
         g.real = bound(HandleClass::Group, v)?;
         g.members = lower.group_members(GroupHandle(g.real));
     }
-    for (v, real) in sh.dtypes.lock().iter_mut() {
+    for (v, real) in st.dtypes.iter_mut() {
         *real = bound(HandleClass::Dtype, v)?;
     }
     Ok(())

@@ -308,17 +308,14 @@ pub(crate) fn boot_mana(
                         None => {
                             let aspace = map_upper(&spec.profile, name, rank, spec.seed);
                             aspace.set_lineage(aspace_lineage(spec.seed, rank, 0));
-                            let sh =
-                                RankShared::new(&sim, rank, spec.nranks, name, spec.seed, aspace);
+                            let sh = RankShared::new(&job, rank, name, spec.seed, aspace);
                             sh.cell.register_rank(t.id());
-                            sh.cell.bind_job(job.clone());
                             let lower = Arc::from(job.init_rank(t, rank, &sh.aspace));
                             let wrapper = ManaMpi::fresh(sh.clone(), lower, spec.cfg.clone());
                             (sh, wrapper)
                         }
                         Some(image) => {
-                            let (sh, lower, stats) =
-                                rank_restore(t, &sim, &job, &spec, rank, image)?;
+                            let (sh, lower, stats) = rank_restore(t, &job, &spec, rank, image)?;
                             restarts.lock().push((stats, t.now()));
                             let wrapper = ManaMpi::resumed(sh.clone(), lower, spec.cfg.clone());
                             (sh, wrapper)
@@ -326,6 +323,7 @@ pub(crate) fn boot_mana(
                     };
                     let hx = HelperCtx {
                         sh: sh.clone(),
+                        lower: wrapper.lower().clone(),
                         ctrl,
                         my_ep,
                         parent_ep,

@@ -9,12 +9,12 @@
 //!
 //! Each handle class has one [`HandleTable`]: virtual id → the one entry
 //! that holds the real handle and whatever else the wrapper keeps for it
-//! (see [`crate::shared::RankShared`]), plus the class's id allocator.
-//! Each translation is a map lookup under the table's lock; the paper
+//! (see [`crate::shared::RankState`]), plus the class's id allocator.
+//! Each translation is a map lookup under the rank-state lock; the paper
 //! calls this out as the second (smaller) source of runtime overhead, and
 //! the wrapper charges [`crate::config::ManaConfig::virt_cost`] per
 //! translation accordingly. The `micro` bench's `virtid_*` cases time
-//! this structure under its lock.
+//! this structure under a lock.
 //!
 //! A virtual id is never issued twice. Fresh ids count up from the class
 //! base, and an id restored from an image or re-created by restart replay

@@ -16,12 +16,17 @@
 //!   pre-wrapper gate, trivial barrier (phase 1), real call (phase 2);
 //! * `MPI_Ibarrier` gets the §4.2 two-phase nonblocking variant.
 //!
+//! The tables, log, counters and buffer are the rank's [`RankState`],
+//! behind one lock. A call takes the lock once for each run of state
+//! accesses between two parks and drops it before every time charge,
+//! cell wait and lower-half call.
+//!
 //! [`KernelModel::fs_roundtrip`]: mana_sim::kernel::KernelModel::fs_roundtrip
 
 use crate::cell::{CollInstance, Park};
 use crate::config::ManaConfig;
 use crate::record::LoggedCall;
-use crate::shared::{CommMeta, GroupMeta, RankShared, WReq};
+use crate::shared::{CommMeta, GroupMeta, RankShared, RankState, WReq};
 use mana_mpi::{
     BaseType, CommHandle, DtypeHandle, GroupHandle, Mpi, Msg, Rank, ReduceOp, ReqHandle, SrcSpec,
     Status, Tag, TagSpec, COMM_NULL,
@@ -32,13 +37,13 @@ use std::sync::Arc;
 
 /// Intern a communicator with fresh collective sequence numbering.
 fn register_comm(
-    sh: &RankShared,
+    st: &mut RankState,
     real: u64,
     members: Arc<[u32]>,
     cart_dims: Arc<[u32]>,
     cart_periodic: Arc<[bool]>,
 ) -> u64 {
-    sh.comms.lock().intern(CommMeta {
+    st.comms.intern(CommMeta {
         real,
         members,
         cart_dims,
@@ -59,11 +64,12 @@ impl ManaMpi {
     /// Wrap a freshly initialized lower half for a first run: interns the
     /// world communicator.
     pub fn fresh(sh: Arc<RankShared>, lower: Arc<dyn Mpi>, cfg: ManaConfig) -> ManaMpi {
-        let world_real = lower.comm_world();
-        let members: Arc<[u32]> = (0..lower.comm_size(world_real)).collect();
-        let world_virt = register_comm(&sh, world_real.0, members, Arc::default(), Arc::default());
-        *sh.world_virt.lock() = world_virt;
-        *sh.lower.lock() = Some(lower.clone());
+        let world = lower.comm_world();
+        let members: Arc<[u32]> = (0..lower.comm_size(world)).collect();
+        let mut st = sh.state.lock();
+        let world_virt = register_comm(&mut st, world.0, members, Arc::default(), Arc::default());
+        st.world_virt = world_virt;
+        drop(st);
         ManaMpi {
             sh,
             lower,
@@ -77,12 +83,11 @@ impl ManaMpi {
     /// the restart engine, which also recorded the world communicator's
     /// virtual id from the image.
     pub fn resumed(sh: Arc<RankShared>, lower: Arc<dyn Mpi>, cfg: ManaConfig) -> ManaMpi {
-        let world_virt = *sh.world_virt.lock();
+        let world_virt = sh.state.lock().world_virt;
         assert_ne!(
             world_virt, 0,
             "restored state must carry the world communicator id"
         );
-        *sh.lower.lock() = Some(lower.clone());
         ManaMpi {
             sh,
             lower,
@@ -116,31 +121,43 @@ impl ManaMpi {
 
     fn meta(&self, t: &SimThread, comm_virt: u64) -> CommMeta {
         self.vcost(t);
-        self.sh.comm_meta(comm_virt)
+        self.meta_untimed(comm_virt)
     }
 
     fn meta_untimed(&self, comm_virt: u64) -> CommMeta {
-        self.sh.comm_meta(comm_virt)
+        self.sh.state.lock().comms.get(comm_virt).clone()
     }
 
-    fn next_instance(&self, comm_virt: u64, size: u32) -> CollInstance {
-        let mut comms = self.sh.comms.lock();
-        let m = comms.get_mut(comm_virt);
+    /// Translate `comm_virt` and number the wrapped collective about to
+    /// run on it.
+    fn next_instance(&self, t: &SimThread, comm_virt: u64) -> (CommHandle, CollInstance) {
+        self.vcost(t);
+        let mut st = self.sh.state.lock();
+        let m = st.comms.get_mut(comm_virt);
+        assert_ne!(m.real, 0, "collective on MPI_COMM_NULL");
         m.wseq += 1;
-        CollInstance {
+        let inst = CollInstance {
             comm_virt,
             wseq: m.wseq,
-            size,
-        }
+            size: m.members.len() as u32,
+        };
+        (CommHandle(m.real), inst)
+    }
+
+    /// Translate `comm_virt` and count one message to its member `dst`.
+    fn count_send(&self, t: &SimThread, comm_virt: u64, dst: Rank) -> CommHandle {
+        self.vcost(t);
+        let mut st = self.sh.state.lock();
+        let m = st.comms.get(comm_virt);
+        let (real, dst_global) = (CommHandle(m.real), m.members[dst as usize]);
+        st.counters.on_send(dst_global);
+        real
     }
 
     /// The two-phase wrapper (Algorithm 1): gate, trivial barrier, real
     /// collective.
     fn two_phase<R>(&self, t: &SimThread, comm_virt: u64, f: impl FnOnce(CommHandle) -> R) -> R {
-        let meta = self.meta(t, comm_virt);
-        let real = CommHandle(meta.real);
-        assert_ne!(meta.real, 0, "collective on MPI_COMM_NULL");
-        let inst = self.next_instance(comm_virt, meta.members.len() as u32);
+        let (real, inst) = self.next_instance(t, comm_virt);
         self.sh.cell.pre_collective_gate(t, inst);
         // Phase 1: the trivial barrier.
         self.fs(t);
@@ -153,66 +170,6 @@ impl ManaMpi {
         let r = f(real);
         self.sh.cell.exit_phase2();
         r
-    }
-
-    /// Shared blocking-receive loop: drained buffer first, then the lower
-    /// half, interruptible for quiescence.
-    ///
-    /// This is real MANA's `MPI_Iprobe` receive loop: one iteration is a
-    /// quiesce check, a drained-buffer check, the FS round-trip and a lower
-    /// `iprobe`. With nothing queued the rank sleeps (`Park::InRecvWait`)
-    /// until a delivery. With *unmatched* data queued the lower half cannot
-    /// sleep and the loop polls back to back; those polls are
-    /// fast-forwarded ([`Mpi::iprobe_every`]) rather than executed: nothing
-    /// an iteration looks at — the rank's queue, do-ckpt, kill, abort —
-    /// changes without waking this thread, and the drained buffer only
-    /// changes while the rank is quiesced. The `Park` marker stays
-    /// `Running` throughout, as it is for a rank inside `MPI_Iprobe`, so a
-    /// checkpoint waits for the next poll instant and finds the rank in
-    /// `quiesce_check` there.
-    fn recv_inner(
-        &self,
-        t: &SimThread,
-        comm_virt: u64,
-        src: SrcSpec,
-        tag: TagSpec,
-    ) -> (Vec<u8>, Status) {
-        let meta = self.meta(t, comm_virt);
-        let real = CommHandle(meta.real);
-        loop {
-            self.sh.cell.quiesce_check(t);
-            if let Some(m) = self.sh.buffer.lock().take_match(comm_virt, src, tag) {
-                self.sh.counters.lock().on_recv(m.src_global);
-                let n = m.data.len() as u64;
-                return (
-                    m.data,
-                    Status {
-                        source: m.src_local,
-                        tag: m.tag,
-                        bytes: n,
-                        modeled_bytes: m.modeled,
-                    },
-                );
-            }
-            let iteration_start = t.now();
-            self.fs(t);
-            let mut probe = self.lower.iprobe(t, src, tag, real);
-            if probe.is_none() && !self.sh.cell.interrupt_pending() {
-                let period = t.now().since(iteration_start);
-                probe = self.lower.iprobe_every(t, period, src, tag, real);
-            }
-            if let Some(st) = probe {
-                let (data, status) =
-                    self.lower
-                        .recv(t, SrcSpec::Rank(st.source), TagSpec::Tag(st.tag), real);
-                let src_global = meta.members[status.source as usize];
-                self.sh.counters.lock().on_recv(src_global);
-                return (data, status);
-            }
-            self.sh
-                .cell
-                .with_park(Park::InRecvWait, || self.lower.wait_any_message(t));
-        }
     }
 
     /// Complete an outstanding two-phase `MPI_Ibarrier`. Implements the
@@ -249,8 +206,8 @@ impl Mpi for ManaMpi {
 
     fn comm_rank(&self, comm: CommHandle) -> Rank {
         let meta = self.meta_untimed(comm.0);
-        meta.local_of(self.sh.rank)
-            .expect("caller not in communicator")
+        let local = meta.members.iter().position(|m| *m == self.sh.rank);
+        local.expect("caller not in communicator") as Rank
     }
 
     fn comm_size(&self, comm: CommHandle) -> u32 {
@@ -258,15 +215,28 @@ impl Mpi for ManaMpi {
     }
 
     fn send(&self, t: &SimThread, msg: Msg<'_>, dst: Rank, tag: Tag, comm: CommHandle) {
-        let meta = self.meta(t, comm.0);
-        let dst_global = meta.members[dst as usize];
-        self.sh.counters.lock().on_send(dst_global);
+        let real = self.count_send(t, comm.0, dst);
         self.fs(t);
         self.sh.cell.with_park(Park::InLowerSend, || {
-            self.lower.send(t, msg, dst, tag, CommHandle(meta.real))
+            self.lower.send(t, msg, dst, tag, real)
         });
     }
 
+    /// The blocking receive: drained buffer first, then the lower half,
+    /// interruptible for quiescence.
+    ///
+    /// This is real MANA's `MPI_Iprobe` receive loop: one iteration is a
+    /// quiesce check, a drained-buffer check, the FS round-trip and a lower
+    /// `iprobe`. With nothing queued the rank sleeps (`Park::InRecvWait`)
+    /// until a delivery. With *unmatched* data queued the lower half cannot
+    /// sleep and the loop polls back to back; those polls are
+    /// fast-forwarded ([`Mpi::iprobe_every`]) rather than executed: nothing
+    /// an iteration looks at — the rank's queue, do-ckpt, kill, abort —
+    /// changes without waking this thread, and the drained buffer only
+    /// changes while the rank is quiesced. The `Park` marker stays
+    /// `Running` throughout, as it is for a rank inside `MPI_Iprobe`, so a
+    /// checkpoint waits for the next poll instant and finds the rank in
+    /// `quiesce_check` there.
     fn recv(
         &self,
         t: &SimThread,
@@ -274,7 +244,49 @@ impl Mpi for ManaMpi {
         tag: TagSpec,
         comm: CommHandle,
     ) -> (Vec<u8>, Status) {
-        self.recv_inner(t, comm.0, src, tag)
+        let meta = self.meta(t, comm.0);
+        let real = CommHandle(meta.real);
+        loop {
+            self.sh.cell.quiesce_check(t);
+            let drained = {
+                let mut st = self.sh.state.lock();
+                let m = st.buffer.take_match(comm.0, src, tag);
+                if let Some(m) = &m {
+                    st.counters.on_recv(m.src_global);
+                }
+                m
+            };
+            if let Some(m) = drained {
+                let n = m.data.len() as u64;
+                return (
+                    m.data,
+                    Status {
+                        source: m.src_local,
+                        tag: m.tag,
+                        bytes: n,
+                        modeled_bytes: m.modeled,
+                    },
+                );
+            }
+            let iteration_start = t.now();
+            self.fs(t);
+            let mut probe = self.lower.iprobe(t, src, tag, real);
+            if probe.is_none() && !self.sh.cell.interrupt_pending() {
+                let period = t.now().since(iteration_start);
+                probe = self.lower.iprobe_every(t, period, src, tag, real);
+            }
+            if let Some(st) = probe {
+                let (data, status) =
+                    self.lower
+                        .recv(t, SrcSpec::Rank(st.source), TagSpec::Tag(st.tag), real);
+                let src_global = meta.members[status.source as usize];
+                self.sh.state.lock().counters.on_recv(src_global);
+                return (data, status);
+            }
+            self.sh
+                .cell
+                .with_park(Park::InRecvWait, || self.lower.wait_any_message(t));
+        }
     }
 
     fn isend(
@@ -285,12 +297,10 @@ impl Mpi for ManaMpi {
         tag: Tag,
         comm: CommHandle,
     ) -> ReqHandle {
-        let meta = self.meta(t, comm.0);
-        let dst_global = meta.members[dst as usize];
-        self.sh.counters.lock().on_send(dst_global);
+        let real = self.count_send(t, comm.0, dst);
         self.fs(t);
-        let lreq = self.lower.isend(t, msg, dst, tag, CommHandle(meta.real));
-        ReqHandle(self.sh.reqs.lock().intern(WReq::LowerSend(lreq)))
+        let lreq = self.lower.isend(t, msg, dst, tag, real);
+        ReqHandle(self.sh.state.lock().reqs.intern(WReq::LowerSend(lreq)))
     }
 
     fn wait(&self, t: &SimThread, req: ReqHandle) {
@@ -298,7 +308,7 @@ impl Mpi for ManaMpi {
         // Consume the request only after completion: a checkpoint-kill
         // can land in the blocking part, and a pending collective must
         // still be in the image for the restarted wait to re-execute.
-        let wreq = *self.sh.reqs.lock().get(req.0);
+        let wreq = *self.sh.state.lock().reqs.get(req.0);
         match wreq {
             WReq::LowerSend(lreq) => {
                 self.fs(t);
@@ -311,7 +321,7 @@ impl Mpi for ManaMpi {
                 lower_phase1,
             } => self.finish_pending(t, comm_virt, lower_phase1),
         }
-        self.sh.reqs.lock().remove(req.0);
+        self.sh.state.lock().reqs.remove(req.0);
     }
 
     fn iprobe(
@@ -321,17 +331,21 @@ impl Mpi for ManaMpi {
         tag: TagSpec,
         comm: CommHandle,
     ) -> Option<Status> {
-        let meta = self.meta(t, comm.0);
-        if let Some(m) = self.sh.buffer.lock().peek_match(comm.0, src, tag) {
-            return Some(Status {
-                source: m.src_local,
-                tag: m.tag,
-                bytes: m.data.len() as u64,
-                modeled_bytes: m.modeled,
-            });
-        }
+        self.vcost(t);
+        let real = {
+            let st = self.sh.state.lock();
+            if let Some(m) = st.buffer.peek_match(comm.0, src, tag) {
+                return Some(Status {
+                    source: m.src_local,
+                    tag: m.tag,
+                    bytes: m.data.len() as u64,
+                    modeled_bytes: m.modeled,
+                });
+            }
+            CommHandle(st.comms.get(comm.0).real)
+        };
         self.fs(t);
-        self.lower.iprobe(t, src, tag, CommHandle(meta.real))
+        self.lower.iprobe(t, src, tag, real)
     }
 
     fn barrier(&self, t: &SimThread, comm: CommHandle) {
@@ -384,13 +398,12 @@ impl Mpi for ManaMpi {
     }
 
     fn ibarrier(&self, t: &SimThread, comm: CommHandle) -> ReqHandle {
-        let meta = self.meta(t, comm.0);
-        let inst = self.next_instance(comm.0, meta.members.len() as u32);
+        let (real, inst) = self.next_instance(t, comm.0);
         self.sh.cell.pre_collective_gate(t, inst);
         self.fs(t);
-        let lreq = self.lower.ibarrier(t, CommHandle(meta.real));
+        let lreq = self.lower.ibarrier(t, real);
         self.sh.cell.detach_engaged();
-        ReqHandle(self.sh.reqs.lock().intern(WReq::TwoPhase {
+        ReqHandle(self.sh.state.lock().reqs.intern(WReq::TwoPhase {
             comm_virt: comm.0,
             lower_phase1: Some(lreq),
         }))
@@ -399,14 +412,15 @@ impl Mpi for ManaMpi {
     fn comm_dup(&self, t: &SimThread, comm: CommHandle) -> CommHandle {
         let meta = self.meta(t, comm.0);
         let new_real = self.two_phase(t, comm.0, |real| self.lower.comm_dup(t, real));
+        let mut st = self.sh.state.lock();
         let virt = register_comm(
-            &self.sh,
+            &mut st,
             new_real.0,
-            meta.members.clone(),
-            meta.cart_dims.clone(),
-            meta.cart_periodic.clone(),
+            meta.members,
+            meta.cart_dims,
+            meta.cart_periodic,
         );
-        self.sh.log.lock().push(LoggedCall::CommDup {
+        st.log.push(LoggedCall::CommDup {
             parent: comm.0,
             result: virt,
         });
@@ -426,14 +440,9 @@ impl Mpi for ManaMpi {
             self.lower.group_free(g);
             members.into()
         };
-        let virt = register_comm(
-            &self.sh,
-            new_real.0,
-            members,
-            Arc::default(),
-            Arc::default(),
-        );
-        self.sh.log.lock().push(LoggedCall::CommSplit {
+        let mut st = self.sh.state.lock();
+        let virt = register_comm(&mut st, new_real.0, members, Arc::default(), Arc::default());
+        st.log.push(LoggedCall::CommSplit {
             parent: comm.0,
             color,
             key,
@@ -452,25 +461,24 @@ impl Mpi for ManaMpi {
         if meta.real != 0 {
             self.lower.comm_free(t, CommHandle(meta.real));
         }
-        self.sh
-            .log
-            .lock()
-            .push(LoggedCall::CommFree { comm: comm.0 });
-        self.sh.comms.lock().remove(comm.0);
+        let mut st = self.sh.state.lock();
+        st.log.push(LoggedCall::CommFree { comm: comm.0 });
+        st.comms.remove(comm.0);
     }
 
     fn comm_group(&self, comm: CommHandle) -> GroupHandle {
         let meta = self.meta_untimed(comm.0);
         let real_g = self.lower.comm_group(CommHandle(meta.real));
         let members = self.lower.group_members(real_g);
-        let virt = self.sh.groups.lock().intern(GroupMeta {
+        let mut st = self.sh.state.lock();
+        let virt = st.groups.intern(GroupMeta {
             real: real_g.0,
             members: members.clone(),
         });
         // Membership is recorded so restart replay can rebuild the group
         // locally — the compactor then need not keep a dead source
         // communicator alive just for its group.
-        self.sh.log.lock().push(LoggedCall::CommGroup {
+        st.log.push(LoggedCall::CommGroup {
             comm: comm.0,
             members,
             result: virt,
@@ -479,14 +487,15 @@ impl Mpi for ManaMpi {
     }
 
     fn group_incl(&self, group: GroupHandle, ranks: &[Rank]) -> GroupHandle {
-        let real_g = GroupHandle(self.sh.groups.lock().get(group.0).real);
+        let real_g = GroupHandle(self.sh.state.lock().groups.get(group.0).real);
         let new_real = self.lower.group_incl(real_g, ranks);
         let members = self.lower.group_members(new_real);
-        let virt = self.sh.groups.lock().intern(GroupMeta {
+        let mut st = self.sh.state.lock();
+        let virt = st.groups.intern(GroupMeta {
             real: new_real.0,
             members,
         });
-        self.sh.log.lock().push(LoggedCall::GroupIncl {
+        st.log.push(LoggedCall::GroupIncl {
             group: group.0,
             ranks: ranks.to_vec(),
             result: virt,
@@ -495,16 +504,17 @@ impl Mpi for ManaMpi {
     }
 
     fn group_free(&self, group: GroupHandle) {
-        let real_g = GroupHandle(self.sh.groups.lock().remove(group.0).real);
+        let real_g = GroupHandle(self.sh.state.lock().groups.remove(group.0).real);
         self.lower.group_free(real_g);
         self.sh
-            .log
+            .state
             .lock()
+            .log
             .push(LoggedCall::GroupFree { group: group.0 });
     }
 
     fn group_members(&self, group: GroupHandle) -> Vec<Rank> {
-        self.sh.groups.lock().get(group.0).members.clone()
+        self.sh.state.lock().groups.get(group.0).members.clone()
     }
 
     fn cart_create(
@@ -519,14 +529,15 @@ impl Mpi for ManaMpi {
         let new_real = self.two_phase(t, comm.0, |real| {
             self.lower.cart_create(t, real, dims, periodic, reorder)
         });
+        let mut st = self.sh.state.lock();
         let virt = register_comm(
-            &self.sh,
+            &mut st,
             new_real.0,
-            meta.members.clone(),
+            meta.members,
             dims.into(),
             periodic.into(),
         );
-        self.sh.log.lock().push(LoggedCall::CartCreate {
+        st.log.push(LoggedCall::CartCreate {
             parent: comm.0,
             dims: dims.to_vec(),
             periodic: periodic.to_vec(),
@@ -541,24 +552,23 @@ impl Mpi for ManaMpi {
     }
 
     fn type_base(&self, base: BaseType) -> DtypeHandle {
-        if let Some(v) = self.sh.dtype_base_cache.lock().get(&base) {
+        if let Some(v) = self.sh.state.lock().dtype_base_cache.get(&base) {
             return DtypeHandle(*v);
         }
         let real = self.lower.type_base(base);
-        let virt = self.sh.dtypes.lock().intern(real.0);
-        self.sh.dtype_base_cache.lock().insert(base, virt);
-        self.sh
-            .log
-            .lock()
-            .push(LoggedCall::TypeBase { base, result: virt });
+        let mut st = self.sh.state.lock();
+        let virt = st.dtypes.intern(real.0);
+        st.dtype_base_cache.insert(base, virt);
+        st.log.push(LoggedCall::TypeBase { base, result: virt });
         DtypeHandle(virt)
     }
 
     fn type_contiguous(&self, count: u32, inner: DtypeHandle) -> DtypeHandle {
-        let real_inner = DtypeHandle(*self.sh.dtypes.lock().get(inner.0));
+        let real_inner = DtypeHandle(*self.sh.state.lock().dtypes.get(inner.0));
         let real = self.lower.type_contiguous(count, real_inner);
-        let virt = self.sh.dtypes.lock().intern(real.0);
-        self.sh.log.lock().push(LoggedCall::TypeContiguous {
+        let mut st = self.sh.state.lock();
+        let virt = st.dtypes.intern(real.0);
+        st.log.push(LoggedCall::TypeContiguous {
             count,
             inner: inner.0,
             result: virt,
@@ -567,13 +577,11 @@ impl Mpi for ManaMpi {
     }
 
     fn type_free(&self, dtype: DtypeHandle) {
-        let real = DtypeHandle(self.sh.dtypes.lock().remove(dtype.0));
+        let real = DtypeHandle(self.sh.state.lock().dtypes.remove(dtype.0));
         self.lower.type_free(real);
-        self.sh
-            .log
-            .lock()
-            .push(LoggedCall::TypeFree { dtype: dtype.0 });
-        self.sh.dtype_base_cache.lock().retain(|_, v| *v != dtype.0);
+        let mut st = self.sh.state.lock();
+        st.log.push(LoggedCall::TypeFree { dtype: dtype.0 });
+        st.dtype_base_cache.retain(|_, v| *v != dtype.0);
     }
 
     fn iprobe_every(

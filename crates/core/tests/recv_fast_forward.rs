@@ -86,18 +86,11 @@ fn wrapped_recv(literal: bool, interrupt: Interrupt, after: SimDuration) -> Seen
     let quiesced_at = Arc::new(Mutex::new(None));
 
     {
-        let (job, sim2, cfg, shared, ended) = (
-            job.clone(),
-            sim.clone(),
-            cfg.clone(),
-            shared.clone(),
-            ended.clone(),
-        );
+        let (job, cfg, shared, ended) = (job.clone(), cfg.clone(), shared.clone(), ended.clone());
         sim.spawn("rank0", false, move |t| {
             let aspace = Arc::new(AddressSpace::new());
-            let sh = RankShared::new(&sim2, 0, 3, "ff", 1, aspace.clone());
+            let sh = RankShared::new(&job, 0, "ff", 1, aspace.clone());
             sh.cell.register_rank(t.id());
-            sh.cell.bind_job(job.clone());
             let lower: Arc<dyn Mpi> = Arc::from(job.init_rank(&t, 0, &aspace));
             let w = ManaMpi::fresh(sh.clone(), lower, cfg.clone());
             *shared.lock() = Some(sh);

@@ -48,7 +48,7 @@ impl TagSpec {
 }
 
 /// Completion status of a receive (the useful subset of `MPI_Status`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct Status {
     /// Sending rank (global rank translated to the communicator's group).
     pub source: Rank,
