@@ -24,19 +24,20 @@
 //! Everything — the plan, the sim, the store stack — is deterministic:
 //! the same [`ChaosHarness`] produces the same report, byte for byte.
 
-use crate::plan::{ChaosPlan, WorldShape};
+use crate::plan::{ChaosPlan, FaultKind, WorldShape};
 use mana_apps::{make_app_small, AppKind};
 use mana_core::chaos::{ChaosHandle, CrashRecord, DrainFault, FailoverRecord, RestartCrashRecord};
 use mana_core::config::TopologyKind;
 use mana_core::supervisor::{DegradedMode, RecoveryReport, RestartSupervisor, RetryPolicy};
 use mana_core::{CheckpointStore, InMemStore, JobBuilder, ManaSession, Workload};
-use mana_sim::cluster::ClusterSpec;
+use mana_sim::cluster::{ClusterSpec, Placement};
 use mana_sim::time::SimTime;
 use mana_store::{
     HealReport, JournaledStore, Maintenance, QuarantinedObject, ReplicaConfig, ReplicatedStore,
     TierConfig, TieredStore,
 };
 use parking_lot::Mutex;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -143,11 +144,17 @@ impl ChaosHarness {
         }
     }
 
-    /// The world shape plans are drawn against.
+    /// The world shape plans are drawn against. Its `nodes` counts only
+    /// the nodes block placement puts a rank on: a node with no rank has
+    /// no helper to kill and no sub-coordinator.
     pub fn shape(&self) -> WorldShape {
+        let cluster = ClusterSpec::local_cluster(self.nodes);
+        let filled: BTreeSet<u32> = (0..self.nranks)
+            .map(|r| cluster.node_of_rank(r, self.nranks, Placement::Block))
+            .collect();
         WorldShape {
             nranks: self.nranks,
-            nodes: self.nodes,
+            nodes: filled.len() as u32,
             replicas: self.replicas,
             tree: self.topology == TopologyKind::Tree,
         }
@@ -248,25 +255,7 @@ impl ChaosHarness {
         let mut report = ChaosReport {
             plan: plan.clone(),
             incarnations: 1,
-            recovery_restarts: 0,
-            attempts: 0,
-            restart_attempts: 0,
-            checkpoints: 0,
-            crashes: Vec::new(),
-            restart_crashes: Vec::new(),
-            failovers: Vec::new(),
-            torn_writes: Vec::new(),
-            drain_faults_hit: Vec::new(),
-            drains_resumed: Vec::new(),
-            drains_quarantined: Vec::new(),
-            outages_applied: Vec::new(),
-            heals: Vec::new(),
-            quarantined: Vec::new(),
-            images_scanned: 0,
-            supervisor: RecoveryReport::default(),
-            recovered: false,
-            checksums_match: false,
-            error: None,
+            ..ChaosReport::default()
         };
         let mut outages = plan.replica_outages().into_iter();
         let mut apply_outage = |report: &mut ChaosReport| {
@@ -276,99 +265,67 @@ impl ChaosHarness {
             }
         };
 
-        let total = plan.total_attempts();
-        apply_outage(&mut report);
-        let mut current = match session.run(
-            self.job()
-                .ckpt_dir("chaos")
-                .chaos(handle.clone())
-                .checkpoint_times(schedule(wall, app_wall, ckpt_cost, total)),
-            app.clone(),
-        ) {
-            Ok(inc) => inc,
-            Err(e) => {
-                report.error = Some(format!("launch failed: {e}"));
-                return self.finish(report, &handle, &*heal, &heal_log, &sup, &ref_sums, None);
-            }
-        };
-
         // Phase 3: crash → heal → supervised restart, until an
         // incarnation survives. Each crashing incarnation consumes at
         // least one attempt, so the chain needs at most one incarnation
         // per crash fault (the cap is a safety net against driver bugs,
-        // not a tuning knob).
+        // not a tuning knob). The chain ends in the survivor's final
+        // checksums, or in the failure that stopped it.
+        let total = plan.total_attempts();
         let cap = 2 * plan.faults.len() as u64 + 4;
-        while current.killed() {
-            if report.incarnations >= cap {
-                report.error = Some(format!("chain did not converge within {cap} incarnations"));
-                return self.finish(report, &handle, &*heal, &heal_log, &sup, &ref_sums, None);
-            }
-            sup.note_degraded(heal());
+        let chain = (|| -> Result<BTreeMap<u32, u64>, String> {
             apply_outage(&mut report);
-
-            // Probe: restart with no checkpoint schedule to learn the
-            // resumed incarnation's application window (no schedule means
-            // no checkpoint attempts — though restart-phase faults can
-            // and do strike the probe, and the supervisor retries them).
-            // If nothing is left to schedule, the probe *is* the
-            // surviving run.
-            let probe = match sup.recover(&current, JobBuilder::new()) {
-                Ok(p) => p,
-                Err(e) => {
-                    report.error = Some(format!("recovery restart failed: {e}"));
-                    return self.finish(report, &handle, &*heal, &heal_log, &sup, &ref_sums, None);
+            let mut current = session
+                .run(
+                    self.job()
+                        .ckpt_dir("chaos")
+                        .chaos(handle.clone())
+                        .checkpoint_times(schedule(wall, app_wall, ckpt_cost, total)),
+                    app.clone(),
+                )
+                .map_err(|e| format!("launch failed: {e}"))?;
+            while current.killed() {
+                if report.incarnations >= cap {
+                    return Err(format!("chain did not converge within {cap} incarnations"));
                 }
-            };
-            report.recovery_restarts += 1;
-            let remaining = total.saturating_sub(handle.attempts_seen());
-            if remaining == 0 {
+                sup.note_degraded(heal());
+                apply_outage(&mut report);
+
+                // Probe: restart with no checkpoint schedule to learn the
+                // resumed incarnation's application window (no schedule
+                // means no checkpoint attempts — though restart-phase
+                // faults can and do strike the probe, and the supervisor
+                // retries them). If nothing is left to schedule, the probe
+                // *is* the surviving run.
+                let probe = sup
+                    .recover(&current, JobBuilder::new())
+                    .map_err(|e| format!("recovery restart failed: {e}"))?;
+                report.recovery_restarts += 1;
+                let remaining = total.saturating_sub(handle.attempts_seen());
+                if remaining == 0 {
+                    report.incarnations += 1;
+                    current = probe;
+                    continue;
+                }
+                let (pw, paw) = (
+                    probe.outcome().wall.as_nanos(),
+                    probe.outcome().app_wall.as_nanos(),
+                );
+                current = sup
+                    .recover(
+                        &current,
+                        JobBuilder::new().checkpoint_times(schedule(pw, paw, ckpt_cost, remaining)),
+                    )
+                    .map_err(|e| format!("recovery restart failed: {e}"))?;
+                report.recovery_restarts += 1;
                 report.incarnations += 1;
-                current = probe;
-                continue;
             }
-            let (pw, paw) = (
-                probe.outcome().wall.as_nanos(),
-                probe.outcome().app_wall.as_nanos(),
-            );
-            current = match sup.recover(
-                &current,
-                JobBuilder::new().checkpoint_times(schedule(pw, paw, ckpt_cost, remaining)),
-            ) {
-                Ok(inc) => inc,
-                Err(e) => {
-                    report.error = Some(format!("recovery restart failed: {e}"));
-                    return self.finish(report, &handle, &*heal, &heal_log, &sup, &ref_sums, None);
-                }
-            };
-            report.recovery_restarts += 1;
-            report.incarnations += 1;
-        }
+            report.recovered = true;
+            report.checkpoints = session.checkpoints().len();
+            Ok(current.checksums().clone())
+        })();
+        let final_sums = chain.map_err(|e| report.error = Some(e)).ok();
 
-        report.recovered = true;
-        report.checkpoints = session.checkpoints().len();
-        let final_sums = current.checksums().clone();
-        self.finish(
-            report,
-            &handle,
-            &*heal,
-            &heal_log,
-            &sup,
-            &ref_sums,
-            Some(final_sums),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        mut report: ChaosReport,
-        handle: &ChaosHandle,
-        heal: &Heal,
-        heal_log: &Mutex<Maintenance>,
-        sup: &RestartSupervisor,
-        ref_sums: &std::collections::BTreeMap<u32, u64>,
-        final_sums: Option<std::collections::BTreeMap<u32, u64>>,
-    ) -> ChaosReport {
         heal();
         let log = std::mem::take(&mut *heal_log.lock());
         report.heals = log.heals;
@@ -376,15 +333,16 @@ impl ChaosHarness {
         report.images_scanned = log.scanned;
         report.drains_resumed = log.drains_resumed;
         report.drains_quarantined = log.drains_quarantined;
+        let chaos = handle.log();
         report.attempts = handle.attempts_seen();
-        report.restart_attempts = handle.restart_attempts_seen();
-        report.crashes = handle.crash_history();
-        report.restart_crashes = handle.restart_crash_history();
-        report.failovers = handle.failovers();
-        report.torn_writes = handle.torn_writes();
-        report.drain_faults_hit = handle.drain_faults();
+        report.restart_attempts = chaos.restart_attempts;
+        report.crashes = chaos.crashes;
+        report.restart_crashes = chaos.restart_crashes;
+        report.failovers = chaos.failovers;
+        report.torn_writes = chaos.torn_writes;
+        report.drain_faults_hit = chaos.drain_faults;
         report.supervisor = sup.report().clone();
-        report.checksums_match = final_sums.as_ref() == Some(ref_sums);
+        report.checksums_match = final_sums == Some(ref_sums);
         report
     }
 }
@@ -406,7 +364,7 @@ fn schedule(wall: u64, app_wall: u64, ckpt_cost: u64, n: u64) -> Vec<SimTime> {
 }
 
 /// What a chaos chain went through and how it ended.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ChaosReport {
     /// The fault plan that drove the chain.
     pub plan: ChaosPlan,
@@ -469,6 +427,48 @@ impl ChaosReport {
     pub fn image_fallbacks(&self) -> usize {
         self.supervisor.images_skipped.len()
     }
+
+    /// The planned faults that never fired, each as the plan prints it. A
+    /// checkpoint-phase, drain or restart-phase fault is unfired when the
+    /// report holds no record of its class at its attempt. Outages are
+    /// applied in plan order, so the planned ones past
+    /// [`ChaosReport::outages_applied`] are unfired.
+    pub fn unfired(&self) -> Vec<String> {
+        let mut outages = 0;
+        let mut unfired = Vec::new();
+        for pf in &self.plan.faults {
+            let fired = match pf.kind {
+                FaultKind::KillSubCoord { .. } => {
+                    self.failovers.iter().any(|f| f.attempt == pf.attempt)
+                }
+                FaultKind::ReplicaOutage { .. } => {
+                    outages += 1;
+                    outages <= self.outages_applied.len()
+                }
+                // Every other kind gang-crashes the job.
+                _ => self.crashes.iter().any(|c| c.attempt == pf.attempt),
+            };
+            if !fired {
+                unfired.push(format!("attempt {:>3}: {}", pf.attempt, pf.kind));
+            }
+        }
+        for df in &self.plan.drain_faults {
+            if !self.drain_faults_hit.iter().any(|(a, ..)| *a == df.attempt) {
+                unfired.push(format!("attempt {:>3}: {df}", df.attempt));
+            }
+        }
+        for rf in &self.plan.restart_faults {
+            let key = rf.restart_attempt;
+            if !self
+                .restart_crashes
+                .iter()
+                .any(|r| r.restart_attempt == key)
+            {
+                unfired.push(format!("restart {key:>3}: {rf}"));
+            }
+        }
+        unfired
+    }
 }
 
 impl fmt::Display for ChaosReport {
@@ -530,6 +530,9 @@ impl fmt::Display for ChaosReport {
         }
         for q in &self.quarantined {
             writeln!(f, "  quarantined: {} ({})", q.path, q.why)?;
+        }
+        for u in self.unfired() {
+            writeln!(f, "  unfired: {u}")?;
         }
         write!(f, "{}", self.supervisor)?;
         if let Some(e) = &self.error {

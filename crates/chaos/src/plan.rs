@@ -22,7 +22,7 @@ use std::fmt;
 /// nodes the job has, how many store replicas back it, and whether the
 /// control plane is the per-node tree (the only topology with
 /// sub-coordinators to kill).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct WorldShape {
     /// World size.
     pub nranks: u32,
@@ -161,7 +161,7 @@ impl fmt::Display for PlannedDrainFault {
 }
 
 /// A deterministic, seed-derived schedule of faults.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ChaosPlan {
     /// Seed the plan was drawn from.
     pub seed: u64,

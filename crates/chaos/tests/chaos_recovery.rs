@@ -310,3 +310,71 @@ fn drain_faults_resume_or_fall_back_and_the_chain_heals() {
         "the torn drain must be resumed from the burst tier:\n{report}"
     );
 }
+
+/// A report names the planned faults its chain never reached. Seed 1004
+/// of the `chaos_mix_30` mix (3 faults, 2 restart kills, 2 drain faults)
+/// begins 3 of its 9 planned attempts, so three checkpoint faults and
+/// the burst-tier loss never fire — yet the chain heals. The seed is the
+/// point of the test: a schedule fix changes this list, a re-seed must
+/// not hide it.
+#[test]
+fn a_report_names_the_faults_its_chain_never_fired() {
+    let mut h = ChaosHarness::new(1004, 3);
+    h.restart_faults = 2;
+    h.drain_faults = 2;
+    let report = h.run();
+    assert!(report.healed(), "{report}");
+    assert_eq!(report.attempts, 3);
+    assert_eq!(
+        report.unfired(),
+        [
+            "attempt   3: kill-rank 1 @ bookmark",
+            "attempt   5: kill-rank 0 @ agreement",
+            "attempt   7: torn-put rank 2 (keep 0.27)",
+            "attempt   5: drain-lost (burst tier dies)",
+        ]
+    );
+    assert!(format!("{report}").contains("  unfired: attempt   5: drain-lost"));
+
+    // With no application steps no checkpoint attempt begins: every
+    // in-sim fault is unfired, and only a driver-side outage can apply.
+    let mut idle = ChaosHarness::new(1004, 3);
+    idle.steps = 0;
+    let report = idle.run();
+    assert_eq!(report.attempts, 0);
+    assert_eq!(
+        report.unfired().len() + report.outages_applied.len(),
+        report.plan.faults.len()
+    );
+}
+
+/// Plans draw node faults only against nodes that hold a rank: block
+/// placement leaves the tail nodes of a small job empty, and a node with
+/// no rank has no helper to kill and no sub-coordinator to fail over.
+#[test]
+fn plans_never_target_an_empty_node() {
+    use mana_sim::cluster::{ClusterSpec, Placement};
+    for (nranks, nodes, filled) in [(2, 4, 2), (5, 4, 3)] {
+        let cluster = ClusterSpec::local_cluster(nodes);
+        for seed in 0..32 {
+            let mut h = ChaosHarness::new(seed, 8);
+            h.nranks = nranks;
+            h.nodes = nodes;
+            let shape = h.shape();
+            assert_eq!(shape.nodes, filled, "{nranks} ranks on {nodes} nodes");
+            for r in 0..nranks {
+                assert_eq!(
+                    shape.node_of(r),
+                    cluster.node_of_rank(r, nranks, Placement::Block),
+                    "rank {r} of {nranks}"
+                );
+            }
+            for f in ChaosPlan::generate(seed, 8, shape).faults {
+                if let FaultKind::KillNode { node, .. } | FaultKind::KillSubCoord { node } = f.kind
+                {
+                    assert!(node < filled, "seed {seed}: {} on {nranks}/{nodes}", f.kind);
+                }
+            }
+        }
+    }
+}

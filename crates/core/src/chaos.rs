@@ -127,7 +127,10 @@ pub trait FaultInjector: Send + Sync {
     /// Fault (if any) for `rank` at `point` during checkpoint attempt
     /// `attempt`. Polled on every pass through the point, so the decision
     /// must be stable for a given `(attempt, rank, point)`.
-    fn rank_fault(&self, attempt: u64, rank: u32, point: InjectPoint) -> Option<RankFault>;
+    fn rank_fault(&self, attempt: u64, rank: u32, point: InjectPoint) -> Option<RankFault> {
+        let _ = (attempt, rank, point);
+        None
+    }
 
     /// Kill the sub-coordinator of `node` during attempt `attempt`'s
     /// agreement round? `Some(latency)` models the detection + promotion
@@ -211,58 +214,75 @@ pub struct FailoverRecord {
     pub node: u32,
 }
 
-struct ChaosState {
-    injector: Box<dyn FaultInjector>,
+/// What an armed handle injected across the whole chain, as
+/// [`ChaosHandle::log`] returns it. Every list is in injection order.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ChaosLog {
+    /// Restart attempts the chain has begun.
+    pub restart_attempts: u64,
+    /// Every checkpoint-phase gang-crash.
+    pub crashes: Vec<CrashRecord>,
+    /// Every restart-phase crash.
+    pub restart_crashes: Vec<RestartCrashRecord>,
+    /// Every sub-coordinator failover (healed in-flight).
+    pub failovers: Vec<FailoverRecord>,
+    /// Paths whose writes a store layer actually tore.
+    pub torn_writes: Vec<String>,
+    /// Drains a tiered store actually interrupted: `(checkpoint attempt,
+    /// path, fault)`.
+    pub drain_faults: Vec<(u64, String, DrainFault)>,
+}
+
+type Kill = Box<dyn Fn() + Send + Sync>;
+
+/// Everything an armed handle tracks: the gates of the current
+/// incarnation and restart attempt, and the chain-wide attempt numbering
+/// and log.
+#[derive(Default)]
+struct Chain {
     /// ckpt_id → attempt number, assigned in first-poll order. Checkpoint
     /// ids are chain-monotonic, so first-poll order is id order.
-    attempts: Mutex<BTreeMap<u64, u64>>,
+    attempts: BTreeMap<u64, u64>,
     /// One kill thunk per registered rank of the *current* incarnation.
-    kills: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
-    /// The current incarnation's crash, if one fired. Gates further
-    /// injection: a dead job cannot fault twice.
-    crashed: Mutex<Option<CrashRecord>>,
+    kills: Vec<Kill>,
+    /// Whether the current incarnation crashed. Gates further injection:
+    /// a dead job cannot fault twice.
+    crashed: bool,
     /// Torn-put follow-up: crash this `(ckpt_id, rank)` at Publish.
-    pending_publish_crash: Mutex<Option<(u64, u32)>>,
+    pending_publish_crash: Option<(u64, u32)>,
     /// Paths whose next `put` should be torn, with the keep fraction.
-    armed_torn: Mutex<BTreeMap<String, f64>>,
-    /// Paths a journal actually tore (for reports and tests).
-    torn_written: Mutex<Vec<String>>,
-    /// Every crash across the whole chain.
-    crash_history: Mutex<Vec<CrashRecord>>,
-    /// Every sub-coordinator failover across the whole chain.
-    failovers: Mutex<Vec<FailoverRecord>>,
+    armed_torn: BTreeMap<String, f64>,
     /// (attempt, node) pairs that already failed over — a sub-coordinator
     /// is polled once per agreement iteration, but dies at most once per
     /// attempt.
-    failed_over: Mutex<BTreeSet<(u64, u32)>>,
-    /// Number of restart attempts the chain has begun (monotonic).
-    restart_attempts: Mutex<u64>,
-    /// The current restart attempt's injected crash, if one fired. Gates
-    /// further restart injection until the next `begin_restart`.
-    restart_crashed: Mutex<Option<RestartCrashRecord>>,
-    /// Every restart-phase crash across the whole chain.
-    restart_history: Mutex<Vec<RestartCrashRecord>>,
+    failed_over: BTreeSet<(u64, u32)>,
+    /// Whether the current restart attempt crashed. Gates further restart
+    /// injection until the next `begin_restart`.
+    restart_crashed: bool,
     /// Checkpoint attempts whose drain fault already fired (one-shot).
-    drain_fired: Mutex<BTreeSet<u64>>,
-    /// Drains a tiered store actually interrupted: (attempt, path, fault).
-    drain_history: Mutex<Vec<(u64, String, DrainFault)>>,
+    drain_fired: BTreeSet<u64>,
+    log: ChaosLog,
 }
 
-impl ChaosState {
-    fn attempt_of(&self, ckpt_id: u64) -> u64 {
-        let mut m = self.attempts.lock();
-        let next = m.len() as u64;
-        *m.entry(ckpt_id).or_insert(next)
+impl Chain {
+    fn attempt_of(&mut self, ckpt_id: u64) -> u64 {
+        let next = self.attempts.len() as u64;
+        *self.attempts.entry(ckpt_id).or_insert(next)
     }
 
-    fn crash_now(&self, rec: CrashRecord) {
-        *self.crashed.lock() = Some(rec.clone());
-        self.crash_history.lock().push(rec);
-        // Gang failure: every registered rank dies at this instant.
-        for kill in self.kills.lock().iter() {
-            kill();
-        }
+    /// Close the crash gate and record `rec`. Returns the incarnation's
+    /// kill thunks, which the caller fires once the lock is released.
+    fn crash(&mut self, rec: CrashRecord) -> Vec<Kill> {
+        self.crashed = true;
+        self.log.crashes.push(rec);
+        std::mem::take(&mut self.kills)
     }
+}
+
+struct ChaosState {
+    /// Pure, so it is polled without the lock's help.
+    injector: Box<dyn FaultInjector>,
+    chain: Mutex<Chain>,
 }
 
 /// A cloneable, config-embeddable handle to a chaos run. Default (and
@@ -288,27 +308,9 @@ impl ChaosHandle {
         ChaosHandle {
             inner: Some(Arc::new(ChaosState {
                 injector: Box::new(injector),
-                attempts: Mutex::new(BTreeMap::new()),
-                kills: Mutex::new(Vec::new()),
-                crashed: Mutex::new(None),
-                pending_publish_crash: Mutex::new(None),
-                armed_torn: Mutex::new(BTreeMap::new()),
-                torn_written: Mutex::new(Vec::new()),
-                crash_history: Mutex::new(Vec::new()),
-                failovers: Mutex::new(Vec::new()),
-                failed_over: Mutex::new(BTreeSet::new()),
-                restart_attempts: Mutex::new(0),
-                restart_crashed: Mutex::new(None),
-                restart_history: Mutex::new(Vec::new()),
-                drain_fired: Mutex::new(BTreeSet::new()),
-                drain_history: Mutex::new(Vec::new()),
+                chain: Mutex::default(),
             })),
         }
-    }
-
-    /// Whether this handle carries an injector at all.
-    pub fn armed(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Reset per-incarnation state. Engines call this before booting a
@@ -317,10 +319,11 @@ impl ChaosHandle {
     /// and fault history persist — they are chain-wide.
     pub fn begin_incarnation(&self) {
         if let Some(st) = &self.inner {
-            st.kills.lock().clear();
-            *st.crashed.lock() = None;
-            *st.pending_publish_crash.lock() = None;
-            st.armed_torn.lock().clear();
+            let mut chain = st.chain.lock();
+            chain.kills.clear();
+            chain.crashed = false;
+            chain.pending_publish_crash = None;
+            chain.armed_torn.clear();
         }
     }
 
@@ -329,7 +332,7 @@ impl ChaosHandle {
     /// `kill = true`, which aborts the MPI job and wakes the rank.
     pub fn register_kill(&self, kill: impl Fn() + Send + Sync + 'static) {
         if let Some(st) = &self.inner {
-            st.kills.lock().push(Box::new(kill));
+            st.chain.lock().kills.push(Box::new(kill));
         }
     }
 
@@ -346,46 +349,42 @@ impl ChaosHandle {
         path: Option<&str>,
     ) -> bool {
         let Some(st) = &self.inner else { return false };
-        let attempt = st.attempt_of(ckpt_id);
-        if st.crashed.lock().is_some() {
+        let mut chain = st.chain.lock();
+        let attempt = chain.attempt_of(ckpt_id);
+        if chain.crashed {
             return false;
         }
-        match st.injector.rank_fault(attempt, rank, point) {
-            Some(RankFault::Crash) => {
-                st.crash_now(CrashRecord {
-                    attempt,
-                    ckpt_id,
-                    rank,
-                    point,
-                });
-                true
-            }
+        let rec = CrashRecord {
+            attempt,
+            ckpt_id,
+            rank,
+            point,
+        };
+        let kills = match st.injector.rank_fault(attempt, rank, point) {
+            Some(RankFault::Crash) => chain.crash(rec),
             Some(RankFault::TornWrite { keep_frac }) => {
                 if let Some(p) = path {
-                    st.armed_torn.lock().insert(p.to_string(), keep_frac);
-                    *st.pending_publish_crash.lock() = Some((ckpt_id, rank));
+                    chain.armed_torn.insert(p.to_string(), keep_frac);
+                    chain.pending_publish_crash = Some((ckpt_id, rank));
                 }
-                false
+                return false;
             }
-            None => {
-                // A torn put is a two-beat fault: the Encode poll armed the
-                // tear, the put wrote a partial envelope, and now the
-                // writer dies before it can report CkptDone.
-                if point == InjectPoint::Publish
-                    && *st.pending_publish_crash.lock() == Some((ckpt_id, rank))
-                {
-                    st.crash_now(CrashRecord {
-                        attempt,
-                        ckpt_id,
-                        rank,
-                        point,
-                    });
-                    true
-                } else {
-                    false
-                }
+            // A torn put is a two-beat fault: the Encode poll armed the
+            // tear, the put wrote a partial envelope, and now the writer
+            // dies before it can report CkptDone.
+            None if point == InjectPoint::Publish
+                && chain.pending_publish_crash == Some((ckpt_id, rank)) =>
+            {
+                chain.crash(rec)
             }
+            None => return false,
+        };
+        drop(chain);
+        // Gang failure: every registered rank dies at this instant.
+        for kill in kills {
+            kill();
         }
+        true
     }
 
     /// Poll for a sub-coordinator death on `node` during `ckpt_id`'s
@@ -393,15 +392,16 @@ impl ChaosHandle {
     /// the modeled detection + promotion latency when it does.
     pub fn subcoord_point(&self, ckpt_id: u64, node: u32) -> Option<SimDuration> {
         let st = self.inner.as_ref()?;
-        let attempt = st.attempt_of(ckpt_id);
-        if st.crashed.lock().is_some() {
+        let mut chain = st.chain.lock();
+        let attempt = chain.attempt_of(ckpt_id);
+        if chain.crashed {
             return None;
         }
         let latency = st.injector.subcoord_fault(attempt, node)?;
-        if !st.failed_over.lock().insert((attempt, node)) {
+        if !chain.failed_over.insert((attempt, node)) {
             return None;
         }
-        st.failovers.lock().push(FailoverRecord {
+        chain.log.failovers.push(FailoverRecord {
             attempt,
             ckpt_id,
             node,
@@ -409,54 +409,21 @@ impl ChaosHandle {
         Some(latency)
     }
 
-    /// Consume a torn-write arming for `path`, if one is pending. Called
-    /// by crash-consistent store wrappers at `put` time; returns the keep
-    /// fraction to apply.
+    /// Consume a torn-write arming for `path`, if one is pending, and log
+    /// the tear. Called by crash-consistent store wrappers at `put` time,
+    /// which then tear the write; returns the keep fraction to apply.
     pub fn take_torn(&self, path: &str) -> Option<f64> {
-        self.inner.as_ref()?.armed_torn.lock().remove(path)
-    }
-
-    /// Record that a store layer actually tore the write at `path`.
-    pub fn note_torn_write(&self, path: &str) {
-        if let Some(st) = &self.inner {
-            st.torn_written.lock().push(path.to_string());
-        }
-    }
-
-    /// The current incarnation's crash, if one fired.
-    pub fn crash(&self) -> Option<CrashRecord> {
-        self.inner.as_ref()?.crashed.lock().clone()
-    }
-
-    /// Every crash injected across the chain so far.
-    pub fn crash_history(&self) -> Vec<CrashRecord> {
-        self.inner
-            .as_ref()
-            .map(|st| st.crash_history.lock().clone())
-            .unwrap_or_default()
-    }
-
-    /// Every sub-coordinator failover injected (and healed) so far.
-    pub fn failovers(&self) -> Vec<FailoverRecord> {
-        self.inner
-            .as_ref()
-            .map(|st| st.failovers.lock().clone())
-            .unwrap_or_default()
-    }
-
-    /// Paths whose writes were actually torn by a store layer.
-    pub fn torn_writes(&self) -> Vec<String> {
-        self.inner
-            .as_ref()
-            .map(|st| st.torn_written.lock().clone())
-            .unwrap_or_default()
+        let mut chain = self.inner.as_ref()?.chain.lock();
+        let keep_frac = chain.armed_torn.remove(path)?;
+        chain.log.torn_writes.push(path.to_string());
+        Some(keep_frac)
     }
 
     /// Number of distinct checkpoint attempts the chain has started.
     pub fn attempts_seen(&self) -> u64 {
         self.inner
             .as_ref()
-            .map(|st| st.attempts.lock().len() as u64)
+            .map(|st| st.chain.lock().attempts.len() as u64)
             .unwrap_or(0)
     }
 
@@ -466,11 +433,10 @@ impl ChaosHandle {
     /// Returns the 0-based attempt number just begun.
     pub fn begin_restart(&self) -> u64 {
         let Some(st) = &self.inner else { return 0 };
-        let mut n = st.restart_attempts.lock();
-        let attempt = *n;
-        *n += 1;
-        *st.restart_crashed.lock() = None;
-        attempt
+        let mut chain = st.chain.lock();
+        chain.restart_crashed = false;
+        chain.log.restart_attempts += 1;
+        chain.log.restart_attempts - 1
     }
 
     /// Poll a restart-pipeline injection point for `rank`. Returns `true`
@@ -480,43 +446,18 @@ impl ChaosHandle {
     /// the next attempt). At most one restart crash fires per attempt.
     pub fn restart_point(&self, rank: u32, point: RestartPoint) -> bool {
         let Some(st) = &self.inner else { return false };
-        let restart_attempt = st.restart_attempts.lock().saturating_sub(1);
-        let mut crashed = st.restart_crashed.lock();
-        if crashed.is_some() {
+        let mut chain = st.chain.lock();
+        let restart_attempt = chain.log.restart_attempts.saturating_sub(1);
+        if chain.restart_crashed || !st.injector.restart_fault(restart_attempt, rank, point) {
             return false;
         }
-        if !st.injector.restart_fault(restart_attempt, rank, point) {
-            return false;
-        }
-        let rec = RestartCrashRecord {
+        chain.restart_crashed = true;
+        chain.log.restart_crashes.push(RestartCrashRecord {
             restart_attempt,
             rank,
             point,
-        };
-        *crashed = Some(rec.clone());
-        st.restart_history.lock().push(rec);
+        });
         true
-    }
-
-    /// Number of restart attempts the chain has begun.
-    pub fn restart_attempts_seen(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|st| *st.restart_attempts.lock())
-            .unwrap_or(0)
-    }
-
-    /// The current restart attempt's injected crash, if one fired.
-    pub fn restart_crash(&self) -> Option<RestartCrashRecord> {
-        self.inner.as_ref()?.restart_crashed.lock().clone()
-    }
-
-    /// Every restart-phase crash injected across the chain so far.
-    pub fn restart_crash_history(&self) -> Vec<RestartCrashRecord> {
-        self.inner
-            .as_ref()
-            .map(|st| st.restart_history.lock().clone())
-            .unwrap_or_default()
     }
 
     /// Poll for a drain fault at the start of checkpoint attempt
@@ -526,7 +467,7 @@ impl ChaosHandle {
     pub fn take_drain_fault(&self, attempt: u64) -> Option<DrainFault> {
         let st = self.inner.as_ref()?;
         let fault = st.injector.drain_fault(attempt)?;
-        st.drain_fired.lock().insert(attempt).then_some(fault)
+        st.chain.lock().drain_fired.insert(attempt).then_some(fault)
     }
 
     /// Arm a torn write for `path` directly (no Encode poll involved):
@@ -535,25 +476,31 @@ impl ChaosHandle {
     /// slow-tier write dies mid-flight.
     pub fn arm_torn(&self, path: &str, keep_frac: f64) {
         if let Some(st) = &self.inner {
-            st.armed_torn.lock().insert(path.to_string(), keep_frac);
+            st.chain
+                .lock()
+                .armed_torn
+                .insert(path.to_string(), keep_frac);
         }
     }
 
     /// Record that a tiered store actually interrupted a drain.
     pub fn note_drain_fault(&self, attempt: u64, path: &str, fault: DrainFault) {
         if let Some(st) = &self.inner {
-            st.drain_history
+            st.chain
                 .lock()
+                .log
+                .drain_faults
                 .push((attempt, path.to_string(), fault));
         }
     }
 
-    /// Every drain interruption a store layer recorded, as
-    /// `(checkpoint attempt, path, fault)`.
-    pub fn drain_faults(&self) -> Vec<(u64, String, DrainFault)> {
+    /// The chain's history so far (empty for an unarmed handle). It
+    /// survives [`ChaosHandle::begin_incarnation`] and
+    /// [`ChaosHandle::begin_restart`], which reset only the gates.
+    pub fn log(&self) -> ChaosLog {
         self.inner
             .as_ref()
-            .map(|st| st.drain_history.lock().clone())
+            .map(|st| st.chain.lock().log.clone())
             .unwrap_or_default()
     }
 }
@@ -579,11 +526,12 @@ mod tests {
     #[test]
     fn unarmed_handle_is_inert() {
         let h = ChaosHandle::default();
-        assert!(!h.armed());
+        assert_eq!(format!("{h:?}"), "ChaosHandle { armed: false }");
         assert!(!h.rank_point(0, 0, InjectPoint::Agreement, None));
         assert!(h.subcoord_point(0, 0).is_none());
         assert_eq!(h.attempts_seen(), 0);
         h.begin_incarnation(); // no-op, must not panic
+        assert_eq!(h.log(), ChaosLog::default());
     }
 
     #[test]
@@ -608,11 +556,10 @@ mod tests {
         assert_eq!(killed.load(Ordering::SeqCst), 4, "gang failure kills all");
         // The dead job cannot fault again...
         assert!(!h.rank_point(11, 2, InjectPoint::Drain, None));
-        let rec = h.crash().expect("crash recorded");
+        let rec = &h.log().crashes[0];
         assert_eq!((rec.attempt, rec.rank), (1, 2));
-        // ...until the next incarnation resets the gate (and the thunks).
+        // ...and the next incarnation clears the thunks.
         h.begin_incarnation();
-        assert!(h.crash().is_none());
         // Ckpt 12 is attempt 2 — past the injector's schedule, no fault.
         assert!(!h.rank_point(12, 2, InjectPoint::Drain, None));
         assert_eq!(
@@ -652,7 +599,7 @@ mod tests {
         // Another rank publishing is untouched; the torn writer dies.
         assert!(!h.rank_point(5, 0, InjectPoint::Publish, None));
         assert!(h.rank_point(5, 1, InjectPoint::Publish, None));
-        assert_eq!(h.crash().unwrap().point, InjectPoint::Publish);
+        assert_eq!(h.log().crashes[0].point, InjectPoint::Publish);
     }
 
     struct RestartCrashAt {
@@ -662,9 +609,6 @@ mod tests {
     }
 
     impl FaultInjector for RestartCrashAt {
-        fn rank_fault(&self, _: u64, _: u32, _: InjectPoint) -> Option<RankFault> {
-            None
-        }
         fn restart_fault(&self, restart_attempt: u64, rank: u32, point: RestartPoint) -> bool {
             restart_attempt == self.restart_attempt && rank == self.rank && point == self.point
         }
@@ -680,7 +624,7 @@ mod tests {
         // Restart attempt 0: no fault at any stage.
         assert_eq!(h.begin_restart(), 0);
         assert!(!h.restart_point(2, RestartPoint::Replay));
-        assert!(h.restart_crash().is_none());
+        assert!(h.log().restart_crashes.is_empty());
         // Restart attempt 1: rank 2 dies mid-replay, exactly once.
         assert_eq!(h.begin_restart(), 1);
         assert!(!h.restart_point(2, RestartPoint::ImageRead));
@@ -690,17 +634,16 @@ mod tests {
             !h.restart_point(2, RestartPoint::Rebind),
             "a dead restart cannot fault twice"
         );
-        let rec = h.restart_crash().expect("crash recorded");
+        let rec = &h.log().restart_crashes[0];
         assert_eq!(
             (rec.restart_attempt, rec.rank, rec.point),
             (1, 2, RestartPoint::Replay)
         );
-        // Attempt 2 resets the gate and is past the schedule.
+        // Attempt 2 is past the schedule.
         assert_eq!(h.begin_restart(), 2);
-        assert!(h.restart_crash().is_none());
         assert!(!h.restart_point(2, RestartPoint::Replay));
-        assert_eq!(h.restart_crash_history().len(), 1);
-        assert_eq!(h.restart_attempts_seen(), 3);
+        assert_eq!(h.log().restart_crashes.len(), 1);
+        assert_eq!(h.log().restart_attempts, 3);
     }
 
     #[test]
@@ -708,18 +651,14 @@ mod tests {
         let h = ChaosHandle::default();
         assert_eq!(h.begin_restart(), 0);
         assert!(!h.restart_point(0, RestartPoint::Resync));
-        assert_eq!(h.restart_attempts_seen(), 0);
         assert!(h.take_drain_fault(0).is_none());
         h.arm_torn("p", 0.5); // no-op, must not panic
         h.note_drain_fault(0, "p", DrainFault::LoseFast);
-        assert!(h.drain_faults().is_empty());
+        assert_eq!(h.log(), ChaosLog::default());
     }
 
     struct DrainTearAt(u64);
     impl FaultInjector for DrainTearAt {
-        fn rank_fault(&self, _: u64, _: u32, _: InjectPoint) -> Option<RankFault> {
-            None
-        }
         fn drain_fault(&self, attempt: u64) -> Option<DrainFault> {
             (attempt == self.0).then_some(DrainFault::Torn { keep_frac: 0.4 })
         }
@@ -742,6 +681,54 @@ mod tests {
         h.arm_torn("slow/obj", 0.4);
         assert_eq!(h.take_torn("slow/obj"), Some(0.4));
         h.note_drain_fault(3, "slow/obj", DrainFault::Torn { keep_frac: 0.4 });
-        assert_eq!(h.drain_faults().len(), 1);
+        assert_eq!(h.log().drain_faults.len(), 1);
+    }
+
+    /// Crashes rank 0 at every Agreement, fails node 0's sub-coordinator
+    /// over in every attempt and kills rank 1 at every restart's Replay.
+    struct Always;
+    impl FaultInjector for Always {
+        fn rank_fault(&self, _: u64, rank: u32, point: InjectPoint) -> Option<RankFault> {
+            (rank == 0 && point == InjectPoint::Agreement).then_some(RankFault::Crash)
+        }
+        fn subcoord_fault(&self, _: u64, node: u32) -> Option<SimDuration> {
+            (node == 0).then_some(SimDuration::millis(20))
+        }
+        fn restart_fault(&self, _: u64, rank: u32, point: RestartPoint) -> bool {
+            rank == 1 && point == RestartPoint::Replay
+        }
+    }
+
+    #[test]
+    fn the_log_outlives_both_gates_and_the_gates_reset() {
+        let h = ChaosHandle::new(Always);
+        for round in 1..=2u64 {
+            // Round 2 opens a new incarnation and a new restart attempt:
+            // both gates reopen, and round 1's history stays.
+            h.begin_incarnation();
+            assert_eq!(h.begin_restart(), round - 1);
+            assert!(h.subcoord_point(round, 0).is_some());
+            assert!(h.rank_point(round, 0, InjectPoint::Agreement, None));
+            assert!(!h.rank_point(round, 0, InjectPoint::Agreement, None));
+            assert!(h.restart_point(1, RestartPoint::Replay));
+            assert!(!h.restart_point(1, RestartPoint::Replay));
+            h.arm_torn("t", 0.5);
+            assert_eq!(h.take_torn("t"), Some(0.5));
+            h.note_drain_fault(round, "t", DrainFault::LoseFast);
+            let log = h.log();
+            let n = round as usize;
+            assert_eq!(
+                (
+                    log.crashes.len(),
+                    log.restart_crashes.len(),
+                    log.failovers.len(),
+                    log.torn_writes.len(),
+                    log.drain_faults.len(),
+                    log.restart_attempts,
+                ),
+                (n, n, n, n, n, round),
+                "round {round}"
+            );
+        }
     }
 }

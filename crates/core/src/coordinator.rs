@@ -33,7 +33,6 @@ use crate::stats::CkptReport;
 use crate::store::CheckpointStore;
 use crate::topology::CoordTopology;
 use mana_sim::sched::SimThread;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Everything the coordinator daemon needs.
@@ -42,15 +41,14 @@ pub struct CoordCtx {
     pub topo: Arc<dyn CoordTopology>,
     /// Configuration (checkpoint schedule, costs).
     pub cfg: ManaConfig,
-    /// Where each completed round's report goes.
-    pub ckpts: Arc<Mutex<Vec<CkptReport>>>,
     /// Checkpoint storage (epoch signalling for straggler decorrelation).
     pub store: Arc<dyn CheckpointStore>,
 }
 
 /// Coordinator daemon: sleeps until each scheduled checkpoint time, runs
-/// the protocol, then returns after the last checkpoint.
-pub fn run_coordinator(t: SimThread, cx: CoordCtx) {
+/// the protocol and hands each completed round's report to `report`, then
+/// returns after the last checkpoint.
+pub fn run_coordinator(t: SimThread, cx: CoordCtx, mut report: impl FnMut(CkptReport)) {
     cx.topo.attach_root(t.id());
     let times = cx.cfg.ckpt_times.clone();
     for (i, at) in times.iter().enumerate() {
@@ -59,13 +57,13 @@ pub fn run_coordinator(t: SimThread, cx: CoordCtx) {
             t.advance(*at - now);
         }
         let ckpt_id = cx.cfg.first_ckpt_id + i as u64;
-        run_checkpoint(&t, &cx, ckpt_id, cx.cfg.ends_after(ckpt_id));
+        report(run_checkpoint(&t, &cx, ckpt_id, cx.cfg.ends_after(ckpt_id)));
     }
 }
 
-/// One full checkpoint round. Public so tests and the runner can trigger
-/// checkpoints outside the scheduled list.
-pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) {
+/// One full checkpoint round; returns its report. Public so tests and the
+/// runner can trigger checkpoints outside the scheduled list.
+pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) -> CkptReport {
     let nranks = cx.topo.nranks();
     let t_begin = t.now();
     cx.store.begin_epoch();
@@ -122,7 +120,7 @@ pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) {
     let t_end = t.now();
     cx.topo.fanout(t, &|| CtrlMsg::Resume { ckpt_id, kill });
 
-    cx.ckpts.lock().push(CkptReport {
+    CkptReport {
         ckpt_id,
         t_begin,
         t_do_ckpt,
@@ -130,7 +128,7 @@ pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) {
         t_end,
         extra_iterations,
         ranks: stats,
-    });
+    }
 }
 
 /// The do-ckpt safety rule (see module docs), over the round's reduced

@@ -68,8 +68,8 @@ pub mod wrapper;
 
 pub use cell::{CkptCell, CollInstance, JobKilled, Park, Phase};
 pub use chaos::{
-    ChaosHandle, CrashRecord, DrainFault, FailoverRecord, FaultInjector, InjectPoint, RankFault,
-    RestartCrashRecord, RestartPoint,
+    ChaosHandle, ChaosLog, CrashRecord, DrainFault, FailoverRecord, FaultInjector, InjectPoint,
+    RankFault, RestartCrashRecord, RestartPoint,
 };
 pub use config::{parse_image_path, AfterCkpt, ImagePathParts, ManaConfig, TopologyKind};
 pub use ctrl::{ProtocolPhase, ProtocolViolation, StateAgg};

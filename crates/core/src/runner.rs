@@ -76,16 +76,24 @@ pub struct RunOutcome {
 }
 
 /// What a boot collects while its simulation runs: ranks push their
-/// checksums, the kill flag and the application window; the coordinator
-/// pushes its checkpoint reports.
-#[derive(Clone, Default)]
-struct Collectors {
-    checksums: Arc<Mutex<BTreeMap<u32, u64>>>,
-    killed: Arc<Mutex<bool>>,
+/// checksums, the kill flag, the application window, their restart stats
+/// and the first bring-up error; the coordinator pushes its checkpoint
+/// reports.
+#[derive(Default)]
+struct Collected {
+    checksums: BTreeMap<u32, u64>,
+    killed: bool,
     /// Earliest workload entry and latest workload exit (`app_wall`).
-    window: Arc<Mutex<(Option<SimTime>, Option<SimTime>)>>,
-    ckpts: Arc<Mutex<Vec<CkptReport>>>,
+    window: (Option<SimTime>, Option<SimTime>),
+    ckpts: Vec<CkptReport>,
+    /// Each restored rank's restart stats and the time it resumed.
+    restarts: Vec<(RankRestartStats, SimTime)>,
+    error: Option<RestartError>,
 }
+
+/// The boot's one shared [`Collected`], cloned into every rank and the
+/// coordinator.
+type Collectors = Arc<Mutex<Collected>>;
 
 /// One rank's bring-up, run on the rank's own thread: everything before
 /// its workload starts. An error fails the whole boot.
@@ -126,26 +134,27 @@ pub(crate) fn io_shape(
 fn rank_body_finish(t: &SimThread, env: &mut AppEnv, workload: &Arc<dyn Workload>, c: &Collectors) {
     let rank = env.rank();
     {
-        let mut w = c.window.lock();
+        let w = &mut c.lock().window;
         let now = t.now();
         w.0 = Some(w.0.map_or(now, |s| s.min(now)));
     }
     let result = catch_unwind(AssertUnwindSafe(|| workload.run(env)));
     {
-        let mut w = c.window.lock();
+        let w = &mut c.lock().window;
         let now = t.now();
         w.1 = Some(w.1.map_or(now, |e| e.max(now)));
     }
     match result {
         Ok(()) => {
-            c.checksums.lock().insert(rank, env.state_checksum());
+            let sum = env.state_checksum();
+            c.lock().checksums.insert(rank, sum);
             env.mpi().finalize(t);
         }
         Err(payload) => {
             if payload.downcast_ref::<JobKilled>().is_some()
                 || payload.downcast_ref::<MpiAborted>().is_some()
             {
-                *c.killed.lock() = true;
+                c.lock().killed = true;
             } else {
                 resume_unwind(payload);
             }
@@ -177,12 +186,13 @@ fn map_upper(profile: &MpiProfile, app_name: &str, rank: u32, seed: u64) -> Arc<
 /// `wire` sets up whatever runs beside the ranks and returns each rank's
 /// bring-up, in rank order. A rank whose bring-up fails records the first
 /// error and aborts the simulation; the boot returns that error. Returns
-/// the outcome and the coordinator's checkpoint reports.
+/// the outcome and the rest of what the boot collected: the
+/// coordinator's checkpoint reports and the restored ranks' stats.
 fn boot(
     spec: &ManaJobSpec,
     workload: &Arc<dyn Workload>,
     wire: impl FnOnce(&Sim, &Arc<MpiJob>, &Collectors) -> Vec<BringUp>,
-) -> Result<(RunOutcome, Vec<CkptReport>), RestartError> {
+) -> Result<(RunOutcome, Collected), RestartError> {
     install_quiet_kill_hook();
     let sim = Sim::new(SimConfig { seed: spec.seed });
     let job = MpiJob::new(
@@ -193,14 +203,13 @@ fn boot(
         spec.profile.clone(),
     );
     let c = Collectors::default();
-    let errslot: Arc<Mutex<Option<RestartError>>> = Arc::default();
     for (rank, bring_up) in wire(&sim, &job, &c).into_iter().enumerate() {
-        let (workload, c, errslot) = (workload.clone(), c.clone(), errslot.clone());
+        let (workload, c) = (workload.clone(), c.clone());
         sim.spawn(&format!("rank{rank}"), false, move |t| {
             let mut env = match bring_up(&t) {
                 Ok(env) => env,
                 Err(e) => {
-                    errslot.lock().get_or_insert(e);
+                    c.lock().error.get_or_insert(e);
                     // Unwind this rank; the scheduler tears the simulation
                     // down, the quiet hook keeps it silent, and the boot
                     // returns the recorded error.
@@ -211,25 +220,24 @@ fn boot(
         });
     }
     let ran = catch_unwind(AssertUnwindSafe(|| sim.run()));
-    if let Some(e) = errslot.lock().take() {
+    let mut got = std::mem::take(&mut *c.lock());
+    if let Some(e) = got.error.take() {
         return Err(e);
     }
     if let Err(payload) = ran {
         resume_unwind(payload);
     }
-    let window = *c.window.lock();
     let outcome = RunOutcome {
         wall: sim.now().since(SimTime::ZERO),
-        app_wall: match window {
+        app_wall: match got.window {
             (Some(s), Some(e)) => e.since(s),
             _ => SimDuration::ZERO,
         },
-        checksums: std::mem::take(&mut *c.checksums.lock()),
-        killed: *c.killed.lock(),
+        checksums: std::mem::take(&mut got.checksums),
+        killed: got.killed,
         sched: sim.sched_stats(),
     };
-    let ckpts = std::mem::take(&mut *c.ckpts.lock());
-    Ok((outcome, ckpts))
+    Ok((outcome, got))
 }
 
 /// Run `workload` natively (no MANA) — the baseline for every
@@ -274,8 +282,7 @@ pub(crate) fn boot_mana(
     // A boot is a fresh incarnation of the chain: clear the chaos seam's
     // per-incarnation state (kill thunks, crash gate).
     spec.cfg.chaos.begin_incarnation();
-    let restarts: Arc<Mutex<Vec<(RankRestartStats, SimTime)>>> = Arc::default();
-    let (outcome, ckpts) = boot(spec, &workload, |sim, job, c| {
+    let (outcome, mut got) = boot(spec, &workload, |sim, job, c| {
         // Control plane (DMTCP-style TCP, independent of the MPI fabric),
         // shaped by `spec.cfg.topology` — flat star or per-node tree.
         let ctrl = Network::<CtrlMsg>::new(sim, InterconnectKind::Tcp);
@@ -290,16 +297,17 @@ pub(crate) fn boot_mana(
         let cx = CoordCtx {
             topo: cp.topo.clone(),
             cfg: spec.cfg.clone(),
-            ckpts: c.ckpts.clone(),
             store: store.clone(),
         };
-        sim.spawn("coordinator", true, move |t| run_coordinator(t, cx));
+        let collect = c.clone();
+        sim.spawn("coordinator", true, move |t| {
+            run_coordinator(t, cx, |report| collect.lock().ckpts.push(report))
+        });
         images
             .into_iter()
             .zip(0..)
             .map(|(image, rank)| {
-                let (sim, job, spec, restarts) =
-                    (sim.clone(), job.clone(), spec.clone(), restarts.clone());
+                let (sim, job, spec, c) = (sim.clone(), job.clone(), spec.clone(), c.clone());
                 let (ctrl, store, name) = (ctrl.clone(), store.clone(), workload.name());
                 let my_ep = cp.helper_eps[rank as usize];
                 let parent_ep = cp.parent_eps[rank as usize];
@@ -316,7 +324,7 @@ pub(crate) fn boot_mana(
                         }
                         Some(image) => {
                             let (sh, lower, stats) = rank_restore(t, &job, &spec, rank, image)?;
-                            restarts.lock().push((stats, t.now()));
+                            c.lock().restarts.push((stats, t.now()));
                             let wrapper = ManaMpi::resumed(sh.clone(), lower, spec.cfg.clone());
                             (sh, wrapper)
                         }
@@ -338,13 +346,12 @@ pub(crate) fn boot_mana(
             .collect()
     })?;
     let restart_report = restart_from.map(|_| {
-        let mut ranks = std::mem::take(&mut *restarts.lock());
-        let resumed = ranks.iter().map(|(_, at)| *at).max();
-        ranks.sort_by_key(|(s, _)| s.rank);
+        let resumed = got.restarts.iter().map(|(_, at)| *at).max();
+        got.restarts.sort_by_key(|(s, _)| s.rank);
         RestartReport {
-            ranks: ranks.into_iter().map(|(s, _)| s).collect(),
+            ranks: got.restarts.into_iter().map(|(s, _)| s).collect(),
             total: resumed.unwrap_or(SimTime::ZERO).since(SimTime::ZERO),
         }
     });
-    Ok((outcome, ckpts, restart_report))
+    Ok((outcome, got.ckpts, restart_report))
 }

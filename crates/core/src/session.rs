@@ -121,18 +121,24 @@ type RestartHook = Box<dyn Fn(&RestartEvent<'_>) + Send + Sync>;
 
 struct SessionInner {
     store: Arc<dyn CheckpointStore>,
-    /// Every checkpoint report across the chain, in completion order.
-    ckpts: Mutex<Vec<CkptReport>>,
-    /// Every restart report across the chain, in completion order.
-    restarts: Mutex<Vec<RestartReport>>,
     gc: GcPolicy,
-    /// Image paths of every checkpoint the session completed, in
-    /// completion order — the unit the GC policy operates on.
-    registry: Mutex<Vec<CkptImages>>,
     on_checkpoint: Vec<CkptHook>,
     on_restart: Vec<RestartHook>,
-    next_incarnation: Mutex<u64>,
-    next_ckpt_id: Mutex<u64>,
+    chain: Mutex<Chain>,
+}
+
+/// What the session accumulates across its chain of incarnations.
+#[derive(Default)]
+struct Chain {
+    /// Every checkpoint report, in completion order.
+    ckpts: Vec<CkptReport>,
+    /// Every restart report, in completion order.
+    restarts: Vec<RestartReport>,
+    /// Image paths of every checkpoint the session completed, in
+    /// completion order — the unit the GC policy operates on.
+    registry: Vec<CkptImages>,
+    next_incarnation: u64,
+    next_ckpt_id: u64,
 }
 
 /// Owner of checkpoint storage, lifecycle hooks and statistics across a
@@ -204,14 +210,13 @@ impl SessionBuilder {
                 store: self
                     .store
                     .unwrap_or_else(|| Arc::new(FsStore::with_config(FsConfig::default()))),
-                ckpts: Mutex::new(Vec::new()),
-                restarts: Mutex::new(Vec::new()),
                 gc: self.gc,
-                registry: Mutex::new(Vec::new()),
                 on_checkpoint: self.on_checkpoint,
                 on_restart: self.on_restart,
-                next_incarnation: Mutex::new(0),
-                next_ckpt_id: Mutex::new(1),
+                chain: Mutex::new(Chain {
+                    next_ckpt_id: 1,
+                    ..Chain::default()
+                }),
             }),
         }
     }
@@ -241,12 +246,12 @@ impl ManaSession {
 
     /// All checkpoint reports across the whole chain, in completion order.
     pub fn checkpoints(&self) -> Vec<CkptReport> {
-        self.inner.ckpts.lock().clone()
+        self.inner.chain.lock().ckpts.clone()
     }
 
     /// All restart reports across the whole chain, in completion order.
     pub fn restarts(&self) -> Vec<RestartReport> {
-        self.inner.restarts.lock().clone()
+        self.inner.chain.lock().restarts.clone()
     }
 
     /// Ids of the checkpoints whose images are all still in the store —
@@ -256,10 +261,8 @@ impl ManaSession {
     /// (unless something else removed the images behind the session's
     /// back).
     pub fn surviving_checkpoints(&self) -> Vec<u64> {
-        self.inner
-            .registry
-            .lock()
-            .iter()
+        self.registered_checkpoints()
+            .into_iter()
             .filter(|c| c.paths.iter().all(|p| self.inner.store.exists(p)))
             .map(|c| c.ckpt_id)
             .collect()
@@ -269,22 +272,27 @@ impl ManaSession {
     /// order — the recovery loop's candidate list (the supervisor walks
     /// it newest-first and records why each entry is skipped).
     pub(crate) fn registered_checkpoints(&self) -> Vec<CkptImages> {
-        self.inner.registry.lock().clone()
+        self.inner.chain.lock().registry.clone()
     }
 
-    /// Record a completed checkpoint's image set and enforce the GC
-    /// policy: with `KeepLast(n)`, delete the oldest checkpoints' images
-    /// until at most `n` remain registered.
-    fn register_and_gc(&self, images: CkptImages) {
-        let mut reg = self.inner.registry.lock();
-        reg.push(images);
-        if let GcPolicy::KeepLast(n) = self.inner.gc {
-            while reg.len() > n {
-                let old = reg.remove(0);
-                for path in &old.paths {
-                    self.inner.store.remove(path);
-                }
-            }
+    /// Record a completed checkpoint's report and image set, and enforce
+    /// the GC policy: with `KeepLast(n)`, delete the oldest checkpoints'
+    /// images until at most `n` remain registered. The store is called
+    /// with the session's lock released.
+    fn register_and_gc(&self, report: &CkptReport, images: CkptImages) {
+        let expired: Vec<CkptImages> = {
+            let mut chain = self.inner.chain.lock();
+            chain.ckpts.push(report.clone());
+            chain.registry.push(images);
+            let keep = match self.inner.gc {
+                GcPolicy::KeepLast(n) => n,
+                GcPolicy::KeepAll => usize::MAX,
+            };
+            let over = chain.registry.len().saturating_sub(keep);
+            chain.registry.drain(..over).collect()
+        };
+        for path in expired.iter().flat_map(|c| &c.paths) {
+            self.inner.store.remove(path);
         }
     }
 
@@ -336,7 +344,7 @@ impl ManaSession {
     fn classify_restart_error(&self, e: RestartError) -> SessionError {
         if let RestartError::MissingImage { ckpt_id, .. } = &e {
             let surviving = self.surviving_checkpoints();
-            if !surviving.contains(ckpt_id) && !self.inner.registry.lock().is_empty() {
+            if !surviving.contains(ckpt_id) && !self.inner.chain.lock().registry.is_empty() {
                 return SessionError::CheckpointGone {
                     ckpt_id: *ckpt_id,
                     surviving,
@@ -356,19 +364,18 @@ impl ManaSession {
         restart_from: Option<u64>,
     ) -> Result<Incarnation, SessionError> {
         let index = {
-            let mut n = self.inner.next_incarnation.lock();
-            let i = *n;
-            *n += 1;
-            i
+            let mut chain = self.inner.chain.lock();
+            // Assign chain-unique checkpoint ids: incarnations share the
+            // session store (and often a checkpoint directory), so a later
+            // incarnation's images must never land on an earlier one's
+            // paths.
+            if !spec.cfg.ckpt_times.is_empty() {
+                spec.cfg.first_ckpt_id = chain.next_ckpt_id;
+                chain.next_ckpt_id += spec.cfg.ckpt_times.len() as u64;
+            }
+            chain.next_incarnation += 1;
+            chain.next_incarnation - 1
         };
-        // Assign chain-unique checkpoint ids: incarnations share the
-        // session store (and often a checkpoint directory), so a later
-        // incarnation's images must never land on an earlier one's paths.
-        if !spec.cfg.ckpt_times.is_empty() {
-            let mut next = self.inner.next_ckpt_id.lock();
-            spec.cfg.first_ckpt_id = *next;
-            *next += spec.cfg.ckpt_times.len() as u64;
-        }
         let (outcome, ckpts, restart_report) =
             boot_mana(&self.inner.store, &spec, workload.clone(), restart_from)
                 .map_err(|e| self.classify_restart_error(e))?;
@@ -380,7 +387,7 @@ impl ManaSession {
             for hook in &self.inner.on_restart {
                 hook(&event);
             }
-            self.inner.restarts.lock().push(report.clone());
+            self.inner.chain.lock().restarts.push(report.clone());
         }
         for report in &ckpts {
             let event = CkptEvent {
@@ -390,8 +397,7 @@ impl ManaSession {
             for hook in &self.inner.on_checkpoint {
                 hook(&event);
             }
-            self.inner.ckpts.lock().push(report.clone());
-            self.register_and_gc(ckpt_images(&spec, report.ckpt_id));
+            self.register_and_gc(report, ckpt_images(&spec, report.ckpt_id));
         }
         Ok(Incarnation {
             session: self.clone(),

@@ -97,10 +97,15 @@ pub struct IoShape {
 /// The shared parallel filesystem.
 pub struct ParallelFs {
     cfg: FsConfig,
-    files: Mutex<HashMap<String, StoredFile>>,
+    state: Mutex<FsState>,
+}
+
+#[derive(Default)]
+struct FsState {
+    files: HashMap<String, StoredFile>,
     /// Monotone epoch, bumped per checkpoint, decorrelating straggler draws
     /// across checkpoints.
-    epoch: Mutex<u64>,
+    epoch: u64,
 }
 
 impl ParallelFs {
@@ -108,8 +113,7 @@ impl ParallelFs {
     pub fn new(cfg: FsConfig) -> Arc<ParallelFs> {
         Arc::new(ParallelFs {
             cfg,
-            files: Mutex::new(HashMap::new()),
-            epoch: Mutex::new(0),
+            state: Mutex::default(),
         })
     }
 
@@ -120,9 +124,9 @@ impl ParallelFs {
 
     /// Begin a new checkpoint epoch (straggler draws change per epoch).
     pub fn bump_epoch(&self) -> u64 {
-        let mut e = self.epoch.lock();
-        *e += 1;
-        *e
+        let mut st = self.state.lock();
+        st.epoch += 1;
+        st.epoch
     }
 
     /// Store `data` at `path` with the given logical length and return the
@@ -138,13 +142,13 @@ impl ParallelFs {
         rank: u64,
         shape: IoShape,
     ) -> SimDuration {
-        let epoch = *self.epoch.lock();
+        let mut st = self.state.lock();
         let dur = self.transfer_time(
             logical_len,
             shape,
-            straggler_factor(self.cfg.seed, rank, epoch, self.cfg.write_straggler_max),
+            straggler_factor(self.cfg.seed, rank, st.epoch, self.cfg.write_straggler_max),
         );
-        self.files.lock().insert(
+        st.files.insert(
             path.to_string(),
             StoredFile {
                 data: data.into(),
@@ -162,9 +166,9 @@ impl ParallelFs {
         rank: u64,
         shape: IoShape,
     ) -> Result<(ScatterBuf, SimDuration), FsError> {
-        let epoch = *self.epoch.lock();
-        let files = self.files.lock();
-        let f = files
+        let st = self.state.lock();
+        let f = st
+            .files
             .get(path)
             .ok_or_else(|| FsError::NotFound(path.to_string()))?;
         let dur = self.transfer_time(
@@ -173,7 +177,7 @@ impl ParallelFs {
             straggler_factor(
                 self.cfg.seed ^ 0x5245_4144,
                 rank,
-                epoch,
+                st.epoch,
                 self.cfg.read_straggler_max,
             ),
         );
@@ -182,8 +186,9 @@ impl ParallelFs {
 
     /// Logical length of a stored file.
     pub fn logical_len(&self, path: &str) -> Result<u64, FsError> {
-        self.files
+        self.state
             .lock()
+            .files
             .get(path)
             .map(|f| f.logical_len)
             .ok_or_else(|| FsError::NotFound(path.to_string()))
@@ -191,17 +196,17 @@ impl ParallelFs {
 
     /// Whether `path` exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.files.lock().contains_key(path)
+        self.state.lock().files.contains_key(path)
     }
 
     /// Delete a file (old checkpoint garbage collection).
     pub fn remove(&self, path: &str) -> bool {
-        self.files.lock().remove(path).is_some()
+        self.state.lock().files.remove(path).is_some()
     }
 
     /// Paths currently stored (sorted, for deterministic iteration).
     pub fn list(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.files.lock().keys().cloned().collect();
+        let mut v: Vec<String> = self.state.lock().files.keys().cloned().collect();
         v.sort();
         v
     }

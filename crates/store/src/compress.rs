@@ -299,6 +299,11 @@ mod tests {
         };
 
         use crate::journal::JournaledStore;
+        use mana_core::chaos::{ChaosHandle, FaultInjector};
+
+        /// Arms nothing itself: tests tear a write through `arm_torn`.
+        struct NoFaults;
+        impl FaultInjector for NoFaults {}
 
         /// A one-region, 64-page rank image whose dirty summary marks the
         /// first `dirty_count` pages dirty against a committed base.
@@ -433,11 +438,12 @@ mod tests {
 
         #[test]
         fn torn_envelopes_and_foreign_blobs_are_charged_in_full() {
-            let j = JournaledStore::new(store());
+            let chaos = ChaosHandle::new(NoFaults);
+            let j = JournaledStore::new(store()).with_chaos(chaos.clone());
             let img = Arc::new(image(1));
             let logical = img.logical_bytes();
             let put = |path: &str, bytes: ImageBytes| j.put(path, bytes, logical, 0, SHAPE);
-            j.arm_torn_put("d/ckpt_1/rank_0.mana", 0.5);
+            chaos.arm_torn("d/ckpt_1/rank_0.mana", 0.5);
             let torn = put("d/ckpt_1/rank_0.mana", CheckpointImage::encode_shared(&img));
             let foreign = put("d/blob", vec![3; 100].into());
             let whole = put("d/ckpt_2/rank_0.mana", CheckpointImage::encode_shared(&img));

@@ -80,8 +80,6 @@ use mana_sim::checksum::Checksum;
 use mana_sim::fs::IoShape;
 use mana_sim::scatter::ScatterBuf;
 use mana_sim::time::SimDuration;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 
 /// `"MANAJNL1"` as a little-endian u64.
 const MAGIC: u64 = u64::from_le_bytes(*b"MANAJNL1");
@@ -108,12 +106,9 @@ const NEUTRAL_SHAPE: IoShape = IoShape {
 /// quarantine scan at maintenance over any inner [`CheckpointStore`].
 pub struct JournaledStore {
     inner: Box<dyn CheckpointStore>,
-    /// Chaos seam: consulted at `put` time for armed torn writes.
+    /// Chaos seam: consulted at `put` time for armed torn writes, and
+    /// told of every write this store tears.
     chaos: ChaosHandle,
-    /// Locally-armed torn writes (tests and direct drivers), by path.
-    armed_torn: Mutex<BTreeMap<String, f64>>,
-    /// Paths this store actually tore.
-    torn_written: Mutex<Vec<String>>,
 }
 
 /// The header and chunk table framing `payload`: one chunk per segment,
@@ -161,8 +156,6 @@ impl JournaledStore {
         JournaledStore {
             inner: Box::new(inner),
             chaos: ChaosHandle::default(),
-            armed_torn: Mutex::new(BTreeMap::new()),
-            torn_written: Mutex::new(Vec::new()),
         }
     }
 
@@ -171,18 +164,6 @@ impl JournaledStore {
     pub fn with_chaos(mut self, chaos: ChaosHandle) -> JournaledStore {
         self.chaos = chaos;
         self
-    }
-
-    /// Arm the next `put` at `path` to be torn: only the first
-    /// `keep_frac` of the framed envelope reaches the inner store,
-    /// simulating a writer that died mid-write. One-shot.
-    pub fn arm_torn_put(&self, path: &str, keep_frac: f64) {
-        self.armed_torn.lock().insert(path.to_string(), keep_frac);
-    }
-
-    /// Paths whose writes this store tore (in write order).
-    pub fn torn_writes(&self) -> Vec<String> {
-        self.torn_written.lock().clone()
     }
 
     /// Wrap `payload` in the commit envelope without flattening it: the
@@ -319,12 +300,7 @@ impl CheckpointStore for JournaledStore {
         shape: IoShape,
     ) -> SimDuration {
         let mut env = JournaledStore::frame(data);
-        let armed = self
-            .armed_torn
-            .lock()
-            .remove(path)
-            .or_else(|| self.chaos.take_torn(path));
-        if let Some(keep_frac) = armed {
+        if let Some(keep_frac) = self.chaos.take_torn(path) {
             // The writer dies mid-write: only a strict prefix of the
             // envelope lands. The commit trailer is written last, so any
             // prefix fails validation. The prefix wraps no image.
@@ -333,8 +309,6 @@ impl CheckpointStore for JournaledStore {
                 .min(prefix.len().saturating_sub(1));
             prefix.truncate(keep);
             env = prefix.into();
-            self.torn_written.lock().push(path.to_string());
-            self.chaos.note_torn_write(path);
         }
         self.inner.put(path, env, logical_len, rank, shape)
     }
@@ -398,11 +372,16 @@ impl CheckpointStore for JournaledStore {
 mod tests {
     use super::*;
     use crate::conformance::{exercise_store, StoreChecks};
+    use mana_core::chaos::FaultInjector;
     use mana_core::store::{FsStore, InMemStore};
     use mana_sim::fs::FsConfig;
     use std::sync::Arc;
 
     const SHAPE: IoShape = NEUTRAL_SHAPE;
+
+    /// Arms nothing itself: tests tear a write through `arm_torn`.
+    struct NoFaults;
+    impl FaultInjector for NoFaults {}
     /// Where the payload starts when it was framed as one segment.
     const ONE_RUN: usize = FIXED + RUN;
 
@@ -420,11 +399,12 @@ mod tests {
 
     #[test]
     fn torn_put_is_detectably_absent_and_typed() {
-        let j = JournaledStore::new(InMemStore::new());
+        let chaos = ChaosHandle::new(NoFaults);
+        let j = JournaledStore::new(InMemStore::new()).with_chaos(chaos.clone());
         j.put("d/full", vec![1; 100].into(), 100, 0, SHAPE);
-        j.arm_torn_put("d/torn", 0.5);
+        chaos.arm_torn("d/torn", 0.5);
         j.put("d/torn", vec![2; 100].into(), 100, 0, SHAPE);
-        assert_eq!(j.torn_writes(), vec!["d/torn".to_string()]);
+        assert_eq!(chaos.log().torn_writes, vec!["d/torn".to_string()]);
 
         assert!(j.exists("d/full"));
         assert!(!j.exists("d/torn"), "torn object must read as absent");
@@ -628,8 +608,11 @@ mod tests {
             2,
             |_| InMemStore::new(),
         );
-        let journal = Arc::new(JournaledStore::new(replicated));
-        let tiered = TieredStore::new(TierConfig::burst_buffer(), journal.clone());
+        let chaos = ChaosHandle::new(NoFaults);
+        let tiered = TieredStore::new(
+            TierConfig::burst_buffer(),
+            JournaledStore::new(replicated).with_chaos(chaos.clone()),
+        );
         let path = |generation: u8| format!("m/ckpt_{generation}/rank_0.mana");
         for generation in 1..=3u8 {
             let mut payload = ScatterBuf::from_vec(vec![generation; 24]);
@@ -637,14 +620,14 @@ mod tests {
                 payload.push_shared(Page::from(&[generation ^ p; 4096][..]));
             }
             if generation == 3 {
-                journal.arm_torn_put(&path(generation), 0.5);
+                chaos.arm_torn(&path(generation), 0.5);
             }
             tiered.put(&path(generation), payload.into(), 0, 0, SHAPE);
             // Drains frame the envelope into the journal: its put hashes
             // the new pages.
             tiered.begin_epoch();
         }
-        assert_eq!(journal.torn_writes(), vec![path(3)]);
+        assert_eq!(chaos.log().torn_writes, vec![path(3)]);
         assert!(tiered.drain_ledger().is_empty());
 
         reset_shared_hashed_bytes();
@@ -672,7 +655,8 @@ mod tests {
     #[test]
     fn recover_quarantines_torn_never_committed() {
         let inner = Arc::new(InMemStore::new());
-        let j = JournaledStore::new(inner.clone());
+        let chaos = ChaosHandle::new(NoFaults);
+        let j = JournaledStore::new(inner.clone()).with_chaos(chaos.clone());
         for r in 0..3 {
             j.put(
                 &format!("ck/ckpt_1/rank_{r}.mana"),
@@ -682,7 +666,7 @@ mod tests {
                 SHAPE,
             );
         }
-        j.arm_torn_put("ck/ckpt_2/rank_0.mana", 0.7);
+        chaos.arm_torn("ck/ckpt_2/rank_0.mana", 0.7);
         j.put("ck/ckpt_2/rank_0.mana", vec![5; 50].into(), 50, 0, SHAPE);
         inner.put("ck/stray", vec![1, 2, 3].into(), 3, 0, SHAPE); // unframed garbage
 

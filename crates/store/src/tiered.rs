@@ -306,7 +306,8 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
         // drain here — mid-write (torn) or by killing the burst buffer
         // under it — in which case draining stops for this epoch,
         // exactly what a node death mid-drain leaves behind.
-        let fault = self.chaos.take_drain_fault(self.chaos.attempts_seen());
+        let attempt = self.chaos.attempts_seen();
+        let fault = self.chaos.take_drain_fault(attempt);
         let outstanding = self.drain_ledger();
         let mut fault = fault.filter(|_| !outstanding.is_empty());
         for DrainEntry { path, .. } in outstanding {
@@ -342,8 +343,7 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
                         }
                     }
                 }
-                self.chaos
-                    .note_drain_fault(self.chaos.attempts_seen(), &path, f);
+                self.chaos.note_drain_fault(attempt, &path, f);
                 break;
             }
             self.drain_now(&path);
@@ -444,7 +444,7 @@ impl<S: CheckpointStore> CheckpointStore for TieredStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mana_core::chaos::{FaultInjector, InjectPoint, RankFault};
+    use mana_core::chaos::{FaultInjector, InjectPoint};
     use mana_core::store::{FsStore, InMemStore};
     use mana_sim::fs::FsConfig;
 
@@ -599,9 +599,6 @@ mod tests {
 
     struct TearOldestAt(u64);
     impl FaultInjector for TearOldestAt {
-        fn rank_fault(&self, _: u64, _: u32, _: InjectPoint) -> Option<RankFault> {
-            None
-        }
         fn drain_fault(&self, attempt: u64) -> Option<DrainFault> {
             (attempt == self.0).then_some(DrainFault::Torn { keep_frac: 0.5 })
         }
@@ -609,9 +606,6 @@ mod tests {
 
     struct LoseOldestAt(u64);
     impl FaultInjector for LoseOldestAt {
-        fn rank_fault(&self, _: u64, _: u32, _: InjectPoint) -> Option<RankFault> {
-            None
-        }
         fn drain_fault(&self, attempt: u64) -> Option<DrainFault> {
             (attempt == self.0).then_some(DrainFault::LoseFast)
         }
@@ -646,7 +640,7 @@ mod tests {
             ],
             "torn entry detectably in-flight, the rest still pending"
         );
-        assert_eq!(chaos.torn_writes(), vec!["a".to_string()]);
+        assert_eq!(chaos.log().torn_writes, vec!["a".to_string()]);
         assert!(
             !store.slow().exists("a"),
             "the torn slow object reads as absent"
@@ -659,7 +653,7 @@ mod tests {
         assert!(rec.drains_quarantined.is_empty());
         assert!(store.slow().exists("a") && store.slow().exists("b"));
         assert_eq!(store.get("a", 0, SHAPE).unwrap().0.to_vec(), vec![1; 64]);
-        assert_eq!(chaos.drain_faults().len(), 1);
+        assert_eq!(chaos.log().drain_faults.len(), 1);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! field, `cas_ns`, page count and restored checksum stayed as it was.
 
 use mana_core::buffer::PairCounters;
+use mana_core::chaos::{ChaosHandle, FaultInjector};
 use mana_core::error::StoreError;
 use mana_core::image::CheckpointImage;
 use mana_core::{CheckpointStore, FsStore, InMemStore};
@@ -46,6 +47,10 @@ const SHAPE: IoShape = IoShape {
     writers_on_node: 1,
     total_writers: 1,
 };
+
+/// Arms nothing itself: the test tears a write through `arm_torn`.
+struct NoFaults;
+impl FaultInjector for NoFaults {}
 
 /// What one generation's put showed.
 #[derive(Debug, PartialEq, Eq)]
@@ -252,10 +257,12 @@ fn restore(store: &dyn CheckpointStore, generation: u64) -> Result<(u64, u64), S
 fn put_path_results_are_pinned() {
     let (mem, starts) = space();
     let fs = Arc::new(FsStore::with_config(FsConfig::default()));
+    let chaos = ChaosHandle::new(NoFaults);
     let journaled = JournaledStore::new(CompressingStore::new(
         CompressionConfig::default(),
         DeltaStore::new(DeltaConfig::default(), fs.clone()),
-    ));
+    ))
+    .with_chaos(chaos.clone());
     let cas = CasStore::new(CasConfig::default(), InMemStore::new());
 
     let mut puts = Vec::new();
@@ -270,7 +277,7 @@ fn put_path_results_are_pinned() {
             );
         }
         if generation == TORN {
-            journaled.arm_torn_put(&path(generation), 0.5);
+            chaos.arm_torn(&path(generation), 0.5);
         }
         let image = Arc::new(image_around(
             generation,
@@ -296,7 +303,7 @@ fn put_path_results_are_pinned() {
         sums.push(mem.checksum_half(Half::Upper));
         mem.clear_dirty(Half::Upper);
     }
-    assert_eq!(journaled.torn_writes(), vec![path(TORN)]);
+    assert_eq!(chaos.log().torn_writes, vec![path(TORN)]);
 
     let mut gets = Vec::new();
     for (generation, checksum) in (1..=TORN).zip(sums) {

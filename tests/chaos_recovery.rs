@@ -124,11 +124,19 @@ fn truncated_image_on_fs_store_restart_skips_to_survivor() {
 /// absent, and `restart_latest` falls back to the intact survivor.
 #[test]
 fn torn_scatter_envelope_is_typed_and_falls_back() {
+    use mana::core::chaos::{ChaosHandle, FaultInjector};
     use mana::core::error::StoreError;
     use mana::core::store::CheckpointStore;
     use mana::store::JournaledStore;
 
-    let store = Arc::new(JournaledStore::new(mana::core::InMemStore::new()));
+    /// Arms nothing itself: the test tears a write through `arm_torn`.
+    struct NoFaults;
+    impl FaultInjector for NoFaults {}
+
+    // The arming handle stays with the store; the job never sees it.
+    let chaos = ChaosHandle::new(NoFaults);
+    let store =
+        Arc::new(JournaledStore::new(mana::core::InMemStore::new()).with_chaos(chaos.clone()));
     let session = ManaSession::builder().store(store.clone()).build();
     let (clean, killed) = clean_and_killed(&session);
     let newest = killed.latest_checkpoint().unwrap();
@@ -138,7 +146,7 @@ fn torn_scatter_envelope_is_typed_and_falls_back() {
     // strict prefix of the scatter envelope lands.
     let (bytes, _) = store.get(&path, 2, SHAPE).unwrap();
     let len = bytes.len() as u64;
-    store.arm_torn_put(&path, 0.6);
+    chaos.arm_torn(&path, 0.6);
     store.put(&path, bytes, len, 2, SHAPE);
 
     assert!(

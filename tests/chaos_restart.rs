@@ -176,7 +176,7 @@ fn crashed_restart_is_idempotent_and_retryable() {
         other => panic!("expected RecoveryExhausted, got {:?}", other.map(|_| ())),
     }
     assert_eq!(
-        handle.restart_crash_history().len(),
+        handle.log().restart_crashes.len(),
         1,
         "the armed kill must have fired"
     );
@@ -228,5 +228,5 @@ fn supervisor_absorbs_restart_kills_and_reports_them() {
         report.total_downtime
     );
     assert!(report.images_skipped.is_empty(), "no image was damaged");
-    assert_eq!(handle.restart_attempts_seen(), 4);
+    assert_eq!(handle.log().restart_attempts, 4);
 }
