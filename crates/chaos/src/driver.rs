@@ -4,10 +4,14 @@
 //! [`crate`] describe:
 //!
 //! 1. a **reference run** (no faults) fixes the expected final per-rank
-//!    checksums and the application window;
+//!    checksums and the checkpoint interval: the plan's attempts spread
+//!    evenly over the reference's application window;
 //! 2. the **chaos chain** runs the same job against a crash-consistent,
 //!    replicated store with a [`ChaosPlan`] armed — every incarnation
-//!    either completes or is gang-crashed by a fault. When the plan
+//!    checkpoints at that interval from its own application start (the
+//!    coordinator waits for the start, so no run is needed to time a
+//!    checkpoint or a restart) and either completes or is gang-crashed by
+//!    a fault. When the plan
 //!    schedules drain faults, a burst-buffer tier with a persistent
 //!    drain ledger fronts the stack;
 //! 3. after every crash the driver **heals the storage tier** — revives
@@ -31,7 +35,7 @@ use mana_core::config::TopologyKind;
 use mana_core::supervisor::{DegradedMode, RecoveryReport, RestartSupervisor, RetryPolicy};
 use mana_core::{CheckpointStore, InMemStore, JobBuilder, ManaSession, Workload};
 use mana_sim::cluster::{ClusterSpec, Placement};
-use mana_sim::time::SimTime;
+use mana_sim::time::SimDuration;
 use mana_store::{
     HealReport, JournaledStore, Maintenance, QuarantinedObject, ReplicaConfig, ReplicatedStore,
     TierConfig, TieredStore,
@@ -160,7 +164,11 @@ impl ChaosHarness {
         }
     }
 
-    fn job(&self) -> JobBuilder {
+    /// The job every incarnation of the chain starts from: the world,
+    /// seed and topology, no schedule. [`JobBuilder::check`] on it is the
+    /// typed error [`ChaosHarness::run`] would otherwise panic on (a world
+    /// that does not fit its cluster).
+    pub fn job(&self) -> JobBuilder {
         JobBuilder::new()
             .cluster(ClusterSpec::local_cluster(self.nodes))
             .ranks(self.nranks)
@@ -183,35 +191,17 @@ impl ChaosHarness {
         });
         let app: Arc<dyn Workload> = make_app_small(self.app, self.steps);
 
-        // Phase 1: the fault-free reference.
+        // Phase 1: the fault-free reference. Its application window also
+        // spaces the chain's checkpoints: the plan's attempts at an
+        // interval that would fit them all into one uninterrupted run.
         let reference = ManaSession::builder()
             .store(InMemStore::new())
             .build()
             .run(self.job(), app.clone())
             .expect("reference run is fault-free static configuration");
         let ref_sums = reference.checksums().clone();
-        let wall = reference.outcome().wall.as_nanos();
-        let app_wall = reference.outcome().app_wall.as_nanos();
-
-        // Calibrate the cost of one checkpoint in this world. Attempts
-        // pause the application for their full duration, so a schedule
-        // that ignores that cost front-loads every time into the first
-        // attempt's shadow and the coordinator coalesces them into one.
-        let ckpt_cost = ManaSession::builder()
-            .store(InMemStore::new())
-            .build()
-            .run(
-                self.job().checkpoint_times(schedule(wall, app_wall, 0, 1)),
-                app.clone(),
-            )
-            .ok()
-            .and_then(|inc| {
-                inc.ckpts()
-                    .iter()
-                    .map(|c| c.t_end.0.saturating_sub(c.t_begin.0))
-                    .max()
-            })
-            .unwrap_or(0);
+        let total = plan.total_attempts();
+        let interval = SimDuration::nanos(reference.outcome().app_wall.as_nanos() / (total + 1));
 
         // Phase 2: the chaos chain over a crash-consistent store stack.
         // The journal frames envelopes *above* replication, so a torn
@@ -266,12 +256,14 @@ impl ChaosHarness {
         };
 
         // Phase 3: crash → heal → supervised restart, until an
-        // incarnation survives. Each crashing incarnation consumes at
-        // least one attempt, so the chain needs at most one incarnation
-        // per crash fault (the cap is a safety net against driver bugs,
-        // not a tuning knob). The chain ends in the survivor's final
-        // checksums, or in the failure that stopped it.
-        let total = plan.total_attempts();
+        // incarnation survives. Each incarnation checkpoints at the
+        // interval from its own application start, so a restart takes the
+        // attempts the chain has not begun yet, wherever it resumes. Each
+        // crashing incarnation consumes at least one attempt, so the chain
+        // needs at most one incarnation per crash fault (the cap is a
+        // safety net against driver bugs, not a tuning knob). The chain
+        // ends in the survivor's final checksums, or in the failure that
+        // stopped it.
         let cap = 2 * plan.faults.len() as u64 + 4;
         let chain = (|| -> Result<BTreeMap<u32, u64>, String> {
             apply_outage(&mut report);
@@ -280,7 +272,7 @@ impl ChaosHarness {
                     self.job()
                         .ckpt_dir("chaos")
                         .chaos(handle.clone())
-                        .checkpoint_times(schedule(wall, app_wall, ckpt_cost, total)),
+                        .checkpoint_every(interval, total),
                     app.clone(),
                 )
                 .map_err(|e| format!("launch failed: {e}"))?;
@@ -290,31 +282,11 @@ impl ChaosHarness {
                 }
                 sup.note_degraded(heal());
                 apply_outage(&mut report);
-
-                // Probe: restart with no checkpoint schedule to learn the
-                // resumed incarnation's application window (no schedule
-                // means no checkpoint attempts — though restart-phase
-                // faults can and do strike the probe, and the supervisor
-                // retries them). If nothing is left to schedule, the probe
-                // *is* the surviving run.
-                let probe = sup
-                    .recover(&current, JobBuilder::new())
-                    .map_err(|e| format!("recovery restart failed: {e}"))?;
-                report.recovery_restarts += 1;
                 let remaining = total.saturating_sub(handle.attempts_seen());
-                if remaining == 0 {
-                    report.incarnations += 1;
-                    current = probe;
-                    continue;
-                }
-                let (pw, paw) = (
-                    probe.outcome().wall.as_nanos(),
-                    probe.outcome().app_wall.as_nanos(),
-                );
                 current = sup
                     .recover(
                         &current,
-                        JobBuilder::new().checkpoint_times(schedule(pw, paw, ckpt_cost, remaining)),
+                        JobBuilder::new().checkpoint_every(interval, remaining),
                     )
                     .map_err(|e| format!("recovery restart failed: {e}"))?;
                 report.recovery_restarts += 1;
@@ -347,22 +319,6 @@ impl ChaosHarness {
     }
 }
 
-/// Space `n` checkpoint times across an application window measured as
-/// `wall` total with `app_wall` of application time at the end of it.
-///
-/// Each attempt pauses the application for roughly `ckpt_cost`, pushing
-/// the application's end out by the same amount — so time `k` lands at
-/// `base + k·step + (k−1)·ckpt_cost`: after attempt `k−1` has finished
-/// (its own attempt, not coalesced into the previous one) yet still
-/// inside the stretched window (k·step < app_wall).
-fn schedule(wall: u64, app_wall: u64, ckpt_cost: u64, n: u64) -> Vec<SimTime> {
-    let base = wall.saturating_sub(app_wall);
-    let step = (app_wall / (n + 1)).max(1);
-    (1..=n)
-        .map(|k| SimTime(base + k * step + (k - 1) * ckpt_cost))
-        .collect()
-}
-
 /// What a chaos chain went through and how it ended.
 #[derive(Clone, Debug, Default)]
 pub struct ChaosReport {
@@ -370,8 +326,9 @@ pub struct ChaosReport {
     pub plan: ChaosPlan,
     /// Incarnations the chain ran (1 = no fault ever fired).
     pub incarnations: u64,
-    /// Successful restarts performed during recovery (including window
-    /// probes); failed restart attempts live in [`ChaosReport::supervisor`].
+    /// Successful restarts performed during recovery, one per incarnation
+    /// after the first; failed restart attempts live in
+    /// [`ChaosReport::supervisor`].
     pub recovery_restarts: u64,
     /// Checkpoint attempts the chain started.
     pub attempts: u64,

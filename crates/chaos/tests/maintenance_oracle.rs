@@ -129,7 +129,7 @@ const EXPECTED: &[&[&str]] = &[
         "degraded 1 torn object(s) quarantined",
         "degraded 4 drain(s) resumed",
     ],
-    &["scanned 68", "quarantined []", "drains resumed [] lost []"],
+    &["scanned 64", "quarantined []", "drains resumed [] lost []"],
     &[
         "scanned 51",
         "heal 1: [1.0 1.1 1.2 1.3 2.0 2.1 2.2 2.3] / 431016 / []",

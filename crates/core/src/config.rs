@@ -15,6 +15,60 @@ pub enum AfterCkpt {
     Kill,
 }
 
+/// When the coordinator begins this incarnation's checkpoints.
+///
+/// Either every start is an absolute simulated time, or the coordinator
+/// sleeps until the application starts and begins checkpoints at an
+/// interval — the way DMTCP's coordinator checkpoints a production job,
+/// wherever its ranks happen to be (arXiv 1803.09342). One coordinator
+/// loop reads both ([`CkptSchedule::begin`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CkptSchedule {
+    /// Begin one checkpoint at each of these virtual times, in order.
+    At(Vec<SimTime>),
+    /// Begin `count` checkpoints: the first `interval` after the
+    /// application starts (the first rank enters its workload), each later
+    /// one `interval` after the previous one ended.
+    Every {
+        /// Simulated time between the application start or a checkpoint's
+        /// end and the next checkpoint's begin.
+        interval: SimDuration,
+        /// Checkpoints to take.
+        count: u64,
+    },
+}
+
+impl Default for CkptSchedule {
+    fn default() -> CkptSchedule {
+        CkptSchedule::At(Vec::new())
+    }
+}
+
+impl CkptSchedule {
+    /// Number of checkpoints the schedule takes.
+    pub fn len(&self) -> u64 {
+        match self {
+            CkptSchedule::At(times) => times.len() as u64,
+            CkptSchedule::Every { count, .. } => *count,
+        }
+    }
+
+    /// Whether the schedule takes no checkpoint.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// When checkpoint `i` (0-based) begins, given `anchor`: the
+    /// application's start for the first checkpoint, the previous
+    /// checkpoint's end for each later one. Absolute times ignore it.
+    pub fn begin(&self, i: u64, anchor: SimTime) -> SimTime {
+        match self {
+            CkptSchedule::At(times) => times[i as usize],
+            CkptSchedule::Every { interval, .. } => anchor + *interval,
+        }
+    }
+}
+
 /// Shape of the checkpoint-coordinator control plane.
 ///
 /// The DMTCP-style coordinator serializes one small TCP send per rank, so
@@ -47,8 +101,8 @@ pub struct ManaConfig {
     pub virt_cost: SimDuration,
     /// Directory prefix for checkpoint images on the shared filesystem.
     pub ckpt_dir: String,
-    /// Virtual times at which the coordinator initiates checkpoints.
-    pub ckpt_times: Vec<SimTime>,
+    /// When the coordinator initiates checkpoints.
+    pub ckpt_schedule: CkptSchedule,
     /// Id of the first checkpoint this incarnation takes (subsequent
     /// scheduled checkpoints count up from it). The session API assigns
     /// a chain-unique base here so a later incarnation's images never
@@ -79,7 +133,7 @@ impl ManaConfig {
             kernel,
             virt_cost: SimDuration::nanos(25),
             ckpt_dir: "ckpt".to_string(),
-            ckpt_times: Vec::new(),
+            ckpt_schedule: CkptSchedule::default(),
             first_ckpt_id: 1,
             after_last_ckpt: AfterCkpt::Continue,
             topology: TopologyKind::Flat,
@@ -97,7 +151,7 @@ impl ManaConfig {
         self.after_last_ckpt == AfterCkpt::Kill
             && ckpt_id
                 .checked_sub(self.first_ckpt_id)
-                .is_some_and(|i| i + 1 == self.ckpt_times.len() as u64)
+                .is_some_and(|i| i + 1 == self.ckpt_schedule.len())
     }
 
     /// Image path for `rank` under checkpoint `ckpt_id`.
@@ -148,7 +202,7 @@ mod tests {
     #[test]
     fn presets() {
         let c = ManaConfig::no_checkpoints(KernelModel::unpatched());
-        assert!(c.ckpt_times.is_empty());
+        assert!(c.ckpt_schedule.is_empty());
         assert_eq!(c.after_last_ckpt, AfterCkpt::Continue);
         assert_eq!(c.image_path(2, 7), "ckpt/ckpt_2/rank_7.mana");
         assert_eq!(c.topology, TopologyKind::Flat, "flat is the default");
@@ -158,12 +212,18 @@ mod tests {
     fn only_the_last_checkpoint_of_a_killed_schedule_ends_it() {
         let mut c = ManaConfig::no_checkpoints(KernelModel::unpatched());
         c.first_ckpt_id = 4;
-        c.ckpt_times = vec![SimTime(10), SimTime(20)];
+        c.ckpt_schedule = CkptSchedule::At(vec![SimTime(10), SimTime(20)]);
         assert!(!(3..7).any(|id| c.ends_after(id)), "continue never ends");
         c.after_last_ckpt = AfterCkpt::Kill;
         let ends: Vec<u64> = (0..8).filter(|&id| c.ends_after(id)).collect();
         assert_eq!(ends, [5]);
-        c.ckpt_times.clear();
+        c.ckpt_schedule = CkptSchedule::Every {
+            interval: SimDuration::micros(10),
+            count: 3,
+        };
+        let ends: Vec<u64> = (0..8).filter(|&id| c.ends_after(id)).collect();
+        assert_eq!(ends, [6], "an interval ends after its count");
+        c.ckpt_schedule = CkptSchedule::default();
         assert!(!(0..8).any(|id| c.ends_after(id)), "no schedule, no end");
     }
 

@@ -27,12 +27,13 @@
 //! (who is gated and will stay gated), because then nobody can slip into
 //! the real collective during the checkpoint.
 
-use crate::config::ManaConfig;
+use crate::config::{CkptSchedule, ManaConfig};
 use crate::ctrl::{CtrlMsg, StateAgg};
 use crate::stats::CkptReport;
 use crate::store::CheckpointStore;
 use crate::topology::CoordTopology;
-use mana_sim::sched::SimThread;
+use mana_sim::sched::{SimThread, SimThreadId};
+use mana_sim::time::SimTime;
 use std::sync::Arc;
 
 /// Everything the coordinator daemon needs.
@@ -45,19 +46,34 @@ pub struct CoordCtx {
     pub store: Arc<dyn CheckpointStore>,
 }
 
-/// Coordinator daemon: sleeps until each scheduled checkpoint time, runs
+/// Coordinator daemon: sleeps until each scheduled checkpoint begins, runs
 /// the protocol and hands each completed round's report to `report`, then
-/// returns after the last checkpoint.
-pub fn run_coordinator(t: SimThread, cx: CoordCtx, mut report: impl FnMut(CkptReport)) {
+/// returns after the last checkpoint. An interval schedule first sleeps
+/// until the application starts: `app_start(me)` returns that instant
+/// once it is known, and until then has the rank that opens the
+/// application window wake thread `me`.
+pub fn run_coordinator(
+    t: SimThread,
+    cx: CoordCtx,
+    mut app_start: impl FnMut(SimThreadId) -> Option<SimTime>,
+    mut report: impl FnMut(CkptReport),
+) {
     cx.topo.attach_root(t.id());
-    let times = cx.cfg.ckpt_times.clone();
-    for (i, at) in times.iter().enumerate() {
+    let schedule = &cx.cfg.ckpt_schedule;
+    let mut anchor = SimTime::ZERO;
+    if matches!(schedule, CkptSchedule::Every { .. }) && !schedule.is_empty() {
+        anchor = t.block_until(|| app_start(t.id()));
+    }
+    for i in 0..schedule.len() {
+        let at = schedule.begin(i, anchor);
         let now = t.now();
-        if *at > now {
-            t.advance(*at - now);
+        if at > now {
+            t.advance(at - now);
         }
-        let ckpt_id = cx.cfg.first_ckpt_id + i as u64;
-        report(run_checkpoint(&t, &cx, ckpt_id, cx.cfg.ends_after(ckpt_id)));
+        let ckpt_id = cx.cfg.first_ckpt_id + i;
+        let round = run_checkpoint(&t, &cx, ckpt_id, cx.cfg.ends_after(ckpt_id));
+        anchor = round.t_end;
+        report(round);
     }
 }
 

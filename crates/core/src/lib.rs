@@ -71,7 +71,9 @@ pub use chaos::{
     ChaosHandle, ChaosLog, CrashRecord, DrainFault, FailoverRecord, FaultInjector, InjectPoint,
     RankFault, RestartCrashRecord, RestartPoint,
 };
-pub use config::{parse_image_path, AfterCkpt, ImagePathParts, ManaConfig, TopologyKind};
+pub use config::{
+    parse_image_path, AfterCkpt, CkptSchedule, ImagePathParts, ManaConfig, TopologyKind,
+};
 pub use ctrl::{ProtocolPhase, ProtocolViolation, StateAgg};
 pub use env::{AppEnv, Arr, MemView, SlotId, Workload};
 pub use error::{SessionError, SkipReason, SkippedCheckpoint, StoreError};

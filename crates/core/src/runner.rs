@@ -30,7 +30,7 @@ use mana_net::transport::Network;
 use mana_sim::cluster::{ClusterSpec, InterconnectKind, Placement};
 use mana_sim::fs::IoShape;
 use mana_sim::memory::AddressSpace;
-use mana_sim::sched::{SchedStats, Sim, SimConfig, SimThread};
+use mana_sim::sched::{SchedStats, Sim, SimConfig, SimThread, SimThreadId};
 use mana_sim::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -85,6 +85,9 @@ struct Collected {
     killed: bool,
     /// Earliest workload entry and latest workload exit (`app_wall`).
     window: (Option<SimTime>, Option<SimTime>),
+    /// A thread asleep until the window opens (the coordinator of an
+    /// interval schedule); the rank that opens it wakes the thread.
+    app_waiter: Option<SimThreadId>,
     ckpts: Vec<CkptReport>,
     /// Each restored rank's restart stats and the time it resumed.
     restarts: Vec<(RankRestartStats, SimTime)>,
@@ -133,10 +136,14 @@ pub(crate) fn io_shape(
 
 fn rank_body_finish(t: &SimThread, env: &mut AppEnv, workload: &Arc<dyn Workload>, c: &Collectors) {
     let rank = env.rank();
-    {
-        let w = &mut c.lock().window;
+    let waiter = {
+        let mut got = c.lock();
         let now = t.now();
-        w.0 = Some(w.0.map_or(now, |s| s.min(now)));
+        got.window.0 = Some(got.window.0.map_or(now, |s| s.min(now)));
+        got.app_waiter.take()
+    };
+    if let Some(id) = waiter {
+        t.sim().wake(id);
     }
     let result = catch_unwind(AssertUnwindSafe(|| workload.run(env)));
     {
@@ -301,7 +308,14 @@ pub(crate) fn boot_mana(
         };
         let collect = c.clone();
         sim.spawn("coordinator", true, move |t| {
-            run_coordinator(t, cx, |report| collect.lock().ckpts.push(report))
+            let app_start = |me| {
+                let mut got = collect.lock();
+                if got.window.0.is_none() {
+                    got.app_waiter = Some(me);
+                }
+                got.window.0
+            };
+            run_coordinator(t, cx, app_start, |report| collect.lock().ckpts.push(report))
         });
         images
             .into_iter()

@@ -83,7 +83,7 @@
 //! ```
 
 use crate::chaos::ChaosHandle;
-use crate::config::{AfterCkpt, ManaConfig, TopologyKind};
+use crate::config::{AfterCkpt, CkptSchedule, ManaConfig, TopologyKind};
 use crate::env::Workload;
 use crate::error::SessionError;
 use crate::restart::RestartError;
@@ -94,7 +94,7 @@ use mana_mpi::MpiProfile;
 use mana_sim::cluster::{ClusterSpec, Placement};
 use mana_sim::fs::FsConfig;
 use mana_sim::kernel::KernelModel;
-use mana_sim::time::SimTime;
+use mana_sim::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -315,7 +315,7 @@ impl ManaSession {
         workload: Arc<dyn Workload>,
     ) -> Result<RunOutcome, SessionError> {
         let spec = job.build_spec(None)?;
-        if !spec.cfg.ckpt_times.is_empty() {
+        if !spec.cfg.ckpt_schedule.is_empty() {
             return Err(SessionError::InvalidSpec(
                 "native runs cannot take checkpoints; drop the checkpoint schedule".into(),
             ));
@@ -363,22 +363,32 @@ impl ManaSession {
         workload: Arc<dyn Workload>,
         restart_from: Option<u64>,
     ) -> Result<Incarnation, SessionError> {
+        let reserved = spec.cfg.ckpt_schedule.len();
         let index = {
             let mut chain = self.inner.chain.lock();
             // Assign chain-unique checkpoint ids: incarnations share the
             // session store (and often a checkpoint directory), so a later
             // incarnation's images must never land on an earlier one's
             // paths.
-            if !spec.cfg.ckpt_times.is_empty() {
+            if reserved > 0 {
                 spec.cfg.first_ckpt_id = chain.next_ckpt_id;
-                chain.next_ckpt_id += spec.cfg.ckpt_times.len() as u64;
+                chain.next_ckpt_id += reserved;
             }
             chain.next_incarnation += 1;
             chain.next_incarnation - 1
         };
         let (outcome, ckpts, restart_report) =
-            boot_mana(&self.inner.store, &spec, workload.clone(), restart_from)
-                .map_err(|e| self.classify_restart_error(e))?;
+            boot_mana(&self.inner.store, &spec, workload.clone(), restart_from).map_err(|e| {
+                // A boot fails only while its ranks come up, before any
+                // checkpoint can complete: give its ids back (unless a
+                // later incarnation reserved past them meanwhile).
+                let mut chain = self.inner.chain.lock();
+                if reserved > 0 && chain.next_ckpt_id == spec.cfg.first_ckpt_id + reserved {
+                    chain.next_ckpt_id = spec.cfg.first_ckpt_id;
+                }
+                drop(chain);
+                self.classify_restart_error(e)
+            })?;
         if let Some(report) = &restart_report {
             let event = RestartEvent {
                 incarnation: index,
@@ -429,6 +439,7 @@ pub struct JobBuilder {
     kernel: Option<KernelModel>,
     ckpt_dir: Option<String>,
     ckpt_times: Vec<SimTime>,
+    ckpt_every: Option<(SimDuration, u64)>,
     after_last_ckpt: Option<AfterCkpt>,
     topology: Option<TopologyKind>,
     compact_log: Option<bool>,
@@ -533,11 +544,29 @@ impl JobBuilder {
         self
     }
 
+    /// Take `count` checkpoints at an interval: the coordinator sleeps
+    /// until the application starts, begins the first checkpoint
+    /// `interval` of simulated time later, and each later one `interval`
+    /// after the previous one ended — so no checkpoint's cost or restart's
+    /// boot time has to be known in advance. Cannot be combined with
+    /// [`JobBuilder::checkpoint_at`]; a restart does not inherit it.
+    pub fn checkpoint_every(mut self, interval: SimDuration, count: u64) -> JobBuilder {
+        self.ckpt_every = Some((interval, count));
+        self
+    }
+
     /// Kill the job after the last scheduled checkpoint (migration flows:
     /// the allocation expired, the job moves elsewhere).
     pub fn then_kill(mut self) -> JobBuilder {
         self.after_last_ckpt = Some(AfterCkpt::Kill);
         self
+    }
+
+    /// Validate this description as [`ManaSession::run`] would, without
+    /// running anything: the same typed error a launch returns (a world
+    /// that does not fit its cluster, `then_kill()` with no schedule, ...).
+    pub fn check(&self) -> Result<(), SessionError> {
+        self.build_spec(None).map(|_| ())
     }
 
     /// Resolve into a concrete spec, inheriting unset fields from
@@ -586,7 +615,7 @@ impl JobBuilder {
             (Some(cfg), _) => cfg.clone(),
             (None, Some(src)) => {
                 let mut cfg = ManaConfig {
-                    ckpt_times: Vec::new(),
+                    ckpt_schedule: CkptSchedule::default(),
                     after_last_ckpt: AfterCkpt::Continue,
                     ..src.cfg.clone()
                 };
@@ -603,8 +632,17 @@ impl JobBuilder {
         if let Some(dir) = &self.ckpt_dir {
             cfg.ckpt_dir = dir.clone();
         }
-        if !self.ckpt_times.is_empty() {
-            cfg.ckpt_times = self.ckpt_times.clone();
+        match (self.ckpt_times.is_empty(), self.ckpt_every) {
+            (true, None) => {}
+            (false, None) => cfg.ckpt_schedule = CkptSchedule::At(self.ckpt_times.clone()),
+            (true, Some((interval, count))) => {
+                cfg.ckpt_schedule = CkptSchedule::Every { interval, count }
+            }
+            (false, Some(_)) => {
+                return Err(SessionError::InvalidSpec(
+                    "checkpoint_every() and checkpoint_at() cannot share one schedule".into(),
+                ))
+            }
         }
         if let Some(after) = self.after_last_ckpt {
             cfg.after_last_ckpt = after;
@@ -618,7 +656,7 @@ impl JobBuilder {
         if let Some(chaos) = &self.chaos {
             cfg.chaos = chaos.clone();
         }
-        if cfg.ckpt_times.is_empty() && cfg.after_last_ckpt == AfterCkpt::Kill {
+        if cfg.ckpt_schedule.is_empty() && cfg.after_last_ckpt == AfterCkpt::Kill {
             return Err(SessionError::InvalidSpec(
                 "then_kill() without a checkpoint schedule would never terminate the job".into(),
             ));
@@ -799,7 +837,7 @@ mod tests {
         let spec = JobBuilder::new().build_spec(None).unwrap();
         assert_eq!(spec.nranks, 4);
         assert_eq!(spec.placement, Placement::Block);
-        assert!(spec.cfg.ckpt_times.is_empty());
+        assert!(spec.cfg.ckpt_schedule.is_empty());
 
         let spec = JobBuilder::new()
             .ranks(8)
@@ -814,7 +852,7 @@ mod tests {
         assert_eq!(spec.nranks, 8);
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.cfg.ckpt_dir, "x");
-        assert_eq!(spec.cfg.ckpt_times, vec![SimTime(5)]);
+        assert_eq!(spec.cfg.ckpt_schedule, CkptSchedule::At(vec![SimTime(5)]));
         assert_eq!(spec.cfg.after_last_ckpt, AfterCkpt::Kill);
     }
 
@@ -843,7 +881,7 @@ mod tests {
         assert_eq!(restart.seed, 3);
         assert_eq!(restart.cfg.ckpt_dir, "chain");
         assert!(
-            restart.cfg.ckpt_times.is_empty(),
+            restart.cfg.ckpt_schedule.is_empty(),
             "schedule must not carry over"
         );
         assert_eq!(restart.cfg.after_last_ckpt, AfterCkpt::Continue);
@@ -869,6 +907,29 @@ mod tests {
             .build_spec(Some(&src))
             .unwrap();
         assert!(same_cluster.cfg.kernel.fsgsbase_patched);
+    }
+
+    #[test]
+    fn an_interval_is_a_schedule_of_its_own() {
+        let every = JobBuilder::new().checkpoint_every(SimDuration::micros(3), 2);
+        let spec = every.clone().build_spec(None).unwrap();
+        let want = CkptSchedule::Every {
+            interval: SimDuration::micros(3),
+            count: 2,
+        };
+        assert_eq!(spec.cfg.ckpt_schedule, want);
+        assert!(matches!(
+            every.checkpoint_at(SimTime(5)).check(),
+            Err(SessionError::InvalidSpec(_))
+        ));
+        // A count of zero is no schedule, so nothing would end the job.
+        assert!(matches!(
+            JobBuilder::new()
+                .checkpoint_every(SimDuration::micros(3), 0)
+                .then_kill()
+                .check(),
+            Err(SessionError::InvalidSpec(_))
+        ));
     }
 
     #[test]

@@ -276,3 +276,170 @@ fn sessions_share_store_across_clones() {
     assert_eq!(clone.checkpoints().len(), 1);
     drop(killed);
 }
+
+/// `MiniApp` that also records when the application window opens: the
+/// earliest instant any rank of the current incarnation enters `run`.
+struct Timed {
+    opened: Mutex<Option<SimTime>>,
+}
+
+impl Workload for Timed {
+    fn name(&self) -> &'static str {
+        "miniapp"
+    }
+
+    fn run(&self, env: &mut AppEnv) {
+        let now = env.thread().now();
+        {
+            let mut opened = self.opened.lock();
+            *opened = Some(opened.map_or(now, |t| t.min(now)));
+        }
+        MiniApp { steps: 10 }.run(env)
+    }
+}
+
+/// A timed app, and a reader that takes (and clears) its window start.
+fn timed() -> (Arc<Timed>, impl Fn() -> SimTime) {
+    let app = Arc::new(Timed {
+        opened: Mutex::new(None),
+    });
+    let reader = app.clone();
+    (app, move || {
+        reader.opened.lock().take().expect("the app ran")
+    })
+}
+
+/// Asserts `ckpts` begin `interval` after `opened`, then each `interval`
+/// after the previous one's end, with consecutive ids from `first_id`.
+fn assert_interval(
+    ckpts: &[mana_core::CkptReport],
+    opened: SimTime,
+    interval: SimDuration,
+    first_id: u64,
+) {
+    let mut anchor = opened;
+    for (i, c) in ckpts.iter().enumerate() {
+        assert_eq!(
+            c.t_begin,
+            anchor + interval,
+            "checkpoint {i} begins an interval late"
+        );
+        assert_eq!(c.ckpt_id, first_id + i as u64);
+        anchor = c.t_end;
+    }
+}
+
+#[test]
+fn an_interval_schedule_checkpoints_from_the_application_start() {
+    let session = mem_session();
+    let (app, opened) = timed();
+    let clean = session.run(base_job(), app.clone()).expect("clean run");
+    opened();
+    let interval = SimDuration::nanos(clean.outcome().app_wall.as_nanos() / 5);
+
+    let run = session
+        .run(base_job().checkpoint_every(interval, 3), app.clone())
+        .expect("interval run");
+    assert!(!run.killed());
+    assert_eq!(run.ckpts().len(), 3);
+    assert_interval(&run.ckpts(), opened(), interval, 1);
+    assert_eq!(run.checksums(), clean.checksums());
+
+    // then_kill() ends the job after the last of the three.
+    let killed = session
+        .run(
+            base_job().checkpoint_every(interval, 3).then_kill(),
+            app.clone(),
+        )
+        .expect("interval run, killed");
+    assert!(killed.killed());
+    assert_eq!(killed.ckpts().len(), 3);
+    assert_interval(&killed.ckpts(), opened(), interval, 4);
+
+    // Nothing would run the schedule natively.
+    assert!(matches!(
+        session.run_native(base_job().checkpoint_every(interval, 3), app),
+        Err(SessionError::InvalidSpec(_))
+    ));
+}
+
+#[test]
+fn a_restart_takes_an_interval_only_when_asked() {
+    let session = mem_session();
+    let (app, opened) = timed();
+    let clean = session.run(base_job(), app.clone()).expect("clean run");
+    opened();
+    let interval = SimDuration::nanos(clean.outcome().app_wall.as_nanos() / 5);
+    let killed = session
+        .run(
+            base_job().checkpoint_every(interval, 2).then_kill(),
+            app.clone(),
+        )
+        .expect("interval run, killed");
+    opened();
+
+    // restart_on and restart_with inherit everything but the schedule.
+    let plain = killed.restart_on(JobBuilder::new()).expect("plain restart");
+    assert!(
+        plain.ckpts().is_empty(),
+        "restart_on inherited the interval"
+    );
+    assert_eq!(plain.checksums(), clean.checksums());
+    opened();
+    let plain = killed
+        .restart_with(JobBuilder::new(), app.clone())
+        .expect("plain restart");
+    assert!(
+        plain.ckpts().is_empty(),
+        "restart_with inherited the interval"
+    );
+    opened();
+
+    // Given one, the resumed incarnation counts it from its own start.
+    let resumed = killed
+        .restart_on(JobBuilder::new().checkpoint_every(interval, 2))
+        .expect("interval restart");
+    assert_eq!(resumed.ckpts().len(), 2);
+    assert_interval(&resumed.ckpts(), opened(), interval, 3);
+    assert_eq!(resumed.checksums(), clean.checksums());
+}
+
+#[test]
+fn a_restart_killed_before_its_application_starts_gives_its_ids_back() {
+    use mana_core::chaos::{ChaosHandle, FaultInjector, RestartPoint};
+    use mana_core::restart::RestartError;
+
+    /// Kills rank 0 at resync in the chain's first restart attempt.
+    struct FirstResync;
+    impl FaultInjector for FirstResync {
+        fn restart_fault(&self, restart_attempt: u64, rank: u32, point: RestartPoint) -> bool {
+            restart_attempt == 0 && rank == 0 && point == RestartPoint::Resync
+        }
+    }
+
+    let session = mem_session();
+    let interval = SimDuration::micros(500);
+    let killed = session
+        .run(
+            base_job()
+                .chaos(ChaosHandle::new(FirstResync))
+                .checkpoint_every(interval, 1)
+                .then_kill(),
+            app(),
+        )
+        .expect("interval run, killed");
+    assert_eq!(killed.latest_checkpoint(), Some(1));
+
+    let job = || JobBuilder::new().checkpoint_every(interval, 2);
+    match killed.restart_on(job()) {
+        Err(SessionError::Restart(RestartError::Interrupted { rank: 0, .. })) => {}
+        other => panic!(
+            "expected an interrupted restart, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+    // The failed attempt reserved ids 2 and 3 and gave them back.
+    let resumed = killed.restart_on(job()).expect("second restart");
+    let ids: Vec<u64> = resumed.ckpts().iter().map(|c| c.ckpt_id).collect();
+    assert_eq!(ids, [2, 3]);
+}

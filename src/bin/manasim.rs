@@ -381,6 +381,7 @@ fn cmd_chaos(args: &[String]) {
     if let Some(app) = flags.get("app") {
         h.app = app_kind(app);
     }
+    h.job().check().unwrap_or_else(|e| fail(&e));
 
     println!(
         "chaos: {} on {} rank(s) / {} node(s), {} replica(s), {} topology",

@@ -21,6 +21,7 @@ fn bad_input_exits_2_with_an_error_line() {
         &["chaos", "--ranks", "0"],
         &["chaos", "--replicas", "0"],
         &["chaos", "--nodes", "0"],
+        &["chaos", "--ranks", "64"],
         &["verify", "--ranks", "0"],
         &["fleet"],
     ];
