@@ -15,7 +15,7 @@
 //! shapes, same ≥5× assertion at the highest churn point).
 
 use mana_apps::CommChurn;
-use mana_bench::{banner, Scale, Table};
+use mana_bench::{banner, Table};
 use mana_core::{JobBuilder, ManaSession, RestartReport, Workload};
 use mana_mpi::MpiProfile;
 use mana_sim::cluster::ClusterSpec;
@@ -89,19 +89,12 @@ fn run_point(cluster: &ClusterSpec, nranks: u32, steps: u64, churn: u64, seed: u
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let scale = Scale::from_env();
     banner(
         "fig_restart",
         "restart replay time vs communicator churn, full log vs compacted",
         "full-log replay grows linearly with lifetime churn; compaction flattens it to the live set",
     );
-    let (nodes, rpn, steps) = if smoke {
-        (2, 2, 4)
-    } else if scale.full {
-        (4, 8, 8)
-    } else {
-        (2, 4, 6)
-    };
+    let (nodes, rpn, steps) = if smoke { (2, 2, 4) } else { (2, 4, 6) };
     let cluster = ClusterSpec::local_cluster(nodes);
     let nranks = nodes * rpn;
     let churns: &[u64] = if smoke { &[0, 4, 16] } else { &[0, 4, 16, 64] };

@@ -1,213 +1,300 @@
-//! # mana-bench — figure-regeneration harnesses
+//! # mana-bench — the paper's figures as one table
 //!
-//! One `cargo bench` target per figure of the paper's evaluation section
-//! (`fig2_single_node` … `fig9_migration`, plus the §3.2.2 memory table,
-//! the §3.5 implementation-switch demo and the §2.6 protocol check), and a
-//! criterion suite (`micro`) measuring the real wall-clock cost of MANA's
-//! hot structures.
+//! [`FIGURES`] is the reproduction of the paper's evaluation: Figs. 2–9
+//! and the §3.2.2, §3.3 and §3.5 results. Each [`Figure`] names the
+//! simulated jobs it reads (figures that read the same jobs share them),
+//! the paper's claims about it, the file that recorded each claim's
+//! target, and a band or an ordering per claim. [`card`] runs the jobs
+//! and renders the verdicts and the runs as the markdown card `manasim
+//! reproduce` prints. The card holds simulated values only, so it is
+//! byte-stable per seed: `REPRODUCTION.md` commits the [`Scale::Quick`]
+//! card and `tests/reproduction.rs` regenerates it byte for byte.
 //!
-//! Scale: by default the sweeps run at a reduced scale (fewer nodes/ranks
-//! and steps) so `cargo bench` finishes in minutes; set `MANA_BENCH_FULL=1`
-//! to run the paper's full scale (64 nodes × 32 ranks/node = 2048 ranks).
-//! Reduced scale preserves every *shape* the paper reports — who wins, by
-//! roughly what factor, where the trends bend — which is the reproduction
-//! target.
+//! A claim outside its band is shown on the card as a deviation; the
+//! card never adjusts a model to meet a target.
+//!
+//! Four `cargo bench` targets remain beside the card: `micro` (criterion:
+//! host cost of MANA's hot structures), `protocol_check` (§2.6),
+//! `fig_restart` (replay vs communicator churn) and `fig_chaos` (recovery
+//! cost vs fault count). [`Table`] and [`banner`] print their output.
 
 #![warn(missing_docs)]
 
-use mana_apps::AppKind;
-use mana_core::{CheckpointStore, Incarnation, JobBuilder, ManaSession, TopologyKind};
-use mana_mpi::MpiProfile;
-use mana_sim::cluster::ClusterSpec;
-use mana_sim::time::{SimDuration, SimTime};
-use std::sync::Arc;
+mod figures;
 
-/// Sweep scale, controlled by `MANA_BENCH_FULL`.
+pub use figures::FIGURES;
+
+use std::fmt::Write as _;
+
+/// How large the sweeps run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// At most 64 ranks and few steps: the committed card.
+    Quick,
+    /// The paper's scale: up to 64 nodes × 32 ranks per node.
+    Full,
+}
+
+/// What a claim's extracted values must satisfy.
 #[derive(Clone, Copy, Debug)]
-pub struct Scale {
-    /// Full paper scale?
-    pub full: bool,
+enum Target {
+    /// Every value lies in `lo..=hi`.
+    Band(f64, f64),
+    /// Each value is larger than the one before it.
+    Rising,
+    /// The repo states no single target; the row shows its values and
+    /// names the open item that will choose one.
+    Unresolved(&'static str),
 }
 
-impl Scale {
-    /// Read from the environment.
-    pub fn from_env() -> Scale {
-        Scale {
-            full: std::env::var("MANA_BENCH_FULL").is_ok_and(|v| v == "1"),
+/// Band `x ± 5 %`: the reading of a target the repo states as "~x".
+const fn about(x: f64) -> Target {
+    Target::Band(x * 0.95, x * 1.05)
+}
+
+/// One claim of a figure, checked against the figure's sweep.
+struct Claim {
+    /// The claim, in the words the repo records it in.
+    claim: &'static str,
+    /// The file that records the claim's target.
+    source: &'static str,
+    /// Unit of the extracted values.
+    unit: &'static str,
+    /// The labelled values the target applies to, in sweep order; none
+    /// when the sweep has no run the claim speaks of at this scale.
+    extract: fn(&Sweep) -> Vec<(String, f64)>,
+    /// What the values must satisfy.
+    target: Target,
+}
+
+/// Runs the jobs behind one or more figures at a scale. Figures that
+/// read the same runs name the same `static`, and [`card`] runs and shows
+/// it once.
+struct Runs(fn(Scale) -> Sweep);
+
+/// One figure or table of the paper's evaluation.
+pub struct Figure {
+    /// What `manasim reproduce --fig` selects: the figure's number, or
+    /// the section of a result that has no figure.
+    pub key: &'static str,
+    /// Figure and section, as the card heads its rows.
+    name: &'static str,
+    /// The jobs the figure reads.
+    runs: &'static Runs,
+    /// What the paper claims about the figure.
+    claims: &'static [Claim],
+}
+
+/// The runs behind one or more figures: what they measure, a label per
+/// run and one number per column.
+struct Sweep {
+    title: &'static str,
+    columns: Vec<(&'static str, usize)>,
+    rows: Vec<(String, Vec<f64>)>,
+}
+
+impl Sweep {
+    /// An empty sweep of `title` whose columns are `(name, decimals
+    /// shown)`.
+    fn new(title: &'static str, columns: &[(&'static str, usize)]) -> Sweep {
+        Sweep {
+            title,
+            columns: columns.to_vec(),
+            rows: Vec::new(),
         }
     }
 
-    /// Compute-node counts for the multi-node sweeps (paper: 2..64).
-    pub fn node_counts(self) -> Vec<u32> {
-        if self.full {
-            vec![2, 4, 8, 16, 32, 64]
-        } else {
-            vec![2, 4, 8]
-        }
+    /// Append one run.
+    fn row(&mut self, label: impl Into<String>, values: Vec<f64>) {
+        assert_eq!(values.len(), self.columns.len(), "one value per column");
+        self.rows.push((label.into(), values));
     }
 
-    /// Ranks per node (paper: 32).
-    pub fn ranks_per_node(self) -> u32 {
-        if self.full {
-            32
-        } else {
-            8
-        }
+    /// Column `name` of every run whose label starts with `prefix`.
+    fn col_of(&self, prefix: &str, name: &str) -> Vec<(String, f64)> {
+        let i = self
+            .columns
+            .iter()
+            .position(|(c, _)| *c == name)
+            .unwrap_or_else(|| panic!("sweep has no column {name}"));
+        self.rows
+            .iter()
+            .filter(|(label, _)| label.starts_with(prefix))
+            .map(|(label, values)| (label.clone(), values[i]))
+            .collect()
     }
 
-    /// Single-node rank sweep (paper: 1..32; LULESH {1,8,27}).
-    pub fn single_node_ranks(self, app: AppKind) -> Vec<u32> {
-        match (app, self.full) {
-            (AppKind::Lulesh, true) => vec![1, 8, 27],
-            (AppKind::Lulesh, false) => vec![1, 8],
-            (_, true) => vec![1, 2, 4, 8, 16, 32],
-            (_, false) => vec![1, 2, 4, 8, 16],
-        }
+    /// Column `name` of every run.
+    fn col(&self, name: &str) -> Vec<(String, f64)> {
+        self.col_of("", name)
     }
 
-    /// Application steps per run.
-    pub fn steps(self) -> u64 {
-        if self.full {
-            20
-        } else {
-            10
-        }
+    /// Column `name` of the runs whose column `key` holds its largest
+    /// value.
+    fn col_at_max(&self, key: &str, name: &str) -> Vec<(String, f64)> {
+        let keys = self.col(key);
+        let max = keys
+            .iter()
+            .map(|(_, k)| *k)
+            .fold(f64::NEG_INFINITY, f64::max);
+        self.col(name)
+            .into_iter()
+            .zip(keys)
+            .filter(|(_, (_, k))| *k == max)
+            .map(|(v, _)| v)
+            .collect()
     }
 
-    /// Banner line describing the mode.
-    pub fn banner(self) -> String {
-        if self.full {
-            "scale: FULL (paper scale; set by MANA_BENCH_FULL=1)".to_string()
-        } else {
-            "scale: reduced (set MANA_BENCH_FULL=1 for the paper's 2048-rank sweeps)".to_string()
+    fn table(&self) -> Table {
+        let mut headers = vec!["run"];
+        headers.extend(self.columns.iter().map(|(c, _)| *c));
+        let mut t = Table::new(&headers);
+        for (label, values) in &self.rows {
+            let mut cells = vec![label.clone()];
+            cells.extend(
+                values
+                    .iter()
+                    .zip(&self.columns)
+                    .map(|(v, (_, d))| format!("{v:.d$}")),
+            );
+            t.row(cells);
         }
+        t
     }
 }
 
-/// Session whose checkpoint store is a Cori-like Lustre filesystem (the
-/// default `FsStore`).
-pub fn lustre_session() -> ManaSession {
-    ManaSession::new()
+/// A value as the card prints it: to three decimals, trailing zeros cut.
+fn num(v: f64) -> String {
+    let s = format!("{v:.3}");
+    s.trim_end_matches('0').trim_end_matches('.').to_string()
 }
 
-/// Session backed by an explicit checkpoint store — used by the
-/// tiered-vs-Lustre rows of Figs. 6 and 7.
-pub fn session_with(store: Arc<dyn CheckpointStore>) -> ManaSession {
-    ManaSession::builder().shared_store(store).build()
-}
-
-/// LULESH needs rank counts that factor into a 3-D grid; clamp a generic
-/// rank count to something cubic-ish.
-pub fn lulesh_ranks(nominal: u32) -> u32 {
-    // Largest cube ≤ nominal, at least 1.
-    let mut edge = 1;
-    while (edge + 1) * (edge + 1) * (edge + 1) <= nominal {
-        edge += 1;
+fn target_text(t: Target, unit: &str) -> String {
+    match t {
+        Target::Band(lo, hi) if lo == hi => format!("= {} {unit}", num(lo)),
+        Target::Band(lo, hi) if hi == f64::INFINITY => format!("≥ {} {unit}", num(lo)),
+        Target::Band(lo, hi) if lo == f64::NEG_INFINITY => format!("≤ {} {unit}", num(hi)),
+        Target::Band(lo, hi) => format!("{}–{} {unit}", num(lo), num(hi)),
+        Target::Rising => "rising".to_string(),
+        Target::Unresolved(_) => "—".to_string(),
     }
-    edge * edge * edge
 }
 
-/// Run one app natively and under MANA on `cluster` and return
-/// (native wall, MANA wall, normalized performance %).
-pub fn overhead_pair(
-    app: AppKind,
-    cluster: &ClusterSpec,
-    nranks: u32,
-    steps: u64,
-    seed: u64,
-) -> (SimDuration, SimDuration, f64) {
-    let workload = mana_apps::make_app(app, steps, cluster.nodes, false);
-    let session = lustre_session();
-    let job = || {
-        JobBuilder::new()
-            .cluster(cluster.clone())
-            .ranks(nranks)
-            .profile(MpiProfile::cray_mpich())
-            .seed(seed)
+fn listed(values: &[(String, f64)], unit: &str) -> String {
+    let shown: Vec<String> = values
+        .iter()
+        .map(|(label, v)| format!("{label}: {} {unit}", num(*v)))
+        .collect();
+    shown.join("; ")
+}
+
+/// The measured column: every value when there are few, else the range.
+fn measured(values: &[(String, f64)], unit: &str) -> String {
+    if values.len() <= 3 {
+        return listed(values, unit);
+    }
+    let lo = values.iter().map(|v| v.1).fold(f64::INFINITY, f64::min);
+    let hi = values.iter().map(|v| v.1).fold(f64::NEG_INFINITY, f64::max);
+    let range = if lo == hi {
+        num(lo)
+    } else {
+        format!("{}–{}", num(lo), num(hi))
     };
-    let native = session
-        .run_native(job(), workload.clone())
-        .expect("native run");
-    let mana = session.run(job(), workload).expect("mana run");
-    assert_eq!(
-        &native.checksums,
-        mana.checksums(),
-        "{:?} diverged under MANA",
-        app
+    format!("{range} {unit} over {} runs", values.len())
+}
+
+fn verdict(t: Target, values: &[(String, f64)], unit: &str) -> String {
+    if values.is_empty() {
+        return "not at this scale".to_string();
+    }
+    match t {
+        Target::Band(lo, hi) => {
+            let out: Vec<(String, f64)> = values
+                .iter()
+                .filter(|(_, v)| *v < lo || *v > hi)
+                .cloned()
+                .collect();
+            if out.is_empty() {
+                "in band".to_string()
+            } else {
+                format!("**out of band**: {}", listed(&out, unit))
+            }
+        }
+        Target::Rising if values.windows(2).all(|w| w[0].1 < w[1].1) => "in order".to_string(),
+        Target::Rising => "**out of order**".to_string(),
+        Target::Unresolved(why) => format!("unresolved: {why}"),
+    }
+}
+
+/// `f` over `items`, in order. At the quick scale each item runs on a
+/// thread of its own, so a debug build prints the card in seconds; at the
+/// full scale they run one after the other, as each may need gigabytes.
+fn each<T: Sync, R: Send>(scale: Scale, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    match scale {
+        Scale::Quick => std::thread::scope(|sc| {
+            let threads: Vec<_> = items.iter().map(|x| sc.spawn(|| f(x))).collect();
+            let joined = threads.into_iter().map(|t| t.join());
+            joined.collect::<Result<_, _>>().expect("a run panicked")
+        }),
+        Scale::Full => items.iter().map(f).collect(),
+    }
+}
+
+/// Run `figs` at `scale` and render the reproduction card: one row per
+/// claim, then each set of runs.
+pub fn card(figs: &[&Figure], scale: Scale) -> String {
+    let mut runs: Vec<&'static Runs> = Vec::new();
+    for f in figs {
+        if !runs.iter().any(|r| std::ptr::eq(*r, f.runs)) {
+            runs.push(f.runs);
+        }
+    }
+    let swept = each(scale, &runs, |r| (r.0)(scale));
+    let sweep_of = |f: &Figure| {
+        let i = runs.iter().position(|r| std::ptr::eq(*r, f.runs));
+        &swept[i.expect("every figure's runs were swept")]
+    };
+    let mut claims = Table::new(&["figure", "claim", "target", "source", "measured", "verdict"]);
+    for f in figs {
+        for c in f.claims {
+            let values = (c.extract)(sweep_of(f));
+            claims.row(vec![
+                f.name.to_string(),
+                c.claim.to_string(),
+                target_text(c.target, c.unit),
+                c.source.to_string(),
+                measured(&values, c.unit),
+                verdict(c.target, &values, c.unit),
+            ]);
+        }
+    }
+    let mut out = String::new();
+    let (scale_name, scale_note) = match scale {
+        Scale::Quick => ("quick", "at most 64 ranks and few steps per run"),
+        Scale::Full => ("full", "the paper's scale, up to 2048 ranks"),
+    };
+    let _ = write!(
+        out,
+        "# Reproduction card ({scale_name} scale)\n\n\
+         Printed by `manasim reproduce` ({scale_note}; fixed seeds) from simulated \
+         values only. A source named by a bare `<target>.rs` is the `cargo bench` \
+         target that printed the result before this card replaced it; its banner, \
+         footer or assertion recorded the target.\n\n{}",
+        claims.render()
     );
-    // Compare application wall time (startup measured out), as the paper's
-    // minutes-long runs effectively do.
-    let mana_app_wall = mana.outcome().app_wall;
-    let pct = native.app_wall.as_secs_f64() / mana_app_wall.as_secs_f64() * 100.0;
-    (native.app_wall, mana_app_wall, pct)
+    for (r, s) in runs.iter().zip(&swept) {
+        let names: Vec<&str> = figs
+            .iter()
+            .filter(|f| std::ptr::eq(f.runs, *r))
+            .map(|f| f.name)
+            .collect();
+        let table = s.table().render();
+        let _ = write!(out, "\n## {} — {}\n\n{table}", names.join(", "), s.title);
+    }
+    out
 }
 
-/// Run one app under MANA with a single checkpoint-and-kill in `session`,
-/// returning the killed incarnation (whose `ckpts()` holds the report and
-/// whose `restart_on` boots the follow-up incarnation).
-#[allow(clippy::too_many_arguments)]
-pub fn checkpoint_run(
-    app: AppKind,
-    cluster: &ClusterSpec,
-    nranks: u32,
-    steps: u64,
-    seed: u64,
-    session: &ManaSession,
-    ckpt_dir: &str,
-    with_bulk: bool,
-) -> Incarnation {
-    checkpoint_run_topo(
-        app,
-        cluster,
-        nranks,
-        steps,
-        seed,
-        session,
-        ckpt_dir,
-        with_bulk,
-        TopologyKind::Flat,
-    )
-}
-
-/// [`checkpoint_run`] under an explicit coordinator topology (the fig8
-/// flat-vs-tree comparison).
-#[allow(clippy::too_many_arguments)]
-pub fn checkpoint_run_topo(
-    app: AppKind,
-    cluster: &ClusterSpec,
-    nranks: u32,
-    steps: u64,
-    seed: u64,
-    session: &ManaSession,
-    ckpt_dir: &str,
-    with_bulk: bool,
-    topology: TopologyKind,
-) -> Incarnation {
-    let workload = mana_apps::make_app(app, steps, cluster.nodes, with_bulk);
-    let job = || {
-        JobBuilder::new()
-            .cluster(cluster.clone())
-            .ranks(nranks)
-            .profile(MpiProfile::cray_mpich())
-            .seed(seed)
-            .ckpt_dir(ckpt_dir)
-            .topology(topology)
-    };
-    // Probe the run length with a dry run so the checkpoint lands mid-run.
-    let probe = session.run(job(), workload.clone()).expect("probe run");
-    // Land the checkpoint in the middle of the *application* window (the
-    // probe's total wall time is dominated by MPI_Init at these run
-    // lengths; the paper's minutes-long runs don't have that problem).
-    let half = SimTime(probe.outcome().wall.as_nanos() - probe.outcome().app_wall.as_nanos() / 2);
-    let killed = session
-        .run(job().checkpoint_at(half).then_kill(), workload)
-        .expect("checkpoint-and-kill run");
-    assert!(killed.killed(), "{app:?}: checkpoint-and-kill did not kill");
-    assert_eq!(killed.ckpts().len(), 1);
-    killed
-}
-
-/// Markdown-ish table printer used by every figure target.
+/// Markdown table, aligned for reading in a terminal.
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -228,40 +315,41 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Print aligned.
-    pub fn print(&self) {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+    /// The table as markdown, every column padded to its widest cell.
+    pub fn render(&self) -> String {
+        let width = |s: &str| s.chars().count();
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| width(h)).collect();
         for r in &self.rows {
-            for (i, c) in r.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+            for (w, c) in widths.iter_mut().zip(r) {
+                *w = (*w).max(width(c));
             }
         }
         let line = |cells: &[String]| {
-            let mut s = String::new();
-            for (i, c) in cells.iter().enumerate() {
-                s.push_str(&format!("{:>width$}  ", c, width = widths[i]));
+            let mut s = String::from("|");
+            for (c, w) in cells.iter().zip(&widths) {
+                let _ = write!(s, " {c}{} |", " ".repeat(w - width(c)));
             }
-            println!("{}", s.trim_end());
+            s + "\n"
         };
-        line(&self.headers);
-        println!(
-            "{}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w + 2))
-                .collect::<String>()
-        );
+        let mut out = line(&self.headers);
+        let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        out += &line(&rule);
         for r in &self.rows {
-            line(r);
+            out += &line(r);
         }
+        out
+    }
+
+    /// Print the rendered table.
+    pub fn print(&self) {
+        print!("{}", self.render());
     }
 }
 
-/// Standard figure banner.
+/// Standard banner of a bench target.
 pub fn banner(fig: &str, title: &str, paper_claim: &str) {
     println!();
     println!("=== {fig}: {title}");
     println!("    paper: {paper_claim}");
-    println!("    {}", Scale::from_env().banner());
     println!();
 }

@@ -7,6 +7,7 @@
 //! manasim chaos   --seed 7 --faults 3 [--restart-faults N] [--drain-faults N]
 //!                 [--topology tree] [--ranks N] [--nodes N]
 //!                 [--replicas N] [--app <name>]
+//! manasim reproduce [--fig N] [--full]           # the paper's figures as a card
 //! ```
 //!
 //! Because the simulated filesystem lives in process memory, `migrate`
@@ -31,7 +32,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  manasim run --app <gromacs|minife|hpcg|clamr|lulesh> [--ranks N] [--nodes N]\n              [--mpi <cray|openmpi|mpich|mpich-debug>] [--steps N] [--seed N]\n              [--patched-kernel] [--ckpt-at-frac F [--kill]]\n  manasim migrate --app <name> [--ranks N] [--steps N] [--seed N]\n              [--from <cori|local>:<nodes>] [--to <cori|local>:<nodes>]\n              [--from-mpi <impl>] [--to-mpi <impl>]\n  manasim verify [--ranks N] [--colls K]\n  manasim chaos [--seed N] [--faults N] [--restart-faults N] [--drain-faults N]\n              [--topology <flat|tree>] [--ranks N]\n              [--nodes N] [--replicas N] [--steps N] [--app <name>]"
+        "usage:\n  manasim run --app <gromacs|minife|hpcg|clamr|lulesh> [--ranks N] [--nodes N]\n              [--mpi <cray|openmpi|mpich|mpich-debug>] [--steps N] [--seed N]\n              [--patched-kernel] [--ckpt-at-frac F [--kill]]\n  manasim migrate --app <name> [--ranks N] [--steps N] [--seed N]\n              [--from <cori|local>:<nodes>] [--to <cori|local>:<nodes>]\n              [--from-mpi <impl>] [--to-mpi <impl>]\n  manasim verify [--ranks N] [--colls K]\n  manasim chaos [--seed N] [--faults N] [--restart-faults N] [--drain-faults N]\n              [--topology <flat|tree>] [--ranks N]\n              [--nodes N] [--replicas N] [--steps N] [--app <name>]\n  manasim reproduce [--fig <2..9|3.2.2|3.3|3.5>] [--full]"
     );
     exit(2)
 }
@@ -398,6 +399,26 @@ fn cmd_chaos(args: &[String]) {
     }
 }
 
+/// The reproduction card (`REPRODUCTION.md` is the quick one) on stdout.
+fn cmd_reproduce(args: &[String]) {
+    use mana_bench::{card, Scale, FIGURES};
+    let flags = parse_flags("reproduce", "fig full", args);
+    let fig = flags.get("fig");
+    let figs: Vec<_> = FIGURES
+        .iter()
+        .filter(|f| fig.is_none_or(|k| *k == f.key))
+        .collect();
+    if let (Some(key), true) = (fig, figs.is_empty()) {
+        bad_input(&format!("manasim reproduce has no figure {key}"));
+    }
+    let scale = if flags.contains_key("full") {
+        Scale::Full
+    } else {
+        Scale::Quick
+    };
+    print!("{}", card(&figs, scale));
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -405,6 +426,7 @@ fn main() {
         Some("migrate") => cmd_migrate(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
+        Some("reproduce") => cmd_reproduce(&args[1..]),
         _ => usage(),
     }
 }

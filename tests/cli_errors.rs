@@ -23,6 +23,9 @@ fn bad_input_exits_2_with_an_error_line() {
         &["chaos", "--nodes", "0"],
         &["chaos", "--ranks", "64"],
         &["verify", "--ranks", "0"],
+        &["reproduce", "--fig", "99"],
+        &["reproduce", "--fig", "x"],
+        &["reproduce", "--figure", "2"],
         &["fleet"],
     ];
     for args in cases {
