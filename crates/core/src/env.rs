@@ -10,14 +10,20 @@
 //!
 //! 1. All state carried across environment operations lives in managed
 //!    upper-half arrays ([`AppEnv::alloc_f64`] etc.), never in Rust locals.
-//! 2. Within one step (one `begin_step` to the next), the *sequence* of
-//!    environment operations is a pure function of (rank, nranks, step
-//!    config, the step number) — not of floating data.
+//! 2. The prologue's (everything `run` does before its first
+//!    `begin_step`) *sequence* of environment operations is a pure
+//!    function of (rank, nranks, config), and within one step (one
+//!    `begin_step` to the next) it is a pure function of (rank, nranks,
+//!    step config, the step number) — not of floating data. A workload
+//!    that calls `begin_step` issues no nonblocking operation before the
+//!    first one: a skipped one would advance the restored slot allocator.
 //! 3. Each operation is atomic with respect to checkpoints; the cursor
-//!    (`ops_done`) counts completed operations, and on restart the
-//!    environment skips exactly that many operations of the re-entered
-//!    step. A skipped receive's payload is already in the restored arrays;
-//!    a skipped send's payload already left with the drained network.
+//!    (`ops_done`) counts completed operations from the start of `run` —
+//!    the prologue's plus the current step's — and on restart the
+//!    environment skips exactly that many: the whole prologue, then the
+//!    re-entered step's completed operations. A skipped receive's payload
+//!    is already in the restored arrays; a skipped send's payload already
+//!    left with the drained network.
 //!
 //! Under these rules a workload contains no checkpoint logic whatsoever —
 //! the paper's transparency property — and a restarted run is
@@ -215,19 +221,20 @@ impl AppEnv {
         }
     }
 
-    /// Step boundary: quiesce point + cursor reset. Call at the top of the
-    /// outer iteration loop (which must iterate a managed counter).
+    /// Step boundary: quiesce point + cursor reset to the end of the
+    /// prologue, which the first call marks. Call at the top of the outer
+    /// iteration loop (which must iterate a managed counter).
     pub fn begin_step(&mut self) {
         self.with_progress(|p| {
-            if p.resuming {
-                p.resuming = false; // keep resume_skip (and the handle
-                                    // ledger) for this first step
-            } else {
+            let (ops, created) = *p.prologue.get_or_insert((p.ops_done, p.created_cursor));
+            // A resumed step still fast-forwarding keeps the image's skip
+            // count and ledger.
+            if p.ops_done >= p.resume_skip {
                 p.resume_skip = 0;
-                p.step_created.clear();
-                p.created_cursor = 0;
+                p.step_created.truncate(created);
             }
-            p.ops_done = 0;
+            p.ops_done = ops;
+            p.created_cursor = created;
             p.slot_seq_at_step = p.slot_seq;
         });
         if let Some(sh) = &self.sh {
@@ -659,44 +666,35 @@ impl AppEnv {
     // ----- opaque-object churn (state-mutating; MANA records these) ---------
     //
     // Creations are ordinary operations with one extra rule: the produced
-    // virtual handle is appended to the per-step *handle ledger*
-    // (`Progress::step_created`, checkpointed alongside the progress
-    // cursor), and a creation skipped during resume re-derives its handle
-    // from the ledger in order — the handle analogue of the allocation
-    // ledger. Handles carried *across* steps must live in managed memory
-    // (store the `CommHandle.0` in a `u64` array), per the restore
-    // contract; virtual ids are stable across restarts, so they reload
-    // correctly.
-
-    /// The next handle of the restored ledger, consumed by a skipped
-    /// creation.
-    fn ledger_next(&self) -> Option<u64> {
-        self.with_progress(|p| {
-            let v = *p.step_created.get(p.created_cursor)?;
-            p.created_cursor += 1;
-            Some(v)
-        })
-    }
-
-    /// Append a created handle to the ledger and complete the operation.
-    fn created_done(&self, v: u64) {
-        self.with_progress(|p| {
-            p.step_created.push(v);
-            p.created_cursor = p.step_created.len();
-            p.ops_done += 1;
-        });
-    }
+    // virtual handle is appended to the *handle ledger*
+    // (`Progress::step_created`: the prologue's creations, then the
+    // current step's; checkpointed alongside the progress cursor), and a
+    // creation skipped during resume re-derives its handle from the
+    // ledger in order — the handle analogue of the allocation ledger.
+    // Handles carried *across* steps must live in managed memory (store
+    // the `CommHandle.0` in a `u64` array) or come from the prologue, per
+    // the restore contract; virtual ids are stable across restarts, so
+    // they reload correctly.
 
     /// Ledger-driven creation: skip path pops the restored ledger, real
     /// path runs `create` and appends its handle.
     fn handle_op(&mut self, what: &str, create: impl FnOnce(&Self) -> u64) -> u64 {
         if self.op_skip() {
-            return self
-                .ledger_next()
-                .unwrap_or_else(|| panic!("handle ledger exhausted resuming {what}"));
+            return self.with_progress(|p| {
+                let v = *p
+                    .step_created
+                    .get(p.created_cursor)
+                    .unwrap_or_else(|| panic!("handle ledger exhausted resuming {what}"));
+                p.created_cursor += 1;
+                v
+            });
         }
         let v = create(self);
-        self.created_done(v);
+        self.with_progress(|p| {
+            p.step_created.push(v);
+            p.created_cursor = p.step_created.len();
+            p.ops_done += 1;
+        });
         v
     }
 
@@ -771,27 +769,12 @@ impl AppEnv {
         self.op_done();
     }
 
-    /// `MPI_Cart_create`. Returns the created communicator; on skip,
-    /// re-derives the handle from the step ledger. A creation skipped in
-    /// the prologue before the first step (LULESH builds its grid there)
-    /// has no ledger entry: its handle is the restored communicator whose
-    /// metadata carries these dims.
+    /// `MPI_Cart_create` (reordering allowed). A creation skipped in the
+    /// prologue (LULESH builds its grid there) pops the ledger like any
+    /// other.
     pub fn cart_create(&mut self, comm: CommHandle, dims: &[u32], periodic: &[bool]) -> CommHandle {
-        if self.op_skip() {
-            if let Some(v) = self.ledger_next() {
-                return CommHandle(v);
-            }
-            let sh = self.sh.as_ref().expect("skip only under MANA");
-            let st = sh.state.lock();
-            let (virt, _) = st
-                .comms
-                .iter()
-                .find(|(_, m)| *m.cart_dims == *dims && !m.members.is_empty())
-                .expect("restored cart communicator");
-            return CommHandle(virt);
-        }
-        let out = self.mpi.cart_create(&self.t, comm, dims, periodic, true);
-        self.created_done(out.0);
-        out
+        CommHandle(self.handle_op("cart_create", |s| {
+            s.mpi.cart_create(&s.t, comm, dims, periodic, true).0
+        }))
     }
 }

@@ -83,8 +83,9 @@ pub struct CheckpointImage {
     pub buffered: Vec<BufferedMsg>,
     /// Outstanding two-phase nonblocking collectives.
     pub pending: Vec<PendingColl>,
-    /// Operations completed in the current application step (the progress
-    /// cursor; see `env` module).
+    /// Operations completed since the application's `run` began: the
+    /// prologue's plus the interrupted step's (the progress cursor; see
+    /// `env` module).
     pub ops_done: u64,
     /// Managed allocations in creation order: (address, length).
     pub allocs: Vec<(u64, u64)>,
@@ -101,9 +102,9 @@ pub struct CheckpointImage {
     /// Explicit virtual-id rebind map: which retained log entry (or the
     /// fresh world) binds each virtual id at replay.
     pub rebind: Vec<RebindEntry>,
-    /// Virtual handles created by completed operations of the interrupted
-    /// step, in creation order — the environment's resume ledger for
-    /// skipped communicator/group/datatype creations.
+    /// Virtual handles created by completed operations of the prologue and
+    /// the interrupted step, in creation order — the environment's resume
+    /// ledger for skipped communicator/group/datatype creations.
     pub step_created: Vec<u64>,
     /// Per-region dirty-page summaries from the copy-on-write snapshot
     /// path (empty for hand-built images). Advisory: `CompressingStore`

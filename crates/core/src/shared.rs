@@ -102,16 +102,20 @@ pub enum SlotState {
 
 /// Application progress cursor: the simulator-level stand-in for MANA's
 /// saved stack and registers. `ops_done` counts completed application
-/// operations in the current step; on restart the environment fast-forwards
-/// (skips) exactly that many operations of the re-entered step.
+/// operations from the start of the workload's `run`: the prologue's
+/// (everything before the first `begin_step`) plus the current step's. On
+/// restart the environment fast-forwards (skips) exactly that many
+/// operations: the whole prologue, then the re-entered step's completed
+/// ones.
 #[derive(Debug, Default)]
 pub struct Progress {
-    /// Operations completed in the current application step.
+    /// Operations completed in the prologue plus the current step.
     pub ops_done: u64,
     /// Operations to skip while resuming (from the image).
     pub resume_skip: u64,
-    /// True until the first `begin_step` after a restore.
-    pub resuming: bool,
+    /// The operations and handle creations the prologue completed, set by
+    /// the first `begin_step`; each later one rewinds the cursors to it.
+    pub prologue: Option<(u64, usize)>,
     /// Managed allocations in creation order (address, byte length).
     pub allocs: Vec<(u64, u64)>,
     /// Allocation-rebind cursor used while resuming.
@@ -126,10 +130,10 @@ pub struct Progress {
     /// of the partial step re-derive exactly the ids they allocated before
     /// the checkpoint.
     pub slot_seq_at_step: u64,
-    /// Virtual handles created by completed operations of the *current*
-    /// step, in creation order (checkpointable). On resume, skipped
-    /// communicator/group/datatype creations re-derive their handles from
-    /// this ledger — the handle analogue of `allocs`.
+    /// Virtual handles created by completed operations of the prologue
+    /// and the *current* step, in creation order (checkpointable). On
+    /// resume, skipped communicator/group/datatype creations re-derive
+    /// their handles from this ledger — the handle analogue of `allocs`.
     pub step_created: Vec<u64>,
     /// Ledger cursor used while resuming (skipped creations consume
     /// entries in order; real creations append and advance it).
@@ -148,7 +152,8 @@ pub struct Progress {
 /// (`RankState::restored`): real handles and group members by replay
 /// and rebind, `dtype_base_cache` by replay, `wseq` from the pending
 /// collectives; lower-half send requests do not survive. `alloc_cursor`,
-/// `created_cursor`, `resume_skip` and `resuming` are runtime cursors.
+/// `created_cursor`, `resume_skip` and `prologue` are runtime cursors:
+/// the resumed run's prologue re-derives `prologue` as it is skipped.
 pub struct RankState {
     /// Record-replay log (paper §2.2), in call order.
     pub log: Vec<LoggedCall>,
@@ -204,7 +209,6 @@ impl RankState {
         st.log = img.log.clone();
         st.progress = Progress {
             resume_skip: img.ops_done,
-            resuming: true,
             allocs: img.allocs.clone(),
             slots: img.slots.clone(),
             // Rewind the slot allocator to the interrupted step's start:

@@ -30,6 +30,13 @@
 //! can no longer carry their log entries or pending kind. The wire format
 //! did not change — `VERSION` stays 3, every surviving tag keeps its
 //! number, and the product images above did not move.
+//!
+//! `PRODUCT_IMAGES` and `RESTARTED_IMAGES` were re-pinned when the
+//! progress cursor began counting from the start of the workload's `run`:
+//! every image's `ops_done` now includes the prologue's operations, and
+//! its handle ledger (`step_created`) the prologue's creations — LULESH's
+//! Cartesian communicator, 8 bytes longer. The wire layout did not change
+//! and `VERSION` stays 3.
 
 use mana::apps::{make_app_small, AppKind, CommChurn};
 use mana::core::buffer::{BufferedMsg, PairCounters};
@@ -70,13 +77,13 @@ const CAS_MANIFEST: (usize, u64) = (1444, 8661028317698414280);
 /// `CommChurn` is pinned twice: compacted, and with the compactor off so
 /// the image carries its whole recorded log.
 const PRODUCT_IMAGES: [(&str, (usize, u64)); 7] = [
-    ("GROMACS", (17294, 16563972388692540410)),
-    ("miniFE", (66419, 11577447797382367482)),
-    ("HPCG", (83021, 3292385713209035986)),
-    ("CLAMR", (53609, 4347370816519672121)),
-    ("LULESH", (6506, 11018611540632644964)),
-    ("comm-churn", (1461, 5849916872285534317)),
-    ("comm-churn, full log", (4365, 10297060953430396043)),
+    ("GROMACS", (17294, 9401677820521793050)),
+    ("miniFE", (66419, 12370447162698825330)),
+    ("HPCG", (83021, 12825188003372114723)),
+    ("CLAMR", (53609, 10184687027780947406)),
+    ("LULESH", (6514, 4146186506198229)),
+    ("comm-churn", (1461, 4176045048592445656)),
+    ("comm-churn, full log", (4365, 9505833051909416699)),
 ];
 
 fn pinned(bytes: &ImageBytes) -> (usize, u64) {
@@ -398,92 +405,92 @@ const RESTARTED_IMAGES: [(&str, [(usize, u64); 8]); 7] = [
     (
         "GROMACS",
         [
-            (17390, 10341557971535224992),
-            (17390, 1720937541841213989),
-            (17390, 5187470107703772567),
-            (17390, 16811823567664922034),
-            (17390, 18182924291726407797),
-            (17390, 12595223866660238248),
-            (17390, 14905017611289960314),
-            (17390, 1285568274972904797),
+            (17390, 14636676427932493212),
+            (17390, 12884391980665956737),
+            (17390, 15696694609232618666),
+            (17390, 18238493149054631583),
+            (17390, 5565692534146363723),
+            (17390, 15070857562927455895),
+            (17390, 1221873575952758936),
+            (17390, 3596041244115892899),
         ],
     ),
     (
         "miniFE",
         [
-            (66483, 11177040702320697502),
-            (66483, 8637486823943559577),
-            (66483, 5668390759140872553),
-            (66483, 4480083417212972400),
-            (66483, 1010808119794487830),
-            (66483, 7414202227946333499),
-            (66483, 119365257078662179),
-            (66483, 15939506039169828496),
+            (66483, 13418720579275909010),
+            (66483, 6145696384517127712),
+            (66483, 6787169881694901663),
+            (66483, 7813019942443999937),
+            (66483, 8036934992728217244),
+            (66483, 8843100643332360656),
+            (66483, 11296065873719538367),
+            (66483, 17506991379116150064),
         ],
     ),
     (
         "HPCG",
         [
-            (83117, 75501157410915045),
-            (83117, 9352263688031859072),
-            (83117, 9010769737096399635),
-            (83117, 14119695216556242725),
-            (83117, 7882245895909163119),
-            (83117, 16953449038727846182),
-            (83117, 6636681897509097520),
-            (83117, 4250968481480635607),
+            (83117, 5188822129552455509),
+            (83117, 13985237143286020799),
+            (83117, 2524791696860323929),
+            (83117, 15381011694663166041),
+            (83117, 9198432392814339795),
+            (83117, 7722662691789681249),
+            (83117, 6051236975119269129),
+            (83117, 17181154009802458184),
         ],
     ),
     (
         "CLAMR",
         [
-            (53665, 12406087371025724542),
-            (53665, 5336660487128580467),
-            (53665, 15869940319210589912),
-            (53665, 9310407213581770402),
-            (53665, 18255928663382034496),
-            (53665, 16478474860824774382),
-            (53665, 13664048465861736955),
-            (53665, 5186100427219364614),
+            (53665, 4067499178194775113),
+            (53665, 11024199180468269327),
+            (53665, 11003815026140149414),
+            (53665, 15344965996774153813),
+            (53665, 189564938447404698),
+            (53665, 8349828320900896030),
+            (53665, 7147862248016792277),
+            (53665, 9170322415385684839),
         ],
     ),
     (
         "LULESH",
         [
-            (6562, 17628753023576383185),
-            (6562, 13144326638962024050),
-            (6562, 2035405482161280429),
-            (6562, 4488611060167911466),
-            (6562, 12940625120317026678),
-            (6562, 17330141362564640681),
-            (6562, 18243023076664867137),
-            (6562, 22775118662240964),
+            (6570, 10802042919344875657),
+            (6570, 16437306466493157824),
+            (6570, 18238717582790779784),
+            (6570, 13668291858567573981),
+            (6570, 2843970237721636087),
+            (6570, 1814658557084997603),
+            (6570, 1503713196551454212),
+            (6570, 14724848027574747119),
         ],
     ),
     (
         "comm-churn",
         [
-            (1533, 1009650617014048014),
-            (1557, 5628461997233714671),
-            (1533, 6105825941074642172),
-            (1557, 14040406434528382198),
-            (1533, 2402170321717088886),
-            (1557, 5865774131079700177),
-            (1533, 10394543734938264302),
-            (1557, 1840736888938010818),
+            (1533, 12354753027733289237),
+            (1557, 11205106451243521483),
+            (1533, 2249592561154234421),
+            (1557, 4578153432669755474),
+            (1533, 14315940967991913742),
+            (1557, 7216475892453453262),
+            (1533, 6457575565487850807),
+            (1557, 13467221372043760363),
         ],
     ),
     (
         "comm-churn, full log",
         [
-            (5357, 11620246406367077232),
-            (4789, 2441066665758660765),
-            (5357, 12244975468850639594),
-            (4789, 18033165122263051243),
-            (5357, 8774512136566669196),
-            (4789, 8770255480102334322),
-            (5357, 15354095518517181295),
-            (4789, 11179007214273132370),
+            (5357, 4351189868945841234),
+            (4789, 14959856814934996298),
+            (5357, 15551088297135700508),
+            (4789, 1892666543487263293),
+            (5357, 266146335131452345),
+            (4789, 17103380884803088787),
+            (5357, 10644374560061087529),
+            (4789, 11525257216165994011),
         ],
     ),
 ];
