@@ -5,8 +5,9 @@
 //! groups and datatypes. MANA's record-replay log grows with every such
 //! call, so restart time grows with job *lifetime* rather than live
 //! state — exactly the pathology the restart subsystem's log compactor
-//! targets. [`CommChurn`] makes the churn rate a dial: `fig_restart`
-//! sweeps it and compares full-log vs compacted-log replay.
+//! targets. [`CommChurn`] makes the churn rate a dial:
+//! `tests/restart_compaction.rs` turns it up and compares full-log vs
+//! compacted-log replay.
 //!
 //! The workload follows the restore contract: bulk-synchronous steps
 //! dominated by one long compute op (so checkpoints quantize to op

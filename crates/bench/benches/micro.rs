@@ -67,23 +67,7 @@ fn sample_image(dense_kb: usize) -> CheckpointImage {
                 content: SnapshotContent::Pattern { seed: 3 },
             },
         ],
-        upper_cursor: 0,
-        comms: vec![],
-        groups: vec![],
-        dtypes: vec![],
-        log: vec![],
-        counters: Default::default(),
-        buffered: vec![],
-        pending: vec![],
-        ops_done: 0,
-        allocs: vec![],
-        slots: vec![],
-        slot_seq: 0,
-        slot_seq_at_step: 0,
-        world_virt: 0,
-        rebind: vec![],
-        step_created: vec![],
-        dirty: vec![],
+        ..CheckpointImage::default()
     }
 }
 

@@ -1,14 +1,16 @@
 //! [`FIGURES`]: what the reproduction claims about each result of the
-//! paper's evaluation, and the sweep of simulated jobs that measures it.
+//! paper's evaluation, and the sweep of simulated jobs (for §2.6, of
+//! model-checked protocol configurations) that measures it.
 //!
 //! Claims, bands and sources are the ones the repo recorded before this
-//! table: the banners and footers of the `cargo bench` targets it
-//! replaced, `mana_apps::paper_image_mb` and `FsConfig::default`'s
-//! comment. No target comes from outside the repo.
+//! table: the banners, footers, rows and assertions of the `cargo bench`
+//! targets it replaced, `mana_apps::paper_image_mb` and
+//! `FsConfig::default`'s comment. No target comes from outside the repo.
 
 use crate::{about, Claim, Figure, Runs, Scale, Sweep, Target};
 use mana_apps::{AppKind, CollBench, Gromacs, OsuBandwidth, OsuCollLatency, OsuLatency, Series};
 use mana_core::{JobBuilder, ManaConfig, ManaSession, TopologyKind, Workload};
+use mana_model_check::{check, check_under, CheckOutcome, Spec};
 use mana_mpi::{MpiJob, MpiProfile};
 use mana_sim::cluster::{ClusterSpec, InterconnectKind, Placement};
 use mana_sim::kernel::KernelModel;
@@ -21,6 +23,31 @@ use std::sync::{Arc, Mutex};
 /// Every result of the paper's evaluation the reproduction measures, in
 /// the paper's order.
 pub static FIGURES: &[Figure] = &[
+    Figure {
+        key: "2.6",
+        name: "§2.6",
+        runs: &Runs(protocol),
+        claims: &[
+            Claim {
+                claim: "no deadlocks or broken invariants (the implemented rule)",
+                source: "`protocol_check.rs` banner",
+                unit: "violations",
+                extract: |s| {
+                    let mut v = s.col("violations");
+                    v.retain(|(l, _)| !l.starts_with(WEAKENED));
+                    v
+                },
+                target: Target::Band(0.0, 0.0),
+            },
+            Claim {
+                claim: "the rule without its slip-prevention term is caught",
+                source: "`protocol_check.rs` \"(expected!)\" row",
+                unit: "violations",
+                extract: |s| s.col_of(WEAKENED, "violations"),
+                target: Target::Band(1.0, f64::INFINITY),
+            },
+        ],
+    },
     Figure {
         key: "2",
         name: "Fig. 2 (§3.3)",
@@ -353,6 +380,52 @@ fn job(cluster: &ClusterSpec, nranks: u32, seed: u64) -> JobBuilder {
         .ranks(nranks)
         .profile(MpiProfile::cray_mpich())
         .seed(seed)
+}
+
+/// Label prefix of §2.6's negative control.
+const WEAKENED: &str = "weakened rule";
+
+/// §2.6: the protocol's whole state space, explored under the
+/// coordinator's own do-ckpt rule and, as a negative control, under the
+/// rule without its slip-prevention term. A violation stops the search,
+/// so a run finds at most one.
+fn protocol(s: Scale) -> Sweep {
+    let mut t = Sweep::new(
+        "protocol verification (explicit-state model checking)",
+        &[("states", 0), ("transitions", 0), ("violations", 0)],
+    );
+    let mut row = |label: String, out: CheckOutcome| {
+        let found = if out.ok() { 0.0 } else { 1.0 };
+        t.row(
+            label,
+            vec![out.states as f64, out.transitions as f64, found],
+        );
+    };
+    let mut specs = vec![
+        ("2 ranks, 1 collective", Spec::uniform_world(2, 1)),
+        ("2 ranks, 3 collectives", Spec::uniform_world(2, 3)),
+    ];
+    if s == Scale::Full {
+        specs.extend([
+            ("3 ranks, 2 collectives", Spec::uniform_world(3, 2)),
+            ("4 ranks, 1 collective", Spec::uniform_world(4, 1)),
+            (
+                "3 ranks, overlapping comms (Challenge III)",
+                Spec::overlapping_comms(),
+            ),
+        ]);
+    }
+    for (label, spec) in specs {
+        row(label.to_string(), check(&spec));
+    }
+    let out = check_under(&Spec::uniform_world(2, 1), |agg| agg.exit_phase2 == 0);
+    let caught = out.violation.as_ref().map(|v| format!(": {v:?}"));
+    let label = format!(
+        "{WEAKENED}, 2 ranks, 1 collective{}",
+        caught.unwrap_or_default()
+    );
+    row(label, out);
+    t
 }
 
 /// Application wall time of every app natively and under MANA on one

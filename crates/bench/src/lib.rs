@@ -1,10 +1,11 @@
 //! # mana-bench — the paper's figures as one table
 //!
-//! [`FIGURES`] is the reproduction of the paper's evaluation: Figs. 2–9
-//! and the §3.2.2, §3.3 and §3.5 results. Each [`Figure`] names the
-//! simulated jobs it reads (figures that read the same jobs share them),
-//! the paper's claims about it, the file that recorded each claim's
-//! target, and a band or an ordering per claim. [`card`] runs the jobs
+//! [`FIGURES`] is the reproduction of the paper's evaluation: the §2.6
+//! model check, Figs. 2–9 and the §3.2.2, §3.3 and §3.5 results. Each
+//! [`Figure`] names the simulated jobs it reads, or the protocol
+//! configurations it model-checks (figures that read the same jobs share
+//! them), the paper's claims about it, the file that recorded each
+//! claim's target, and a band or an ordering per claim. [`card`] runs the jobs
 //! and renders the verdicts and the runs as the markdown card `manasim
 //! reproduce` prints. The card holds simulated values only, so it is
 //! byte-stable per seed: `REPRODUCTION.md` commits the [`Scale::Quick`]
@@ -13,10 +14,8 @@
 //! A claim outside its band is shown on the card as a deviation; the
 //! card never adjusts a model to meet a target.
 //!
-//! Four `cargo bench` targets remain beside the card: `micro` (criterion:
-//! host cost of MANA's hot structures), `protocol_check` (§2.6),
-//! `fig_restart` (replay vs communicator churn) and `fig_chaos` (recovery
-//! cost vs fault count). [`Table`] and [`banner`] print their output.
+//! One `cargo bench` target remains beside the card: `micro` (criterion:
+//! host cost of MANA's hot structures).
 
 #![warn(missing_docs)]
 
@@ -295,14 +294,14 @@ pub fn card(figs: &[&Figure], scale: Scale) -> String {
 }
 
 /// Markdown table, aligned for reading in a terminal.
-pub struct Table {
+struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// New table with column headers.
-    pub fn new(headers: &[&str]) -> Table {
+    fn new(headers: &[&str]) -> Table {
         Table {
             headers: headers.iter().map(ToString::to_string).collect(),
             rows: Vec::new(),
@@ -310,13 +309,13 @@ impl Table {
     }
 
     /// Append a row.
-    pub fn row(&mut self, cells: Vec<String>) {
+    fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len());
         self.rows.push(cells);
     }
 
     /// The table as markdown, every column padded to its widest cell.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let width = |s: &str| s.chars().count();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| width(h)).collect();
         for r in &self.rows {
@@ -339,17 +338,4 @@ impl Table {
         }
         out
     }
-
-    /// Print the rendered table.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
-
-/// Standard banner of a bench target.
-pub fn banner(fig: &str, title: &str, paper_claim: &str) {
-    println!();
-    println!("=== {fig}: {title}");
-    println!("    paper: {paper_claim}");
-    println!();
 }

@@ -5,7 +5,9 @@
 //! assert the memento property end to end: whatever the plan injects,
 //! the chain ends in exactly the fault-free final state.
 
-use mana_chaos::{ChaosHarness, ChaosPlan, FaultKind, PlannedFault, PlannedRestartFault};
+use mana_chaos::{
+    ChaosHarness, ChaosPlan, ChaosReport, FaultKind, PlannedFault, PlannedRestartFault,
+};
 use mana_core::chaos::{DrainFault, InjectPoint, RestartPoint};
 use mana_core::config::TopologyKind;
 
@@ -42,6 +44,51 @@ fn every_seeded_chain_heals() {
     assert!(failovers > 0, "sweep never killed a sub-coordinator");
     assert!(torn > 0, "sweep never tore an image write");
     assert!(outages > 0, "sweep never darkened a replica");
+}
+
+/// The mixed sweep: 32 seeds of 3 faults and 2 restart-phase kills
+/// each, every even seed also interrupting 2 async drains (which puts
+/// the burst-buffer tier in the stack). Every chain heals, and the sweep
+/// as a whole crashes, fails over, tears, darkens a replica, kills at
+/// least 8 restarts, resumes a drain and falls back past a destroyed
+/// image.
+#[test]
+fn mixed_fault_chains_heal_and_reach_every_recovery_path() {
+    let reports: Vec<ChaosReport> = (0..32)
+        .map(|seed: u64| {
+            let mut h = ChaosHarness::new(seed, 3);
+            h.restart_faults = 2;
+            h.drain_faults = if seed.is_multiple_of(2) { 2 } else { 0 };
+            h.run()
+        })
+        .collect();
+    for (seed, r) in reports.iter().enumerate() {
+        assert!(r.healed(), "seed {seed} did not heal:\n{r}");
+    }
+    let sum = |f: fn(&ChaosReport) -> usize| reports.iter().map(f).sum::<usize>();
+    assert!(
+        sum(|r| r.crashes.len()) > 0,
+        "sweep never gang-crashed a job"
+    );
+    assert!(sum(|r| r.failovers.len()) > 0, "sweep never failed over");
+    assert!(sum(|r| r.torn_writes.len()) > 0, "sweep never tore a write");
+    assert!(
+        sum(|r| r.outages_applied.len()) > 0,
+        "sweep never darkened a replica"
+    );
+    let restart_kills = sum(|r| r.restart_crashes.len());
+    assert!(
+        restart_kills >= 8,
+        "{restart_kills} restart-phase kills, want ≥ 8"
+    );
+    assert!(
+        sum(|r| r.drains_resumed.len()) >= 1,
+        "no interrupted drain resumed"
+    );
+    assert!(
+        sum(ChaosReport::image_fallbacks) >= 1,
+        "no fallback past a destroyed image"
+    );
 }
 
 /// A killed sub-coordinator no longer stalls its node: a surviving rank

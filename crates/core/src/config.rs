@@ -114,9 +114,9 @@ pub struct ManaConfig {
     pub topology: TopologyKind,
     /// Compact the record-replay log before writing it into checkpoint
     /// images (elide freed opaque objects and dead derivation subtrees;
-    /// see `mana_core::restart::compact`). On by default; the
-    /// `fig_restart` bench switches it off to measure the full-log replay
-    /// curve.
+    /// see `mana_core::restart::compact`). On by default;
+    /// `tests/restart_compaction.rs` switches it off to measure full-log
+    /// replay.
     pub compact_log: bool,
     /// Fault-injection seam. Unarmed (the default) it injects nothing;
     /// armed, the protocol polls it at phase-aware points and a seeded

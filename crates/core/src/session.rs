@@ -515,8 +515,8 @@ impl JobBuilder {
     /// Whether checkpoint images carry a compacted record log (freed
     /// opaque objects and dead derivation subtrees elided — see
     /// [`crate::restart::compact`]). Defaults to on; switching it off
-    /// preserves the full log in every image, which the `fig_restart`
-    /// bench uses to measure the unbounded replay-time curve. Inherited
+    /// preserves the full log in every image, which
+    /// `tests/restart_compaction.rs` uses to measure full-log replay. Inherited
     /// across restarts like the rest of the configuration.
     pub fn compact_log(mut self, on: bool) -> JobBuilder {
         self.compact_log = Some(on);

@@ -329,22 +329,6 @@ mod tests {
                     name: "r".to_string(),
                     content: SnapshotContent::Dense(DenseSnap::from_vec(bytes)),
                 }],
-                upper_cursor: 0,
-                comms: Vec::new(),
-                groups: Vec::new(),
-                dtypes: Vec::new(),
-                log: Vec::new(),
-                counters: Default::default(),
-                buffered: Vec::new(),
-                pending: Vec::new(),
-                ops_done: 0,
-                allocs: Vec::new(),
-                slots: Vec::new(),
-                slot_seq: 0,
-                slot_seq_at_step: 0,
-                world_virt: 0,
-                rebind: Vec::new(),
-                step_created: Vec::new(),
                 dirty: vec![RegionDirty {
                     start: 0x1000,
                     lineage: 1,
@@ -353,6 +337,7 @@ mod tests {
                     page_count: len.div_ceil(PAGE),
                     pages: vec![bitmap],
                 }],
+                ..CheckpointImage::default()
             }
         }
 

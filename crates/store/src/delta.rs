@@ -689,23 +689,8 @@ mod tests {
             app_name: "t".to_string(),
             seed: 1,
             regions,
-            upper_cursor: 0,
-            comms: Vec::new(),
-            groups: Vec::new(),
-            dtypes: Vec::new(),
-            log: Vec::new(),
-            counters: Default::default(),
-            buffered: Vec::new(),
-            pending: Vec::new(),
             ops_done: ckpt_id,
-            allocs: Vec::new(),
-            slots: Vec::new(),
-            slot_seq: 0,
-            slot_seq_at_step: 0,
-            world_virt: 0,
-            rebind: Vec::new(),
-            step_created: Vec::new(),
-            dirty: Vec::new(),
+            ..CheckpointImage::default()
         }
     }
 

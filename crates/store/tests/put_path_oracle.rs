@@ -22,7 +22,6 @@
 //! `manifest_bytes` (`cas[4]`) moved, e.g. 4811 → 2763. Every journal
 //! field, `cas_ns`, page count and restored checksum stayed as it was.
 
-use mana_core::buffer::PairCounters;
 use mana_core::chaos::{ChaosHandle, FaultInjector};
 use mana_core::error::StoreError;
 use mana_core::image::CheckpointImage;
@@ -171,22 +170,9 @@ fn image_around(generation: u64, snap: HalfSnapshot) -> CheckpointImage {
         seed: 1,
         regions: snap.regions,
         upper_cursor: 0x7f00_0000_0000,
-        comms: Vec::new(),
-        groups: Vec::new(),
-        dtypes: Vec::new(),
-        log: Vec::new(),
-        counters: PairCounters::default(),
-        buffered: Vec::new(),
-        pending: Vec::new(),
         ops_done: generation,
-        allocs: Vec::new(),
-        slots: Vec::new(),
-        slot_seq: 0,
-        slot_seq_at_step: 0,
-        world_virt: 0,
-        rebind: Vec::new(),
-        step_created: Vec::new(),
         dirty: snap.dirty,
+        ..CheckpointImage::default()
     }
 }
 

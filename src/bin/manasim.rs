@@ -6,8 +6,8 @@
 //! manasim verify  [--ranks N] [--colls K]       # protocol model checking
 //! manasim chaos   --seed 7 --faults 3 [--restart-faults N] [--drain-faults N]
 //!                 [--topology tree] [--ranks N] [--nodes N]
-//!                 [--replicas N] [--app <name>]
-//! manasim reproduce [--fig N] [--full]           # the paper's figures as a card
+//!                 [--replicas N] [--steps N] [--app <name>]
+//! manasim reproduce [--fig N] [--full]           # the paper's results as a card
 //! ```
 //!
 //! Because the simulated filesystem lives in process memory, `migrate`
@@ -32,7 +32,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  manasim run --app <gromacs|minife|hpcg|clamr|lulesh> [--ranks N] [--nodes N]\n              [--mpi <cray|openmpi|mpich|mpich-debug>] [--steps N] [--seed N]\n              [--patched-kernel] [--ckpt-at-frac F [--kill]]\n  manasim migrate --app <name> [--ranks N] [--steps N] [--seed N]\n              [--from <cori|local>:<nodes>] [--to <cori|local>:<nodes>]\n              [--from-mpi <impl>] [--to-mpi <impl>]\n  manasim verify [--ranks N] [--colls K]\n  manasim chaos [--seed N] [--faults N] [--restart-faults N] [--drain-faults N]\n              [--topology <flat|tree>] [--ranks N]\n              [--nodes N] [--replicas N] [--steps N] [--app <name>]\n  manasim reproduce [--fig <2..9|3.2.2|3.3|3.5>] [--full]"
+        "usage:\n  manasim run --app <gromacs|minife|hpcg|clamr|lulesh> [--ranks N] [--nodes N]\n              [--mpi <cray|openmpi|mpich|mpich-debug>] [--steps N] [--seed N]\n              [--patched-kernel] [--ckpt-at-frac F [--kill]]\n  manasim migrate --app <name> [--ranks N] [--steps N] [--seed N]\n              [--from <cori|local>:<nodes>] [--to <cori|local>:<nodes>]\n              [--from-mpi <impl>] [--to-mpi <impl>]\n  manasim verify [--ranks N] [--colls K]\n  manasim chaos [--seed N] [--faults N] [--restart-faults N] [--drain-faults N]\n              [--topology <flat|tree>] [--ranks N]\n              [--nodes N] [--replicas N] [--steps N] [--app <name>]\n  manasim reproduce [--fig <2..9|2.6|3.2.2|3.3|3.5>] [--full]"
     );
     exit(2)
 }
@@ -121,7 +121,7 @@ fn num<T: std::str::FromStr>(f: &HashMap<String, String>, k: &str, default: &str
     get(f, k, default).parse().unwrap_or_else(|_| usage())
 }
 
-/// `--k` as a count of ranks, nodes or replicas: at least 1.
+/// `--k` as a count of ranks, nodes, replicas or steps: at least 1.
 fn count<T: std::str::FromStr + From<u8> + PartialOrd>(
     f: &HashMap<String, String>,
     k: &str,
@@ -143,7 +143,7 @@ fn cmd_run(args: &[String]) {
     let kind = app_kind(get(&flags, "app", "hpcg"));
     let nodes: u32 = num(&flags, "nodes", "2");
     let ranks: u32 = num(&flags, "ranks", "8");
-    let steps: u64 = num(&flags, "steps", "10");
+    let steps: u64 = count(&flags, "steps", "10");
     let seed: u64 = num(&flags, "seed", "1");
     // Outside (0, 1) the checkpoint falls before the application window
     // or after the job ends: only the open interval names a point in it.
@@ -263,7 +263,7 @@ fn cmd_migrate(args: &[String]) {
     );
     let kind = app_kind(get(&flags, "app", "gromacs"));
     let ranks: u32 = num(&flags, "ranks", "8");
-    let steps: u64 = num(&flags, "steps", "12");
+    let steps: u64 = count(&flags, "steps", "12");
     let seed: u64 = num(&flags, "seed", "1");
     let from = cluster(get(&flags, "from", "cori:4"));
     let to = cluster(get(&flags, "to", "local:2"));
@@ -376,7 +376,7 @@ fn cmd_chaos(args: &[String]) {
     h.nranks = count(&flags, "ranks", "4");
     h.nodes = count(&flags, "nodes", "2");
     h.replicas = count(&flags, "replicas", "2");
-    h.steps = num(&flags, "steps", "5");
+    h.steps = count(&flags, "steps", "5");
     h.restart_faults = num(&flags, "restart-faults", "0");
     h.drain_faults = num(&flags, "drain-faults", "0");
     if let Some(app) = flags.get("app") {

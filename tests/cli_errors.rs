@@ -18,9 +18,12 @@ fn bad_input_exits_2_with_an_error_line() {
         &["run", "--rank", "4"],
         &["run", "--ckpt-at-frac", "1.5"],
         &["run", "--ckpt-at-frac", "-1"],
+        &["run", "--steps", "0", "--ckpt-at-frac", "0.5"],
+        &["migrate", "--steps", "0"],
         &["chaos", "--ranks", "0"],
         &["chaos", "--replicas", "0"],
         &["chaos", "--nodes", "0"],
+        &["chaos", "--steps", "0"],
         &["chaos", "--ranks", "64"],
         &["verify", "--ranks", "0"],
         &["reproduce", "--fig", "99"],

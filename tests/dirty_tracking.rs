@@ -10,7 +10,6 @@
 //! freezing one (the checkpoint-and-kill path), whose regions the later
 //! writes thaw.
 
-use mana::core::buffer::PairCounters;
 use mana::core::image::CheckpointImage;
 use mana::core::{AppEnv, JobBuilder, ManaSession, Workload};
 use mana::mpi::{MpiProfile, ReduceOp};
@@ -100,22 +99,7 @@ fn image_around(regions: Vec<RegionSnapshot>) -> CheckpointImage {
         seed: 7,
         regions,
         upper_cursor: 0x7f00_0000_0000,
-        comms: Vec::new(),
-        groups: Vec::new(),
-        dtypes: Vec::new(),
-        log: Vec::new(),
-        counters: PairCounters::default(),
-        buffered: Vec::new(),
-        pending: Vec::new(),
-        ops_done: 0,
-        allocs: Vec::new(),
-        slots: Vec::new(),
-        slot_seq: 0,
-        slot_seq_at_step: 0,
-        world_virt: 0,
-        rebind: Vec::new(),
-        step_created: Vec::new(),
-        dirty: Vec::new(),
+        ..CheckpointImage::default()
     }
 }
 

@@ -132,7 +132,6 @@ fn arb_image() -> impl Strategy<Value = CheckpointImage> {
                     cart_periodic: vec![true, false],
                 }],
                 groups: vec![0x2000_0000],
-                dtypes: vec![],
                 log,
                 counters,
                 buffered: bufs
@@ -158,7 +157,7 @@ fn arb_image() -> impl Strategy<Value = CheckpointImage> {
                 world_virt: 0x1000_0000,
                 rebind: mana::core::restart::compact::derive_rebind(0x1000_0000, &log2),
                 step_created: vec![0x1000_0001],
-                dirty: Vec::new(),
+                ..CheckpointImage::default()
             }
         })
 }

@@ -117,6 +117,58 @@ fn run_chain(
     }
 }
 
+/// A late checkpoint of a churning job (16 communicators per step, 2
+/// nodes × 2 ranks, 4 steps, seed 42) holds most of the job's churn in
+/// its log: restarting from the compacted log replays at least 5× faster
+/// than from the full one, and both restarts end in the probe's state.
+#[test]
+fn compaction_cuts_replay_at_least_5x_at_high_churn() {
+    let workload: Arc<dyn Workload> = Arc::new(CommChurn {
+        steps: 4,
+        churn: 16,
+        work: SimDuration::micros(3000),
+        ..CommChurn::default()
+    });
+    let replay = |compact: bool| {
+        let session = ManaSession::builder()
+            .store(mana::core::InMemStore::new())
+            .build();
+        let job = || {
+            JobBuilder::new()
+                .cluster(ClusterSpec::local_cluster(2))
+                .ranks(4)
+                .profile(MpiProfile::cray_mpich())
+                .seed(42)
+                .compact_log(compact)
+        };
+        let probe = session.run(job(), workload.clone()).expect("probe run");
+        let out = probe.outcome();
+        let at = mid_app(0.9, out.wall.as_nanos(), out.app_wall.as_nanos());
+        let killed = session
+            .run(job().checkpoint_at(at).then_kill(), workload.clone())
+            .expect("checkpoint run");
+        assert!(killed.killed());
+        let resumed = killed
+            .restart_on(JobBuilder::new())
+            .expect("restart from churned log");
+        assert_eq!(
+            probe.checksums(),
+            resumed.checksums(),
+            "compact {compact}: restart diverged"
+        );
+        resumed
+            .restart_report()
+            .expect("restart report")
+            .max_replay()
+    };
+    let (full, compacted) = (replay(false), replay(true));
+    let ratio = full.as_secs_f64() / compacted.as_secs_f64().max(1e-12);
+    assert!(
+        ratio >= 5.0,
+        "compaction must cut replay at least 5x (full {full}, compacted {compacted}: {ratio:.2}x)"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 

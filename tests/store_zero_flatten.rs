@@ -24,7 +24,6 @@
 //! One `#[test]` in a binary of its own: the flatten and hash censuses
 //! are process-global counters, so a neighbouring test would race them.
 
-use mana::core::buffer::PairCounters;
 use mana::core::image::CheckpointImage;
 use mana::core::{CheckpointStore, FsStore, InMemStore};
 use mana::sim::fs::{FsConfig, IoShape};
@@ -52,22 +51,9 @@ fn image_around(generation: u64, snap: HalfSnapshot) -> CheckpointImage {
         seed: 1,
         regions: snap.regions,
         upper_cursor: 0x7f00_0000_0000,
-        comms: Vec::new(),
-        groups: Vec::new(),
-        dtypes: Vec::new(),
-        log: Vec::new(),
-        counters: PairCounters::default(),
-        buffered: Vec::new(),
-        pending: Vec::new(),
         ops_done: generation,
-        allocs: Vec::new(),
-        slots: Vec::new(),
-        slot_seq: 0,
-        slot_seq_at_step: 0,
-        world_virt: 0,
-        rebind: Vec::new(),
-        step_created: Vec::new(),
         dirty: snap.dirty,
+        ..CheckpointImage::default()
     }
 }
 
