@@ -7,7 +7,8 @@
 //! operation schedule a pure function of (rank, step) as the environment's
 //! restore contract requires — real CLAMR's data-dependent refinement
 //! would need control-flow record-replay, which MANA gets for free from
-//! stack restore (see DESIGN.md).
+//! stack restore (this reproduction substitutes the restore contract in
+//! `mana_core::env`).
 
 use mana_core::{AppEnv, Workload};
 use mana_mpi::{ReduceOp, SrcSpec, TagSpec};

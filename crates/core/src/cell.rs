@@ -18,7 +18,12 @@
 //! Challenges I–III. This closes a liveness gap in the literal reading of
 //! Algorithm 2 (a rank stopped between the phases would deadlock a peer
 //! already inside a synchronizing collective) while preserving its
-//! invariant; DESIGN.md discusses the refinement.
+//! invariant; [`crate::coordinator::checkpoint_safe`] states the rule.
+//!
+//! The rank side itself is [`RankProtocol`], a pure value whose
+//! transitions [`CkptCell`] runs under its lock and `mana-model-check`
+//! explores exhaustively, so the code that runs is the code that is
+//! model-checked.
 //!
 //! # Quiescence
 //!
@@ -29,6 +34,7 @@
 //! are released by the drain itself (the receiving helper acknowledges
 //! their payload) and then quiesce at the next boundary.
 
+use crate::ctrl::RankReply;
 use mana_mpi::job::MpiJob;
 use mana_sim::sched::{Sim, SimThread, SimThreadId};
 use parking_lot::Mutex;
@@ -39,9 +45,10 @@ use std::sync::Arc;
 pub struct JobKilled;
 
 /// Where the rank is in the collective wrapper.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Phase {
     /// Not inside a collective wrapper.
+    #[default]
     Outside,
     /// Inside phase 1 (the trivial barrier) of a wrapped collective.
     Phase1,
@@ -50,10 +57,11 @@ pub enum Phase {
 }
 
 /// Rank-thread park state observable by the helper.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Park {
     /// Running (or parked in a compute advance — indistinguishable and
     /// irrelevant to the helper).
+    #[default]
     Running,
     /// Stopped at the pre-wrapper gate.
     AtGate,
@@ -82,9 +90,14 @@ pub struct CollInstance {
     pub size: u32,
 }
 
-struct CellSt {
+/// Algorithm 2's rank side as a pure value: where the rank is in the
+/// wrapper and what the coordinator has told it. Its transitions never
+/// park or wake anyone; [`CkptCell`] runs them under its lock and does
+/// the blocking, and `mana-model-check` explores every interleaving of
+/// the same methods.
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+pub struct RankProtocol {
     phase: Phase,
-    park: Park,
     /// Instance whose wrapper-sequence number has been allocated but whose
     /// trivial barrier has *not* been entered (rank is at/approaching the
     /// gate). Counts as "not yet entered" in progress reports.
@@ -95,8 +108,102 @@ struct CellSt {
     engaged: Option<CollInstance>,
     intent: bool,
     do_ckpt: bool,
-    kill: bool,
     reply_owed: bool,
+}
+
+impl RankProtocol {
+    /// Where the rank is in the collective wrapper.
+    pub fn phase(&self) -> Phase {
+        self.phase
+    }
+
+    /// Arrived at a wrapper's gate and not yet through it.
+    pub fn at_gate(&self) -> bool {
+        self.allocated.is_some()
+    }
+
+    /// do-ckpt received and not yet resumed: the rank stops at its next
+    /// operation boundary.
+    pub fn must_quiesce(&self) -> bool {
+        self.do_ckpt
+    }
+
+    /// Arrive at the pre-wrapper gate of `inst`, its sequence number
+    /// consumed.
+    pub fn arrive(&mut self, inst: CollInstance) {
+        assert!(
+            self.engaged.is_none(),
+            "collective wrapper entered while another collective is engaged \
+             (only one outstanding nonblocking two-phase collective is supported)"
+        );
+        self.allocated = Some(inst);
+    }
+
+    /// The gate holds while a checkpoint is intended or being taken
+    /// (Algorithm 2 line 28: "continue, but wait before next collective
+    /// communication call").
+    pub fn gate_closed(&self) -> bool {
+        self.intent || self.do_ckpt
+    }
+
+    /// Pass the open gate into phase 1 of the arrived instance.
+    pub fn pass_gate(&mut self) {
+        debug_assert!(!self.gate_closed());
+        self.phase = Phase::Phase1;
+        self.engaged = self.allocated.take();
+    }
+
+    /// Phase 1 → phase 2 (no stop: committed).
+    pub fn enter_phase2(&mut self) {
+        debug_assert_eq!(self.phase, Phase::Phase1);
+        self.phase = Phase::Phase2;
+    }
+
+    /// Leave phase 2. True when an intent arrived during the collective,
+    /// so an exit-phase-2 reply is owed (Algorithm 2 lines 21–27).
+    pub fn exit_phase2(&mut self) -> bool {
+        debug_assert_eq!(self.phase, Phase::Phase2);
+        self.phase = Phase::Outside;
+        self.engaged = None;
+        std::mem::take(&mut self.reply_owed)
+    }
+
+    /// An intend-to-checkpoint / extra-iteration message arrived. Returns
+    /// the immediate reply with the instance behind an in-phase-1 one, or
+    /// `None` in phase 2, where the reply waits for
+    /// [`RankProtocol::exit_phase2`].
+    pub fn on_intent(&mut self) -> Option<(RankReply, Option<CollInstance>)> {
+        self.intent = true;
+        match self.phase {
+            // A rank that has entered a trivial barrier (blocking wrapper
+            // or outstanding nonblocking collective) reports in-phase-1; a
+            // rank merely gated (allocated, not entered) reports ready.
+            Phase::Outside if self.engaged.is_none() => Some((RankReply::Ready, None)),
+            Phase::Outside | Phase::Phase1 => Some((RankReply::InPhase1, self.engaged)),
+            Phase::Phase2 => {
+                self.reply_owed = true;
+                None
+            }
+        }
+    }
+
+    /// do-ckpt arrived.
+    pub fn do_ckpt(&mut self) {
+        self.do_ckpt = true;
+    }
+
+    /// The checkpoint completed: clear intent and do-ckpt.
+    pub fn resume(&mut self) {
+        self.intent = false;
+        self.do_ckpt = false;
+    }
+}
+
+#[derive(Default)]
+struct CellSt {
+    proto: RankProtocol,
+    park: Park,
+    kill: bool,
     pending_exit_phase2: bool,
     rank_tid: Option<SimThreadId>,
     helper_tid: Option<SimThreadId>,
@@ -116,19 +223,7 @@ impl CkptCell {
         CkptCell {
             sim: sim.clone(),
             job,
-            st: Mutex::new(CellSt {
-                phase: Phase::Outside,
-                park: Park::Running,
-                allocated: None,
-                engaged: None,
-                intent: false,
-                do_ckpt: false,
-                kill: false,
-                reply_owed: false,
-                pending_exit_phase2: false,
-                rank_tid: None,
-                helper_tid: None,
-            }),
+            st: Mutex::new(CellSt::default()),
         }
     }
 
@@ -164,7 +259,7 @@ impl CkptCell {
                 drop(st);
                 self.die();
             }
-            if st.do_ckpt {
+            if st.proto.must_quiesce() {
                 st.park = Park::Quiesced;
                 self.wake_helper_locked(&st);
                 drop(st);
@@ -176,34 +271,23 @@ impl CkptCell {
         }
     }
 
-    /// The pre-wrapper gate (Algorithm 2 line 28: "continue, but wait
-    /// before next collective communication call"). On passing, atomically
-    /// enters phase 1 for `instance`.
+    /// The pre-wrapper gate: arrive at `instance`, park while the gate is
+    /// closed, then enter phase 1.
     pub fn pre_collective_gate(&self, t: &SimThread, instance: CollInstance) {
-        {
-            let mut st = self.st.lock();
-            assert!(
-                st.engaged.is_none(),
-                "collective wrapper entered while another collective is engaged \
-                 (only one outstanding nonblocking two-phase collective is supported)"
-            );
-            st.allocated = Some(instance);
-        }
+        self.st.lock().proto.arrive(instance);
         loop {
             let mut st = self.st.lock();
             if st.kill {
                 drop(st);
                 self.die();
             }
-            if st.do_ckpt || st.intent {
+            if st.proto.gate_closed() {
                 st.park = Park::AtGate;
                 self.wake_helper_locked(&st);
                 drop(st);
                 t.block();
             } else {
-                st.phase = Phase::Phase1;
-                st.allocated = None;
-                st.engaged = Some(instance);
+                st.proto.pass_gate();
                 st.park = Park::Running;
                 return;
             }
@@ -212,49 +296,42 @@ impl CkptCell {
 
     /// Transition phase 1 → phase 2 (no stop: committed).
     pub fn enter_phase2(&self) {
-        let mut st = self.st.lock();
-        debug_assert_eq!(st.phase, Phase::Phase1);
-        st.phase = Phase::Phase2;
+        self.st.lock().proto.enter_phase2();
     }
 
     /// Issue-time bookkeeping for a two-phase nonblocking collective: the
     /// rank returns to computing but stays *engaged* (it has entered the
     /// nonblocking trivial barrier), so it keeps reporting in-phase-1.
     pub fn detach_engaged(&self) {
-        let mut st = self.st.lock();
-        debug_assert_eq!(st.phase, Phase::Phase1);
-        debug_assert!(st.engaged.is_some());
-        st.phase = Phase::Outside;
+        let proto = &mut self.st.lock().proto;
+        debug_assert_eq!(proto.phase, Phase::Phase1);
+        debug_assert!(proto.engaged.is_some());
+        proto.phase = Phase::Outside;
     }
 
     /// Restart-path re-engagement: a restored image carried an outstanding
     /// nonblocking collective, so this fresh incarnation is morally in
     /// phase 1 of `inst` from the start.
     pub fn restore_engaged(&self, inst: CollInstance) {
-        let mut st = self.st.lock();
-        debug_assert!(st.engaged.is_none());
-        st.engaged = Some(inst);
+        let proto = &mut self.st.lock().proto;
+        debug_assert!(proto.engaged.is_none());
+        proto.engaged = Some(inst);
     }
 
     /// Completion-time re-entry into phase 1 for the outstanding
     /// nonblocking collective.
     pub fn reenter_pending_phase1(&self) -> CollInstance {
-        let mut st = self.st.lock();
-        let inst = st.engaged.expect("no engaged nonblocking collective");
-        st.phase = Phase::Phase1;
+        let proto = &mut self.st.lock().proto;
+        let inst = proto.engaged.expect("no engaged nonblocking collective");
+        proto.phase = Phase::Phase1;
         inst
     }
 
-    /// Leave phase 2. If an intent arrived during the collective, the
-    /// helper owes the coordinator an exit-phase-2 reply (Algorithm 2
-    /// lines 21–27).
+    /// Leave phase 2, waking the helper if it owes the coordinator an
+    /// exit-phase-2 reply.
     pub fn exit_phase2(&self) {
         let mut st = self.st.lock();
-        debug_assert_eq!(st.phase, Phase::Phase2);
-        st.phase = Phase::Outside;
-        st.engaged = None;
-        if st.reply_owed {
-            st.reply_owed = false;
+        if st.proto.exit_phase2() {
             st.pending_exit_phase2 = true;
             self.wake_helper_locked(&st);
         }
@@ -266,7 +343,9 @@ impl CkptCell {
         {
             let mut st = self.st.lock();
             st.park = park;
-            if st.do_ckpt || st.intent {
+            // A checkpoint is intended or under way: the helper may be
+            // waiting for this rank to park.
+            if st.proto.gate_closed() {
                 self.wake_helper_locked(&st);
             }
         }
@@ -286,44 +365,27 @@ impl CkptCell {
     /// about to park *without* a `Park` marker must ask first.
     pub fn interrupt_pending(&self) -> bool {
         let st = self.st.lock();
-        st.do_ckpt || st.kill
+        st.proto.must_quiesce() || st.kill
     }
 
     // ----- helper side ------------------------------------------------------
 
-    /// Handle an intend-to-checkpoint / extra-iteration message. Returns
-    /// the immediate reply, or `None` if the rank is in phase 2 and the
-    /// reply must wait for [`CkptCell::take_pending_exit_phase2`].
-    pub fn on_intent(&self) -> Option<crate::ctrl::RankReply> {
-        let mut st = self.st.lock();
-        st.intent = true;
-        match st.phase {
-            // A rank that has entered a trivial barrier (blocking wrapper
-            // or outstanding nonblocking collective) reports in-phase-1; a
-            // rank merely gated (allocated, not entered) reports ready.
-            Phase::Outside if st.engaged.is_some() => Some(crate::ctrl::RankReply::InPhase1),
-            Phase::Outside => Some(crate::ctrl::RankReply::Ready),
-            Phase::Phase1 => Some(crate::ctrl::RankReply::InPhase1),
-            Phase::Phase2 => {
-                st.reply_owed = true;
-                None
-            }
-        }
-    }
-
-    /// The collective instance behind an in-phase-1 reply.
-    pub fn current_instance(&self) -> Option<CollInstance> {
-        self.st.lock().engaged
+    /// Handle an intend-to-checkpoint / extra-iteration message
+    /// ([`RankProtocol::on_intent`]). `None` means the rank is in phase 2
+    /// and the reply waits for [`CkptCell::take_pending_exit_phase2`].
+    pub fn on_intent(&self) -> Option<(RankReply, Option<CollInstance>)> {
+        self.st.lock().proto.on_intent()
     }
 
     /// Instances whose wrapper sequence number this rank has consumed but
     /// not completed (gated-allocated and/or engaged). Subtracted from the
     /// per-communicator progress counts reported to the coordinator.
     pub fn initiated_incomplete(&self) -> Vec<CollInstance> {
-        let st = self.st.lock();
-        st.allocated
+        let proto = &self.st.lock().proto;
+        proto
+            .allocated
             .iter()
-            .chain(st.engaged.iter())
+            .chain(&proto.engaged)
             .copied()
             .collect()
     }
@@ -338,7 +400,7 @@ impl CkptCell {
     /// to quiescence.
     pub fn set_do_ckpt(&self) {
         let mut st = self.st.lock();
-        st.do_ckpt = true;
+        st.proto.do_ckpt();
         if let Some(r) = st.rank_tid {
             self.sim.wake(r);
         }
@@ -373,8 +435,7 @@ impl CkptCell {
     /// raise [`JobKilled`].
     pub fn resume(&self, kill: bool) {
         let mut st = self.st.lock();
-        st.do_ckpt = false;
-        st.intent = false;
+        st.proto.resume();
         if kill {
             st.kill = true;
             if let Some(job) = &self.job {
@@ -390,23 +451,55 @@ impl CkptCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctrl::RankReply;
     use mana_sim::sched::SimConfig;
+
+    const INST: CollInstance = CollInstance {
+        comm_virt: 0x1000_0000,
+        wseq: 1,
+        size: 2,
+    };
 
     #[test]
     fn intent_replies_by_phase() {
-        let sim = Sim::new(SimConfig::default());
-        let cell = CkptCell::new(&sim, None);
-        assert_eq!(cell.on_intent(), Some(RankReply::Ready));
-        // Phase transitions are rank-side; simulate directly.
-        cell.st.lock().phase = Phase::Phase1;
-        assert_eq!(cell.on_intent(), Some(RankReply::InPhase1));
-        cell.st.lock().phase = Phase::Phase2;
-        assert_eq!(cell.on_intent(), None);
-        // Exit produces the owed notification.
-        cell.exit_phase2();
-        assert!(cell.take_pending_exit_phase2());
-        assert!(!cell.take_pending_exit_phase2());
+        let mut p = RankProtocol::default();
+        assert_eq!(p.on_intent(), Some((RankReply::Ready, None)));
+        p.resume();
+        p.arrive(INST);
+        p.pass_gate();
+        assert_eq!(p.on_intent(), Some((RankReply::InPhase1, Some(INST))));
+        p.resume();
+        // An intent inside phase 2 owes its reply until the exit, once.
+        p.enter_phase2();
+        assert_eq!(p.on_intent(), None);
+        assert!(p.exit_phase2());
+        assert_eq!(p.phase(), Phase::Outside);
+        p.resume();
+        let next = CollInstance { wseq: 2, ..INST };
+        p.arrive(next);
+        p.pass_gate();
+        p.enter_phase2();
+        assert!(!p.exit_phase2());
+    }
+
+    #[test]
+    fn the_gate_holds_until_resume() {
+        let mut p = RankProtocol::default();
+        p.arrive(INST);
+        assert!(p.at_gate() && !p.gate_closed());
+        // Intent closes the gate; a rank stopped there replies ready.
+        assert_eq!(p.on_intent(), Some((RankReply::Ready, None)));
+        assert!(p.gate_closed());
+        p.do_ckpt();
+        assert!(p.gate_closed() && p.must_quiesce());
+        p.resume();
+        assert!(!p.gate_closed() && !p.must_quiesce());
+        // do-ckpt alone holds it too.
+        p.do_ckpt();
+        assert!(p.gate_closed());
+        p.resume();
+        p.pass_gate();
+        assert!(!p.at_gate());
+        assert_eq!(p.phase(), Phase::Phase1);
     }
 
     #[test]
@@ -433,7 +526,7 @@ mod tests {
             let cell = cell.clone();
             sim.spawn("helper-sim", true, move |t| {
                 // Intent at t=0 (rank still computing); resume at t=1000.
-                assert_eq!(cell.on_intent(), Some(RankReply::Ready));
+                assert_eq!(cell.on_intent(), Some((RankReply::Ready, None)));
                 t.advance(mana_sim::time::SimDuration::nanos(1000));
                 cell.resume(false);
                 loop {

@@ -76,9 +76,12 @@ impl CkptSchedule {
 /// tree topology puts a sub-coordinator on every compute node: the root
 /// exchanges one aggregated message per *node* and the sub-coordinators
 /// fan out / reduce locally (over loopback/shm) in parallel. Both
-/// topologies run the identical protocol and make identical safety
-/// decisions — only the timing differs. See `README.md` §"Coordinator
-/// topologies" for when the tree pays off.
+/// topologies run the identical protocol; from the same rank states they
+/// make identical safety decisions, and while the whole agreement fits
+/// inside one compute op only the timing differs (outside that regime
+/// arrival skew can stop the ranks at other op boundaries; see
+/// `crate::topology`). See `README.md` §"Coordinator topologies" for when
+/// the tree pays off.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TopologyKind {
     /// One coordinator speaks to every rank directly (DMTCP's star; the

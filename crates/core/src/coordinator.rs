@@ -18,8 +18,10 @@
 //! frame per rank; the tree speaks one aggregated frame per node. The
 //! agreement, the do-ckpt safety rule ([`checkpoint_safe`]), the bookmark
 //! mediation and the resume are all topology-agnostic — every topology
-//! feeds the driver the same [`StateAgg`] reduction, so every topology
-//! makes identical safety decisions.
+//! reduces the same rank replies to the same [`StateAgg`], so from the
+//! same rank states every topology makes identical safety decisions.
+//! The rank states themselves agree only while the whole agreement fits
+//! inside one compute op (see `crate::topology`).
 //!
 //! The "fully assembled phase-1 instance" condition is the safety
 //! refinement discussed in the `cell` module: an in-phase-1 rank is only a

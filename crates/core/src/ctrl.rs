@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Rank states reported to the coordinator (Algorithm 2, line 2).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RankReply {
     /// Not inside a collective wrapper; will gate before entering one.
     Ready,
@@ -45,7 +45,8 @@ pub enum RankReply {
 /// aggregate with [`StateAgg::absorb`]; a tree sub-coordinator folds its
 /// node's replies the same way and ships the partial upward, where the
 /// root combines partials with [`StateAgg::merge`]. Both orders produce
-/// the same value, so both topologies make identical safety decisions.
+/// the same value, so from the same replies both topologies make
+/// identical safety decisions.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StateAgg {
     /// Number of rank replies folded in (the root checks this reaches the

@@ -129,10 +129,7 @@ pub fn run_helper(t: SimThread, hx: HelperCtx) {
                     {
                         return; // mid-agreement crash: the job is dead
                     }
-                    if let Some(reply) = hx.sh.cell.on_intent() {
-                        let instance = (reply == RankReply::InPhase1)
-                            .then(|| hx.sh.cell.current_instance())
-                            .flatten();
+                    if let Some((reply, instance)) = hx.sh.cell.on_intent() {
                         send_state(&t, &hx, reply, instance);
                     }
                 }

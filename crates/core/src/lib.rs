@@ -66,7 +66,7 @@ pub mod topology;
 pub mod virtid;
 pub mod wrapper;
 
-pub use cell::{CkptCell, CollInstance, JobKilled, Park, Phase};
+pub use cell::{CkptCell, CollInstance, JobKilled, Park, Phase, RankProtocol};
 pub use chaos::{
     ChaosHandle, ChaosLog, CrashRecord, DrainFault, FailoverRecord, FaultInjector, InjectPoint,
     RankFault, RestartCrashRecord, RestartPoint,

@@ -548,8 +548,11 @@ impl JobBuilder {
     /// until the application starts, begins the first checkpoint
     /// `interval` of simulated time later, and each later one `interval`
     /// after the previous one ended — so no checkpoint's cost or restart's
-    /// boot time has to be known in advance. Cannot be combined with
-    /// [`JobBuilder::checkpoint_at`]; a restart does not inherit it.
+    /// boot time has to be known in advance. Because each interval starts
+    /// after the previous checkpoint ends, a job can finish before all
+    /// `count` are taken; [`Incarnation::unused_checkpoint_ids`] names the
+    /// rest. Cannot be combined with [`JobBuilder::checkpoint_at`]; a
+    /// restart does not inherit it.
     pub fn checkpoint_every(mut self, interval: SimDuration, count: u64) -> JobBuilder {
         self.ckpt_every = Some((interval, count));
         self
@@ -742,6 +745,14 @@ impl Incarnation {
     /// Checkpoints completed during this incarnation.
     pub fn ckpts(&self) -> Vec<CkptReport> {
         self.ckpts.clone()
+    }
+
+    /// Checkpoint ids this incarnation's schedule reserved that no
+    /// completed checkpoint used, because the job finished first. Empty
+    /// when the whole schedule ran.
+    pub fn unused_checkpoint_ids(&self) -> std::ops::Range<u64> {
+        let cfg = &self.spec.cfg;
+        cfg.first_ckpt_id + self.ckpts.len() as u64..cfg.first_ckpt_id + cfg.ckpt_schedule.len()
     }
 
     /// Restart measurements, if this incarnation booted from a checkpoint.

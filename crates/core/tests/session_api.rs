@@ -364,6 +364,33 @@ fn an_interval_schedule_checkpoints_from_the_application_start() {
 }
 
 #[test]
+fn a_schedule_that_outlasts_its_job_names_the_checkpoints_it_skipped() {
+    let session = mem_session();
+    let (app, opened) = timed();
+    let clean = session.run(base_job(), app.clone()).expect("clean run");
+    opened();
+    let interval = SimDuration::nanos(clean.outcome().app_wall.as_nanos() / 5);
+
+    // Twelve intervals cannot fit in a job five intervals long.
+    let short = session
+        .run(base_job().checkpoint_every(interval, 12), app.clone())
+        .expect("interval run");
+    let taken = short.ckpts().len() as u64;
+    assert!((1..12).contains(&taken), "took {taken} of 12 checkpoints");
+    assert_interval(&short.ckpts(), opened(), interval, 1);
+    assert_eq!(short.unused_checkpoint_ids(), 1 + taken..13);
+    assert_eq!(short.checksums(), clean.checksums());
+
+    // A schedule that fits leaves none, after the twelve ids reserved.
+    let fits = session
+        .run(base_job().checkpoint_every(interval, 2), app)
+        .expect("interval run");
+    assert_eq!(fits.ckpts().len(), 2);
+    assert!(fits.unused_checkpoint_ids().is_empty());
+    assert_eq!(fits.unused_checkpoint_ids().start, 15);
+}
+
+#[test]
 fn a_restart_takes_an_interval_only_when_asked() {
     let session = mem_session();
     let (app, opened) = timed();

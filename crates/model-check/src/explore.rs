@@ -1,10 +1,10 @@
 //! Breadth-first exhaustive exploration of the protocol state space.
 
 use crate::spec::Spec;
-use crate::state::{CMsg, CPhase, RMsg, RPhase, ReplyKind, State};
+use crate::state::{CMsg, CPhase, RMsg, State};
 use mana_core::coordinator::checkpoint_safe;
 use mana_core::ctrl::RankReply;
-use mana_core::{CollInstance, StateAgg};
+use mana_core::{CollInstance, Phase, StateAgg};
 use std::collections::{HashSet, VecDeque};
 
 /// A property violation, with a human-readable description.
@@ -55,8 +55,11 @@ impl CheckOutcome {
 
 /// Generate all successors of `s` under the do-ckpt `rule`. Any
 /// violation encountered while firing a transition is returned instead.
-/// Public for counterexample tooling.
-pub fn successors(
+/// Every rank transition is a [`RankProtocol`] method, the one the
+/// running `CkptCell` calls.
+///
+/// [`RankProtocol`]: mana_core::RankProtocol
+fn successors(
     spec: &Spec,
     s: &State,
     rule: fn(&StateAgg) -> bool,
@@ -66,57 +69,51 @@ pub fn successors(
 
     for r in 0..n {
         let rk = &s.ranks[r];
-        match rk.phase {
-            RPhase::Computing => {
-                // Finish program or arrive at the next collective wrapper.
-                if rk.do_ckpt {
-                    // Quiesced at an operation boundary; nothing to do
-                    // until resume (already captured by ckpt_pc).
-                } else if rk.pc == spec.programs[r].len() {
-                    let mut t = s.clone();
-                    t.ranks[r].phase = RPhase::Done;
-                    out.push(t);
-                } else if rk.intent {
-                    let mut t = s.clone();
-                    t.ranks[r].phase = RPhase::AtGate;
-                    out.push(t);
-                } else {
-                    let mut t = s.clone();
-                    t.ranks[r].phase = RPhase::InBarrier;
-                    out.push(t);
-                }
+        let mut next = rk.clone();
+        let mut owed = false;
+        let stepped = match rk.proto.phase() {
+            _ if rk.done => false,
+            // Quiesced at an operation boundary (or gated) until resume;
+            // ckpt_pc already holds its position.
+            Phase::Outside if rk.proto.must_quiesce() => false,
+            Phase::Outside if rk.pc == spec.programs[r].len() => {
+                next.done = true;
+                true
             }
-            RPhase::AtGate => {
-                if !rk.intent && !rk.do_ckpt {
-                    let mut t = s.clone();
-                    t.ranks[r].phase = RPhase::InBarrier;
-                    out.push(t);
+            // Arrive at the next wrapper and pass its gate unless an
+            // intent holds it; a gated rank passes once resumed.
+            Phase::Outside => {
+                if !rk.proto.at_gate() {
+                    next.proto.arrive(instance(spec, r, rk.pc));
                 }
-            }
-            RPhase::InBarrier => {
-                if s.barrier_complete(spec, r) {
-                    let mut t = s.clone();
-                    t.ranks[r].phase = RPhase::InColl;
-                    out.push(t);
+                if !next.proto.gate_closed() {
+                    next.proto.pass_gate();
                 }
+                next.proto != rk.proto
             }
-            RPhase::InColl => {
-                if s.coll_complete(spec, r) {
-                    let mut t = s.clone();
-                    t.ranks[r].phase = RPhase::Computing;
-                    t.ranks[r].pc += 1;
-                    if t.ranks[r].reply_owed {
-                        t.ranks[r].reply_owed = false;
-                        let progress = t.progress_of(spec, r);
-                        t.to_coord[r].push_back(RMsg::State {
-                            kind: ReplyKind::ExitPhase2,
-                            progress,
-                        });
-                    }
-                    out.push(t);
-                }
+            Phase::Phase1 if s.all_reached(spec, r, Phase::Phase1) => {
+                next.proto.enter_phase2();
+                true
             }
-            RPhase::Done => {}
+            Phase::Phase2 if s.all_reached(spec, r, Phase::Phase2) => {
+                next.pc += 1;
+                owed = next.proto.exit_phase2();
+                true
+            }
+            Phase::Phase1 | Phase::Phase2 => false,
+        };
+        if stepped {
+            let mut t = s.clone();
+            t.ranks[r] = next;
+            if owed {
+                let progress = t.progress_of(spec, r);
+                t.to_coord[r].push_back(RMsg::State {
+                    reply: RankReply::ExitPhase2,
+                    instance: None,
+                    progress,
+                });
+            }
+            out.push(t);
         }
 
         // Deliver the next coordinator→rank message.
@@ -125,35 +122,25 @@ pub fn successors(
             t.to_rank[r].pop_front();
             match msg {
                 CMsg::Intend => {
-                    t.ranks[r].intent = true;
-                    let progress = t.progress_of(spec, r);
-                    match t.ranks[r].phase {
-                        RPhase::InColl => t.ranks[r].reply_owed = true,
-                        RPhase::InBarrier => {
-                            let (comm, seq) = spec.instance_of(r, t.ranks[r].pc);
-                            let size = spec.comms[comm].len();
-                            t.to_coord[r].push_back(RMsg::State {
-                                kind: ReplyKind::InPhase1(comm, seq, size),
-                                progress,
-                            });
-                        }
-                        _ => t.to_coord[r].push_back(RMsg::State {
-                            kind: ReplyKind::Ready,
+                    if let Some((reply, instance)) = t.ranks[r].proto.on_intent() {
+                        let progress = t.progress_of(spec, r);
+                        t.to_coord[r].push_back(RMsg::State {
+                            reply,
+                            instance,
                             progress,
-                        }),
+                        });
                     }
                 }
                 CMsg::DoCkpt => {
-                    if t.ranks[r].phase == RPhase::InColl {
+                    if t.ranks[r].proto.phase() == Phase::Phase2 {
                         return Err(Violation::CkptInsidePhase2 { rank: r });
                     }
-                    t.ranks[r].do_ckpt = true;
+                    t.ranks[r].proto.do_ckpt();
                     t.ranks[r].ckpt_pc = Some(t.ranks[r].pc);
                     t.to_coord[r].push_back(RMsg::CkptDone);
                 }
                 CMsg::Resume => {
-                    t.ranks[r].intent = false;
-                    t.ranks[r].do_ckpt = false;
+                    t.ranks[r].proto.resume();
                     t.ranks[r].ckpt_pc = None;
                 }
             }
@@ -173,12 +160,20 @@ pub fn successors(
                     }
                     t.replies[r] = Some(msg);
                     if t.replies.iter().all(Option::is_some) {
-                        // End of round: apply the do-ckpt rule.
-                        let safe = rule(&round_agg(&t.replies));
+                        // End of round: fold the replies as a flat
+                        // coordinator does and apply the do-ckpt rule.
+                        let mut agg = StateAgg::default();
                         for q in t.replies.iter_mut() {
-                            *q = None;
+                            if let Some(RMsg::State {
+                                reply,
+                                instance,
+                                progress,
+                            }) = q.take()
+                            {
+                                agg.absorb(reply, instance, &progress);
+                            }
                         }
-                        if !safe {
+                        if !rule(&agg) {
                             for q in 0..n {
                                 t.to_rank[q].push_back(CMsg::Intend);
                             }
@@ -228,37 +223,15 @@ pub fn successors(
     Ok(out)
 }
 
-/// Fold a complete round's replies into the coordinator's [`StateAgg`],
-/// exactly as a flat coordinator absorbs them. The model numbers a
-/// communicator's collectives from 0 and the wrapper from 1, so the
-/// model's instance `(comm, seq)` is core's `(comm, seq + 1)`; a progress
-/// entry is a completed count in both.
-fn round_agg(replies: &[Option<RMsg>]) -> StateAgg {
-    let mut agg = StateAgg::default();
-    for reply in replies {
-        let Some(RMsg::State { kind, progress }) = reply else {
-            unreachable!("round evaluated before completion")
-        };
-        let (reply, instance) = match *kind {
-            ReplyKind::Ready => (RankReply::Ready, None),
-            ReplyKind::ExitPhase2 => (RankReply::ExitPhase2, None),
-            ReplyKind::InPhase1(comm, seq, size) => (
-                RankReply::InPhase1,
-                Some(CollInstance {
-                    comm_virt: comm as u64,
-                    wseq: seq as u64 + 1,
-                    size: size as u32,
-                }),
-            ),
-        };
-        let progress: Vec<(u64, u64)> = progress
-            .iter()
-            .enumerate()
-            .map(|(comm, done)| (comm as u64, *done as u64))
-            .collect();
-        agg.absorb(reply, instance, &progress);
+/// Rank `r`'s `pc`-th collective as core numbers it: the model counts a
+/// communicator's collectives from 0, the wrapper from 1.
+fn instance(spec: &Spec, r: usize, pc: usize) -> CollInstance {
+    let (comm, seq) = spec.instance_of(r, pc);
+    CollInstance {
+        comm_virt: comm as u64,
+        wseq: seq as u64 + 1,
+        size: spec.comms[comm].len() as u32,
     }
-    agg
 }
 
 /// With every image taken, no collective instance may be straddled: for
@@ -268,7 +241,7 @@ fn cut_violation(spec: &Spec, s: &State) -> Option<Violation> {
     for (comm, members) in spec.comms.iter().enumerate() {
         let per_comm_total = members
             .iter()
-            .map(|r| spec.programs[*r].iter().filter(|c| **c == comm).count())
+            .map(|&r| spec.done_on(r, spec.programs[r].len(), comm))
             .max()
             .unwrap_or(0);
         for seq in 0..per_comm_total {
@@ -276,11 +249,7 @@ fn cut_violation(spec: &Spec, s: &State) -> Option<Violation> {
             let mut after = false;
             for r in members {
                 let pc = s.ranks[*r].ckpt_pc.expect("all ranks checkpointed");
-                let done_on_comm = spec.programs[*r][..pc]
-                    .iter()
-                    .filter(|c| **c == comm)
-                    .count();
-                if done_on_comm > seq {
+                if spec.done_on(*r, pc, comm) > seq {
                     after = true;
                 } else {
                     before = true;

@@ -8,13 +8,18 @@
 //! any deadlocks or broken invariants."
 //!
 //! This crate is the equivalent artifact for this reproduction: a small
-//! explicit-state breadth-first model checker over the protocol as
-//! *implemented* in `mana-core` — the pre-wrapper gate, commit-through
-//! phase semantics, ready/in-phase-1/exit-phase-2 replies, and the
-//! coordinator's do-ckpt safety rule. The rule is not modelled: each
-//! complete round's replies are folded into a `mana_core::StateAgg` with
-//! `StateAgg::absorb` and decided by `mana_core::coordinator::checkpoint_safe`,
-//! the function the running coordinator calls.
+//! explicit-state breadth-first model checker over the protocol code
+//! that runs in `mana-core`. The rank side is not modelled: each rank
+//! holds a `mana_core::RankProtocol` — the pre-wrapper gate,
+//! commit-through phases, the ready/in-phase-1/exit-phase-2 replies —
+//! and every rank step and message delivery calls the method the running
+//! `CkptCell` calls. Nor is the coordinator's do-ckpt rule: each complete
+//! round's replies are folded into a `mana_core::StateAgg` with
+//! `StateAgg::absorb` and decided by `mana_core::coordinator::checkpoint_safe`.
+//! What the crate adds is the rank programs, the FIFO channels and the
+//! coordinator's round loop. So its explored graph is pinned by its
+//! counts (`manasim verify`, the reproduction card): a moved count means
+//! a moved protocol.
 //!
 //! Checked properties, over every interleaving of rank steps, barrier
 //! exits, collective exits and message deliveries (per-pair FIFO channels,
@@ -37,8 +42,7 @@
 
 pub mod explore;
 pub mod spec;
-pub mod state;
+mod state;
 
 pub use explore::{check, check_under, CheckOutcome, Violation};
 pub use spec::Spec;
-pub use state::State;

@@ -41,11 +41,15 @@ impl Spec {
     /// Instance id of rank `r`'s `pc`-th collective: (comm, per-comm seq).
     pub fn instance_of(&self, r: usize, pc: usize) -> (usize, usize) {
         let comm = self.programs[r][pc];
-        let seq = self.programs[r][..pc]
+        (comm, self.done_on(r, pc, comm))
+    }
+
+    /// Collectives on `comm` among rank `r`'s first `pc` program entries.
+    pub fn done_on(&self, r: usize, pc: usize, comm: usize) -> usize {
+        self.programs[r][..pc]
             .iter()
             .filter(|c| **c == comm)
-            .count();
-        (comm, seq)
+            .count()
     }
 
     /// Validate well-formedness: every member of a comm performs the same

@@ -1,22 +1,9 @@
 //! Protocol state and transition relation.
 
 use crate::spec::Spec;
+use mana_core::ctrl::RankReply;
+use mana_core::{CollInstance, Phase, RankProtocol};
 use std::collections::VecDeque;
-
-/// Where a rank is in its program / the wrapper.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum RPhase {
-    /// Between collectives (or quiesced — indistinguishable to the model).
-    Computing,
-    /// Stopped at the pre-wrapper gate (intent or do-ckpt pending).
-    AtGate,
-    /// Inside the phase-1 trivial barrier.
-    InBarrier,
-    /// Inside the real collective (phase 2).
-    InColl,
-    /// Program finished.
-    Done,
-}
 
 /// Coordinator → rank messages.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -29,21 +16,11 @@ pub enum CMsg {
     Resume,
 }
 
-/// State-reply kind (Algorithm 2's three states).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ReplyKind {
-    /// ready
-    Ready,
-    /// in-phase-1 with the instance (comm, seq) and comm size.
-    InPhase1(usize, usize, usize),
-    /// exit-phase-2
-    ExitPhase2,
-}
-
 /// Rank → coordinator replies.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum RMsg {
-    /// A state reply carrying the rank's per-communicator completed
+    /// A state reply, as a helper sends it: the reply, the instance
+    /// behind an in-phase-1 one, and the rank's per-communicator completed
     /// wrapped-collective counts at reply time. The progress vector is
     /// what lets the coordinator detect that an in-phase-1 instance has
     /// already been passed by another member (Challenge I / Lemma 1's
@@ -51,10 +28,12 @@ pub enum RMsg {
     /// with a member that already exited the collective, the barrier is
     /// complete, and the reporter can slip into phase 2 mid-checkpoint.
     State {
-        /// Reply kind.
-        kind: ReplyKind,
-        /// `progress[c]` = completed wrapped collectives on comm `c`.
-        progress: Vec<usize>,
+        /// The rank's reply.
+        reply: RankReply,
+        /// The collective instance behind an in-phase-1 reply.
+        instance: Option<CollInstance>,
+        /// `(comm, completed wrapped collectives on it)` per communicator.
+        progress: Vec<(u64, u64)>,
     },
     /// local checkpoint complete
     CkptDone,
@@ -73,19 +52,16 @@ pub enum CPhase {
     Complete,
 }
 
-/// One rank's model state.
+/// One rank's model state: its program position and core's
+/// [`RankProtocol`], the rank side that runs in every `CkptCell`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RankSt {
     /// Next program entry.
     pub pc: usize,
-    /// Wrapper position.
-    pub phase: RPhase,
-    /// intent flag (set by Intend delivery, cleared by Resume).
-    pub intent: bool,
-    /// do-ckpt received, not yet resumed.
-    pub do_ckpt: bool,
-    /// Owes an exit-phase-2 reply (intent arrived during phase 2).
-    pub reply_owed: bool,
+    /// Program finished.
+    pub done: bool,
+    /// Algorithm 2's rank side.
+    pub proto: RankProtocol,
     /// Program counter at the moment the local checkpoint was taken
     /// (`None` before do-ckpt / after resume). Used for the cross-rank
     /// image-consistency invariant.
@@ -112,32 +88,24 @@ pub struct State {
 impl State {
     /// Per-communicator completed wrapped-collective counts for `r` (the
     /// progress vector attached to replies).
-    pub fn progress_of(&self, spec: &Spec, r: usize) -> Vec<usize> {
+    pub fn progress_of(&self, spec: &Spec, r: usize) -> Vec<(u64, u64)> {
+        let pc = self.ranks[r].pc;
         (0..spec.comms.len())
-            .map(|c| {
-                spec.programs[r][..self.ranks[r].pc]
-                    .iter()
-                    .filter(|x| **x == c)
-                    .count()
-            })
+            .map(|c| (c as u64, spec.done_on(r, pc, c) as u64))
             .collect()
     }
 
     /// Initial state.
     pub fn init(spec: &Spec) -> State {
         let n = spec.nranks();
+        let rank = RankSt {
+            pc: 0,
+            done: false,
+            proto: RankProtocol::default(),
+            ckpt_pc: None,
+        };
         State {
-            ranks: vec![
-                RankSt {
-                    pc: 0,
-                    phase: RPhase::Computing,
-                    intent: false,
-                    do_ckpt: false,
-                    reply_owed: false,
-                    ckpt_pc: None,
-                };
-                n
-            ],
+            ranks: vec![rank; n],
             coord: CPhase::Idle,
             replies: vec![None; n],
             dones: 0,
@@ -149,63 +117,27 @@ impl State {
     /// Fully terminal: programs done, channels empty, checkpoint (if
     /// started) complete.
     pub fn terminal(&self) -> bool {
-        self.ranks.iter().all(|r| r.phase == RPhase::Done)
+        self.ranks.iter().all(|r| r.done)
             && self.to_rank.iter().all(VecDeque::is_empty)
             && self.to_coord.iter().all(VecDeque::is_empty)
             && matches!(self.coord, CPhase::Idle | CPhase::Complete)
     }
 
-    /// Has `r` entered (or passed) the barrier of instance `(comm, seq)`?
-    fn entered_barrier(&self, spec: &Spec, r: usize, comm: usize, seq: usize) -> bool {
-        let done_on_comm = spec.programs[r][..self.ranks[r].pc]
-            .iter()
-            .filter(|c| **c == comm)
-            .count();
-        if done_on_comm > seq {
-            return true; // already completed that instance
-        }
-        if done_on_comm == seq
-            && self.ranks[r].pc < spec.programs[r].len()
-            && spec.programs[r][self.ranks[r].pc] == comm
-        {
-            return matches!(self.ranks[r].phase, RPhase::InBarrier | RPhase::InColl);
-        }
-        false
-    }
-
-    /// Is every member of `r`'s current instance at least in the barrier?
-    pub fn barrier_complete(&self, spec: &Spec, r: usize) -> bool {
+    /// Has every member of `r`'s current instance reached `phase` of it
+    /// (phase 1 counts phase 2 too), or passed it? With
+    /// [`Phase::Phase1`] the trivial barrier is complete; with
+    /// [`Phase::Phase2`] the real collective is (our engine's collectives
+    /// complete all-or-none).
+    pub fn all_reached(&self, spec: &Spec, r: usize, phase: Phase) -> bool {
         let (comm, seq) = spec.instance_of(r, self.ranks[r].pc);
-        spec.comms[comm]
-            .iter()
-            .all(|m| self.entered_barrier(spec, *m, comm, seq))
-    }
-
-    /// Has `m` entered (or passed) the *collective* of instance
-    /// `(comm, seq)`?
-    fn entered_coll(&self, spec: &Spec, m: usize, comm: usize, seq: usize) -> bool {
-        let done_on_comm = spec.programs[m][..self.ranks[m].pc]
-            .iter()
-            .filter(|c| **c == comm)
-            .count();
-        if done_on_comm > seq {
-            return true;
-        }
-        if done_on_comm == seq
-            && self.ranks[m].pc < spec.programs[m].len()
-            && spec.programs[m][self.ranks[m].pc] == comm
-        {
-            return self.ranks[m].phase == RPhase::InColl;
-        }
-        false
-    }
-
-    /// Is every member of `r`'s current instance inside (or past) the
-    /// real collective? (Our engine's collectives complete all-or-none.)
-    pub fn coll_complete(&self, spec: &Spec, r: usize) -> bool {
-        let (comm, seq) = spec.instance_of(r, self.ranks[r].pc);
-        spec.comms[comm]
-            .iter()
-            .all(|m| self.entered_coll(spec, *m, comm, seq))
+        spec.comms[comm].iter().all(|&m| {
+            let rk = &self.ranks[m];
+            let done = spec.done_on(m, rk.pc, comm);
+            let here = rk.proto.phase();
+            done > seq
+                || (done == seq
+                    && spec.programs[m].get(rk.pc) == Some(&comm)
+                    && (here == phase || here == Phase::Phase2))
+        })
     }
 }
