@@ -1,5 +1,6 @@
 //! The checkpoint coordinator (paper §2.5 Algorithm 2, coordinator side;
-//! §2.7) — the topology-generic *protocol driver*.
+//! §2.7) — the topology-generic *protocol driver* and the pure fold every
+//! coordinator role gathers with.
 //!
 //! A stateless daemon modelled on the DMTCP coordinator drives the
 //! two-phase agreement:
@@ -15,13 +16,14 @@
 //!
 //! *How* those messages reach the ranks is behind the
 //! [`CoordTopology`] seam (`crate::topology`): the flat star speaks one
-//! frame per rank; the tree speaks one aggregated frame per node. The
-//! agreement, the do-ckpt safety rule ([`checkpoint_safe`]), the bookmark
-//! mediation and the resume are all topology-agnostic — every topology
-//! reduces the same rank replies to the same [`StateAgg`], so from the
-//! same rank states every topology makes identical safety decisions.
-//! The rank states themselves agree only while the whole agreement fits
-//! inside one compute op (see `crate::topology`).
+//! frame per rank; the tree speaks one aggregated frame per node. Every
+//! upward gather, at the root or a sub-coordinator, is one pure
+//! [`Gather`] built for its [`Role`], and every agreement round ends in
+//! [`decide_round`]; `mana-model-check` drives the same two. So every
+//! topology reduces the same rank replies to the same [`StateAgg`] and,
+//! from the same rank states, makes identical safety decisions. The rank
+//! states themselves agree only while the whole agreement fits inside
+//! one compute op (see `crate::topology`).
 //!
 //! The "fully assembled phase-1 instance" condition is the safety
 //! refinement discussed in the `cell` module: an in-phase-1 rank is only a
@@ -29,13 +31,16 @@
 //! (who is gated and will stay gated), because then nobody can slip into
 //! the real collective during the checkpoint.
 
+use crate::cell::CollInstance;
 use crate::config::{CkptSchedule, ManaConfig};
-use crate::ctrl::{CtrlMsg, StateAgg};
-use crate::stats::CkptReport;
+use crate::ctrl::{CtrlMsg, ProtocolPhase, ProtocolViolation, RankReply, StateAgg};
+use crate::stats::{CkptReport, RankCkptStats};
 use crate::store::CheckpointStore;
 use crate::topology::CoordTopology;
 use mana_sim::sched::{SimThread, SimThreadId};
 use mana_sim::time::SimTime;
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 /// Everything the coordinator daemon needs.
@@ -92,19 +97,8 @@ pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) ->
         // One State reply per rank, already reduced by the topology.
         // Phase-2 ranks reply only after finishing their collective
         // (Algorithm 2, lines 21–27).
-        let agg = cx.topo.gather_states(t, ckpt_id);
-        assert!(
-            agg.replies <= nranks,
-            "ckpt {ckpt_id}: state aggregate covers {} of {nranks} ranks",
-            agg.replies
-        );
-        // A short aggregate means a sub-coordinator died mid-round and
-        // its promoted replacement reported in with `SubPromoted` instead
-        // of the node's reduction (topology failover). The round's
-        // partial fold is void; re-enter agreement so every rank —
-        // including the failed node's, now served by the replacement —
-        // reports fresh state.
-        if agg.replies == nranks && checkpoint_safe(&agg) {
+        let agg = cx.topo.gather(t, ckpt_id, Stage::Agreement).agg;
+        if decide_round(&agg, nranks, checkpoint_safe) {
             break;
         }
         extra_iterations += 1;
@@ -115,7 +109,7 @@ pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) ->
 
     // Mediate the bookmark exchange: gather the destination-keyed sent-to
     // directory, then tell each rank what to expect from every peer.
-    let mut directory = cx.topo.gather_bookmarks(t, ckpt_id);
+    let mut directory = cx.topo.gather(t, ckpt_id, Stage::Bookmarks).directory;
     let per_rank: Vec<Vec<(u32, u64)>> = (0..nranks)
         .map(|r| {
             let mut from = directory.remove(&r).unwrap_or_default();
@@ -127,13 +121,7 @@ pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) ->
     let t_expected_in = t.now();
 
     // Collect completions.
-    let mut stats = cx.topo.gather_done(t, ckpt_id);
-    assert_eq!(
-        stats.len(),
-        nranks as usize,
-        "ckpt {ckpt_id}: completion stats cover {} of {nranks} ranks",
-        stats.len()
-    );
+    let mut stats = cx.topo.gather(t, ckpt_id, Stage::Completion).completions;
     stats.sort_by_key(|s| s.rank);
     let t_end = t.now();
     cx.topo.fanout(t, &|| CtrlMsg::Resume { ckpt_id, kill });
@@ -146,6 +134,242 @@ pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) ->
         t_end,
         extra_iterations,
         ranks: stats,
+    }
+}
+
+/// Algorithm 2's round decision: do-ckpt exactly when the aggregate holds
+/// all `nranks` replies and `rule` accepts it, else an extra iteration. A
+/// short aggregate (a promoted sub-coordinator answered
+/// [`CtrlMsg::SubPromoted`]) is void however safe it looks: the next
+/// round lets every rank report fresh state. The model checker passes a
+/// weakened `rule` to show it is load-bearing.
+pub fn decide_round(agg: &StateAgg, nranks: u32, rule: fn(&StateAgg) -> bool) -> bool {
+    assert!(
+        agg.replies <= nranks,
+        "state aggregate covers {} of {nranks} ranks",
+        agg.replies
+    );
+    agg.replies == nranks && rule(agg)
+}
+
+/// Who gathers, and so how many frames each stage takes and which kind.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Role {
+    /// The flat star's root: one per-rank frame from every rank.
+    FlatRoot {
+        /// World size.
+        nranks: u32,
+    },
+    /// The tree's root: one aggregated frame from every sub-coordinator.
+    TreeRoot {
+        /// Sub-coordinators (one per node).
+        nodes: u32,
+        /// World size, which the aggregates must cover.
+        nranks: u32,
+    },
+    /// A node's sub-coordinator: one per-rank frame from every local rank.
+    Sub {
+        /// The node it serves.
+        node: u32,
+        /// Ranks on the node.
+        ranks: u32,
+    },
+}
+
+impl fmt::Display for Role {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Role::FlatRoot { .. } => f.write_str("coordinator"),
+            Role::TreeRoot { .. } => f.write_str("root coordinator"),
+            Role::Sub { node, .. } => write!(f, "sub-coordinator node {node}"),
+        }
+    }
+}
+
+/// The protocol stage an upward gather serves.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Stage {
+    /// Two-phase agreement: every rank's `State`, folded into a
+    /// [`StateAgg`].
+    Agreement,
+    /// After do-ckpt: every rank's bookmark, merged into a
+    /// destination-keyed directory.
+    Bookmarks,
+    /// Every rank's checkpoint-done stats.
+    Completion,
+    /// A promoted sub-coordinator discarding the `State` replies its dead
+    /// predecessor left queued (their round is void).
+    StaleDrain,
+}
+
+/// One rank's `State` reply: its reply, the instance behind an in-phase-1
+/// one, and its per-communicator completed-collective counts.
+type Reply = (RankReply, Option<CollInstance>, Vec<(u64, u64)>);
+
+/// One upward gather as a pure fold: built for a [`Role`] and a
+/// [`Stage`], it absorbs one frame at a time until [`Gather::done`], and
+/// refuses every frame the role does not take at that stage with the
+/// [`ProtocolViolation`] a driver raises. It owns no thread and no
+/// network, so the topologies' drivers and the model checker run the
+/// same code.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct Gather {
+    role: Role,
+    stage: Stage,
+    ckpt_id: u64,
+    /// Frames still expected.
+    left: u32,
+    /// Per-rank agreement: each rank's `State` by rank, held until the
+    /// last is in and then folded into `agg`. The fold is
+    /// order-independent, so this changes no aggregate; it keeps the fold
+    /// one-to-one with the replies received, which is what the model
+    /// checker's states are keyed on.
+    replies: Vec<(u32, Reply)>,
+    /// Ranks the aggregated frames cover so far (tree root).
+    covered: u32,
+    /// Agreement: the round's safety aggregate.
+    pub agg: StateAgg,
+    /// Bookmarks: `dest rank -> [(sender, cumulative count)]`.
+    pub directory: BTreeMap<u32, Vec<(u32, u64)>>,
+    /// Completion: every rank's checkpoint-done stats, in arrival order.
+    pub completions: Vec<RankCkptStats>,
+}
+
+impl Gather {
+    /// An empty fold of checkpoint `ckpt_id`'s `stage` as `role` sees it.
+    pub fn new(role: Role, stage: Stage, ckpt_id: u64) -> Gather {
+        let left = match role {
+            Role::FlatRoot { nranks } => nranks,
+            Role::TreeRoot { nodes, .. } => nodes,
+            Role::Sub { ranks, .. } => ranks,
+        };
+        Gather {
+            role,
+            stage,
+            ckpt_id,
+            left,
+            replies: Vec::new(),
+            covered: 0,
+            agg: StateAgg::default(),
+            directory: BTreeMap::new(),
+            completions: Vec::new(),
+        }
+    }
+
+    /// The stage this fold gathers.
+    pub fn stage(&self) -> Stage {
+        self.stage
+    }
+
+    /// Every expected frame is in.
+    pub fn done(&self) -> bool {
+        self.left == 0
+    }
+
+    /// Fold one frame in, or refuse it: a frame of the wrong kind, a
+    /// second `State` from one rank, aggregates whose last frame leaves
+    /// them short of (or over) the world size, or any frame after the
+    /// last.
+    pub fn absorb(&mut self, msg: CtrlMsg) -> Result<(), Box<ProtocolViolation>> {
+        let tree = matches!(self.role, Role::TreeRoot { .. });
+        let last = self.left == 1;
+        match (self.stage, msg) {
+            (_, got) if self.done() => return Err(self.refuse("no frame (gather complete)", got)),
+            (
+                Stage::Agreement,
+                CtrlMsg::State {
+                    rank,
+                    reply,
+                    instance,
+                    progress,
+                },
+            ) if !tree => {
+                let Err(at) = self.replies.binary_search_by_key(&rank, |(r, _)| *r) else {
+                    let got = CtrlMsg::State {
+                        rank,
+                        reply,
+                        instance,
+                        progress,
+                    };
+                    return Err(self.refuse("one State per rank (duplicate reply)", got));
+                };
+                self.replies.insert(at, (rank, (reply, instance, progress)));
+                if last {
+                    for (_, (reply, instance, progress)) in std::mem::take(&mut self.replies) {
+                        self.agg.absorb(reply, instance, &progress);
+                    }
+                }
+            }
+            (Stage::Agreement, CtrlMsg::StateAggMsg { agg }) if tree => self.agg.merge(&agg),
+            // The node's sub-coordinator failed over: it contributes
+            // nothing this round, so the aggregate comes back short and
+            // `decide_round` re-enters agreement.
+            (Stage::Agreement, CtrlMsg::SubPromoted { .. }) if tree => {}
+            (Stage::Bookmarks, CtrlMsg::Bookmark { rank, sent_to }) if !tree => {
+                for (peer, cnt) in sent_to {
+                    self.directory.entry(peer).or_default().push((rank, cnt));
+                }
+            }
+            (Stage::Bookmarks, CtrlMsg::BookmarkAgg { replies, expected }) if tree => {
+                self.covered += replies;
+                if last && !self.covers_world() {
+                    let got = CtrlMsg::BookmarkAgg { replies, expected };
+                    return Err(self.refuse("BookmarkAggs covering every rank", got));
+                }
+                for (dest, senders) in expected {
+                    self.directory.entry(dest).or_default().extend(senders);
+                }
+            }
+            (Stage::Completion, CtrlMsg::CkptDone { stats, .. }) if !tree => {
+                self.completions.push(stats)
+            }
+            (Stage::Completion, CtrlMsg::CkptDoneAgg { stats }) if tree => {
+                self.covered += stats.len() as u32;
+                if last && !self.covers_world() {
+                    let got = CtrlMsg::CkptDoneAgg { stats };
+                    return Err(self.refuse("CkptDoneAggs covering every rank", got));
+                }
+                self.completions.extend(stats);
+            }
+            (Stage::StaleDrain, CtrlMsg::State { .. }) if !tree => {}
+            (stage, got) => {
+                let expected = match (stage, tree) {
+                    (Stage::Agreement, false) => "State",
+                    (Stage::Agreement, true) => "StateAgg",
+                    (Stage::Bookmarks, false) => "Bookmark",
+                    (Stage::Bookmarks, true) => "BookmarkAgg",
+                    (Stage::Completion, false) => "CkptDone",
+                    (Stage::Completion, true) => "CkptDoneAgg",
+                    (Stage::StaleDrain, _) => "State (stale, pre-promotion)",
+                };
+                return Err(self.refuse(expected, got));
+            }
+        }
+        self.left -= 1;
+        Ok(())
+    }
+
+    fn covers_world(&self) -> bool {
+        matches!(self.role, Role::TreeRoot { nranks, .. } if self.covered == nranks)
+    }
+
+    fn refuse(&self, expected: &'static str, got: CtrlMsg) -> Box<ProtocolViolation> {
+        let role = match self.stage {
+            Stage::StaleDrain => format!("{} (promoted)", self.role),
+            _ => self.role.to_string(),
+        };
+        let phase = match self.stage {
+            Stage::Agreement | Stage::StaleDrain => ProtocolPhase::Agreement,
+            Stage::Bookmarks => ProtocolPhase::BookmarkGather,
+            Stage::Completion => ProtocolPhase::Completion,
+        };
+        Box::new(ProtocolViolation {
+            role,
+            ckpt_id: Some(self.ckpt_id),
+            phase,
+            expected,
+            got,
+        })
     }
 }
 
@@ -179,11 +403,6 @@ pub fn checkpoint_safe(agg: &StateAgg) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::CollInstance;
-    use crate::ctrl::RankReply;
-
-    /// One rank's reply as the topologies see it before reduction.
-    type Reply = (RankReply, Option<CollInstance>, Vec<(u64, u64)>);
 
     fn agg(replies: &[Reply]) -> StateAgg {
         let mut agg = StateAgg::default();
@@ -353,5 +572,103 @@ mod tests {
                 assert_eq!(checkpoint_safe(&merged), checkpoint_safe(&flat));
             }
         }
+    }
+
+    fn ready_state(rank: u32) -> CtrlMsg {
+        CtrlMsg::State {
+            rank,
+            reply: RankReply::Ready,
+            instance: None,
+            progress: vec![],
+        }
+    }
+
+    #[test]
+    fn each_role_refuses_what_it_does_not_take() {
+        use ProtocolPhase::{Agreement as Ag, BookmarkGather as Bg, Completion as Co};
+        let flat = Role::FlatRoot { nranks: 2 };
+        let tree = Role::TreeRoot {
+            nodes: 2,
+            nranks: 4,
+        };
+        let sub = Role::Sub { node: 3, ranks: 2 };
+        let promoted = || CtrlMsg::SubPromoted {
+            node: 1,
+            ckpt_id: 7,
+        };
+        let st = ready_state;
+        let bms = |replies| CtrlMsg::BookmarkAgg {
+            replies,
+            expected: vec![(0, vec![(1, 4)])],
+        };
+        let done = |rank| CtrlMsg::CkptDone {
+            rank,
+            stats: RankCkptStats::default(),
+        };
+        let dones = |n| CtrlMsg::CkptDoneAgg {
+            stats: vec![RankCkptStats::default(); n],
+        };
+        let dup = "one State per rank (duplicate reply)";
+        let (root, subc) = ("coordinator", "sub-coordinator node 3");
+        // (role, stage, frames, refusing role, phase, expected)
+        #[rustfmt::skip]
+        let cases = [
+            (flat, Stage::Agreement, vec![st(1), st(1)], root, Ag, dup),
+            (sub, Stage::Agreement, vec![st(6), st(6)], subc, Ag, dup),
+            (flat, Stage::Agreement, vec![promoted()], root, Ag, "State"),
+            (tree, Stage::Agreement, vec![st(0)], "root coordinator", Ag, "StateAgg"),
+            (flat, Stage::Bookmarks, vec![st(0)], root, Bg, "Bookmark"),
+            (tree, Stage::Bookmarks, vec![bms(2), bms(1)], "root coordinator", Bg, "BookmarkAggs covering every rank"),
+            (tree, Stage::Completion, vec![dones(2), dones(3)], "root coordinator", Co, "CkptDoneAggs covering every rank"),
+            (tree, Stage::Completion, vec![done(0)], "root coordinator", Co, "CkptDoneAgg"),
+            (sub, Stage::Completion, vec![promoted()], subc, Co, "CkptDone"),
+            (sub, Stage::StaleDrain, vec![st(6), done(7)], "sub-coordinator node 3 (promoted)", Ag, "State (stale, pre-promotion)"),
+            (flat, Stage::Completion, vec![done(0), done(1), done(0)], root, Co, "no frame (gather complete)"),
+        ];
+        for (role, stage, frames, name, phase, expected) in cases {
+            let mut fold = Gather::new(role, stage, 7);
+            let v = frames
+                .into_iter()
+                .find_map(|msg| fold.absorb(msg).err())
+                .unwrap_or_else(|| panic!("{role} took every frame at {stage:?}"));
+            assert_eq!(
+                (v.role.as_str(), v.phase, v.expected, v.ckpt_id),
+                (name, phase, expected, Some(7)),
+                "{role} at {stage:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_short_agreement_is_never_accepted() {
+        // One node folded two ready ranks, which alone is safe; the other
+        // node's sub-coordinator failed over and answered `SubPromoted`.
+        let mut node = Gather::new(Role::Sub { node: 0, ranks: 2 }, Stage::Agreement, 7);
+        for rank in [1, 0] {
+            node.absorb(ready_state(rank)).unwrap();
+        }
+        let tree = Role::TreeRoot {
+            nodes: 2,
+            nranks: 4,
+        };
+        let partial = || CtrlMsg::StateAggMsg {
+            agg: node.agg.clone(),
+        };
+        let mut short = Gather::new(tree, Stage::Agreement, 7);
+        short.absorb(partial()).unwrap();
+        let promoted = CtrlMsg::SubPromoted {
+            node: 1,
+            ckpt_id: 7,
+        };
+        short.absorb(promoted).unwrap();
+        assert!(short.done() && short.agg.replies == 2 && checkpoint_safe(&short.agg));
+        assert!(!decide_round(&short.agg, 4, checkpoint_safe));
+
+        // The same round with both nodes' folds in is accepted.
+        let mut full = Gather::new(tree, Stage::Agreement, 7);
+        for _ in 0..2 {
+            full.absorb(partial()).unwrap();
+        }
+        assert!(decide_round(&full.agg, 4, checkpoint_safe));
     }
 }

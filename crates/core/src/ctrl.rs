@@ -47,7 +47,7 @@ pub enum RankReply {
 /// root combines partials with [`StateAgg::merge`]. Both orders produce
 /// the same value, so from the same replies both topologies make
 /// identical safety decisions.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct StateAgg {
     /// Number of rank replies folded in (the root checks this reaches the
     /// world size before deciding).
@@ -116,7 +116,7 @@ impl StateAgg {
 }
 
 /// Control-plane messages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum CtrlMsg {
     /// Coordinator → rank: a checkpoint is intended; report your state and
     /// stop before any new collective call.

@@ -3,7 +3,7 @@
 use mana_sim::time::{SimDuration, SimTime};
 
 /// Per-rank measurements for one checkpoint.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct RankCkptStats {
     /// Rank id.
     pub rank: u32,

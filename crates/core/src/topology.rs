@@ -19,9 +19,12 @@
 //!   destination-keyed directory, and completions roll up per node — so
 //!   the root handles O(nodes) frames instead of O(ranks).
 //!
-//! The tree's reductions are re-associations of the exact fold the flat
-//! coordinator performs (see [`StateAgg::merge`]), so from the same rank
-//! states both topologies feed identical aggregates to the safety rule.
+//! Every upward gather — at the flat root, the tree root and each
+//! sub-coordinator — is one [`Gather`] fold fed by the same `recv_on`
+//! loop; only the [`Role`] it is built for differs. The tree's reductions
+//! are re-associations of the exact fold the flat coordinator performs
+//! (see [`StateAgg::merge`]), so from the same rank states both
+//! topologies feed identical aggregates to the safety rule.
 //! The rank states themselves agree only while the whole agreement fits
 //! inside one compute op: outside that regime arrival skew can stop the
 //! ranks at other op boundaries, and the extra-iteration counts may
@@ -31,22 +34,24 @@
 //! `exercise_store`) that enforces, in the one-op regime, identical
 //! safety decisions, identical per-rank checkpoint stats and
 //! byte-identical restart images.
+//!
+//! [`StateAgg`]: crate::ctrl::StateAgg
+//! [`StateAgg::merge`]: crate::ctrl::StateAgg::merge
 
 use crate::chaos::ChaosHandle;
 use crate::config::{ManaConfig, TopologyKind};
-use crate::ctrl::{
-    ctrl_msg_bytes, protocol_violation, CtrlMsg, ProtocolPhase, ProtocolViolation, StateAgg,
-};
+use crate::coordinator::{Gather, Role, Stage};
+use crate::ctrl::{ctrl_msg_bytes, protocol_violation, CtrlMsg, ProtocolPhase, ProtocolViolation};
 use crate::env::Workload;
 use crate::session::{JobBuilder, ManaSession};
-use crate::stats::{CkptReport, RankCkptStats};
+use crate::stats::CkptReport;
 use crate::store::InMemStore;
 use mana_mpi::MpiProfile;
 use mana_net::transport::{EndpointId, Network};
 use mana_sim::cluster::{ClusterSpec, Placement};
 use mana_sim::sched::{Sim, SimThread, SimThreadId};
 use mana_sim::time::SimDuration;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Delivery/reduction seam between the topology-generic protocol driver
@@ -54,9 +59,6 @@ use std::sync::Arc;
 /// shape. Implementations deliver downward messages to every rank and
 /// gather upward replies, already reduced to what the protocol needs.
 pub trait CoordTopology: Send + Sync {
-    /// Which topology this is.
-    fn kind(&self) -> TopologyKind;
-
     /// World size.
     fn nranks(&self) -> u32;
 
@@ -67,20 +69,15 @@ pub trait CoordTopology: Send + Sync {
     /// rank in the world.
     fn fanout(&self, t: &SimThread, mk: &dyn Fn() -> CtrlMsg);
 
-    /// Gather one `State` reply per rank, folded into the safety
-    /// aggregate. Must return with `replies == nranks()`.
-    fn gather_states(&self, t: &SimThread, ckpt_id: u64) -> StateAgg;
-
-    /// Gather every rank's bookmark, merged into a destination-keyed
-    /// directory: `dest rank -> [(sender, cumulative count)]`.
-    fn gather_bookmarks(&self, t: &SimThread, ckpt_id: u64) -> BTreeMap<u32, Vec<(u32, u64)>>;
+    /// Gather `stage`'s replies from every rank through the root's
+    /// [`Gather`] and return the complete fold: the agreement's
+    /// [`crate::ctrl::StateAgg`], the destination-keyed bookmark
+    /// directory or the (unsorted) completions.
+    fn gather(&self, t: &SimThread, ckpt_id: u64, stage: Stage) -> Gather;
 
     /// Deliver each rank its expected-in list (`per_rank` is indexed by
     /// rank and already sorted).
     fn scatter_expected(&self, t: &SimThread, ckpt_id: u64, per_rank: Vec<Vec<(u32, u64)>>);
-
-    /// Gather every rank's checkpoint-done stats (unsorted).
-    fn gather_done(&self, t: &SimThread, ckpt_id: u64) -> Vec<RankCkptStats>;
 }
 
 /// Control-plane CPU rates, split by locality: a frame to an endpoint on
@@ -151,77 +148,21 @@ fn send_from(
     ctrl.send(src, dst, bytes, msg);
 }
 
-/// Gather `expect` per-rank `State` replies (with duplicate-rank
-/// detection) into a safety aggregate. Shared by the flat root and the
-/// tree sub-coordinators — the only difference between them is who is
-/// listening and how many replies they own.
-fn gather_state_replies(
+/// Receive frames on `ep` into `fold` until it is done; the first frame
+/// it refuses aborts the thread with that violation.
+fn gather_on(
     t: &SimThread,
-    role: &dyn Fn() -> String,
-    ckpt_id: u64,
-    expect: usize,
-    recv: &mut dyn FnMut(&SimThread) -> CtrlMsg,
-) -> StateAgg {
-    let mut agg = StateAgg::default();
-    let mut seen: BTreeSet<u32> = BTreeSet::new();
-    for _ in 0..expect {
-        match recv(t) {
-            CtrlMsg::State {
-                rank,
-                reply,
-                instance,
-                progress,
-            } => {
-                if !seen.insert(rank) {
-                    ProtocolViolation {
-                        role: role(),
-                        ckpt_id: Some(ckpt_id),
-                        phase: ProtocolPhase::Agreement,
-                        expected: "one State per rank (duplicate reply)",
-                        got: CtrlMsg::State {
-                            rank,
-                            reply,
-                            instance,
-                            progress,
-                        },
-                    }
-                    .raise()
-                }
-                agg.absorb(reply, instance, &progress);
-            }
-            other => protocol_violation(role(), ckpt_id, ProtocolPhase::Agreement, "State", other),
+    ctrl: &Network<CtrlMsg>,
+    ep: EndpointId,
+    recv_cpu: SimDuration,
+    mut fold: Gather,
+) -> Gather {
+    while !fold.done() {
+        if let Err(v) = fold.absorb(recv_on(t, ctrl, ep, recv_cpu)) {
+            v.raise()
         }
     }
-    agg
-}
-
-/// Gather `expect` per-rank `Bookmark`s into a destination-keyed sent-to
-/// directory. Shared by the flat root and the tree sub-coordinators.
-fn gather_bookmark_replies(
-    t: &SimThread,
-    role: &dyn Fn() -> String,
-    ckpt_id: u64,
-    expect: usize,
-    recv: &mut dyn FnMut(&SimThread) -> CtrlMsg,
-) -> BTreeMap<u32, Vec<(u32, u64)>> {
-    let mut expected: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
-    for _ in 0..expect {
-        match recv(t) {
-            CtrlMsg::Bookmark { rank, sent_to } => {
-                for (peer, cnt) in sent_to {
-                    expected.entry(peer).or_default().push((rank, cnt));
-                }
-            }
-            other => protocol_violation(
-                role(),
-                ckpt_id,
-                ProtocolPhase::BookmarkGather,
-                "Bookmark",
-                other,
-            ),
-        }
-    }
-    expected
+    fold
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +170,7 @@ fn gather_bookmark_replies(
 // ---------------------------------------------------------------------------
 
 /// The DMTCP-style star: the root speaks one TCP frame per rank, in
-/// serial. Extracted verbatim from the historical coordinator loop.
+/// serial, and folds every reply itself.
 pub struct FlatTopology {
     ctrl: Arc<Network<CtrlMsg>>,
     my_ep: EndpointId,
@@ -250,19 +191,9 @@ impl FlatTopology {
             rank_eps,
         }
     }
-
-    fn recv(&self, t: &SimThread) -> CtrlMsg {
-        // The star root's inbox mixes frames from every node, so its
-        // polling cost is charged at the cross-node rate.
-        recv_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv)
-    }
 }
 
 impl CoordTopology for FlatTopology {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Flat
-    }
-
     fn nranks(&self) -> u32 {
         self.rank_eps.len() as u32
     }
@@ -277,24 +208,14 @@ impl CoordTopology for FlatTopology {
         }
     }
 
-    fn gather_states(&self, t: &SimThread, ckpt_id: u64) -> StateAgg {
-        gather_state_replies(
-            t,
-            &|| "coordinator".to_string(),
-            ckpt_id,
-            self.rank_eps.len(),
-            &mut |t| self.recv(t),
-        )
-    }
-
-    fn gather_bookmarks(&self, t: &SimThread, ckpt_id: u64) -> BTreeMap<u32, Vec<(u32, u64)>> {
-        gather_bookmark_replies(
-            t,
-            &|| "coordinator".to_string(),
-            ckpt_id,
-            self.rank_eps.len(),
-            &mut |t| self.recv(t),
-        )
+    fn gather(&self, t: &SimThread, ckpt_id: u64, stage: Stage) -> Gather {
+        // The star root's inbox mixes frames from every node, so its
+        // polling cost is charged at the cross-node rate.
+        let role = Role::FlatRoot {
+            nranks: self.nranks(),
+        };
+        let fold = Gather::new(role, stage, ckpt_id);
+        gather_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv, fold)
     }
 
     fn scatter_expected(&self, t: &SimThread, _ckpt_id: u64, per_rank: Vec<Vec<(u32, u64)>>) {
@@ -302,37 +223,19 @@ impl CoordTopology for FlatTopology {
             send_from(t, &self.ctrl, self.my_ep, *ep, CtrlMsg::ExpectedIn { from });
         }
     }
-
-    fn gather_done(&self, t: &SimThread, ckpt_id: u64) -> Vec<RankCkptStats> {
-        let mut stats = Vec::with_capacity(self.rank_eps.len());
-        for _ in 0..self.rank_eps.len() {
-            match self.recv(t) {
-                CtrlMsg::CkptDone { stats: s, .. } => stats.push(s),
-                other => protocol_violation(
-                    "coordinator",
-                    ckpt_id,
-                    ProtocolPhase::Completion,
-                    "CkptDone",
-                    other,
-                ),
-            }
-        }
-        stats
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Tree: per-node sub-coordinators
 // ---------------------------------------------------------------------------
 
-/// One sub-coordinator as the root sees it.
-struct SubLink {
-    ep: EndpointId,
-}
-
 /// One node's expected-in batch: `(rank, expected-in list)` per local
 /// rank — the payload of [`CtrlMsg::ExpectedInBatch`].
 type ExpectedBatch = Vec<(u32, Vec<(u32, u64)>)>;
+
+/// An expected-in batch routed to the node's helpers: `(helper endpoint,
+/// expected-in list)` per rank.
+type ExpectedRoutes = Vec<(EndpointId, Vec<(u32, u64)>)>;
 
 /// Per-node tree fan-out: the root exchanges one aggregated frame per
 /// node; sub-coordinators replicate downward messages and reduce upward
@@ -340,24 +243,15 @@ type ExpectedBatch = Vec<(u32, Vec<(u32, u64)>)>;
 pub struct TreeTopology {
     ctrl: Arc<Network<CtrlMsg>>,
     my_ep: EndpointId,
-    children: Vec<SubLink>,
+    /// Each node's sub-coordinator endpoint.
+    children: Vec<EndpointId>,
     /// Index into `children` of the sub-coordinator serving each rank
     /// (rank-indexed).
     child_of_rank: Vec<u32>,
     nranks: u32,
 }
 
-impl TreeTopology {
-    fn recv(&self, t: &SimThread) -> CtrlMsg {
-        recv_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv)
-    }
-}
-
 impl CoordTopology for TreeTopology {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Tree
-    }
-
     fn nranks(&self) -> u32 {
         self.nranks
     }
@@ -370,61 +264,17 @@ impl CoordTopology for TreeTopology {
         // One downward frame per node; the sub-coordinators replicate to
         // their local ranks concurrently with each other.
         for c in &self.children {
-            send_from(t, &self.ctrl, self.my_ep, c.ep, mk());
+            send_from(t, &self.ctrl, self.my_ep, *c, mk());
         }
     }
 
-    fn gather_states(&self, t: &SimThread, ckpt_id: u64) -> StateAgg {
-        let mut agg = StateAgg::default();
-        for _ in 0..self.children.len() {
-            match self.recv(t) {
-                CtrlMsg::StateAggMsg { agg: partial } => agg.merge(&partial),
-                // A sub-coordinator died mid-round and a surviving rank
-                // took over: its node contributes nothing this round, so
-                // the aggregate comes back short and the protocol driver
-                // re-enters agreement (see `run_checkpoint`).
-                CtrlMsg::SubPromoted { .. } => {}
-                other => protocol_violation(
-                    "root coordinator",
-                    ckpt_id,
-                    ProtocolPhase::Agreement,
-                    "StateAgg",
-                    other,
-                ),
-            }
-        }
-        agg
-    }
-
-    fn gather_bookmarks(&self, t: &SimThread, ckpt_id: u64) -> BTreeMap<u32, Vec<(u32, u64)>> {
-        let mut expected: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
-        let mut covered = 0u32;
-        for _ in 0..self.children.len() {
-            match self.recv(t) {
-                CtrlMsg::BookmarkAgg {
-                    replies,
-                    expected: part,
-                } => {
-                    covered += replies;
-                    for (dest, senders) in part {
-                        expected.entry(dest).or_default().extend(senders);
-                    }
-                }
-                other => protocol_violation(
-                    "root coordinator",
-                    ckpt_id,
-                    ProtocolPhase::BookmarkGather,
-                    "BookmarkAgg",
-                    other,
-                ),
-            }
-        }
-        assert_eq!(
-            covered, self.nranks,
-            "ckpt {ckpt_id}: bookmark aggregates cover {covered} of {} ranks",
-            self.nranks
-        );
-        expected
+    fn gather(&self, t: &SimThread, ckpt_id: u64, stage: Stage) -> Gather {
+        let role = Role::TreeRoot {
+            nodes: self.children.len() as u32,
+            nranks: self.nranks,
+        };
+        let fold = Gather::new(role, stage, ckpt_id);
+        gather_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv, fold)
     }
 
     fn scatter_expected(&self, t: &SimThread, _ckpt_id: u64, mut per_rank: Vec<Vec<(u32, u64)>>) {
@@ -439,27 +289,10 @@ impl CoordTopology for TreeTopology {
                 t,
                 &self.ctrl,
                 self.my_ep,
-                c.ep,
+                *c,
                 CtrlMsg::ExpectedInBatch { per_rank },
             );
         }
-    }
-
-    fn gather_done(&self, t: &SimThread, ckpt_id: u64) -> Vec<RankCkptStats> {
-        let mut stats = Vec::with_capacity(self.nranks as usize);
-        for _ in 0..self.children.len() {
-            match self.recv(t) {
-                CtrlMsg::CkptDoneAgg { stats: s } => stats.extend(s),
-                other => protocol_violation(
-                    "root coordinator",
-                    ckpt_id,
-                    ProtocolPhase::Completion,
-                    "CkptDoneAgg",
-                    other,
-                ),
-            }
-        }
-        stats
     }
 }
 
@@ -477,8 +310,11 @@ struct SubCoordCtx {
 }
 
 impl SubCoordCtx {
-    fn role(&self) -> String {
-        format!("sub-coordinator node {}", self.node)
+    fn role(&self) -> Role {
+        Role::Sub {
+            node: self.node,
+            ranks: self.local.len() as u32,
+        }
     }
 
     /// Receive a frame from the root (cross-node polling rate).
@@ -486,26 +322,28 @@ impl SubCoordCtx {
         recv_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv)
     }
 
-    /// Receive a reply from one of the node's own helpers: same-node
-    /// loopback frames are charged the cheaper intra rate — the whole
-    /// point of putting a sub-coordinator on every node.
-    fn recv_local(&self, t: &SimThread) -> CtrlMsg {
-        recv_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv_intra)
-    }
-
     fn send_root(&self, t: &SimThread, msg: CtrlMsg) {
         send_from(t, &self.ctrl, self.my_ep, self.root_ep, msg);
     }
 
-    fn fan_out(&self, t: &SimThread, mk: impl Fn() -> CtrlMsg) {
+    fn fan_out(&self, t: &SimThread, msg: &CtrlMsg) {
         for (_, ep) in &self.local {
-            send_from(t, &self.ctrl, self.my_ep, *ep, mk());
+            send_from(t, &self.ctrl, self.my_ep, *ep, msg.clone());
         }
     }
 
-    /// Fault-injection point: the sub-coordinator process dies after
-    /// fanning an agreement round out to its helpers, and a surviving
-    /// rank on the node is promoted in its place.
+    /// Fold `stage`'s replies from the node's own helpers: same-node
+    /// loopback frames are charged the cheaper intra rate — the whole
+    /// point of putting a sub-coordinator on every node.
+    fn gather(&self, t: &SimThread, ckpt_id: u64, stage: Stage) -> Gather {
+        let fold = Gather::new(self.role(), stage, ckpt_id);
+        gather_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv_intra, fold)
+    }
+
+    /// Gather the node's `State` replies for one agreement round and ship
+    /// the partial reduction to the root — unless the chaos seam kills
+    /// the sub-coordinator after its fan-out, and a surviving rank on the
+    /// node is promoted in its place.
     ///
     /// The promotion is modelled in place rather than by swapping sim
     /// threads: the replacement inherits the dead daemon's endpoint (it
@@ -515,42 +353,21 @@ impl SubCoordCtx {
     /// seq numbers from before the promotion), and announces itself to
     /// the root with [`CtrlMsg::SubPromoted`] so the root re-enters
     /// agreement instead of waiting forever on the node's aggregate.
-    /// Returns `true` if a failover happened (the round is over for this
-    /// node).
-    fn maybe_failover(&self, t: &SimThread, ckpt_id: u64) -> bool {
-        let Some(latency) = self.chaos.subcoord_point(ckpt_id, self.node) else {
-            return false;
-        };
-        t.advance(latency);
-        for _ in 0..self.local.len() {
-            match self.recv_local(t) {
-                CtrlMsg::State { .. } => {}
-                other => protocol_violation(
-                    format!("{} (promoted)", self.role()),
-                    ckpt_id,
-                    ProtocolPhase::Agreement,
-                    "State (stale, pre-promotion)",
-                    other,
-                ),
-            }
-        }
-        self.send_root(
-            t,
-            CtrlMsg::SubPromoted {
-                node: self.node,
-                ckpt_id,
-            },
-        );
-        true
-    }
-
-    /// Gather the node's `State` replies for one agreement round and ship
-    /// the partial reduction to the root.
     fn relay_states(&self, t: &SimThread, ckpt_id: u64) {
-        let agg = gather_state_replies(t, &|| self.role(), ckpt_id, self.local.len(), &mut |t| {
-            self.recv_local(t)
-        });
-        self.send_root(t, CtrlMsg::StateAggMsg { agg });
+        let up = match self.chaos.subcoord_point(ckpt_id, self.node) {
+            None => CtrlMsg::StateAggMsg {
+                agg: self.gather(t, ckpt_id, Stage::Agreement).agg,
+            },
+            Some(latency) => {
+                t.advance(latency);
+                self.gather(t, ckpt_id, Stage::StaleDrain);
+                CtrlMsg::SubPromoted {
+                    node: self.node,
+                    ckpt_id,
+                }
+            }
+        };
+        self.send_root(t, up);
     }
 
     /// The do-ckpt half of the protocol: bookmarks up, expected-in down,
@@ -558,10 +375,7 @@ impl SubCoordCtx {
     fn relay_checkpoint(&self, t: &SimThread, ckpt_id: u64) -> bool {
         // Bookmarks: merge the node's sent-to maps into a destination-keyed
         // directory before shipping one frame up.
-        let expected =
-            gather_bookmark_replies(t, &|| self.role(), ckpt_id, self.local.len(), &mut |t| {
-                self.recv_local(t)
-            });
+        let expected = self.gather(t, ckpt_id, Stage::Bookmarks).directory;
         self.send_root(
             t,
             CtrlMsg::BookmarkAgg {
@@ -571,51 +385,24 @@ impl SubCoordCtx {
         );
 
         // Expected-in counts come back as one batch; fan out locally.
-        let per_rank = match self.recv(t) {
-            CtrlMsg::ExpectedInBatch { per_rank } => per_rank,
-            other => protocol_violation(
-                self.role(),
-                ckpt_id,
-                ProtocolPhase::ExpectedWait,
-                "ExpectedInBatch",
-                other,
-            ),
-        };
-        let ep_of: BTreeMap<u32, EndpointId> = self.local.iter().copied().collect();
-        for (rank, from) in per_rank {
-            let ep = *ep_of.get(&rank).unwrap_or_else(|| {
-                panic!(
-                    "{}: expected-in batch names rank {rank} not on this node",
-                    self.role()
-                )
-            });
+        let routes = route_expected(self.role(), ckpt_id, &self.local, self.recv(t))
+            .unwrap_or_else(|v| v.raise());
+        for (ep, from) in routes {
             send_from(t, &self.ctrl, self.my_ep, ep, CtrlMsg::ExpectedIn { from });
         }
 
         // Roll up the node's completions into one frame.
-        let mut stats = Vec::with_capacity(self.local.len());
-        for _ in 0..self.local.len() {
-            match self.recv_local(t) {
-                CtrlMsg::CkptDone { stats: s, .. } => stats.push(s),
-                other => protocol_violation(
-                    self.role(),
-                    ckpt_id,
-                    ProtocolPhase::Completion,
-                    "CkptDone",
-                    other,
-                ),
-            }
-        }
+        let stats = self.gather(t, ckpt_id, Stage::Completion).completions;
         self.send_root(t, CtrlMsg::CkptDoneAgg { stats });
 
         // Resume (or die).
         match self.recv(t) {
-            CtrlMsg::Resume { ckpt_id, kill } => {
-                self.fan_out(t, || CtrlMsg::Resume { ckpt_id, kill });
+            msg @ CtrlMsg::Resume { kill, .. } => {
+                self.fan_out(t, &msg);
                 kill
             }
             other => protocol_violation(
-                self.role(),
+                self.role().to_string(),
                 ckpt_id,
                 ProtocolPhase::ResumeWait,
                 "Resume",
@@ -625,6 +412,38 @@ impl SubCoordCtx {
     }
 }
 
+/// Route a node's expected-in batch to its helpers, in batch order.
+/// Refuses any other frame, and a batch that names a rank not on the
+/// node.
+fn route_expected(
+    role: Role,
+    ckpt_id: u64,
+    local: &[(u32, EndpointId)],
+    msg: CtrlMsg,
+) -> Result<ExpectedRoutes, Box<ProtocolViolation>> {
+    let refuse = |expected, got| {
+        Box::new(ProtocolViolation {
+            role: role.to_string(),
+            ckpt_id: Some(ckpt_id),
+            phase: ProtocolPhase::ExpectedWait,
+            expected,
+            got,
+        })
+    };
+    let CtrlMsg::ExpectedInBatch { per_rank } = msg else {
+        return Err(refuse("ExpectedInBatch", msg));
+    };
+    let ep_of = |rank| local.iter().find(|(r, _)| *r == rank).map(|(_, ep)| *ep);
+    if per_rank.iter().any(|(rank, _)| ep_of(*rank).is_none()) {
+        let got = CtrlMsg::ExpectedInBatch { per_rank };
+        return Err(refuse("ExpectedInBatch naming only this node's ranks", got));
+    }
+    Ok(per_rank
+        .into_iter()
+        .map(|(rank, from)| (ep_of(rank).expect("checked above"), from))
+        .collect())
+}
+
 /// Sub-coordinator daemon loop: replicate downward control messages to the
 /// node's helpers, reduce their replies, ship aggregates to the root.
 /// Exits after relaying a kill-resume.
@@ -632,28 +451,18 @@ fn run_sub_coordinator(t: SimThread, sx: SubCoordCtx) {
     sx.ctrl.add_waiter(sx.my_ep, t.id());
     loop {
         match sx.recv(&t) {
-            CtrlMsg::IntendCkpt { ckpt_id } => {
-                sx.fan_out(&t, || CtrlMsg::IntendCkpt { ckpt_id });
-                if sx.maybe_failover(&t, ckpt_id) {
-                    continue;
-                }
+            msg @ (CtrlMsg::IntendCkpt { ckpt_id } | CtrlMsg::ExtraIteration { ckpt_id }) => {
+                sx.fan_out(&t, &msg);
                 sx.relay_states(&t, ckpt_id);
             }
-            CtrlMsg::ExtraIteration { ckpt_id } => {
-                sx.fan_out(&t, || CtrlMsg::ExtraIteration { ckpt_id });
-                if sx.maybe_failover(&t, ckpt_id) {
-                    continue;
-                }
-                sx.relay_states(&t, ckpt_id);
-            }
-            CtrlMsg::DoCkpt { ckpt_id } => {
-                sx.fan_out(&t, || CtrlMsg::DoCkpt { ckpt_id });
+            msg @ CtrlMsg::DoCkpt { ckpt_id } => {
+                sx.fan_out(&t, &msg);
                 if sx.relay_checkpoint(&t, ckpt_id) {
                     return;
                 }
             }
             other => protocol_violation(
-                sx.role(),
+                sx.role().to_string(),
                 None,
                 ProtocolPhase::Idle,
                 "IntendCkpt/ExtraIteration/DoCkpt",
@@ -731,7 +540,7 @@ pub fn build_control_plane(
                         .collect(),
                     chaos: cfg.chaos.clone(),
                 };
-                children.push(SubLink { ep: sub_ep });
+                children.push(sub_ep);
                 sim.spawn(&format!("subcoord{node}"), true, move |t| {
                     run_sub_coordinator(t, sx)
                 });
@@ -939,5 +748,43 @@ mod tests {
             });
         }
         sim.run();
+    }
+
+    #[test]
+    fn an_expected_in_batch_must_name_only_the_nodes_ranks() {
+        let local = [(4, EndpointId(10)), (5, EndpointId(11))];
+        let role = Role::Sub { node: 1, ranks: 2 };
+        let batch = |ranks: &[u32]| CtrlMsg::ExpectedInBatch {
+            per_rank: ranks
+                .iter()
+                .map(|r| (*r, vec![(0, u64::from(*r))]))
+                .collect(),
+        };
+        let routes = route_expected(role, 7, &local, batch(&[5, 4])).unwrap();
+        assert_eq!(
+            routes,
+            vec![
+                (EndpointId(11), vec![(0, 5)]),
+                (EndpointId(10), vec![(0, 4)])
+            ]
+        );
+        for (msg, expected) in [
+            (
+                batch(&[4, 9]),
+                "ExpectedInBatch naming only this node's ranks",
+            ),
+            (CtrlMsg::ExpectedIn { from: vec![] }, "ExpectedInBatch"),
+        ] {
+            let v = route_expected(role, 7, &local, msg).unwrap_err();
+            assert_eq!(
+                (v.role.as_str(), v.phase, v.expected, v.ckpt_id),
+                (
+                    "sub-coordinator node 1",
+                    ProtocolPhase::ExpectedWait,
+                    expected,
+                    Some(7)
+                )
+            );
+        }
     }
 }

@@ -1,11 +1,13 @@
 //! Breadth-first exhaustive exploration of the protocol state space.
 
 use crate::spec::Spec;
-use crate::state::{CMsg, CPhase, RMsg, State};
-use mana_core::coordinator::checkpoint_safe;
-use mana_core::ctrl::RankReply;
+use crate::state::{CMsg, State};
+use mana_core::coordinator::{checkpoint_safe, decide_round, Gather, Role, Stage};
+use mana_core::ctrl::{CtrlMsg, RankReply};
+use mana_core::stats::RankCkptStats;
 use mana_core::{CollInstance, Phase, StateAgg};
 use std::collections::{HashSet, VecDeque};
+use std::fmt;
 
 /// A property violation, with a human-readable description.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,10 +55,38 @@ impl CheckOutcome {
     }
 }
 
+/// `N states, M transitions: ` and the verdict: no violation, or the
+/// violation itself.
+impl fmt::Display for CheckOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} states, {} transitions: ",
+            self.states, self.transitions
+        )?;
+        match &self.violation {
+            None => f.write_str("no deadlocks, no broken invariants"),
+            Some(v) => write!(f, "VIOLATION {v:?}"),
+        }
+    }
+}
+
+/// The checkpoint every model run takes.
+const CKPT_ID: u64 = 1;
+
+/// A fresh `stage` fold as the checker's coordinator, a flat root over
+/// `n` ranks, builds it.
+fn fold(n: usize, stage: Stage) -> Option<Gather> {
+    let role = Role::FlatRoot { nranks: n as u32 };
+    Some(Gather::new(role, stage, CKPT_ID))
+}
+
 /// Generate all successors of `s` under the do-ckpt `rule`. Any
 /// violation encountered while firing a transition is returned instead.
 /// Every rank transition is a [`RankProtocol`] method, the one the
-/// running `CkptCell` calls.
+/// running `CkptCell` calls; every reply the coordinator takes goes
+/// through core's [`Gather`], and every round ends in core's
+/// [`decide_round`].
 ///
 /// [`RankProtocol`]: mana_core::RankProtocol
 fn successors(
@@ -106,12 +136,8 @@ fn successors(
             let mut t = s.clone();
             t.ranks[r] = next;
             if owed {
-                let progress = t.progress_of(spec, r);
-                t.to_coord[r].push_back(RMsg::State {
-                    reply: RankReply::ExitPhase2,
-                    instance: None,
-                    progress,
-                });
+                let frame = t.state_frame(spec, r, RankReply::ExitPhase2, None);
+                t.to_coord[r].push_back(frame);
             }
             out.push(t);
         }
@@ -123,12 +149,8 @@ fn successors(
             match msg {
                 CMsg::Intend => {
                     if let Some((reply, instance)) = t.ranks[r].proto.on_intent() {
-                        let progress = t.progress_of(spec, r);
-                        t.to_coord[r].push_back(RMsg::State {
-                            reply,
-                            instance,
-                            progress,
-                        });
+                        let frame = t.state_frame(spec, r, reply, instance);
+                        t.to_coord[r].push_back(frame);
                     }
                 }
                 CMsg::DoCkpt => {
@@ -137,7 +159,10 @@ fn successors(
                     }
                     t.ranks[r].proto.do_ckpt();
                     t.ranks[r].ckpt_pc = Some(t.ranks[r].pc);
-                    t.to_coord[r].push_back(RMsg::CkptDone);
+                    t.to_coord[r].push_back(CtrlMsg::CkptDone {
+                        rank: r as u32,
+                        stats: RankCkptStats::default(),
+                    });
                 }
                 CMsg::Resume => {
                     t.ranks[r].proto.resume();
@@ -151,76 +176,58 @@ fn successors(
         if let Some(msg) = s.to_coord[r].front().cloned() {
             let mut t = s.clone();
             t.to_coord[r].pop_front();
-            match (&t.coord, msg) {
-                (CPhase::Collecting, msg @ RMsg::State { .. }) => {
-                    if t.replies[r].is_some() {
-                        return Err(Violation::ProtocolError {
-                            what: format!("duplicate reply from rank {r}"),
-                        });
-                    }
-                    t.replies[r] = Some(msg);
-                    if t.replies.iter().all(Option::is_some) {
-                        // End of round: fold the replies as a flat
-                        // coordinator does and apply the do-ckpt rule.
-                        let mut agg = StateAgg::default();
-                        for q in t.replies.iter_mut() {
-                            if let Some(RMsg::State {
-                                reply,
-                                instance,
-                                progress,
-                            }) = q.take()
-                            {
-                                agg.absorb(reply, instance, &progress);
-                            }
-                        }
-                        if !rule(&agg) {
-                            for q in 0..n {
-                                t.to_rank[q].push_back(CMsg::Intend);
-                            }
-                        } else {
-                            for q in 0..n {
-                                t.to_rank[q].push_back(CMsg::DoCkpt);
-                            }
-                            t.coord = CPhase::CollectingDones;
-                        }
-                    }
-                }
-                (CPhase::CollectingDones, RMsg::CkptDone) => {
-                    t.dones += 1;
-                    if t.dones == n {
-                        // All images taken: check cut consistency before
-                        // resuming.
-                        if let Some(v) = cut_violation(spec, &t) {
-                            return Err(v);
-                        }
-                        t.dones = 0;
-                        for q in 0..n {
-                            t.to_rank[q].push_back(CMsg::Resume);
-                        }
-                        t.coord = CPhase::Complete;
-                    }
-                }
-                (phase, msg) => {
-                    return Err(Violation::ProtocolError {
-                        what: format!("coordinator in {phase:?} got {msg:?} from rank {r}"),
-                    });
-                }
+            let Some(coord) = t.coord.as_mut() else {
+                return Err(Violation::ProtocolError {
+                    what: format!("idle coordinator got {msg:?} from rank {r}"),
+                });
+            };
+            coord.absorb(msg).map_err(|v| Violation::ProtocolError {
+                what: v.to_string(),
+            })?;
+            if coord.done() {
+                end_stage(spec, &mut t, rule)?;
             }
             out.push(t);
         }
     }
 
     // Checkpoint initiation (at any time — the adversarial schedule).
-    if s.coord == CPhase::Idle {
+    if s.coord.is_none() {
         let mut t = s.clone();
         for q in 0..n {
             t.to_rank[q].push_back(CMsg::Intend);
         }
-        t.coord = CPhase::Collecting;
+        t.coord = fold(n, Stage::Agreement);
         out.push(t);
     }
 
     Ok(out)
+}
+
+/// The coordinator's open fold is complete. An agreement round ends in
+/// core's [`decide_round`]: do-ckpt and a completion fold, or another
+/// round. A complete completion fold means every image is taken: check
+/// the cut and resume.
+fn end_stage(spec: &Spec, t: &mut State, rule: fn(&StateAgg) -> bool) -> Result<(), Violation> {
+    let n = spec.nranks();
+    let coord = t.coord.as_ref().expect("an open fold");
+    let (msg, next) = match coord.stage() {
+        Stage::Agreement if decide_round(&coord.agg, n as u32, rule) => {
+            (CMsg::DoCkpt, fold(n, Stage::Completion))
+        }
+        Stage::Agreement => (CMsg::Intend, fold(n, Stage::Agreement)),
+        _ => {
+            if let Some(v) = cut_violation(spec, t) {
+                return Err(v);
+            }
+            (CMsg::Resume, t.coord.take())
+        }
+    };
+    for q in &mut t.to_rank {
+        q.push_back(msg);
+    }
+    t.coord = next;
+    Ok(())
 }
 
 /// Rank `r`'s `pc`-th collective as core numbers it: the model counts a
@@ -328,8 +335,10 @@ mod tests {
 
     #[test]
     fn three_ranks_two_collectives_safe() {
+        // `manasim verify`'s default; the graph is pinned by its counts.
         let out = check(&Spec::uniform_world(3, 2));
         assert!(out.ok(), "{:?}", out.violation);
+        assert_eq!((out.states, out.transitions), (22_686, 78_710));
     }
 
     #[test]
@@ -337,7 +346,7 @@ mod tests {
         // Challenge III: concurrent collectives on overlapping comms.
         let out = check(&Spec::overlapping_comms());
         assert!(out.ok(), "{:?}", out.violation);
-        assert!(out.states > 1000);
+        assert_eq!((out.states, out.transitions), (29_002, 99_645));
     }
 
     #[test]
@@ -354,6 +363,13 @@ mod tests {
             "weakened rule not caught: {:?}",
             out.violation
         );
+        // The CLI's rendering names the violation itself.
+        let shown = out.to_string();
+        assert!(
+            shown.contains("VIOLATION CkptInsidePhase2 { rank: 0 }"),
+            "{shown}"
+        );
+        assert!(!shown.contains("Some("), "{shown}");
     }
 
     #[test]

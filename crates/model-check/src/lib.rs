@@ -13,13 +13,14 @@
 //! holds a `mana_core::RankProtocol` — the pre-wrapper gate,
 //! commit-through phases, the ready/in-phase-1/exit-phase-2 replies —
 //! and every rank step and message delivery calls the method the running
-//! `CkptCell` calls. Nor is the coordinator's do-ckpt rule: each complete
-//! round's replies are folded into a `mana_core::StateAgg` with
-//! `StateAgg::absorb` and decided by `mana_core::coordinator::checkpoint_safe`.
-//! What the crate adds is the rank programs, the FIFO channels and the
-//! coordinator's round loop. So its explored graph is pinned by its
-//! counts (`manasim verify`, the reproduction card): a moved count means
-//! a moved protocol.
+//! `CkptCell` calls. Nor is the coordinator: it is the
+//! `mana_core::coordinator::Gather` a flat root folds its ranks' frames
+//! with, and each round ends in `coordinator::decide_round` over
+//! `coordinator::checkpoint_safe`, as `run_checkpoint`'s rounds do.
+//! What the crate adds is the rank programs and the FIFO channels. So
+//! its explored graph is pinned by its counts (`manasim verify`, the
+//! reproduction card, this crate's tests): a moved count means a moved
+//! protocol.
 //!
 //! Checked properties, over every interleaving of rank steps, barrier
 //! exits, collective exits and message deliveries (per-pair FIFO channels,

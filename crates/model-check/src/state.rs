@@ -1,7 +1,8 @@
 //! Protocol state and transition relation.
 
 use crate::spec::Spec;
-use mana_core::ctrl::RankReply;
+use mana_core::coordinator::Gather;
+use mana_core::ctrl::{CtrlMsg, RankReply};
 use mana_core::{CollInstance, Phase, RankProtocol};
 use std::collections::VecDeque;
 
@@ -14,42 +15,6 @@ pub enum CMsg {
     DoCkpt,
     /// resume.
     Resume,
-}
-
-/// Rank → coordinator replies.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum RMsg {
-    /// A state reply, as a helper sends it: the reply, the instance
-    /// behind an in-phase-1 one, and the rank's per-communicator completed
-    /// wrapped-collective counts at reply time. The progress vector is
-    /// what lets the coordinator detect that an in-phase-1 instance has
-    /// already been passed by another member (Challenge I / Lemma 1's
-    /// bookkeeping) — without it, a stale in-phase-1 report can coexist
-    /// with a member that already exited the collective, the barrier is
-    /// complete, and the reporter can slip into phase 2 mid-checkpoint.
-    State {
-        /// The rank's reply.
-        reply: RankReply,
-        /// The collective instance behind an in-phase-1 reply.
-        instance: Option<CollInstance>,
-        /// `(comm, completed wrapped collectives on it)` per communicator.
-        progress: Vec<(u64, u64)>,
-    },
-    /// local checkpoint complete
-    CkptDone,
-}
-
-/// Coordinator protocol position.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum CPhase {
-    /// Checkpoint not yet initiated.
-    Idle,
-    /// Waiting for one reply per rank (intend or extra-iteration round).
-    Collecting,
-    /// do-ckpt sent; waiting for ckpt-done from every rank.
-    CollectingDones,
-    /// Resume sent: checkpoint complete.
-    Complete,
 }
 
 /// One rank's model state: its program position and core's
@@ -73,26 +38,41 @@ pub struct RankSt {
 pub struct State {
     /// Per-rank states.
     pub ranks: Vec<RankSt>,
-    /// Coordinator position.
-    pub coord: CPhase,
-    /// Replies collected this round (`None` until received), in rank order.
-    pub replies: Vec<Option<RMsg>>,
-    /// Ckpt-done count.
-    pub dones: usize,
+    /// The coordinator: core's fold of the open stage, as a flat root
+    /// builds it (`None` until the checkpoint is initiated; a complete
+    /// completion fold once it has finished).
+    pub coord: Option<Gather>,
     /// FIFO channel coordinator → each rank.
     pub to_rank: Vec<VecDeque<CMsg>>,
-    /// FIFO channel each rank → coordinator.
-    pub to_coord: Vec<VecDeque<RMsg>>,
+    /// FIFO channel each rank → coordinator: the frames a helper sends.
+    /// A `State` carries the rank's per-communicator completed
+    /// wrapped-collective counts, which let the coordinator detect that an
+    /// in-phase-1 instance has already been passed by another member
+    /// (Challenge I / Lemma 1's bookkeeping).
+    pub to_coord: Vec<VecDeque<CtrlMsg>>,
 }
 
 impl State {
-    /// Per-communicator completed wrapped-collective counts for `r` (the
-    /// progress vector attached to replies).
-    pub fn progress_of(&self, spec: &Spec, r: usize) -> Vec<(u64, u64)> {
+    /// The `State` frame rank `r`'s helper sends now: `reply`, its
+    /// instance, and `r`'s completed wrapped-collective count on every
+    /// communicator.
+    pub fn state_frame(
+        &self,
+        spec: &Spec,
+        r: usize,
+        reply: RankReply,
+        instance: Option<CollInstance>,
+    ) -> CtrlMsg {
         let pc = self.ranks[r].pc;
-        (0..spec.comms.len())
+        let progress = (0..spec.comms.len())
             .map(|c| (c as u64, spec.done_on(r, pc, c) as u64))
-            .collect()
+            .collect();
+        CtrlMsg::State {
+            rank: r as u32,
+            reply,
+            instance,
+            progress,
+        }
     }
 
     /// Initial state.
@@ -106,9 +86,7 @@ impl State {
         };
         State {
             ranks: vec![rank; n],
-            coord: CPhase::Idle,
-            replies: vec![None; n],
-            dones: 0,
+            coord: None,
             to_rank: vec![VecDeque::new(); n],
             to_coord: vec![VecDeque::new(); n],
         }
@@ -120,7 +98,7 @@ impl State {
         self.ranks.iter().all(|r| r.done)
             && self.to_rank.iter().all(VecDeque::is_empty)
             && self.to_coord.iter().all(VecDeque::is_empty)
-            && matches!(self.coord, CPhase::Idle | CPhase::Complete)
+            && self.coord.as_ref().is_none_or(Gather::done)
     }
 
     /// Has every member of `r`'s current instance reached `phase` of it

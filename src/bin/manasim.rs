@@ -339,16 +339,7 @@ fn cmd_verify(args: &[String]) {
     let spec = mana::model_check::Spec::uniform_world(ranks, colls);
     println!("model-checking the two-phase protocol: {ranks} ranks x {colls} collectives ...");
     let out = mana::model_check::check(&spec);
-    println!(
-        "  {} states, {} transitions: {}",
-        out.states,
-        out.transitions,
-        if out.ok() {
-            "no deadlocks, no broken invariants".to_string()
-        } else {
-            format!("VIOLATION {:?}", out.violation)
-        }
-    );
+    println!("  {out}");
     if !out.ok() {
         exit(1);
     }
