@@ -32,6 +32,7 @@ use crate::plan::{ChaosPlan, FaultKind, WorldShape};
 use mana_apps::{make_app_small, AppKind};
 use mana_core::chaos::{ChaosHandle, CrashRecord, DrainFault, FailoverRecord, RestartCrashRecord};
 use mana_core::config::TopologyKind;
+use mana_core::stats::CkptReport;
 use mana_core::supervisor::{DegradedMode, RecoveryReport, RestartSupervisor, RetryPolicy};
 use mana_core::{CheckpointStore, InMemStore, JobBuilder, ManaSession, Workload};
 use mana_sim::cluster::{ClusterSpec, Placement};
@@ -210,12 +211,13 @@ impl ChaosHarness {
         // drains, a burst-buffer tier with a persistent drain ledger
         // fronts the journal.
         let handle = ChaosHandle::new(plan.injector());
+        let replicas = self.replicas.max(1);
         let replicated = Arc::new(ReplicatedStore::with_replicas(
             ReplicaConfig {
-                write_quorum: self.replicas,
+                write_quorum: replicas,
                 ..ReplicaConfig::default()
             },
-            self.replicas.max(1),
+            replicas,
             |_| InMemStore::new(),
         ));
         let journal = Arc::new(JournaledStore::new(replicated.clone()).with_chaos(handle.clone()));
@@ -293,7 +295,7 @@ impl ChaosHarness {
                 report.incarnations += 1;
             }
             report.recovered = true;
-            report.checkpoints = session.checkpoints().len();
+            report.checkpoints = session.checkpoints();
             Ok(current.checksums().clone())
         })();
         let final_sums = chain.map_err(|e| report.error = Some(e)).ok();
@@ -335,8 +337,8 @@ pub struct ChaosReport {
     /// Restart attempts the chain started (including ones killed by
     /// restart-phase faults).
     pub restart_attempts: u64,
-    /// Checkpoints that committed.
-    pub checkpoints: usize,
+    /// The report of every checkpoint that committed, in commit order.
+    pub checkpoints: Vec<CkptReport>,
     /// Every checkpoint-phase gang-crash injected, in order.
     pub crashes: Vec<CrashRecord>,
     /// Every restart-phase kill injected, in order.
@@ -437,7 +439,7 @@ impl fmt::Display for ChaosReport {
              {} recovery restart(s), {} restart attempt(s)",
             self.incarnations,
             self.attempts,
-            self.checkpoints,
+            self.checkpoints.len(),
             self.recovery_restarts,
             self.restart_attempts
         )?;

@@ -6,13 +6,13 @@
 //! delegated to a serialization framework.
 //!
 //! There is one encoder and one decoder. [`ScatterEnc`] writes metadata
-//! into small owned runs and appends dense snapshot pages as shared `Arc`
-//! segments, so no page is copied on the way to the store. [`ScatterDec`]
-//! walks a [`ScatterBuf`] in place and recovers those pages as the same
-//! handles. Flat bytes decode as a one-segment scatter
-//! ([`ScatterBuf::from_vec`]).
+//! into small owned runs and appends each dense snapshot as one shared
+//! rope segment, so no page is copied, or even counted, on the way to the
+//! store. [`ScatterDec`] walks a [`ScatterBuf`] in place and takes each
+//! rope back as the same handle. Flat bytes decode as a one-segment
+//! scatter ([`ScatterBuf::from_vec`]).
 
-use mana_sim::memory::{pages_of_len, DenseSnap, PAGE};
+use mana_sim::memory::DenseSnap;
 use mana_sim::scatter::{tally_shared_flatten, ScatterBuf, Segment};
 
 /// Decode errors.
@@ -56,9 +56,9 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Scatter-building encoder: metadata accumulates in a small owned tail
-/// that is flushed as an owned segment whenever a page run begins, and
-/// dense snapshot pages are appended as *shared* segments (`Arc` clones of
-/// the rope pages) instead of being memcpy'd.
+/// that is flushed as an owned segment whenever a dense payload begins,
+/// and each dense snapshot is appended as one *shared* rope segment (one
+/// count bump on its page list) instead of being memcpy'd.
 #[derive(Default)]
 pub struct ScatterEnc {
     buf: ScatterBuf,
@@ -125,24 +125,21 @@ impl ScatterEnc {
     }
 
     /// Write a length-prefixed dense snapshot: the content bytes are its
-    /// frozen pages, appended without copying a byte — the entire
-    /// zero-copy image path.
+    /// frozen pages, appended as the one rope without copying a byte — the
+    /// entire zero-copy image path.
     pub fn dense(&mut self, snap: &DenseSnap) {
         self.u64(snap.len() as u64);
         self.flush_tail();
-        for i in 0..snap.page_count() {
-            self.buf.push_shared(snap.page_handle(i));
-        }
+        self.buf.push_rope(snap.clone());
     }
 }
 
 /// Decoder over a [`ScatterBuf`], walking its segments in place. Metadata
 /// reads copy a handful of bytes out of owned segments; a dense payload
-/// whose page run survived storage as discrete shared segments (the
-/// [`ScatterEnc`] layout) is recovered as `Arc` clones of those very
-/// pages — zero copies for every clean stored page. Payloads that lost
-/// their segment alignment (re-framed, flattened, or foreign bytes) fall
-/// back to a copy that is tallied in
+/// whose rope survived storage as one segment (the [`ScatterEnc`] layout)
+/// is taken back as that rope, by one count bump — zero copies for every
+/// stored page. Payloads that lost their rope (re-framed, cut, flattened,
+/// or foreign bytes) fall back to a copy that is tallied in
 /// [`mana_sim::scatter::shared_flatten_bytes`], so the byte stream
 /// decodes identically either way.
 pub struct ScatterDec<'a> {
@@ -180,7 +177,8 @@ impl<'a> ScatterDec<'a> {
         self.copied
     }
 
-    /// Dense pages recovered as shared page handles (no copy).
+    /// Dense pages recovered shared, inside the ropes taken back (no
+    /// copy).
     pub fn pages_shared(&self) -> u64 {
         self.pages_shared
     }
@@ -188,11 +186,7 @@ impl<'a> ScatterDec<'a> {
     /// Skip exhausted segments so `(seg, off)` always points at unread
     /// bytes (or one past the final segment).
     fn normalize(&mut self) {
-        while self
-            .segs
-            .get(self.seg)
-            .is_some_and(|s| self.off >= s.as_bytes().len())
-        {
+        while self.segs.get(self.seg).is_some_and(|s| self.off >= s.len()) {
             self.seg += 1;
             self.off = 0;
         }
@@ -200,7 +194,7 @@ impl<'a> ScatterDec<'a> {
 
     /// Account for `n` bytes copied out of `seg` at the cursor.
     fn consume(&mut self, seg: &Segment, n: usize) {
-        if matches!(seg, Segment::Shared(_)) {
+        if seg.is_shared() {
             tally_shared_flatten(n as u64);
         }
         self.off += n;
@@ -218,9 +212,9 @@ impl<'a> ScatterDec<'a> {
         while done < out.len() {
             self.normalize();
             let seg = &self.segs[self.seg];
-            let bytes = seg.as_bytes();
-            let n = (bytes.len() - self.off).min(out.len() - done);
-            out[done..done + n].copy_from_slice(&bytes[self.off..self.off + n]);
+            let bytes = seg.bytes_from(self.off);
+            let n = bytes.len().min(out.len() - done);
+            out[done..done + n].copy_from_slice(&bytes[..n]);
             self.consume(seg, n);
             done += n;
         }
@@ -229,14 +223,10 @@ impl<'a> ScatterDec<'a> {
     }
 
     fn scalar<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
-        // A scalar inside the current segment is read in place; only one
-        // straddling a segment boundary goes through the copy loop.
+        // A scalar inside the current piece is read in place; only one
+        // straddling a piece boundary goes through the copy loop.
         if let Some(seg) = self.segs.get(self.seg) {
-            if let Some(Ok(v)) = seg
-                .as_bytes()
-                .get(self.off..self.off + N)
-                .map(<[u8; N]>::try_from)
-            {
+            if let Some(Ok(v)) = seg.bytes_from(self.off).get(..N).map(<[u8; N]>::try_from) {
                 self.consume(seg, N);
                 self.normalize();
                 return Ok(v);
@@ -301,34 +291,17 @@ impl<'a> ScatterDec<'a> {
             return Err(CodecError::Truncated { what });
         }
         // Fast path: the cursor sits at a segment boundary and the next
-        // segments are exactly the payload's canonical page chunking as
-        // shared handles — the ScatterEnc layout, preserved by stores
-        // that kept the scatter intact. Recover the page handles.
+        // segment is a rope of exactly the payload's length — the
+        // ScatterEnc layout, preserved by stores that kept the scatter
+        // intact. Take it back by one count bump.
         if self.off == 0 {
-            let npages = pages_of_len(len);
-            let mut pages = Vec::with_capacity(npages);
-            for k in 0..npages {
-                let want = if k + 1 < npages {
-                    PAGE as usize
-                } else {
-                    len - k * PAGE as usize
-                };
-                match self.segs.get(self.seg + k).and_then(Segment::shared_handle) {
-                    Some(p) if p.len() == want => pages.push(p.clone()),
-                    _ => {
-                        pages.clear();
-                        break;
-                    }
-                }
-            }
-            if pages.len() == npages {
-                if let Some(snap) = DenseSnap::from_pages(len, pages) {
-                    self.seg += npages;
-                    self.off = 0;
+            if let Some(Segment::Rope(rope)) = self.segs.get(self.seg) {
+                if rope.len() == len {
+                    self.seg += 1;
                     self.remaining -= len;
-                    self.pages_shared += npages as u64;
+                    self.pages_shared += rope.page_count() as u64;
                     self.normalize();
-                    return Ok(snap);
+                    return Ok(rope.clone());
                 }
             }
         }

@@ -114,9 +114,9 @@ pub struct CheckpointImage {
 }
 
 /// The encoded form of a [`CheckpointImage`]: a scatter of byte segments
-/// in which metadata runs are small owned segments and the dense region
-/// pages are *shared* page handles into the snapshot ropes — no page is
-/// memcpy'd between the address space and the store tier. An optional
+/// in which metadata runs are small owned segments and each dense region
+/// is its *shared* snapshot rope, one handle however many pages it holds
+/// — no page is memcpy'd between the address space and the store tier. An optional
 /// decoded-image attachment rides along so image-aware stores
 /// (`DeltaStore`, `CasStore`, dirty-aware compression) can read regions
 /// and dirty summaries straight from the rope instead of re-decoding the
@@ -262,8 +262,8 @@ impl PartialEq for ImageBytes {
 impl Eq for ImageBytes {}
 
 impl CheckpointImage {
-    /// Serialize as a zero-copy scatter: dense region pages are shared
-    /// rope handles, metadata runs are small owned segments.
+    /// Serialize as a zero-copy scatter: each dense region is its shared
+    /// rope, metadata runs are small owned segments.
     pub fn encode(&self) -> ImageBytes {
         let mut e = ScatterEnc::new();
         e.u64(MAGIC);
@@ -349,12 +349,13 @@ impl CheckpointImage {
         }
     }
 
-    /// Deserialize straight from a scatter, recovering dense region pages
-    /// as the stored page handles — the read-side twin of
+    /// Deserialize straight from a scatter, taking each dense region back
+    /// as the stored rope — the read-side twin of
     /// [`CheckpointImage::encode_shared`]. When the producer attached the
-    /// decoded image, the wire decode is skipped entirely (the clone is
-    /// cheap: region ropes are shared pages). Returns the image plus the
-    /// copy accounting for [`crate::stats::RankRestartStats`].
+    /// decoded image, the wire decode is skipped entirely; cloning it
+    /// costs one count bump per dense region plus the metadata, whatever
+    /// the page count. Returns the image plus the copy accounting for
+    /// [`crate::stats::RankRestartStats`].
     pub fn decode_shared(bytes: &ImageBytes) -> Result<(CheckpointImage, DecodeStats), CodecError> {
         if let Some(img) = bytes.image() {
             let img = (**img).clone();
@@ -530,7 +531,8 @@ impl CheckpointImage {
 
 /// Copy accounting from [`CheckpointImage::decode_shared`]: how many wire
 /// bytes had to be copied out of the scatter (metadata runs, non-canonical
-/// payloads) and how many dense pages came back as shared page handles.
+/// payloads) and how many dense pages came back shared, inside the stored
+/// ropes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Bytes memcpy'd out of the scatter during decode.

@@ -23,6 +23,7 @@ use crate::rng::splitmix64;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Which program within the split process a region belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -316,7 +317,9 @@ pub struct RegionMeta {
     pub dense: bool,
 }
 
-/// A self-contained copy of a region, as stored in checkpoint images.
+/// A self-contained copy of a region, as stored in checkpoint images. A
+/// clone copies the name and bumps the dense content's rope count once,
+/// whatever the region's size.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RegionSnapshot {
     /// Start address.
@@ -336,7 +339,8 @@ pub struct RegionSnapshot {
 /// Contents of a [`RegionSnapshot`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SnapshotContent {
-    /// Full byte image (frozen, [`Page`]-backed; cheap to clone/share).
+    /// Full byte image (frozen, [`Page`]-backed; a clone is one count
+    /// bump on the shared page list, see [`DenseSnap`]).
     Dense(DenseSnap),
     /// Pattern descriptor (seed); content defined by [`pattern_byte`].
     Pattern {
@@ -391,13 +395,42 @@ fn bits_or_into(dst: &mut Vec<u64>, src: &[u64]) {
 /// ([`Page::digest`]) is therefore computed at most once however many
 /// snapshots, images and store tiers share the page: a clean page is
 /// hashed once in its lifetime, a dirty one when it is new.
+///
+/// The page list itself is one shared value: cloning a snapshot is one
+/// reference-count bump however many pages it holds, so a rope crosses
+/// the encoder, every store tier, the decoder and
+/// [`AddressSpace::restore_region`] as one handle. Only building a new
+/// rope (a tracked snapshot, a patch, a CAS reassembly) touches each
+/// page's count. The list also keeps its pages' digests side by side once
+/// something asks for them all ([`DenseSnap::page_digests`]), so a reader
+/// that wants every page's digest again reads one contiguous list instead
+/// of visiting each page.
 #[derive(Clone)]
 pub struct DenseSnap {
     len: usize,
-    pages: Vec<Page>,
+    rope: Arc<Rope>,
+}
+
+/// What every clone of a [`DenseSnap`] shares.
+struct Rope {
+    pages: Box<[Page]>,
+    /// Every page's [`Page::digest`], in order, once listed. The pages
+    /// never change, so neither does the list.
+    digests: OnceLock<Box<[u64]>>,
 }
 
 impl DenseSnap {
+    /// A snapshot over `pages`, already in the canonical chunking of `len`.
+    fn new(len: usize, pages: Vec<Page>) -> DenseSnap {
+        DenseSnap {
+            len,
+            rope: Arc::new(Rope {
+                pages: pages.into(),
+                digests: OnceLock::new(),
+            }),
+        }
+    }
+
     /// Freeze an owned byte vector (copies into page chunks).
     pub fn from_vec(bytes: Vec<u8>) -> DenseSnap {
         DenseSnap::from_bytes(&bytes)
@@ -405,10 +438,10 @@ impl DenseSnap {
 
     /// Freeze a byte slice (copies into page chunks).
     pub fn from_bytes(bytes: &[u8]) -> DenseSnap {
-        DenseSnap {
-            len: bytes.len(),
-            pages: bytes.chunks(PAGE as usize).map(Page::from).collect(),
-        }
+        DenseSnap::new(
+            bytes.len(),
+            bytes.chunks(PAGE as usize).map(Page::from).collect(),
+        )
     }
 
     /// Rebuild a snapshot from already-frozen page handles — zero-copy:
@@ -434,7 +467,7 @@ impl DenseSnap {
             total += p.len();
         }
         debug_assert_eq!(total, len);
-        Some(DenseSnap { len, pages })
+        Some(DenseSnap::new(len, pages))
     }
 
     /// Content length in bytes.
@@ -449,23 +482,23 @@ impl DenseSnap {
 
     /// Number of page chunks.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.rope.pages.len()
     }
 
     /// One page chunk as a byte slice.
     pub fn page(&self, i: usize) -> &[u8] {
-        &self.pages[i]
+        &self.rope.pages[i]
     }
 
     /// Iterate the page chunks in order (concatenation = content).
     pub fn pages(&self) -> impl Iterator<Item = &[u8]> {
-        self.pages.iter().map(|p| &p[..])
+        self.rope.pages.iter().map(|p| &p[..])
     }
 
     /// Materialize the full contiguous content (copies).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.len);
-        for p in &self.pages {
+        for p in self.rope.pages.iter() {
             v.extend_from_slice(p);
         }
         v
@@ -476,7 +509,7 @@ impl DenseSnap {
     /// once — O(patched pages), not O(region). Returns `None` if any
     /// patch reaches past the end of the content (corrupt input).
     pub fn patched(&self, patches: &[(u64, Vec<u8>)]) -> Option<DenseSnap> {
-        let mut pages = self.pages.clone();
+        let mut pages = self.rope.pages.to_vec();
         for (off, bytes) in patches {
             let off = *off as usize;
             if off + bytes.len() > self.len {
@@ -496,16 +529,13 @@ impl DenseSnap {
                 done += n;
             }
         }
-        Some(DenseSnap {
-            len: self.len,
-            pages,
-        })
+        Some(DenseSnap::new(self.len, pages))
     }
 
     /// Whether page `i` is the same allocation in both snapshots (shared,
     /// not merely equal) — used by tests and copy-traffic accounting.
     pub fn shares_page(&self, other: &DenseSnap, i: usize) -> bool {
-        match (self.pages.get(i), other.pages.get(i)) {
+        match (self.rope.pages.get(i), other.rope.pages.get(i)) {
             (Some(a), Some(b)) => Page::ptr_eq(a, b),
             _ => false,
         }
@@ -515,13 +545,46 @@ impl DenseSnap {
     /// page alive (and deduplicate it, or read its memoized digest)
     /// without copying its bytes.
     pub fn page_handle(&self, i: usize) -> Page {
-        self.pages[i].clone()
+        self.rope.pages[i].clone()
     }
 
     /// Borrow every page handle in order — how a store reads the pages'
     /// memoized digests without cloning a handle per page.
     pub fn page_handles(&self) -> &[Page] {
-        &self.pages
+        &self.rope.pages
+    }
+
+    /// Every page's [`Page::digest`], in order, listed on the shared page
+    /// list the first time something asks: that call reads (and fills) each
+    /// page's memo, and every later call through any clone reads the list.
+    pub fn page_digests(&self) -> &[u64] {
+        self.rope
+            .digests
+            .get_or_init(|| self.rope.pages.iter().map(Page::digest).collect());
+        self.listed_page_digests().expect("just listed")
+    }
+
+    /// The page digests, if something has listed them
+    /// ([`DenseSnap::page_digests`]); `None` reads no page. Debug builds
+    /// check the list against the pages' memos (which they re-derive) on
+    /// every read, as they check a memo on every hit.
+    pub fn listed_page_digests(&self) -> Option<&[u64]> {
+        let digests = self.rope.digests.get()?;
+        debug_assert!(
+            digests
+                .iter()
+                .zip(self.page_handles())
+                .all(|(&d, p)| d == p.digest()),
+            "stale rope digest list"
+        );
+        Some(digests)
+    }
+
+    /// Whether two snapshots share one page list (the same rope, not
+    /// merely equal pages): what a clone, or a store that handed the rope
+    /// back whole, yields.
+    pub fn ptr_eq(a: &DenseSnap, b: &DenseSnap) -> bool {
+        Arc::ptr_eq(&a.rope, &b.rope)
     }
 }
 
@@ -529,9 +592,9 @@ impl PartialEq for DenseSnap {
     fn eq(&self, other: &DenseSnap) -> bool {
         self.len == other.len
             && self
-                .pages
+                .page_handles()
                 .iter()
-                .zip(&other.pages)
+                .zip(other.page_handles())
                 .all(|(a, b)| Page::ptr_eq(a, b) || a[..] == b[..])
     }
 }
@@ -542,7 +605,7 @@ impl fmt::Debug for DenseSnap {
             f,
             "DenseSnap({} bytes, {} pages)",
             self.len,
-            self.pages.len()
+            self.rope.pages.len()
         )
     }
 }
@@ -1235,10 +1298,7 @@ impl AddressSpace {
                             }
                         }
                     }
-                    let rope = DenseSnap {
-                        len: bytes.len(),
-                        pages,
-                    };
+                    let rope = DenseSnap::new(bytes.len(), pages);
                     out.dirty.push(RegionDirty {
                         start: r.start,
                         lineage,
@@ -1332,7 +1392,8 @@ impl AddressSpace {
     /// application touched since restart.
     pub fn restore_region(&self, snap: &RegionSnapshot) -> Result<(), MemError> {
         let (backing, committed) = match &snap.content {
-            // Install the frozen rope directly — zero page copies. The
+            // Install the frozen rope directly — zero page copies, and
+            // each clone is one count bump on the shared page list. The
             // region materializes lazily on its first write or
             // multi-page read.
             SnapshotContent::Dense(rope) => (Backing::Frozen(rope.clone()), Some(rope.clone())),
@@ -1897,7 +1958,10 @@ mod tests {
             match (&r.backing, &snap.content) {
                 (Backing::Frozen(rope), SnapshotContent::Dense(d)) => {
                     for i in 0..d.page_count() {
-                        assert!(Page::ptr_eq(&rope.pages[i], &d.pages[i]), "page {i}");
+                        assert!(
+                            Page::ptr_eq(&rope.page_handles()[i], &d.page_handles()[i]),
+                            "page {i}"
+                        );
                     }
                 }
                 (Backing::Pattern { .. }, SnapshotContent::Pattern { .. }) => {}

@@ -1,7 +1,8 @@
 //! Shared rope pages that remember their own digest.
 //!
 //! A [`Page`] is the unit the checkpoint data path shares without copying:
-//! a chunk of a [`DenseSnap`](crate::memory::DenseSnap) rope, a
+//! a chunk of a [`DenseSnap`](crate::memory::DenseSnap) rope (whose page
+//! list is itself shared, so a rope travels as one handle), a
 //! [`Segment::Shared`](crate::scatter::Segment::Shared) of a scatter, a
 //! page in the content-addressed store's pool. Cloning one bumps a
 //! reference count, like an `Arc<[u8]>`.

@@ -268,7 +268,10 @@ mod tests {
         // remove the base. The base is still there and still decompresses
         // at its original length.
         let replicated = Arc::new(ReplicatedStore::with_replicas(
-            ReplicaConfig::default(),
+            ReplicaConfig {
+                write_quorum: 1,
+                ..ReplicaConfig::default()
+            },
             1,
             |_| InMemStore::new(),
         ));

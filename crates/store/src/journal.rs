@@ -10,7 +10,7 @@
 //! | magic (8)  | version (4) | payload_len (8) | runs (4) | runs × (count (4), len (8)) |
 //! | "MANAJNL1" | 3           |                 |          | the chunk table              |
 //!
-//! | payload (one chunk per segment as framed) | fold (8) | commit (8)  |
+//! | payload (one chunk per piece as framed)   | fold (8) | commit (8)  |
 //! |                                           |          | "COMMITED"  |
 //! ```
 //!
@@ -27,17 +27,20 @@
 //! is caught by the fold and surfaces as [`StoreError::Corrupt`].
 //!
 //! **Put and validation both read the memo.** The framing cuts one chunk
-//! per payload segment, so a chunk that is a shared rope page contributes
-//! its memoized digest ([`Page::digest`]): a page that stayed clean since
-//! an earlier snapshot was hashed then, and a put hashes only the pages
-//! that are new plus the small owned metadata runs. Validation (get,
-//! `exists` and `maintain`) follows the recorded table over the *stored*
-//! segments ([`ScatterBuf::chunk_digests`]): a chunk that is still exactly
-//! one stored segment contributes that segment's digest — the memo of the
-//! stored page, or a hash of an owned run — and a chunk that now spans or
-//! cuts segments (a flattened or re-cut envelope) is streamed across them
+//! per payload piece ([`ScatterBuf::pieces`]: an owned run, or one shared
+//! page — a rope segment, which holds a whole dense region behind one
+//! handle, is read as its pages), so a chunk that is a shared rope page
+//! contributes its memoized digest ([`Page::digest`]): a page that stayed
+//! clean since an earlier snapshot was hashed then, and a put hashes only
+//! the pages that are new plus the small owned metadata runs. Validation
+//! (get, `exists` and `maintain`) follows the recorded table over the
+//! *stored* pieces ([`ScatterBuf::chunk_digests`]): a chunk that is still
+//! exactly one stored piece contributes that piece's digest — the memo of
+//! the stored page, or a hash of an owned run — and a chunk that now spans
+//! or cuts pieces (a flattened or re-cut envelope) is streamed across them
 //! with no flatten. So a page is hashed once in its lifetime, on puts and
-//! on reads alike.
+//! on reads alike; a read still visits every page's memo, but it clones
+//! no page handle.
 //!
 //! This verifies as much as hashing every chunk from its bytes. A page's
 //! bytes never change after it is built, and its memo is only filled by
@@ -111,7 +114,7 @@ pub struct JournaledStore {
     chaos: ChaosHandle,
 }
 
-/// The header and chunk table framing `payload`: one chunk per segment,
+/// The header and chunk table framing `payload`: one chunk per piece,
 /// consecutive equal lengths folded into one run.
 fn header_for(payload: &ScatterBuf) -> Vec<u8> {
     let mut runs: Vec<(u32, u64)> = Vec::new();
@@ -168,7 +171,8 @@ impl JournaledStore {
 
     /// Wrap `payload` in the commit envelope without flattening it: the
     /// header, table and trailer are small owned segments, and the payload
-    /// segments (shared rope pages included) pass through untouched. The
+    /// segments (shared pages and whole ropes included) pass through
+    /// untouched. The
     /// fold reads each shared page's memoized digest and hashes only the
     /// owned runs. It rides on the envelope as its
     /// [`ImageBytes::record_digest`], which `CompressingStore` seeds its
@@ -180,9 +184,7 @@ impl JournaledStore {
             let header = header_for(&payload);
             let mut fold = Checksum::new();
             fold.update(&header);
-            for seg in payload.raw_segments() {
-                fold.update_u64(seg.digest());
-            }
+            payload.piece_digests(|digest| fold.update_u64(digest));
             let digest = fold.digest();
             let mut env = ScatterBuf::from_vec(header);
             env.append(payload);
@@ -195,7 +197,7 @@ impl JournaledStore {
     /// header, table and trailer are materialized (they are owned segments
     /// as framed) and split off the envelope, so the payload's shared rope
     /// pages move out unflattened and unread. Every chunk the table
-    /// records is digested from the stored segments: a stored page's memo
+    /// records is digested from the stored pieces: a stored page's memo
     /// when the chunk is that whole page, its bytes otherwise. Lengths
     /// read from the envelope are checked before any arithmetic or
     /// allocation uses them.
@@ -540,6 +542,52 @@ mod tests {
         assert_eq!(u64_at(trailer, 0), fold.digest());
         assert_eq!(env.record_digest(), Some(fold.digest()));
         assert_eq!(get_raw(flat).unwrap(), payload.to_vec());
+    }
+
+    #[test]
+    fn a_rope_validates_from_its_listed_digests_and_a_flipped_twin_is_corrupt() {
+        use mana_sim::memory::{DenseSnap, PAGE};
+        use mana_sim::scatter::Segment;
+        let bytes: Vec<u8> = (0..5 * PAGE as usize + 9).map(|i| (i * 7) as u8).collect();
+        let rope = DenseSnap::from_bytes(&bytes);
+        let mut payload = ScatterBuf::from_vec(vec![1; 10]);
+        payload.push_rope(rope.clone());
+        payload.push_owned(vec![2; 3]);
+        let inner = Arc::new(InMemStore::new());
+        let j = JournaledStore::new(inner.clone());
+        j.put("p", payload.clone().into(), 0, 0, SHAPE);
+        assert!(rope.listed_page_digests().is_some(), "framing lists them");
+        assert_eq!(j.get("p", 0, SHAPE).unwrap().0.scatter(), &payload);
+        // The stored envelope with its rope replaced by `twin`.
+        let (env, _) = inner.get("p", 0, SHAPE).unwrap();
+        let swap = |twin: DenseSnap| {
+            let mut out = ScatterBuf::new();
+            for seg in env.scatter().raw_segments() {
+                match seg {
+                    Segment::Rope(_) => out.push_rope(twin.clone()),
+                    Segment::Owned(v) => out.push_owned(v.clone()),
+                    Segment::Shared(p) => out.push_shared(p.clone()),
+                }
+            }
+            inner.put("p", out.into(), 0, 0, SHAPE);
+            j.get("p", 0, SHAPE).map(|(data, _)| data.to_vec())
+        };
+        for at in [0, PAGE as usize + 17, bytes.len() - 1] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x10;
+            let twin = DenseSnap::from_bytes(&flipped);
+            twin.page_digests();
+            match swap(twin) {
+                Err(StoreError::Corrupt { .. }) => {}
+                other => panic!("a twin flipped at {at} gave {other:?}"),
+            }
+        }
+        let equal = DenseSnap::from_bytes(&bytes);
+        assert_eq!(swap(equal.clone()).unwrap(), payload.to_vec());
+        assert!(
+            equal.listed_page_digests().is_none(),
+            "a read lists nothing"
+        );
     }
 
     #[test]

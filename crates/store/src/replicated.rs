@@ -24,8 +24,10 @@ use std::sync::Arc;
 /// Replication parameters.
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
-    /// Replicas that must acknowledge a write before `put` returns.
-    /// Clamped to the number of live replicas at write time.
+    /// Replicas that must acknowledge a write before `put` returns: 1 up
+    /// to the replica count, which [`ReplicatedStore::new`] checks. While
+    /// replicas are down a `put` waits for at most the live ones, since a
+    /// put cannot fail yet.
     pub write_quorum: usize,
     /// Cost of probing one replica that cannot serve a read (connect
     /// timeout + retry against the next replica).
@@ -50,9 +52,16 @@ pub struct ReplicatedStore {
 }
 
 impl ReplicatedStore {
-    /// Replicate across `replicas` (at least one).
+    /// Replicate across `replicas` (at least one), with a write quorum of
+    /// 1 up to their number.
     pub fn new(cfg: ReplicaConfig, replicas: Vec<Arc<dyn CheckpointStore>>) -> ReplicatedStore {
         assert!(!replicas.is_empty(), "at least one replica required");
+        assert!(
+            (1..=replicas.len()).contains(&cfg.write_quorum),
+            "write quorum {} outside 1..={} replicas",
+            cfg.write_quorum,
+            replicas.len()
+        );
         ReplicatedStore {
             cfg,
             replicas,
@@ -166,8 +175,8 @@ impl CheckpointStore for ReplicatedStore {
             alive = (0..self.replicas.len()).collect();
         }
         // The last replica takes the buffer by move; the others get
-        // clones — cheap for scatter images (Arc bumps per rope page
-        // plus small owned metadata).
+        // clones — cheap for scatter images (one count bump per dense
+        // rope plus the small owned metadata).
         let mut data = Some(data);
         let last = alive.len() - 1;
         let mut durs: Vec<SimDuration> = alive
@@ -183,8 +192,9 @@ impl CheckpointStore for ReplicatedStore {
             })
             .collect();
         durs.sort_unstable();
-        // Wait for the write quorum: the slowest of the `q` fastest acks.
-        let q = self.cfg.write_quorum.clamp(1, durs.len());
+        // Wait for the write quorum: the slowest of the `q` fastest acks,
+        // and no more acks than there are live replicas.
+        let q = self.cfg.write_quorum.min(durs.len());
         durs[q - 1]
     }
 
@@ -333,6 +343,18 @@ mod tests {
                 Arc::new(FixedLatency::new(30, 7)),
             ],
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "write quorum 0 outside 1..=3 replicas")]
+    fn a_zero_write_quorum_is_refused() {
+        three_way(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "write quorum 4 outside 1..=3 replicas")]
+    fn a_write_quorum_above_the_replica_count_is_refused() {
+        three_way(4);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use mana_sim::fs::IoShape;
 use mana_sim::memory::DenseSnap;
 use mana_sim::page::Page;
 use mana_sim::rng::splitmix64;
-use mana_sim::scatter::{reset_shared_flatten_bytes, shared_flatten_bytes, ScatterBuf, Segment};
+use mana_sim::scatter::{reset_shared_flatten_bytes, shared_flatten_bytes, Piece, ScatterBuf};
 use mana_store::JournaledStore;
 use std::sync::Arc;
 
@@ -113,14 +113,14 @@ fn read_back(
     journal.get(PATH, 0, SHAPE).map(|(b, _)| b.into_scatter())
 }
 
-/// `env` with each segment re-pushed, segment `k` replaced by `with`.
+/// `env` with each piece re-pushed, piece `k` replaced by `with`.
 fn replace_segment(env: &ScatterBuf, k: usize, with: &ScatterBuf) -> ScatterBuf {
     let mut out = ScatterBuf::new();
-    for (i, seg) in env.raw_segments().iter().enumerate() {
+    for (i, seg) in env.pieces().enumerate() {
         match seg {
             _ if i == k => out.append(with.clone()),
-            Segment::Owned(v) => out.push_owned(v.clone()),
-            Segment::Shared(p) => out.push_shared(p.clone()),
+            Piece::Owned(v) => out.push_owned(v.to_vec()),
+            Piece::Shared(p) => out.push_shared(p.clone()),
         }
     }
     out
@@ -169,8 +169,8 @@ fn a_stored_page_swapped_for_one_with_a_bit_flipped_is_corrupt() {
         let (journal, inner, env) = journaled(&payload(seed, 4096));
         let mut d = Draw(seed ^ 0xb17);
         let mut swapped = 0;
-        for (k, seg) in env.raw_segments().iter().enumerate() {
-            let Segment::Shared(page) = seg else { continue };
+        for (k, seg) in env.pieces().enumerate() {
+            let Piece::Shared(page) = seg else { continue };
             let mut bytes = page.to_vec();
             let bit = d.range(0, bytes.len() * 8 - 1);
             bytes[bit / 8] ^= 1 << (bit % 8);
@@ -264,13 +264,12 @@ fn a_large_payload_reads_prefixes_torn_twins_corrupt_and_recut_envelopes_back() 
 
     // Pages swapped for twins with one bit flipped, early, middle and late.
     let pages: Vec<usize> = env
-        .raw_segments()
-        .iter()
+        .pieces()
         .enumerate()
         .filter_map(|(k, seg)| seg.shared_handle().map(|_| k))
         .collect();
     for k in [pages[0], pages[pages.len() / 2], pages[pages.len() - 1]] {
-        let mut bytes = env.raw_segments()[k].as_bytes().to_vec();
+        let mut bytes = env.pieces().nth(k).expect("piece k").as_bytes().to_vec();
         let bit = d.range(0, bytes.len() * 8 - 1);
         bytes[bit / 8] ^= 1 << (bit % 8);
         let mut twin = ScatterBuf::new();
@@ -402,8 +401,8 @@ fn a_flipped_twin_whose_memo_was_filled_before_the_swap_is_corrupt() {
         let (journal, inner, env) = journaled(&payload(seed, 4096));
         let mut d = Draw(seed ^ 0x3e30);
         let mut swapped = 0;
-        for (k, seg) in env.raw_segments().iter().enumerate() {
-            let Segment::Shared(page) = seg else { continue };
+        for (k, seg) in env.pieces().enumerate() {
+            let Piece::Shared(page) = seg else { continue };
             let mut bytes = page.to_vec();
             let bit = d.range(0, bytes.len() * 8 - 1);
             bytes[bit / 8] ^= 1 << (bit % 8);
@@ -428,10 +427,10 @@ fn a_fresh_page_with_equal_bytes_validates() {
         // Every stored page replaced by a new page holding its bytes, the
         // new page's memo still empty.
         let mut fresh = ScatterBuf::new();
-        for seg in env.raw_segments() {
+        for seg in env.pieces() {
             match seg {
-                Segment::Owned(v) => fresh.push_owned(v.clone()),
-                Segment::Shared(p) => fresh.push_shared(Page::from(&p[..])),
+                Piece::Owned(v) => fresh.push_owned(v.to_vec()),
+                Piece::Shared(p) => fresh.push_shared(Page::from(&p[..])),
             }
         }
         assert_eq!(fresh.shared_len(), env.shared_len());
@@ -466,8 +465,8 @@ fn every_seeded_verdict_equals_an_outside_fold() {
             bad[at] ^= d.range(1, 255) as u8;
             check(bad.into(), format!("flip of payload byte {}", at - start));
         }
-        for (k, seg) in env.raw_segments().iter().enumerate() {
-            let Segment::Shared(page) = seg else { continue };
+        for (k, seg) in env.pieces().enumerate() {
+            let Piece::Shared(page) = seg else { continue };
             let mut bytes = page.to_vec();
             let bit = d.range(0, bytes.len() * 8 - 1);
             bytes[bit / 8] ^= 1 << (bit % 8);

@@ -18,17 +18,27 @@
 //!   the store hands back the attached image, and restores that
 //!   generation's memory exactly.
 //!
+//! A second test reads a multi-page dense image back through `Fs` and
+//! `Journaled(Fs)` and asserts that the region `restore_region` installs
+//! holds the very rope the store holds, which is the one the snapshot
+//! froze: a dense region crosses put, get, decode and install as one
+//! shared handle, not as a copy of its page list.
+//!
 //! The ledger's `store_put_32m` and `store_get_32m` time the same paths;
 //! this test is where their zero-copy and O(dirty) claims are asserted.
 //!
-//! One `#[test]` in a binary of its own: the flatten and hash censuses
-//! are process-global counters, so a neighbouring test would race them.
+//! The binary is kept to these tests: the flatten and hash censuses count
+//! per OS thread and each test runs on a thread of its own, but a test
+//! that ran on the same thread between two reads would move them.
 
 use mana::core::image::CheckpointImage;
 use mana::core::{CheckpointStore, FsStore, InMemStore};
 use mana::sim::fs::{FsConfig, IoShape};
-use mana::sim::memory::{AddressSpace, Backing, DenseBuf, Half, HalfSnapshot, RegionKind, PAGE};
-use mana::sim::scatter::{shared_flatten_bytes, shared_hashed_bytes};
+use mana::sim::memory::{
+    AddressSpace, Backing, DenseBuf, DenseSnap, Half, HalfSnapshot, RegionKind, SnapshotContent,
+    PAGE,
+};
+use mana::sim::scatter::{shared_flatten_bytes, shared_hashed_bytes, Segment};
 use mana::store::{
     CasConfig, CasStore, CompressingStore, CompressionConfig, DeltaConfig, DeltaStore,
     JournaledStore,
@@ -186,5 +196,82 @@ fn puts_flatten_no_shared_page_and_round_trip() {
                 "{name}: generation {generation} does not restore to its memory"
             );
         }
+    }
+}
+
+/// The dense content of `half`'s only region: a snapshot of a region that
+/// is still frozen is the rope it was installed with.
+fn only_rope(mem: &AddressSpace) -> DenseSnap {
+    match &mem.snapshot_half(Half::Upper)[..] {
+        [region] => match &region.content {
+            SnapshotContent::Dense(rope) => rope.clone(),
+            SnapshotContent::Pattern { .. } => panic!("a dense region was mapped"),
+        },
+        regions => panic!("{} regions, one was mapped", regions.len()),
+    }
+}
+
+#[test]
+fn a_restored_region_installs_the_stored_rope() {
+    let mem = AddressSpace::new();
+    let mut buf = DenseBuf::zeroed((40 * PAGE + 100) as usize);
+    for (k, b) in buf.as_bytes_mut().iter_mut().enumerate() {
+        *b = (k * 13 + 5) as u8;
+    }
+    mem.map(
+        Half::Upper,
+        RegionKind::Mmap,
+        "state",
+        40 * PAGE + 100,
+        Backing::Dense(buf),
+    )
+    .expect("map a dense region");
+    let image = Arc::new(image_around(1, mem.snapshot_half_tracked(Half::Upper)));
+    let SnapshotContent::Dense(frozen) = &image.regions[0].content else {
+        panic!("a dense region was mapped");
+    };
+
+    let fs = Arc::new(FsStore::with_config(FsConfig::default()));
+    let journaled_fs = Arc::new(FsStore::with_config(FsConfig::default()));
+    let journaled = JournaledStore::new(journaled_fs.clone());
+    let stacks: [(&str, &dyn CheckpointStore, &FsStore); 2] = [
+        ("Fs", &fs, &fs),
+        ("Journaled(Fs)", &journaled, &journaled_fs),
+    ];
+    for (name, store, bottom) in stacks {
+        let encoded = CheckpointImage::encode_shared(&image);
+        store.put(&path(1), encoded, image.logical_bytes(), 0, SHAPE);
+        let (held, _) = bottom.get(&path(1), 0, SHAPE).expect("stored");
+        let stored: Vec<&DenseSnap> = held
+            .scatter()
+            .raw_segments()
+            .iter()
+            .filter_map(|seg| match seg {
+                Segment::Rope(rope) => Some(rope),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stored.len(), 1, "{name}: one rope stored");
+        assert!(
+            DenseSnap::ptr_eq(stored[0], frozen),
+            "{name}: the store holds a copy of the snapshot's rope"
+        );
+
+        let (bytes, _) = store.get(&path(1), 0, SHAPE).expect("get");
+        let (decoded, stats) = CheckpointImage::decode_shared(&bytes).expect("decodes");
+        assert_eq!(stats.pages_shared, 41, "{name}: every page shared");
+        let restored = AddressSpace::new();
+        for region in &decoded.regions {
+            restored.restore_region(region).expect("restore");
+        }
+        assert!(
+            DenseSnap::ptr_eq(&only_rope(&restored), stored[0]),
+            "{name}: the installed rope is not the stored rope"
+        );
+        assert_eq!(
+            restored.checksum_half(Half::Upper),
+            mem.checksum_half(Half::Upper),
+            "{name}: the region does not restore to its memory"
+        );
     }
 }
