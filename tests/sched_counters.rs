@@ -21,13 +21,18 @@
 //! A restart under another MPI on another cluster is pinned the same way
 //! (flat and tree coordinator), so a change to how an incarnation boots
 //! must reproduce its counts, stage times and checksums.
+//!
+//! So is a tree round in which a sub-coordinator fails over: its round
+//! report, counts and checksums pin the promotion path.
 
 use mana::apps::{make_app, make_app_small, AppKind, Hpcg};
-use mana::core::{InMemStore, JobBuilder, ManaSession, TopologyKind, Workload};
+use mana::core::{
+    ChaosHandle, FaultInjector, InMemStore, JobBuilder, ManaSession, TopologyKind, Workload,
+};
 use mana::mpi::MpiProfile;
 use mana::sim::cluster::ClusterSpec;
 use mana::sim::sched::SchedStats;
-use mana::sim::time::SimTime;
+use mana::sim::time::{SimDuration, SimTime};
 use std::sync::Arc;
 
 /// The uninterrupted 32-rank run: counts, `wall` / `app_wall` in ns.
@@ -494,4 +499,74 @@ fn a_restart_under_another_mpi_is_pinned() {
             .collect();
         assert_eq!(stages, pin.stages, "{topology:?}");
     }
+}
+
+/// Kills node 1's sub-coordinator once, right after it fans out the
+/// first agreement round; the promotion takes 5 ms.
+struct FailOverOnce;
+
+impl FaultInjector for FailOverOnce {
+    fn subcoord_fault(&self, attempt: u64, node: u32) -> Option<SimDuration> {
+        (attempt == 0 && node == 1).then_some(SimDuration::millis(5))
+    }
+}
+
+/// The failover round's `(t_begin, t_do_ckpt, t_expected_in, t_end,
+/// extra_iterations)`, times in ns.
+const FAILOVER_CKPT: (u64, u64, u64, u64, u32) =
+    (180_890_244, 186_646_427, 187_058_740, 187_403_650, 1);
+
+/// The failover run: counts, `wall` / `app_wall` in ns.
+const FAILOVER: (SchedStats, u64, u64) = (
+    SchedStats {
+        handoffs: 11_919,
+        self_wakes: 203,
+        calls: 930,
+        stale_wakes: 0,
+    },
+    188_270_960,
+    8_264_840,
+);
+
+/// A tree round whose sub-coordinator fails over: HPCG's checkpointed run
+/// under the tree coordinator, with node 1's sub-coordinator promoted in
+/// the first agreement round. The round is void, so the checkpoint
+/// commits one extra iteration later, and the job continues to the
+/// native run's state.
+#[test]
+fn a_tree_round_with_a_failover_is_pinned() {
+    let app = make_app_small(AppKind::Hpcg, 8);
+    let session = ManaSession::builder().store(InMemStore::new()).build();
+    let native = session
+        .run_native(cg_job(), app.clone())
+        .expect("native run");
+    let mid = SimTime(native.wall.as_nanos() - native.app_wall.as_nanos() / 2);
+    let chaos = ChaosHandle::new(FailOverOnce);
+    let job = cg_job()
+        .ckpt_dir("failover")
+        .topology(TopologyKind::Tree)
+        .chaos(chaos.clone())
+        .checkpoint_at(mid);
+    let run = session.run(job, app).expect("failover run");
+    assert_eq!(chaos.log().failovers.len(), 1, "the failover fired once");
+    let ckpts = run.ckpts();
+    assert_eq!(ckpts.len(), 1);
+    let c = &ckpts[0];
+    assert_eq!(
+        (
+            c.t_begin.as_nanos(),
+            c.t_do_ckpt.as_nanos(),
+            c.t_expected_in.as_nanos(),
+            c.t_end.as_nanos(),
+            c.extra_iterations,
+        ),
+        FAILOVER_CKPT
+    );
+    let out = run.outcome();
+    assert_eq!(
+        (out.sched, out.wall.as_nanos(), out.app_wall.as_nanos()),
+        FAILOVER
+    );
+    assert_eq!(&native.checksums, run.checksums());
+    assert!(run.checksums().values().eq(&HPCG.checksums));
 }
