@@ -1,6 +1,6 @@
 //! The checkpoint coordinator (paper §2.5 Algorithm 2, coordinator side;
-//! §2.7) — the topology-generic *protocol driver* and the pure fold every
-//! coordinator role gathers with.
+//! §2.7) as one pure value for every role, and the pure fold every role
+//! gathers with.
 //!
 //! A stateless daemon modelled on the DMTCP coordinator drives the
 //! two-phase agreement:
@@ -14,12 +14,17 @@
 //! send resume (or kill)
 //! ```
 //!
-//! *How* those messages reach the ranks is behind the
-//! [`CoordTopology`] seam (`crate::topology`): the flat star speaks one
-//! frame per rank; the tree speaks one aggregated frame per node. Every
-//! upward gather, at the root or a sub-coordinator, is one pure
-//! [`Gather`] built for its [`Role`], and every agreement round ends in
-//! [`decide_round`]; `mana-model-check` drives the same two. So every
+//! A [`Coordinator`] is that sequence for one [`Role`]: the flat star's
+//! root speaks one frame per rank, the tree's root one aggregated frame
+//! per node, and a node's sub-coordinator relays between the two. It owns
+//! no thread and no network: [`Coordinator::step`] takes one frame and
+//! returns what to send ([`Out`]). Every role handles a frame from above
+//! the same way (fan it out, open a [`Gather`]); roles differ only when
+//! the gather completes, where a root ends each agreement round in
+//! [`decide_round`] and a sub-coordinator ships its node's fold upward.
+//! `crate::topology` runs the value on the root's and each
+//! sub-coordinator's sim thread, and `mana-model-check` runs the same
+//! value for a flat root and for a tree root with its subs. So every
 //! topology reduces the same rank replies to the same [`StateAgg`] and,
 //! from the same rank states, makes identical safety decisions. The rank
 //! states themselves agree only while the whole agreement fits inside
@@ -32,108 +37,280 @@
 //! the real collective during the checkpoint.
 
 use crate::cell::CollInstance;
-use crate::config::{CkptSchedule, ManaConfig};
 use crate::ctrl::{CtrlMsg, ProtocolPhase, ProtocolViolation, RankReply, StateAgg};
-use crate::stats::{CkptReport, RankCkptStats};
-use crate::store::CheckpointStore;
-use crate::topology::CoordTopology;
-use mana_sim::sched::{SimThread, SimThreadId};
-use mana_sim::time::SimTime;
+use crate::stats::RankCkptStats;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Everything the coordinator daemon needs.
-pub struct CoordCtx {
-    /// Delivery/reduction seam to the ranks (flat star or per-node tree).
-    pub topo: Arc<dyn CoordTopology>,
-    /// Configuration (checkpoint schedule, costs).
-    pub cfg: ManaConfig,
-    /// Checkpoint storage (epoch signalling for straggler decorrelation).
-    pub store: Arc<dyn CheckpointStore>,
+/// A do-ckpt rule over a round's [`StateAgg`]: [`checkpoint_safe`], or
+/// a weakened one the model checker shows is caught.
+pub type Rule = fn(&StateAgg) -> bool;
+
+/// What one [`Coordinator::step`] asks its driver to do, in order.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Out {
+    /// Send a frame to the child at this index: a rank, or one of the
+    /// tree root's sub-coordinators.
+    Down(usize, CtrlMsg),
+    /// Send a frame to the parent: a sub-coordinator's root.
+    Up(CtrlMsg),
+    /// A root's agreement round came back unsafe: one more extra
+    /// iteration.
+    Extra,
+    /// A root decided do-ckpt: the report's `t_do_ckpt`.
+    DoCkpt,
+    /// A root handed out every expected-in list: `t_expected_in`.
+    ExpectedIn,
+    /// A root has every completion (`t_end`): the ranks' stats, by rank.
+    End(Vec<RankCkptStats>),
+    /// A sub-coordinator fanned out an agreement round: where it may die
+    /// and a surviving rank take over ([`Coordinator::promote`]).
+    Fanned {
+        /// The round's checkpoint.
+        ckpt_id: u64,
+        /// The sub-coordinator's node.
+        node: u32,
+    },
 }
 
-/// Coordinator daemon: sleeps until each scheduled checkpoint begins, runs
-/// the protocol and hands each completed round's report to `report`, then
-/// returns after the last checkpoint. An interval schedule first sleeps
-/// until the application starts: `app_start(me)` returns that instant
-/// once it is known, and until then has the rank that opens the
-/// application window wake thread `me`.
-pub fn run_coordinator(
-    t: SimThread,
-    cx: CoordCtx,
-    mut app_start: impl FnMut(SimThreadId) -> Option<SimTime>,
-    mut report: impl FnMut(CkptReport),
-) {
-    cx.topo.attach_root(t.id());
-    let schedule = &cx.cfg.ckpt_schedule;
-    let mut anchor = SimTime::ZERO;
-    if matches!(schedule, CkptSchedule::Every { .. }) && !schedule.is_empty() {
-        anchor = t.block_until(|| app_start(t.id()));
-    }
-    for i in 0..schedule.len() {
-        let at = schedule.begin(i, anchor);
-        let now = t.now();
-        if at > now {
-            t.advance(at - now);
-        }
-        let ckpt_id = cx.cfg.first_ckpt_id + i;
-        let round = run_checkpoint(&t, &cx, ckpt_id, cx.cfg.ends_after(ckpt_id));
-        anchor = round.t_end;
-        report(round);
-    }
+/// What a coordinator awaits next.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+enum Wait {
+    /// The next round's first frame from above (a root's, from its
+    /// schedule).
+    Down,
+    /// Its children's replies to a stage.
+    Gather(Gather),
+    /// A sub-coordinator's expected-in batch.
+    Batch(u64),
+    /// A sub-coordinator's resume.
+    Resume(u64),
 }
 
-/// One full checkpoint round; returns its report. Public so tests and the
-/// runner can trigger checkpoints outside the scheduled list.
-pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) -> CkptReport {
-    let nranks = cx.topo.nranks();
-    let t_begin = t.now();
-    cx.store.begin_epoch();
+/// One coordinator of any [`Role`] as a pure value: it takes one frame
+/// per [`Coordinator::step`] and returns what to send, owning no thread
+/// and no network, so the simulator's driver and the model checker run
+/// the same protocol code.
+// Every coordinator of one job or one check copies one `rule`, so
+// comparing and hashing its address is sound.
+#[allow(unpredictable_function_pointer_comparisons)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct Coordinator {
+    role: Role,
+    /// `(rank, child index)` for every rank behind this coordinator,
+    /// each child's ranks ascending: a flat root's child is the rank, a
+    /// tree root's is the node's sub-coordinator.
+    child_of: Arc<[(u32, u32)]>,
+    /// The checkpoint after which a root kills the job, if any.
+    kill_at: Option<u64>,
+    /// A root's do-ckpt rule.
+    rule: Rule,
+    wait: Wait,
+}
 
-    cx.topo.fanout(t, &|| CtrlMsg::IntendCkpt { ckpt_id });
-    let mut extra_iterations = 0u32;
-    loop {
-        // One State reply per rank, already reduced by the topology.
-        // Phase-2 ranks reply only after finishing their collective
-        // (Algorithm 2, lines 21–27).
-        let agg = cx.topo.gather(t, ckpt_id, Stage::Agreement).agg;
-        if decide_round(&agg, nranks, checkpoint_safe) {
-            break;
+impl Coordinator {
+    fn new(role: Role, child_of: Vec<(u32, u32)>, kill_at: Option<u64>, rule: Rule) -> Self {
+        let (child_of, wait) = (child_of.into(), Wait::Down);
+        Coordinator {
+            role,
+            child_of,
+            kill_at,
+            rule,
+            wait,
         }
-        extra_iterations += 1;
-        cx.topo.fanout(t, &|| CtrlMsg::ExtraIteration { ckpt_id });
     }
-    let t_do_ckpt = t.now();
-    cx.topo.fanout(t, &|| CtrlMsg::DoCkpt { ckpt_id });
 
-    // Mediate the bookmark exchange: gather the destination-keyed sent-to
-    // directory, then tell each rank what to expect from every peer.
-    let mut directory = cx.topo.gather(t, ckpt_id, Stage::Bookmarks).directory;
-    let per_rank: Vec<Vec<(u32, u64)>> = (0..nranks)
-        .map(|r| {
-            let mut from = directory.remove(&r).unwrap_or_default();
-            from.sort_unstable();
-            from
-        })
-        .collect();
-    cx.topo.scatter_expected(t, ckpt_id, per_rank);
-    let t_expected_in = t.now();
+    /// The flat star's root over `nranks` ranks, killing the job after
+    /// checkpoint `kill_at` if one is given.
+    pub fn flat(nranks: u32, kill_at: Option<u64>, rule: Rule) -> Coordinator {
+        let child_of = (0..nranks).map(|r| (r, r)).collect();
+        Coordinator::new(Role::FlatRoot { nranks }, child_of, kill_at, rule)
+    }
 
-    // Collect completions.
-    let mut stats = cx.topo.gather(t, ckpt_id, Stage::Completion).completions;
-    stats.sort_by_key(|s| s.rank);
-    let t_end = t.now();
-    cx.topo.fanout(t, &|| CtrlMsg::Resume { ckpt_id, kill });
+    /// The tree's root over one sub-coordinator per node, and those
+    /// sub-coordinators: `nodes` lists each node's id and its ranks,
+    /// ascending.
+    pub fn tree(nodes: &[(u32, Vec<u32>)], kill_at: Option<u64>, rule: Rule) -> (Self, Vec<Self>) {
+        let (mut child_of, mut subs) = (Vec::new(), Vec::new());
+        for (&(node, ref ranks), c) in nodes.iter().zip(0..) {
+            child_of.extend(ranks.iter().map(|r| (*r, c)));
+            let (local, ranks) = (ranks.iter().copied().zip(0..).collect(), ranks.len() as u32);
+            subs.push(Coordinator::new(
+                Role::Sub { node, ranks },
+                local,
+                None,
+                rule,
+            ));
+        }
+        let (nodes, nranks) = (subs.len() as u32, child_of.len() as u32);
+        (
+            Coordinator::new(Role::TreeRoot { nodes, nranks }, child_of, kill_at, rule),
+            subs,
+        )
+    }
 
-    CkptReport {
-        ckpt_id,
-        t_begin,
-        t_do_ckpt,
-        t_expected_in,
-        t_end,
-        extra_iterations,
-        ranks: stats,
+    /// Awaiting the next round's first frame from above.
+    pub fn idle(&self) -> bool {
+        self.wait == Wait::Down
+    }
+
+    /// A sub-coordinator gathering its own node's ranks (the frames it
+    /// awaits are same-node).
+    pub fn gathers_node(&self) -> bool {
+        matches!(self.role, Role::Sub { .. }) && matches!(self.wait, Wait::Gather(_))
+    }
+
+    /// The sub-coordinator died right after fanning out an agreement
+    /// round ([`Out::Fanned`]) and a surviving rank on the node took its
+    /// place. The replacement inherits the endpoint, drains the `State`
+    /// replies the round left queued (the round is void) and then answers
+    /// [`CtrlMsg::SubPromoted`], so the root re-enters agreement instead
+    /// of waiting on the node's aggregate.
+    pub fn promote(&mut self) {
+        let (Role::Sub { .. }, Wait::Gather(fold)) = (self.role, &self.wait) else {
+            panic!("{} promoted outside a sub-coordinator's gather", self.role)
+        };
+        self.wait = Wait::Gather(Gather::new(self.role, Stage::StaleDrain, fold.ckpt_id));
+    }
+
+    /// Take one frame: from above when idle (a root's from its
+    /// schedule), else what the open stage awaits. Refuses any other
+    /// frame with the [`ProtocolViolation`] a driver raises.
+    pub fn step(&mut self, msg: CtrlMsg) -> Result<Vec<Out>, Box<ProtocolViolation>> {
+        use ProtocolPhase::{ExpectedWait, Idle, ResumeWait};
+        let (ckpt_id, phase, expected) = match (&mut self.wait, &msg) {
+            (Wait::Gather(fold), _) => {
+                fold.absorb(msg)?;
+                return Ok(if fold.done() { self.close() } else { vec![] });
+            }
+            (
+                Wait::Down,
+                CtrlMsg::IntendCkpt { .. }
+                | CtrlMsg::ExtraIteration { .. }
+                | CtrlMsg::DoCkpt { .. },
+            )
+            | (Wait::Resume(_), CtrlMsg::Resume { .. }) => return Ok(self.fan_out(msg)),
+            (Wait::Batch(id), CtrlMsg::ExpectedInBatch { per_rank }) => {
+                // Route the node's expected-in lists to its ranks, in
+                // batch order, then gather their completions.
+                let child = |rank| self.child_of.iter().position(|(r, _)| *r == rank);
+                let routes: Option<Vec<_>> = (per_rank.iter())
+                    .map(|(rank, from)| {
+                        let from = from.clone();
+                        Some(Out::Down(child(*rank)?, CtrlMsg::ExpectedIn { from }))
+                    })
+                    .collect();
+                let id = *id;
+                if let Some(routes) = routes {
+                    self.wait = Wait::Gather(Gather::new(self.role, Stage::Completion, id));
+                    return Ok(routes);
+                }
+                (
+                    Some(id),
+                    ExpectedWait,
+                    "ExpectedInBatch naming only this node's ranks",
+                )
+            }
+            (Wait::Batch(id), _) => (Some(*id), ExpectedWait, "ExpectedInBatch"),
+            (Wait::Resume(id), _) => (Some(*id), ResumeWait, "Resume"),
+            (Wait::Down, _) => (None, Idle, "IntendCkpt/ExtraIteration/DoCkpt"),
+        };
+        Err(Box::new(ProtocolViolation {
+            role: self.role.to_string(),
+            ckpt_id,
+            phase,
+            expected,
+            got: msg,
+        }))
+    }
+
+    /// Send `msg` to every child and await what it asks for: the ranks'
+    /// states after an intent or extra iteration, their bookmarks after
+    /// do-ckpt, the next round after resume.
+    fn fan_out(&mut self, msg: CtrlMsg) -> Vec<Out> {
+        let mut out: Vec<Out> = (0..self.role.children() as usize)
+            .map(|c| Out::Down(c, msg.clone()))
+            .collect();
+        self.wait = match msg {
+            CtrlMsg::IntendCkpt { ckpt_id } | CtrlMsg::ExtraIteration { ckpt_id } => {
+                if let Role::Sub { node, .. } = self.role {
+                    out.push(Out::Fanned { ckpt_id, node });
+                }
+                Wait::Gather(Gather::new(self.role, Stage::Agreement, ckpt_id))
+            }
+            CtrlMsg::DoCkpt { ckpt_id } => {
+                Wait::Gather(Gather::new(self.role, Stage::Bookmarks, ckpt_id))
+            }
+            _ => Wait::Down,
+        };
+        out
+    }
+
+    /// The open gather is complete: a sub-coordinator ships its node's
+    /// fold upward; a root decides the round, hands out the expected-in
+    /// lists, or resumes the ranks.
+    fn close(&mut self) -> Vec<Out> {
+        let Wait::Gather(fold) = std::mem::replace(&mut self.wait, Wait::Down) else {
+            unreachable!("only a gather closes")
+        };
+        let ckpt_id = fold.ckpt_id;
+        if let Role::Sub { node, ranks } = self.role {
+            let up = match fold.stage {
+                Stage::Agreement => CtrlMsg::StateAggMsg { agg: fold.agg },
+                Stage::StaleDrain => CtrlMsg::SubPromoted { node, ckpt_id },
+                Stage::Bookmarks => {
+                    self.wait = Wait::Batch(ckpt_id);
+                    let (replies, expected) = (ranks, fold.directory.into_iter().collect());
+                    CtrlMsg::BookmarkAgg { replies, expected }
+                }
+                Stage::Completion => {
+                    self.wait = Wait::Resume(ckpt_id);
+                    let stats = fold.completions;
+                    CtrlMsg::CkptDoneAgg { stats }
+                }
+            };
+            return vec![Out::Up(up)];
+        }
+        let nranks = self.child_of.len() as u32;
+        let (mark, next) = match fold.stage {
+            Stage::Agreement if decide_round(&fold.agg, nranks, self.rule) => {
+                (Out::DoCkpt, CtrlMsg::DoCkpt { ckpt_id })
+            }
+            Stage::Agreement => (Out::Extra, CtrlMsg::ExtraIteration { ckpt_id }),
+            Stage::Bookmarks => {
+                // Tell each rank what to expect from every peer: one
+                // frame per rank from a flat root, one batch per node
+                // from a tree root.
+                let mut directory = fold.directory;
+                let mut batches = vec![Vec::new(); self.role.children() as usize];
+                for &(rank, c) in self.child_of.iter() {
+                    let mut from = directory.remove(&rank).unwrap_or_default();
+                    from.sort_unstable();
+                    batches[c as usize].push((rank, from));
+                }
+                let mut out: Vec<Out> = (batches.into_iter().enumerate())
+                    .map(|(c, mut per_rank)| match self.role {
+                        Role::FlatRoot { .. } => {
+                            let (_, from) = per_rank.pop().expect("a flat root's child is a rank");
+                            Out::Down(c, CtrlMsg::ExpectedIn { from })
+                        }
+                        _ => Out::Down(c, CtrlMsg::ExpectedInBatch { per_rank }),
+                    })
+                    .collect();
+                out.push(Out::ExpectedIn);
+                self.wait = Wait::Gather(Gather::new(self.role, Stage::Completion, ckpt_id));
+                return out;
+            }
+            Stage::Completion => {
+                let mut stats = fold.completions;
+                stats.sort_by_key(|s| s.rank);
+                let kill = self.kill_at == Some(ckpt_id);
+                (Out::End(stats), CtrlMsg::Resume { ckpt_id, kill })
+            }
+            Stage::StaleDrain => unreachable!("only a sub-coordinator is promoted"),
+        };
+        [vec![mark], self.fan_out(next)].concat()
     }
 }
 
@@ -143,7 +320,7 @@ pub fn run_checkpoint(t: &SimThread, cx: &CoordCtx, ckpt_id: u64, kill: bool) ->
 /// [`CtrlMsg::SubPromoted`]) is void however safe it looks: the next
 /// round lets every rank report fresh state. The model checker passes a
 /// weakened `rule` to show it is load-bearing.
-pub fn decide_round(agg: &StateAgg, nranks: u32, rule: fn(&StateAgg) -> bool) -> bool {
+pub fn decide_round(agg: &StateAgg, nranks: u32, rule: Rule) -> bool {
     assert!(
         agg.replies <= nranks,
         "state aggregate covers {} of {nranks} ranks",
@@ -174,6 +351,17 @@ pub enum Role {
         /// Ranks on the node.
         ranks: u32,
     },
+}
+
+impl Role {
+    /// Frames each stage takes: one per child.
+    fn children(self) -> u32 {
+        match self {
+            Role::FlatRoot { nranks } => nranks,
+            Role::TreeRoot { nodes, .. } => nodes,
+            Role::Sub { ranks, .. } => ranks,
+        }
+    }
 }
 
 impl fmt::Display for Role {
@@ -238,27 +426,17 @@ pub struct Gather {
 impl Gather {
     /// An empty fold of checkpoint `ckpt_id`'s `stage` as `role` sees it.
     pub fn new(role: Role, stage: Stage, ckpt_id: u64) -> Gather {
-        let left = match role {
-            Role::FlatRoot { nranks } => nranks,
-            Role::TreeRoot { nodes, .. } => nodes,
-            Role::Sub { ranks, .. } => ranks,
-        };
         Gather {
             role,
             stage,
             ckpt_id,
-            left,
+            left: role.children(),
             replies: Vec::new(),
             covered: 0,
             agg: StateAgg::default(),
             directory: BTreeMap::new(),
             completions: Vec::new(),
         }
-    }
-
-    /// The stage this fold gathers.
-    pub fn stage(&self) -> Stage {
-        self.stage
     }
 
     /// Every expected frame is in.
@@ -583,23 +761,52 @@ mod tests {
         }
     }
 
+    /// A flat root over 2 ranks, a tree root over nodes 1 and 3 (ranks
+    /// 0–1 and 2–3), and node 3's sub-coordinator.
+    fn roles() -> (Coordinator, Coordinator, Coordinator) {
+        let flat = Coordinator::flat(2, None, checkpoint_safe);
+        let nodes = [(1, vec![0, 1]), (3, vec![2, 3])];
+        let (tree, mut subs) = Coordinator::tree(&nodes, None, checkpoint_safe);
+        (flat, tree, subs.pop().unwrap())
+    }
+
+    /// `coord` after it took every frame of `frames`.
+    fn after(mut coord: Coordinator, frames: Vec<CtrlMsg>) -> Coordinator {
+        for msg in frames {
+            coord.step(msg).unwrap();
+        }
+        coord
+    }
+
     #[test]
     fn each_role_refuses_what_it_does_not_take() {
-        use ProtocolPhase::{Agreement as Ag, BookmarkGather as Bg, Completion as Co};
-        let flat = Role::FlatRoot { nranks: 2 };
-        let tree = Role::TreeRoot {
-            nodes: 2,
-            nranks: 4,
+        use ProtocolPhase::{
+            Agreement as Ag, BookmarkGather as Bg, Completion as Co, ExpectedWait as Ew, Idle,
+            ResumeWait as Rw,
         };
-        let sub = Role::Sub { node: 3, ranks: 2 };
+        let (flat, tree, sub) = roles();
+        let intend = || CtrlMsg::IntendCkpt { ckpt_id: 7 };
+        let do_ckpt = || CtrlMsg::DoCkpt { ckpt_id: 7 };
         let promoted = || CtrlMsg::SubPromoted {
             node: 1,
             ckpt_id: 7,
         };
         let st = ready_state;
+        let aggs = || {
+            let mut agg = StateAgg::default();
+            (0..2).for_each(|_| agg.absorb(RankReply::Ready, None, &[]));
+            vec![CtrlMsg::StateAggMsg { agg }; 2]
+        };
+        let bm = |rank| CtrlMsg::Bookmark {
+            rank,
+            sent_to: vec![],
+        };
         let bms = |replies| CtrlMsg::BookmarkAgg {
             replies,
             expected: vec![(0, vec![(1, 4)])],
+        };
+        let batch = |ranks: &[u32]| CtrlMsg::ExpectedInBatch {
+            per_rank: ranks.iter().map(|r| (*r, vec![])).collect(),
         };
         let done = |rank| CtrlMsg::CkptDone {
             rank,
@@ -608,35 +815,86 @@ mod tests {
         let dones = |n| CtrlMsg::CkptDoneAgg {
             stats: vec![RankCkptStats::default(); n],
         };
+        // Each role's states, reached through `step`.
+        let flat_at_bookmarks = after(flat.clone(), vec![intend(), st(0), st(1)]);
+        let tree_at_bookmarks = after(tree.clone(), [vec![intend()], aggs()].concat());
+        let tree_at_completion = after(tree_at_bookmarks.clone(), vec![bms(2), bms(2)]);
+        let sub_at_batch = after(sub.clone(), vec![do_ckpt(), bm(2), bm(3)]);
+        let sub_at_completion = after(sub_at_batch.clone(), vec![batch(&[2, 3])]);
+        // A batch naming only the node's ranks is routed in batch order.
+        let per_rank = vec![(3, vec![(0, 3)]), (2, vec![(0, 2)])];
+        let routes = sub_at_batch
+            .clone()
+            .step(CtrlMsg::ExpectedInBatch { per_rank });
+        let expected_in = |from| CtrlMsg::ExpectedIn { from };
+        let routed = vec![
+            Out::Down(1, expected_in(vec![(0, 3)])),
+            Out::Down(0, expected_in(vec![(0, 2)])),
+        ];
+        assert_eq!(routes.unwrap(), routed);
+        let sub_at_resume = after(sub_at_completion.clone(), vec![done(2), done(3)]);
+        let mut promoted_sub = after(sub.clone(), vec![intend()]);
+        promoted_sub.promote();
         let dup = "one State per rank (duplicate reply)";
-        let (root, subc) = ("coordinator", "sub-coordinator node 3");
-        // (role, stage, frames, refusing role, phase, expected)
+        let idle = "IntendCkpt/ExtraIteration/DoCkpt";
+        let (root, troot, subc) = ("coordinator", "root coordinator", "sub-coordinator node 3");
+        // (coordinator, frames, refusing role, phase, expected, ckpt id)
         #[rustfmt::skip]
         let cases = [
-            (flat, Stage::Agreement, vec![st(1), st(1)], root, Ag, dup),
-            (sub, Stage::Agreement, vec![st(6), st(6)], subc, Ag, dup),
-            (flat, Stage::Agreement, vec![promoted()], root, Ag, "State"),
-            (tree, Stage::Agreement, vec![st(0)], "root coordinator", Ag, "StateAgg"),
-            (flat, Stage::Bookmarks, vec![st(0)], root, Bg, "Bookmark"),
-            (tree, Stage::Bookmarks, vec![bms(2), bms(1)], "root coordinator", Bg, "BookmarkAggs covering every rank"),
-            (tree, Stage::Completion, vec![dones(2), dones(3)], "root coordinator", Co, "CkptDoneAggs covering every rank"),
-            (tree, Stage::Completion, vec![done(0)], "root coordinator", Co, "CkptDoneAgg"),
-            (sub, Stage::Completion, vec![promoted()], subc, Co, "CkptDone"),
-            (sub, Stage::StaleDrain, vec![st(6), done(7)], "sub-coordinator node 3 (promoted)", Ag, "State (stale, pre-promotion)"),
-            (flat, Stage::Completion, vec![done(0), done(1), done(0)], root, Co, "no frame (gather complete)"),
+            (flat.clone(), vec![intend(), st(1), st(1)], root, Ag, dup, Some(7)),
+            (sub.clone(), vec![intend(), st(2), st(2)], subc, Ag, dup, Some(7)),
+            (flat.clone(), vec![intend(), promoted()], root, Ag, "State", Some(7)),
+            (tree.clone(), vec![intend(), st(0)], troot, Ag, "StateAgg", Some(7)),
+            (flat_at_bookmarks, vec![st(0)], root, Bg, "Bookmark", Some(7)),
+            (tree_at_bookmarks, vec![bms(2), bms(1)], troot, Bg, "BookmarkAggs covering every rank", Some(7)),
+            (tree_at_completion.clone(), vec![dones(2), dones(3)], troot, Co, "CkptDoneAggs covering every rank", Some(7)),
+            (tree_at_completion, vec![done(0)], troot, Co, "CkptDoneAgg", Some(7)),
+            (sub_at_completion, vec![promoted()], subc, Co, "CkptDone", Some(7)),
+            (promoted_sub, vec![st(2), done(3)], "sub-coordinator node 3 (promoted)", Ag, "State (stale, pre-promotion)", Some(7)),
+            (flat, vec![intend(), st(0), st(1), bm(0), bm(1), done(0), done(1), done(0)], root, Idle, idle, None),
+            (sub.clone(), vec![st(2)], subc, Idle, idle, None),
+            (sub_at_batch.clone(), vec![CtrlMsg::ExpectedIn { from: vec![] }], subc, Ew, "ExpectedInBatch", Some(7)),
+            (sub_at_batch, vec![batch(&[2, 9])], subc, Ew, "ExpectedInBatch naming only this node's ranks", Some(7)),
+            (sub_at_resume, vec![intend()], subc, Rw, "Resume", Some(7)),
         ];
-        for (role, stage, frames, name, phase, expected) in cases {
-            let mut fold = Gather::new(role, stage, 7);
+        for (mut coord, frames, name, phase, expected, ckpt_id) in cases {
+            let role = coord.role;
             let v = frames
                 .into_iter()
-                .find_map(|msg| fold.absorb(msg).err())
-                .unwrap_or_else(|| panic!("{role} took every frame at {stage:?}"));
+                .find_map(|msg| coord.step(msg).err())
+                .unwrap_or_else(|| panic!("{role} took every frame"));
             assert_eq!(
                 (v.role.as_str(), v.phase, v.expected, v.ckpt_id),
-                (name, phase, expected, Some(7)),
-                "{role} at {stage:?}"
+                (name, phase, expected, ckpt_id),
+                "{role} expecting {expected}"
             );
         }
+        // A complete gather takes no further frame.
+        let mut fold = Gather::new(Role::FlatRoot { nranks: 1 }, Stage::Completion, 7);
+        fold.absorb(done(0)).unwrap();
+        let v = fold.absorb(done(0)).unwrap_err();
+        assert_eq!(v.expected, "no frame (gather complete)");
+    }
+
+    #[test]
+    fn a_promoted_sub_coordinator_drains_the_round_and_answers_sub_promoted() {
+        let (_, _, mut sub) = roles();
+        let fanned = sub.step(CtrlMsg::IntendCkpt { ckpt_id: 7 }).unwrap();
+        assert_eq!(
+            fanned.last(),
+            Some(&Out::Fanned {
+                ckpt_id: 7,
+                node: 3
+            })
+        );
+        sub.promote();
+        assert_eq!(sub.step(ready_state(3)).unwrap(), vec![]);
+        let up = CtrlMsg::SubPromoted {
+            node: 3,
+            ckpt_id: 7,
+        };
+        assert_eq!(sub.step(ready_state(2)).unwrap(), vec![Out::Up(up)]);
+        assert!(sub.idle());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * **per-rank messages** (`IntendCkpt`, `State`, `Bookmark`, ...):
 //!   what every helper speaks, regardless of topology;
 //! * **aggregated messages** (`StateAgg`, `BookmarkAgg`,
-//!   `ExpectedInBatch`, `CkptDoneAgg`): what a [`TreeTopology`] node-level
+//!   `ExpectedInBatch`, `CkptDoneAgg`): what a tree topology's node-level
 //!   sub-coordinator exchanges with the root, so the root handles
 //!   O(nodes) messages instead of O(ranks) — the §3.4/Figure 8 scaling
 //!   fix. The aggregate payloads are designed to be *mergeable*: the root
@@ -19,8 +19,6 @@
 //!   value is exactly what a flat coordinator would have computed from the
 //!   individual replies, so the safety decision is topology-invariant by
 //!   construction.
-//!
-//! [`TreeTopology`]: crate::topology::TreeTopology
 
 use crate::stats::RankCkptStats;
 use std::collections::BTreeMap;

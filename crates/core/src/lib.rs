@@ -13,10 +13,10 @@
 //! * **two-phase collectives** ([`cell`], [`wrapper`], [`coordinator`]):
 //!   Algorithm 1/2 with the trivial barrier, intent/extra-iteration/
 //!   do-ckpt protocol and a coordinator-side safety rule;
-//! * **coordinator topologies** ([`topology`]): the protocol driver is
-//!   topology-generic; delivery is pluggable between the DMTCP-style flat
-//!   star and a per-node tree with in-tree aggregation (the §3.4 scaling
-//!   fix);
+//! * **coordinator topologies** ([`topology`]): one driver loop runs the
+//!   pure [`coordinator::Coordinator`] of each role on its sim thread —
+//!   the DMTCP-style flat star's root, or a per-node tree's root and
+//!   sub-coordinators with in-tree aggregation (the §3.4 scaling fix);
 //! * **checkpoint images** ([`image`], [`codec`]): one binary format, one
 //!   scatter encoder and one decoder, holding everything a restart needs;
 //! * **checkpoint storage** ([`store`]): pluggable [`CheckpointStore`]
@@ -90,8 +90,5 @@ pub use store::{CheckpointStore, FsStore, GcPolicy, InMemStore};
 pub use supervisor::{
     classify, DegradedMode, FaultClass, RecoveryReport, RestartSupervisor, RetryPolicy,
 };
-pub use topology::{
-    assert_topologies_agree, run_checkpoint_chain, CoordTopology, FlatTopology, TopologyRunReport,
-    TreeTopology,
-};
+pub use topology::{assert_topologies_agree, run_checkpoint_chain, TopologyRunReport};
 pub use wrapper::ManaMpi;

@@ -13,7 +13,6 @@
 
 use crate::cell::JobKilled;
 use crate::config::ManaConfig;
-use crate::coordinator::{run_coordinator, CoordCtx};
 use crate::ctrl::CtrlMsg;
 use crate::env::{AppEnv, Workload};
 use crate::helper::{run_helper, HelperCtx};
@@ -23,7 +22,7 @@ use crate::shared::RankShared;
 use crate::split::UpperProgram;
 use crate::stats::{CkptReport, RankRestartStats, RestartReport};
 use crate::store::CheckpointStore;
-use crate::topology::build_control_plane;
+use crate::topology::{build_control_plane, run_coordinator};
 use crate::wrapper::ManaMpi;
 use mana_mpi::{Mpi, MpiAborted, MpiJob, MpiProfile};
 use mana_net::transport::Network;
@@ -301,11 +300,7 @@ pub(crate) fn boot_mana(
             spec.placement,
             &spec.cfg,
         );
-        let cx = CoordCtx {
-            topo: cp.topo.clone(),
-            cfg: spec.cfg.clone(),
-            store: store.clone(),
-        };
+        let (cfg, coord_store, root) = (spec.cfg.clone(), store.clone(), cp.root);
         let collect = c.clone();
         sim.spawn("coordinator", true, move |t| {
             let app_start = |me| {
@@ -315,7 +310,8 @@ pub(crate) fn boot_mana(
                 }
                 got.window.0
             };
-            run_coordinator(t, cx, app_start, |report| collect.lock().ckpts.push(report))
+            let report = |round| collect.lock().ckpts.push(round);
+            run_coordinator(t, root, &cfg, coord_store.as_ref(), app_start, report)
         });
         images
             .into_iter()

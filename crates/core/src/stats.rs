@@ -34,7 +34,7 @@ pub struct RankCkptStats {
 }
 
 /// Aggregate measurements for one checkpoint (what Figure 6/8 plot).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CkptReport {
     /// Checkpoint id.
     pub ckpt_id: u64,

@@ -1,30 +1,30 @@
-//! Pluggable coordinator topologies (the control-plane *delivery* layer).
+//! Coordinator topologies on the simulator (the control-plane *driver*).
 //!
 //! The checkpoint protocol itself — two-phase agreement, the do-ckpt
-//! safety rule, bookmark mediation, completion and resume — is
-//! topology-agnostic and lives in [`crate::coordinator`]. This module
-//! owns *how* the protocol's messages reach the ranks and how their
-//! replies come back:
+//! safety rule, bookmark mediation, completion and resume — is one pure
+//! [`Coordinator`] value per role, in [`crate::coordinator`]. This module
+//! wires the endpoints each role speaks from and runs the value on a sim
+//! thread, one driver loop for every role:
 //!
-//! * [`FlatTopology`] is the DMTCP star the paper measures: the root
-//!   serializes one small TCP frame per rank, so both its send loop and
-//!   its receive polling scale with the world size (§3.4, Figure 8's
-//!   growing communication overhead).
-//! * [`TreeTopology`] interposes one sub-coordinator per compute node
-//!   (the NERSC production fix): the root exchanges one *aggregated*
-//!   message per node, and the sub-coordinators fan out / reduce locally
-//!   over the node's loopback in parallel with each other. Downward
-//!   messages are replicated in-tree; upward `State` replies fold into a
-//!   [`StateAgg`] partial reduction, bookmarks merge into a
-//!   destination-keyed directory, and completions roll up per node — so
-//!   the root handles O(nodes) frames instead of O(ranks).
+//! * the **flat** star is the DMTCP coordinator the paper measures: the
+//!   root serializes one small TCP frame per rank, so both its send loop
+//!   and its receive polling scale with the world size (§3.4, Figure 8's
+//!   growing communication overhead);
+//! * the **tree** interposes one sub-coordinator per compute node (the
+//!   NERSC production fix): the root exchanges one *aggregated* message
+//!   per node, and the sub-coordinators fan out / reduce locally over the
+//!   node's loopback in parallel with each other. Downward messages are
+//!   replicated in-tree; upward `State` replies fold into a [`StateAgg`]
+//!   partial reduction, bookmarks merge into a destination-keyed
+//!   directory, and completions roll up per node — so the root handles
+//!   O(nodes) frames instead of O(ranks).
 //!
-//! Every upward gather — at the flat root, the tree root and each
-//! sub-coordinator — is one [`Gather`] fold fed by the same `recv_on`
-//! loop; only the [`Role`] it is built for differs. The tree's reductions
-//! are re-associations of the exact fold the flat coordinator performs
-//! (see [`StateAgg::merge`]), so from the same rank states both
-//! topologies feed identical aggregates to the safety rule.
+//! The driver makes the sends and receives the value asks for, reads the
+//! clock at the round's report points, and polls the chaos seam where a
+//! sub-coordinator may fail over. The tree's reductions are
+//! re-associations of the exact fold the flat coordinator performs (see
+//! [`StateAgg::merge`]), so from the same rank states both topologies
+//! feed identical aggregates to the safety rule.
 //! The rank states themselves agree only while the whole agreement fits
 //! inside one compute op: outside that regime arrival skew can stop the
 //! ranks at other op boundaries, and the extra-iteration counts may
@@ -39,46 +39,20 @@
 //! [`StateAgg::merge`]: crate::ctrl::StateAgg::merge
 
 use crate::chaos::ChaosHandle;
-use crate::config::{ManaConfig, TopologyKind};
-use crate::coordinator::{Gather, Role, Stage};
-use crate::ctrl::{ctrl_msg_bytes, protocol_violation, CtrlMsg, ProtocolPhase, ProtocolViolation};
+use crate::config::{CkptSchedule, ManaConfig, TopologyKind};
+use crate::coordinator::{checkpoint_safe, Coordinator, Out};
+use crate::ctrl::{ctrl_msg_bytes, CtrlMsg};
 use crate::env::Workload;
 use crate::session::{JobBuilder, ManaSession};
 use crate::stats::CkptReport;
-use crate::store::InMemStore;
+use crate::store::{CheckpointStore, InMemStore};
 use mana_mpi::MpiProfile;
 use mana_net::transport::{EndpointId, Network};
 use mana_sim::cluster::{ClusterSpec, Placement};
 use mana_sim::sched::{Sim, SimThread, SimThreadId};
-use mana_sim::time::SimDuration;
+use mana_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Delivery/reduction seam between the topology-generic protocol driver
-/// ([`crate::coordinator::run_checkpoint`]) and a concrete control-plane
-/// shape. Implementations deliver downward messages to every rank and
-/// gather upward replies, already reduced to what the protocol needs.
-pub trait CoordTopology: Send + Sync {
-    /// World size.
-    fn nranks(&self) -> u32;
-
-    /// Register the protocol-driver thread for message-arrival wakeups.
-    fn attach_root(&self, tid: SimThreadId);
-
-    /// Deliver one control message (per rank, from the factory) to every
-    /// rank in the world.
-    fn fanout(&self, t: &SimThread, mk: &dyn Fn() -> CtrlMsg);
-
-    /// Gather `stage`'s replies from every rank through the root's
-    /// [`Gather`] and return the complete fold: the agreement's
-    /// [`crate::ctrl::StateAgg`], the destination-keyed bookmark
-    /// directory or the (unsorted) completions.
-    fn gather(&self, t: &SimThread, ckpt_id: u64, stage: Stage) -> Gather;
-
-    /// Deliver each rank its expected-in list (`per_rank` is indexed by
-    /// rank and already sorted).
-    fn scatter_expected(&self, t: &SimThread, ckpt_id: u64, per_rank: Vec<Vec<(u32, u64)>>);
-}
 
 /// Control-plane CPU rates, split by locality: a frame to an endpoint on
 /// the *same node* rides loopback/shm (no NIC, no cross-node TCP stack)
@@ -148,339 +122,124 @@ fn send_from(
     ctrl.send(src, dst, bytes, msg);
 }
 
-/// Receive frames on `ep` into `fold` until it is done; the first frame
-/// it refuses aborts the thread with that violation.
-fn gather_on(
-    t: &SimThread,
-    ctrl: &Network<CtrlMsg>,
-    ep: EndpointId,
-    recv_cpu: SimDuration,
-    mut fold: Gather,
-) -> Gather {
-    while !fold.done() {
-        if let Err(v) = fold.absorb(recv_on(t, ctrl, ep, recv_cpu)) {
-            v.raise()
-        }
-    }
-    fold
-}
-
-// ---------------------------------------------------------------------------
-// Flat star
-// ---------------------------------------------------------------------------
-
-/// The DMTCP-style star: the root speaks one TCP frame per rank, in
-/// serial, and folds every reply itself.
-pub struct FlatTopology {
+/// One coordinator as its sim thread runs it: the pure value and the
+/// endpoints it speaks from and to.
+pub struct Driver {
+    coord: Coordinator,
     ctrl: Arc<Network<CtrlMsg>>,
-    my_ep: EndpointId,
-    rank_eps: Vec<EndpointId>,
-}
-
-impl FlatTopology {
-    /// A star over `ctrl` rooted at `my_ep` speaking to `rank_eps`
-    /// (indexed by rank).
-    pub fn new(
-        ctrl: Arc<Network<CtrlMsg>>,
-        my_ep: EndpointId,
-        rank_eps: Vec<EndpointId>,
-    ) -> FlatTopology {
-        FlatTopology {
-            ctrl,
-            my_ep,
-            rank_eps,
-        }
-    }
-}
-
-impl CoordTopology for FlatTopology {
-    fn nranks(&self) -> u32 {
-        self.rank_eps.len() as u32
-    }
-
-    fn attach_root(&self, tid: SimThreadId) {
-        self.ctrl.add_waiter(self.my_ep, tid);
-    }
-
-    fn fanout(&self, t: &SimThread, mk: &dyn Fn() -> CtrlMsg) {
-        for ep in &self.rank_eps {
-            send_from(t, &self.ctrl, self.my_ep, *ep, mk());
-        }
-    }
-
-    fn gather(&self, t: &SimThread, ckpt_id: u64, stage: Stage) -> Gather {
-        // The star root's inbox mixes frames from every node, so its
-        // polling cost is charged at the cross-node rate.
-        let role = Role::FlatRoot {
-            nranks: self.nranks(),
-        };
-        let fold = Gather::new(role, stage, ckpt_id);
-        gather_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv, fold)
-    }
-
-    fn scatter_expected(&self, t: &SimThread, _ckpt_id: u64, per_rank: Vec<Vec<(u32, u64)>>) {
-        for (ep, from) in self.rank_eps.iter().zip(per_rank) {
-            send_from(t, &self.ctrl, self.my_ep, *ep, CtrlMsg::ExpectedIn { from });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tree: per-node sub-coordinators
-// ---------------------------------------------------------------------------
-
-/// One node's expected-in batch: `(rank, expected-in list)` per local
-/// rank — the payload of [`CtrlMsg::ExpectedInBatch`].
-type ExpectedBatch = Vec<(u32, Vec<(u32, u64)>)>;
-
-/// An expected-in batch routed to the node's helpers: `(helper endpoint,
-/// expected-in list)` per rank.
-type ExpectedRoutes = Vec<(EndpointId, Vec<(u32, u64)>)>;
-
-/// Per-node tree fan-out: the root exchanges one aggregated frame per
-/// node; sub-coordinators replicate downward messages and reduce upward
-/// replies locally, in parallel across nodes.
-pub struct TreeTopology {
-    ctrl: Arc<Network<CtrlMsg>>,
-    my_ep: EndpointId,
-    /// Each node's sub-coordinator endpoint.
+    me: EndpointId,
+    /// The root's endpoint (a sub-coordinator's parent).
+    up: EndpointId,
+    /// Each child's endpoint: a rank's helper, or the tree root's
+    /// sub-coordinators.
     children: Vec<EndpointId>,
-    /// Index into `children` of the sub-coordinator serving each rank
-    /// (rank-indexed).
-    child_of_rank: Vec<u32>,
-    nranks: u32,
-}
-
-impl CoordTopology for TreeTopology {
-    fn nranks(&self) -> u32 {
-        self.nranks
-    }
-
-    fn attach_root(&self, tid: SimThreadId) {
-        self.ctrl.add_waiter(self.my_ep, tid);
-    }
-
-    fn fanout(&self, t: &SimThread, mk: &dyn Fn() -> CtrlMsg) {
-        // One downward frame per node; the sub-coordinators replicate to
-        // their local ranks concurrently with each other.
-        for c in &self.children {
-            send_from(t, &self.ctrl, self.my_ep, *c, mk());
-        }
-    }
-
-    fn gather(&self, t: &SimThread, ckpt_id: u64, stage: Stage) -> Gather {
-        let role = Role::TreeRoot {
-            nodes: self.children.len() as u32,
-            nranks: self.nranks,
-        };
-        let fold = Gather::new(role, stage, ckpt_id);
-        gather_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv, fold)
-    }
-
-    fn scatter_expected(&self, t: &SimThread, _ckpt_id: u64, mut per_rank: Vec<Vec<(u32, u64)>>) {
-        // Bucket the rank-indexed lists by owning child, preserving rank
-        // labels, then one batched frame per node.
-        let mut batches: Vec<ExpectedBatch> = self.children.iter().map(|_| Vec::new()).collect();
-        for (rank, from) in per_rank.drain(..).enumerate() {
-            batches[self.child_of_rank[rank] as usize].push((rank as u32, from));
-        }
-        for (c, per_rank) in self.children.iter().zip(batches) {
-            send_from(
-                t,
-                &self.ctrl,
-                self.my_ep,
-                *c,
-                CtrlMsg::ExpectedInBatch { per_rank },
-            );
-        }
-    }
-}
-
-/// Everything one node-level sub-coordinator needs.
-struct SubCoordCtx {
-    ctrl: Arc<Network<CtrlMsg>>,
-    my_ep: EndpointId,
-    root_ep: EndpointId,
-    node: u32,
-    /// `(rank, helper endpoint)` for the node's ranks.
-    local: Vec<(u32, EndpointId)>,
-    /// Fault-injection seam: may order this sub-coordinator killed
-    /// mid-agreement, exercising the promotion/failover path.
+    /// Fault-injection seam: may kill a sub-coordinator right after it
+    /// fans out an agreement round, exercising the promotion path.
     chaos: ChaosHandle,
 }
 
-impl SubCoordCtx {
-    fn role(&self) -> Role {
-        Role::Sub {
-            node: self.node,
-            ranks: self.local.len() as u32,
-        }
-    }
-
-    /// Receive a frame from the root (cross-node polling rate).
+impl Driver {
+    /// Receive the next frame, charged by what the value awaits: a
+    /// sub-coordinator gathering its own node's replies polls same-node
+    /// loopback frames at the cheaper intra rate — the whole point of
+    /// putting one on every node — and everything else polls at the
+    /// cross-node rate.
     fn recv(&self, t: &SimThread) -> CtrlMsg {
-        recv_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv)
-    }
-
-    fn send_root(&self, t: &SimThread, msg: CtrlMsg) {
-        send_from(t, &self.ctrl, self.my_ep, self.root_ep, msg);
-    }
-
-    fn fan_out(&self, t: &SimThread, msg: &CtrlMsg) {
-        for (_, ep) in &self.local {
-            send_from(t, &self.ctrl, self.my_ep, *ep, msg.clone());
-        }
-    }
-
-    /// Fold `stage`'s replies from the node's own helpers: same-node
-    /// loopback frames are charged the cheaper intra rate — the whole
-    /// point of putting a sub-coordinator on every node.
-    fn gather(&self, t: &SimThread, ckpt_id: u64, stage: Stage) -> Gather {
-        let fold = Gather::new(self.role(), stage, ckpt_id);
-        gather_on(t, &self.ctrl, self.my_ep, CTRL_CPU.recv_intra, fold)
-    }
-
-    /// Gather the node's `State` replies for one agreement round and ship
-    /// the partial reduction to the root — unless the chaos seam kills
-    /// the sub-coordinator after its fan-out, and a surviving rank on the
-    /// node is promoted in its place.
-    ///
-    /// The promotion is modelled in place rather than by swapping sim
-    /// threads: the replacement inherits the dead daemon's endpoint (it
-    /// re-binds the node-local listen socket), pays the injected
-    /// election/re-registration latency, drains the `State` replies the
-    /// dead daemon left queued (their round is void — the replies carry
-    /// seq numbers from before the promotion), and announces itself to
-    /// the root with [`CtrlMsg::SubPromoted`] so the root re-enters
-    /// agreement instead of waiting forever on the node's aggregate.
-    fn relay_states(&self, t: &SimThread, ckpt_id: u64) {
-        let up = match self.chaos.subcoord_point(ckpt_id, self.node) {
-            None => CtrlMsg::StateAggMsg {
-                agg: self.gather(t, ckpt_id, Stage::Agreement).agg,
-            },
-            Some(latency) => {
-                t.advance(latency);
-                self.gather(t, ckpt_id, Stage::StaleDrain);
-                CtrlMsg::SubPromoted {
-                    node: self.node,
-                    ckpt_id,
-                }
-            }
+        let rate = if self.coord.gathers_node() {
+            CTRL_CPU.recv_intra
+        } else {
+            CTRL_CPU.recv
         };
-        self.send_root(t, up);
+        recv_on(t, &self.ctrl, self.me, rate)
     }
 
-    /// The do-ckpt half of the protocol: bookmarks up, expected-in down,
-    /// completions up, resume down. Returns the kill flag.
-    fn relay_checkpoint(&self, t: &SimThread, ckpt_id: u64) -> bool {
-        // Bookmarks: merge the node's sent-to maps into a destination-keyed
-        // directory before shipping one frame up.
-        let expected = self.gather(t, ckpt_id, Stage::Bookmarks).directory;
-        self.send_root(
-            t,
-            CtrlMsg::BookmarkAgg {
-                replies: self.local.len() as u32,
-                expected: expected.into_iter().collect(),
-            },
-        );
-
-        // Expected-in counts come back as one batch; fan out locally.
-        let routes = route_expected(self.role(), ckpt_id, &self.local, self.recv(t))
-            .unwrap_or_else(|v| v.raise());
-        for (ep, from) in routes {
-            send_from(t, &self.ctrl, self.my_ep, ep, CtrlMsg::ExpectedIn { from });
-        }
-
-        // Roll up the node's completions into one frame.
-        let stats = self.gather(t, ckpt_id, Stage::Completion).completions;
-        self.send_root(t, CtrlMsg::CkptDoneAgg { stats });
-
-        // Resume (or die).
-        match self.recv(t) {
-            msg @ CtrlMsg::Resume { kill, .. } => {
-                self.fan_out(t, &msg);
-                kill
-            }
-            other => protocol_violation(
-                self.role().to_string(),
-                ckpt_id,
-                ProtocolPhase::ResumeWait,
-                "Resume",
-                other,
-            ),
-        }
-    }
-}
-
-/// Route a node's expected-in batch to its helpers, in batch order.
-/// Refuses any other frame, and a batch that names a rank not on the
-/// node.
-fn route_expected(
-    role: Role,
-    ckpt_id: u64,
-    local: &[(u32, EndpointId)],
-    msg: CtrlMsg,
-) -> Result<ExpectedRoutes, Box<ProtocolViolation>> {
-    let refuse = |expected, got| {
-        Box::new(ProtocolViolation {
-            role: role.to_string(),
-            ckpt_id: Some(ckpt_id),
-            phase: ProtocolPhase::ExpectedWait,
-            expected,
-            got,
-        })
-    };
-    let CtrlMsg::ExpectedInBatch { per_rank } = msg else {
-        return Err(refuse("ExpectedInBatch", msg));
-    };
-    let ep_of = |rank| local.iter().find(|(r, _)| *r == rank).map(|(_, ep)| *ep);
-    if per_rank.iter().any(|(rank, _)| ep_of(*rank).is_none()) {
-        let got = CtrlMsg::ExpectedInBatch { per_rank };
-        return Err(refuse("ExpectedInBatch naming only this node's ranks", got));
-    }
-    Ok(per_rank
-        .into_iter()
-        .map(|(rank, from)| (ep_of(rank).expect("checked above"), from))
-        .collect())
-}
-
-/// Sub-coordinator daemon loop: replicate downward control messages to the
-/// node's helpers, reduce their replies, ship aggregates to the root.
-/// Exits after relaying a kill-resume.
-fn run_sub_coordinator(t: SimThread, sx: SubCoordCtx) {
-    sx.ctrl.add_waiter(sx.my_ep, t.id());
-    loop {
-        match sx.recv(&t) {
-            msg @ (CtrlMsg::IntendCkpt { ckpt_id } | CtrlMsg::ExtraIteration { ckpt_id }) => {
-                sx.fan_out(&t, &msg);
-                sx.relay_states(&t, ckpt_id);
-            }
-            msg @ CtrlMsg::DoCkpt { ckpt_id } => {
-                sx.fan_out(&t, &msg);
-                if sx.relay_checkpoint(&t, ckpt_id) {
-                    return;
+    /// Feed `msg` to the coordinator and run it until it awaits the next
+    /// round's first frame: make its sends, read the clock into `round`
+    /// at a root's report points, and poll the failover seam where a
+    /// sub-coordinator may die. Returns whether it sent a kill. The first
+    /// frame the value refuses aborts the thread with that violation.
+    fn drive(&mut self, t: &SimThread, mut msg: CtrlMsg, round: &mut CkptReport) -> bool {
+        let mut killed = false;
+        loop {
+            for out in self.coord.step(msg).unwrap_or_else(|v| v.raise()) {
+                match out {
+                    Out::Down(c, msg) => {
+                        killed |= matches!(msg, CtrlMsg::Resume { kill: true, .. });
+                        send_from(t, &self.ctrl, self.me, self.children[c], msg);
+                    }
+                    Out::Up(msg) => send_from(t, &self.ctrl, self.me, self.up, msg),
+                    Out::Extra => round.extra_iterations += 1,
+                    Out::DoCkpt => round.t_do_ckpt = t.now(),
+                    Out::ExpectedIn => round.t_expected_in = t.now(),
+                    Out::End(ranks) => (round.t_end, round.ranks) = (t.now(), ranks),
+                    Out::Fanned { ckpt_id, node } => {
+                        if let Some(latency) = self.chaos.subcoord_point(ckpt_id, node) {
+                            t.advance(latency);
+                            self.coord.promote();
+                        }
+                    }
                 }
             }
-            other => protocol_violation(
-                sx.role().to_string(),
-                None,
-                ProtocolPhase::Idle,
-                "IntendCkpt/ExtraIteration/DoCkpt",
-                other,
-            ),
+            if self.coord.idle() {
+                return killed;
+            }
+            msg = self.recv(t);
         }
     }
+}
+
+/// The root coordinator's daemon: sleeps until each scheduled checkpoint
+/// begins, drives its round and hands the round's report to `report`,
+/// then returns after the last checkpoint. An interval schedule first
+/// sleeps until the application starts: `app_start(me)` returns that
+/// instant once it is known, and until then has the rank that opens the
+/// application window wake thread `me`.
+pub fn run_coordinator(
+    t: SimThread,
+    mut root: Driver,
+    cfg: &ManaConfig,
+    store: &dyn CheckpointStore,
+    mut app_start: impl FnMut(SimThreadId) -> Option<SimTime>,
+    mut report: impl FnMut(CkptReport),
+) {
+    root.ctrl.add_waiter(root.me, t.id());
+    let schedule = &cfg.ckpt_schedule;
+    let mut anchor = SimTime::ZERO;
+    if matches!(schedule, CkptSchedule::Every { .. }) && !schedule.is_empty() {
+        anchor = t.block_until(|| app_start(t.id()));
+    }
+    for i in 0..schedule.len() {
+        let at = schedule.begin(i, anchor);
+        let now = t.now();
+        if at > now {
+            t.advance(at - now);
+        }
+        let ckpt_id = cfg.first_ckpt_id + i;
+        let mut round = CkptReport::default();
+        (round.ckpt_id, round.t_begin) = (ckpt_id, t.now());
+        store.begin_epoch();
+        root.drive(&t, CtrlMsg::IntendCkpt { ckpt_id }, &mut round);
+        anchor = round.t_end;
+        report(round);
+    }
+}
+
+/// A sub-coordinator's daemon: relays every round between the root and
+/// the node's ranks, and exits after relaying a kill.
+fn run_sub_coordinator(t: SimThread, mut sub: Driver) {
+    sub.ctrl.add_waiter(sub.me, t.id());
+    while !sub.drive(&t, sub.recv(&t), &mut CkptReport::default()) {}
 }
 
 // ---------------------------------------------------------------------------
 // Control-plane assembly
 // ---------------------------------------------------------------------------
 
-/// A fully wired control plane: the root's topology seam plus the
-/// endpoints each helper binds and speaks to.
+/// A fully wired control plane: the root's driver plus the endpoints
+/// each helper binds and speaks to.
 pub struct ControlPlane {
-    /// The root protocol driver's delivery/reduction seam.
-    pub topo: Arc<dyn CoordTopology>,
+    /// The root coordinator, for [`run_coordinator`].
+    pub root: Driver,
     /// Each helper's own endpoint (indexed by rank).
     pub helper_eps: Vec<EndpointId>,
     /// The endpoint each helper's protocol parent listens on — the root
@@ -506,58 +265,49 @@ pub fn build_control_plane(
         .map(|r| cluster.node_of_rank(r, nranks, placement))
         .collect();
     let helper_eps: Vec<EndpointId> = node_of.iter().map(|n| ctrl.add_endpoint(*n)).collect();
-    match cfg.topology {
+    let kill_at = (0..cfg.ckpt_schedule.len())
+        .map(|i| cfg.first_ckpt_id + i)
+        .find(|id| cfg.ends_after(*id));
+    let driver = |coord, me, up, children| Driver {
+        coord,
+        ctrl: ctrl.clone(),
+        me,
+        up,
+        children,
+        chaos: cfg.chaos.clone(),
+    };
+    let (root, parent_eps) = match cfg.topology {
         TopologyKind::Flat => {
-            let topo = Arc::new(FlatTopology::new(ctrl.clone(), my_ep, helper_eps.clone()));
-            ControlPlane {
-                topo,
-                parent_eps: vec![my_ep; nranks as usize],
-                helper_eps,
-            }
+            let root = Coordinator::flat(nranks, kill_at, checkpoint_safe);
+            let root = driver(root, my_ep, my_ep, helper_eps.clone());
+            (root, vec![my_ep; nranks as usize])
         }
         TopologyKind::Tree => {
             let mut by_node: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
             for (rank, node) in node_of.iter().enumerate() {
                 by_node.entry(*node).or_default().push(rank as u32);
             }
-            let mut children = Vec::with_capacity(by_node.len());
-            let mut child_of_rank = vec![0u32; nranks as usize];
+            let nodes: Vec<(u32, Vec<u32>)> = by_node.into_iter().collect();
+            let (root, subs) = Coordinator::tree(&nodes, kill_at, checkpoint_safe);
+            let mut children = Vec::with_capacity(nodes.len());
             let mut parent_eps = vec![my_ep; nranks as usize];
-            for (child_idx, (node, ranks)) in by_node.into_iter().enumerate() {
+            for (sub, (node, ranks)) in subs.into_iter().zip(nodes) {
                 let sub_ep = ctrl.add_endpoint(node);
-                for r in &ranks {
-                    child_of_rank[*r as usize] = child_idx as u32;
-                    parent_eps[*r as usize] = sub_ep;
-                }
-                let sx = SubCoordCtx {
-                    ctrl: ctrl.clone(),
-                    my_ep: sub_ep,
-                    root_ep: my_ep,
-                    node,
-                    local: ranks
-                        .iter()
-                        .map(|r| (*r, helper_eps[*r as usize]))
-                        .collect(),
-                    chaos: cfg.chaos.clone(),
-                };
+                ranks.iter().for_each(|r| parent_eps[*r as usize] = sub_ep);
+                let local = ranks.iter().map(|r| helper_eps[*r as usize]).collect();
+                let sub = driver(sub, sub_ep, my_ep, local);
                 children.push(sub_ep);
                 sim.spawn(&format!("subcoord{node}"), true, move |t| {
-                    run_sub_coordinator(t, sx)
+                    run_sub_coordinator(t, sub)
                 });
             }
-            let topo = Arc::new(TreeTopology {
-                ctrl: ctrl.clone(),
-                my_ep,
-                children,
-                child_of_rank,
-                nranks,
-            });
-            ControlPlane {
-                topo,
-                parent_eps,
-                helper_eps,
-            }
+            (driver(root, my_ep, my_ep, children), parent_eps)
         }
+    };
+    ControlPlane {
+        root,
+        helper_eps,
+        parent_eps,
     }
 }
 
@@ -748,43 +498,5 @@ mod tests {
             });
         }
         sim.run();
-    }
-
-    #[test]
-    fn an_expected_in_batch_must_name_only_the_nodes_ranks() {
-        let local = [(4, EndpointId(10)), (5, EndpointId(11))];
-        let role = Role::Sub { node: 1, ranks: 2 };
-        let batch = |ranks: &[u32]| CtrlMsg::ExpectedInBatch {
-            per_rank: ranks
-                .iter()
-                .map(|r| (*r, vec![(0, u64::from(*r))]))
-                .collect(),
-        };
-        let routes = route_expected(role, 7, &local, batch(&[5, 4])).unwrap();
-        assert_eq!(
-            routes,
-            vec![
-                (EndpointId(11), vec![(0, 5)]),
-                (EndpointId(10), vec![(0, 4)])
-            ]
-        );
-        for (msg, expected) in [
-            (
-                batch(&[4, 9]),
-                "ExpectedInBatch naming only this node's ranks",
-            ),
-            (CtrlMsg::ExpectedIn { from: vec![] }, "ExpectedInBatch"),
-        ] {
-            let v = route_expected(role, 7, &local, msg).unwrap_err();
-            assert_eq!(
-                (v.role.as_str(), v.phase, v.expected, v.ckpt_id),
-                (
-                    "sub-coordinator node 1",
-                    ProtocolPhase::ExpectedWait,
-                    expected,
-                    Some(7)
-                )
-            );
-        }
     }
 }

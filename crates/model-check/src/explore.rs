@@ -1,11 +1,11 @@
 //! Breadth-first exhaustive exploration of the protocol state space.
 
 use crate::spec::Spec;
-use crate::state::{CMsg, State};
-use mana_core::coordinator::{checkpoint_safe, decide_round, Gather, Role, Stage};
+use crate::state::State;
+use mana_core::coordinator::{checkpoint_safe, Out, Rule};
 use mana_core::ctrl::{CtrlMsg, RankReply};
 use mana_core::stats::RankCkptStats;
-use mana_core::{CollInstance, Phase, StateAgg};
+use mana_core::{CollInstance, Phase};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
@@ -74,159 +74,177 @@ impl fmt::Display for CheckOutcome {
 /// The checkpoint every model run takes.
 const CKPT_ID: u64 = 1;
 
-/// A fresh `stage` fold as the checker's coordinator, a flat root over
-/// `n` ranks, builds it.
-fn fold(n: usize, stage: Stage) -> Option<Gather> {
-    let role = Role::FlatRoot { nranks: n as u32 };
-    Some(Gather::new(role, stage, CKPT_ID))
-}
-
-/// Generate all successors of `s` under the do-ckpt `rule`. Any
-/// violation encountered while firing a transition is returned instead.
-/// Every rank transition is a [`RankProtocol`] method, the one the
-/// running `CkptCell` calls; every reply the coordinator takes goes
-/// through core's [`Gather`], and every round ends in core's
-/// [`decide_round`].
+/// Generate all successors of `s`. Any violation encountered while
+/// firing a transition is returned instead. Every rank transition is a
+/// [`RankProtocol`] method, the one the running `CkptCell` calls; every
+/// coordinator transition is core's [`Coordinator::step`], the one the
+/// simulator's driver calls.
 ///
 /// [`RankProtocol`]: mana_core::RankProtocol
-fn successors(
-    spec: &Spec,
-    s: &State,
-    rule: fn(&StateAgg) -> bool,
-) -> Result<Vec<State>, Violation> {
+/// [`Coordinator::step`]: mana_core::coordinator::Coordinator::step
+fn successors(spec: &Spec, s: &State) -> Result<Vec<State>, Violation> {
     let n = spec.nranks();
     let mut out = Vec::new();
 
-    for r in 0..n {
-        let rk = &s.ranks[r];
-        let mut next = rk.clone();
-        let mut owed = false;
-        let stepped = match rk.proto.phase() {
-            _ if rk.done => false,
-            // Quiesced at an operation boundary (or gated) until resume;
-            // ckpt_pc already holds its position.
-            Phase::Outside if rk.proto.must_quiesce() => false,
-            Phase::Outside if rk.pc == spec.programs[r].len() => {
-                next.done = true;
-                true
-            }
-            // Arrive at the next wrapper and pass its gate unless an
-            // intent holds it; a gated rank passes once resumed.
-            Phase::Outside => {
-                if !rk.proto.at_gate() {
-                    next.proto.arrive(instance(spec, r, rk.pc));
+    for r in 0..s.down.len() {
+        if let Some(rk) = s.ranks.get(r) {
+            let mut next = rk.clone();
+            let mut owed = false;
+            let stepped = match rk.proto.phase() {
+                _ if rk.done => false,
+                // Quiesced at an operation boundary (or gated) until
+                // resume; ckpt_pc already holds its position.
+                Phase::Outside if rk.proto.must_quiesce() => false,
+                Phase::Outside if rk.pc == spec.programs[r].len() => {
+                    next.done = true;
+                    true
                 }
-                if !next.proto.gate_closed() {
-                    next.proto.pass_gate();
-                }
-                next.proto != rk.proto
-            }
-            Phase::Phase1 if s.all_reached(spec, r, Phase::Phase1) => {
-                next.proto.enter_phase2();
-                true
-            }
-            Phase::Phase2 if s.all_reached(spec, r, Phase::Phase2) => {
-                next.pc += 1;
-                owed = next.proto.exit_phase2();
-                true
-            }
-            Phase::Phase1 | Phase::Phase2 => false,
-        };
-        if stepped {
-            let mut t = s.clone();
-            t.ranks[r] = next;
-            if owed {
-                let frame = t.state_frame(spec, r, RankReply::ExitPhase2, None);
-                t.to_coord[r].push_back(frame);
-            }
-            out.push(t);
-        }
-
-        // Deliver the next coordinator→rank message.
-        if let Some(msg) = s.to_rank[r].front().copied() {
-            let mut t = s.clone();
-            t.to_rank[r].pop_front();
-            match msg {
-                CMsg::Intend => {
-                    if let Some((reply, instance)) = t.ranks[r].proto.on_intent() {
-                        let frame = t.state_frame(spec, r, reply, instance);
-                        t.to_coord[r].push_back(frame);
+                // Arrive at the next wrapper and pass its gate unless an
+                // intent holds it; a gated rank passes once resumed.
+                Phase::Outside => {
+                    if !rk.proto.at_gate() {
+                        next.proto.arrive(instance(spec, r, rk.pc));
                     }
-                }
-                CMsg::DoCkpt => {
-                    if t.ranks[r].proto.phase() == Phase::Phase2 {
-                        return Err(Violation::CkptInsidePhase2 { rank: r });
+                    if !next.proto.gate_closed() {
+                        next.proto.pass_gate();
                     }
-                    t.ranks[r].proto.do_ckpt();
-                    t.ranks[r].ckpt_pc = Some(t.ranks[r].pc);
-                    t.to_coord[r].push_back(CtrlMsg::CkptDone {
-                        rank: r as u32,
-                        stats: RankCkptStats::default(),
-                    });
+                    next.proto != rk.proto
                 }
-                CMsg::Resume => {
-                    t.ranks[r].proto.resume();
-                    t.ranks[r].ckpt_pc = None;
+                Phase::Phase1 if s.all_reached(spec, r, Phase::Phase1) => {
+                    next.proto.enter_phase2();
+                    true
                 }
-            }
-            out.push(t);
-        }
-
-        // Coordinator consumes the next rank→coordinator message.
-        if let Some(msg) = s.to_coord[r].front().cloned() {
-            let mut t = s.clone();
-            t.to_coord[r].pop_front();
-            let Some(coord) = t.coord.as_mut() else {
-                return Err(Violation::ProtocolError {
-                    what: format!("idle coordinator got {msg:?} from rank {r}"),
-                });
+                Phase::Phase2 if s.all_reached(spec, r, Phase::Phase2) => {
+                    next.pc += 1;
+                    owed = next.proto.exit_phase2();
+                    true
+                }
+                Phase::Phase1 | Phase::Phase2 => false,
             };
-            coord.absorb(msg).map_err(|v| Violation::ProtocolError {
-                what: v.to_string(),
-            })?;
-            if coord.done() {
-                end_stage(spec, &mut t, rule)?;
+            if stepped {
+                let mut t = s.clone();
+                t.ranks[r] = next;
+                if owed {
+                    let frame = t.state_frame(spec, r, RankReply::ExitPhase2, None);
+                    t.up[r].push_back(frame);
+                }
+                out.push(t);
             }
-            out.push(t);
+        }
+
+        // Deliver the next frame from above: to a rank, or to a
+        // sub-coordinator.
+        if let Some(msg) = s.down[r].front().cloned() {
+            let mut t = s.clone();
+            t.down[r].pop_front();
+            if r < n {
+                deliver(spec, &mut t, r, msg)?;
+                out.push(t);
+            } else {
+                step(spec, t, r - n + 1, msg, &mut out)?;
+            }
+        }
+
+        // The endpoint's parent coordinator takes its next frame.
+        if let Some(msg) = s.up[r].front().cloned() {
+            let mut t = s.clone();
+            t.up[r].pop_front();
+            step(spec, t, spec.parent(r), msg, &mut out)?;
         }
     }
 
     // Checkpoint initiation (at any time — the adversarial schedule).
-    if s.coord.is_none() {
-        let mut t = s.clone();
-        for q in 0..n {
-            t.to_rank[q].push_back(CMsg::Intend);
-        }
-        t.coord = fold(n, Stage::Agreement);
-        out.push(t);
+    if !s.started {
+        let (mut t, intend) = (s.clone(), CtrlMsg::IntendCkpt { ckpt_id: CKPT_ID });
+        t.started = true;
+        step(spec, t, 0, intend, &mut out)?;
     }
 
     Ok(out)
 }
 
-/// The coordinator's open fold is complete. An agreement round ends in
-/// core's [`decide_round`]: do-ckpt and a completion fold, or another
-/// round. A complete completion fold means every image is taken: check
-/// the cut and resume.
-fn end_stage(spec: &Spec, t: &mut State, rule: fn(&StateAgg) -> bool) -> Result<(), Violation> {
-    let n = spec.nranks();
-    let coord = t.coord.as_ref().expect("an open fold");
-    let (msg, next) = match coord.stage() {
-        Stage::Agreement if decide_round(&coord.agg, n as u32, rule) => {
-            (CMsg::DoCkpt, fold(n, Stage::Completion))
+/// Rank `r`'s helper takes `msg` from its coordinator, as the running
+/// helper does: a state reply to an intent, a bookmark after do-ckpt
+/// (the model's programs send no point-to-point messages, so it is
+/// empty), ckpt-done after the expected-in counts, and resume.
+fn deliver(spec: &Spec, t: &mut State, r: usize, msg: CtrlMsg) -> Result<(), Violation> {
+    let rank = r as u32;
+    let reply = match msg {
+        CtrlMsg::IntendCkpt { .. } | CtrlMsg::ExtraIteration { .. } => {
+            let Some((reply, instance)) = t.ranks[r].proto.on_intent() else {
+                return Ok(());
+            };
+            t.state_frame(spec, r, reply, instance)
         }
-        Stage::Agreement => (CMsg::Intend, fold(n, Stage::Agreement)),
-        _ => {
-            if let Some(v) = cut_violation(spec, t) {
-                return Err(v);
+        CtrlMsg::DoCkpt { .. } => {
+            if t.ranks[r].proto.phase() == Phase::Phase2 {
+                return Err(Violation::CkptInsidePhase2 { rank: r });
             }
-            (CMsg::Resume, t.coord.take())
+            t.ranks[r].proto.do_ckpt();
+            t.ranks[r].ckpt_pc = Some(t.ranks[r].pc);
+            CtrlMsg::Bookmark {
+                rank,
+                sent_to: vec![],
+            }
+        }
+        CtrlMsg::ExpectedIn { .. } => CtrlMsg::CkptDone {
+            rank,
+            stats: RankCkptStats::default(),
+        },
+        CtrlMsg::Resume { .. } => {
+            t.ranks[r].proto.resume();
+            t.ranks[r].ckpt_pc = None;
+            return Ok(());
+        }
+        other => {
+            return Err(Violation::ProtocolError {
+                what: format!("helper rank {r} got {other:?}"),
+            })
         }
     };
-    for q in &mut t.to_rank {
-        q.push_back(msg);
+    t.up[r].push_back(reply);
+    Ok(())
+}
+
+/// Coordinator `k` (the root is 0) takes `msg` through core's
+/// [`Coordinator::step`], and its sends go onto the channels. Once every
+/// image is taken the cut is checked. Where a sub-coordinator may fail
+/// over, and none has in this run, a second successor promotes it
+/// through core's [`Coordinator::promote`].
+///
+/// [`Coordinator::step`]: mana_core::coordinator::Coordinator::step
+/// [`Coordinator::promote`]: mana_core::coordinator::Coordinator::promote
+fn step(
+    spec: &Spec,
+    mut t: State,
+    k: usize,
+    msg: CtrlMsg,
+    out: &mut Vec<State>,
+) -> Result<(), Violation> {
+    let sent = t.coords[k]
+        .step(msg)
+        .map_err(|v| Violation::ProtocolError {
+            what: v.to_string(),
+        })?;
+    for o in sent {
+        match o {
+            Out::Down(c, msg) => t.down[spec.child(k, c)].push_back(msg),
+            Out::Up(msg) => t.up[spec.nranks() + k - 1].push_back(msg),
+            Out::End(_) => {
+                if let Some(v) = cut_violation(spec, &t) {
+                    return Err(v);
+                }
+            }
+            Out::Fanned { .. } if !t.promoted => {
+                let mut promoted = t.clone();
+                promoted.promoted = true;
+                promoted.coords[k].promote();
+                out.push(promoted);
+            }
+            _ => {}
+        }
     }
-    t.coord = next;
+    out.push(t);
     Ok(())
 }
 
@@ -279,9 +297,9 @@ pub fn check(spec: &Spec) -> CheckOutcome {
 /// Exhaustively explore `spec`'s state space, sending do-ckpt after a
 /// complete round exactly when `rule` holds for its aggregate. Tests pass
 /// a weakened rule to show the checker catches what it lets through.
-pub fn check_under(spec: &Spec, rule: fn(&StateAgg) -> bool) -> CheckOutcome {
+pub fn check_under(spec: &Spec, rule: Rule) -> CheckOutcome {
     spec.validate();
-    let init = State::init(spec);
+    let init = State::init(spec, rule);
     let mut seen: HashSet<State> = HashSet::new();
     let mut queue: VecDeque<State> = VecDeque::new();
     seen.insert(init.clone());
@@ -289,7 +307,7 @@ pub fn check_under(spec: &Spec, rule: fn(&StateAgg) -> bool) -> CheckOutcome {
     let mut transitions = 0usize;
 
     while let Some(s) = queue.pop_front() {
-        let succs = match successors(spec, &s, rule) {
+        let succs = match successors(spec, &s) {
             Ok(v) => v,
             Err(violation) => {
                 return CheckOutcome {
@@ -338,7 +356,7 @@ mod tests {
         // `manasim verify`'s default; the graph is pinned by its counts.
         let out = check(&Spec::uniform_world(3, 2));
         assert!(out.ok(), "{:?}", out.violation);
-        assert_eq!((out.states, out.transitions), (22_686, 78_710));
+        assert_eq!((out.states, out.transitions), (24_246, 81_950));
     }
 
     #[test]
@@ -346,7 +364,7 @@ mod tests {
         // Challenge III: concurrent collectives on overlapping comms.
         let out = check(&Spec::overlapping_comms());
         assert!(out.ok(), "{:?}", out.violation);
-        assert_eq!((out.states, out.transitions), (29_002, 99_645));
+        assert_eq!((out.states, out.transitions), (31_134, 104_073));
     }
 
     #[test]
@@ -372,6 +390,26 @@ mod tests {
         assert!(!shown.contains("Some("), "{shown}");
     }
 
+    /// 3 ranks on 2 nodes, node 0 holding 2: the tree root and both
+    /// sub-coordinators are core's, and either sub-coordinator may fail
+    /// over once per run, right after it fans out an agreement round.
+    fn tree() -> Spec {
+        Spec::uniform_world(3, 1).on_nodes(vec![vec![0, 1], vec![2]])
+    }
+
+    #[test]
+    fn a_tree_with_a_failover_is_safe() {
+        let out = check(&tree());
+        assert!(out.ok(), "{:?}", out.violation);
+        assert_eq!((out.states, out.transitions), (56_879, 206_789));
+    }
+
+    #[test]
+    fn a_weakened_rule_is_caught_in_the_tree() {
+        let out = check_under(&tree(), |agg| agg.exit_phase2 == 0);
+        assert_eq!(out.violation, Some(Violation::CkptInsidePhase2 { rank: 0 }));
+    }
+
     #[test]
     fn done_ranks_still_answer_protocol() {
         // A checkpoint initiated after some ranks finished must still
@@ -379,6 +417,7 @@ mod tests {
         let spec = Spec {
             comms: vec![vec![0, 1]],
             programs: vec![vec![0], vec![0]],
+            nodes: vec![],
         };
         let out = check(&spec);
         assert!(out.ok(), "{:?}", out.violation);

@@ -13,14 +13,19 @@
 //! holds a `mana_core::RankProtocol` — the pre-wrapper gate,
 //! commit-through phases, the ready/in-phase-1/exit-phase-2 replies —
 //! and every rank step and message delivery calls the method the running
-//! `CkptCell` calls. Nor is the coordinator: it is the
-//! `mana_core::coordinator::Gather` a flat root folds its ranks' frames
-//! with, and each round ends in `coordinator::decide_round` over
-//! `coordinator::checkpoint_safe`, as `run_checkpoint`'s rounds do.
-//! What the crate adds is the rank programs and the FIFO channels. So
-//! its explored graph is pinned by its counts (`manasim verify`, the
-//! reproduction card, this crate's tests): a moved count means a moved
-//! protocol.
+//! `CkptCell` calls. Nor are the coordinators: each is core's
+//! `mana_core::coordinator::Coordinator`, the pure value the simulator's
+//! driver runs on the root's and each sub-coordinator's thread, and every
+//! coordinator transition calls its `step`, so each agreement round ends
+//! in `coordinator::decide_round` over `coordinator::checkpoint_safe` as
+//! it does in a running job. A [`Spec`] with `nodes` puts a tree root and
+//! one sub-coordinator per node in the model, and any one of them may
+//! fail over once per run, right after it fans out an agreement round,
+//! through the `Coordinator::promote` the driver calls. What the crate
+//! adds is the rank programs, the helpers' replies and the FIFO
+//! channels. So its explored graph is pinned by its counts (`manasim
+//! verify`, the reproduction card, this crate's tests): a moved count
+//! means a moved protocol.
 //!
 //! Checked properties, over every interleaving of rank steps, barrier
 //! exits, collective exits and message deliveries (per-pair FIFO channels,

@@ -9,6 +9,9 @@ pub struct Spec {
     /// rank performs (wrapped) collectives. Compute steps are implicit
     /// between entries.
     pub programs: Vec<Vec<usize>>,
+    /// The tree's nodes, each listing its ranks ascending, one
+    /// sub-coordinator each; empty for the flat star.
+    pub nodes: Vec<Vec<usize>>,
 }
 
 impl Spec {
@@ -22,7 +25,13 @@ impl Spec {
         Spec {
             comms: vec![(0..nranks).collect()],
             programs: vec![vec![0; k]; nranks],
+            nodes: vec![],
         }
+    }
+
+    /// The same ranks under the tree coordinator, on `nodes`.
+    pub fn on_nodes(self, nodes: Vec<Vec<usize>>) -> Spec {
+        Spec { nodes, ..self }
     }
 
     /// Challenge III shape: two overlapping sub-communicators with
@@ -35,6 +44,7 @@ impl Spec {
                 vec![1, 2, 0], // rank 1: both subcomms, then world
                 vec![2, 0],    // rank 2: comm {1,2}, then world
             ],
+            nodes: vec![],
         }
     }
 
@@ -52,9 +62,33 @@ impl Spec {
             .count()
     }
 
+    /// The coordinator endpoint `e` (a rank, then the sub-coordinators)
+    /// talks to: the root (0), or the sub-coordinator of a rank's node.
+    pub(crate) fn parent(&self, e: usize) -> usize {
+        let node = self.nodes.iter().position(|ranks| ranks.contains(&e));
+        node.map_or(0, |j| j + 1)
+    }
+
+    /// The endpoint of coordinator `k`'s `c`-th child.
+    pub(crate) fn child(&self, k: usize, c: usize) -> usize {
+        match (k, self.nodes.is_empty()) {
+            (0, true) => c,
+            (0, false) => self.nranks() + c,
+            _ => self.nodes[k - 1][c],
+        }
+    }
+
     /// Validate well-formedness: every member of a comm performs the same
-    /// number of collectives on it (required for instance alignment).
+    /// number of collectives on it (required for instance alignment), and
+    /// a tree's nodes hold every rank once.
     pub fn validate(&self) {
+        let mut placed: Vec<usize> = self.nodes.concat();
+        placed.sort_unstable();
+        assert!(
+            self.nodes.is_empty() || placed == (0..self.nranks()).collect::<Vec<_>>(),
+            "nodes {:?} do not place every rank once",
+            self.nodes
+        );
         for (c, members) in self.comms.iter().enumerate() {
             let counts: Vec<usize> = members
                 .iter()
@@ -96,6 +130,7 @@ mod tests {
         let s = Spec {
             comms: vec![vec![0, 1]],
             programs: vec![vec![0, 0], vec![0]],
+            nodes: vec![],
         };
         s.validate();
     }

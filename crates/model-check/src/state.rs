@@ -1,25 +1,14 @@
 //! Protocol state and transition relation.
 
 use crate::spec::Spec;
-use mana_core::coordinator::Gather;
+use mana_core::coordinator::{Coordinator, Rule};
 use mana_core::ctrl::{CtrlMsg, RankReply};
 use mana_core::{CollInstance, Phase, RankProtocol};
 use std::collections::VecDeque;
 
-/// Coordinator → rank messages.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum CMsg {
-    /// intend-to-checkpoint / extra-iteration (identical rank-side effect).
-    Intend,
-    /// do-ckpt.
-    DoCkpt,
-    /// resume.
-    Resume,
-}
-
 /// One rank's model state: its program position and core's
 /// [`RankProtocol`], the rank side that runs in every `CkptCell`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
 pub struct RankSt {
     /// Next program entry.
     pub pc: usize,
@@ -38,18 +27,22 @@ pub struct RankSt {
 pub struct State {
     /// Per-rank states.
     pub ranks: Vec<RankSt>,
-    /// The coordinator: core's fold of the open stage, as a flat root
-    /// builds it (`None` until the checkpoint is initiated; a complete
-    /// completion fold once it has finished).
-    pub coord: Option<Gather>,
-    /// FIFO channel coordinator → each rank.
-    pub to_rank: Vec<VecDeque<CMsg>>,
-    /// FIFO channel each rank → coordinator: the frames a helper sends.
-    /// A `State` carries the rank's per-communicator completed
-    /// wrapped-collective counts, which let the coordinator detect that an
-    /// in-phase-1 instance has already been passed by another member
+    /// The coordinators, each core's own value: the root, then in a tree
+    /// each node's sub-coordinator.
+    pub coords: Vec<Coordinator>,
+    /// The checkpoint was initiated (once per run).
+    pub started: bool,
+    /// A sub-coordinator failed over (at most once per run).
+    pub promoted: bool,
+    /// FIFO channel from its parent coordinator to each endpoint: the
+    /// ranks, then the sub-coordinators.
+    pub down: Vec<VecDeque<CtrlMsg>>,
+    /// FIFO channel from each endpoint to its parent coordinator. A
+    /// rank's `State` carries its per-communicator completed
+    /// wrapped-collective counts, which let the coordinator detect that
+    /// an in-phase-1 instance has already been passed by another member
     /// (Challenge I / Lemma 1's bookkeeping).
-    pub to_coord: Vec<VecDeque<CtrlMsg>>,
+    pub up: Vec<VecDeque<CtrlMsg>>,
 }
 
 impl State {
@@ -75,30 +68,37 @@ impl State {
         }
     }
 
-    /// Initial state.
-    pub fn init(spec: &Spec) -> State {
+    /// Initial state: no checkpoint initiated, coordinators built as the
+    /// simulator builds them, under the do-ckpt `rule`.
+    pub fn init(spec: &Spec, rule: Rule) -> State {
         let n = spec.nranks();
-        let rank = RankSt {
-            pc: 0,
-            done: false,
-            proto: RankProtocol::default(),
-            ckpt_pc: None,
+        let coords = match spec.nodes.as_slice() {
+            [] => vec![Coordinator::flat(n as u32, None, rule)],
+            nodes => {
+                let as_u32 = |ranks: &Vec<usize>| ranks.iter().map(|r| *r as u32).collect();
+                let nodes: Vec<_> = (0..).zip(nodes).map(|(j, rs)| (j, as_u32(rs))).collect();
+                let (root, subs) = Coordinator::tree(&nodes, None, rule);
+                [vec![root], subs].concat()
+            }
         };
+        let endpoints = n + coords.len() - 1;
         State {
-            ranks: vec![rank; n],
-            coord: None,
-            to_rank: vec![VecDeque::new(); n],
-            to_coord: vec![VecDeque::new(); n],
+            ranks: vec![RankSt::default(); n],
+            coords,
+            started: false,
+            promoted: false,
+            down: vec![VecDeque::new(); endpoints],
+            up: vec![VecDeque::new(); endpoints],
         }
     }
 
-    /// Fully terminal: programs done, channels empty, checkpoint (if
-    /// started) complete.
+    /// Fully terminal: programs done, channels empty, every coordinator
+    /// awaiting a next round.
     pub fn terminal(&self) -> bool {
         self.ranks.iter().all(|r| r.done)
-            && self.to_rank.iter().all(VecDeque::is_empty)
-            && self.to_coord.iter().all(VecDeque::is_empty)
-            && self.coord.as_ref().is_none_or(Gather::done)
+            && self.down.iter().all(VecDeque::is_empty)
+            && self.up.iter().all(VecDeque::is_empty)
+            && self.coords.iter().all(Coordinator::idle)
     }
 
     /// Has every member of `r`'s current instance reached `phase` of it
