@@ -781,8 +781,7 @@ mod tests {
     #[test]
     fn each_role_refuses_what_it_does_not_take() {
         use ProtocolPhase::{
-            Agreement as Ag, BookmarkGather as Bg, Completion as Co, ExpectedWait as Ew, Idle,
-            ResumeWait as Rw,
+            Agreement as Ag, BookmarkGather as Bg, Completion as Co, Idle, ResumeWait as Rw,
         };
         let (flat, tree, sub) = roles();
         let intend = || CtrlMsg::IntendCkpt { ckpt_id: 7 };
@@ -820,18 +819,7 @@ mod tests {
         let tree_at_bookmarks = after(tree.clone(), [vec![intend()], aggs()].concat());
         let tree_at_completion = after(tree_at_bookmarks.clone(), vec![bms(2), bms(2)]);
         let sub_at_batch = after(sub.clone(), vec![do_ckpt(), bm(2), bm(3)]);
-        let sub_at_completion = after(sub_at_batch.clone(), vec![batch(&[2, 3])]);
-        // A batch naming only the node's ranks is routed in batch order.
-        let per_rank = vec![(3, vec![(0, 3)]), (2, vec![(0, 2)])];
-        let routes = sub_at_batch
-            .clone()
-            .step(CtrlMsg::ExpectedInBatch { per_rank });
-        let expected_in = |from| CtrlMsg::ExpectedIn { from };
-        let routed = vec![
-            Out::Down(1, expected_in(vec![(0, 3)])),
-            Out::Down(0, expected_in(vec![(0, 2)])),
-        ];
-        assert_eq!(routes.unwrap(), routed);
+        let sub_at_completion = after(sub_at_batch, vec![batch(&[2, 3])]);
         let sub_at_resume = after(sub_at_completion.clone(), vec![done(2), done(3)]);
         let mut promoted_sub = after(sub.clone(), vec![intend()]);
         promoted_sub.promote();
@@ -853,8 +841,6 @@ mod tests {
             (promoted_sub, vec![st(2), done(3)], "sub-coordinator node 3 (promoted)", Ag, "State (stale, pre-promotion)", Some(7)),
             (flat, vec![intend(), st(0), st(1), bm(0), bm(1), done(0), done(1), done(0)], root, Idle, idle, None),
             (sub.clone(), vec![st(2)], subc, Idle, idle, None),
-            (sub_at_batch.clone(), vec![CtrlMsg::ExpectedIn { from: vec![] }], subc, Ew, "ExpectedInBatch", Some(7)),
-            (sub_at_batch, vec![batch(&[2, 9])], subc, Ew, "ExpectedInBatch naming only this node's ranks", Some(7)),
             (sub_at_resume, vec![intend()], subc, Rw, "Resume", Some(7)),
         ];
         for (mut coord, frames, name, phase, expected, ckpt_id) in cases {

@@ -499,4 +499,58 @@ mod tests {
         }
         sim.run();
     }
+
+    /// A sub-coordinator routes its node's expected-in batch to the
+    /// ranks' endpoints in batch order, and refuses a batch naming a rank
+    /// off the node or any other frame in its place.
+    #[test]
+    fn an_expected_in_batch_must_name_only_the_nodes_ranks() {
+        use crate::ctrl::ProtocolPhase;
+        let local = [EndpointId(10), EndpointId(11)];
+        let (_, mut subs) = Coordinator::tree(&[(1, vec![4, 5])], None, checkpoint_safe);
+        let mut at_batch = subs.pop().unwrap();
+        at_batch.step(CtrlMsg::DoCkpt { ckpt_id: 7 }).unwrap();
+        for rank in [4, 5] {
+            let sent_to = vec![];
+            at_batch.step(CtrlMsg::Bookmark { rank, sent_to }).unwrap();
+        }
+        let batch = |ranks: &[u32]| CtrlMsg::ExpectedInBatch {
+            per_rank: ranks
+                .iter()
+                .map(|r| (*r, vec![(0, u64::from(*r))]))
+                .collect(),
+        };
+        let routes: Vec<_> = (at_batch.clone().step(batch(&[5, 4])).unwrap())
+            .into_iter()
+            .map(|out| match out {
+                Out::Down(c, CtrlMsg::ExpectedIn { from }) => (local[c], from),
+                out => panic!("a batch routes only ExpectedIn frames down: {out:?}"),
+            })
+            .collect();
+        assert_eq!(
+            routes,
+            vec![
+                (EndpointId(11), vec![(0, 5)]),
+                (EndpointId(10), vec![(0, 4)])
+            ]
+        );
+        for (msg, expected) in [
+            (
+                batch(&[4, 9]),
+                "ExpectedInBatch naming only this node's ranks",
+            ),
+            (CtrlMsg::ExpectedIn { from: vec![] }, "ExpectedInBatch"),
+        ] {
+            let v = at_batch.clone().step(msg).unwrap_err();
+            assert_eq!(
+                (v.role.as_str(), v.phase, v.expected, v.ckpt_id),
+                (
+                    "sub-coordinator node 1",
+                    ProtocolPhase::ExpectedWait,
+                    expected,
+                    Some(7)
+                )
+            );
+        }
+    }
 }
