@@ -70,9 +70,9 @@ pub trait CheckpointStore: Send + Sync {
     /// The result is a scatter ([`ImageBytes`]): backends that stored a
     /// scatter hand it back with its shared rope pages intact (the
     /// zero-copy restart read path), and image-aware tiers (delta replay,
-    /// CAS reassembly) attach the decoded image so
-    /// [`crate::image::CheckpointImage::decode_shared`] skips the wire
-    /// decode entirely. Callers that need contiguous bytes flatten with
+    /// a CAS store handing back the image it stored) attach the decoded
+    /// image so [`crate::image::CheckpointImage::decode_shared`] skips the
+    /// wire decode entirely. Callers that need contiguous bytes flatten with
     /// [`ImageBytes::to_vec`], paying (and tallying) the copy.
     fn get(
         &self,

@@ -400,8 +400,8 @@ fn bits_or_into(dst: &mut Vec<u64>, src: &[u64]) {
 /// reference-count bump however many pages it holds, so a rope crosses
 /// the encoder, every store tier, the decoder and
 /// [`AddressSpace::restore_region`] as one handle. Only building a new
-/// rope (a tracked snapshot, a patch, a CAS reassembly) touches each
-/// page's count. The list also keeps its pages' digests side by side once
+/// rope (a tracked snapshot, a patch, a CAS put that rebuilds a twin
+/// region on its pool's pages) touches each page's count. The list also keeps its pages' digests side by side once
 /// something asks for them all ([`DenseSnap::page_digests`]), so a reader
 /// that wants every page's digest again reads one contiguous list instead
 /// of visiting each page.
@@ -445,9 +445,9 @@ impl DenseSnap {
     }
 
     /// Rebuild a snapshot from already-frozen page handles — zero-copy:
-    /// the pages stay shared with whoever else holds them (the
-    /// content-addressed store reassembles images from its page pool
-    /// this way). Returns `None` unless the handles follow the
+    /// the pages stay shared with whoever else holds them (a
+    /// content-addressed store's put rebuilds a twin image's region on its
+    /// pool's pages this way). Returns `None` unless the handles follow the
     /// canonical chunking of `len`: every page [`PAGE`] bytes except a
     /// shorter final page.
     pub fn from_pages(len: usize, pages: Vec<Page>) -> Option<DenseSnap> {

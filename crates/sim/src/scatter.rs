@@ -589,19 +589,34 @@ impl From<Vec<u8>> for ScatterBuf {
 }
 
 impl PartialEq for ScatterBuf {
-    /// Content equality regardless of segmentation (no flattening).
+    /// Content equality regardless of segmentation (no flattening): the
+    /// two piece lists are walked side by side and each overlapping run
+    /// is compared as one slice.
     fn eq(&self, other: &ScatterBuf) -> bool {
         if self.len != other.len {
             return false;
         }
-        let mut a = self.segments().flatten();
-        let mut b = other.segments().flatten();
+        let (mut a, mut b) = (self.segments(), other.segments());
+        let (mut x, mut y): (&[u8], &[u8]) = (&[], &[]);
         loop {
-            match (a.next(), b.next()) {
-                (None, None) => return true,
-                (x, y) if x == y => {}
-                _ => return false,
+            if x.is_empty() {
+                // Equal lengths: when one side is spent, so is the other.
+                match a.next() {
+                    Some(next) => x = next,
+                    None => return true,
+                }
             }
+            if y.is_empty() {
+                match b.next() {
+                    Some(next) => y = next,
+                    None => return false,
+                }
+            }
+            let n = x.len().min(y.len());
+            if x[..n] != y[..n] {
+                return false;
+            }
+            (x, y) = (&x[n..], &y[n..]);
         }
     }
 }
@@ -972,5 +987,49 @@ mod tests {
         let c = ScatterBuf::from_vec(vec![1, 2, 3, 5]);
         assert_ne!(a, c);
         assert_ne!(a, ScatterBuf::from_vec(vec![1, 2, 3]));
+
+        // A rope against the same bytes as pages and as one owned buffer.
+        let (rope, pages) = roped();
+        let flat = rope.to_vec();
+        let owned = ScatterBuf::from_vec(flat.clone());
+        // The same bytes cut into runs that straddle every page boundary.
+        let runs = |bytes: &[u8]| {
+            let mut b = ScatterBuf::new();
+            for run in bytes.chunks(1000) {
+                b.push_owned(run.to_vec());
+            }
+            b
+        };
+        let shapes = [&rope, &pages, &owned, &runs(&flat)];
+        for x in shapes {
+            for y in shapes {
+                assert_eq!(x, y);
+            }
+        }
+        // One byte off at the first and last byte and on either side of
+        // every piece boundary.
+        let mut at = vec![0, flat.len() - 1];
+        let mut end = 0;
+        for piece in pages.segments() {
+            end += piece.len();
+            at.extend([end - 1, end.min(flat.len() - 1)]);
+        }
+        for i in at {
+            let mut off = flat.clone();
+            off[i] ^= 0x80;
+            for y in [ScatterBuf::from_vec(off.clone()), runs(&off)] {
+                for x in shapes {
+                    assert_ne!(*x, y, "byte {i}");
+                    assert_ne!(y, *x, "byte {i}");
+                }
+            }
+        }
+        // A prefix is not equal, however it is cut.
+        let prefix = ScatterBuf::from_vec(flat[..flat.len() - 1].to_vec());
+        for x in shapes {
+            assert_ne!(*x, prefix);
+            assert_ne!(prefix, *x);
+        }
+        assert_eq!(rope.slice(0, flat.len() - 1), prefix);
     }
 }

@@ -23,9 +23,17 @@
 //! the *newly unique* page bytes (dedup saves write bandwidth and
 //! capacity), plus a digest-CPU term (hashing is not free, even when
 //! everything dedups). `get` charges the manifest read plus page-pool
-//! fetch time for the image's dense bytes. Reassembly is zero-copy:
-//! regions are rebuilt from the pool's shared [`Page`]s via
-//! [`DenseSnap::from_pages`].
+//! fetch time for the image's dense bytes.
+//!
+//! A read is O(regions), not O(pages). Beside each manifest the store
+//! keeps the image as stored, whose dense ropes hold only pool pages, and
+//! `get` hands it back, one clone per region, once the manifest read from
+//! below is byte-equal to the one it wrote. Any other manifest (one
+//! written past the store, or with no object at its path) is
+//! [`StoreError::Corrupt`]. A presented page whose bytes the pool already
+//! holds in another allocation (a twin image) gets its region rebuilt from
+//! the pool's handles at put, so the pool stays the only owner of the
+//! bytes it counts.
 //!
 //! A page's pool slot starts at its memoized seed-0 digest
 //! ([`Page::digest`]), the same value the journal folds: a page that
@@ -44,12 +52,10 @@
 //!
 //! Non-image objects pass through unmodified.
 
-use mana_core::codec::{CodecError, ScatterDec, ScatterEnc};
+use mana_core::codec::ScatterEnc;
 use mana_core::config::parse_image_path;
 use mana_core::error::StoreError;
-use mana_core::image::{
-    decode_embedded, decode_region, encode_region, CheckpointImage, ImageBytes,
-};
+use mana_core::image::{encode_region, CheckpointImage, ImageBytes};
 use mana_core::store::CheckpointStore;
 use mana_sim::fs::IoShape;
 use mana_sim::memory::{DenseSnap, RegionSnapshot, SnapshotContent};
@@ -65,15 +71,15 @@ use std::sync::Arc;
 /// "MANACAS1" little-endian.
 pub const CAS_MAGIC: u64 = 0x3153_4143_414e_414d;
 /// Current manifest-format version. Version 3 records one pool slot per
-/// page (see `Slot`); a manifest only resolves against the in-process
-/// pool that wrote it, so no older version has a reader.
+/// page (see `Slot`). Only the store that wrote a manifest reads it back,
+/// by comparing it with the bytes it recorded, so no version is decoded.
 pub const CAS_VERSION: u32 = 3;
 
 /// Content-addressed-store parameters.
 #[derive(Clone, Debug)]
 pub struct CasConfig {
     /// Page-pool fetch bandwidth charged on `get`, bytes/s of
-    /// reassembled dense data.
+    /// dense data read back.
     pub read_bw: f64,
     /// Digest throughput charged on `put`, bytes/s of dense data — paid
     /// for every page not already a pool handle, deduplicated or not.
@@ -129,10 +135,16 @@ struct PoolEntry {
     refs: u64,
 }
 
-/// Per-path bookkeeping for a CAS-encoded image: which pool pages it
-/// references (in no particular order — release only).
+/// Per-path bookkeeping for a CAS-encoded image.
 struct CasObject {
+    /// The pool pages it references (release walks them).
     slots: Vec<Slot>,
+    /// The image as stored: every dense rope holds only pool pages, so a
+    /// read hands it back by one clone per region.
+    image: Arc<CheckpointImage>,
+    /// The manifest written below; a read checks what comes back against
+    /// it.
+    manifest: ScatterBuf,
 }
 
 /// Cumulative dedup counters. Monotone; sample before/after a window
@@ -259,88 +271,46 @@ impl CasState {
     }
 }
 
-/// The decoded form of a manifest: the image's metadata plus per-region
-/// content references.
-struct Manifest {
-    meta: CheckpointImage,
-    regions: Vec<ManifestRegion>,
-}
-
-enum ManifestRegion {
-    /// Region stored verbatim in the manifest (pattern regions are just
-    /// a seed — there is nothing to deduplicate).
-    Inline(RegionSnapshot),
-    /// Dense region stored as an ordered pool-slot list; `header` is the
-    /// region's identity with placeholder content.
-    Paged {
-        header: RegionSnapshot,
-        dense_len: u64,
-        slots: Vec<Slot>,
-    },
-}
-
-fn encode_manifest(m: &Manifest) -> ScatterBuf {
+/// Encode the manifest of `img`: its metadata, then per region either the
+/// region itself (pattern regions are just a seed — there is nothing to
+/// deduplicate) or, for a dense region, its identity with placeholder
+/// content, its length and its pages' pool slots in order. `slots` lists
+/// every dense page's slot, region by region.
+fn encode_manifest(img: &CheckpointImage, slots: &[Slot]) -> ScatterBuf {
     let mut e = ScatterEnc::new();
     e.u64(CAS_MAGIC);
     e.u32(CAS_VERSION);
-    e.bytes(&m.meta.encode().into_vec());
-    e.seq(m.regions.len());
-    for r in &m.regions {
-        match r {
-            ManifestRegion::Inline(region) => {
+    let meta = CheckpointImage {
+        regions: Vec::new(),
+        ..img.clone()
+    };
+    e.bytes(&meta.encode().into_vec());
+    e.seq(img.regions.len());
+    let mut slots = slots.iter();
+    for r in &img.regions {
+        match &r.content {
+            SnapshotContent::Pattern { .. } => {
                 e.u32(0);
-                encode_region(&mut e, region);
+                encode_region(&mut e, r);
             }
-            ManifestRegion::Paged {
-                header,
-                dense_len,
-                slots,
-            } => {
+            SnapshotContent::Dense(snap) => {
                 e.u32(1);
-                encode_region(&mut e, header);
-                e.u64(*dense_len);
-                e.seq(slots.len());
-                for slot in slots {
+                encode_region(
+                    &mut e,
+                    &RegionSnapshot {
+                        content: SnapshotContent::Pattern { seed: 0 },
+                        ..r.clone()
+                    },
+                );
+                e.u64(snap.len() as u64);
+                e.seq(snap.page_count());
+                for slot in slots.by_ref().take(snap.page_count()) {
                     e.u64(*slot);
                 }
             }
         }
     }
     e.finish()
-}
-
-fn decode_manifest(data: &ImageBytes) -> Result<Manifest, CodecError> {
-    let mut d = ScatterDec::new(data.scatter());
-    let magic = d.u64("cas magic")?;
-    if magic != CAS_MAGIC {
-        return Err(CodecError::BadMagic(magic));
-    }
-    let version = d.u32("cas version")?;
-    if version != CAS_VERSION {
-        return Err(CodecError::BadVersion(version));
-    }
-    let meta = decode_embedded(&mut d, "cas meta image")?;
-    let mut regions = Vec::new();
-    for _ in 0..d.seq("cas regions")? {
-        regions.push(match d.u32("cas region tag")? {
-            0 => ManifestRegion::Inline(decode_region(&mut d)?),
-            1 => {
-                let header = decode_region(&mut d)?;
-                let dense_len = d.u64("cas dense len")?;
-                let mut slots = Vec::new();
-                for _ in 0..d.seq("cas page slots")? {
-                    slots.push(d.u64("cas page slot")?);
-                }
-                ManifestRegion::Paged {
-                    header,
-                    dense_len,
-                    slots,
-                }
-            }
-            tag => return Err(CodecError::BadTag { what: "cas", tag }),
-        });
-    }
-    Ok(Manifest { meta, regions })
 }
 
 /// Is this blob a CAS manifest (vs a full image or foreign bytes)? Peeks
@@ -419,55 +389,67 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         // Overwrite: the old object's references go before the new ones
         // land.
         st.release(path);
-        let mut slots = Vec::new();
-        let mut regions = Vec::with_capacity(img.regions.len());
+        let mut slots = Vec::with_capacity(img.dense_page_count() as usize);
+        // Dense regions holding a page whose bytes the pool already had in
+        // another allocation, rebuilt from the pool's handles.
+        let mut twins = Vec::new();
         let mut hashed_bytes = 0u64;
         let mut new_bytes = 0u64;
-        for r in &img.regions {
-            match &r.content {
-                SnapshotContent::Pattern { .. } => {
-                    regions.push(ManifestRegion::Inline(r.clone()));
+        for (i, r) in img.regions.iter().enumerate() {
+            let SnapshotContent::Dense(snap) = &r.content else {
+                continue;
+            };
+            let first = slots.len();
+            let mut twin = false;
+            for page in snap.page_handles() {
+                let len = page.len() as u64;
+                let (slot, pooled) = st.pool_page(page.digest(), page);
+                st.stats.pages_in += 1;
+                st.stats.bytes_in += len;
+                if pooled != Pooled::Handle {
+                    st.stats.pages_hashed += 1;
+                    hashed_bytes += len;
                 }
-                SnapshotContent::Dense(snap) => {
-                    let mut region_slots = Vec::with_capacity(snap.page_count());
-                    for page in snap.page_handles() {
-                        let len = page.len() as u64;
-                        let (slot, pooled) = st.pool_page(page.digest(), page);
-                        st.stats.pages_in += 1;
-                        st.stats.bytes_in += len;
-                        if pooled != Pooled::Handle {
-                            st.stats.pages_hashed += 1;
-                            hashed_bytes += len;
-                        }
-                        if pooled == Pooled::New {
-                            st.stats.pages_new += 1;
-                            new_bytes += len;
-                        }
-                        region_slots.push(slot);
-                    }
-                    slots.extend_from_slice(&region_slots);
-                    regions.push(ManifestRegion::Paged {
-                        header: RegionSnapshot {
-                            start: r.start,
-                            len: r.len,
-                            half: r.half,
-                            kind: r.kind,
-                            name: r.name.clone(),
-                            content: SnapshotContent::Pattern { seed: 0 },
-                        },
-                        dense_len: snap.len() as u64,
-                        slots: region_slots,
-                    });
+                if pooled == Pooled::New {
+                    st.stats.pages_new += 1;
+                    new_bytes += len;
                 }
+                twin |= pooled == Pooled::Equal;
+                slots.push(slot);
+            }
+            if twin {
+                let pages = slots[first..]
+                    .iter()
+                    .map(|slot| st.pool[slot].data.clone())
+                    .collect();
+                let rebuilt = DenseSnap::from_pages(snap.len(), pages)
+                    .expect("equal pages chunk as the presented ones");
+                twins.push((i, rebuilt));
             }
         }
-        let mut meta = Arc::unwrap_or_clone(img);
-        meta.regions = Vec::new();
-        let manifest = encode_manifest(&Manifest { meta, regions });
+        let manifest = encode_manifest(&img, &slots);
         let manifest_len = manifest.len() as u64;
         st.stats.bytes_new += new_bytes;
         st.stats.manifest_bytes += manifest_len;
-        st.objects.insert(path.to_string(), CasObject { slots });
+        // Kept as presented unless a twin region was rebuilt, so the pool
+        // stays the only owner of the bytes it counts.
+        let image = if twins.is_empty() {
+            img
+        } else {
+            let mut own = Arc::unwrap_or_clone(img);
+            for (i, rebuilt) in twins {
+                own.regions[i].content = SnapshotContent::Dense(rebuilt);
+            }
+            Arc::new(own)
+        };
+        st.objects.insert(
+            path.to_string(),
+            CasObject {
+                slots,
+                image,
+                manifest: manifest.clone(),
+            },
+        );
         drop(guard);
         // The inner tier is charged for what actually lands on it: the
         // manifest plus the newly unique page bytes. Digest CPU covers
@@ -479,6 +461,10 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         cpu + io
     }
 
+    /// Reads the manifest from below (its cost, `NotFound` and torn
+    /// verdicts are the inner store's) and hands back the image stored
+    /// with it. A manifest that is not the one this store wrote at `path`
+    /// is `Corrupt`: it was written past the store.
     fn get(
         &self,
         path: &str,
@@ -489,52 +475,25 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         if !is_manifest(&data) {
             return Ok((data, dur));
         }
-        let m = decode_manifest(&data).map_err(|e| StoreError::Corrupt {
+        let kept = self
+            .state
+            .lock()
+            .objects
+            .get(path)
+            .map(|obj| (obj.manifest == *data.scatter(), obj.image.clone()));
+        let corrupt = |why: &str| StoreError::Corrupt {
             path: path.to_string(),
-            why: e.to_string(),
-        })?;
-        let st = self.state.lock();
-        let mut dense_bytes = 0u64;
-        let mut regions = Vec::with_capacity(m.regions.len());
-        for r in m.regions {
-            regions.push(match r {
-                ManifestRegion::Inline(region) => region,
-                ManifestRegion::Paged {
-                    header,
-                    dense_len,
-                    slots,
-                } => {
-                    let mut pages = Vec::with_capacity(slots.len());
-                    for slot in &slots {
-                        let entry = st.pool.get(slot).ok_or_else(|| StoreError::Corrupt {
-                            path: path.to_string(),
-                            why: format!("page slot {slot:#x} missing from pool"),
-                        })?;
-                        pages.push(entry.data.clone());
-                    }
-                    dense_bytes += dense_len;
-                    let snap =
-                        DenseSnap::from_pages(dense_len as usize, pages).ok_or_else(|| {
-                            StoreError::Corrupt {
-                                path: path.to_string(),
-                                why: "pooled pages disagree with manifest dense length".into(),
-                            }
-                        })?;
-                    RegionSnapshot {
-                        content: SnapshotContent::Dense(snap),
-                        ..header
-                    }
-                }
-            });
-        }
-        drop(st);
-        let mut img = m.meta;
-        img.regions = regions;
-        let fetch = SimDuration::secs_f64(dense_bytes as f64 / self.cfg.read_bw);
-        // Reassembly stays zero-copy on the way out too: the wire scatter
-        // shares the pool's pages and the decoded image rides along,
-        // so decode_shared callers skip the wire decode entirely.
-        Ok((CheckpointImage::encode_shared(&Arc::new(img)), dur + fetch))
+            why: why.to_string(),
+        };
+        let image = match kept {
+            Some((true, image)) => image,
+            Some((false, _)) => return Err(corrupt("manifest differs from the one stored here")),
+            None => return Err(corrupt("manifest with no object stored here")),
+        };
+        let fetch = SimDuration::secs_f64(image.dense_bytes() as f64 / self.cfg.read_bw);
+        // The decoded image rides along, so decode_shared callers skip the
+        // wire decode and take each region back as the stored rope.
+        Ok((CheckpointImage::encode_shared(&image), dur + fetch))
     }
 
     fn below(&self) -> Option<&dyn CheckpointStore> {
@@ -643,9 +602,106 @@ mod tests {
         assert_eq!(
             bytes.to_vec(),
             img.encode().to_vec(),
-            "reassembly must be bit-exact"
+            "a read must be bit-exact"
         );
         assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img);
+    }
+
+    /// The dense snapshot of `img`'s region `i`.
+    fn dense(img: &CheckpointImage, i: usize) -> &DenseSnap {
+        match &img.regions[i].content {
+            SnapshotContent::Dense(snap) => snap,
+            SnapshotContent::Pattern { .. } => panic!("region {i} is a pattern"),
+        }
+    }
+
+    /// Put `img` with its decoded form attached, as the checkpoint path
+    /// does.
+    fn put_shared(s: &impl CheckpointStore, p: &str, img: &Arc<CheckpointImage>) {
+        s.put(
+            p,
+            CheckpointImage::encode_shared(img),
+            img.logical_bytes(),
+            0,
+            SHAPE,
+        );
+    }
+
+    fn read_back(s: &impl CheckpointStore, p: &str) -> CheckpointImage {
+        let (bytes, _) = s.get(p, 0, SHAPE).unwrap();
+        CheckpointImage::decode_shared(&bytes).unwrap().0
+    }
+
+    #[test]
+    fn a_read_hands_back_the_ropes_it_stored() {
+        let s = store();
+        let regions = || {
+            vec![
+                region(0x1000, buf(40 << 12, 20)),
+                pattern(0x9000_0000, 1 << 20, 42),
+                region(0xa000_0000, buf(3 << 12, 21)),
+            ]
+        };
+        let img = Arc::new(image(0, 1, regions()));
+        put_shared(&s, &path("a", 1, 0), &img);
+        let back = read_back(&s, &path("a", 1, 0));
+        assert_eq!(back, *img);
+        for i in [0, 2] {
+            assert!(
+                DenseSnap::ptr_eq(dense(&back, i), dense(&img, i)),
+                "region {i} reads back as the stored rope"
+            );
+        }
+
+        // A twin in fresh allocations reads back on the pool's pages, and
+        // the pool does not grow by its bytes.
+        let pool = s.pool_bytes();
+        let twin = Arc::new(image(1, 1, regions()));
+        put_shared(&s, &path("b", 1, 0), &twin);
+        assert_eq!(s.pool_bytes(), pool, "a twin adds no pool bytes");
+        let back = read_back(&s, &path("b", 1, 0));
+        assert_eq!(back, *twin);
+        for i in [0, 2] {
+            let (got, first) = (dense(&back, i), dense(&img, i));
+            assert!(
+                (0..got.page_count()).all(|p| got.shares_page(first, p)),
+                "region {i} reads back on the first image's pages"
+            );
+            assert!(!dense(&twin, i).shares_page(first, 0));
+        }
+    }
+
+    #[test]
+    fn a_manifest_written_past_the_store_is_corrupt() {
+        let below = Arc::new(InMemStore::new());
+        let s = CasStore::new(CasConfig::default(), below.clone());
+        let (p1, p2) = (path("a", 1, 0), path("a", 2, 0));
+        // One dense region last, so a manifest ends with its last slot.
+        let gen = |id, salt| Arc::new(image(0, id, vec![region(0x1000, buf(8 << 12, salt))]));
+        put_shared(&s, &p1, &gen(1, 30));
+        put_shared(&s, &p2, &gen(2, 31));
+        let manifest = |p: &str| below.get(p, 0, SHAPE).unwrap().0.to_vec();
+        let (m1, m2) = (manifest(&p1), manifest(&p2));
+        let mut flipped = m1.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        let mut noise = CAS_MAGIC.to_le_bytes().to_vec();
+        noise.extend([0xff; 24]);
+        let p3 = path("a", 3, 0);
+        for (p, bytes, what) in [
+            (&p1, m2.clone(), "another generation's manifest"),
+            (&p1, flipped, "a slot byte flipped"),
+            (&p3, m1, "a manifest with no object"),
+            (&p3, noise, "CAS magic with no object"),
+        ] {
+            below.put(p, bytes.into(), 0, 0, SHAPE);
+            let got = s.get(p, 0, SHAPE).map(|(bytes, _)| bytes.len());
+            assert!(
+                matches!(got, Err(StoreError::Corrupt { .. })),
+                "{what}: {got:?}"
+            );
+        }
+        // The untouched generation still reads back.
+        assert_eq!(read_back(&s, &p2), *gen(2, 31));
     }
 
     #[test]
